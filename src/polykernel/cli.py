@@ -104,13 +104,13 @@ def emit_json(obj, indent: int = 0) -> str:
 
 
 def _write_output(text: str, out_path: str | None):
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if not text.endswith("\n"):
-        (open(out_path, "a") if out_path else sys.stdout).write("\n")
 
 
 def _tree_to_dict(node):

@@ -33,7 +33,7 @@ from .specfun import (
     jacobi_q2_signed_log,
     legendre_q_hat,
 )
-from .orthopoly import jacobi_p
+from .orthopoly import _jacobi_p1, _jacobi_step
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,7 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
     acc = _Series(tr, trace)
     log_poch = 0.0
     poch_sign = 1.0
+    p_prev, pn = 0.0, 1.0   # P_{n-1}, P_n by the three-term recurrence
     for n in range(tr.max_terms):
         if stop_after is not None and n > stop_after:
             break
@@ -215,12 +216,13 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
             step = nu + n - 1.0
             log_poch += math.log(abs(step))
             poch_sign *= math.copysign(1.0, step)
+            p_prev, pn = pn, (_jacobi_p1(alpha, beta, x) if n == 1
+                              else _jacobi_step(n, alpha, beta, x, p_prev, pn))
         sg_top, lg_top = gamma_signed_log(ab + n + 1.0)
         coef_log = (math.log(ab + 2.0 * n + 1.0) + lg_top + log_poch
                     - math.lgamma(alpha + 1.0 + n) - math.lgamma(beta + 1.0 + n))
         q_sign, q_log = jacobi_q2_signed_log(n + nu - 1.0, alpha + 1.0 - nu,
                                              beta + 1.0 - nu, z)
-        pn = jacobi_p(n, alpha, beta, x)
         mag = coef_log + q_log
         term = 0.0
         if pn != 0.0 and q_sign != 0.0 and mag > -700.0:

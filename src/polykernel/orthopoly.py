@@ -8,8 +8,8 @@ test oracles only.  All evaluators accept scalar or ndarray arguments.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +24,20 @@ def _validate_jacobi_params(alpha, beta):
         raise ValueError("alpha + beta + 1 = 0 with both parameters in (-1, 0)")
 
 
+def _jacobi_step(k, alpha, beta, x, p_prev, p):
+    """P_k^{(alpha,beta)}(x) from p = P_{k-1} and p_prev = P_{k-2}, k >= 2."""
+    ab = alpha + beta
+    c1 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
+    c2 = (2.0 * k + ab - 1.0) * (alpha * alpha - beta * beta)
+    c3 = (2.0 * k + ab - 2.0) * (2.0 * k + ab - 1.0) * (2.0 * k + ab)
+    c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab)
+    return ((c2 + c3 * x) * p - c4 * p_prev) / c1
+
+
+def _jacobi_p1(alpha, beta, x):
+    return 0.5 * ((alpha + beta + 2.0) * x + (alpha - beta))
+
+
 def jacobi_p(n: int, alpha: float, beta: float, x):
     """Jacobi polynomial P_n^{(alpha,beta)}(x) by three-term recurrence."""
     if n < 0:
@@ -33,15 +47,29 @@ def jacobi_p(n: int, alpha: float, beta: float, x):
     p0 = np.ones_like(xa)
     if n == 0:
         return p0 if np.ndim(x) else 1.0
-    ab = alpha + beta
-    p1 = 0.5 * ((ab + 2.0) * xa + (alpha - beta))
+    p1 = _jacobi_p1(alpha, beta, xa)
     for k in range(2, n + 1):
-        c1 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
-        c2 = (2.0 * k + ab - 1.0) * (alpha * alpha - beta * beta)
-        c3 = (2.0 * k + ab - 2.0) * (2.0 * k + ab - 1.0) * (2.0 * k + ab)
-        c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab)
-        p0, p1 = p1, ((c2 + c3 * xa) * p1 - c4 * p0) / c1
+        p0, p1 = p1, _jacobi_step(k, alpha, beta, xa, p0, p1)
     return p1 if np.ndim(x) else float(p1)
+
+
+def jacobi_p_all(nmax: int, alpha: float, beta: float, x):
+    """All of P_0^{(alpha,beta)}(x) .. P_nmax^{(alpha,beta)}(x) in one recurrence pass.
+
+    Row n is bit-for-bit ``jacobi_p(n, alpha, beta, x)``: the same recurrence,
+    run once.  The result has shape ``(nmax + 1,) + np.shape(x)``.
+    """
+    if nmax < 0:
+        raise ValueError("degree must be a nonnegative integer")
+    _validate_jacobi_params(alpha, beta)
+    xa = np.asarray(x, dtype=float)
+    out = np.empty((nmax + 1,) + xa.shape, dtype=float)
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = _jacobi_p1(alpha, beta, xa)
+    for k in range(2, nmax + 1):
+        out[k] = _jacobi_step(k, alpha, beta, xa, out[k - 2], out[k - 1])
+    return out
 
 
 def jacobi_norm(n: int, alpha: float, beta: float) -> float:
@@ -64,8 +92,7 @@ def jacobi_norm_log(n: int, alpha: float, beta: float) -> float:
             - math.lgamma(n + alpha + 1.0) - math.lgamma(n + beta + 1.0))
 
 
-def gegenbauer_c(n: int, mu: float, x):
-    """Gegenbauer polynomial C_n^{mu}(x) by recurrence; mu > -1/2, mu != 0."""
+def _validate_gegenbauer(n, mu):
     if n < 0:
         raise ValueError("degree must be a nonnegative integer")
     if mu == 0.0:
@@ -73,6 +100,11 @@ def gegenbauer_c(n: int, mu: float, x):
             "C_n^0 vanishes identically; use chebyshev_t with the Neumann factor")
     if mu <= -0.5:
         raise ValueError(f"Gegenbauer order must exceed -1/2, got {mu}")
+
+
+def gegenbauer_c(n: int, mu: float, x):
+    """Gegenbauer polynomial C_n^{mu}(x) by recurrence; mu > -1/2, mu != 0."""
+    _validate_gegenbauer(n, mu)
     xa = np.asarray(x, dtype=float)
     c0 = np.ones_like(xa)
     if n == 0:
@@ -85,9 +117,7 @@ def gegenbauer_c(n: int, mu: float, x):
 
 def gegenbauer_c_all(nmax: int, mu: float, x):
     """All of C_0^mu(x) .. C_nmax^mu(x) in one recurrence pass."""
-    if mu == 0.0:
-        raise ZeroParameterError(
-            "C_n^0 vanishes identically; use chebyshev_t with the Neumann factor")
+    _validate_gegenbauer(nmax, mu)
     xa = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1,) + xa.shape, dtype=float)
     out[0] = 1.0
@@ -128,10 +158,6 @@ class ConnectionTable:
                    for k, c in enumerate(self.coefficients))
 
 
-_connection_cache: dict = {}
-_connection_lock = threading.Lock()
-
-
 def connection_coeffs(n: int, gamma_: float, delta: float,
                       alpha: float, beta: float) -> ConnectionTable:
     """Two-free-parameter Jacobi connection coefficients c_{n,k}.
@@ -144,11 +170,11 @@ def connection_coeffs(n: int, gamma_: float, delta: float,
         raise ValueError("degree must be a nonnegative integer")
     _validate_jacobi_params(gamma_, delta)
     _validate_jacobi_params(alpha, beta)
-    key = (n, gamma_, delta, alpha, beta)
-    with _connection_lock:
-        hit = _connection_cache.get(key)
-    if hit is not None:
-        return hit
+    return _connection_table(n, gamma_, delta, alpha, beta)
+
+
+@lru_cache(maxsize=None)
+def _connection_table(n, gamma_, delta, alpha, beta):
     coeffs = []
     for k in range(n + 1):
         front = (pochhammer(gamma_ + k + 1.0, n - k)
@@ -158,8 +184,5 @@ def connection_coeffs(n: int, gamma_: float, delta: float,
         f = hyp_3f2_unit(-(n - k), n + k + gamma_ + delta + 1.0, alpha + k + 1.0,
                          gamma_ + k + 1.0, alpha + beta + 2.0 * k + 2.0)
         coeffs.append(front * f)
-    table = ConnectionTable(source=(gamma_, delta), target=(alpha, beta),
-                            degree=n, coefficients=tuple(coeffs))
-    with _connection_lock:
-        _connection_cache[key] = table
-    return table
+    return ConnectionTable(source=(gamma_, delta), target=(alpha, beta),
+                           degree=n, coefficients=tuple(coeffs))

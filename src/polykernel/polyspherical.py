@@ -41,7 +41,7 @@ from .errors import (
     UnknownToken,
     ZeroExponent,
 )
-from .orthopoly import gegenbauer_c, jacobi_norm_log, jacobi_p
+from .orthopoly import gegenbauer_c, gegenbauer_c_all, jacobi_norm_log, jacobi_p, jacobi_p_all
 
 ANGLE_RANGES = {
     "a": (0.0, 2.0 * math.pi, False),   # half-open [0, 2pi)
@@ -508,6 +508,41 @@ def theta_standard(j: int, d: int, l: int, l_next: int, theta: float) -> float:
     return math.copysign(math.exp(logc + math.log(abs(cval))), cval)
 
 
+def _signed_pair_products(vals, log_coef):
+    """sign * exp(log_coef + log|v| + log|v'|) for the rows (v, v') of vals.
+
+    The log-space assembly lets large-order coefficient growth cancel against
+    the polynomial values instead of overflowing.
+    """
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(vals)).sum(axis=1)
+    return np.prod(np.sign(vals), axis=1) * np.exp(log_coef + log_abs)
+
+
+def theta_standard_pairs(j: int, d: int, lmax: int, l_next: int,
+                         theta: float, thetap: float):
+    """theta_standard(j, d, l, l_next, .) at theta times at thetap, l = l_next..lmax.
+
+    One Gegenbauer recurrence pass at both angles builds the whole column;
+    entry l - l_next belongs to degree l.
+    """
+    if not 1 <= j <= d - 2 or lmax < l_next or l_next < 0:
+        raise ValueError("need 1 <= j <= d-2 and lmax >= l_next >= 0")
+    s, sp = math.sin(theta), math.sin(thetap)
+    if l_next > 0 and (s == 0.0 or sp == 0.0):
+        return np.zeros(lmax - l_next + 1)
+    e = d - j - 1.0
+    mu = l_next + 0.5 * e
+    cvals = gegenbauer_c_all(lmax - l_next, mu, [math.cos(theta), math.cos(thetap)])
+    log_front = (2.0 * (math.lgamma(l_next + 0.5 * (d - j + 1.0)) - math.log(2.0 * l_next + e))
+                 + (2.0 * l_next + e) * math.log(2.0) - math.log(math.pi))
+    if l_next > 0:
+        log_front += l_next * (math.log(s) + math.log(sp))
+    log_coef = np.array([log_front + math.log(2.0 * l + e) + math.lgamma(l - l_next + 1.0)
+                         - math.lgamma(l + l_next + e) for l in range(l_next, lmax + 1)])
+    return _signed_pair_products(cvals, log_coef)
+
+
 def hopf_upsilon(q: int, heap_index: int, n: int, l_left: int, l_right: int,
                  theta: float) -> float:
     """Normalized c-node factor of the Hopf tree V_{2^q}, heap position j."""
@@ -530,3 +565,32 @@ def hopf_upsilon(q: int, heap_index: int, n: int, l_left: int, l_right: int,
     if l_right > 0:
         logc += l_right * math.log(st)
     return math.copysign(math.exp(logc + math.log(abs(pval))), pval)
+
+
+def hopf_upsilon_pairs(q: int, heap_index: int, nmax: int, l_left: int,
+                       l_right: int, theta: float, thetap: float):
+    """hopf_upsilon(q, heap_index, n, l_left, l_right, .) at theta times at thetap.
+
+    One Jacobi recurrence pass at both angles builds the column n = 0..nmax.
+    """
+    if nmax < 0 or l_left < 0 or l_right < 0:
+        raise ValueError("quantum numbers must be nonnegative")
+    off = 2 ** (q - 2 - (heap_index.bit_length() - 1))
+    a = l_left - 1.0 + off
+    b = l_right - 1.0 + off
+    ct, ctp = math.cos(theta), math.cos(thetap)
+    st, stp = math.sin(theta), math.sin(thetap)
+    if ((l_left > 0 and (ct == 0.0 or ctp == 0.0))
+            or (l_right > 0 and (st == 0.0 or stp == 0.0))):
+        return np.zeros(nmax + 1)
+    pvals = jacobi_p_all(nmax, b, a, [math.cos(2.0 * theta), math.cos(2.0 * thetap)])
+    log_front = 0.0
+    if l_left > 0:
+        log_front += l_left * (math.log(ct) + math.log(ctp))
+    if l_right > 0:
+        log_front += l_right * (math.log(st) + math.log(stp))
+    log_coef = np.array([log_front + math.log(2.0 * n + a + b + 1.0)
+                         + math.lgamma(n + a + b + 1.0) + math.lgamma(n + 1.0)
+                         - math.lgamma(n + a + 1.0) - math.lgamma(n + b + 1.0)
+                         for n in range(nmax + 1)])
+    return _signed_pair_products(pvals, log_coef)

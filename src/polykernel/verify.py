@@ -19,8 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoincidentRadiusError, ExclusionSetError, SingularConfigurationError
-from .orthopoly import gegenbauer_c_all, jacobi_p
-from .polyspherical import hopf_g_recursion, hopf_upsilon, theta_standard
+from .orthopoly import gegenbauer_c_all, jacobi_p_all
+from .polyspherical import (
+    _signed_pair_products,
+    hopf_g_recursion,
+    hopf_upsilon_pairs,
+    theta_standard_pairs,
+)
 from .specfun import _is_int, legendre_q_hat
 
 _RADIUS_GUARD = 1e-6
@@ -183,28 +188,18 @@ def verify_standard(cfg: TheoremConfig) -> VerificationReport:
     L = m + cfg.caps
     qv = _q_cache(0.5 * (1.0 - nu - d), z)
 
-    # theta-pair tables per level, then a contraction from the innermost sum
-    # (over l_1, which carries the Legendre factor) outward.
-    def theta_table(j, theta, thetap):
-        tab = {}
-        for l_next in range(m, L + 1):
-            for l in range(l_next, L + 1):
-                tab[(l, l_next)] = (theta_standard(j, d, l, l_next, theta)
-                                    * theta_standard(j, d, l, l_next, thetap))
-        return tab
-
-    inner = {l: qv(l + 0.5 * (d - 3.0)) for l in range(m, L + 1)}
+    # contraction from the innermost sum (over l_1, which carries the Legendre
+    # factor) outward; inner[i] belongs to degree m + i, and each level takes
+    # one theta-pair column per l_next.
+    inner = np.array([qv(l + 0.5 * (d - 3.0)) for l in range(m, L + 1)])
     for j in range(1, d - 2):
-        tab = theta_table(j, cfg.thetas[j - 1], cfg.thetasp[j - 1])
-        nxt = {}
-        for l_next in range(m, L + 1):
-            nxt[l_next] = math.fsum(tab[(l, l_next)] * inner[l]
-                                    for l in range(l_next, L + 1))
-        inner = nxt
+        th, thp = cfg.thetas[j - 1], cfg.thetasp[j - 1]
+        inner = np.array([math.fsum(theta_standard_pairs(j, d, L, l_next, th, thp)
+                                    * inner[l_next - m:])
+                          for l_next in range(m, L + 1)])
     j = d - 2
-    outer_terms = [theta_standard(j, d, l, m, cfg.thetas[j - 1])
-                   * theta_standard(j, d, l, m, cfg.thetasp[j - 1]) * inner[l]
-                   for l in range(m, L + 1)]
+    outer_terms = (theta_standard_pairs(j, d, L, m, cfg.thetas[j - 1], cfg.thetasp[j - 1])
+                   * inner).tolist()
 
     rless, rgreater = min(r, rp), max(r, rp)
     pref = (math.pi ** (0.5 * (d - 2.0)) / math.sqrt(2.0)
@@ -386,6 +381,27 @@ def chi_ca2(r, rp, vt, vtp, f2, f2p):
     return num / (2.0 * r * rp * math.cos(vt) * math.cos(vtp))
 
 
+def _ca2_column(m1, m2, L, vt, vtp):
+    """Radial-free C4.5 inner terms for one m2, n = 0..L.
+
+    (m1+m2+n)! n! / ((m1+n)! (m2+n)!) P_n^{(m2,m1)}(cos 2vt) P_n^{(m2,m1)}(cos 2vt'),
+    from one Jacobi recurrence pass at both angles.
+    """
+    p = jacobi_p_all(L, float(m2), float(m1), [math.cos(2.0 * vt), math.cos(2.0 * vtp)])
+    log_coef = np.array([math.lgamma(m1 + m2 + n + 1.0) + math.lgamma(n + 1.0)
+                         - math.lgamma(m1 + n + 1.0) - math.lgamma(m2 + n + 1.0)
+                         for n in range(L + 1)])
+    return _signed_pair_products(p, log_coef)
+
+
+def _ca2_qhat_sum(m1, m2, L, vt, vtp, qv):
+    """C4.5 inner sum over n with its Legendre radial factor."""
+    col = _ca2_column(m1, m2, L, vt, vtp)
+    deg = m1 + m2 + 2.0 * np.arange(L + 1)
+    radial = np.array([qv(k + 0.5) for k in deg.tolist()])
+    return float(np.dot(col, (deg + 1.0) * radial))
+
+
 def verify_ca2(cfg: TheoremConfig) -> VerificationReport:
     """Double-sum addition theorem on R^4 in Hopf coordinates."""
     nu, m1, r, rp = cfg.nu, cfg.m, cfg.r, cfg.rp
@@ -401,21 +417,8 @@ def verify_ca2(cfg: TheoremConfig) -> VerificationReport:
     L = cfg.caps
     cc = math.cos(vt) * math.cos(vtp)
     ss = math.sin(vt) * math.sin(vtp)
-    x2, x2p = math.cos(2.0 * vt), math.cos(2.0 * vtp)
-    outer_terms = []
-    for m2 in range(0, L + 1):
-        eps = 2.0 if m2 else 1.0
-        sn = 0.0
-        for n in range(0, L + 1):
-            pp = jacobi_p(n, float(m2), float(m1), x2) * jacobi_p(n, float(m2), float(m1), x2p)
-            if pp == 0.0:
-                continue
-            log_coef = (math.log(2.0 * n + m1 + m2 + 1.0)
-                        + math.lgamma(m1 + m2 + n + 1.0) + math.lgamma(n + 1.0)
-                        - math.lgamma(m1 + n + 1.0) - math.lgamma(m2 + n + 1.0))
-            sn += (math.copysign(math.exp(log_coef + math.log(abs(pp))), pp)
-                   * qv(2.0 * n + m1 + m2 + 0.5))
-        outer_terms.append(eps * math.cos(m2 * (f2 - f2p)) * (ss ** m2 if m2 else 1.0) * sn)
+    outer_terms = [(2.0 if m2 else 1.0) * math.cos(m2 * (f2 - f2p)) * (ss ** m2 if m2 else 1.0)
+                   * _ca2_qhat_sum(m1, m2, L, vt, vtp, qv) for m2 in range(0, L + 1)]
     rless, rgreater = min(r, rp), max(r, rp)
     pref = (2.0 ** (-0.5 * (nu + 1.0))
             * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0))
@@ -443,18 +446,8 @@ def ca2_double_coefficient(nu: float, m1: int, m2: int, r: float, rp: float,
     qv = _q_cache(-0.5 * (nu + 3.0), z)
     cc = math.cos(vt) * math.cos(vtp)
     ss = math.sin(vt) * math.sin(vtp)
-    x2, x2p = math.cos(2.0 * vt), math.cos(2.0 * vtp)
-    sn = 0.0
-    for n in range(0, caps + 1):
-        pp = jacobi_p(n, float(m2), float(m1), x2) * jacobi_p(n, float(m2), float(m1), x2p)
-        if pp == 0.0:
-            continue
-        log_coef = (math.log(2.0 * n + m1 + m2 + 1.0)
-                    + math.lgamma(m1 + m2 + n + 1.0) + math.lgamma(n + 1.0)
-                    - math.lgamma(m1 + n + 1.0) - math.lgamma(m2 + n + 1.0))
-        sn += (math.copysign(math.exp(log_coef + math.log(abs(pp))), pp)
-               * qv(2.0 * n + m1 + m2 + 0.5))
-    return (cc ** m1 if m1 else 1.0) * (ss ** m2 if m2 else 1.0) * sn
+    return ((cc ** m1 if m1 else 1.0) * (ss ** m2 if m2 else 1.0)
+            * _ca2_qhat_sum(m1, m2, caps, vt, vtp, qv))
 
 
 def ca2_elementary_rhs(cfg: TheoremConfig) -> VerificationReport:
@@ -469,20 +462,12 @@ def ca2_elementary_rhs(cfg: TheoremConfig) -> VerificationReport:
     cc = math.cos(vt) * math.cos(vtp)
     ss = math.sin(vt) * math.sin(vtp)
     rho = min(r, rp) / max(r, rp)
-    x2, x2p = math.cos(2.0 * vt), math.cos(2.0 * vtp)
     outer_terms = []
     for m2 in range(0, L + 1):
-        eps = 2.0 if m2 else 1.0
-        sn = 0.0
-        for n in range(0, L + 1):
-            pp = jacobi_p(n, float(m2), float(m1), x2) * jacobi_p(n, float(m2), float(m1), x2p)
-            if pp == 0.0:
-                continue
-            log_coef = (math.lgamma(m1 + m2 + n + 1.0) + math.lgamma(n + 1.0)
-                        - math.lgamma(m1 + n + 1.0) - math.lgamma(m2 + n + 1.0)
-                        + (m1 + m2 + 2.0 * n + 1.0) * math.log(rho))
-            sn += math.copysign(math.exp(log_coef + math.log(abs(pp))), pp)
-        outer_terms.append(eps * math.cos(m2 * (f2 - f2p)) * (ss ** m2 if m2 else 1.0) * sn)
+        rho_pow = rho ** (m1 + m2 + 1.0 + 2.0 * np.arange(L + 1))
+        sn = float(np.dot(_ca2_column(m1, m2, L, vt, vtp), rho_pow))
+        outer_terms.append((2.0 if m2 else 1.0) * math.cos(m2 * (f2 - f2p))
+                           * (ss ** m2 if m2 else 1.0) * sn)
     pref = 2.0 * cc ** (m1 + 1.0)
     rhs = pref * math.fsum(outer_terms)
     tail = _geometric_tail(outer_terms) * abs(pref)
@@ -550,13 +535,12 @@ def verify_hopf(cfg: TheoremConfig) -> VerificationReport:
             for lb, wb in right.items():
                 if wa == 0.0 or wb == 0.0:
                     continue
-                for n in range(0, C + 1):
-                    u = (hopf_upsilon(q, heap_idx, n, la, lb, vt)
-                         * hopf_upsilon(q, heap_idx, n, la, lb, vtp))
-                    if u == 0.0:
+                u = hopf_upsilon_pairs(q, heap_idx, C, la, lb, vt, vtp)
+                for n, un in enumerate(u.tolist()):
+                    if un == 0.0:
                         continue
                     l = la + lb + 2 * n
-                    out[l] = out.get(l, 0.0) + wa * wb * u
+                    out[l] = out.get(l, 0.0) + wa * wb * un
         return out
 
     root = subtree_weights(1)

@@ -1,7 +1,10 @@
 """CLI surface: exit codes, report schemas, determinism."""
 
+import gc
 import json
 import math
+import sys
+import warnings
 
 import pytest
 
@@ -155,6 +158,21 @@ class TestDeterminismAndFormat:
         text = cli.emit_json({"v": 1.0 / 3.0})
         assert "0.33333333333333331" in text
         assert json.loads(text)["v"] == 1.0 / 3.0
+
+    def test_out_file_closed_and_identical(self, capsys, tmp_path, monkeypatch):
+        # an unclosed handle warns from its finalizer, which reports through
+        # sys.unraisablehook rather than raising at the call site
+        args = ["trees", "format", "bbbba"]
+        _, stdout_text, _ = run(args, capsys)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        out_path = tmp_path / "format.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert cli.main(args + ["--out", str(out_path)]) == 0
+            gc.collect()
+        assert unraisable == []
+        assert out_path.read_bytes() == stdout_text.encode()
 
     def test_nonfinite_floats(self):
         text = cli.emit_json({"v": math.inf})

@@ -61,6 +61,55 @@ class TestJacobiP:
             op.jacobi_p(2, -1.0, 0.0, 0.5)
 
 
+JACOBI_PARAMS = ((0.0, 0.0), (0.7, -0.3), (-0.5, -0.4), (2.5, 1.0), (3.0, 7.0))
+
+
+class TestJacobiPAll:
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 40])
+    def test_rows_match_per_degree(self, nmax):
+        # one pass runs the per-degree recurrence once, so every row is exact
+        xs = np.linspace(-1.0, 1.0, 7)
+        for a, b in JACOBI_PARAMS:
+            table = op.jacobi_p_all(nmax, a, b, xs)
+            assert table.shape == (nmax + 1, xs.size)
+            column = op.jacobi_p_all(nmax, a, b, 0.37)
+            assert column.shape == (nmax + 1,)
+            for n in range(nmax + 1):
+                np.testing.assert_allclose(table[n], op.jacobi_p(n, a, b, xs),
+                                           rtol=1e-13, atol=0.0)
+                assert column[n] == pytest.approx(op.jacobi_p(n, a, b, 0.37),
+                                                  rel=1e-13, abs=0.0)
+
+    def test_matches_mpmath(self):
+        # scaled by the column's largest value so far: near a zero of P_n the
+        # pointwise relative error of any recurrence is unbounded
+        rng = np.random.default_rng(53)
+        for _ in range(12):
+            a, b = float(rng.uniform(-0.9, 3.0)), float(rng.uniform(-0.9, 3.0))
+            xs = rng.uniform(-1.0, 1.0, 3)
+            table = op.jacobi_p_all(40, a, b, xs)
+            for i, x in enumerate(xs):
+                for n in range(41):
+                    want = float(mp.jacobi(n, a, b, float(x)))
+                    scale = float(np.max(np.abs(table[:n + 1, i])))
+                    assert abs(table[n, i] - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("column, single, args, exc", [
+    (op.jacobi_p_all, op.jacobi_p, (-1, 0.5, 0.5, 0.3), ValueError),
+    (op.jacobi_p_all, op.jacobi_p, (3, -1.0, 0.5, 0.3), ValueError),
+    (op.jacobi_p_all, op.jacobi_p, (3, -0.25, -0.75, 0.3), ValueError),
+    (op.gegenbauer_c_all, op.gegenbauer_c, (-1, 0.5, 0.3), ValueError),
+    (op.gegenbauer_c_all, op.gegenbauer_c, (3, -0.7, 0.3), ValueError),
+    (op.gegenbauer_c_all, op.gegenbauer_c, (3, 0.0, 0.3), ZeroParameterError),
+])
+def test_column_validation_matches_per_degree(column, single, args, exc):
+    with pytest.raises(exc):
+        single(*args)
+    with pytest.raises(exc):
+        column(*args)
+
+
 class TestJacobiNorm:
     def test_legendre_norms(self):
         assert op.jacobi_norm(0, 0.0, 0.0) == pytest.approx(math.sqrt(0.5), rel=1e-14)

@@ -281,6 +281,74 @@ class TestNodeFactor:
             ps.harmonic(t4, ps.QuantumKey(values=(2, 1, 0)), [0.4, 0.1, 0.2])
 
 
+class TestVerifierFactors:
+    """The verifier's closed-form node factors and their pair columns."""
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_theta_standard_is_b_node_factor(self, d):
+        t = ps.parse_tree(f"b^{d - 2}a")
+        rng = np.random.default_rng(d)
+        keys = ps.enumerate_keys(t, 5)
+        for key in (keys[i] for i in rng.choice(len(keys), 6, replace=False)):
+            theta = float(rng.uniform(0.05, math.pi - 0.05))
+            for j in range(1, d - 1):
+                l, l_next = key.values[j - 1], abs(key.values[j])
+                want = ps.node_factor(t.branching_nodes[j - 1], key, theta)
+                got = ps.theta_standard(j, d, l, l_next, theta)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_hopf_upsilon_is_c_node_factor_over_sqrt2(self, q):
+        t = ps.hopf_tree(q)
+        heap_of = ps.hopf_heap_to_preorder(q, list(range(1, 2 ** q)))
+        rng = np.random.default_rng(q)
+        keys = ps.enumerate_keys(t, 6)
+        for key in (keys[i] for i in rng.choice(len(keys), 6, replace=False)):
+            heap = [0] * (2 ** q)
+            for pos, h in enumerate(heap_of):
+                heap[h] = key.values[pos]
+            theta = float(rng.uniform(0.05, 0.5 * math.pi - 0.05))
+            for h in range(1, 2 ** (q - 1)):
+                la, lb = abs(heap[2 * h]), abs(heap[2 * h + 1])
+                n = (heap[h] - la - lb) // 2
+                want = ps.node_factor(t.branching_nodes[heap_of.index(h)], key, theta)
+                got = ps.hopf_upsilon(q, h, n, la, lb, theta)
+                assert abs(got * math.sqrt(2.0) - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("d, lmax", [(4, 0), (4, 30), (6, 25)])
+    def test_theta_pair_column(self, d, lmax):
+        theta, thetap = 0.9, 2.3
+        for j in range(1, d - 1):
+            for l_next in range(0, lmax + 1, 4):
+                col = ps.theta_standard_pairs(j, d, lmax, l_next, theta, thetap)
+                assert col.shape == (lmax - l_next + 1,)
+                for l in range(l_next, lmax + 1):
+                    want = (ps.theta_standard(j, d, l, l_next, theta)
+                            * ps.theta_standard(j, d, l, l_next, thetap))
+                    assert col[l - l_next] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("q, heap_index", [(2, 1), (3, 1), (3, 3), (4, 2)])
+    def test_upsilon_pair_column(self, q, heap_index):
+        theta, thetap = 0.4, 1.2
+        for la, lb in ((0, 0), (3, 0), (1, 4), (12, 7)):
+            col = ps.hopf_upsilon_pairs(q, heap_index, 30, la, lb, theta, thetap)
+            assert col.shape == (31,)
+            for n in range(31):
+                want = (ps.hopf_upsilon(q, heap_index, n, la, lb, theta)
+                        * ps.hopf_upsilon(q, heap_index, n, la, lb, thetap))
+                assert col[n] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_pair_column_validation(self):
+        with pytest.raises(ValueError):
+            ps.theta_standard_pairs(3, 4, 5, 0, 0.5, 0.6)
+        with pytest.raises(ValueError):
+            ps.theta_standard_pairs(1, 4, 2, 3, 0.5, 0.6)
+        with pytest.raises(ValueError):
+            ps.hopf_upsilon_pairs(2, 1, -1, 0, 0, 0.5, 0.6)
+        with pytest.raises(ValueError):
+            ps.hopf_upsilon_pairs(2, 1, 4, -1, 0, 0.5, 0.6)
+
+
 class TestHarmonic:
     def test_polar_mode(self):
         t = ps.parse_tree("a")
