@@ -6,7 +6,9 @@ or CSV convergence tables with header ``level,index,term,partial,rel_err``.
 Identical invocations (including --seed) produce byte-identical output.
 
 Exit codes: 0 success/pass, 1 verification math failure, 2 tree parse error,
-3 exclusion-set violation, 4 non-convergence, 5 truncation insufficient.
+3 exclusion-set violation, 4 non-convergence, 5 truncation insufficient,
+6 invalid input (a malformed option value, an argument outside a function's
+domain, or a result beyond double range).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from . import expansions, polyspherical, verify
 from .errors import (
     ConvergenceError,
+    DomainError,
     ExclusionSetError,
     PolyKernelError,
     TreeParseError,
@@ -33,6 +36,7 @@ EXIT_PARSE = 2
 EXIT_EXCLUSION = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_TRUNCATION = 5
+EXIT_INVALID_INPUT = 6
 
 SCHEMA = "polykernel/1"
 
@@ -481,12 +485,12 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_CONVERGENCE
+    except (DomainError, ValueError, OverflowError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INVALID_INPUT
     except PolyKernelError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_MATH_FAIL
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

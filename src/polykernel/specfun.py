@@ -10,6 +10,7 @@ in terms of Qhat, with the originating phase factors cancelled analytically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from .errors import (
 _MAX_TERMS = 100_000
 _STOP_REL = 1e-16
 _NEAR_ONE_GUARD = 1e-6
+_NORMAL_MIN = sys.float_info.min
 
 
 def _nonpositive_int(x, tol=1e-12):
@@ -235,6 +237,59 @@ def _legendre_q_hat_alt(nu, mu, z):
                                      2.0 * nu + 2.0, 2.0 / (1.0 - z))
     value = _exp_combine(sign1 * sign2 * sign3, log_pref + log_scale, f)
     return PhaseFreeQ(value=value, phase_exponent=-Fraction(mu))
+
+
+def legendre_q_hat_column(nu0: float, mu: float, z: float, n: int) -> np.ndarray:
+    """[Qhat_{nu0}^mu(z), ..., Qhat_{nu0+n-1}^mu(z)] from one downward recurrence.
+
+    The recurrence is (nu+mu) Q_{nu-1} = (2nu+1) z Q_nu - (nu-mu+1) Q_{nu+1}
+    (DLMF 14.10; Qhat obeys it too, since the stripped phase e^{-i pi mu}
+    does not depend on the degree).  For z > 1, Q is the minimal solution as
+    nu -> infinity and P the dominant one, so run downward the P component
+    of any error decays relative to Q by e^{-2 acosh z} per degree, and the
+    recurrence is stable (Gil, Segura & Temme, J. Comput. Phys. 161, 2000).
+
+    It runs in ratio form, as the continued fraction
+    Q_nu/Q_{nu-1} = (nu+mu) / ((2nu+1) z - (nu-mu+1) Q_{nu+1}/Q_nu), started
+    (Miller's algorithm) far enough above the top degree that the start no
+    longer shows.  One `legendre_q_hat` value at the bottom degree, where the
+    terms of a degree sum are largest, fixes the scale; the series loses
+    accuracy with the degree (8e-13 at degree 1000, z = 1.25), so a value
+    from the top would spread that error over the whole column.
+
+    Raises the typed error `legendre_q_hat` raises for any degree of the
+    column.  From the first degree whose value is not a normal double on, the
+    column holds the per-degree values (subnormal or zero), so underflow
+    never zeroes the column.
+    """
+    if n < 1:
+        raise ValueError(f"column length must be positive, got {n}")
+    col = np.empty(n)
+    # Q poles (nu + mu + 1 in {0, -1, ...}) and the degenerate degrees
+    # {-3/2, -5/2, ...} stay bad one degree down, so if any degree of the
+    # column is bad the bottom one is, and this call raises its error.
+    col[0] = legendre_q_hat(nu0, mu, z).value
+    # Miller start r = 0: the dominant share of the ratio shrinks by
+    # e^{-2 acosh z} per degree, so the extra degrees take it below 1e-17.
+    r = 0.0
+    for k in range(n + 8 + int(20.0 / math.acosh(z)), 0, -1):
+        nu = nu0 + k
+        r = (nu + mu) / ((2.0 * nu + 1.0) * z - (nu - mu + 1.0) * r)
+        if k < n:
+            col[k] = r
+    col = np.cumprod(col)
+    if not np.all(np.isfinite(col)):
+        raise OverflowError("value exceeds double range")
+    small = np.flatnonzero(np.abs(col) < _NORMAL_MIN)
+    if small.size:
+        # |Q| decreases with the degree out here: once a value rounds to
+        # zero, every higher degree does too.
+        for k in range(small[0], n):
+            col[k] = legendre_q_hat(nu0 + k, mu, z).value
+            if col[k] == 0.0:
+                col[k:] = 0.0
+                break
+    return col
 
 
 def _exp_combine(sign, log_pref, mantissa):

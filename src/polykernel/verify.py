@@ -26,7 +26,7 @@ from .polyspherical import (
     hopf_upsilon_pairs,
     theta_standard_pairs,
 )
-from .specfun import _is_int, legendre_q_hat
+from .specfun import _is_int, legendre_q_hat, legendre_q_hat_column
 
 _RADIUS_GUARD = 1e-6
 
@@ -135,17 +135,6 @@ def _interior(angles, hi, label):
                 f"{label} angle {a} must lie strictly inside (0, {hi})")
 
 
-def _q_cache(mu, z):
-    cache = {}
-
-    def q(deg):
-        if deg not in cache:
-            cache[deg] = legendre_q_hat(deg, mu, z).value
-        return cache[deg]
-
-    return q
-
-
 # --- standard polyspherical tree (type b^{d-2} a) ---------------------------
 
 def chi_standard(r, rp, thetas, thetasp):
@@ -186,12 +175,11 @@ def verify_standard(cfg: TheoremConfig) -> VerificationReport:
     lhs = legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi).value
 
     L = m + cfg.caps
-    qv = _q_cache(0.5 * (1.0 - nu - d), z)
 
     # contraction from the innermost sum (over l_1, which carries the Legendre
     # factor) outward; inner[i] belongs to degree m + i, and each level takes
     # one theta-pair column per l_next.
-    inner = np.array([qv(l + 0.5 * (d - 3.0)) for l in range(m, L + 1)])
+    inner = legendre_q_hat_column(m + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z, L - m + 1)
     for j in range(1, d - 2):
         th, thp = cfg.thetas[j - 1], cfg.thetasp[j - 1]
         inner = np.array([math.fsum(theta_standard_pairs(j, d, L, l_next, th, thp)
@@ -230,14 +218,14 @@ def verify_ba(cfg: TheoremConfig) -> VerificationReport:
     chi = chi_ba(r, rp, theta, thetap)
     z = (r * r + rp * rp) / (2.0 * r * rp)
     lhs = legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi).value
-    qv = _q_cache(-0.5 * (nu + 2.0), z)
     L = m + cfg.caps
+    qv = legendre_q_hat_column(m, -0.5 * (nu + 2.0), z, L - m + 1)
     pl = _ferrers_run(L, m, math.cos(theta))
     plp = _ferrers_run(L, m, math.cos(thetap))
     ratio = 1.0 / math.factorial(2 * m)  # (l-m)!/(l+m)! at l = m
     terms = []
     for l in range(m, L + 1):
-        terms.append((2 * l + 1) * ratio * qv(float(l)) * pl[l - m] * plp[l - m])
+        terms.append((2 * l + 1) * ratio * qv[l - m] * pl[l - m] * plp[l - m])
         ratio *= (l + 1.0 - m) / (l + 1.0 + m)
     rless, rgreater = min(r, rp), max(r, rp)
     pref = (math.sqrt(math.pi) * 2.0 ** (-0.5 * (nu + 3.0))
@@ -305,8 +293,8 @@ def verify_b2a(cfg: TheoremConfig) -> VerificationReport:
     chi = chi_b2a(r, rp, t1, t1p, t2, t2p)
     z = (r * r + rp * rp) / (2.0 * r * rp)
     lhs = legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi).value
-    qv = _q_cache(-0.5 * (nu + 3.0), z)
     L = m + cfg.caps
+    qv = legendre_q_hat_column(m + 0.5, -0.5 * (nu + 3.0), z, L - m + 1)
     ss1 = math.sin(t1) * math.sin(t1p)
     x1, x1p = math.cos(t1), math.cos(t1p)
     pl2 = _ferrers_run(L, m, math.cos(t2))
@@ -326,7 +314,7 @@ def verify_b2a(cfg: TheoremConfig) -> VerificationReport:
                 continue
             log_in = (math.log(l1 + 1.0) + math.lgamma(l1 - l2 + 1.0)
                       - math.lgamma(l1 + l2 + 2.0) + math.log(abs(cc)))
-            inner += math.copysign(math.exp(log_in + log_c2), cc) * qv(l1 + 0.5)
+            inner += math.copysign(math.exp(log_in + log_c2), cc) * qv[l1 - m]
         outer_terms.append(inner * pl2[l2 - m] * pl2p[l2 - m])
     rless, rgreater = min(r, rp), max(r, rp)
     pref = (2.0 ** (-0.5 * (nu + 1.0))
@@ -394,11 +382,10 @@ def _ca2_column(m1, m2, L, vt, vtp):
     return _signed_pair_products(p, log_coef)
 
 
-def _ca2_qhat_sum(m1, m2, L, vt, vtp, qv):
-    """C4.5 inner sum over n with its Legendre radial factor."""
+def _ca2_qhat_sum(m1, m2, L, vt, vtp, radial):
+    """C4.5 inner sum over n; radial[n] = Qhat_{m1+m2+2n+1/2}, n = 0..L."""
     col = _ca2_column(m1, m2, L, vt, vtp)
     deg = m1 + m2 + 2.0 * np.arange(L + 1)
-    radial = np.array([qv(k + 0.5) for k in deg.tolist()])
     return float(np.dot(col, (deg + 1.0) * radial))
 
 
@@ -413,12 +400,13 @@ def verify_ca2(cfg: TheoremConfig) -> VerificationReport:
     chi = chi_ca2(r, rp, vt, vtp, f2, f2p)
     z = (r * r + rp * rp) / (2.0 * r * rp)
     lhs = legendre_q_hat(m1 - 0.5, -0.5 * (nu + 1.0), chi).value
-    qv = _q_cache(-0.5 * (nu + 3.0), z)
     L = cfg.caps
+    qv = legendre_q_hat_column(m1 + 0.5, -0.5 * (nu + 3.0), z, 3 * L + 1)
     cc = math.cos(vt) * math.cos(vtp)
     ss = math.sin(vt) * math.sin(vtp)
     outer_terms = [(2.0 if m2 else 1.0) * math.cos(m2 * (f2 - f2p)) * (ss ** m2 if m2 else 1.0)
-                   * _ca2_qhat_sum(m1, m2, L, vt, vtp, qv) for m2 in range(0, L + 1)]
+                   * _ca2_qhat_sum(m1, m2, L, vt, vtp, qv[m2:m2 + 2 * L + 1:2])
+                   for m2 in range(0, L + 1)]
     rless, rgreater = min(r, rp), max(r, rp)
     pref = (2.0 ** (-0.5 * (nu + 1.0))
             * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0))
@@ -443,11 +431,11 @@ def ca2_double_coefficient(nu: float, m1: int, m2: int, r: float, rp: float,
     if m1 < 0 or m2 < 0:
         raise ValueError("orders must be >= 0")
     z = (r * r + rp * rp) / (2.0 * r * rp)
-    qv = _q_cache(-0.5 * (nu + 3.0), z)
+    qv = legendre_q_hat_column(m1 + m2 + 0.5, -0.5 * (nu + 3.0), z, 2 * caps + 1)
     cc = math.cos(vt) * math.cos(vtp)
     ss = math.sin(vt) * math.sin(vtp)
     return ((cc ** m1 if m1 else 1.0) * (ss ** m2 if m2 else 1.0)
-            * _ca2_qhat_sum(m1, m2, caps, vt, vtp, qv))
+            * _ca2_qhat_sum(m1, m2, caps, vt, vtp, qv[::2]))
 
 
 def ca2_elementary_rhs(cfg: TheoremConfig) -> VerificationReport:
@@ -515,7 +503,6 @@ def verify_hopf(cfg: TheoremConfig) -> VerificationReport:
     chi, prod_cc = chi_hopf(q, r, rp, cfg.thetas, cfg.thetasp, cfg.phis, cfg.phisp)
     z = (r * r + rp * rp) / (2.0 * r * rp)
     lhs = legendre_q_hat(m1 - 0.5, -0.5 * (nu + 1.0), chi).value
-    qv = _q_cache(0.5 * (1.0 - nu - d), z)
     C = cfg.caps
 
     def subtree_weights(heap_idx):
@@ -544,7 +531,9 @@ def verify_hopf(cfg: TheoremConfig) -> VerificationReport:
         return out
 
     root = subtree_weights(1)
-    outer_terms = [root[l] * qv(l + 0.5 * (d - 3.0)) for l in sorted(root)]
+    lo, hi = min(root), max(root)
+    qv = legendre_q_hat_column(lo + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z, hi - lo + 1)
+    outer_terms = [root[l] * qv[l - lo] for l in sorted(root)]
     rless, rgreater = min(r, rp), max(r, rp)
     pref = (2.0 ** (-0.5 * (nu + 1.0)) * prod_cc ** (-0.5 * nu)
             * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0))

@@ -1,4 +1,12 @@
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; no example database is written.
+settings.register_profile("polykernel", derandomize=True, database=None,
+                          deadline=None, max_examples=30)
+settings.load_profile("polykernel")

@@ -75,6 +75,19 @@ class TestExpand:
                           "--x", "0.9", "--max-terms", "4"], capsys)
         assert code == 4
 
+    def test_bad_input_exit6(self, capsys):
+        # z <= 1 is outside the expansion's domain, not a tree parse error
+        code, _, err = run(["expand", "chebyshev", "--z", "0.5"], capsys)
+        assert code == 6
+        assert "z > 1" in err
+
+    def test_overflow_exit6(self, capsys):
+        # Gamma(180) overflows a double: reported, not a traceback
+        code, out, err = run(["expand", "chebyshev", "--nu", "180", "--z", "2",
+                              "--x", "0.1"], capsys)
+        assert code == 6
+        assert out == "" and err.startswith("error:")
+
     def test_trace_rows(self, capsys):
         code, out, _ = run(["expand", "chebyshev", "--nu", "1", "--z", "3",
                             "--x", "0.2", "--trace"], capsys)

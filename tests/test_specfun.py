@@ -1,10 +1,13 @@
 """Scalar special functions against closed forms and high-precision oracles."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from polykernel import specfun as sf
 from polykernel.errors import (
@@ -13,6 +16,7 @@ from polykernel.errors import (
     NonTerminatingError,
     ParameterPoleError,
     PoleError,
+    PolyKernelError,
     SlowConvergenceError,
 )
 
@@ -229,6 +233,86 @@ class TestLegendreQHat:
     def test_domain(self):
         with pytest.raises(DomainError):
             sf.legendre_q_hat(1.0, 0.0, 0.5)
+
+
+def _from_top_max(values):
+    """max |values[j]| over j >= k, for every k: the scale of the downward
+    recurrence, which stays meaningful where Q crosses zero at low degree."""
+    return np.maximum.accumulate(np.abs(values)[::-1])[::-1]
+
+
+def _checked_degrees(n):
+    return sorted(set(range(0, n, max(1, n // 12))) | {n - 1})
+
+
+COLUMN_ARGS = dict(nu0=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5]),
+                   mu=st.floats(-3.25, 1.0),
+                   z=st.floats(1.0006, 4.0),
+                   n=st.integers(1, 250))
+
+
+def _pole_degrees(nu0, mu, n):
+    return [k for k in range(n) if sf._nonpositive_int(nu0 + k + mu + 1.0) is not None]
+
+
+class TestLegendreQHatColumn:
+    @given(**COLUMN_ARGS)
+    def test_matches_per_degree(self, nu0, mu, z, n):
+        if _pole_degrees(nu0, mu, n):
+            with pytest.raises(PoleError):
+                sf.legendre_q_hat_column(nu0, mu, z, n)
+            return
+        col = sf.legendre_q_hat_column(nu0, mu, z, n)
+        assert col.shape == (n,)
+        scale = _from_top_max(col)
+        for k in _checked_degrees(n):
+            want = sf.legendre_q_hat(nu0 + k, mu, z).value
+            assert abs(col[k] - want) <= 1e-12 * scale[k], (k, col[k], want)
+
+    @given(**COLUMN_ARGS)
+    def test_matches_mpmath(self, nu0, mu, z, n):
+        assume(not _pole_degrees(nu0, mu, n))
+        col = sf.legendre_q_hat_column(nu0, mu, z, n)
+        scale = _from_top_max(col)
+        for k in sorted({0, n // 2, n - 1}):
+            want = mp_qhat(nu0 + k, mu, z)
+            assert abs(col[k] - want) <= 2e-12 * scale[k], (k, col[k], want)
+
+    def test_underflowing_top(self):
+        # Q falls by about 2 per degree at z = 1.25: degrees past ~1010 are
+        # subnormal, past ~1065 zero.
+        nu0, mu, z, n = 0.5, -0.5, 1.25, 3000
+        col = sf.legendre_q_hat_column(nu0, mu, z, n)
+        ref = np.array([sf.legendre_q_hat(nu0 + k, mu, z).value for k in range(n)])
+        assert ref[-1] == 0.0 and 0.0 < abs(ref[1050]) < sys.float_info.min
+        assert np.count_nonzero(col) == np.count_nonzero(ref)
+        # The per-degree series loses about 1e-12 to its log prefactor out
+        # at degree 1000, hence the budget; mpmath pins the column tighter.
+        assert np.all(np.abs(col - ref) <= 1e-11 * _from_top_max(ref))
+        assert abs(col[1000] - mp_qhat(nu0 + 1000, mu, z)) <= 2e-12 * abs(col[1000])
+
+    @pytest.mark.parametrize("nu0, mu, z, n", [
+        (0.0, 0.0, 0.5, 4),          # z <= 1
+        (-3.0, 0.0, 0.5, 6),         # z <= 1 reported before the poles
+        (0.0, 0.0, 1.0 + 1e-8, 4),   # inside the near-one guard
+        (-3.0, 0.0, 2.0, 6),         # Q poles at degrees -3, -2, -1
+        (1.0, -3.0, 2.0, 4),         # Q poles at degrees 1, 2
+        (-3.5, 0.25, 5.0, 4),        # degenerate degrees -3.5, -2.5, -1.5
+    ])
+    def test_errors_match_per_degree(self, nu0, mu, z, n):
+        raised = []
+        for k in range(n):
+            try:
+                sf.legendre_q_hat(nu0 + k, mu, z)
+            except PolyKernelError as exc:
+                raised.append(type(exc))
+        assert raised
+        with pytest.raises(raised[0]):
+            sf.legendre_q_hat_column(nu0, mu, z, n)
+
+    def test_empty_column_rejected(self):
+        with pytest.raises(ValueError):
+            sf.legendre_q_hat_column(0.5, 0.0, 2.0, 0)
 
 
 class TestLegendrePGt1:

@@ -225,6 +225,27 @@ class TestIndependentOracles:
                     want = sf.legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi).value
                     assert abs(got - want) <= 1e-8 * max(1e-6, abs(want))
 
+    def test_ba_rhs_per_degree_sum(self):
+        # the C4.3 rhs re-summed from per-degree Legendre Q and Ferrers P
+        # values, independent of the degree recurrence the verifier uses
+        for nu, m in ((-1.0, 0), (-2.5, 1), (0.5, 2)):
+            cfg = ba_cfg(nu, m, theta=1.1, thetap=1.9)
+            (theta,), (thetap,) = cfg.thetas, cfg.thetasp
+            r, rp = cfg.r, cfg.rp
+            z = (r * r + rp * rp) / (2.0 * r * rp)
+            chi = vf.chi_ba(r, rp, theta, thetap)
+            terms = [(2 * l + 1) * math.factorial(l - m) / math.factorial(l + m)
+                     * sf.legendre_q_hat(float(l), -0.5 * (nu + 2.0), z).value
+                     * sf.ferrers_p(l, m, math.cos(theta))
+                     * sf.ferrers_p(l, m, math.cos(thetap))
+                     for l in range(m, m + cfg.caps + 1)]
+            pref = (math.sqrt(math.pi) * 2.0 ** (-0.5 * (nu + 3.0))
+                    * (math.sin(theta) * math.sin(thetap)) ** (-0.5 * nu)
+                    * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0))
+                    * ((rp * rp - r * r) / (r * rp)) ** (0.5 * (nu + 2.0)))
+            rhs = vf.verify_ba(cfg).rhs
+            assert abs(pref * math.fsum(terms) - rhs) <= 1e-12 * abs(rhs), (nu, m)
+
     def test_theorem_lhs_quadrature(self):
         cfg = ba_cfg(-1.0, 1, theta=1.2, thetap=1.7)
         chi = vf.chi_ba(cfg.r, cfg.rp, *cfg.thetas, *cfg.thetasp)
@@ -247,8 +268,9 @@ class TestReportMechanics:
         assert rep.status == "truncation_insufficient"
 
     def test_genuine_fail_detection(self):
-        # corrupt the tolerance to force a fail on a fully converged sum
-        rep = vf.verify_ba(ba_cfg(-1.0, 0, caps=80, tol=1e-18))
+        # corrupt the tolerance to force a fail on a fully converged sum; no
+        # rel_err, not even an exact 0, is below a zero tolerance
+        rep = vf.verify_ba(ba_cfg(-1.0, 0, caps=80, tol=0.0))
         assert rep.status in ("fail", "truncation_insufficient")
         assert not rep.passed
 
