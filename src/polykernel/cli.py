@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,17 +38,6 @@ EXIT_TRUNCATION = 5
 EXIT_INVALID_INPUT = 6
 
 SCHEMA = "polykernel/1"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: dict = field(default_factory=dict)
-    tol: float = 1e-9
-    max_terms: int = 2000
-    fmt: str = "json"
-    seed: int = 0
-    out: str | None = None
 
 
 # --- deterministic serialization --------------------------------------------
@@ -209,20 +197,17 @@ def cmd_expand(args) -> int:
     tr = expansions.Truncation(tol=args.tol, max_terms=args.max_terms)
     trace: list | None = [] if (args.trace or args.format == "csv") else None
     ps, oracle, params = _expand_dispatch(args, tr, trace)
-    run = RunConfig(command=f"expand {args.expansion}", params=params,
-                    tol=args.tol, max_terms=args.max_terms, fmt=args.format,
-                    out=args.out)
     rel_err = abs(ps.value - oracle) / abs(oracle) if oracle != 0.0 else math.inf
-    if run.fmt == "csv":
+    if args.format == "csv":
         lines = ["level,index,term,partial,rel_err"]
         for level, index, term, partial in trace or []:
             row_err = abs(partial - oracle) / abs(oracle) if oracle else math.inf
             lines.append(f"{level},{index},{format(term, '.17g')},"
                          f"{format(partial, '.17g')},{format(row_err, '.17g')}")
-        _write_output("\n".join(lines) + "\n", run.out)
+        _write_output("\n".join(lines) + "\n", args.out)
         return EXIT_PASS
-    report = {"schema": SCHEMA, "command": run.command,
-              "params": run.params, "tol": run.tol, "max_terms": run.max_terms,
+    report = {"schema": SCHEMA, "command": f"expand {args.expansion}",
+              "params": params, "tol": args.tol, "max_terms": args.max_terms,
               "value": ps.value, "direct_oracle": oracle, "rel_err": rel_err,
               "terms_used": ps.terms_used, "converged": ps.converged}
     if args.trace:
@@ -230,66 +215,44 @@ def cmd_expand(args) -> int:
             {"level": level, "index": index, "term": term, "partial": partial,
              "rel_err": (abs(partial - oracle) / abs(oracle) if oracle else math.inf)}
             for level, index, term, partial in trace or []]
-    _write_output(emit_json(report), run.out)
+    _write_output(emit_json(report), args.out)
     return EXIT_PASS
 
 
 # --- verify ------------------------------------------------------------------
 
-def _parse_floats(text, expected, label):
-    if text is None:
-        return None
-    vals = tuple(float(t) for t in text.split(",") if t.strip())
-    if len(vals) != expected:
-        raise ValueError(f"{label} expects {expected} comma-separated values")
-    return vals
-
-
 def _default_angles(rng, n, lo, hi):
     return tuple(float(a) for a in rng.uniform(lo, hi, size=n))
 
 
+def _angles(text, rng, n, lo, hi, label):
+    """n comma-separated angles from text, or n drawn from (lo, hi) without it."""
+    if text is None:
+        return _default_angles(rng, n, lo, hi)
+    vals = tuple(float(t) for t in text.split(",") if t.strip())
+    if len(vals) != n:
+        raise ValueError(f"{label} expects {n} comma-separated values")
+    return vals
+
+
 def _build_config(args) -> verify.TheoremConfig:
+    """The theorem id presets the tree, and with it how many angles of each
+    kind a point has and the range the defaults are drawn from."""
     rng = np.random.default_rng(args.seed)
     thm = args.theorem
-    caps = args.caps
-    common = dict(nu=args.nu, r=args.r, rp=args.rp, caps=caps, tol=args.tol)
-    if thm == "C4.3":
-        thetas = (args.theta,) if args.theta is not None else _default_angles(rng, 1, 0.3, math.pi - 0.3)
-        thetasp = (args.thetap,) if args.thetap is not None else _default_angles(rng, 1, 0.3, math.pi - 0.3)
-        return verify.TheoremConfig(theorem=thm, m=args.m, thetas=thetas,
-                                    thetasp=thetasp, **common)
-    if thm == "C4.4":
-        if (args.theta1 is None) != (args.theta2 is None) or \
-                (args.theta1p is None) != (args.theta2p is None):
-            raise ValueError("C4.4 needs both angles of a point or neither")
-        thetas = ((args.theta1, args.theta2) if args.theta1 is not None
-                  else _default_angles(rng, 2, 0.3, math.pi - 0.3))
-        thetasp = ((args.theta1p, args.theta2p) if args.theta1p is not None
-                   else _default_angles(rng, 2, 0.3, math.pi - 0.3))
-        return verify.TheoremConfig(theorem=thm, m=args.m, thetas=thetas,
-                                    thetasp=thetasp, **common)
-    if thm == "C4.5":
-        vt = (args.vtheta,) if args.vtheta is not None else _default_angles(rng, 1, 0.3, 0.5 * math.pi - 0.3)
-        vtp = (args.vthetap,) if args.vthetap is not None else _default_angles(rng, 1, 0.3, 0.5 * math.pi - 0.3)
-        return verify.TheoremConfig(theorem=thm, m=args.m1, thetas=vt, thetasp=vtp,
-                                    phis=(args.phi2,), phisp=(args.phi2p,), **common)
-    if thm == "T4.1":
-        n = args.d - 2
-        thetas = _parse_floats(args.thetas, n, "--thetas") or _default_angles(rng, n, 0.3, math.pi - 0.3)
-        thetasp = _parse_floats(args.thetasp, n, "--thetasp") or _default_angles(rng, n, 0.3, math.pi - 0.3)
-        return verify.TheoremConfig(theorem=thm, m=args.m, d=args.d,
-                                    thetas=thetas, thetasp=thetasp, **common)
-    if thm == "T4.2":
-        nc = 2 ** (args.q - 1) - 1
-        na = 2 ** (args.q - 1)
-        vts = _parse_floats(args.vthetas, nc, "--vthetas") or _default_angles(rng, nc, 0.3, 0.5 * math.pi - 0.3)
-        vtsp = _parse_floats(args.vthetasp, nc, "--vthetasp") or _default_angles(rng, nc, 0.3, 0.5 * math.pi - 0.3)
-        phis = _parse_floats(args.phis, na - 1, "--phis") or _default_angles(rng, na - 1, 0.0, 2.0 * math.pi)
-        phisp = _parse_floats(args.phisp, na - 1, "--phisp") or _default_angles(rng, na - 1, 0.0, 2.0 * math.pi)
-        return verify.TheoremConfig(theorem=thm, m=args.m1, q=args.q, thetas=vts,
-                                    thetasp=vtsp, phis=phis, phisp=phisp, **common)
-    raise ValueError(f"unknown theorem id {thm!r}")
+    d = {"C4.3": 3, "C4.4": 4}.get(thm, args.d)
+    q = 2 if thm == "C4.5" else args.q
+    if thm in ("T4.2", "C4.5"):
+        n_theta, hi, n_phi = 2 ** (q - 1) - 1, 0.5 * math.pi, 2 ** (q - 1) - 1
+    else:
+        n_theta, hi, n_phi = d - 2, math.pi, 0
+    thetas = _angles(args.thetas, rng, n_theta, 0.3, hi - 0.3, "--thetas")
+    thetasp = _angles(args.thetasp, rng, n_theta, 0.3, hi - 0.3, "--thetasp")
+    phis = _angles(args.phis, rng, n_phi, 0.0, 2.0 * math.pi, "--phis")
+    phisp = _angles(args.phisp, rng, n_phi, 0.0, 2.0 * math.pi, "--phisp")
+    return verify.TheoremConfig(theorem=thm, nu=args.nu, m=args.m, r=args.r, rp=args.rp,
+                                thetas=thetas, thetasp=thetasp, phis=phis, phisp=phisp,
+                                d=d, q=q, caps=args.caps, tol=args.tol)
 
 
 def _report_to_dict(cfg, rep):
@@ -305,12 +268,10 @@ def cmd_verify(args) -> int:
     if args.suite:
         return _run_suite(args)
     cfg = _build_config(args)
-    run = RunConfig(command=f"verify {cfg.theorem}", tol=cfg.tol,
-                    seed=args.seed, out=args.out)
     rep = verify.run_verification(cfg)
-    report = {"schema": SCHEMA, "command": run.command,
-              "seed": run.seed, **_report_to_dict(cfg, rep)}
-    _write_output(emit_json(report), run.out)
+    report = {"schema": SCHEMA, "command": f"verify {cfg.theorem}",
+              "seed": args.seed, **_report_to_dict(cfg, rep)}
+    _write_output(emit_json(report), args.out)
     if rep.status == "pass":
         return EXIT_PASS
     if rep.status == "truncation_insufficient":
@@ -439,28 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", action="store_true",
                        help="run the acceptance matrix, emit a CSV summary")
     p_ver.add_argument("--nu", type=float, default=-1.0)
-    p_ver.add_argument("--m", type=int, default=0)
-    p_ver.add_argument("--m1", type=int, default=0)
+    p_ver.add_argument("--m", "--m1", type=int, default=0,
+                       help="azimuthal order (m_1 on the Hopf tree)")
     p_ver.add_argument("--r", type=float, default=1.0)
     p_ver.add_argument("--rp", type=float, default=2.0)
     p_ver.add_argument("--d", type=int, default=3)
     p_ver.add_argument("--q", type=int, default=2)
-    p_ver.add_argument("--theta", type=float)
-    p_ver.add_argument("--thetap", type=float)
-    p_ver.add_argument("--theta1", type=float)
-    p_ver.add_argument("--theta1p", type=float)
-    p_ver.add_argument("--theta2", type=float)
-    p_ver.add_argument("--theta2p", type=float)
-    p_ver.add_argument("--vtheta", type=float)
-    p_ver.add_argument("--vthetap", type=float)
-    p_ver.add_argument("--phi2", type=float, default=0.4)
-    p_ver.add_argument("--phi2p", type=float, default=2.1)
-    p_ver.add_argument("--thetas")
-    p_ver.add_argument("--thetasp")
-    p_ver.add_argument("--vthetas")
-    p_ver.add_argument("--vthetasp")
-    p_ver.add_argument("--phis")
-    p_ver.add_argument("--phisp")
+    p_ver.add_argument("--thetas", "--theta",
+                       help="polar angles (standard tree, theta_1 first) or heap-ordered"
+                            " c-node angles (Hopf tree), comma-separated; default: drawn"
+                            " from --seed")
+    p_ver.add_argument("--thetasp", "--thetap", help="the same for the second point")
+    p_ver.add_argument("--phis", help="Hopf-tree azimuths phi_2, phi_3, ..., comma-separated;"
+                                      " default: drawn from --seed")
+    p_ver.add_argument("--phisp", help="the same for the second point")
     p_ver.add_argument("--caps", type=int, default=60)
     p_ver.add_argument("--tol", type=float, default=1e-6)
     p_ver.add_argument("--seed", type=int, default=0)

@@ -32,7 +32,11 @@ class ZeroParameterError(PolyKernelError):
 
 
 class DomainError(PolyKernelError):
-    """Argument outside the function's real domain."""
+    """Argument outside the function's real domain.
+
+    The geometry errors below are domain errors too: a configuration on the
+    singular set is input the function is not defined for.
+    """
 
 
 # --- kernels ---------------------------------------------------------------
@@ -41,19 +45,19 @@ class OddDimensionError(PolyKernelError):
     """The logarithmic-branch constant is only defined for even dimension."""
 
 
-class CoincidentPointsError(PolyKernelError):
+class CoincidentPointsError(DomainError):
     """The two evaluation points coincide."""
 
 
-class SingularConfigurationError(PolyKernelError):
+class SingularConfigurationError(DomainError):
     """Geometry sits on (or too near) the kernel's singular set."""
 
 
-class AxisError(PolyKernelError):
+class AxisError(DomainError):
     """A point lies on the rotation axis, so the azimuth is undefined."""
 
 
-class CoincidentRadiusError(PolyKernelError):
+class CoincidentRadiusError(DomainError):
     """r and r' are too close, collapsing the radial expansion argument to 1."""
 
 

@@ -95,10 +95,10 @@ def jacobi_norm_log(n: int, alpha: float, beta: float) -> float:
 def _validate_gegenbauer(n, mu):
     if n < 0:
         raise ValueError("degree must be a nonnegative integer")
-    if mu == 0.0:
+    if np.any(mu == 0.0):
         raise ZeroParameterError(
             "C_n^0 vanishes identically; use chebyshev_t with the Neumann factor")
-    if mu <= -0.5:
+    if np.any(mu <= -0.5):
         raise ValueError(f"Gegenbauer order must exceed -1/2, got {mu}")
 
 
@@ -115,17 +115,25 @@ def gegenbauer_c(n: int, mu: float, x):
     return c1 if np.ndim(x) else float(c1)
 
 
-def gegenbauer_c_all(nmax: int, mu: float, x):
-    """All of C_0^mu(x) .. C_nmax^mu(x) in one recurrence pass."""
+def gegenbauer_c_all(nmax: int, mu, x):
+    """All of C_0^mu(x) .. C_nmax^mu(x) in one recurrence pass.
+
+    mu and x broadcast against each other; the result has shape
+    ``(nmax + 1,) + np.broadcast_shapes(np.shape(mu), np.shape(x))``.
+    """
     _validate_gegenbauer(nmax, mu)
+    mu = np.asarray(mu, dtype=float)
     xa = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + xa.shape, dtype=float)
+    out = np.empty((nmax + 1,) + np.broadcast_shapes(mu.shape, xa.shape), dtype=float)
     out[0] = 1.0
     if nmax >= 1:
         out[1] = 2.0 * mu * xa
+    # C_k = (2x (k+mu-1) C_{k-1} - (k+2mu-2) C_{k-2}) / k, coefficients for every k at once
+    ks = np.arange(nmax + 1.0).reshape((-1,) + (1,) * mu.ndim)
+    up, down = ks + mu - 1.0, ks + 2.0 * mu - 2.0
+    x2 = 2.0 * xa
     for k in range(2, nmax + 1):
-        out[k] = (2.0 * xa * (k + mu - 1.0) * out[k - 1]
-                  - (k + 2.0 * mu - 2.0) * out[k - 2]) / k
+        out[k] = (x2 * up[k] * out[k - 1] - down[k] * out[k - 2]) / k
     return out
 
 

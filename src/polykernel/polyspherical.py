@@ -519,28 +519,41 @@ def _signed_pair_products(vals, log_coef):
     return np.prod(np.sign(vals), axis=1) * np.exp(log_coef + log_abs)
 
 
-def theta_standard_pairs(j: int, d: int, lmax: int, l_next: int,
+def theta_standard_pairs(j: int, d: int, lmax: int, l_next,
                          theta: float, thetap: float):
-    """theta_standard(j, d, l, l_next, .) at theta times at thetap, l = l_next..lmax.
+    """theta_standard(j, d, l, l_next, .) at theta times at thetap.
 
-    One Gegenbauer recurrence pass at both angles builds the whole column;
-    entry l - l_next belongs to degree l.
+    l_next is one child degree or a vector of them; rows run over the
+    parent degrees l = min(l_next)..lmax, so the result has shape
+    ``(lmax - min(l_next) + 1,) + np.shape(l_next)``, and the entries with
+    l < l_next are zero.  One Gegenbauer recurrence pass, over every order
+    l_next + (d-j-1)/2 and both angles at once, builds the whole table.
     """
-    if not 1 <= j <= d - 2 or lmax < l_next or l_next < 0:
+    ln = np.atleast_1d(np.asarray(l_next, dtype=int))
+    lo = int(ln.min())
+    if not 1 <= j <= d - 2 or lmax < ln.max() or lo < 0:
         raise ValueError("need 1 <= j <= d-2 and lmax >= l_next >= 0")
-    s, sp = math.sin(theta), math.sin(thetap)
-    if l_next > 0 and (s == 0.0 or sp == 0.0):
-        return np.zeros(lmax - l_next + 1)
-    e = d - j - 1.0
-    mu = l_next + 0.5 * e
-    cvals = gegenbauer_c_all(lmax - l_next, mu, [math.cos(theta), math.cos(thetap)])
-    log_front = (2.0 * (math.lgamma(l_next + 0.5 * (d - j + 1.0)) - math.log(2.0 * l_next + e))
-                 + (2.0 * l_next + e) * math.log(2.0) - math.log(math.pi))
-    if l_next > 0:
-        log_front += l_next * (math.log(s) + math.log(sp))
-    log_coef = np.array([log_front + math.log(2.0 * l + e) + math.lgamma(l - l_next + 1.0)
-                         - math.lgamma(l + l_next + e) for l in range(l_next, lmax + 1)])
-    return _signed_pair_products(cvals, log_coef)
+    e = d - j - 1
+    cvals = gegenbauer_c_all(lmax - lo, ln + 0.5 * e,
+                             [[math.cos(theta)], [math.cos(thetap)]])
+    # log k! for every integer argument of the Gamma functions below
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(2 * lmax + e)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_sin = np.log(math.sin(theta)) + np.log(math.sin(thetap))
+        log_front = (2.0 * (np.array([math.lgamma(v + 0.5 * (d - j + 1.0)) for v in ln.tolist()])
+                            - np.log(2.0 * ln + e))
+                     + (2.0 * ln + e) * math.log(2.0) - math.log(math.pi)
+                     + np.where(ln > 0, ln * log_sin, 0.0))
+    n = np.arange(lmax - lo + 1)[:, None]     # recurrence degree l - l_next
+    # (rows with n > lmax - l_next are never read below; clipping keeps
+    # their log_fact index in range)
+    log_coef = (log_front + np.log(2.0 * (n + ln) + e) + log_fact[n]
+                - log_fact[np.minimum(n + 2 * ln + e - 1, 2 * lmax + e - 1)])
+    table = _signed_pair_products(cvals, log_coef)
+    # row l - lo of the result holds degree l, i.e. recurrence degree l - l_next
+    shift = n + (lo - ln)
+    out = np.where(shift >= 0, np.take_along_axis(table, np.maximum(shift, 0), axis=0), 0.0)
+    return out.reshape((lmax - lo + 1,) + np.shape(l_next))
 
 
 def hopf_upsilon(q: int, heap_index: int, n: int, l_left: int, l_right: int,

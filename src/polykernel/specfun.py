@@ -192,8 +192,9 @@ def legendre_q_hat(nu: float, mu: float, z: float) -> PhaseFreeQ:
     """Phase-free associated Legendre function of the second kind, z > 1.
 
     Uses the hypergeometric series in 1/z^2, which converges for every
-    z > 1; degrees nu in {-3/2, -5/2, ...} degenerate in that representation
-    and are routed to the 2/(1-z) representation when it applies (z > 3).
+    z > 1.  Degrees nu in {-3/2, -5/2, ...} raise `PoleError`: there both
+    that series and the 2/(1-z) one have gamma poles (2nu+2 is a negative
+    odd integer).
     """
     if z <= 1.0:
         raise DomainError(f"legendre_q_hat requires z > 1, got {z}")
@@ -203,7 +204,9 @@ def legendre_q_hat(nu: float, mu: float, z: float) -> PhaseFreeQ:
     if _nonpositive_int(nu + mu + 1.0) is not None:
         raise PoleError(f"Q pole: nu + mu = {nu + mu} is a negative integer")
     if _is_int(nu + 0.5) and nu < -1.0:
-        return _legendre_q_hat_alt(nu, mu, z)
+        raise PoleError(
+            f"Q representation degenerates at degree nu = {nu}: both the"
+            " 1/z^2 and the 2/(1-z) hypergeometric forms have gamma poles")
     sign_t, log_t = gamma_signed_log(nu + mu + 1.0)
     sign_b, log_b = gamma_signed_log(nu + 1.5)
     log_pref = (0.5 * math.log(math.pi) + log_t - log_b
@@ -214,28 +217,6 @@ def legendre_q_hat(nu: float, mu: float, z: float) -> PhaseFreeQ:
                                      0.5 * (nu + mu + 2.0),
                                      nu + 1.5, 1.0 / (z * z))
     value = _exp_combine(sign_t * sign_b, log_pref + log_scale, f)
-    return PhaseFreeQ(value=value, phase_exponent=-Fraction(mu))
-
-
-def _legendre_q_hat_alt(nu, mu, z):
-    # 2/(1-z) representation; needs |1-z| > 2 and non-degenerate gammas.
-    if _nonpositive_int(2.0 * nu + 2.0) is not None or _nonpositive_int(nu + 1.0) is not None:
-        raise PoleError(
-            f"Q representation degenerates at degree nu = {nu}: both the"
-            " 1/z^2 and the 2/(1-z) hypergeometric forms have gamma poles")
-    if z <= 3.0:
-        raise PoleError(
-            f"degree nu = {nu} needs the 2/(1-z) representation, valid only"
-            f" for z > 3 (got z = {z})")
-    sign1, log1 = gamma_signed_log(nu + 1.0)
-    sign2, log2 = gamma_signed_log(nu + mu + 1.0)
-    sign3, log3 = gamma_signed_log(2.0 * nu + 2.0)
-    log_pref = (nu * math.log(2.0) + log1 + log2 - log3
-                + 0.5 * mu * math.log(z + 1.0)
-                - (0.5 * mu + nu + 1.0) * math.log(z - 1.0))
-    f, log_scale, _ = _hyp2f1_series(nu + 1.0, nu + mu + 1.0,
-                                     2.0 * nu + 2.0, 2.0 / (1.0 - z))
-    value = _exp_combine(sign1 * sign2 * sign3, log_pref + log_scale, f)
     return PhaseFreeQ(value=value, phase_exponent=-Fraction(mu))
 
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle_sums import ba_sides, ca2_sides
 from polykernel import cli
 from polykernel import expansions as ex
 from polykernel import orthopoly as op
@@ -220,23 +221,18 @@ def test_c9_addition_theorem_verification():
 
 
 def test_c10_cross_theorem_collapse():
-    cfg3 = vf.TheoremConfig(theorem="C4.3", nu=-2.5, m=1, r=1.0, rp=2.0,
-                            thetas=(1.1,), thetasp=(1.9,), caps=70, tol=1e-6)
-    ba = vf.verify_ba(cfg3)
+    # the general theorems at d = 3 and q = 2 against the corollaries' sums
+    # rebuilt one degree at a time
     std = vf.verify_standard(vf.TheoremConfig(
         theorem="T4.1", nu=-2.5, m=1, d=3, r=1.0, rp=2.0, thetas=(1.1,),
         thetasp=(1.9,), caps=70, tol=1e-6))
-    err1 = max(abs(std.lhs - ba.lhs) / abs(ba.lhs),
-               abs(std.rhs - ba.rhs) / abs(ba.rhs))
-    cfg5 = vf.TheoremConfig(theorem="C4.5", nu=-1.0, m=1, r=1.0, rp=2.0,
-                            thetas=(0.6,), thetasp=(0.8,), phis=(0.3,),
-                            phisp=(2.0,), caps=50, tol=1e-6)
-    ca2 = vf.verify_ca2(cfg5)
+    lhs, rhs = ba_sides(-2.5, 1, 1.0, 2.0, 1.1, 1.9, 70)
+    err1 = max(abs(std.lhs - lhs) / abs(lhs), abs(std.rhs - rhs) / abs(rhs))
     hopf = vf.verify_hopf(vf.TheoremConfig(
         theorem="T4.2", nu=-1.0, m=1, q=2, r=1.0, rp=2.0, thetas=(0.6,),
         thetasp=(0.8,), phis=(0.3,), phisp=(2.0,), caps=50, tol=1e-6))
-    err2 = max(abs(hopf.lhs - ca2.lhs) / abs(ca2.lhs),
-               abs(hopf.rhs - ca2.rhs) / abs(ca2.rhs))
+    lhs, rhs = ca2_sides(-1.0, 1, 1.0, 2.0, 0.6, 0.8, 0.3, 2.0, 50)
+    err2 = max(abs(hopf.lhs - lhs) / abs(lhs), abs(hopf.rhs - rhs) / abs(rhs))
     ok = err1 < 1e-12 and err2 < 1e-12
     announce("C10 cross-theorem collapse", ok,
              f"d=3 agreement {err1:.2e}, q=2 agreement {err2:.2e}")

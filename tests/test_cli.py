@@ -154,9 +154,23 @@ class TestVerify:
         assert out_path.read_bytes() == out2.read_bytes()
 
     def test_c44_partial_angles_rejected(self, capsys):
+        # C4.4 points have two polar angles: one is a malformed option value
         code, _, err = run(["verify", "C4.4", "--nu", "-2", "--m", "0",
-                            "--theta1", "1.0"], capsys)
-        assert code != 0
+                            "--thetas", "1.0"], capsys)
+        assert code == 6
+        assert "--thetas expects 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "C4.3", "--r", "1", "--rp", "1"],          # coincident radii
+        ["verify", "C4.3", "--theta", "0"],                  # polar angle on the axis
+        ["verify", "C4.5", "--thetas", "1.7"],               # Hopf angle past pi/2
+        ["expand", "azimuthal", "--R", "0", "--Rp", "0"],    # points on the axis
+    ])
+    def test_bad_geometry_exit6(self, capsys, argv):
+        # invalid input, not a verification math failure (exit 1)
+        code, out, err = run(argv, capsys)
+        assert code == 6
+        assert out == "" and err.startswith("error:")
 
 
 class TestDeterminismAndFormat:

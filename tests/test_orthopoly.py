@@ -196,6 +196,14 @@ class TestGegenbauer:
         for n in range(7):
             np.testing.assert_allclose(table[n], op.gegenbauer_c(n, 0.8, xs),
                                        rtol=1e-13)
+        # an array of orders broadcasts against the arguments
+        mus = np.array([0.8, 1.5, 3.0])
+        table = op.gegenbauer_c_all(6, mus, xs[:, None])
+        assert table.shape == (7, 3, 3)
+        for n in range(7):
+            for k, mu in enumerate(mus):
+                np.testing.assert_allclose(table[n, :, k], op.gegenbauer_c(n, mu, xs),
+                                           rtol=1e-13)
 
     def test_generating_function(self):
         # sum rho^n C_n^nu(x) = (1 + rho^2 - 2 rho x)^{-nu}

@@ -319,6 +319,10 @@ class TestVerifierFactors:
     def test_theta_pair_column(self, d, lmax):
         theta, thetap = 0.9, 2.3
         for j in range(1, d - 1):
+            # one table over a vector of child degrees, rows from the lowest
+            degs = list(range(1, lmax + 1, 4)) or [0]
+            table = ps.theta_standard_pairs(j, d, lmax, degs, theta, thetap)
+            assert table.shape == (lmax - degs[0] + 1, len(degs))
             for l_next in range(0, lmax + 1, 4):
                 col = ps.theta_standard_pairs(j, d, lmax, l_next, theta, thetap)
                 assert col.shape == (lmax - l_next + 1,)
@@ -326,6 +330,12 @@ class TestVerifierFactors:
                     want = (ps.theta_standard(j, d, l, l_next, theta)
                             * ps.theta_standard(j, d, l, l_next, thetap))
                     assert col[l - l_next] == pytest.approx(want, rel=1e-13, abs=0.0)
+            for k, l_next in enumerate(degs):
+                for l in range(degs[0], lmax + 1):
+                    want = (ps.theta_standard(j, d, l, l_next, theta)
+                            * ps.theta_standard(j, d, l, l_next, thetap)
+                            if l >= l_next else 0.0)
+                    assert table[l - degs[0], k] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("q, heap_index", [(2, 1), (3, 1), (3, 3), (4, 2)])
     def test_upsilon_pair_column(self, q, heap_index):

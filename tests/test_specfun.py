@@ -226,9 +226,11 @@ class TestLegendreQHat:
             sf.legendre_q_hat(1.0, 0.0, 1.0 + 1e-8)
 
     def test_degenerate_degree(self):
-        # both hypergeometric representations collapse at nu = -3/2
-        with pytest.raises(PoleError):
-            sf.legendre_q_hat(-1.5, 0.25, 2.0)
+        # both hypergeometric representations collapse at nu = -3/2, on
+        # either side of z = 3
+        for z in (2.0, 5.0):
+            with pytest.raises(PoleError, match="degenerates"):
+                sf.legendre_q_hat(-1.5, 0.25, z)
 
     def test_domain(self):
         with pytest.raises(DomainError):

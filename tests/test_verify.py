@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle_sums import b2a_sides, ba_sides, ca2_sides, chi_ba, chi_ca2
 from polykernel import specfun as sf
 from polykernel import verify as vf
 from polykernel.errors import ExclusionSetError
@@ -44,7 +45,8 @@ class TestVerifyBa:
 
     def test_chi_value(self):
         cfg = ba_cfg(-1.0, 0, theta=0.5 * math.pi, thetap=0.5 * math.pi)
-        assert vf.chi_ba(1.0, 2.0, *cfg.thetas, *cfg.thetasp) == pytest.approx(1.25)
+        chi, _ = vf.chi_standard(1.0, 2.0, cfg.thetas, cfg.thetasp)
+        assert chi == pytest.approx(1.25)
         assert vf.verify_ba(cfg).passed
 
     def test_exclusion(self):
@@ -62,23 +64,25 @@ class TestVerifyBa:
 
 class TestVerifyStandard:
     def test_d3_equals_ba(self):
+        # d = 3 against the per-degree Ferrers single sum
         for nu, m in ((-1.0, 0), (-2.5, 2), (0.7, 1)):
             cfg = ba_cfg(nu, m, caps=70)
             std = vf.verify_standard(vf.TheoremConfig(
                 theorem="T4.1", nu=nu, m=m, d=3, r=cfg.r, rp=cfg.rp,
                 thetas=cfg.thetas, thetasp=cfg.thetasp, caps=cfg.caps, tol=cfg.tol))
-            ba = vf.verify_ba(cfg)
-            assert abs(std.lhs - ba.lhs) <= 1e-12 * abs(ba.lhs)
-            assert abs(std.rhs - ba.rhs) <= 1e-12 * abs(ba.rhs)
+            lhs, rhs = ba_sides(nu, m, cfg.r, cfg.rp, *cfg.thetas, *cfg.thetasp, cfg.caps)
+            assert abs(std.lhs - lhs) <= 1e-12 * abs(lhs)
+            assert abs(std.rhs - rhs) <= 1e-12 * abs(rhs)
 
     def test_d4_equals_b2a(self):
+        # d = 4 against the double sum of per-degree Theta pairs and Qhat
         cfg = b2a_cfg(-2.0, 1, caps=45)
         std = vf.verify_standard(vf.TheoremConfig(
             theorem="T4.1", nu=-2.0, m=1, d=4, r=cfg.r, rp=cfg.rp,
             thetas=cfg.thetas, thetasp=cfg.thetasp, caps=cfg.caps, tol=cfg.tol))
-        b2a = vf.verify_b2a(cfg)
-        assert abs(std.rhs - b2a.rhs) <= 1e-11 * abs(b2a.rhs)
-        assert std.passed and b2a.passed
+        _, rhs = b2a_sides(-2.0, 1, cfg.r, cfg.rp, cfg.thetas, cfg.thetasp, cfg.caps)
+        assert abs(std.rhs - rhs) <= 1e-11 * abs(rhs)
+        assert std.passed and vf.verify_b2a(cfg).passed
 
     def test_d5(self):
         cfg = vf.TheoremConfig(theorem="T4.1", nu=-2.5, m=1, d=5,
@@ -131,8 +135,8 @@ class TestVerifyCa2:
                       f2=1.0, f2p=1.0)
         r, rp = cfg.r, cfg.rp
         want = (r * r + rp * rp - 2.0 * r * rp * 0.5) / (2.0 * r * rp * 0.5)
-        assert vf.chi_ca2(r, rp, *cfg.thetas, *cfg.thetasp, *cfg.phis,
-                          *cfg.phisp) == pytest.approx(want, rel=1e-14)
+        chi, _ = vf.chi_hopf(2, r, rp, cfg.thetas, cfg.thetasp, cfg.phis, cfg.phisp)
+        assert chi == pytest.approx(want, rel=1e-14)
         assert vf.verify_ca2(cfg).passed
 
     def test_exclusion(self):
@@ -158,8 +162,7 @@ class TestVerifyCa2:
         # the verifier's RHS is the eps_m2 cos(m2 dphi2) contraction of D
         cfg = ca2_cfg(-1.0, 1, caps=50)
         rep = vf.verify_ca2(cfg)
-        chi = vf.chi_ca2(cfg.r, cfg.rp, *cfg.thetas, *cfg.thetasp,
-                         *cfg.phis, *cfg.phisp)
+        chi = chi_ca2(cfg.r, cfg.rp, *cfg.thetas, *cfg.thetasp, *cfg.phis, *cfg.phisp)
         rless, rgreater = min(cfg.r, cfg.rp), max(cfg.r, cfg.rp)
         pref = (2.0 ** (-0.5 * (cfg.nu + 1.0))
                 * (chi * chi - 1.0) ** (-0.25 * (cfg.nu + 1.0))
@@ -178,14 +181,16 @@ class TestVerifyCa2:
 
 class TestVerifyHopf:
     def test_q2_equals_ca2(self):
+        # q = 2 against the double sum of per-degree Upsilon pairs and Qhat
         cfg = ca2_cfg(-2.0, 0, caps=50)
         hopf = vf.verify_hopf(vf.TheoremConfig(
             theorem="T4.2", nu=-2.0, m=0, q=2, r=cfg.r, rp=cfg.rp,
             thetas=cfg.thetas, thetasp=cfg.thetasp, phis=cfg.phis,
             phisp=cfg.phisp, caps=cfg.caps, tol=cfg.tol))
-        ca2 = vf.verify_ca2(cfg)
-        assert abs(hopf.lhs - ca2.lhs) <= 1e-12 * abs(ca2.lhs)
-        assert abs(hopf.rhs - ca2.rhs) <= 1e-12 * abs(ca2.rhs)
+        lhs, rhs = ca2_sides(-2.0, 0, cfg.r, cfg.rp, *cfg.thetas, *cfg.thetasp,
+                             *cfg.phis, *cfg.phisp, cfg.caps)
+        assert abs(hopf.lhs - lhs) <= 1e-12 * abs(lhs)
+        assert abs(hopf.rhs - rhs) <= 1e-12 * abs(rhs)
 
     def test_q2_m1(self):
         rep = vf.verify_hopf(vf.TheoremConfig(
@@ -227,28 +232,16 @@ class TestIndependentOracles:
 
     def test_ba_rhs_per_degree_sum(self):
         # the C4.3 rhs re-summed from per-degree Legendre Q and Ferrers P
-        # values, independent of the degree recurrence the verifier uses
+        # values, independent of the recurrences the verifier uses
         for nu, m in ((-1.0, 0), (-2.5, 1), (0.5, 2)):
             cfg = ba_cfg(nu, m, theta=1.1, thetap=1.9)
-            (theta,), (thetap,) = cfg.thetas, cfg.thetasp
-            r, rp = cfg.r, cfg.rp
-            z = (r * r + rp * rp) / (2.0 * r * rp)
-            chi = vf.chi_ba(r, rp, theta, thetap)
-            terms = [(2 * l + 1) * math.factorial(l - m) / math.factorial(l + m)
-                     * sf.legendre_q_hat(float(l), -0.5 * (nu + 2.0), z).value
-                     * sf.ferrers_p(l, m, math.cos(theta))
-                     * sf.ferrers_p(l, m, math.cos(thetap))
-                     for l in range(m, m + cfg.caps + 1)]
-            pref = (math.sqrt(math.pi) * 2.0 ** (-0.5 * (nu + 3.0))
-                    * (math.sin(theta) * math.sin(thetap)) ** (-0.5 * nu)
-                    * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0))
-                    * ((rp * rp - r * r) / (r * rp)) ** (0.5 * (nu + 2.0)))
+            _, want = ba_sides(nu, m, cfg.r, cfg.rp, *cfg.thetas, *cfg.thetasp, cfg.caps)
             rhs = vf.verify_ba(cfg).rhs
-            assert abs(pref * math.fsum(terms) - rhs) <= 1e-12 * abs(rhs), (nu, m)
+            assert abs(want - rhs) <= 1e-12 * abs(rhs), (nu, m)
 
     def test_theorem_lhs_quadrature(self):
         cfg = ba_cfg(-1.0, 1, theta=1.2, thetap=1.7)
-        chi = vf.chi_ba(cfg.r, cfg.rp, *cfg.thetas, *cfg.thetasp)
+        chi = chi_ba(cfg.r, cfg.rp, *cfg.thetas, *cfg.thetasp)
         rep = vf.verify_ba(cfg)
         quad = vf.azimuthal_coefficient_quadrature(cfg.nu, chi, cfg.m)
         assert abs(rep.lhs - quad) <= 1e-8 * abs(quad)
@@ -266,6 +259,18 @@ class TestReportMechanics:
         cfg = ba_cfg(-1.0, 0, caps=8, tol=1e-12, r=1.0, rp=1.35)
         rep = vf.verify_ba(cfg)
         assert rep.status == "truncation_insufficient"
+
+    def test_hopf_truncation_not_fail(self):
+        # sums cut short by their caps are not a mathematical failure; the
+        # root degrees above lo + caps miss terms and must not set the tail
+        short_ca2 = ca2_cfg(-2.0, 0, caps=32, tol=1e-10, rp=1.3)
+        short_q3 = vf.TheoremConfig(
+            theorem="T4.2", nu=-2.0, m=0, q=3, r=1.0, rp=2.0,
+            thetas=(0.7, 0.9, 0.6), thetasp=(0.8, 1.0, 0.9),
+            phis=(1.1, 2.0, 0.5), phisp=(0.4, 1.5, 1.8), caps=4, tol=1e-10)
+        for rep in (vf.verify_ca2(short_ca2), vf.verify_hopf(short_q3)):
+            assert rep.rel_err > rep.tolerance
+            assert rep.status == "truncation_insufficient"
 
     def test_genuine_fail_detection(self):
         # corrupt the tolerance to force a fail on a fully converged sum; no
