@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import sys
 
 import numpy as np
@@ -222,7 +223,7 @@ def cmd_expand(args) -> int:
 # --- verify ------------------------------------------------------------------
 
 def _default_angles(rng, n, lo, hi):
-    return tuple(float(a) for a in rng.uniform(lo, hi, size=n))
+    return tuple(rng.uniform(lo, hi) for _ in range(n))
 
 
 def _angles(text, rng, n, lo, hi, label):
@@ -238,7 +239,7 @@ def _angles(text, rng, n, lo, hi, label):
 def _build_config(args) -> verify.TheoremConfig:
     """The theorem id presets the tree, and with it how many angles of each
     kind a point has and the range the defaults are drawn from."""
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     thm = args.theorem
     d = {"C4.3": 3, "C4.4": 4}.get(thm, args.d)
     q = 2 if thm == "C4.5" else args.q
@@ -281,7 +282,7 @@ def cmd_verify(args) -> int:
 
 def _suite_configs(seed: int):
     """The acceptance matrix: theorem sweeps + elementary reductions."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     configs = []
     for nu in (-1.0, -2.5):
         for m in (0, 1, 2):

@@ -18,9 +18,10 @@ from .specfun import gamma_signed_log, hyp_3f2_unit, pochhammer
 
 
 def _validate_jacobi_params(alpha, beta):
-    if alpha <= -1.0 or beta <= -1.0:
+    if np.any(alpha <= -1.0) or np.any(beta <= -1.0):
         raise ValueError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
-    if -1.0 < alpha < 0.0 and -1.0 < beta < 0.0 and alpha + beta + 1.0 == 0.0:
+    if np.any((-1.0 < alpha) & (alpha < 0.0) & (-1.0 < beta) & (beta < 0.0)
+              & (alpha + beta + 1.0 == 0.0)):
         raise ValueError("alpha + beta + 1 = 0 with both parameters in (-1, 0)")
 
 
@@ -53,17 +54,22 @@ def jacobi_p(n: int, alpha: float, beta: float, x):
     return p1 if np.ndim(x) else float(p1)
 
 
-def jacobi_p_all(nmax: int, alpha: float, beta: float, x):
+def jacobi_p_all(nmax: int, alpha, beta, x):
     """All of P_0^{(alpha,beta)}(x) .. P_nmax^{(alpha,beta)}(x) in one recurrence pass.
 
-    Row n is bit-for-bit ``jacobi_p(n, alpha, beta, x)``: the same recurrence,
-    run once.  The result has shape ``(nmax + 1,) + np.shape(x)``.
+    alpha, beta and x broadcast against each other, so one pass runs the
+    recurrence for many parameter pairs at once; the result has shape
+    ``(nmax + 1,) + np.broadcast_shapes(np.shape(alpha), np.shape(beta),
+    np.shape(x))``.  Each column is bit-for-bit ``jacobi_p(n, alpha, beta,
+    x)`` at its own parameters: the same recurrence, run once.
     """
     if nmax < 0:
         raise ValueError("degree must be a nonnegative integer")
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
     _validate_jacobi_params(alpha, beta)
     xa = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + xa.shape, dtype=float)
+    out = np.empty((nmax + 1,) + np.broadcast_shapes(alpha.shape, beta.shape, xa.shape))
     out[0] = 1.0
     if nmax >= 1:
         out[1] = _jacobi_p1(alpha, beta, xa)

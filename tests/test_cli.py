@@ -3,6 +3,8 @@
 import gc
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 
@@ -152,6 +154,20 @@ class TestVerify:
         out2 = tmp_path / "suite2.csv"
         run(["verify", "--suite", "--out", str(out2)], capsys)
         assert out_path.read_bytes() == out2.read_bytes()
+
+    def test_suite_leaves_numpy_random_unloaded(self):
+        # numpy loads numpy.random lazily and it costs about 5 MB of RSS;
+        # the default angles are drawn with the standard library instead
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import io, sys, contextlib\n"
+                "from polykernel import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli.main(['verify', '--suite']) == 0\n"
+                "print('numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_c44_partial_angles_rejected(self, capsys):
         # C4.4 points have two polar angles: one is a malformed option value

@@ -94,6 +94,35 @@ class TestJacobiPAll:
                     scale = float(np.max(np.abs(table[:n + 1, i])))
                     assert abs(table[n, i] - want) <= 1e-13 * scale
 
+    def test_array_parameters_match_scalar_columns(self):
+        # one pass over many (alpha, beta) pairs: each column is the scalar
+        # call at its own parameters, bit for bit
+        alphas = np.array([a for a, _ in JACOBI_PARAMS])
+        betas = np.array([b for _, b in JACOBI_PARAMS])
+        xs = np.array([[-0.8], [0.37]])
+        table = op.jacobi_p_all(25, alphas, betas, xs)
+        assert table.shape == (26, 2, len(alphas))
+        for k, (a, b) in enumerate(JACOBI_PARAMS):
+            np.testing.assert_array_equal(table[:, :, k], op.jacobi_p_all(25, a, b, xs[:, 0]))
+            for n in (0, 1, 7, 25):
+                assert table[n, 1, k] == op.jacobi_p(n, a, b, 0.37)
+        # alpha alone an array, beta and x scalars
+        col = op.jacobi_p_all(10, alphas, 0.5, 0.2)
+        for k, a in enumerate(alphas.tolist()):
+            np.testing.assert_array_equal(col[:, k], op.jacobi_p_all(10, a, 0.5, 0.2))
+
+    @pytest.mark.parametrize("alpha, beta, bad, message", [
+        ([0.5, -1.0], 0.5, (-1.0, 0.5), "must exceed -1"),
+        (0.5, [0.2, 1.0, -1.5], (0.5, -1.5), "must exceed -1"),
+        ([0.3, -0.25], [0.1, -0.75], (-0.25, -0.75), r"alpha \+ beta \+ 1 = 0"),
+    ])
+    def test_array_parameters_validated_entrywise(self, alpha, beta, bad, message):
+        # one invalid entry raises what the scalar call raises at that entry
+        with pytest.raises(ValueError, match=message):
+            op.jacobi_p(3, *bad, 0.3)
+        with pytest.raises(ValueError, match=message):
+            op.jacobi_p_all(3, alpha, beta, 0.3)
+
 
 @pytest.mark.parametrize("column, single, args, exc", [
     (op.jacobi_p_all, op.jacobi_p, (-1, 0.5, 0.5, 0.3), ValueError),

@@ -1,6 +1,7 @@
 """Tree parser, coordinate transforms, and hyperspherical harmonics."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -347,6 +348,48 @@ class TestVerifierFactors:
                 want = (ps.hopf_upsilon(q, heap_index, n, la, lb, theta)
                         * ps.hopf_upsilon(q, heap_index, n, la, lb, thetap))
                 assert col[n] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("q, heap_index", [(2, 1), (3, 1), (4, 2)])
+    def test_upsilon_pair_table_over_degree_vectors(self, q, heap_index):
+        # one table over broadcast degree vectors: each column is the scalar
+        # call bit for bit, and the per-degree product at 1e-13
+        theta, thetap = 0.4, 1.2
+        la = np.array([0, 3, 1, 12])[:, None]
+        lb = np.array([0, 4, 7])
+        table = ps.hopf_upsilon_pairs(q, heap_index, 20, la, lb, theta, thetap)
+        assert table.shape == (21, 4, 3)
+        for i, a in enumerate(la[:, 0].tolist()):
+            for k, b in enumerate(lb.tolist()):
+                col = ps.hopf_upsilon_pairs(q, heap_index, 20, a, b, theta, thetap)
+                np.testing.assert_array_equal(table[:, i, k], col)
+                for n in range(21):
+                    want = (ps.hopf_upsilon(q, heap_index, n, a, b, theta)
+                            * ps.hopf_upsilon(q, heap_index, n, a, b, thetap))
+                    assert table[n, i, k] == pytest.approx(want, rel=1e-13, abs=0.0)
+        flat = ps.hopf_upsilon_pairs(q, heap_index, 20, [1, 12], [7, 0], theta, thetap)
+        np.testing.assert_array_equal(flat, table[:, [2, 3], [2, 0]])
+
+    def test_upsilon_pair_table_exact_zeros(self, monkeypatch):
+        # sin 0 = 0 zeroes every pair with l_right > 0, and a zero cosine
+        # every pair with l_left > 0; no double has cos exactly 0, so the
+        # module's cos is made exact at pi/2.  Other pairs keep their values.
+        la, lb = np.array([0, 0, 2, 2]), np.array([0, 3, 0, 3])
+        table = ps.hopf_upsilon_pairs(2, 1, 6, la, lb, 0.0, 0.7)
+        for k in range(4):
+            want = [ps.hopf_upsilon(2, 1, n, la[k], lb[k], 0.0)
+                    * ps.hopf_upsilon(2, 1, n, la[k], lb[k], 0.7) for n in range(7)]
+            assert (table[:, k] == 0.0).all() == (lb[k] > 0)
+            np.testing.assert_allclose(table[:, k], want, rtol=1e-13, atol=0.0)
+        exact = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
+                                         if not k.startswith("_")})
+        exact.cos = lambda t: 0.0 if t == 0.5 * math.pi else math.cos(t)
+        monkeypatch.setattr(ps, "math", exact)
+        table = ps.hopf_upsilon_pairs(2, 1, 6, la, lb, 0.5 * math.pi, 0.7)
+        for k in range(4):
+            want = [ps.hopf_upsilon(2, 1, n, la[k], lb[k], 0.5 * math.pi)
+                    * ps.hopf_upsilon(2, 1, n, la[k], lb[k], 0.7) for n in range(7)]
+            assert (table[:, k] == 0.0).all() == (la[k] > 0)
+            np.testing.assert_allclose(table[:, k], want, rtol=1e-13, atol=0.0)
 
     def test_pair_column_validation(self):
         with pytest.raises(ValueError):

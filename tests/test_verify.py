@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracle_sums import b2a_sides, ba_sides, ca2_sides, chi_ba, chi_ca2
+from oracle_sums import b2a_sides, ba_sides, ca2_sides, chi_ba, chi_ca2, hopf_q3_sides
+from polykernel import polyspherical as ps
 from polykernel import specfun as sf
 from polykernel import verify as vf
 from polykernel.errors import ExclusionSetError
@@ -189,6 +190,38 @@ class TestVerifyHopf:
             phisp=cfg.phisp, caps=cfg.caps, tol=cfg.tol))
         lhs, rhs = ca2_sides(-2.0, 0, cfg.r, cfg.rp, *cfg.thetas, *cfg.thetasp,
                              *cfg.phis, *cfg.phisp, cfg.caps)
+        assert abs(hopf.lhs - lhs) <= 1e-12 * abs(lhs)
+        assert abs(hopf.rhs - rhs) <= 1e-12 * abs(rhs)
+
+    def test_fold_equals_pair_loop(self):
+        # one Upsilon-pair table per c node, scattered in pair order, adds the
+        # same terms in the same order as one column per pair of child degrees
+        thetas, thetasp = (0.7, 0.9, 0.6), (0.8, 1.0, 0.9)
+        orders = np.arange(9)
+        leaves = [np.eye(9)[1]] + [np.where(orders, 2.0, 1.0) * np.cos(orders * dphi)
+                                   for dphi in (0.7, -0.5, 2.1)]
+
+        def fold(i):
+            if i > 3:
+                return leaves[i - 4]
+            left, right = fold(2 * i), fold(2 * i + 1)
+            out = np.zeros(len(left) + len(right) + 15)
+            for la in np.flatnonzero(left).tolist():
+                for lb in np.flatnonzero(right).tolist():
+                    u = ps.hopf_upsilon_pairs(3, i, 8, la, lb, thetas[i - 1], thetasp[i - 1])
+                    out[la + lb:la + lb + 17:2] += left[la] * right[lb] * u
+            return out
+
+        np.testing.assert_array_equal(vf._hopf_fold(3, 8, thetas, thetasp, leaves), fold(1))
+
+    @pytest.mark.parametrize("nu, m1", [(-2.0, 0), (-1.5, 1)])
+    def test_q3_equals_nested_sum(self, nu, m1):
+        # q = 3 against the six-fold sum of per-degree Upsilon pairs and Qhat
+        angles = dict(r=1.0, rp=2.0, thetas=(0.7, 0.9, 0.6), thetasp=(0.8, 1.0, 0.9),
+                      phis=(1.1, 2.0, 0.5), phisp=(0.4, 1.5, 1.8))
+        hopf = vf.verify_hopf(vf.TheoremConfig(theorem="T4.2", nu=nu, m=m1, q=3, caps=4,
+                                               tol=1e-3, **angles))
+        lhs, rhs = hopf_q3_sides(nu, m1, caps=4, **angles)
         assert abs(hopf.lhs - lhs) <= 1e-12 * abs(lhs)
         assert abs(hopf.rhs - rhs) <= 1e-12 * abs(rhs)
 
