@@ -69,12 +69,20 @@ def jacobi_p_all(nmax: int, alpha, beta, x):
     beta = np.asarray(beta, dtype=float)
     _validate_jacobi_params(alpha, beta)
     xa = np.asarray(x, dtype=float)
+    # _jacobi_step's coefficients for every k at once, with its arithmetic;
+    # built before the output, so their temporaries never coexist with it
+    ks = np.arange(nmax + 1.0).reshape((-1,) + (1,) * max(alpha.ndim, beta.ndim))
+    ab = alpha + beta
+    c1 = 2.0 * ks * (ks + ab) * (2.0 * ks + ab - 2.0)
+    c2 = (2.0 * ks + ab - 1.0) * (alpha * alpha - beta * beta)
+    c3 = (2.0 * ks + ab - 2.0) * (2.0 * ks + ab - 1.0) * (2.0 * ks + ab)
+    c4 = 2.0 * (ks + alpha - 1.0) * (ks + beta - 1.0) * (2.0 * ks + ab)
     out = np.empty((nmax + 1,) + np.broadcast_shapes(alpha.shape, beta.shape, xa.shape))
     out[0] = 1.0
     if nmax >= 1:
         out[1] = _jacobi_p1(alpha, beta, xa)
     for k in range(2, nmax + 1):
-        out[k] = _jacobi_step(k, alpha, beta, xa, out[k - 2], out[k - 1])
+        out[k] = ((c2[k] + c3[k] * xa) * out[k - 1] - c4[k] * out[k - 2]) / c1[k]
     return out
 
 

@@ -227,20 +227,23 @@ def count_equivalence_classes(d: int) -> int:
     return a[d]
 
 
+def _check_angle(node: TreeNode, ang) -> None:
+    lo, hi, closed = node.angle_range()
+    arr = np.asarray(ang, dtype=float).ravel()
+    bad = (arr < lo) | ((arr > hi) if closed else (arr >= hi))
+    if bad.any():
+        bracket = "]" if closed else ")"
+        raise AngleRangeError(
+            f"angle {float(arr[bad][0])} outside [{lo}, {hi}{bracket} at"
+            f" type-{node.kind} node {node.index}")
+
+
 def validate_angles(t: Tree, angles) -> None:
     if len(angles) != t.n_angles:
         raise AngleRangeError(
             f"expected {t.n_angles} angles, got {len(angles)}")
     for node, ang in zip(t.branching_nodes, angles):
-        lo, hi, closed = node.angle_range()
-        arr = np.asarray(ang, dtype=float)
-        bad = (arr < lo) | ((arr > hi) if closed else (arr >= hi))
-        if np.any(bad):
-            offender = float(np.atleast_1d(arr)[np.atleast_1d(bad)][0])
-            bracket = "]" if closed else ")"
-            raise AngleRangeError(
-                f"angle {offender} outside [{lo}, {hi}{bracket} at"
-                f" type-{node.kind} node {node.index}")
+        _check_angle(node, ang)
 
 
 def to_cartesian(t: Tree, r: float, angles):
@@ -413,6 +416,72 @@ def node_factor(node: TreeNode, key: QuantumKey, angle):
     return out if np.ndim(angle) else float(out)
 
 
+@lru_cache(maxsize=None)
+def _half_lgamma_table(size: int):
+    """lgamma(k/2), k = 0..size-1; callers round size up to a power of two."""
+    return np.array([math.inf] + [math.lgamma(0.5 * k) for k in range(1, size)])
+
+
+def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
+    """node_factor at theta times node_factor at thetap, over n = 0..nmax.
+
+    l_left and l_right are the child degrees (0 at a leaf child), ints or
+    arrays that broadcast against each other.  Row n belongs to the node
+    degree l_left + l_right + n at b and b' nodes and l_left + l_right + 2n
+    at c nodes, so the result has shape ``(nmax + 1,) +`` the broadcast
+    shape.  One recurrence pass over every pair and both angles builds the
+    table: `gegenbauer_c_all` at b and b' nodes, where alpha = beta and
+    P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2} (DLMF 18.7.1), and
+    `jacobi_p_all` at c nodes.  Its transient memory is O(pairs * nmax): a
+    q = 3 certificate peaks at about 1.3 MB at nmax = 12 and 17 MB at
+    nmax = 30 (tracemalloc).  The products are assembled in log space, so
+    large-order coefficient growth cancels against the polynomial values
+    instead of overflowing, and zero factors stay exact zeros.
+    """
+    if node.kind == "a":
+        raise ValueError("a type-a node carries azimuthal weights, not a pair table")
+    ll, lr = np.asarray(l_left, dtype=int), np.asarray(l_right, dtype=int)
+    if nmax < 0 or (ll < 0).any() or (lr < 0).any():
+        raise ValueError("quantum numbers must be nonnegative")
+    if (node.left is None and ll.any()) or (node.right is None and lr.any()):
+        raise ValueError("a leaf child has degree 0")
+    _check_angle(node, (theta, thetap))
+    # twice each child's Jacobi parameter l + S/2: an integer, so every
+    # log-Gamma below is read from one half-integer table
+    ka, kb = 2 * ll + _child_span(node.left), 2 * lr + _child_span(node.right)
+    lg = _half_lgamma_table(1 << int(4 * nmax + 2 * max(ka.max(), kb.max()) + 3).bit_length())
+    ndim = max(ll.ndim, lr.ndim)
+    n = np.arange(nmax + 1).reshape((-1,) + (1,) * ndim)
+    pair = (2,) + (1,) * ndim
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the envelope cos^{l_left} sin^{l_right} of both angles
+        log_env = (np.where(ll > 0, ll * (np.log(abs(math.cos(theta)))
+                                          + np.log(abs(math.cos(thetap)))), 0.0)
+                   + np.where(lr > 0, lr * (np.log(abs(math.sin(theta)))
+                                            + np.log(abs(math.sin(thetap)))), 0.0))
+    if node.kind == "c":
+        vals = jacobi_p_all(nmax, 0.5 * kb, 0.5 * ka,
+                            np.reshape([math.cos(2.0 * theta), math.cos(2.0 * thetap)], pair))
+        # 2^{a+b+2} / h_n^{(b,a)}, node_factor's squared norm
+        log_coef = (math.log(2.0) + log_env + np.log(2 * n + 0.5 * (ka + kb) + 1.0)
+                    + lg[2 * n + ka + kb + 2] + lg[2 * n + 2] - lg[2 * n + ka + 2]
+                    - lg[2 * n + kb + 2])
+    else:
+        p, trig = (kb, math.cos) if node.kind == "b" else (ka, math.sin)
+        vals = gegenbauer_c_all(nmax, 0.5 * (p + 1), np.reshape([trig(theta), trig(thetap)], pair))
+        # 1 / h_n^{(a,a)} times ((a+1)_n / (2a+1)_n)^2 with mu = a + 1/2,
+        # Gamma(2 mu) reduced by the duplication formula
+        log_coef = (2.0 * (lg[p + 3] - np.log(p + 1.0)) + (p + 1) * math.log(2.0)
+                    - math.log(math.pi) + log_env + np.log(2 * n + p + 1.0)
+                    + lg[2 * n + 2] - lg[2 * n + 2 * p + 2])
+    # sign * exp(log_coef + log|v| + log|v'|) over the rows (v, v') of vals
+    with np.errstate(divide="ignore"):
+        out = np.exp(log_coef + (np.log(np.abs(vals[:, 0])) + np.log(np.abs(vals[:, 1]))))
+    out *= np.sign(vals[:, 0])
+    out *= np.sign(vals[:, 1])
+    return out
+
+
 def harmonic(t: Tree, key: QuantumKey, angles):
     """Normalized hyperspherical harmonic: product of all node factors."""
     validate_key(t, key)
@@ -508,54 +577,6 @@ def theta_standard(j: int, d: int, l: int, l_next: int, theta: float) -> float:
     return math.copysign(math.exp(logc + math.log(abs(cval))), cval)
 
 
-def _signed_pair_products(vals, log_coef):
-    """sign * exp(log_coef + log|v| + log|v'|) for the rows (v, v') of vals.
-
-    The log-space assembly lets large-order coefficient growth cancel against
-    the polynomial values instead of overflowing.
-    """
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(vals)).sum(axis=1)
-    return np.prod(np.sign(vals), axis=1) * np.exp(log_coef + log_abs)
-
-
-def theta_standard_pairs(j: int, d: int, lmax: int, l_next,
-                         theta: float, thetap: float):
-    """theta_standard(j, d, l, l_next, .) at theta times at thetap.
-
-    l_next is one child degree or a vector of them; rows run over the
-    parent degrees l = min(l_next)..lmax, so the result has shape
-    ``(lmax - min(l_next) + 1,) + np.shape(l_next)``, and the entries with
-    l < l_next are zero.  One Gegenbauer recurrence pass, over every order
-    l_next + (d-j-1)/2 and both angles at once, builds the whole table.
-    """
-    ln = np.atleast_1d(np.asarray(l_next, dtype=int))
-    lo = int(ln.min())
-    if not 1 <= j <= d - 2 or lmax < ln.max() or lo < 0:
-        raise ValueError("need 1 <= j <= d-2 and lmax >= l_next >= 0")
-    e = d - j - 1
-    cvals = gegenbauer_c_all(lmax - lo, ln + 0.5 * e,
-                             [[math.cos(theta)], [math.cos(thetap)]])
-    # log k! for every integer argument of the Gamma functions below
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(2 * lmax + e)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_sin = np.log(math.sin(theta)) + np.log(math.sin(thetap))
-        log_front = (2.0 * (np.array([math.lgamma(v + 0.5 * (d - j + 1.0)) for v in ln.tolist()])
-                            - np.log(2.0 * ln + e))
-                     + (2.0 * ln + e) * math.log(2.0) - math.log(math.pi)
-                     + np.where(ln > 0, ln * log_sin, 0.0))
-    n = np.arange(lmax - lo + 1)[:, None]     # recurrence degree l - l_next
-    # (rows with n > lmax - l_next are never read below; clipping keeps
-    # their log_fact index in range)
-    log_coef = (log_front + np.log(2.0 * (n + ln) + e) + log_fact[n]
-                - log_fact[np.minimum(n + 2 * ln + e - 1, 2 * lmax + e - 1)])
-    table = _signed_pair_products(cvals, log_coef)
-    # row l - lo of the result holds degree l, i.e. recurrence degree l - l_next
-    shift = n + (lo - ln)
-    out = np.where(shift >= 0, np.take_along_axis(table, np.maximum(shift, 0), axis=0), 0.0)
-    return out.reshape((lmax - lo + 1,) + np.shape(l_next))
-
-
 def hopf_upsilon(q: int, heap_index: int, n: int, l_left: int, l_right: int,
                  theta: float) -> float:
     """Normalized c-node factor of the Hopf tree V_{2^q}, heap position j."""
@@ -578,42 +599,3 @@ def hopf_upsilon(q: int, heap_index: int, n: int, l_left: int, l_right: int,
     if l_right > 0:
         logc += l_right * math.log(st)
     return math.copysign(math.exp(logc + math.log(abs(pval))), pval)
-
-
-def hopf_upsilon_pairs(q: int, heap_index: int, nmax: int, l_left, l_right,
-                       theta: float, thetap: float):
-    """hopf_upsilon(q, heap_index, n, l_left, l_right, .) at theta times at thetap.
-
-    l_left and l_right are child degrees or arrays of them that broadcast
-    against each other; the result has shape ``(nmax + 1,) +`` their
-    broadcast shape, the column n = 0..nmax for every pair, and scalars give
-    one column of shape ``(nmax + 1,)``.  One Jacobi recurrence pass, over
-    every pair's parameters and both angles at once, builds the whole
-    table, so its transient memory is O(pairs * nmax): a q = 3 certificate
-    peaks at about 1.4 MB at nmax = 12 and 20 MB at nmax = 30 (tracemalloc).
-    """
-    ll = np.asarray(l_left, dtype=int)
-    lr = np.asarray(l_right, dtype=int)
-    if nmax < 0 or np.any(ll < 0) or np.any(lr < 0):
-        raise ValueError("quantum numbers must be nonnegative")
-    off = 2 ** (q - 2 - (heap_index.bit_length() - 1))
-    a = ll - 1 + off
-    b = lr - 1 + off
-    ct, ctp = math.cos(theta), math.cos(thetap)
-    st, stp = math.sin(theta), math.sin(thetap)
-    # a zero cosine (sine) to a positive power zeroes the pair; masked below
-    c_zero, s_zero = ct == 0.0 or ctp == 0.0, st == 0.0 or stp == 0.0
-    log_front = (ll * (0.0 if c_zero else math.log(ct) + math.log(ctp))
-                 + lr * (0.0 if s_zero else math.log(st) + math.log(stp)))
-    ndim = log_front.ndim
-    pvals = jacobi_p_all(nmax, b, a, np.reshape([math.cos(2.0 * theta), math.cos(2.0 * thetap)],
-                                                (2,) + (1,) * ndim))
-    # a and b are integers, so every Gamma and log below is read from a table
-    top = 2 * nmax + int(np.max(a, initial=0)) + int(np.max(b, initial=0)) + 1
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(top)])
-    log_next = np.array([math.log(k + 1.0) for k in range(top)])
-    n = np.arange(nmax + 1).reshape((-1,) + (1,) * ndim)
-    log_coef = (log_front + log_next[2 * n + a + b] + log_fact[n + a + b] + log_fact[n]
-                - log_fact[n + a] - log_fact[n + b])
-    table = _signed_pair_products(pvals, log_coef)
-    return np.where((c_zero & (ll > 0)) | (s_zero & (lr > 0)), 0.0, table)

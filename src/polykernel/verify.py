@@ -8,31 +8,34 @@ multipole expansion x harmonic addition theorem), with every prefactor in
 phase-cancelled form and pinned by independent oracle tests.
 
 There are two theorems, T4.1 on the standard tree b^{d-2}a and T4.2 on the
-generalized Hopf tree V_{2^q}, and one mechanism for both: a fold from the
-leaves to the root.  Each a leaf carries a weight vector over its azimuthal
-order; each internal node maps its children's weight vectors to a weight
-vector W(l) over its own degree, a b node through its Theta-pair table and a
-c node through its Upsilon-pair table; the certificate is
+generalized Hopf tree V_{2^q}, and one mechanism for both: a fold over the
+`polyspherical.Tree` itself, from its leaves to its root.  The first a leaf
+in preorder, whose azimuth is the distinguished one, carries weight 1 at
+order m, every other a leaf the weights eps_k cos(k (phi - phi')); every
+other node maps its children's weight vectors to a weight vector W(l) over
+its own degree through its `node_pair_table`.  The certificate is
 pref * sum_l W(l) R(l) over the root degrees, with a Legendre-Q radial
-factor R.  The other theorem ids are presets: C4.3 and C4.4 are T4.1 at
-d = 3 and d = 4, C4.5 is T4.2 at q = 2.  The elementary reductions are the
-same theorems at nu = 2 - d, where R = Qhat^{-1/2} is elementary
-(DLMF 14.5.17), so they check the fold against a radial factor that uses
-no series code.
+factor R; chi comes from `cos_separation` with the distinguished azimuth at
+0.  The other theorem ids are presets: C4.3 and C4.4 are T4.1 at d = 3 and
+d = 4, C4.5 is T4.2 at q = 2.  The elementary reductions are the same
+theorems at nu = 2 - d, where R = Qhat^{-1/2} is elementary (DLMF 14.5.17),
+so they check the fold against a radial factor that uses no series code.
 
-Geometry restrictions: azimuthal order m >= 0, radii distinct, polar-type
-angles strictly interior so that chi stays finite.
+Geometry restrictions: azimuthal order m >= 0, radii distinct, every angle
+but the azimuths strictly inside its node's range so that chi stays finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CoincidentRadiusError, ExclusionSetError, SingularConfigurationError
-from .polyspherical import hopf_g_recursion, hopf_upsilon_pairs, theta_standard_pairs
+from .polyspherical import (Tree, cos_separation, hopf_heap_to_preorder, hopf_tree,
+                            node_pair_table, parse_tree)
 from .specfun import _is_int, legendre_q_hat, legendre_q_hat_column
 
 _RADIUS_GUARD = 1e-6
@@ -88,17 +91,22 @@ class VerificationReport:
         return self.status == "pass"
 
 
-def _check_exclusion(nu: float, m: int):
-    # excluded set {2m, 2m+2, 2m+4, ...}
+def _check_geometry(cfg, tree, angles, anglesp):
+    """Reject nu in the excluded set {2m, 2m+2, ...}, coincident radii, and
+    node angles not strictly inside their range, where chi is infinite."""
+    nu, m = cfg.nu, cfg.m
     if nu >= 2 * m - 1e-12 and _is_int(0.5 * (nu - 2 * m)):
         raise ExclusionSetError(
             f"nu = {nu} lies in the excluded set {{{2 * m}, {2 * m + 2}, ...}}")
-
-
-def _check_radii(r, rp):
-    if abs(r - rp) / max(r, rp) < _RADIUS_GUARD:
+    if abs(cfg.r - cfg.rp) / max(cfg.r, cfg.rp) < _RADIUS_GUARD:
         raise CoincidentRadiusError(
-            f"radii {r}, {rp} too close: radial argument collapses to 1")
+            f"radii {cfg.r}, {cfg.rp} too close: radial argument collapses to 1")
+    for node in tree.branching_nodes:
+        lo, hi, _ = node.angle_range()
+        for a in (angles[node.index], anglesp[node.index]):
+            if node.kind != "a" and not lo < a < hi:
+                raise SingularConfigurationError(
+                    f"type-{node.kind} angle {a} must lie strictly inside ({lo}, {hi})")
 
 
 def _geometric_tail(terms):
@@ -113,8 +121,6 @@ def _geometric_tail(terms):
         return math.inf
     window = mags[-6:]
     peak = max(window)
-    if window[0] == 0.0:
-        return math.inf
     rho = (window[-1] / window[0]) ** (1.0 / 5.0)
     if rho >= 1.0 or not math.isfinite(rho):
         return math.inf
@@ -136,13 +142,6 @@ def _report(cfg, lhs, rhs, terms_used, tail):
                               tolerance=cfg.tol, status=status)
 
 
-def _interior(angles, hi, label):
-    for a in angles:
-        if not 0.0 < a < hi:
-            raise SingularConfigurationError(
-                f"{label} angle {a} must lie strictly inside (0, {hi})")
-
-
 def _qhat_half(nu, mu, z):
     """Qhat_nu^mu(z) at mu = 1/2 or -1/2 in closed form (DLMF 14.5.17).
 
@@ -155,17 +154,65 @@ def _qhat_half(nu, mu, z):
     return val if mu > 0 else val / (nu + 0.5)
 
 
-def _certificate(cfg, d, chi, pref, lo, w, elementary):
-    """Report for pref * sum_l W(l) R(l) over the root degrees l = lo, lo+1, ...
+def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
+    """Root weight vector of the fold over degrees 0, 1, ...
 
-    pref comes in as the tree's own angle factor; the chi and radial factors
-    both theorems share are multiplied in here.  R is
-    Qhat_{l+(d-3)/2}^{(1-nu-d)/2}(z) with z = (r^2+r'^2)/(2rr').  An
-    elementary reduction (nu = 2 - d) takes R, and at d = 4 also the lhs
-    Qhat_{m-1/2}^{1/2}(chi), in closed form.
+    angles/anglesp are preorder node angles (the a entries are not read);
+    leaves holds the a-node weight vectors, in preorder, and a leaf child
+    is weight 1 at degree 0.  Each node's table covers every pair of
+    nonzero child degrees and n = 0..caps, so its transient memory is
+    O(pairs * caps); degrees above top, when given, are dropped.
     """
-    nu, m = cfg.nu, cfg.m
-    z = (cfg.r * cfg.r + cfg.rp * cfg.rp) / (2.0 * cfg.r * cfg.rp)
+    leaves = iter(leaves)
+
+    def fold(node):
+        if node is None:
+            return np.ones(1)
+        if node.kind == "a":
+            return next(leaves)
+        left, right = fold(node.left), fold(node.right)
+        la, lb = np.flatnonzero(left)[:, None], np.flatnonzero(right)
+        u = node_pair_table(node, caps, la, lb, angles[node.index], anglesp[node.index])
+        step = 2 if node.kind == "c" else 1
+        # l_a-major, then l_b, with n innermost, so every degree adds its
+        # terms in the same order as a loop over the pairs would
+        out = np.zeros(len(left) + len(right) - 1 + step * caps)
+        np.add.at(out, (la + lb)[..., None] + step * np.arange(caps + 1),
+                  (left[la] * right[lb])[..., None] * u.transpose(1, 2, 0))
+        return out if top is None else out[:top + 1]
+
+    return fold(tree.root)
+
+
+def _certify(cfg, tree, angles, anglesp, elementary, top=None):
+    """Report for pref * sum_l W(l) R(l) over the root degrees of one tree.
+
+    angles/anglesp are in preorder, the distinguished azimuth at 0.  rho is
+    the cos/sin product of both points along the path from the root to the
+    distinguished leaf, and chi = (r^2 + r'^2 - 2 r r' (cos g - rho)) /
+    (2 r r' rho).  R is Qhat_{l+(d-3)/2}^{(1-nu-d)/2}(z) with
+    z = (r^2+r'^2)/(2rr').  An elementary reduction (nu = 2 - d) takes R,
+    and at d = 4 also the lhs Qhat_{m-1/2}^{1/2}(chi), in closed form.
+    """
+    _check_geometry(cfg, tree, angles, anglesp)
+    nu, m, r, rp, d = cfg.nu, cfg.m, cfg.r, cfg.rp, tree.dimension
+    a_nodes = [node for node in tree.branching_nodes if node.kind == "a"]
+    orders = np.arange(cfg.caps + 1)
+    leaves = [np.eye(m + 1)[m]] + [np.where(orders, 2.0, 1.0) * np.cos(
+        orders * (angles[node.index] - anglesp[node.index])) for node in a_nodes[1:]]
+    w = _fold(tree, cfg.caps, angles, anglesp, leaves, top)
+    nz = np.flatnonzero(w).tolist()
+    lo, w = nz[0], w[nz[0]:nz[-1] + 1]
+    node, rho = tree.root, 1.0
+    while node.kind != "a":
+        t, tp = angles[node.index], anglesp[node.index]
+        if node.left is not None:
+            node, rho = node.left, rho * (math.cos(t) * math.cos(tp))
+        else:
+            node, rho = node.right, rho * (math.sin(t) * math.sin(tp))
+    chi = ((r * r + rp * rp - 2.0 * r * rp * (cos_separation(tree, angles, anglesp) - rho))
+           / (2.0 * r * rp * rho))
+    z = (r * r + rp * rp) / (2.0 * r * rp)
     deg = lo + 0.5 * (d - 3.0)
     if elementary:
         if nu != 2.0 - d:
@@ -178,10 +225,11 @@ def _certificate(cfg, d, chi, pref, lo, w, elementary):
     else:
         lhs = legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi).value
     terms = (w * radial).tolist()
-    rless, rgreater = min(cfg.r, cfg.rp), max(cfg.r, cfg.rp)
-    pref *= (2.0 ** (-0.5 * (nu + 1.0))
-             * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0))
-             * ((rgreater ** 2 - rless ** 2) / (cfg.r * cfg.rp)) ** (0.5 * (nu + d - 1.0)))
+    rless, rgreater = min(r, rp), max(r, rp)
+    pref = (2.0 ** (1 - len(a_nodes)) * math.pi ** (0.5 * d - len(a_nodes))
+            * rho ** (-0.5 * nu) * 2.0 ** (-0.5 * (nu + 1.0))
+            * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0))
+            * ((rgreater ** 2 - rless ** 2) / (r * rp)) ** (0.5 * (nu + d - 1.0)))
     rhs = pref * math.fsum(terms)
     # Root degrees lo..lo+caps get every contribution under the per-level
     # caps; above them the sums are cut short, so the tail is fitted to those.
@@ -192,17 +240,9 @@ def _certificate(cfg, d, chi, pref, lo, w, elementary):
 
 # --- standard polyspherical tree (type b^{d-2} a) ---------------------------
 
-def chi_standard(r, rp, thetas, thetasp):
-    """chi of the standard tree: meridian distance over the azimuthal plane."""
-    num = r * r + rp * rp
-    run = runp = 1.0
-    prod = 1.0
-    for t, tp in zip(thetas, thetasp):
-        num -= 2.0 * r * rp * math.cos(t) * math.cos(tp) * run * runp
-        run *= math.sin(t)
-        runp *= math.sin(tp)
-        prod *= math.sin(t) * math.sin(tp)
-    return num / (2.0 * r * rp * prod), prod
+@lru_cache(maxsize=None)
+def _standard_tree(d: int) -> Tree:
+    return parse_tree(f"b^{d - 2}a")
 
 
 def verify_standard(cfg: TheoremConfig, elementary: bool = False) -> VerificationReport:
@@ -212,30 +252,19 @@ def verify_standard(cfg: TheoremConfig, elementary: bool = False) -> Verificatio
     Qhat_{m-1/2}^{-(nu+1)/2}(chi) = pi^{(d-2)/2} 2^{-(nu+1)/2}
         x (prod sin sin')^{-nu/2} (chi^2-1)^{-(nu+1)/4}
         x ((r_>^2 - r_<^2)/(r r'))^{(nu+d-1)/2}
-        x sum over l_1 >= ... >= l_{d-2} >= m of Theta-pair products times
-          Qhat_{l_1+(d-3)/2}^{(1-nu-d)/2}((r^2+r'^2)/(2rr')).
-    The fold starts at the a leaf (weight 1 at order m); the b node at level
-    j maps the weights over l_{j+1} to weights over l_j through its
-    Theta-pair table, and level 1 is the root.  elementary=True takes the
-    closed-form radial factor, for the presets at nu = 2 - d.
+        x sum over m + caps >= l_1 >= ... >= l_{d-2} >= m of Theta-pair
+          products times Qhat_{l_1+(d-3)/2}^{(1-nu-d)/2}((r^2+r'^2)/(2rr')).
+    The fold runs over the tree b^{d-2}a, whose b node at level j (the root
+    is level 1) carries theta_j.  elementary=True takes the closed-form
+    radial factor, for the presets at nu = 2 - d.
     """
-    d, m = cfg.d, cfg.m
+    d = cfg.d
     if d < 3:
         raise ValueError("need d >= 3")
     if len(cfg.thetas) != d - 2 or len(cfg.thetasp) != d - 2:
         raise ValueError(f"need {d - 2} polar angles per point")
-    _check_exclusion(cfg.nu, m)
-    _check_radii(cfg.r, cfg.rp)
-    _interior(cfg.thetas, math.pi, "polar")
-    _interior(cfg.thetasp, math.pi, "polar")
-    chi, prod_ss = chi_standard(cfg.r, cfg.rp, cfg.thetas, cfg.thetasp)
-    L = m + cfg.caps
-    w, degs = np.ones(1), [m]
-    for j in range(d - 2, 0, -1):
-        w = theta_standard_pairs(j, d, L, degs, cfg.thetas[j - 1], cfg.thetasp[j - 1]) @ w
-        degs = np.arange(m, L + 1)
-    pref = math.pi ** (0.5 * (d - 2.0)) * prod_ss ** (-0.5 * cfg.nu)
-    return _certificate(cfg, d, chi, pref, m, w, elementary)
+    return _certify(cfg, _standard_tree(d), (*cfg.thetas, 0.0), (*cfg.thetasp, 0.0),
+                    elementary, top=cfg.m + cfg.caps)
 
 
 def verify_ba(cfg: TheoremConfig) -> VerificationReport:
@@ -261,86 +290,29 @@ def b2a_elementary_rhs(cfg: TheoremConfig) -> VerificationReport:
 
 # --- generalized Hopf, R^{2^q} ----------------------------------------------
 
-def chi_hopf(q, r, rp, thetas, thetasp, phis, phisp):
-    """chi of the V_{2^q} tree; heap-ordered c-node angles + azimuths."""
-    heap = list(thetas) + [0.0] + list(phis)       # phi_1 = 0: chi is
-    heapp = list(thetasp) + [0.0] + list(phisp)    # independent of it
-    cosg = hopf_g_recursion(q, heap, heapp)
-    prod = 1.0
-    for j in range(1, q):
-        idx = 2 ** (j - 1)
-        prod *= math.cos(thetas[idx - 1]) * math.cos(thetasp[idx - 1])
-    num = (r * r + rp * rp - 2.0 * r * rp * cosg
-           + 2.0 * r * rp * prod)  # cos(phi_1 - phi_1') = 1 with phi_1 = 0
-    return num / (2.0 * r * rp * prod), prod
-
-
-def _mode(m):
-    """Weight vector over orders 0..m with weight 1 at order m only."""
-    w = np.zeros(m + 1)
-    w[m] = 1.0
-    return w
-
-
-def _hopf_fold(q, caps, thetas, thetasp, leaves):
-    """Root weight vector of the V_{2^q} tree over degrees 0, 1, ...
-
-    leaves holds the a-node weight vectors over their orders, left to right.
-    The c node at heap index i builds one Upsilon-pair table over every pair
-    of nonzero child degrees (l_a, l_b) and maps each pair's column onto the
-    degrees l_a + l_b + 2n, n = 0..caps.  The table's transient memory is
-    O(pairs * caps).
-    """
-    n_c = len(thetas)
-
-    def fold(i):
-        if i > n_c:
-            return leaves[i - n_c - 1]
-        left, right = fold(2 * i), fold(2 * i + 1)
-        la, lb = (g.ravel() for g in np.meshgrid(np.flatnonzero(left), np.flatnonzero(right),
-                                                 indexing="ij"))
-        u = hopf_upsilon_pairs(q, i, caps, la, lb, thetas[i - 1], thetasp[i - 1])
-        # pairs l_a-major with n innermost, so every degree adds its terms
-        # in the same order as a loop over the pairs would
-        out = np.zeros(len(left) + len(right) + 2 * caps - 1)
-        np.add.at(out, (la + lb)[:, None] + 2 * np.arange(caps + 1),
-                  (left[la] * right[lb])[:, None] * u.T)
-        return out
-
-    return fold(1)
-
-
 def verify_hopf(cfg: TheoremConfig, elementary: bool = False) -> VerificationReport:
     """Multi-sum addition theorem on R^{2^q} in generalized Hopf coordinates.
 
-    The first a leaf carries weight 1 at order m, every other one the
-    azimuthal weights eps_m cos(m (phi - phi')), m = 0..caps; the fold
-    combines them at the c nodes through Upsilon-pair factors and ends in
-    the surrogate-degree Legendre factor.  elementary=True as in
-    `verify_standard`.
+    The fold runs over the tree V_{2^q}: its a leaves carry phi_1 = 0 (chi
+    is independent of it) and phi_2..phi_{2^{q-1}}, its c nodes the
+    heap-ordered angles, and it ends in the surrogate-degree Legendre
+    factor.  elementary=True as in `verify_standard`.
     """
-    q, m1, C = cfg.q, cfg.m, cfg.caps
+    q = cfg.q
     if q < 2:
         raise ValueError("need q >= 2")
-    n_c = 2 ** (q - 1) - 1
     n_a = 2 ** (q - 1)
-    if len(cfg.thetas) != n_c or len(cfg.thetasp) != n_c:
-        raise ValueError(f"need {n_c} heap-ordered c-node angles per point")
+    if len(cfg.thetas) != n_a - 1 or len(cfg.thetasp) != n_a - 1:
+        raise ValueError(f"need {n_a - 1} heap-ordered c-node angles per point")
     if len(cfg.phis) != n_a - 1 or len(cfg.phisp) != n_a - 1:
         raise ValueError(f"need {n_a - 1} azimuths (phi_2..phi_{n_a}) per point")
-    _check_exclusion(cfg.nu, m1)
-    _check_radii(cfg.r, cfg.rp)
-    _interior(cfg.thetas, 0.5 * math.pi, "Hopf")
-    _interior(cfg.thetasp, 0.5 * math.pi, "Hopf")
-    chi, prod_cc = chi_hopf(q, cfg.r, cfg.rp, cfg.thetas, cfg.thetasp, cfg.phis, cfg.phisp)
-    orders = np.arange(C + 1)
-    leaves = [_mode(m1)] + [np.where(orders, 2.0, 1.0) * np.cos(orders * (f - fp))
-                            for f, fp in zip(cfg.phis, cfg.phisp)]
-    w = _hopf_fold(q, C, cfg.thetas, cfg.thetasp, leaves)
-    nz = np.flatnonzero(w).tolist()
-    lo, hi = nz[0], nz[-1]
-    return _certificate(cfg, 2 ** q, chi, prod_cc ** (-0.5 * cfg.nu), lo, w[lo:hi + 1],
-                        elementary)
+    # Azimuths are periodic, so any real value is accepted and reduced to
+    # [0, 2pi); the second % maps a tiny negative one, which the first
+    # rounds up to 2pi itself, to 0.
+    two_pi = 2.0 * math.pi
+    angles, anglesp = (hopf_heap_to_preorder(q, (*thetas, 0.0, *(f % two_pi % two_pi for f in phis)))
+                       for thetas, phis in ((cfg.thetas, cfg.phis), (cfg.thetasp, cfg.phisp)))
+    return _certify(cfg, hopf_tree(q), angles, anglesp, elementary)
 
 
 def verify_ca2(cfg: TheoremConfig) -> VerificationReport:
@@ -368,9 +340,11 @@ def ca2_double_coefficient(nu: float, m1: int, m2: int, r: float, rp: float,
     if m1 < 0 or m2 < 0:
         raise ValueError("orders must be >= 0")
     z = (r * r + rp * rp) / (2.0 * r * rp)
-    w = _hopf_fold(2, caps, (vt,), (vtp,), [_mode(m1), _mode(m2)])[m1 + m2:]
+    w = _fold(hopf_tree(2), caps, (vt, 0.0, 0.0), (vtp, 0.0, 0.0),
+              [np.eye(m1 + 1)[m1], np.eye(m2 + 1)[m2]])[m1 + m2:]
     qv = legendre_q_hat_column(m1 + m2 + 0.5, -0.5 * (nu + 3.0), z, len(w))
-    return float(np.dot(w, qv))
+    # the pair table carries node_factor's normalization, 2 Upsilon pairs
+    return 0.5 * float(np.dot(w, qv))
 
 
 # --- dispatch and the independent Fourier-coefficient oracle -----------------

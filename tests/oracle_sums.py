@@ -5,7 +5,9 @@ columns.  These sums take every node factor (`ferrers_p`, `theta_standard`,
 `hopf_upsilon`) and every Legendre-Q radial factor (`legendre_q_hat`) one
 degree at a time instead, and write out chi and the prefactors themselves,
 so a test that compares the two checks the fold against code it does not
-share.  Each function returns (lhs, rhs).
+share.  Each `*_sides` function returns (lhs, rhs); the `chi_*` functions
+return chi (and, for the general trees, the product rho of the sines or
+cosines that scale the distinguished azimuthal plane).
 """
 
 import math
@@ -94,6 +96,35 @@ def ca2_sides(nu, m1, r, rp, vt, vtp, f2, f2p, caps):
     pref = (2.0 ** (-0.5 * (nu + 1.0)) * (math.cos(vt) * math.cos(vtp)) ** (-0.5 * nu)
             * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0)) * _radial_power(nu, 4, r, rp))
     return _lhs(nu, m1, chi), pref * math.fsum(terms)
+
+
+def chi_standard(r, rp, thetas, thetasp):
+    """chi of the standard tree b^{d-2}a and the sin-product rho of its
+    azimuthal plane: meridian distance over that plane, level by level."""
+    num = r * r + rp * rp
+    run = runp = 1.0
+    prod = 1.0
+    for t, tp in zip(thetas, thetasp):
+        num -= 2.0 * r * rp * math.cos(t) * math.cos(tp) * run * runp
+        run *= math.sin(t)
+        runp *= math.sin(tp)
+        prod *= math.sin(t) * math.sin(tp)
+    return num / (2.0 * r * rp * prod), prod
+
+
+def chi_hopf(q, r, rp, thetas, thetasp, phis, phisp):
+    """chi of the V_{2^q} tree from heap-ordered c-node angles and azimuths
+    phi_2.., by the two-branch recursion with phi_1 = phi_1' = 0, and the
+    cos-product rho of the first azimuthal plane."""
+    heap = list(thetas) + [0.0] + list(phis)
+    heapp = list(thetasp) + [0.0] + list(phisp)
+    cosg = ps.hopf_g_recursion(q, heap, heapp)
+    prod = 1.0
+    for j in range(1, q):
+        idx = 2 ** (j - 1)
+        prod *= math.cos(thetas[idx - 1]) * math.cos(thetasp[idx - 1])
+    num = r * r + rp * rp - 2.0 * r * rp * cosg + 2.0 * r * rp * prod
+    return num / (2.0 * r * rp * prod), prod
 
 
 def chi_hopf_q3(r, rp, thetas, thetasp, phis, phisp):

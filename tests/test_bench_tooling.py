@@ -1,0 +1,42 @@
+"""The benchmark's tracer finds every name it wraps in the library.
+
+`bench/tracer.py` wraps public functions by (module, name), and
+`bench/run.py --self-check` looks up a few module bindings directly; a
+refactor that renames or drops one of them breaks the benchmark, not the
+library, so this test catches it here.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_traced_names_resolve(tracer):
+    for module, name in tracer.TARGETS:
+        mod = importlib.import_module(f"polykernel.{module}")
+        assert callable(getattr(mod, name, None)), f"polykernel.{module}.{name}"
+
+
+def test_self_check_bindings_resolve():
+    # the bindings `bench/run.py --self-check` expects the tracer to wrap
+    from polykernel import expansions, polyspherical, specfun, verify
+    from polykernel.orthopoly import jacobi_p
+
+    assert expansions.legendre_q_hat is specfun.legendre_q_hat
+    assert verify.legendre_q_hat is specfun.legendre_q_hat
+    assert polyspherical.jacobi_p is jacobi_p
+    assert verify._VERIFIERS["C4.3"] is verify.verify_ba
+    assert set(verify._VERIFIERS) == {"T4.1", "T4.2", "C4.3", "C4.4", "C4.5"}

@@ -189,6 +189,27 @@ class TestVerify:
         assert out == "" and err.startswith("error:")
 
 
+    @pytest.mark.parametrize("argv, phis, phisp", [
+        (["verify", "C4.5", "--m", "1", "--thetas", "0.6", "--thetasp", "0.8"], [-0.5], [7.0]),
+        (["verify", "T4.2", "--q", "3", "--caps", "8", "--tol", "1e-3"],
+         [-1, 8, 3], [0.1, 0.2, 9]),
+    ])
+    def test_azimuths_outside_one_period(self, capsys, argv, phis, phisp):
+        # azimuths are periodic: any real value passes, and gives the rhs
+        # of the same call with every azimuth reduced mod 2 pi
+        def flags(fs, fps):
+            return ["--phis=" + ",".join(map(repr, fs)), "--phisp=" + ",".join(map(repr, fps))]
+
+        code, out, _ = run(argv + flags(phis, phisp), capsys)
+        assert code == 0
+        two_pi = 2.0 * math.pi
+        code, out_reduced, _ = run(argv + flags([f % two_pi for f in phis],
+                                                [f % two_pi for f in phisp]), capsys)
+        assert code == 0
+        rhs, rhs_reduced = json.loads(out)["rhs"], json.loads(out_reduced)["rhs"]
+        assert abs(rhs - rhs_reduced) <= 1e-14 * abs(rhs_reduced)
+
+
 class TestDeterminismAndFormat:
     def test_byte_identical(self, capsys):
         args = ["verify", "C4.3", "--nu", "-2.5", "--m", "1", "--seed", "7"]

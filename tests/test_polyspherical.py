@@ -318,88 +318,127 @@ class TestVerifierFactors:
 
     @pytest.mark.parametrize("d, lmax", [(4, 0), (4, 30), (6, 25)])
     def test_theta_pair_column(self, d, lmax):
+        # node_pair_table at the b nodes of b^{d-2}a: Theta-pair products
+        t = ps.parse_tree(f"b^{d - 2}a")
         theta, thetap = 0.9, 2.3
         for j in range(1, d - 1):
-            # one table over a vector of child degrees, rows from the lowest
+            node = t.branching_nodes[j - 1]
+            # one table over a vector of child degrees, rows n = l - l_next
             degs = list(range(1, lmax + 1, 4)) or [0]
-            table = ps.theta_standard_pairs(j, d, lmax, degs, theta, thetap)
-            assert table.shape == (lmax - degs[0] + 1, len(degs))
+            table = ps.node_pair_table(node, lmax, 0, degs, theta, thetap)
+            assert table.shape == (lmax + 1, len(degs))
             for l_next in range(0, lmax + 1, 4):
-                col = ps.theta_standard_pairs(j, d, lmax, l_next, theta, thetap)
+                col = ps.node_pair_table(node, lmax - l_next, 0, l_next, theta, thetap)
                 assert col.shape == (lmax - l_next + 1,)
                 for l in range(l_next, lmax + 1):
                     want = (ps.theta_standard(j, d, l, l_next, theta)
                             * ps.theta_standard(j, d, l, l_next, thetap))
                     assert col[l - l_next] == pytest.approx(want, rel=1e-13, abs=0.0)
             for k, l_next in enumerate(degs):
-                for l in range(degs[0], lmax + 1):
-                    want = (ps.theta_standard(j, d, l, l_next, theta)
-                            * ps.theta_standard(j, d, l, l_next, thetap)
-                            if l >= l_next else 0.0)
-                    assert table[l - degs[0], k] == pytest.approx(want, rel=1e-13, abs=0.0)
+                np.testing.assert_array_equal(
+                    table[:lmax - l_next + 1, k],
+                    ps.node_pair_table(node, lmax - l_next, 0, l_next, theta, thetap))
+                for n in range(lmax + 1):
+                    want = (ps.theta_standard(j, d, l_next + n, l_next, theta)
+                            * ps.theta_standard(j, d, l_next + n, l_next, thetap))
+                    assert table[n, k] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @staticmethod
+    def _hopf_node(q, heap_index):
+        heap_of = ps.hopf_heap_to_preorder(q, list(range(1, 2 ** q)))
+        return ps.hopf_tree(q).branching_nodes[heap_of.index(heap_index)]
 
     @pytest.mark.parametrize("q, heap_index", [(2, 1), (3, 1), (3, 3), (4, 2)])
     def test_upsilon_pair_column(self, q, heap_index):
+        # node_pair_table at a Hopf c node: node_factor = sqrt(2) Upsilon,
+        # so each entry is twice the Upsilon-pair product
+        node = self._hopf_node(q, heap_index)
         theta, thetap = 0.4, 1.2
         for la, lb in ((0, 0), (3, 0), (1, 4), (12, 7)):
-            col = ps.hopf_upsilon_pairs(q, heap_index, 30, la, lb, theta, thetap)
+            col = ps.node_pair_table(node, 30, la, lb, theta, thetap)
             assert col.shape == (31,)
             for n in range(31):
-                want = (ps.hopf_upsilon(q, heap_index, n, la, lb, theta)
-                        * ps.hopf_upsilon(q, heap_index, n, la, lb, thetap))
+                want = 2.0 * (ps.hopf_upsilon(q, heap_index, n, la, lb, theta)
+                              * ps.hopf_upsilon(q, heap_index, n, la, lb, thetap))
                 assert col[n] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("q, heap_index", [(2, 1), (3, 1), (4, 2)])
     def test_upsilon_pair_table_over_degree_vectors(self, q, heap_index):
         # one table over broadcast degree vectors: each column is the scalar
         # call bit for bit, and the per-degree product at 1e-13
+        node = self._hopf_node(q, heap_index)
         theta, thetap = 0.4, 1.2
         la = np.array([0, 3, 1, 12])[:, None]
         lb = np.array([0, 4, 7])
-        table = ps.hopf_upsilon_pairs(q, heap_index, 20, la, lb, theta, thetap)
+        table = ps.node_pair_table(node, 20, la, lb, theta, thetap)
         assert table.shape == (21, 4, 3)
         for i, a in enumerate(la[:, 0].tolist()):
             for k, b in enumerate(lb.tolist()):
-                col = ps.hopf_upsilon_pairs(q, heap_index, 20, a, b, theta, thetap)
+                col = ps.node_pair_table(node, 20, a, b, theta, thetap)
                 np.testing.assert_array_equal(table[:, i, k], col)
                 for n in range(21):
-                    want = (ps.hopf_upsilon(q, heap_index, n, a, b, theta)
-                            * ps.hopf_upsilon(q, heap_index, n, a, b, thetap))
+                    want = 2.0 * (ps.hopf_upsilon(q, heap_index, n, a, b, theta)
+                                  * ps.hopf_upsilon(q, heap_index, n, a, b, thetap))
                     assert table[n, i, k] == pytest.approx(want, rel=1e-13, abs=0.0)
-        flat = ps.hopf_upsilon_pairs(q, heap_index, 20, [1, 12], [7, 0], theta, thetap)
+        flat = ps.node_pair_table(node, 20, [1, 12], [7, 0], theta, thetap)
         np.testing.assert_array_equal(flat, table[:, [2, 3], [2, 0]])
 
     def test_upsilon_pair_table_exact_zeros(self, monkeypatch):
         # sin 0 = 0 zeroes every pair with l_right > 0, and a zero cosine
         # every pair with l_left > 0; no double has cos exactly 0, so the
         # module's cos is made exact at pi/2.  Other pairs keep their values.
+        node = self._hopf_node(2, 1)
         la, lb = np.array([0, 0, 2, 2]), np.array([0, 3, 0, 3])
-        table = ps.hopf_upsilon_pairs(2, 1, 6, la, lb, 0.0, 0.7)
+        table = ps.node_pair_table(node, 6, la, lb, 0.0, 0.7)
         for k in range(4):
-            want = [ps.hopf_upsilon(2, 1, n, la[k], lb[k], 0.0)
+            want = [2.0 * ps.hopf_upsilon(2, 1, n, la[k], lb[k], 0.0)
                     * ps.hopf_upsilon(2, 1, n, la[k], lb[k], 0.7) for n in range(7)]
             assert (table[:, k] == 0.0).all() == (lb[k] > 0)
+            np.testing.assert_allclose(table[:, k], want, rtol=1e-13, atol=0.0)
+        # the b node of ba: sin 0 = 0 zeroes every child degree but 0
+        b_node = ps.parse_tree("ba").root
+        table = ps.node_pair_table(b_node, 6, 0, [0, 2], 0.0, 0.7)
+        for k, l_next in enumerate((0, 2)):
+            want = [ps.theta_standard(1, 3, l_next + n, l_next, 0.0)
+                    * ps.theta_standard(1, 3, l_next + n, l_next, 0.7) for n in range(7)]
+            assert (table[:, k] == 0.0).all() == (l_next > 0)
             np.testing.assert_allclose(table[:, k], want, rtol=1e-13, atol=0.0)
         exact = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
                                          if not k.startswith("_")})
         exact.cos = lambda t: 0.0 if t == 0.5 * math.pi else math.cos(t)
         monkeypatch.setattr(ps, "math", exact)
-        table = ps.hopf_upsilon_pairs(2, 1, 6, la, lb, 0.5 * math.pi, 0.7)
+        table = ps.node_pair_table(node, 6, la, lb, 0.5 * math.pi, 0.7)
         for k in range(4):
-            want = [ps.hopf_upsilon(2, 1, n, la[k], lb[k], 0.5 * math.pi)
+            want = [2.0 * ps.hopf_upsilon(2, 1, n, la[k], lb[k], 0.5 * math.pi)
                     * ps.hopf_upsilon(2, 1, n, la[k], lb[k], 0.7) for n in range(7)]
             assert (table[:, k] == 0.0).all() == (la[k] > 0)
             np.testing.assert_allclose(table[:, k], want, rtol=1e-13, atol=0.0)
 
     def test_pair_column_validation(self):
+        b_node = ps.parse_tree("b^2a").root
         with pytest.raises(ValueError):
-            ps.theta_standard_pairs(3, 4, 5, 0, 0.5, 0.6)
+            # an a node carries weights, not a pair table
+            ps.node_pair_table(ps.parse_tree("ba").branching_nodes[1], 5, 0, 0, 0.5, 0.6)
         with pytest.raises(ValueError):
-            ps.theta_standard_pairs(1, 4, 2, 3, 0.5, 0.6)
+            # a b node's left child is a leaf, of degree 0
+            ps.node_pair_table(b_node, 2, 3, 0, 0.5, 0.6)
         with pytest.raises(ValueError):
-            ps.hopf_upsilon_pairs(2, 1, -1, 0, 0, 0.5, 0.6)
+            ps.node_pair_table(self._hopf_node(2, 1), -1, 0, 0, 0.5, 0.6)
         with pytest.raises(ValueError):
-            ps.hopf_upsilon_pairs(2, 1, 4, -1, 0, 0.5, 0.6)
+            ps.node_pair_table(self._hopf_node(2, 1), 4, -1, 0, 0.5, 0.6)
+
+    @pytest.mark.parametrize("spec, index, theta", [
+        ("ba", 0, -0.3),          # b: theta in [0, pi]
+        ("b'a", 0, 1.7),          # b': theta in [-pi/2, pi/2]
+        ("caa", 0, 1.7),          # c: theta in [0, pi/2]
+    ])
+    def test_pair_table_angle_range(self, spec, index, theta):
+        # an angle outside the node's range is a typed error, at either point
+        node = ps.parse_tree(spec).branching_nodes[index]
+        with pytest.raises(AngleRangeError):
+            ps.node_pair_table(node, 4, 0, 0, theta, 0.6)
+        with pytest.raises(AngleRangeError):
+            ps.node_pair_table(node, 4, 0, 0, 0.6, theta)
 
 
 class TestHarmonic:

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracle_sums import b2a_sides, ba_sides, ca2_sides, chi_ba, chi_ca2, hopf_q3_sides
+from oracle_sums import (b2a_sides, ba_sides, ca2_sides, chi_ba, chi_ca2, chi_hopf, chi_standard,
+                         hopf_q3_sides)
+from polykernel import orthopoly as op
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
 from polykernel import verify as vf
@@ -45,10 +47,13 @@ class TestVerifyBa:
                 assert rep.passed, (nu, m, rep.rel_err)
 
     def test_chi_value(self):
+        # the report's lhs is Qhat at the verifier's chi, here 1.25
         cfg = ba_cfg(-1.0, 0, theta=0.5 * math.pi, thetap=0.5 * math.pi)
-        chi, _ = vf.chi_standard(1.0, 2.0, cfg.thetas, cfg.thetasp)
+        chi, _ = chi_standard(1.0, 2.0, cfg.thetas, cfg.thetasp)
         assert chi == pytest.approx(1.25)
-        assert vf.verify_ba(cfg).passed
+        rep = vf.verify_ba(cfg)
+        assert rep.lhs == pytest.approx(sf.legendre_q_hat(-0.5, 0.0, 1.25).value, rel=1e-14)
+        assert rep.passed
 
     def test_exclusion(self):
         with pytest.raises(ExclusionSetError):
@@ -136,9 +141,12 @@ class TestVerifyCa2:
                       f2=1.0, f2p=1.0)
         r, rp = cfg.r, cfg.rp
         want = (r * r + rp * rp - 2.0 * r * rp * 0.5) / (2.0 * r * rp * 0.5)
-        chi, _ = vf.chi_hopf(2, r, rp, cfg.thetas, cfg.thetasp, cfg.phis, cfg.phisp)
+        chi, _ = chi_hopf(2, r, rp, cfg.thetas, cfg.thetasp, cfg.phis, cfg.phisp)
         assert chi == pytest.approx(want, rel=1e-14)
-        assert vf.verify_ca2(cfg).passed
+        rep = vf.verify_ca2(cfg)
+        # the report's lhs is Qhat at the verifier's chi
+        assert rep.lhs == pytest.approx(sf.legendre_q_hat(-0.5, 0.5, want).value, rel=1e-14)
+        assert rep.passed
 
     def test_exclusion(self):
         with pytest.raises(ExclusionSetError):
@@ -194,25 +202,29 @@ class TestVerifyHopf:
         assert abs(hopf.rhs - rhs) <= 1e-12 * abs(rhs)
 
     def test_fold_equals_pair_loop(self):
-        # one Upsilon-pair table per c node, scattered in pair order, adds the
-        # same terms in the same order as one column per pair of child degrees
-        thetas, thetasp = (0.7, 0.9, 0.6), (0.8, 1.0, 0.9)
+        # one pair table per node, scattered in pair order, adds the same
+        # terms in the same order as one column per pair of child degrees
+        t = ps.hopf_tree(3)
+        angles = ps.hopf_heap_to_preorder(3, [0.7, 0.9, 0.6, 0.0, 0.0, 0.0, 0.0])
+        anglesp = ps.hopf_heap_to_preorder(3, [0.8, 1.0, 0.9, 0.0, 0.0, 0.0, 0.0])
         orders = np.arange(9)
         leaves = [np.eye(9)[1]] + [np.where(orders, 2.0, 1.0) * np.cos(orders * dphi)
                                    for dphi in (0.7, -0.5, 2.1)]
+        rest = iter(leaves)
 
-        def fold(i):
-            if i > 3:
-                return leaves[i - 4]
-            left, right = fold(2 * i), fold(2 * i + 1)
+        def fold(node):
+            if node.kind == "a":
+                return next(rest)
+            left, right = fold(node.left), fold(node.right)
             out = np.zeros(len(left) + len(right) + 15)
             for la in np.flatnonzero(left).tolist():
                 for lb in np.flatnonzero(right).tolist():
-                    u = ps.hopf_upsilon_pairs(3, i, 8, la, lb, thetas[i - 1], thetasp[i - 1])
+                    u = ps.node_pair_table(node, 8, la, lb, angles[node.index],
+                                           anglesp[node.index])
                     out[la + lb:la + lb + 17:2] += left[la] * right[lb] * u
             return out
 
-        np.testing.assert_array_equal(vf._hopf_fold(3, 8, thetas, thetasp, leaves), fold(1))
+        np.testing.assert_array_equal(vf._fold(t, 8, angles, anglesp, leaves), fold(t.root))
 
     @pytest.mark.parametrize("nu, m1", [(-2.0, 0), (-1.5, 1)])
     def test_q3_equals_nested_sum(self, nu, m1):
@@ -250,6 +262,31 @@ class TestVerifyHopf:
             phisp=tuple(0.25 * i + 0.4 for i in range(7)),
             caps=6, tol=1e-3))
         assert rep.passed, rep.rel_err
+
+
+class TestTreeFold:
+    def test_mixed_tree_addition_theorem(self):
+        # the fold over c b' a b a (R^6) with every a leaf at all orders
+        # eps_k cos(k dphi) gives, at each complete root degree l <= caps,
+        # (2 pi)^2 sum over keys of Y(x) conj(Y(x')), which the Gegenbauer
+        # addition theorem writes as dim H_l / |S^5| C_l^2(cos g) / C_l^2(1)
+        t = ps.parse_tree("cb'aba")
+        assert [n.kind for n in t.branching_nodes] == ["c", "b'", "a", "b", "a"]
+        x, xp = [0.7, -0.4, 1.1, 2.2, 0.3], [1.2, 0.5, 4.0, 0.9, 5.5]
+        caps = 6
+        orders = np.arange(caps + 1)
+        leaves = [np.where(orders, 2.0, 1.0) * np.cos(orders * (x[i] - xp[i])) for i in (2, 4)]
+        w = vf._fold(t, caps, x, xp, leaves)
+        cosg = ps.cos_separation(t, x, xp)
+        sphere = 2.0 * math.pi ** 3 / math.gamma(3.0)
+        for l in range(caps + 1):
+            keys = sum(ps.harmonic(t, key, x) * ps.harmonic(t, key, xp).conjugate()
+                       for key in ps.enumerate_keys(t, l))
+            assert abs(keys.imag) <= 1e-13 * abs(keys)
+            assert w[l] == pytest.approx((2.0 * math.pi) ** 2 * keys.real, rel=1e-12)
+            gegenbauer = (ps.harmonic_space_dimension(6, l) / sphere
+                          * op.gegenbauer_c(l, 2.0, cosg) / op.gegenbauer_c(l, 2.0, 1.0))
+            assert w[l] == pytest.approx((2.0 * math.pi) ** 2 * gegenbauer, rel=1e-12)
 
 
 class TestIndependentOracles:
