@@ -5,10 +5,11 @@ with every numeric field printed to 17 significant digits (round-trip safe),
 or CSV convergence tables with header ``level,index,term,partial,rel_err``.
 Identical invocations (including --seed) produce byte-identical output.
 
-Exit codes: 0 success/pass, 1 verification math failure, 2 tree parse error,
-3 exclusion-set violation, 4 non-convergence, 5 truncation insufficient,
-6 invalid input (a malformed option value, an argument outside a function's
-domain, or a result beyond double range).
+Exit codes: 0 success/pass, 1 verification math failure (the two sides of a
+`verify` disagree), 2 tree parse error, 3 exclusion-set violation,
+4 non-convergence, 5 truncation insufficient, 6 invalid input (a malformed
+option value, an argument outside a function's domain, a pole, an argument
+too close to a singular point, or a result beyond double range).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from . import expansions, polyspherical, verify
 from .errors import (
     ConvergenceError,
-    DomainError,
     ExclusionSetError,
     PolyKernelError,
     TreeParseError,
@@ -439,12 +439,12 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_CONVERGENCE
-    except (DomainError, ValueError, OverflowError) as exc:
+    except (PolyKernelError, ValueError, OverflowError) as exc:
+        # Every other library error (a pole, the near-one guard, a domain
+        # error) is input the functions are not defined for; exit 1 is kept
+        # for a verification whose two sides disagree.
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
-    except PolyKernelError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_MATH_FAIL
 
 
 if __name__ == "__main__":

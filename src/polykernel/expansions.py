@@ -6,6 +6,12 @@ and the multipole and azimuthal expansions of ||x - x'||^nu.  Every infinite
 series is accumulated with compensated summation in ascending index order and
 stops once three consecutive terms drop below tol * |partial sum|.
 
+The Chebyshev, Gegenbauer and azimuthal series read their Legendre-Q factors,
+and the Jacobi series its Jacobi-Q factors, from degree columns
+(`legendre_q_hat_column`, `jacobi_q2_column`) built in chunks as the sum runs:
+one series value at the bottom degree, then the minimal-solution recurrence.
+The multipole series still evaluates Legendre Q one degree at a time.
+
 All Legendre-Q factors appear in their phase-free real form Qhat; the
 complex unit prefactors these expansions normally carry cancel exactly
 against the phase stripped from Q (checked analytically once per formula,
@@ -21,6 +27,7 @@ from fractions import Fraction
 from .errors import (
     CoincidentRadiusError,
     ConvergenceError,
+    DomainError,
     ExclusionSetError,
     ParameterPoleError,
     SingularConfigurationError,
@@ -30,8 +37,9 @@ from .specfun import (
     _is_int,
     _nonpositive_int,
     gamma_signed_log,
-    jacobi_q2_signed_log,
+    jacobi_q2_column,
     legendre_q_hat,
+    legendre_q_hat_column,
 )
 from .orthopoly import _jacobi_p1, _jacobi_step
 
@@ -94,6 +102,52 @@ class _Series:
                 f" (last |term| = {self.last:.3e}, partial = {self.s:.6e})")
         return PartialSum(value=self.s, terms_used=self.n,
                           last_term_magnitude=self.last, converged=True)
+
+
+def _degree_column(column, z, limit):
+    """Yield the entries n = 0, 1, ..., limit - 1 of a second-kind degree
+    column at argument z, built in chunks as the caller consumes them.
+
+    ``column(n0, length, below)`` returns the entries n0 .. n0+length-1, and
+    ``below`` is entry n0 - 1 (None for the first chunk).  The first chunk
+    covers the degrees a sum to about 1e-14 takes, since the terms fall
+    like e^{-n acosh z}; each later chunk is twice as long as the one
+    before and continues from its last entry, so a whole sum pays for one
+    series value at the bottom degree.
+    """
+    n0, length, below = 0, 16 + int(32.0 / math.acosh(z)), None
+    while n0 < limit:
+        length = min(length, limit - n0)
+        chunk = column(n0, length, below)
+        yield from chunk
+        below = chunk[-1]
+        n0 += length
+        length *= 2
+
+
+def _q_hat_terms(nu0, mu, z, limit):
+    """Qhat_{nu0+n}^mu(z) for n = 0 .. limit - 1, chunk by chunk."""
+    return _degree_column(
+        lambda n0, length, below: legendre_q_hat_column(
+            nu0 + n0, mu, z, length, below).tolist(), z, limit)
+
+
+def _jacobi_q_terms(gamma0, alpha, beta, z, limit):
+    """(sign, log|Q_{gamma0+n}^{(alpha,beta)}(z)|) for n = 0 .. limit - 1,
+    chunk by chunk."""
+    def column(n0, length, below):
+        signs, logs = jacobi_q2_column(gamma0 + n0, alpha, beta, z, length, below)
+        return list(zip(signs.tolist(), logs.tolist()))
+    return _degree_column(column, z, limit)
+
+
+def _check_euler_arguments(z, x, *params):
+    # A non-finite argument or |x| > 1 leaves the series' domain: the sum
+    # would converge to a wrong value or run to max_terms on NaN terms.
+    if not all(map(math.isfinite, (z, x) + params)):
+        raise DomainError(f"non-finite argument among z = {z}, x = {x}, {params}")
+    if not -1.0 <= x <= 1.0:
+        raise DomainError(f"the series needs x in [-1, 1], got {x}")
 
 
 def euler_kernel_direct(nu: float, z: float, x: float) -> float:
@@ -159,10 +213,11 @@ def fourier_negative_power(q: int, z: float, x: float,
     """Fourier cosine series of (z - x)^{-q} for integer q >= 1."""
     if q < 1:
         raise ValueError("q must be a positive integer")
+    _check_euler_arguments(z, x)
     if not z > 1.0:
         raise ValueError("need z > 1")
     w = z / math.sqrt(z * z - 1.0)
-    theta = math.acos(max(-1.0, min(1.0, x)))
+    theta = math.acos(x)
     pref = (z * z - 1.0) ** (-q / 2.0) / math.factorial(q - 1)
     # (w-1)/(w+1) = (z - sqrt(z^2-1))^2 < 1 drives the geometric decay.
     log_ratio = math.log((w - 1.0) / (w + 1.0))
@@ -193,6 +248,7 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
     For nu = -n (n in N0) the Pochhammer factor kills every term past n, so
     the sum reconstructs the binomial (z - x)^n exactly in n + 1 terms.
     """
+    _check_euler_arguments(z, x, nu, alpha, beta)
     if not z > 1.0:
         raise ValueError("need z > 1")
     if alpha <= -1.0 or beta <= -1.0 or (alpha < 0.0 and beta < 0.0
@@ -201,7 +257,7 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
             f"Jacobi parameters ({alpha}, {beta}) violate the expansion's"
             " side conditions")
     n_neg = _nonpositive_int(nu)
-    stop_after = None if n_neg is None else -n_neg
+    limit = tr.max_terms if n_neg is None else min(tr.max_terms, 1 - n_neg)
     ab = alpha + beta
     pref = ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
             / 2.0 ** (ab + 1.0 - nu))
@@ -209,9 +265,8 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
     log_poch = 0.0
     poch_sign = 1.0
     p_prev, pn = 0.0, 1.0   # P_{n-1}, P_n by the three-term recurrence
-    for n in range(tr.max_terms):
-        if stop_after is not None and n > stop_after:
-            break
+    q_terms = _jacobi_q_terms(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, limit)
+    for n, (q_sign, q_log) in enumerate(q_terms):
         if n > 0:
             step = nu + n - 1.0
             log_poch += math.log(abs(step))
@@ -221,8 +276,6 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
         sg_top, lg_top = gamma_signed_log(ab + n + 1.0)
         coef_log = (math.log(ab + 2.0 * n + 1.0) + lg_top + log_poch
                     - math.lgamma(alpha + 1.0 + n) - math.lgamma(beta + 1.0 + n))
-        q_sign, q_log = jacobi_q2_signed_log(n + nu - 1.0, alpha + 1.0 - nu,
-                                             beta + 1.0 - nu, z)
         mag = coef_log + q_log
         term = 0.0
         if pn != 0.0 and q_sign != 0.0 and mag > -700.0:
@@ -236,6 +289,7 @@ def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
                             tr: Truncation = DEFAULT_TRUNCATION,
                             trace=None) -> PartialSum:
     """Gegenbauer expansion of (z - x)^{-nu}; phase-cancelled real form."""
+    _check_euler_arguments(z, x, nu, mu)
     if _nonpositive_int(nu) is not None:
         raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
     if mu <= -0.5 or mu == 0.0:
@@ -248,13 +302,13 @@ def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
     acc = _Series(tr, trace)
     c_prev = 0.0
     c_cur = 1.0
-    for n in range(tr.max_terms):
+    qhats = _q_hat_terms(mu - 0.5, nu - mu - 0.5, z, tr.max_terms)
+    for n, qhat in enumerate(qhats):
         if n == 1:
             c_prev, c_cur = c_cur, 2.0 * mu * x
         elif n >= 2:
             c_prev, c_cur = c_cur, (2.0 * x * (n + mu - 1.0) * c_cur
                                     - (n + 2.0 * mu - 2.0) * c_prev) / n
-        qhat = legendre_q_hat(n + mu - 0.5, nu - mu - 0.5, z).value
         if acc.add(pref * (n + mu) * qhat * c_cur):
             break
     return acc.result()
@@ -264,17 +318,17 @@ def euler_kernel_chebyshev(nu: float, z: float, x: float,
                            tr: Truncation = DEFAULT_TRUNCATION,
                            trace=None) -> PartialSum:
     """Chebyshev expansion of (z - x)^{-nu}; phase-cancelled real form."""
+    _check_euler_arguments(z, x, nu)
     if _nonpositive_int(nu) is not None:
         raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    theta = math.acos(max(-1.0, min(1.0, x)))
+    theta = math.acos(x)
     pref = (math.sqrt(2.0) / (math.sqrt(math.pi) * math.gamma(nu)
                               * (z * z - 1.0) ** (0.5 * nu - 0.25)))
     acc = _Series(tr, trace)
-    for n in range(tr.max_terms):
+    for n, qhat in enumerate(_q_hat_terms(-0.5, nu - 0.5, z, tr.max_terms)):
         eps = 2.0 if n else 1.0
-        qhat = legendre_q_hat(n - 0.5, nu - 0.5, z).value
         if acc.add(pref * eps * math.cos(n * theta) * qhat):
             break
     return acc.result()
@@ -345,9 +399,9 @@ def azimuthal_power(nu: float, g: KernelGeometry,
             * (chi * chi - 1.0) ** (0.25 * (nu + 1.0))
             / (math.sqrt(math.pi) * math.gamma(-0.5 * nu)))
     acc = _Series(tr, trace)
-    for m in range(tr.max_terms):
+    qhats = _q_hat_terms(-0.5, -0.5 * (nu + 1.0), chi, tr.max_terms)
+    for m, qhat in enumerate(qhats):
         eps = 2.0 if m else 1.0
-        qhat = legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi).value
         if acc.add(pref * eps * math.cos(m * dphi) * qhat):
             break
     return acc.result()

@@ -220,7 +220,32 @@ def legendre_q_hat(nu: float, mu: float, z: float) -> PhaseFreeQ:
     return PhaseFreeQ(value=value, phase_exponent=-Fraction(mu))
 
 
-def legendre_q_hat_column(nu0: float, mu: float, z: float, n: int) -> np.ndarray:
+def _minimal_ratios(coeffs, k0: int, n: int, z: float) -> np.ndarray:
+    """[y_{k0}/y_{k0-1}, ..., y_{k0+n-1}/y_{k0+n-2}] for the minimal solution y
+    of a_k y_{k+1} = b_k y_k - c_k y_{k-1}.
+
+    ``coeffs(k)`` returns the arrays (a_k, b_k, c_k) for an integer array k.
+    The ratios come from the continued fraction r_k = c_k / (b_k - a_k r_{k+1}),
+    started at r = 0 (Miller's algorithm) far enough above the top that the
+    start no longer shows: for the second-kind Legendre and Jacobi functions
+    at z > 1 the dominant share of the ratio shrinks by e^{-2 acosh z} per
+    degree, so the extra degrees take it below 1e-17.
+    """
+    if n < 1:
+        return np.empty(0)
+    k = np.arange(k0 + n + 8 + int(20.0 / math.acosh(z)), k0 - 1, -1)
+    a, b, c = coeffs(k)
+    out = []
+    r = 0.0
+    for ai, bi, ci in zip(a.tolist(), b.tolist(), c.tolist()):
+        r = ci / (bi - ai * r)
+        out.append(r)
+    out.reverse()
+    return np.array(out[:n])
+
+
+def legendre_q_hat_column(nu0: float, mu: float, z: float, n: int,
+                          below: float | None = None) -> np.ndarray:
     """[Qhat_{nu0}^mu(z), ..., Qhat_{nu0+n-1}^mu(z)] from one downward recurrence.
 
     The recurrence is (nu+mu) Q_{nu-1} = (2nu+1) z Q_nu - (nu-mu+1) Q_{nu+1}
@@ -229,36 +254,40 @@ def legendre_q_hat_column(nu0: float, mu: float, z: float, n: int) -> np.ndarray
     nu -> infinity and P the dominant one, so run downward the P component
     of any error decays relative to Q by e^{-2 acosh z} per degree, and the
     recurrence is stable (Gil, Segura & Temme, J. Comput. Phys. 161, 2000).
+    The degree ratios Q_nu/Q_{nu-1} come from `_minimal_ratios`, the
+    continued fraction this module shares with `jacobi_q2_column`.
 
-    It runs in ratio form, as the continued fraction
-    Q_nu/Q_{nu-1} = (nu+mu) / ((2nu+1) z - (nu-mu+1) Q_{nu+1}/Q_nu), started
-    (Miller's algorithm) far enough above the top degree that the start no
-    longer shows.  One `legendre_q_hat` value at the bottom degree, where the
-    terms of a degree sum are largest, fixes the scale; the series loses
-    accuracy with the degree (8e-13 at degree 1000, z = 1.25), so a value
-    from the top would spread that error over the whole column.
+    One `legendre_q_hat` value at the bottom degree, where the terms of a
+    degree sum are largest, fixes the scale; the series loses accuracy with
+    the degree (8e-13 at degree 1000, z = 1.25), so a value from the top
+    would spread that error over the whole column.  Given ``below``, the
+    value Qhat_{nu0-1}^mu(z) (the last entry of the column just under this
+    one), the column continues it instead and makes no series call, so a
+    sum that reads its degrees chunk by chunk pays for one series value.
 
     Raises the typed error `legendre_q_hat` raises for any degree of the
-    column.  From the first degree whose value is not a normal double on, the
-    column holds the per-degree values (subnormal or zero), so underflow
-    never zeroes the column.
+    column (a continued column is not checked again: its degrees are bad
+    only if the ones below are).  From the first degree whose value is not a
+    normal double on, the column holds the per-degree values (subnormal or
+    zero), so underflow never zeroes the column.
     """
     if n < 1:
         raise ValueError(f"column length must be positive, got {n}")
-    col = np.empty(n)
-    # Q poles (nu + mu + 1 in {0, -1, ...}) and the degenerate degrees
-    # {-3/2, -5/2, ...} stay bad one degree down, so if any degree of the
-    # column is bad the bottom one is, and this call raises its error.
-    col[0] = legendre_q_hat(nu0, mu, z).value
-    # Miller start r = 0: the dominant share of the ratio shrinks by
-    # e^{-2 acosh z} per degree, so the extra degrees take it below 1e-17.
-    r = 0.0
-    for k in range(n + 8 + int(20.0 / math.acosh(z)), 0, -1):
+
+    def coeffs(k):
         nu = nu0 + k
-        r = (nu + mu) / ((2.0 * nu + 1.0) * z - (nu - mu + 1.0) * r)
-        if k < n:
-            col[k] = r
-    col = np.cumprod(col)
+        return nu - mu + 1.0, (2.0 * nu + 1.0) * z, nu + mu
+
+    if below is None:
+        # Q poles (nu + mu + 1 in {0, -1, ...}) and the degenerate degrees
+        # {-3/2, -5/2, ...} stay bad one degree down, so if any degree of the
+        # column is bad the bottom one is, and this call raises its error.
+        col = np.empty(n)
+        col[0] = legendre_q_hat(nu0, mu, z).value
+        col[1:] = _minimal_ratios(coeffs, 1, n - 1, z)
+        col = np.cumprod(col)
+    else:
+        col = below * np.cumprod(_minimal_ratios(coeffs, 0, n, z))
     if not np.all(np.isfinite(col)):
         raise OverflowError("value exceeds double range")
     small = np.flatnonzero(np.abs(col) < _NORMAL_MIN)
@@ -385,6 +414,48 @@ def jacobi_q2_signed_log(gamma_deg: float, alpha: float, beta: float,
         return 0.0, -math.inf
     sign = sign1 * sign2 * sign3 * math.copysign(1.0, f)
     return sign, log_pref + log_scale + math.log(abs(f))
+
+
+def jacobi_q2_column(gamma0: float, alpha: float, beta: float, z: float, n: int,
+                     below: tuple[float, float] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log|Q_gamma^{(alpha,beta)}(z)|) for gamma = gamma0, ..., gamma0+n-1.
+
+    The Jacobi function of the second kind obeys the degree recurrence of
+    P_n^{(alpha,beta)} (DLMF 18.9.1; Szego 4.62) with n -> gamma,
+      2(g+1)(g+s+1)(2g+s) Q_{g+1} = (2g+s+1)((2g+s+2)(2g+s) z + alpha^2 - beta^2) Q_g
+                                    - 2(g+alpha)(g+beta)(2g+s+2) Q_{g-1},  s = alpha+beta,
+    and is its minimal solution for z > 1, so the degree ratios come from the
+    continued fraction `legendre_q_hat_column` uses.  One
+    `jacobi_q2_signed_log` value at the bottom degree fixes the scale, and
+    the column is assembled in log space, so it neither overflows nor
+    underflows.  Given ``below``, the (sign, log) pair at gamma0 - 1 (the
+    last entry of the column just under this one), the column continues it
+    and makes no series call.
+
+    Raises the typed error `jacobi_q2_signed_log` raises for any degree of
+    the column: every pole set (alpha+gamma or beta+gamma a negative integer,
+    alpha+beta+2gamma+2 a non-positive one) stays a pole one degree down.
+    """
+    if n < 1:
+        raise ValueError(f"column length must be positive, got {n}")
+    s = alpha + beta
+    ab = alpha * alpha - beta * beta
+
+    def coeffs(k):
+        g = gamma0 + k
+        g2 = 2.0 * g + s
+        return (2.0 * (g + 1.0) * (g + s + 1.0) * g2,
+                (g2 + 1.0) * ((g2 + 2.0) * g2 * z + ab),
+                2.0 * (g + alpha) * (g + beta) * (g2 + 2.0))
+
+    if below is None:
+        below = jacobi_q2_signed_log(gamma0, alpha, beta, z)
+        ratios = np.concatenate(([1.0], _minimal_ratios(coeffs, 1, n - 1, z)))
+    else:
+        ratios = _minimal_ratios(coeffs, 0, n, z)
+    logs = below[1] + np.cumsum(np.log(np.abs(ratios)))
+    return below[0] * np.cumprod(np.sign(ratios)), logs
 
 
 def jacobi_q2(gamma_deg: float, alpha: float, beta: float, z: float) -> float:

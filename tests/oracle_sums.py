@@ -7,10 +7,13 @@ degree at a time instead, and write out chi and the prefactors themselves,
 so a test that compares the two checks the fold against code it does not
 share.  Each `*_sides` function returns (lhs, rhs); the `chi_*` functions
 return chi (and, for the general trees, the product rho of the sines or
-cosines that scale the distinguished azimuthal plane).
+cosines that scale the distinguished azimuthal plane).  The last section does
+the same for the Euler-kernel expansions.
 """
 
 import math
+
+import mpmath as mp
 
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
@@ -180,3 +183,52 @@ def hopf_q3_sides(nu, m1, r, rp, thetas, thetasp, phis, phisp, caps):
     pref = (2.0 ** (-0.5 * (nu + 1.0)) * rho ** (-0.5 * nu)
             * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0)) * _radial_power(nu, 8, r, rp))
     return _lhs(nu, m1, chi), pref * math.fsum(terms)
+
+
+# --- Euler-kernel expansions, one degree at a time ---------------------------
+#
+# The expansions read their second-kind factors from degree columns built by
+# one recurrence; these sums evaluate every Q factor with its own series
+# (`legendre_q_hat`, `jacobi_q2`) and every polynomial with mpmath, over a
+# fixed number of degrees, and add the terms with math.fsum.
+
+def _degrees(z):
+    # the terms fall like e^{-n acosh z}: this many take them below 1e-17
+    return int(40.0 / math.acosh(z)) + 30
+
+
+def chebyshev_sum(nu, z, x):
+    """(z - x)^{-nu} = sqrt(2) / (sqrt(pi) Gamma(nu) (z^2-1)^{nu/2-1/4})
+    sum_n eps_n T_n(x) Qhat_{n-1/2}^{nu-1/2}(z)."""
+    theta = math.acos(x)
+    terms = [(2.0 if n else 1.0) * math.cos(n * theta)
+             * sf.legendre_q_hat(n - 0.5, nu - 0.5, z).value for n in range(_degrees(z))]
+    return (math.sqrt(2.0) / (math.sqrt(math.pi) * math.gamma(nu)
+                              * (z * z - 1.0) ** (0.5 * nu - 0.25)) * math.fsum(terms))
+
+
+def gegenbauer_sum(nu, mu, z, x):
+    """(z - x)^{-nu} = 2^{mu+1/2} Gamma(mu) / (sqrt(pi) Gamma(nu)
+    (z^2-1)^{(nu-mu)/2-1/4}) sum_n (n+mu) C_n^mu(x) Qhat_{n+mu-1/2}^{nu-mu-1/2}(z)."""
+    terms = [(n + mu) * float(mp.gegenbauer(n, mu, x))
+             * sf.legendre_q_hat(n + mu - 0.5, nu - mu - 0.5, z).value
+             for n in range(_degrees(z))]
+    return (2.0 ** (mu + 0.5) * math.gamma(mu)
+            / (math.sqrt(math.pi) * math.gamma(nu) * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25))
+            * math.fsum(terms))
+
+
+def jacobi_sum(nu, alpha, beta, z, x):
+    """(z - x)^{-nu} = (z-1)^{alpha+1-nu} (z+1)^{beta+1-nu} / 2^{alpha+beta+1-nu}
+    sum_n (2n+alpha+beta+1) Gamma(alpha+beta+n+1) (nu)_n
+    / (Gamma(alpha+n+1) Gamma(beta+n+1)) P_n^{(alpha,beta)}(x)
+    Q_{n+nu-1}^{(alpha+1-nu, beta+1-nu)}(z), for nu > 0 and alpha + beta > -1."""
+    s = alpha + beta
+    terms = []
+    for n in range(_degrees(z)):
+        coef = math.exp(math.lgamma(s + n + 1.0) + math.lgamma(nu + n) - math.lgamma(nu)
+                        - math.lgamma(alpha + n + 1.0) - math.lgamma(beta + n + 1.0))
+        terms.append((2 * n + s + 1.0) * coef * float(mp.jacobi(n, alpha, beta, x))
+                     * sf.jacobi_q2(n + nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z))
+    return ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
+            / 2.0 ** (s + 1.0 - nu) * math.fsum(terms))

@@ -188,6 +188,26 @@ class TestVerify:
         assert code == 6
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        # x outside [-1, 1]: the series would report a wrong value with exit 0
+        # (chebyshev gave 1.0 against the oracle's 5.657, fourier-neg 1.0
+        # against 4) or sum NaN terms to max_terms (gegenbauer)
+        ["expand", "chebyshev", "--nu", "2.5", "--z", "2", "--x", "1.5"],
+        ["expand", "fourier-neg", "--q", "2", "--z", "2", "--x", "1.5"],
+        ["expand", "gegenbauer", "--nu", "1.5", "--mu", "0.5", "--z", "1.05",
+         "--x", "1.5"],
+        ["expand", "jacobi", "--nu", "1.5", "--z", "2", "--x", "-1.5"],
+        ["expand", "chebyshev", "--z", "inf"],
+        # z - 1 below the near-one guard of the Q series
+        ["expand", "chebyshev", "--nu", "2.5", "--z", "1.0000001", "--x", "0.3"],
+        ["expand", "jacobi", "--nu", "1.5", "--alpha", "0.2", "--beta", "0.3",
+         "--z", "1.0000001", "--x", "0.5"],
+    ])
+    def test_expand_bad_argument_exit6(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 6
+        assert out == "" and err.startswith("error:")
+
 
     @pytest.mark.parametrize("argv, phis, phisp", [
         (["verify", "C4.5", "--m", "1", "--thetas", "0.6", "--thetasp", "0.8"], [-0.5], [7.0]),

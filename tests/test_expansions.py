@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import oracle_sums
 from polykernel import expansions as ex
 from polykernel import specfun as sf
 from polykernel.errors import (
     CoincidentRadiusError,
     ConvergenceError,
+    DomainError,
     ExclusionSetError,
 )
 from polykernel.kernels import KernelGeometry
@@ -194,7 +196,9 @@ class TestAzimuthalPower:
 
     def test_matches_chebyshev_composition(self):
         # identical algebra: azimuthal series = Chebyshev kernel series
-        # composed with the toroidal distance factorization
+        # composed with the toroidal distance factorization (both read the
+        # same Qhat column, so this is a consistency check, not an oracle;
+        # TestNearFieldOracles composes the per-degree Chebyshev sum)
         g = geometry(1.0, 1.4, 1.1, 1.3)
         nu = -1.0
         a = ex.azimuthal_power(nu, g).value
@@ -257,3 +261,103 @@ class TestOracleConvergenceGrid:
                         ex.euler_kernel_chebyshev(nu, z, x, tr).value,
                     ):
                         assert abs(value - want) < 1e-8 * abs(want)
+
+
+class TestArgumentDomain:
+    @pytest.mark.parametrize("call", [
+        lambda: ex.euler_kernel_chebyshev(2.5, 2.0, 1.5),
+        lambda: ex.fourier_negative_power(2, 2.0, 1.5),
+        lambda: ex.euler_kernel_gegenbauer(1.5, 0.5, 1.05, 1.5),
+        lambda: ex.euler_kernel_jacobi(1.5, 0.2, 0.3, 2.0, -1.5),
+        lambda: ex.euler_kernel_chebyshev(1.0, math.inf, 0.0),
+        lambda: ex.euler_kernel_gegenbauer(1.5, 0.5, 2.0, math.nan),
+        lambda: ex.euler_kernel_jacobi(math.nan, 0.2, 0.3, 2.0, 0.5),
+        lambda: ex.fourier_negative_power(1, math.inf, 0.5),
+    ])
+    def test_rejected(self, call):
+        # |x| > 1 used to be clamped to 1 (a wrong value, no error) or to sum
+        # NaN terms up to max_terms
+        with pytest.raises(DomainError):
+            call()
+
+    def test_interval_ends_accepted(self):
+        for x in (-1.0, 1.0):
+            want = ex.euler_kernel_direct(1.5, 2.0, x)
+            assert ex.euler_kernel_chebyshev(1.5, 2.0, x).value == pytest.approx(want, rel=1e-10)
+            assert ex.fourier_negative_power(2, 2.0, x).value == pytest.approx(
+                (2.0 - x) ** -2, rel=1e-10)
+
+
+class TestDegreeColumns:
+    TIGHT = ex.Truncation(tol=1e-16, max_terms=2000)
+
+    @pytest.mark.parametrize("nu0, mu, z", [(-0.5, 1.2, 1.05), (0.3, -0.4, 1.25),
+                                            (-0.5, 0.25, 3.0)])
+    def test_chunks_match_one_column(self, nu0, mu, z):
+        # three or more chunks, each continued from the one below
+        n = 400
+        whole = sf.legendre_q_hat_column(nu0, mu, z, n)
+        chunked = np.array(list(ex._q_hat_terms(nu0, mu, z, n)))
+        scale = np.maximum.accumulate(np.abs(whole)[::-1])[::-1]
+        assert chunked.shape == (n,)
+        assert np.all(np.abs(chunked - whole) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("name, z, call", [
+        ("legendre_q_hat", 1.05, lambda tr: ex.euler_kernel_chebyshev(1.5, 1.05, 0.3, tr)),
+        ("legendre_q_hat", 1.05,
+         lambda tr: ex.euler_kernel_gegenbauer(1.5, 0.7, 1.05, 0.3, tr)),
+        ("legendre_q_hat", 1.02,   # chi = (2 + h^2) / 2
+         lambda tr: ex.azimuthal_power(-1.5, geometry(1.0, 1.0, 0.4, 0.2), tr)),
+        ("jacobi_q2_signed_log", 1.05,
+         lambda tr: ex.euler_kernel_jacobi(1.5, 0.2, 0.4, 1.05, 0.3, tr)),
+    ])
+    def test_one_series_value_per_sum(self, monkeypatch, name, z, call):
+        # the sums run past their first chunk (16 + 32 / acosh z degrees) and
+        # still pay for one series value, at the bottom degree
+        calls = []
+        series = getattr(sf, name)
+        monkeypatch.setattr(sf, name, lambda *args: calls.append(args) or series(*args))
+        ps = call(self.TIGHT)
+        assert ps.terms_used > 16 + 32.0 / math.acosh(z)
+        assert len(calls) == 1
+
+
+def _azimuthal_oracle(nu, g):
+    return ((2.0 * g.R * g.Rp) ** (0.5 * nu)
+            * oracle_sums.chebyshev_sum(-0.5 * nu, g.chi, math.cos(g.delta_phi)))
+
+
+class TestNearFieldOracles:
+    """The column-based expansions at the benchmark's hard bands, against
+    per-degree sums (`tests/oracle_sums.py`) and the direct value."""
+
+    @pytest.mark.parametrize("expansion, oracle, direct", [
+        (lambda: ex.euler_kernel_chebyshev(2.7, 1.05, 0.9),
+         lambda: oracle_sums.chebyshev_sum(2.7, 1.05, 0.9), 0.15 ** -2.7),
+        (lambda: ex.euler_kernel_chebyshev(2.2, 1.047, -0.6),
+         lambda: oracle_sums.chebyshev_sum(2.2, 1.047, -0.6), 1.647 ** -2.2),
+        (lambda: ex.euler_kernel_gegenbauer(1.7, 0.4, 1.14, 0.8),
+         lambda: oracle_sums.gegenbauer_sum(1.7, 0.4, 1.14, 0.8), 0.34 ** -1.7),
+        (lambda: ex.euler_kernel_gegenbauer(0.6, 1.9, 1.12, -0.3),
+         lambda: oracle_sums.gegenbauer_sum(0.6, 1.9, 1.12, -0.3), 1.42 ** -0.6),
+        (lambda: ex.euler_kernel_jacobi(2.4, -0.4, 1.3, 1.25, 0.7),
+         lambda: oracle_sums.jacobi_sum(2.4, -0.4, 1.3, 1.25, 0.7), 0.55 ** -2.4),
+        (lambda: ex.euler_kernel_jacobi(0.9, 1.1, 0.2, 1.21, -0.9),
+         lambda: oracle_sums.jacobi_sum(0.9, 1.1, 0.2, 1.21, -0.9), 2.11 ** -0.9),
+    ])
+    def test_euler_kernel(self, expansion, oracle, direct):
+        value, want = expansion().value, oracle()
+        assert abs(value - want) <= 1e-11 * abs(direct)
+        assert abs(value - direct) <= 1e-11 * abs(direct)
+        assert abs(want - direct) <= 1e-11 * abs(direct)
+
+    @pytest.mark.parametrize("nu, Rp, chi, dphi", [(-1.3, 0.9, 1.1, 2.1),
+                                                   (-2.2, 1.1, 1.09, 5.0)])
+    def test_azimuthal(self, nu, Rp, chi, dphi):
+        g = geometry(1.0, Rp, dphi, math.sqrt(2.0 * Rp * chi - 1.0 - Rp * Rp))
+        assert g.chi == pytest.approx(chi, rel=1e-12)
+        value, want = ex.azimuthal_power(nu, g).value, _azimuthal_oracle(nu, g)
+        direct = g.distance ** nu
+        assert abs(value - want) <= 1e-11 * abs(direct)
+        assert abs(value - direct) <= 1e-11 * abs(direct)
+        assert abs(want - direct) <= 1e-11 * abs(direct)

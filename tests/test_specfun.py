@@ -317,6 +317,109 @@ class TestLegendreQHatColumn:
             sf.legendre_q_hat_column(0.5, 0.0, 2.0, 0)
 
 
+    def test_continued_column_matches_one_column(self, monkeypatch):
+        # a column continued from the last entry of the one below equals one
+        # long column, and makes no series call
+        nu0, mu, z, n = -0.5, 1.3, 1.05, 300
+        whole = sf.legendre_q_hat_column(nu0, mu, z, n)
+        calls = []
+        series = sf.legendre_q_hat
+        monkeypatch.setattr(sf, "legendre_q_hat", lambda *a: calls.append(a) or series(*a))
+        upper = sf.legendre_q_hat_column(nu0 + 100, mu, z, n - 100, below=whole[99])
+        assert calls == []
+        assert np.all(np.abs(upper - whole[100:]) <= 1e-14 * np.abs(whole[100:]))
+
+
+def mp_jacobi_q2(g, a, b, z):
+    """Oracle: Q_g^{(a,b)}(z) from the Pfaff-transformed Gauss series in
+    2/(1+z), summed by mpmath at 30 digits."""
+    with mp.workdps(30):
+        g, a, b, z = map(mp.mpf, (g, a, b, z))
+        val = (2 ** (a + b + g) * mp.gamma(a + g + 1) * mp.gamma(b + g + 1)
+               / mp.gamma(a + b + 2 * g + 2) * (z - 1) ** (-a) * (z + 1) ** (-b - g - 1)
+               * mp.hyp2f1(g + 1, b + g + 1, a + b + 2 * g + 2, 2 / (1 + z)))
+        return mp.sign(val), mp.log(abs(val))
+
+
+# Parameters of the Jacobi expansion of (z - x)^{-nu}: its Q factors are
+# Q_{n+nu-1}^{(alpha+1-nu, beta+1-nu)}(z), n = 0, 1, ...
+JACOBI_ARGS = dict(nu=st.floats(0.25, 3.5), alpha=st.floats(-0.9, 2.5),
+                   beta=st.floats(-0.9, 2.5), z=st.floats(1.001, 4.0))
+
+
+def _jacobi_column(nu, alpha, beta, z, n):
+    return sf.jacobi_q2_column(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, n)
+
+
+def _assert_close_in_log(sign, log, want_sign, want_log, scale_log, budget):
+    """|value - want| <= budget * e^{scale_log}, with each value given as
+    (sign, log|value|) and compared relative to the scale, so neither side
+    needs to be representable; signs must agree unless the value is
+    negligible on that scale."""
+    got = sign * math.exp(log - scale_log)
+    want = want_sign * math.exp(want_log - scale_log)
+    if abs(want) > 1e-10:
+        assert sign == want_sign, (sign, want_sign)
+    assert abs(got - want) <= budget, (got, want)
+
+
+class TestJacobiQ2Column:
+    @given(n=st.integers(1, 150), **JACOBI_ARGS)
+    def test_matches_per_degree(self, nu, alpha, beta, z, n):
+        # n stops at 150: the per-degree series is the less accurate side at
+        # high degree (7e-13 relative at degree 150, where the column is 1e-14
+        # from mpmath), so longer columns are pinned against mpmath below
+        signs, logs = _jacobi_column(nu, alpha, beta, z, n)
+        assert signs.shape == logs.shape == (n,)
+        scale = np.maximum.accumulate(logs[::-1])[::-1]
+        for k in _checked_degrees(n):
+            want = sf.jacobi_q2_signed_log(nu - 1.0 + k, alpha + 1.0 - nu,
+                                           beta + 1.0 - nu, z)
+            _assert_close_in_log(signs[k], logs[k], *want, scale[k], 1e-12)
+
+    @given(n=st.integers(1, 250), **JACOBI_ARGS)
+    def test_matches_mpmath(self, nu, alpha, beta, z, n):
+        signs, logs = _jacobi_column(nu, alpha, beta, z, n)
+        scale = np.maximum.accumulate(logs[::-1])[::-1]
+        for k in sorted({0, n // 2, n - 1}):
+            s, lg = mp_jacobi_q2(nu - 1.0 + k, alpha + 1.0 - nu, beta + 1.0 - nu, z)
+            _assert_close_in_log(signs[k], logs[k], float(s), float(lg), scale[k], 1e-12)
+
+    def test_continued_column_matches_one_column(self, monkeypatch):
+        g0, a, b, z, n = 0.3, -1.2, 0.8, 1.05, 300
+        signs, logs = sf.jacobi_q2_column(g0, a, b, z, n)
+        calls = []
+        series = sf.jacobi_q2_signed_log
+        monkeypatch.setattr(sf, "jacobi_q2_signed_log",
+                            lambda *args: calls.append(args) or series(*args))
+        up_signs, up_logs = sf.jacobi_q2_column(g0 + 100, a, b, z, n - 100,
+                                                below=(signs[99], logs[99]))
+        assert calls == []
+        assert np.array_equal(up_signs, signs[100:])
+        assert np.all(np.abs(up_logs - logs[100:]) <= 1e-14 * np.abs(logs[100:]))
+
+    @pytest.mark.parametrize("g0, a, b, z, n", [
+        (0.5, 0.2, 0.3, 0.5, 4),          # z <= 1
+        (0.5, 0.2, 0.3, 1.0 + 1e-8, 4),   # inside the near-one guard
+        (-3.5, 0.5, 0.3, 2.0, 6),         # alpha + gamma = -3, -2, -1
+        (-2.0, 0.3, -0.3, 2.0, 4),        # alpha + beta + 2 gamma + 2 = -2, 0
+    ])
+    def test_errors_match_per_degree(self, g0, a, b, z, n):
+        raised = []
+        for k in range(n):
+            try:
+                sf.jacobi_q2_signed_log(g0 + k, a, b, z)
+            except PolyKernelError as exc:
+                raised.append(type(exc))
+        assert raised
+        with pytest.raises(raised[0]):
+            sf.jacobi_q2_column(g0, a, b, z, n)
+
+    def test_empty_column_rejected(self):
+        with pytest.raises(ValueError):
+            sf.jacobi_q2_column(0.5, 0.0, 0.0, 2.0, 0)
+
+
 class TestLegendrePGt1:
     def test_degree_one(self):
         assert sf.legendre_p_gt1(1.0, 0.0, 2.5) == pytest.approx(2.5, rel=1e-14)
@@ -436,6 +539,14 @@ class TestJacobiQ2:
                       * sf.gauss_2f1(g + 1.0, a + g + 1.0, a + b + 2.0 * g + 2.0,
                                      2.0 / (1.0 - z)))
             assert sf.jacobi_q2(g, a, b, z) == pytest.approx(direct, rel=1e-12)
+
+    @given(g=st.floats(-0.5, 12.0), a=st.floats(-0.9, 2.5), b=st.floats(-0.9, 2.5),
+           z=st.floats(1.01, 6.0))
+    def test_matches_mpmath(self, g, a, b, z):
+        s, lg = mp_jacobi_q2(g, a, b, z)
+        got = sf.jacobi_q2(g, a, b, z)
+        want = float(s * mp.exp(lg))
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
     def test_decay(self):
         assert abs(sf.jacobi_q2(1.0, 0.0, 0.0, 1e3)) < abs(sf.jacobi_q2(1.0, 0.0, 0.0, 10.0))
