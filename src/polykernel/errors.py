@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+import math
+
 
 class PolyKernelError(Exception):
     """Base class for every error raised by this package."""
@@ -37,6 +39,18 @@ class DomainError(PolyKernelError):
     The geometry errors below are domain errors too: a configuration on the
     singular set is input the function is not defined for.
     """
+
+
+def require_finite(**values):
+    """Raise DomainError naming the first value that is not finite.
+
+    Each value is a float or a sequence of floats.  A non-finite argument
+    must stop before any series: NaN terms never meet a stopping rule, so the
+    sum would run to its term limit and report non-convergence instead.
+    """
+    for name, value in values.items():
+        if not all(map(math.isfinite, value if isinstance(value, (tuple, list)) else (value,))):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 # --- kernels ---------------------------------------------------------------

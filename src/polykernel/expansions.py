@@ -31,6 +31,7 @@ from .errors import (
     ExclusionSetError,
     ParameterPoleError,
     SingularConfigurationError,
+    require_finite,
 )
 from .kernels import KernelGeometry
 from .specfun import (
@@ -141,11 +142,10 @@ def _jacobi_q_terms(gamma0, alpha, beta, z, limit):
     return _degree_column(column, z, limit)
 
 
-def _check_euler_arguments(z, x, *params):
+def _check_euler_arguments(z, x, **params):
     # A non-finite argument or |x| > 1 leaves the series' domain: the sum
     # would converge to a wrong value or run to max_terms on NaN terms.
-    if not all(map(math.isfinite, (z, x) + params)):
-        raise DomainError(f"non-finite argument among z = {z}, x = {x}, {params}")
+    require_finite(z=z, x=x, **params)
     if not -1.0 <= x <= 1.0:
         raise DomainError(f"the series needs x in [-1, 1], got {x}")
 
@@ -170,6 +170,7 @@ def fourier_integer_power(p: int, z: float, x: float) -> float:
     """
     if p < 0:
         raise ValueError("p must be a nonnegative integer")
+    require_finite(z=z, x=x)
     if not z > 1.0:
         raise ValueError("need z > 1")
     zq = Fraction(z)
@@ -248,7 +249,7 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
     For nu = -n (n in N0) the Pochhammer factor kills every term past n, so
     the sum reconstructs the binomial (z - x)^n exactly in n + 1 terms.
     """
-    _check_euler_arguments(z, x, nu, alpha, beta)
+    _check_euler_arguments(z, x, nu=nu, alpha=alpha, beta=beta)
     if not z > 1.0:
         raise ValueError("need z > 1")
     if alpha <= -1.0 or beta <= -1.0 or (alpha < 0.0 and beta < 0.0
@@ -289,7 +290,7 @@ def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
                             tr: Truncation = DEFAULT_TRUNCATION,
                             trace=None) -> PartialSum:
     """Gegenbauer expansion of (z - x)^{-nu}; phase-cancelled real form."""
-    _check_euler_arguments(z, x, nu, mu)
+    _check_euler_arguments(z, x, nu=nu, mu=mu)
     if _nonpositive_int(nu) is not None:
         raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
     if mu <= -0.5 or mu == 0.0:
@@ -318,7 +319,7 @@ def euler_kernel_chebyshev(nu: float, z: float, x: float,
                            tr: Truncation = DEFAULT_TRUNCATION,
                            trace=None) -> PartialSum:
     """Chebyshev expansion of (z - x)^{-nu}; phase-cancelled real form."""
-    _check_euler_arguments(z, x, nu)
+    _check_euler_arguments(z, x, nu=nu)
     if _nonpositive_int(nu) is not None:
         raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
     if not z > 1.0:
@@ -336,6 +337,7 @@ def euler_kernel_chebyshev(nu: float, z: float, x: float,
 
 def _check_power_exclusion(nu: float, start: float = 0.0):
     # excluded: nu in {start, start+2, start+4, ...}
+    require_finite(nu=nu)
     if nu >= start - 1e-12 and _is_int(0.5 * (nu - start)):
         raise ExclusionSetError(
             f"nu = {nu} lies in the excluded set {{{start}, {start + 2}, ...}}")
@@ -348,6 +350,7 @@ def multipole_power(d: int, nu: float, r: float, rp: float, cos_gamma: float,
     if d < 3:
         raise ValueError("need dimension d >= 3")
     _check_power_exclusion(nu)
+    require_finite(r=r, rp=rp, cos_gamma=cos_gamma)
     if not -1.0 <= cos_gamma <= 1.0:
         raise ValueError("cos_gamma must lie in [-1, 1]")
     if r <= 0.0 or rp <= 0.0:

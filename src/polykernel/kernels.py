@@ -19,6 +19,7 @@ from .errors import (
     CoincidentPointsError,
     OddDimensionError,
     SingularConfigurationError,
+    require_finite,
 )
 
 _CHI_GUARD = 1e-12
@@ -44,6 +45,7 @@ class KernelGeometry:
         xp = np.asarray(self.xp, dtype=float)
         if x.shape != xp.shape or x.ndim != 1 or x.size < 2:
             raise ValueError("points must be equal-length vectors in R^d, d >= 2")
+        require_finite(x=x.tolist(), xp=xp.tolist())
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "xp", xp)
         r = float(np.linalg.norm(x))

@@ -3,6 +3,14 @@
 Evaluation goes through the standard three-term recurrences (O(n), stable on
 [-1, 1] and for z > 1); the terminating hypergeometric definitions serve as
 test oracles only.  All evaluators accept scalar or ndarray arguments.
+
+The whole-column evaluators `jacobi_p_all` and `gegenbauer_c_all` share one
+recurrence kernel, `_three_term`.  It runs a table of at most `_NARROW`
+entries per row on Python floats, where numpy's per-call overhead would set
+the cost, and a wider table as one numpy step per degree; both do the same
+IEEE operations, so every column is the same bit for bit on either path.
+The per-degree `jacobi_p` and `gegenbauer_c` keep their own loops as the
+independent reference.
 """
 
 from __future__ import annotations
@@ -37,6 +45,56 @@ def _jacobi_step(k, alpha, beta, x, p_prev, p):
 
 def _jacobi_p1(alpha, beta, x):
     return 0.5 * ((alpha + beta + 2.0) * x + (alpha - beta))
+
+
+# A table whose rows hold at most this many entries runs its recurrence on
+# Python floats, one entry at a time: numpy's per-call overhead, not
+# arithmetic, sets the cost of a narrow step.  At nmax = 80 the float path
+# is the faster one up to about 16 entries per row.
+_NARROW = 8
+
+
+def _three_term(out, x, lin, down, div, const=None):
+    """Fill out[2:] by out[k] = ((const_k + lin_k x) out[k-1] - down_k out[k-2]) / div_k.
+
+    out[0] and out[1] are given.  The coefficient arrays are indexed by k in
+    their first axis and broadcast, after it, against the rows of out, as x
+    does; const=None drops the term (not adding 0.0 keeps the sign of a zero
+    product).  Both paths do the same IEEE operations in the same order, so
+    the table is the same bit for bit whichever path fills it.
+    """
+    nmax = len(out) - 1
+    if nmax < 2:
+        return
+    if out[0].size > _NARROW:
+        for k in range(2, nmax + 1):
+            a = lin[k] * x if const is None else const[k] + lin[k] * x
+            out[k] = (a * out[k - 1] - down[k] * out[k - 2]) / div[k]
+        return
+
+    def columns(c):
+        # c[k] broadcast against row k; one list of Python floats over k per entry
+        c = c.reshape(c.shape[:1] + (1,) * (out.ndim - c.ndim) + c.shape[1:])
+        return np.broadcast_to(c, out.shape).reshape(nmax + 1, -1).T.tolist()
+
+    xs = np.broadcast_to(x, out.shape[1:]).ravel().tolist()
+    p0s, p1s = out[0].ravel().tolist(), out[1].ravel().tolist()
+    lins, downs, divs = columns(lin), columns(down), columns(div)
+    consts = None if const is None else columns(const)
+    cols = []
+    for j, xi in enumerate(xs):
+        a, b = p0s[j], p1s[j]
+        col = []
+        if consts is None:
+            for l, d, v in zip(lins[j][2:], downs[j][2:], divs[j][2:]):
+                a, b = b, (l * xi * b - d * a) / v
+                col.append(b)
+        else:
+            for c, l, d, v in zip(consts[j][2:], lins[j][2:], downs[j][2:], divs[j][2:]):
+                a, b = b, ((c + l * xi) * b - d * a) / v
+                col.append(b)
+        cols.append(col)
+    out[2:] = np.reshape(np.transpose(cols), out[2:].shape)
 
 
 def jacobi_p(n: int, alpha: float, beta: float, x):
@@ -81,8 +139,7 @@ def jacobi_p_all(nmax: int, alpha, beta, x):
     out[0] = 1.0
     if nmax >= 1:
         out[1] = _jacobi_p1(alpha, beta, xa)
-    for k in range(2, nmax + 1):
-        out[k] = ((c2[k] + c3[k] * xa) * out[k - 1] - c4[k] * out[k - 2]) / c1[k]
+    _three_term(out, xa, c3, c4, c1, const=c2)
     return out
 
 
@@ -133,7 +190,8 @@ def gegenbauer_c_all(nmax: int, mu, x):
     """All of C_0^mu(x) .. C_nmax^mu(x) in one recurrence pass.
 
     mu and x broadcast against each other; the result has shape
-    ``(nmax + 1,) + np.broadcast_shapes(np.shape(mu), np.shape(x))``.
+    ``(nmax + 1,) + np.broadcast_shapes(np.shape(mu), np.shape(x))``.  Each
+    column is bit-for-bit ``gegenbauer_c(n, mu, x)`` at its own order.
     """
     _validate_gegenbauer(nmax, mu)
     mu = np.asarray(mu, dtype=float)
@@ -144,10 +202,7 @@ def gegenbauer_c_all(nmax: int, mu, x):
         out[1] = 2.0 * mu * xa
     # C_k = (2x (k+mu-1) C_{k-1} - (k+2mu-2) C_{k-2}) / k, coefficients for every k at once
     ks = np.arange(nmax + 1.0).reshape((-1,) + (1,) * mu.ndim)
-    up, down = ks + mu - 1.0, ks + 2.0 * mu - 2.0
-    x2 = 2.0 * xa
-    for k in range(2, nmax + 1):
-        out[k] = (x2 * up[k] * out[k - 1] - down[k] * out[k - 2]) / k
+    _three_term(out, 2.0 * xa, ks + mu - 1.0, ks + 2.0 * mu - 2.0, ks)
     return out
 
 

@@ -191,10 +191,14 @@ class PhaseFreeQ:
 def legendre_q_hat(nu: float, mu: float, z: float) -> PhaseFreeQ:
     """Phase-free associated Legendre function of the second kind, z > 1.
 
-    Uses the hypergeometric series in 1/z^2, which converges for every
-    z > 1.  Degrees nu in {-3/2, -5/2, ...} raise `PoleError`: there both
-    that series and the 2/(1-z) one have gamma poles (2nu+2 is a negative
-    odd integer).
+    Uses the hypergeometric series in 1/z^2.  It converges for every z > 1
+    in exact arithmetic, but its terms shrink only like z^{-2n}, so it needs
+    on the order of 20 / (z - 1) terms: above z - 1 of about 2e-4 it ends
+    within the 100 000-term budget, below that it raises `ConvergenceError`
+    for some (nu, mu) (at z - 1 = 1e-4 some converge and some do not), and
+    below z - 1 = 1e-6 it raises `SlowConvergenceError` without trying.
+    Degrees nu in {-3/2, -5/2, ...} raise `PoleError`: there both that series
+    and the 2/(1-z) one have gamma poles (2nu+2 is a negative odd integer).
     """
     if z <= 1.0:
         raise DomainError(f"legendre_q_hat requires z > 1, got {z}")

@@ -33,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CoincidentRadiusError, ExclusionSetError, SingularConfigurationError
+from .errors import (CoincidentRadiusError, ExclusionSetError, SingularConfigurationError,
+                     require_finite)
 from .polyspherical import (Tree, cos_separation, hopf_heap_to_preorder, hopf_tree,
                             node_pair_table, parse_tree)
 from .specfun import _is_int, legendre_q_hat, legendre_q_hat_column
@@ -70,6 +71,13 @@ class TheoremConfig:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("azimuthal order m must be >= 0 here")
+        if self.caps < 0:
+            raise ValueError(f"caps must be >= 0, got {self.caps}")
+        # a tol <= 0 no rel_err can meet would report a converged sum as truncated
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
+        require_finite(nu=self.nu, r=self.r, rp=self.rp, thetas=self.thetas,
+                       thetasp=self.thetasp, phis=self.phis, phisp=self.phisp)
         if self.r <= 0.0 or self.rp <= 0.0:
             raise ValueError("radii must be positive")
 

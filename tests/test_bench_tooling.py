@@ -32,11 +32,15 @@ def test_traced_names_resolve(tracer):
 
 def test_self_check_bindings_resolve():
     # the bindings `bench/run.py --self-check` expects the tracer to wrap
-    from polykernel import expansions, polyspherical, specfun, verify
+    from polykernel import expansions, orthopoly, polyspherical, specfun, verify
     from polykernel.orthopoly import jacobi_p
 
     assert expansions.legendre_q_hat is specfun.legendre_q_hat
     assert verify.legendre_q_hat is specfun.legendre_q_hat
     assert polyspherical.jacobi_p is jacobi_p
+    # node_pair_table must reach the column builders through these bindings,
+    # or the traced certify counts for them would silently read 0
+    assert polyspherical.gegenbauer_c_all is orthopoly.gegenbauer_c_all
+    assert polyspherical.jacobi_p_all is orthopoly.jacobi_p_all
     assert verify._VERIFIERS["C4.3"] is verify.verify_ba
     assert set(verify._VERIFIERS) == {"T4.1", "T4.2", "C4.3", "C4.4", "C4.5"}

@@ -208,6 +208,38 @@ class TestVerify:
         assert code == 6
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, name", [
+        # these ran the 2F1 series to its term cap and exited 4
+        (["expand", "multipole", "--d", "3", "--nu", "-1", "--r", "1", "--rp", "inf",
+          "--cosg", "0.3"], "rp"),
+        (["expand", "multipole", "--d", "3", "--nu", "-1", "--r", "nan", "--rp", "1",
+          "--cosg", "0.3"], "r"),
+        (["verify", "C4.3", "--nu", "-1", "--rp", "inf"], "rp"),
+        # these exited 6 with an internal message (and a numpy RuntimeWarning)
+        (["verify", "C4.3", "--nu", "nan"], "nu"),
+        (["expand", "azimuthal", "--nu", "-1", "--R", "1", "--Rp", "inf", "--h", "0.5",
+          "--dphi", "0.5"], "xp"),
+        (["expand", "fourier-int", "--p", "2", "--z", "inf", "--x", "0.3"], "z"),
+    ])
+    def test_non_finite_argument_exit6(self, capsys, argv, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert code == 6
+        assert out == "" and err.startswith(f"error: {name} must be finite")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--tol", "0"], "tol must be a positive finite number"),
+        (["--tol", "-1"], "tol must be a positive finite number"),
+        (["--caps", "-3"], "caps must be >= 0"),
+    ])
+    def test_bad_tolerance_or_caps_exit6(self, capsys, flags, message):
+        # --tol 0 read "truncation_insufficient" (exit 5) on a C4.3 sum with
+        # rel_err 3.4e-16; --caps -3 failed inside node_pair_table
+        code, out, err = run(["verify", "C4.3", "--nu", "-1"] + flags, capsys)
+        assert code == 6
+        assert out == "" and err.startswith(f"error: {message}")
+
 
     @pytest.mark.parametrize("argv, phis, phisp", [
         (["verify", "C4.5", "--m", "1", "--thetas", "0.6", "--thetasp", "0.8"], [-0.5], [7.0]),

@@ -280,6 +280,21 @@ class TestArgumentDomain:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: ex.multipole_power(3, -1.0, 1.0, math.inf, 0.3), "rp"),
+        (lambda: ex.multipole_power(3, -1.0, math.nan, 1.0, 0.3), "r"),
+        (lambda: ex.multipole_power(3, math.nan, 1.0, 2.0, 0.3), "nu"),
+        (lambda: ex.multipole_power(3, -1.0, 1.0, 2.0, math.nan), "cos_gamma"),
+        (lambda: ex.fourier_integer_power(2, math.inf, 0.3), "z"),
+        (lambda: ex.fourier_integer_power(2, 2.0, math.nan), "x"),
+        (lambda: ex.azimuthal_power(math.inf, geometry(1.0, 1.0, 0.5, 1.0)), "nu"),
+    ])
+    def test_non_finite_rejected_by_name(self, call, name):
+        # a non-finite radius used to run the 2F1 series to its 100 000-term
+        # cap (ConvergenceError), a non-finite z to fail converting to Fraction
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            call()
+
     def test_interval_ends_accepted(self):
         for x in (-1.0, 1.0):
             want = ex.euler_kernel_direct(1.5, 2.0, x)

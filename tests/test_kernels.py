@@ -10,6 +10,7 @@ from polykernel import kernels as kn
 from polykernel.errors import (
     AxisError,
     CoincidentPointsError,
+    DomainError,
     OddDimensionError,
     SingularConfigurationError,
 )
@@ -154,6 +155,20 @@ class TestToroidalChi:
                               xp=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(AxisError):
             kn.toroidal_chi(g)
+
+    @pytest.mark.parametrize("x, xp, name", [
+        ([1.0, 0.0, 0.0], [math.inf, math.inf, 0.5], "xp"),
+        ([1.0, math.nan, 0.0], [1.0, 1.0, 0.5], "x"),
+    ])
+    def test_non_finite_point_rejected(self, x, xp, name):
+        # a non-finite coordinate used to give chi = NaN, a numpy
+        # RuntimeWarning, and an untyped error deep in the series
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                kn.KernelGeometry(x=np.array(x), xp=np.array(xp))
 
 
 class TestKernelH:

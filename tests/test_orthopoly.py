@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from polykernel import orthopoly as op
 from polykernel import specfun as sf
@@ -137,6 +139,108 @@ def test_column_validation_matches_per_degree(column, single, args, exc):
         single(*args)
     with pytest.raises(exc):
         column(*args)
+
+
+# Property tests of the recurrence kernel under jacobi_p_all and
+# gegenbauer_c_all: a table of at most op._NARROW entries per row runs on
+# Python floats, a wider one on numpy, and both must give the same bits.
+
+_JACOBI_PARAM = st.floats(-0.95, 12.0)
+_GEGENBAUER_ORDER = st.floats(-0.45, 12.0).filter(lambda mu: abs(mu) > 1e-3)
+
+
+@st.composite
+def _column_draw(draw, kind, x_bound=1.0, nmax_max=40):
+    """(nmax, params, x): params and x are lists of one narrow width."""
+    width = draw(st.integers(1, op._NARROW))
+    entries = st.lists(_JACOBI_PARAM if kind == "jacobi" else _GEGENBAUER_ORDER,
+                       min_size=width, max_size=width)
+    params = [draw(entries) for _ in range(2 if kind == "jacobi" else 1)]
+    if kind == "jacobi":
+        assume(not any(-1 < a < 0 and -1 < b < 0 and a + b + 1 == 0 for a, b in zip(*params)))
+    x = draw(st.lists(st.floats(-x_bound, x_bound), min_size=width, max_size=width))
+    return draw(st.integers(0, nmax_max)), params, x
+
+
+def _table(kind, nmax, params, x):
+    args = [np.asarray(p) for p in params] + [np.asarray(x)]
+    if kind == "jacobi":
+        return op.jacobi_p_all(nmax, *args)
+    return op.gegenbauer_c_all(nmax, *args)
+
+
+def _per_degree(kind, n, params, x):
+    if kind == "jacobi":
+        return op.jacobi_p(n, params[0], params[1], x)
+    return op.gegenbauer_c(n, params[0], x)
+
+
+class TestThreeTermKernel:
+    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
+    @given(data=st.data())
+    def test_narrow_and_numpy_paths_agree(self, kind, data):
+        # large |x| and high degrees overflow to inf (and inf - inf to NaN):
+        # the two paths must still agree bit for bit
+        nmax, params, x = data.draw(_column_draw(kind, x_bound=1e3, nmax_max=150))
+        width = len(x)
+        reps = op._NARROW // width + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            narrow = _table(kind, nmax, params, x)
+            wide = _table(kind, nmax, [p * reps for p in params], x * reps)
+        assert wide.shape == (nmax + 1, width * reps)
+        for r in range(reps):
+            assert wide[:, r * width:(r + 1) * width].tobytes() == narrow.tobytes()
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
+    @pytest.mark.parametrize("tiled", [False, True])
+    @given(data=st.data())
+    def test_columns_equal_per_degree(self, kind, tiled, data):
+        nmax, params, x = data.draw(_column_draw(kind, nmax_max=30))
+        reps = op._NARROW // len(x) + 1 if tiled else 1
+        params, x = [p * reps for p in params], x * reps
+        table = _table(kind, nmax, params, x)
+        for k, xk in enumerate(x):
+            pk = [p[k] for p in params]
+            got = [float(v) for v in table[:, k]]
+            assert got == [_per_degree(kind, n, pk, xk) for n in range(nmax + 1)]
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
+    @given(data=st.data())
+    def test_matches_mpmath(self, kind, data):
+        nmax, params, x = data.draw(_column_draw(kind, nmax_max=40))
+        table = _table(kind, nmax, params, x)
+        with mp.workdps(30):
+            for k, xk in enumerate(x):
+                pk = [mp.mpf(p[k]) for p in params]
+                running = 0.0
+                for n in range(nmax + 1):
+                    # zeroprec: an exact zero (odd degree at x = 0) is a value
+                    if kind == "jacobi":
+                        want = mp.jacobi(n, pk[0], pk[1], xk, zeroprec=200)
+                    else:
+                        want = mp.gegenbauer(n, pk[0], xk, zeroprec=200)
+                    running = max(running, abs(float(want)))
+                    assert abs(table[n, k] - want) <= 1e-12 * running
+
+    @pytest.mark.parametrize("column, single, good, bad", [
+        (op.jacobi_p_all, op.jacobi_p, (0.5, 0.5), (-1.0, 0.5)),
+        (op.jacobi_p_all, op.jacobi_p, (0.5, 0.5), (0.5, -1.5)),
+        (op.jacobi_p_all, op.jacobi_p, (0.5, 0.5), (-0.25, -0.75)),
+        (op.gegenbauer_c_all, op.gegenbauer_c, (1.5,), (0.0,)),
+        (op.gegenbauer_c_all, op.gegenbauer_c, (1.5,), (-0.7,)),
+    ])
+    @given(width=st.integers(1, 3 * op._NARROW))
+    def test_invalid_parameters_raise_alike(self, column, single, good, bad, width):
+        # one bad entry in a table of either width raises what the
+        # per-degree call raises at that entry
+        params = [np.full(width, g) for g in good]
+        for p, b in zip(params, bad):
+            p[-1] = b
+        with pytest.raises(Exception) as want:
+            single(5, *bad, 0.3)
+        with pytest.raises(Exception) as got:
+            column(5, *params, np.linspace(-0.9, 0.9, width))
+        assert type(got.value) is type(want.value)
 
 
 class TestJacobiNorm:

@@ -11,7 +11,7 @@ from polykernel import orthopoly as op
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
 from polykernel import verify as vf
-from polykernel.errors import ExclusionSetError
+from polykernel.errors import DomainError, ExclusionSetError
 
 RNG = np.random.default_rng(109)
 
@@ -343,12 +343,35 @@ class TestReportMechanics:
             assert rep.status == "truncation_insufficient"
 
     def test_genuine_fail_detection(self):
-        # corrupt the tolerance to force a fail on a fully converged sum; no
-        # rel_err, not even an exact 0, is below a zero tolerance
-        rep = vf.verify_ba(ba_cfg(-1.0, 0, caps=80, tol=0.0))
+        # corrupt the tolerance to force a fail on a fully converged sum: its
+        # rel_err, about 3e-16, is not below the smallest positive tolerance
+        rep = vf.verify_ba(ba_cfg(-1.0, 0, caps=80, tol=5e-324))
         assert rep.status in ("fail", "truncation_insufficient")
         assert not rep.passed
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             ba_cfg(-1.0, -1)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        # no rel_err is below a tol <= 0: the report would read
+        # "truncation_insufficient" on a converged sum (rel_err 3e-16)
+        with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+            ba_cfg(-1.0, 0, tol=tol)
+
+    def test_negative_caps_rejected(self):
+        with pytest.raises(ValueError, match="^caps must be >= 0"):
+            ba_cfg(-1.0, 0, caps=-3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("nu", math.nan), ("r", math.nan), ("rp", math.inf),
+        ("thetas", (math.nan,)), ("thetasp", (math.inf,)),
+    ])
+    def test_non_finite_rejected_by_name(self, field, value):
+        # rp = inf used to run the 2F1 series to its term cap (exit 4),
+        # nu = NaN to fail with "cannot convert float NaN to integer"
+        args = dict(theorem="C4.3", nu=-1.0, thetas=(1.0,), thetasp=(2.0,))
+        args[field] = value
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            vf.TheoremConfig(**args)
