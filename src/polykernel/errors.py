@@ -53,6 +53,13 @@ def require_finite(**values):
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def radial_range_error(**values) -> DomainError:
+    """DomainError naming the radii (and derived values) whose squares,
+    products or powers leave double range, for the caller to raise."""
+    named = ", ".join(f"{name} = {value}" for name, value in values.items())
+    return DomainError(f"{named}: the radial factors leave double range")
+
+
 # --- kernels ---------------------------------------------------------------
 
 class OddDimensionError(PolyKernelError):

@@ -31,6 +31,7 @@ from .errors import (
     ExclusionSetError,
     ParameterPoleError,
     SingularConfigurationError,
+    radial_range_error,
     require_finite,
 )
 from .kernels import KernelGeometry
@@ -359,12 +360,16 @@ def multipole_power(d: int, nu: float, r: float, rp: float, cos_gamma: float,
     if (r_greater - r_less) / r_greater < 1e-6:
         raise CoincidentRadiusError(
             f"r = {r} and r' = {rp} too close: expansion argument z -> 1")
-    z = (r * r + rp * rp) / (2.0 * r * rp)
     mu = 0.5 * d - 1.0
-    pref = (math.gamma(0.5 * (d - 2.0)) / (2.0 * math.sqrt(math.pi)
-                                           * math.gamma(-0.5 * nu))
-            * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
-            / (r * rp) ** (0.5 * (d - 1.0)))
+    pref = math.gamma(0.5 * (d - 2.0)) / (2.0 * math.sqrt(math.pi) * math.gamma(-0.5 * nu))
+    try:
+        z = (r * r + rp * rp) / (2.0 * r * rp)
+        pref = (pref * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
+                / (r * rp) ** (0.5 * (d - 1.0)))
+    except (OverflowError, ZeroDivisionError):
+        z = pref = math.inf
+    if not (math.isfinite(z) and math.isfinite(pref)):
+        raise radial_range_error(r=r, rp=rp)
     acc = _Series(tr, trace)
     c_prev = 0.0
     c_cur = 1.0
@@ -398,9 +403,14 @@ def azimuthal_power(nu: float, g: KernelGeometry,
         raise SingularConfigurationError(
             f"chi = {chi} too close to 1 for the azimuthal series")
     dphi = g.delta_phi
-    pref = (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
-            * (chi * chi - 1.0) ** (0.25 * (nu + 1.0))
-            / (math.sqrt(math.pi) * math.gamma(-0.5 * nu)))
+    den = math.sqrt(math.pi) * math.gamma(-0.5 * nu)
+    try:
+        pref = (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
+                * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den)
+    except (OverflowError, ZeroDivisionError):
+        pref = math.inf
+    if not (math.isfinite(chi) and math.isfinite(pref)):
+        raise radial_range_error(R=g.R, Rp=g.Rp, chi=chi)
     acc = _Series(tr, trace)
     qhats = _q_hat_terms(-0.5, -0.5 * (nu + 1.0), chi, tr.max_terms)
     for m, qhat in enumerate(qhats):

@@ -19,6 +19,7 @@ from .errors import (
     CoincidentPointsError,
     OddDimensionError,
     SingularConfigurationError,
+    radial_range_error,
     require_finite,
 )
 
@@ -48,11 +49,14 @@ class KernelGeometry:
         require_finite(x=x.tolist(), xp=xp.tolist())
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "xp", xp)
-        r = float(np.linalg.norm(x))
-        rp = float(np.linalg.norm(xp))
+        # a square past double range reads inf here; the expansions name it
+        with np.errstate(over="ignore"):
+            r = float(np.linalg.norm(x))
+            rp = float(np.linalg.norm(xp))
+            cg = float(np.dot(x, xp) / (r * rp)) if r > 0.0 and rp > 0.0 else 1.0
+            axial = float(np.sum((x[2:] - xp[2:]) ** 2))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "rp", rp)
-        cg = float(np.dot(x, xp) / (r * rp)) if r > 0.0 and rp > 0.0 else 1.0
         object.__setattr__(self, "cos_gamma", min(1.0, max(-1.0, cg)))
         R = math.hypot(x[0], x[1])
         Rp = math.hypot(xp[0], xp[1])
@@ -62,7 +66,8 @@ class KernelGeometry:
         object.__setattr__(self, "phip", math.atan2(xp[1], xp[0]))
         chi = None
         if R > 0.0 and Rp > 0.0:
-            axial = float(np.sum((x[2:] - xp[2:]) ** 2))
+            if 2.0 * R * Rp == 0.0:
+                raise radial_range_error(R=R, Rp=Rp)
             chi = (R * R + Rp * Rp + axial) / (2.0 * R * Rp)
         object.__setattr__(self, "chi", chi)
 

@@ -5,10 +5,13 @@ Evaluation goes through the standard three-term recurrences (O(n), stable on
 test oracles only.  All evaluators accept scalar or ndarray arguments.
 
 The whole-column evaluators `jacobi_p_all` and `gegenbauer_c_all` share one
-recurrence kernel, `_three_term`.  It runs a table of at most `_NARROW`
-entries per row on Python floats, where numpy's per-call overhead would set
-the cost, and a wider table as one numpy step per degree; both do the same
-IEEE operations, so every column is the same bit for bit on either path.
+recurrence kernel, `_three_term`.  Each caller writes the multipliers
+a_k = const_k + lin_k x of its recurrence into rows 2.. of the output in
+bulk, and the kernel overwrites row k with (a_k P_{k-1} - down_k P_{k-2}) /
+div_k.  It runs a table of at most `_NARROW` entries per row on Python
+floats, where numpy's per-call overhead would set the cost, and a wider table
+in place, four `out=` ufunc calls per degree; both do the same IEEE
+operations, so every column is the same bit for bit on either path.
 The per-degree `jacobi_p` and `gegenbauer_c` keep their own loops as the
 independent reference.
 """
@@ -50,26 +53,33 @@ def _jacobi_p1(alpha, beta, x):
 # A table whose rows hold at most this many entries runs its recurrence on
 # Python floats, one entry at a time: numpy's per-call overhead, not
 # arithmetic, sets the cost of a narrow step.  At nmax = 80 the float path
-# is the faster one up to about 16 entries per row.
+# is the faster one up to about 10 entries per row for jacobi_p_all and 12
+# for gegenbauer_c_all (16 before the numpy step ran in place; Xeon 2 vCPU,
+# numpy 2.4, both paths forced, min of 30 interleaved repeats).
 _NARROW = 8
 
 
-def _three_term(out, x, lin, down, div, const=None):
-    """Fill out[2:] by out[k] = ((const_k + lin_k x) out[k-1] - down_k out[k-2]) / div_k.
+def _three_term(out, down, div):
+    """Fill out[2:] by out[k] = (a_k out[k-1] - down_k out[k-2]) / div_k.
 
-    out[0] and out[1] are given.  The coefficient arrays are indexed by k in
-    their first axis and broadcast, after it, against the rows of out, as x
-    does; const=None drops the term (not adding 0.0 keeps the sign of a zero
-    product).  Both paths do the same IEEE operations in the same order, so
-    the table is the same bit for bit whichever path fills it.
+    On entry out[0] and out[1] hold the first two terms and out[2:] the
+    multipliers a_k, which the callers write there in bulk.  down and div
+    are indexed by k in their first axis and broadcast, after it, against
+    the rows of out.  Both paths do the same IEEE operations in the same
+    order, so the table is the same bit for bit whichever path fills it.
     """
     nmax = len(out) - 1
     if nmax < 2:
         return
     if out[0].size > _NARROW:
-        for k in range(2, nmax + 1):
-            a = lin[k] * x if const is None else const[k] + lin[k] * x
-            out[k] = (a * out[k - 1] - down[k] * out[k - 2]) / div[k]
+        # four in-place calls per degree: no row is allocated in the loop
+        rows, tmp = list(out), np.empty_like(out[0])
+        for k, d, v in zip(range(2, nmax + 1), down[2:], div[2:]):
+            row = rows[k]
+            np.multiply(row, rows[k - 1], out=row)
+            np.multiply(d, rows[k - 2], out=tmp)
+            np.subtract(row, tmp, out=row)
+            np.divide(row, v, out=row)
         return
 
     def columns(c):
@@ -77,22 +87,13 @@ def _three_term(out, x, lin, down, div, const=None):
         c = c.reshape(c.shape[:1] + (1,) * (out.ndim - c.ndim) + c.shape[1:])
         return np.broadcast_to(c, out.shape).reshape(nmax + 1, -1).T.tolist()
 
-    xs = np.broadcast_to(x, out.shape[1:]).ravel().tolist()
-    p0s, p1s = out[0].ravel().tolist(), out[1].ravel().tolist()
-    lins, downs, divs = columns(lin), columns(down), columns(div)
-    consts = None if const is None else columns(const)
     cols = []
-    for j, xi in enumerate(xs):
-        a, b = p0s[j], p1s[j]
+    for c, downs, divs in zip(out.reshape(nmax + 1, -1).T.tolist(), columns(down), columns(div)):
+        a, b = c[0], c[1]
         col = []
-        if consts is None:
-            for l, d, v in zip(lins[j][2:], downs[j][2:], divs[j][2:]):
-                a, b = b, (l * xi * b - d * a) / v
-                col.append(b)
-        else:
-            for c, l, d, v in zip(consts[j][2:], lins[j][2:], downs[j][2:], divs[j][2:]):
-                a, b = b, ((c + l * xi) * b - d * a) / v
-                col.append(b)
+        for ak, d, v in zip(c[2:], downs[2:], divs[2:]):
+            a, b = b, (ak * b - d * a) / v
+            col.append(b)
         cols.append(col)
     out[2:] = np.reshape(np.transpose(cols), out[2:].shape)
 
@@ -127,19 +128,29 @@ def jacobi_p_all(nmax: int, alpha, beta, x):
     beta = np.asarray(beta, dtype=float)
     _validate_jacobi_params(alpha, beta)
     xa = np.asarray(x, dtype=float)
-    # _jacobi_step's coefficients for every k at once, with its arithmetic;
-    # built before the output, so their temporaries never coexist with it
-    ks = np.arange(nmax + 1.0).reshape((-1,) + (1,) * max(alpha.ndim, beta.ndim))
-    ab = alpha + beta
-    c1 = 2.0 * ks * (ks + ab) * (2.0 * ks + ab - 2.0)
-    c2 = (2.0 * ks + ab - 1.0) * (alpha * alpha - beta * beta)
-    c3 = (2.0 * ks + ab - 2.0) * (2.0 * ks + ab - 1.0) * (2.0 * ks + ab)
-    c4 = 2.0 * (ks + alpha - 1.0) * (ks + beta - 1.0) * (2.0 * ks + ab)
     out = np.empty((nmax + 1,) + np.broadcast_shapes(alpha.shape, beta.shape, xa.shape))
     out[0] = 1.0
     if nmax >= 1:
         out[1] = _jacobi_p1(alpha, beta, xa)
-    _three_term(out, xa, c3, c4, c1, const=c2)
+    # _jacobi_step's coefficients for every k at once, with its arithmetic,
+    # each built in place so that at most two sit next to the output:
+    # c1 = 2k (k + ab) (s - 2), c2 = (s - 1) (alpha^2 - beta^2),
+    # c3 = (s - 2) (s - 1) s, c4 = 2 (k + alpha - 1) (k + beta - 1) s, s = 2k + ab
+    ks = np.arange(nmax + 1.0).reshape((-1,) + (1,) * (out.ndim - 1))
+    ab = alpha + beta
+    s = 2.0 * ks + ab
+    c = s - 2.0
+    c *= s - 1.0
+    c *= s
+    np.multiply(c[2:], xa, out=out[2:])
+    np.subtract(s, 1.0, out=c)
+    c *= alpha * alpha - beta * beta
+    out[2:] += c[2:]                  # a_k = c2 + c3 x
+    np.add(ks, ab, out=c)
+    c *= 2.0 * ks
+    c *= s - 2.0                      # c1
+    s *= 2.0 * (ks + alpha - 1.0) * (ks + beta - 1.0)   # c4
+    _three_term(out, s, c)
     return out
 
 
@@ -201,8 +212,9 @@ def gegenbauer_c_all(nmax: int, mu, x):
     if nmax >= 1:
         out[1] = 2.0 * mu * xa
     # C_k = (2x (k+mu-1) C_{k-1} - (k+2mu-2) C_{k-2}) / k, coefficients for every k at once
-    ks = np.arange(nmax + 1.0).reshape((-1,) + (1,) * mu.ndim)
-    _three_term(out, 2.0 * xa, ks + mu - 1.0, ks + 2.0 * mu - 2.0, ks)
+    ks = np.arange(nmax + 1.0).reshape((-1,) + (1,) * (out.ndim - 1))
+    np.multiply(ks[2:] + mu - 1.0, 2.0 * xa, out=out[2:])
+    _three_term(out, ks + 2.0 * mu - 2.0, ks)
     return out
 
 

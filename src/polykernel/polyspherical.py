@@ -266,6 +266,11 @@ def cos_separation(t: Tree, angles, anglesp) -> float:
     """Cosine of the separation angle between two unit vectors on the tree."""
     validate_angles(t, angles)
     validate_angles(t, anglesp)
+    return _cos_separation(t, angles, anglesp)
+
+
+def _cos_separation(t: Tree, angles, anglesp) -> float:
+    """`cos_separation` without its angle checks, for callers that made them."""
 
     def walk(node):
         if node is None:
@@ -433,10 +438,10 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     table: `gegenbauer_c_all` at b and b' nodes, where alpha = beta and
     P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2} (DLMF 18.7.1), and
     `jacobi_p_all` at c nodes.  Its transient memory is O(pairs * nmax): a
-    q = 3 certificate peaks at about 1.3 MB at nmax = 12 and 17 MB at
-    nmax = 30 (tracemalloc).  The products are assembled in log space, so
-    large-order coefficient growth cancels against the polynomial values
-    instead of overflowing, and zero factors stay exact zeros.
+    q = 3 certificate peaks at about 1.1 MiB at nmax = 12 and 13.4 MiB at
+    nmax = 30 (tracemalloc).  The products are assembled in log space, in
+    place, so large-order coefficient growth cancels against the polynomial
+    values instead of overflowing, and zero factors stay exact zeros.
     """
     if node.kind == "a":
         raise ValueError("a type-a node carries azimuthal weights, not a pair table")
@@ -463,22 +468,32 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
         vals = jacobi_p_all(nmax, 0.5 * kb, 0.5 * ka,
                             np.reshape([math.cos(2.0 * theta), math.cos(2.0 * thetap)], pair))
         # 2^{a+b+2} / h_n^{(b,a)}, node_factor's squared norm
-        log_coef = (math.log(2.0) + log_env + np.log(2 * n + 0.5 * (ka + kb) + 1.0)
-                    + lg[2 * n + ka + kb + 2] + lg[2 * n + 2] - lg[2 * n + ka + 2]
-                    - lg[2 * n + kb + 2])
+        out = np.log(2 * n + 0.5 * (ka + kb) + 1.0)
+        np.add(math.log(2.0) + log_env, out, out=out)
+        out += lg[2 * n + ka + kb + 2]
+        out += lg[2 * n + 2]
+        out -= lg[2 * n + ka + 2]
+        out -= lg[2 * n + kb + 2]
     else:
         p, trig = (kb, math.cos) if node.kind == "b" else (ka, math.sin)
         vals = gegenbauer_c_all(nmax, 0.5 * (p + 1), np.reshape([trig(theta), trig(thetap)], pair))
         # 1 / h_n^{(a,a)} times ((a+1)_n / (2a+1)_n)^2 with mu = a + 1/2,
         # Gamma(2 mu) reduced by the duplication formula
-        log_coef = (2.0 * (lg[p + 3] - np.log(p + 1.0)) + (p + 1) * math.log(2.0)
-                    - math.log(math.pi) + log_env + np.log(2 * n + p + 1.0)
-                    + lg[2 * n + 2] - lg[2 * n + 2 * p + 2])
-    # sign * exp(log_coef + log|v| + log|v'|) over the rows (v, v') of vals
+        out = np.log(2 * n + p + 1.0)
+        np.add(2.0 * (lg[p + 3] - np.log(p + 1.0)) + (p + 1) * math.log(2.0)
+               - math.log(math.pi) + log_env, out, out=out)
+        out += lg[2 * n + 2]
+        out -= lg[2 * n + 2 * p + 2]
+    # sign * exp(log_coef + log|v| + log|v'|) over the rows (v, v') of vals,
+    # the sign and the log of both rows each taken in one pass
+    sign = np.sign(vals)
     with np.errstate(divide="ignore"):
-        out = np.exp(log_coef + (np.log(np.abs(vals[:, 0])) + np.log(np.abs(vals[:, 1]))))
-    out *= np.sign(vals[:, 0])
-    out *= np.sign(vals[:, 1])
+        np.log(np.abs(vals, out=vals), out=vals)
+    vals[:, 0] += vals[:, 1]
+    out += vals[:, 0]
+    np.exp(out, out=out)
+    out *= sign[:, 0]
+    out *= sign[:, 1]
     return out
 
 

@@ -15,8 +15,8 @@ order m, every other a leaf the weights eps_k cos(k (phi - phi')); every
 other node maps its children's weight vectors to a weight vector W(l) over
 its own degree through its `node_pair_table`.  The certificate is
 pref * sum_l W(l) R(l) over the root degrees, with a Legendre-Q radial
-factor R; chi comes from `cos_separation` with the distinguished azimuth at
-0.  The other theorem ids are presets: C4.3 and C4.4 are T4.1 at d = 3 and
+factor R; chi comes from the `cos_separation` tree walk with the
+distinguished azimuth at 0.  The other theorem ids are presets: C4.3 and C4.4 are T4.1 at d = 3 and
 d = 4, C4.5 is T4.2 at q = 2.  The elementary reductions are the same
 theorems at nu = 2 - d, where R = Qhat^{-1/2} is elementary (DLMF 14.5.17),
 so they check the fold against a radial factor that uses no series code.
@@ -34,8 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (CoincidentRadiusError, ExclusionSetError, SingularConfigurationError,
-                     require_finite)
-from .polyspherical import (Tree, cos_separation, hopf_heap_to_preorder, hopf_tree,
+                     radial_range_error, require_finite)
+from .polyspherical import (Tree, _cos_separation, hopf_heap_to_preorder, hopf_tree,
                             node_pair_table, parse_tree)
 from .specfun import _is_int, legendre_q_hat, legendre_q_hat_column
 
@@ -201,9 +201,19 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
     (2 r r' rho).  R is Qhat_{l+(d-3)/2}^{(1-nu-d)/2}(z) with
     z = (r^2+r'^2)/(2rr').  An elementary reduction (nu = 2 - d) takes R,
     and at d = 4 also the lhs Qhat_{m-1/2}^{1/2}(chi), in closed form.
+    cos g comes from the unchecked tree walk: `_check_geometry` bounds the
+    polar angles, and the azimuths are 0 or already reduced mod 2 pi.
     """
     _check_geometry(cfg, tree, angles, anglesp)
     nu, m, r, rp, d = cfg.nu, cfg.m, cfg.r, cfg.rp, tree.dimension
+    rless, rgreater = min(r, rp), max(r, rp)
+    try:
+        z = (r * r + rp * rp) / (2.0 * r * rp)
+        radial_power = ((rgreater ** 2 - rless ** 2) / (r * rp)) ** (0.5 * (nu + d - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        z = math.inf            # a square, product or power past double range
+    if not math.isfinite(z):
+        raise radial_range_error(r=r, rp=rp)
     a_nodes = [node for node in tree.branching_nodes if node.kind == "a"]
     orders = np.arange(cfg.caps + 1)
     leaves = [np.eye(m + 1)[m]] + [np.where(orders, 2.0, 1.0) * np.cos(
@@ -218,9 +228,8 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
             node, rho = node.left, rho * (math.cos(t) * math.cos(tp))
         else:
             node, rho = node.right, rho * (math.sin(t) * math.sin(tp))
-    chi = ((r * r + rp * rp - 2.0 * r * rp * (cos_separation(tree, angles, anglesp) - rho))
+    chi = ((r * r + rp * rp - 2.0 * r * rp * (_cos_separation(tree, angles, anglesp) - rho))
            / (2.0 * r * rp * rho))
-    z = (r * r + rp * rp) / (2.0 * r * rp)
     deg = lo + 0.5 * (d - 3.0)
     if elementary:
         if nu != 2.0 - d:
@@ -233,11 +242,9 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
     else:
         lhs = legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi).value
     terms = (w * radial).tolist()
-    rless, rgreater = min(r, rp), max(r, rp)
     pref = (2.0 ** (1 - len(a_nodes)) * math.pi ** (0.5 * d - len(a_nodes))
             * rho ** (-0.5 * nu) * 2.0 ** (-0.5 * (nu + 1.0))
-            * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0))
-            * ((rgreater ** 2 - rless ** 2) / (r * rp)) ** (0.5 * (nu + d - 1.0)))
+            * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0)) * radial_power)
     rhs = pref * math.fsum(terms)
     # Root degrees lo..lo+caps get every contribution under the per-level
     # caps; above them the sums are cut short, so the tail is fitted to those.

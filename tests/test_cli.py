@@ -228,6 +228,31 @@ class TestVerify:
         assert code == 6
         assert out == "" and err.startswith(f"error: {name} must be finite")
 
+    @pytest.mark.parametrize("argv, names", [
+        # these exited 6 with "(34, 'Numerical result out of range')"
+        (["expand", "multipole", "--d", "3", "--nu", "-1", "--r", "1e-200", "--rp", "1e200",
+          "--cosg", "0.3"], "r = 1e-200, rp = 1e+200"),
+        (["verify", "C4.3", "--nu", "-1", "--r", "1e-200", "--rp", "1e200"],
+         "r = 1e-200, rp = 1e+200"),
+        # this printed a numpy RuntimeWarning before "value exceeds double range"
+        (["expand", "azimuthal", "--nu", "-1", "--R", "1e-200", "--Rp", "1e200", "--h", "0.5",
+          "--dphi", "0.3"], "R = 1e-200, Rp = 1e+200"),
+        # these raised ZeroDivisionError out of the CLI: 2 r r' underflows
+        (["expand", "multipole", "--d", "3", "--nu", "-1", "--r", "1e-200", "--rp", "2e-200",
+          "--cosg", "0.3"], "r = 1e-200, rp = 2e-200"),
+        (["verify", "C4.3", "--nu", "-1", "--r", "1e-200", "--rp", "2e-200"],
+         "r = 1e-200, rp = 2e-200"),
+        (["expand", "azimuthal", "--nu", "-1", "--R", "1e-200", "--Rp", "2e-200", "--h", "0.5",
+          "--dphi", "0.3"], "R = 1e-200, Rp = 2e-200"),
+    ])
+    def test_extreme_radii_exit6(self, capsys, argv, names):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert code == 6
+        assert out == "" and err.startswith(f"error: {names}")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flags, message", [
         (["--tol", "0"], "tol must be a positive finite number"),
         (["--tol", "-1"], "tol must be a positive finite number"),

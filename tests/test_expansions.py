@@ -1,6 +1,8 @@
 """Expansion partial sums against direct kernel oracles."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +296,24 @@ class TestArgumentDomain:
         # cap (ConvergenceError), a non-finite z to fail converting to Fraction
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             call()
+
+    @pytest.mark.parametrize("call, names", [
+        (lambda: ex.multipole_power(3, -1.0, 1e-200, 1e200, 0.3), "r = 1e-200, rp = 1e+200"),
+        (lambda: ex.multipole_power(3, -1.0, 1e-200, 2e-200, 0.3), "r = 1e-200, rp = 2e-200"),
+        (lambda: ex.multipole_power(7, -1.0, 1e100, 2e100, 0.3), "r = 1e+100, rp = 2e+100"),
+        (lambda: ex.azimuthal_power(-1.0, geometry(1e-200, 1e200, 0.3, 0.5)),
+         "R = 1e-200, Rp = 1e+200"),
+        (lambda: ex.azimuthal_power(-1.0, geometry(1.0, 2.0, 0.3, 1e200)), "R = 1.0, Rp = 2.0"),
+        (lambda: geometry(1e-200, 2e-200, 0.3, 0.5), "R = 1e-200, Rp = 2e-200"),
+    ])
+    def test_extreme_radii_rejected_by_name(self, call, names):
+        # finite radii whose squares or products leave double range used to
+        # raise OverflowError "(34, 'Numerical result out of range')" or
+        # ZeroDivisionError, or print a numpy RuntimeWarning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(names)}"):
+                call()
 
     def test_interval_ends_accepted(self):
         for x in (-1.0, 1.0):

@@ -1,6 +1,7 @@
 """Orthogonal polynomial recurrences against their hypergeometric definitions."""
 
 import math
+from unittest.mock import patch
 
 import mpmath as mp
 import numpy as np
@@ -144,15 +145,17 @@ def test_column_validation_matches_per_degree(column, single, args, exc):
 # Property tests of the recurrence kernel under jacobi_p_all and
 # gegenbauer_c_all: a table of at most op._NARROW entries per row runs on
 # Python floats, a wider one on numpy, and both must give the same bits.
+# On entry the table holds its first two terms and, from row 2 on, the
+# multipliers a_k its caller wrote there.
 
 _JACOBI_PARAM = st.floats(-0.95, 12.0)
 _GEGENBAUER_ORDER = st.floats(-0.45, 12.0).filter(lambda mu: abs(mu) > 1e-3)
 
 
 @st.composite
-def _column_draw(draw, kind, x_bound=1.0, nmax_max=40):
-    """(nmax, params, x): params and x are lists of one narrow width."""
-    width = draw(st.integers(1, op._NARROW))
+def _column_draw(draw, kind, x_bound=1.0, nmax_max=40, width_max=op._NARROW):
+    """(nmax, params, x): params and x are lists of one width, narrow by default."""
+    width = draw(st.integers(1, width_max))
     entries = st.lists(_JACOBI_PARAM if kind == "jacobi" else _GEGENBAUER_ORDER,
                        min_size=width, max_size=width)
     params = [draw(entries) for _ in range(2 if kind == "jacobi" else 1)]
@@ -169,6 +172,15 @@ def _table(kind, nmax, params, x):
     return op.gegenbauer_c_all(nmax, *args)
 
 
+def _prefilled(kind, nmax, params, x):
+    """(out, down, div) as the column evaluator hands them to the kernel."""
+    calls = []
+    with patch.object(op, "_three_term", lambda *args: calls.append(args)):
+        _table(kind, nmax, params, x)
+    (out, down, div), = calls
+    return out, down, div
+
+
 def _per_degree(kind, n, params, x):
     if kind == "jacobi":
         return op.jacobi_p(n, params[0], params[1], x)
@@ -179,17 +191,21 @@ class TestThreeTermKernel:
     @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
     @given(data=st.data())
     def test_narrow_and_numpy_paths_agree(self, kind, data):
-        # large |x| and high degrees overflow to inf (and inf - inf to NaN):
-        # the two paths must still agree bit for bit
-        nmax, params, x = data.draw(_column_draw(kind, x_bound=1e3, nmax_max=150))
-        width = len(x)
-        reps = op._NARROW // width + 1
+        # one pre-filled table through each path; large |x| and high degrees
+        # overflow to inf (and inf - inf to NaN): the paths must still agree
+        # bit for bit
+        nmax, params, x = data.draw(_column_draw(kind, x_bound=1e3, nmax_max=150,
+                                                 width_max=3 * op._NARROW))
         with np.errstate(over="ignore", invalid="ignore"):
-            narrow = _table(kind, nmax, params, x)
-            wide = _table(kind, nmax, [p * reps for p in params], x * reps)
-        assert wide.shape == (nmax + 1, width * reps)
-        for r in range(reps):
-            assert wide[:, r * width:(r + 1) * width].tobytes() == narrow.tobytes()
+            out, down, div = _prefilled(kind, nmax, params, x)
+            tables = []
+            for narrow in (out[0].size, out[0].size - 1):
+                with patch.object(op, "_NARROW", narrow):
+                    table = out.copy()
+                    op._three_term(table, down, div)
+                    tables.append(table)
+            public = _table(kind, nmax, params, x)
+        assert tables[0].tobytes() == tables[1].tobytes() == public.tobytes()
 
     @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
     @pytest.mark.parametrize("tiled", [False, True])

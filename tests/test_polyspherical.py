@@ -184,6 +184,17 @@ class TestTransforms:
 
 
 class TestSeparation:
+    @pytest.mark.parametrize("spec, angles, anglesp", [
+        ("ba", [3.5, 0.0], [1.0, 0.0]),             # polar angle past pi
+        ("ba", [1.0, 0.0], [1.0, 2.0 * math.pi]),   # azimuth at its open end
+        ("ca^2", [0.4, 1.1, 2.5], [-0.1, 0.3, 4.2]),
+        ("ba", [1.0], [1.0, 0.0]),                  # one angle short
+    ])
+    def test_angle_range_error(self, spec, angles, anglesp):
+        # the public walk validates; only verify's certificate skips it
+        with pytest.raises(AngleRangeError):
+            ps.cos_separation(ps.parse_tree(spec), angles, anglesp)
+
     def test_polar(self):
         t = ps.parse_tree("a")
         assert ps.cos_separation(t, [0.7], [0.2]) == pytest.approx(

@@ -1,6 +1,7 @@
 """Addition-theorem certification: corollaries, collapses, independence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from polykernel import orthopoly as op
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
 from polykernel import verify as vf
-from polykernel.errors import DomainError, ExclusionSetError
+from polykernel.errors import DomainError, ExclusionSetError, SingularConfigurationError
 
 RNG = np.random.default_rng(109)
 
@@ -363,6 +364,47 @@ class TestReportMechanics:
     def test_negative_caps_rejected(self):
         with pytest.raises(ValueError, match="^caps must be >= 0"):
             ba_cfg(-1.0, 0, caps=-3)
+
+    @pytest.mark.parametrize("r, rp", [(1e-200, 1e200), (1e-200, 2e-200)])
+    def test_extreme_radii_rejected_by_name(self, r, rp):
+        # r^2 + r'^2 or 2 r r' leaves double range: OverflowError "(34,
+        # 'Numerical result out of range')" or ZeroDivisionError before
+        with pytest.raises(DomainError, match=re.escape(f"r = {r}, rp = {rp}: ")):
+            vf.verify_ba(ba_cfg(-1.0, 0, r=r, rp=rp))
+
+    @pytest.mark.parametrize("cfg", [
+        ba_cfg(-1.0, 0, theta=0.0),
+        ba_cfg(-1.0, 0, thetap=math.pi),
+        ba_cfg(-1.0, 0, theta=-0.2),
+        b2a_cfg(-2.0, 0, angles=(0.9, math.pi)),
+        ca2_cfg(-2.0, 0, vt=0.0),
+        ca2_cfg(-2.0, 0, vtp=0.5 * math.pi),
+        vf.TheoremConfig(theorem="T4.2", nu=-1.5, q=3, thetas=(0.5, 0.5 * math.pi, 0.7),
+                         thetasp=(0.6, 0.4, 1.0), phis=(1.0, 2.0, 3.0),
+                         phisp=(0.5, 4.0, 5.5), caps=6, tol=1e-3),
+    ])
+    def test_polar_angle_at_range_end_rejected(self, cfg):
+        # the certificate reads its angles unchecked once _check_geometry
+        # has passed them, so that check alone must stop every end point
+        with pytest.raises(SingularConfigurationError, match="strictly inside"):
+            vf.run_verification(cfg)
+
+    def test_azimuths_reduced_mod_two_pi(self):
+        # any real azimuth is accepted and reduced to [0, 2 pi) before the
+        # certificate, which then matches the reduced call bit for bit
+        phis, phisp = (-1.0, 8.0, 3.0), (0.1, 0.2, 2.0 * math.pi)
+        two_pi = 2.0 * math.pi
+
+        def cfg(fs, fps):
+            return vf.TheoremConfig(theorem="T4.2", nu=-1.5, q=3, thetas=(0.5, 0.9, 0.7),
+                                    thetasp=(0.6, 0.4, 1.0), phis=fs, phisp=fps, caps=8,
+                                    tol=1e-3)
+
+        rep = vf.run_verification(cfg(phis, phisp))
+        reduced = vf.run_verification(cfg(tuple(f % two_pi for f in phis),
+                                           tuple(f % two_pi for f in phisp)))
+        assert rep.passed
+        assert (rep.lhs, rep.rhs) == (reduced.lhs, reduced.rhs)
 
     @pytest.mark.parametrize("field, value", [
         ("nu", math.nan), ("r", math.nan), ("rp", math.inf),
