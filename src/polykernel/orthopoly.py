@@ -64,9 +64,9 @@ def _three_term(out, down, div):
 
     On entry out[0] and out[1] hold the first two terms and out[2:] the
     multipliers a_k, which the callers write there in bulk.  down and div
-    are indexed by k in their first axis and broadcast, after it, against
-    the rows of out.  Both paths do the same IEEE operations in the same
-    order, so the table is the same bit for bit whichever path fills it.
+    are indexed by k in their first axis and broadcast against out.  Both
+    paths do the same IEEE operations in the same order, so the table is the
+    same bit for bit whichever path fills it.
     """
     nmax = len(out) - 1
     if nmax < 2:
@@ -83,8 +83,7 @@ def _three_term(out, down, div):
         return
 
     def columns(c):
-        # c[k] broadcast against row k; one list of Python floats over k per entry
-        c = c.reshape(c.shape[:1] + (1,) * (out.ndim - c.ndim) + c.shape[1:])
+        # one list of Python floats over k per entry of a row
         return np.broadcast_to(c, out.shape).reshape(nmax + 1, -1).T.tolist()
 
     cols = []

@@ -15,8 +15,8 @@ order m, every other a leaf the weights eps_k cos(k (phi - phi')); every
 other node maps its children's weight vectors to a weight vector W(l) over
 its own degree through its `node_pair_table`.  The certificate is
 pref * sum_l W(l) R(l) over the root degrees, with a Legendre-Q radial
-factor R; chi comes from the `cos_separation` tree walk with the
-distinguished azimuth at 0.  The other theorem ids are presets: C4.3 and C4.4 are T4.1 at d = 3 and
+factor R; chi comes from `cos_separation` with the distinguished azimuth at
+0.  The other theorem ids are presets: C4.3 and C4.4 are T4.1 at d = 3 and
 d = 4, C4.5 is T4.2 at q = 2.  The elementary reductions are the same
 theorems at nu = 2 - d, where R = Qhat^{-1/2} is elementary (DLMF 14.5.17),
 so they check the fold against a radial factor that uses no series code.
