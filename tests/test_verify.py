@@ -391,8 +391,10 @@ class TestReportMechanics:
 
     def test_azimuths_reduced_mod_two_pi(self):
         # any real azimuth is accepted and reduced to [0, 2 pi) before the
-        # certificate, which then matches the reduced call bit for bit
-        phis, phisp = (-1.0, 8.0, 3.0), (0.1, 0.2, 2.0 * math.pi)
+        # certificate, which then matches the reduced call bit for bit; the
+        # cosines of 1234.5 and -777.0 differ from those of their reductions
+        # in the last bits, so an unreduced certificate would not
+        phis, phisp = (-1.0, 8.0, 1234.5), (0.1, -777.0, 2.0 * math.pi)
         two_pi = 2.0 * math.pi
 
         def cfg(fs, fps):
