@@ -128,10 +128,11 @@ def _check_2f1(a, b, c, x):
         return
     got = sf.gauss_2f1(a, b, c, x)
     with mp.workdps(30):
+        a, b, c, x = map(mp.mpf, (a, b, c, x))
         t = total = want = mp.mpf(1)
         n = 0
         while n_stop is None or n < n_stop:
-            t *= (a + n) * (b + n) / ((c + n) * (n + 1)) * mp.mpf(x)
+            t *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
             n += 1
             total += abs(t)
             want += t
