@@ -103,7 +103,7 @@ class TestPochhammer:
 # Property tests of gauss_2f1 against the Gauss series summed at 30 digits.
 # A sum of alternating terms cancels, so the budget is relative to the sum of
 # the term magnitudes: |got - want| <= 1e-13 * sum |t_n| (6e-15 was the
-# largest of 3000 scratch draws over these ranges).  The only error a draw
+# largest of 3000 random draws over these ranges).  The only error a draw
 # may raise is ParameterPoleError, where c is a non-positive integer that
 # the series reaches before it terminates.
 
@@ -290,7 +290,7 @@ class TestLegendreQHat:
     # within the reach the docstring states (z - 1 >= 1e-3, well above the
     # 2e-4 where the series can run out of terms): relative error at most
     # 2e-12 against mpmath at 30 digits (1.5e-13, near z - 1 = 1e-3, was the
-    # largest of 600 scratch draws), or PoleError on a Q pole line
+    # largest of 600 random draws), or PoleError on a Q pole line
     @given(nu=st.floats(-0.95, 40.0), mu=st.floats(-3.0, 3.0),
            z=st.one_of(st.floats(1.001, 10.0), st.floats(-3.0, 1.0).map(lambda e: 1.0 + 10.0 ** e)))
     def test_per_degree_property(self, nu, mu, z):
