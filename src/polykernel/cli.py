@@ -9,12 +9,17 @@ Exit codes: 0 success/pass, 1 verification math failure (the two sides of a
 `verify` disagree), 2 tree parse error, 3 exclusion-set violation,
 4 non-convergence, 5 truncation insufficient, 6 invalid input (a malformed
 option value, an argument outside a function's domain, a pole, an argument
-too close to a singular point, or a result beyond double range).
+too close to a singular point, or a result beyond double range).  Exit 6
+covers a --tol that is not a positive finite number, a --max-terms below 1,
+a --q below 2 or --d below 3, and a certificate whose rho (the cos/sin
+product on the path to the distinguished leaf) underflows or whose chi or
+fold weights leave double range.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import random
 import sys
@@ -39,6 +44,13 @@ EXIT_TRUNCATION = 5
 EXIT_INVALID_INPUT = 6
 
 SCHEMA = "polykernel/1"
+
+# The first matching error type sets the exit code.  Every other library error
+# (a pole, the near-one guard, a domain error) is input the functions are not
+# defined for; exit 1 is kept for a verification whose two sides disagree.
+_ERROR_EXIT = ((TreeParseError, EXIT_PARSE), (ExclusionSetError, EXIT_EXCLUSION),
+               (ConvergenceError, EXIT_NO_CONVERGENCE),
+               ((PolyKernelError, ValueError, OverflowError), EXIT_INVALID_INPUT))
 
 
 # --- deterministic serialization --------------------------------------------
@@ -146,114 +158,126 @@ def cmd_trees(args) -> int:
 
 # --- expand ------------------------------------------------------------------
 
-def _expand_dispatch(args, tr, trace):
-    eid = args.expansion
-    if eid == "jacobi":
-        ps = expansions.euler_kernel_jacobi(args.nu, args.alpha, args.beta,
-                                            args.z, args.x, tr, trace)
-        oracle = expansions.euler_kernel_direct(args.nu, args.z, args.x)
-        params = {"nu": args.nu, "alpha": args.alpha, "beta": args.beta,
-                  "z": args.z, "x": args.x}
-    elif eid == "gegenbauer":
-        ps = expansions.euler_kernel_gegenbauer(args.nu, args.mu, args.z,
-                                                args.x, tr, trace)
-        oracle = expansions.euler_kernel_direct(args.nu, args.z, args.x)
-        params = {"nu": args.nu, "mu": args.mu, "z": args.z, "x": args.x}
-    elif eid == "chebyshev":
-        ps = expansions.euler_kernel_chebyshev(args.nu, args.z, args.x, tr, trace)
-        oracle = expansions.euler_kernel_direct(args.nu, args.z, args.x)
-        params = {"nu": args.nu, "z": args.z, "x": args.x}
-    elif eid == "multipole":
-        ps = expansions.multipole_power(args.d, args.nu, args.r, args.rp,
-                                        args.cosg, tr, trace)
-        oracle = expansions.distance_power_direct(args.nu, args.r, args.rp, args.cosg)
-        params = {"d": args.d, "nu": args.nu, "r": args.r, "rp": args.rp,
-                  "cosg": args.cosg}
-    elif eid == "azimuthal":
-        expansions._check_power_exclusion(args.nu)
-        x1 = np.array([args.R, 0.0, 0.0])
-        x2 = np.array([args.Rp * math.cos(args.dphi),
-                       args.Rp * math.sin(args.dphi), args.h])
-        g = KernelGeometry(x=x1, xp=x2)
-        ps = expansions.azimuthal_power(args.nu, g, tr, trace)
-        oracle = g.distance ** args.nu
-        params = {"nu": args.nu, "R": args.R, "Rp": args.Rp, "h": args.h,
-                  "dphi": args.dphi, "chi": g.chi}
-    elif eid == "fourier-int":
-        value = expansions.fourier_integer_power(args.p, args.z, args.x)
-        oracle = (args.z - args.x) ** args.p
-        params = {"p": args.p, "z": args.z, "x": args.x}
-        ps = expansions.PartialSum(value=value, terms_used=args.p + 1,
-                                   last_term_magnitude=0.0, converged=True)
-    elif eid == "fourier-neg":
-        ps = expansions.fourier_negative_power(args.q, args.z, args.x, tr, trace)
-        oracle = (args.z - args.x) ** (-args.q)
-        params = {"q": args.q, "z": args.z, "x": args.x}
-    else:
-        raise ValueError(f"unknown expansion {eid!r}")
-    return ps, oracle, params
+def _series(fn, oracle, *oracle_params):
+    """Row runner: expansions.<fn>(*params, tr, trace) against the direct
+    oracle expansions.<oracle>(*those params), both looked up at call time."""
+    def run(params, tr, trace):
+        ps = getattr(expansions, fn)(*params.values(), tr, trace)
+        return ps, getattr(expansions, oracle)(*(params[k] for k in oracle_params))
+    return run
+
+
+def _azimuthal(params, tr, trace):
+    """x = (R, 0, 0) and x' = (Rp cos dphi, Rp sin dphi, h); reports chi too."""
+    nu, R, Rp, h, dphi = params.values()
+    expansions._check_power_exclusion(nu)
+    g = KernelGeometry(x=np.array([R, 0.0, 0.0]),
+                       xp=np.array([Rp * math.cos(dphi), Rp * math.sin(dphi), h]))
+    ps = expansions.azimuthal_power(nu, g, tr, trace)
+    oracle = g.distance ** nu
+    params["chi"] = g.chi
+    return ps, oracle
+
+
+def _fourier_int(params, tr, trace):
+    """The exact (p+1)-term sum, reported as a converged PartialSum."""
+    p, z, x = params.values()
+    value = expansions.fourier_integer_power(p, z, x)
+    return (expansions.PartialSum(value=value, terms_used=p + 1, last_term_magnitude=0.0,
+                                  converged=True), (z - x) ** p)
+
+
+_EULER = ("euler_kernel_direct", "nu", "z", "x")
+
+# expansion id -> (parameters in call and report order, row runner)
+_EXPANSIONS = {
+    "jacobi": (("nu", "alpha", "beta", "z", "x"), _series("euler_kernel_jacobi", *_EULER)),
+    "gegenbauer": (("nu", "mu", "z", "x"), _series("euler_kernel_gegenbauer", *_EULER)),
+    "chebyshev": (("nu", "z", "x"), _series("euler_kernel_chebyshev", *_EULER)),
+    "multipole": (("d", "nu", "r", "rp", "cosg"),
+                  _series("multipole_power", "distance_power_direct", "nu", "r", "rp", "cosg")),
+    "azimuthal": (("nu", "R", "Rp", "h", "dphi"), _azimuthal),
+    "fourier-int": (("p", "z", "x"), _fourier_int),
+    # (z - x)^(-q) is the Euler kernel at nu = q
+    "fourier-neg": (("q", "z", "x"),
+                    _series("fourier_negative_power", "euler_kernel_direct", "q", "z", "x")),
+}
+
+# Every expansion parameter's flag default (its type is the default's), in
+# --help order.
+_EXPAND_DEFAULTS = {"nu": 1.0, "alpha": 0.0, "beta": 0.0, "mu": 0.5, "z": 2.0, "x": 0.0,
+                    "p": 2, "q": 1, "d": 3, "r": 1.0, "rp": 2.0, "cosg": 0.3,
+                    "R": 1.0, "Rp": 1.5, "h": 1.0, "dphi": 1.0}
+
+
+def _rel_err(value, oracle):
+    return abs(value - oracle) / abs(oracle) if oracle != 0.0 else math.inf
 
 
 def cmd_expand(args) -> int:
     tr = expansions.Truncation(tol=args.tol, max_terms=args.max_terms)
     trace: list | None = [] if (args.trace or args.format == "csv") else None
-    ps, oracle, params = _expand_dispatch(args, tr, trace)
-    rel_err = abs(ps.value - oracle) / abs(oracle) if oracle != 0.0 else math.inf
+    names, run = _EXPANSIONS[args.expansion]
+    params = {name: getattr(args, name) for name in names}
+    ps, oracle = run(params, tr, trace)
+    rows = [(*row, _rel_err(row[3], oracle)) for row in trace or []]
     if args.format == "csv":
         lines = ["level,index,term,partial,rel_err"]
-        for level, index, term, partial in trace or []:
-            row_err = abs(partial - oracle) / abs(oracle) if oracle else math.inf
-            lines.append(f"{level},{index},{format(term, '.17g')},"
-                         f"{format(partial, '.17g')},{format(row_err, '.17g')}")
+        lines += [f"{level},{index},{format(term, '.17g')},{format(partial, '.17g')},"
+                  f"{format(row_err, '.17g')}" for level, index, term, partial, row_err in rows]
         _write_output("\n".join(lines) + "\n", args.out)
         return EXIT_PASS
     report = {"schema": SCHEMA, "command": f"expand {args.expansion}",
               "params": params, "tol": args.tol, "max_terms": args.max_terms,
-              "value": ps.value, "direct_oracle": oracle, "rel_err": rel_err,
+              "value": ps.value, "direct_oracle": oracle, "rel_err": _rel_err(ps.value, oracle),
               "terms_used": ps.terms_used, "converged": ps.converged}
     if args.trace:
-        report["per_term"] = [
-            {"level": level, "index": index, "term": term, "partial": partial,
-             "rel_err": (abs(partial - oracle) / abs(oracle) if oracle else math.inf)}
-            for level, index, term, partial in trace or []]
+        report["per_term"] = [dict(zip(("level", "index", "term", "partial", "rel_err"), row))
+                              for row in rows]
     _write_output(emit_json(report), args.out)
     return EXIT_PASS
 
 
 # --- verify ------------------------------------------------------------------
 
-def _default_angles(rng, n, lo, hi):
-    return tuple(rng.uniform(lo, hi) for _ in range(n))
+def _geometry(theorem, rng, d=3, q=2, texts=(None,) * 4):
+    """TheoremConfig keywords d, q, thetas, thetasp, phis, phisp of a theorem id.
 
-
-def _angles(text, rng, n, lo, hi, label):
-    """n comma-separated angles from text, or n drawn from (lo, hi) without it."""
-    if text is None:
-        return _default_angles(rng, n, lo, hi)
-    vals = tuple(float(t) for t in text.split(",") if t.strip())
-    if len(vals) != n:
-        raise ValueError(f"{label} expects {n} comma-separated values")
-    return vals
+    C4.3/C4.4 fix d and C4.5 fixes q, and the tree sets how many polar angles
+    and azimuths a point has.  Each list is parsed from its comma-separated
+    text or, where that is None, drawn from rng in this order: polar angles
+    0.3 inside their range, azimuths from [0, 2 pi).
+    """
+    d = {"C4.3": 3, "C4.4": 4}.get(theorem, d)
+    q = 2 if theorem == "C4.5" else q
+    if theorem in ("T4.2", "C4.5"):
+        if q < 2:
+            raise ValueError("need q >= 2")
+        n_theta = n_phi = 2 ** (q - 1) - 1     # heap-ordered c nodes; phi_2, phi_3, ...
+        hi = 0.5 * math.pi
+    else:
+        if d < 3:
+            raise ValueError("need d >= 3")
+        n_theta, n_phi, hi = d - 2, 0, math.pi
+    ranges = ((n_theta, 0.3, hi - 0.3),) * 2 + ((n_phi, 0.0, 2.0 * math.pi),) * 2
+    out = {"d": d, "q": q}
+    for key, text, (n, lo, hi) in zip(("thetas", "thetasp", "phis", "phisp"), texts, ranges):
+        if text is None:
+            out[key] = tuple(rng.uniform(lo, hi) for _ in range(n))
+            continue
+        out[key] = tuple(float(t) for t in text.split(",") if t.strip())
+        if len(out[key]) != n:
+            raise ValueError(f"--{key} expects {n} comma-separated values")
+    return out
 
 
 def _build_config(args) -> verify.TheoremConfig:
     """The theorem id presets the tree, and with it how many angles of each
     kind a point has and the range the defaults are drawn from."""
-    rng = random.Random(args.seed)
-    thm = args.theorem
-    d = {"C4.3": 3, "C4.4": 4}.get(thm, args.d)
-    q = 2 if thm == "C4.5" else args.q
-    if thm in ("T4.2", "C4.5"):
-        n_theta, hi, n_phi = 2 ** (q - 1) - 1, 0.5 * math.pi, 2 ** (q - 1) - 1
-    else:
-        n_theta, hi, n_phi = d - 2, math.pi, 0
-    thetas = _angles(args.thetas, rng, n_theta, 0.3, hi - 0.3, "--thetas")
-    thetasp = _angles(args.thetasp, rng, n_theta, 0.3, hi - 0.3, "--thetasp")
-    phis = _angles(args.phis, rng, n_phi, 0.0, 2.0 * math.pi, "--phis")
-    phisp = _angles(args.phisp, rng, n_phi, 0.0, 2.0 * math.pi, "--phisp")
-    return verify.TheoremConfig(theorem=thm, nu=args.nu, m=args.m, r=args.r, rp=args.rp,
-                                thetas=thetas, thetasp=thetasp, phis=phis, phisp=phisp,
-                                d=d, q=q, caps=args.caps, tol=args.tol)
+    geometry = _geometry(args.theorem, random.Random(args.seed), args.d, args.q,
+                         (args.thetas, args.thetasp, args.phis, args.phisp))
+    return verify.TheoremConfig(theorem=args.theorem, nu=args.nu, m=args.m, r=args.r,
+                                rp=args.rp, caps=args.caps, tol=args.tol, **geometry)
 
 
 def _report_to_dict(cfg, rep):
@@ -265,6 +289,10 @@ def _report_to_dict(cfg, rep):
             "status": rep.status, "pass": rep.passed}
 
 
+_STATUS_EXIT = {"pass": EXIT_PASS, "truncation_insufficient": EXIT_TRUNCATION,
+                "fail": EXIT_MATH_FAIL}
+
+
 def cmd_verify(args) -> int:
     if args.suite:
         return _run_suite(args)
@@ -273,76 +301,45 @@ def cmd_verify(args) -> int:
     report = {"schema": SCHEMA, "command": f"verify {cfg.theorem}",
               "seed": args.seed, **_report_to_dict(cfg, rep)}
     _write_output(emit_json(report), args.out)
-    if rep.status == "pass":
-        return EXIT_PASS
-    if rep.status == "truncation_insufficient":
-        return EXIT_TRUNCATION
-    return EXIT_MATH_FAIL
+    return _STATUS_EXIT[rep.status]
+
+
+# The acceptance matrix: (nu values, m values, tol, (label, verifier) members).
+# Each group loops over nu, then m, then its members, and every row draws its
+# angles in that order; a label names its theorem id before any "-elem".
+_SUITE = (
+    ((-1.0, -2.5), (0, 1, 2), 1e-6, (("C4.3", "verify_ba"),)),
+    ((-2.0,), (0, 1), 1e-6, (("C4.4", "verify_b2a"),)),
+    ((-2.0,), (0, 1), 1e-6, (("C4.5", "verify_ca2"),)),
+    ((-1.0,), (0, 1, 2), 1e-8, (("C4.3-elem", "ba_elementary_rhs"),)),
+    ((-2.0,), (0, 1), 1e-8, (("C4.4-elem", "b2a_elementary_rhs"),
+                             ("C4.5-elem", "ca2_elementary_rhs"))),
+)
 
 
 def _suite_configs(seed: int):
-    """The acceptance matrix: theorem sweeps + elementary reductions."""
+    """(label, config, verifier) rows of the acceptance matrix: theorem
+    sweeps + elementary reductions, at r = 1, r' = 2, caps 80."""
     rng = random.Random(seed)
     configs = []
-    for nu in (-1.0, -2.5):
-        for m in (0, 1, 2):
-            configs.append(("C4.3", verify.TheoremConfig(
-                theorem="C4.3", nu=nu, m=m, r=1.0, rp=2.0,
-                thetas=_default_angles(rng, 1, 0.3, math.pi - 0.3),
-                thetasp=_default_angles(rng, 1, 0.3, math.pi - 0.3),
-                caps=80, tol=1e-6), verify.verify_ba))
-    for m in (0, 1):
-        configs.append(("C4.4", verify.TheoremConfig(
-            theorem="C4.4", nu=-2.0, m=m, r=1.0, rp=2.0,
-            thetas=_default_angles(rng, 2, 0.3, math.pi - 0.3),
-            thetasp=_default_angles(rng, 2, 0.3, math.pi - 0.3),
-            caps=80, tol=1e-6), verify.verify_b2a))
-    for m1 in (0, 1):
-        configs.append(("C4.5", verify.TheoremConfig(
-            theorem="C4.5", nu=-2.0, m=m1, r=1.0, rp=2.0,
-            thetas=_default_angles(rng, 1, 0.3, 0.5 * math.pi - 0.3),
-            thetasp=_default_angles(rng, 1, 0.3, 0.5 * math.pi - 0.3),
-            phis=_default_angles(rng, 1, 0.0, 2.0 * math.pi),
-            phisp=_default_angles(rng, 1, 0.0, 2.0 * math.pi),
-            caps=80, tol=1e-6), verify.verify_ca2))
-    for m in (0, 1, 2):
-        configs.append(("C4.3-elem", verify.TheoremConfig(
-            theorem="C4.3", nu=-1.0, m=m, r=1.0, rp=2.0,
-            thetas=_default_angles(rng, 1, 0.3, math.pi - 0.3),
-            thetasp=_default_angles(rng, 1, 0.3, math.pi - 0.3),
-            caps=80, tol=1e-8), verify.ba_elementary_rhs))
-    for m in (0, 1):
-        configs.append(("C4.4-elem", verify.TheoremConfig(
-            theorem="C4.4", nu=-2.0, m=m, r=1.0, rp=2.0,
-            thetas=_default_angles(rng, 2, 0.3, math.pi - 0.3),
-            thetasp=_default_angles(rng, 2, 0.3, math.pi - 0.3),
-            caps=80, tol=1e-8), verify.b2a_elementary_rhs))
-        configs.append(("C4.5-elem", verify.TheoremConfig(
-            theorem="C4.5", nu=-2.0, m=m, r=1.0, rp=2.0,
-            thetas=_default_angles(rng, 1, 0.3, 0.5 * math.pi - 0.3),
-            thetasp=_default_angles(rng, 1, 0.3, 0.5 * math.pi - 0.3),
-            phis=_default_angles(rng, 1, 0.0, 2.0 * math.pi),
-            phisp=_default_angles(rng, 1, 0.0, 2.0 * math.pi),
-            caps=80, tol=1e-8), verify.ca2_elementary_rhs))
+    for nus, ms, tol, members in _SUITE:
+        for nu, m, (label, fn) in itertools.product(nus, ms, members):
+            theorem = label.split("-")[0]
+            configs.append((label, verify.TheoremConfig(
+                theorem=theorem, nu=nu, m=m, r=1.0, rp=2.0, caps=80, tol=tol,
+                **_geometry(theorem, rng)), getattr(verify, fn)))
     return configs
 
 
 def _run_suite(args) -> int:
-    rows = []
+    lines = ["index,theorem,nu,m,lhs,rhs,rel_err,status"]
     worst = EXIT_PASS
     for idx, (label, cfg, fn) in enumerate(_suite_configs(args.seed)):
         rep = fn(cfg)
-        rows.append((idx, label, cfg.nu, cfg.m, rep.lhs, rep.rhs,
-                     rep.rel_err, rep.status))
-        if rep.status == "truncation_insufficient":
-            worst = max(worst, EXIT_TRUNCATION)
-        elif rep.status != "pass":
-            worst = max(worst, EXIT_MATH_FAIL)
-    lines = ["index,theorem,nu,m,lhs,rhs,rel_err,status"]
-    for idx, label, nu, m, lhs, rhs, rel, status in rows:
-        lines.append(f"{idx},{label},{format(nu, '.17g')},{m},"
-                     f"{format(lhs, '.17g')},{format(rhs, '.17g')},"
-                     f"{format(rel, '.17g')},{status}")
+        worst = max(worst, _STATUS_EXIT[rep.status])
+        lines.append(f"{idx},{label},{format(cfg.nu, '.17g')},{cfg.m},"
+                     f"{format(rep.lhs, '.17g')},{format(rep.rhs, '.17g')},"
+                     f"{format(rep.rel_err, '.17g')},{rep.status}")
     _write_output("\n".join(lines) + "\n", args.out)
     return worst
 
@@ -369,25 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
         tc.set_defaults(func=cmd_trees)
 
     p_exp = sub.add_parser("expand", help="evaluate one expansion vs its oracle")
-    p_exp.add_argument("expansion", choices=["jacobi", "gegenbauer", "chebyshev",
-                                             "multipole", "azimuthal",
-                                             "fourier-int", "fourier-neg"])
-    p_exp.add_argument("--nu", type=float, default=1.0)
-    p_exp.add_argument("--alpha", type=float, default=0.0)
-    p_exp.add_argument("--beta", type=float, default=0.0)
-    p_exp.add_argument("--mu", type=float, default=0.5)
-    p_exp.add_argument("--z", type=float, default=2.0)
-    p_exp.add_argument("--x", type=float, default=0.0)
-    p_exp.add_argument("--p", type=int, default=2)
-    p_exp.add_argument("--q", type=int, default=1)
-    p_exp.add_argument("--d", type=int, default=3)
-    p_exp.add_argument("--r", type=float, default=1.0)
-    p_exp.add_argument("--rp", type=float, default=2.0)
-    p_exp.add_argument("--cosg", type=float, default=0.3)
-    p_exp.add_argument("--R", type=float, default=1.0)
-    p_exp.add_argument("--Rp", type=float, default=1.5)
-    p_exp.add_argument("--h", type=float, default=1.0)
-    p_exp.add_argument("--dphi", type=float, default=1.0)
+    p_exp.add_argument("expansion", choices=list(_EXPANSIONS))
+    for name, default in _EXPAND_DEFAULTS.items():
+        p_exp.add_argument(f"--{name}", type=type(default), default=default)
     p_exp.add_argument("--tol", type=float, default=1e-9)
     p_exp.add_argument("--max-terms", type=int, default=2000)
     p_exp.add_argument("--trace", action="store_true")
@@ -430,22 +411,9 @@ def main(argv=None) -> int:
         parser.error("verify needs a theorem id or --suite")
     try:
         return args.func(args)
-    except TreeParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except ExclusionSetError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_EXCLUSION
-    except ConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_CONVERGENCE
     except (PolyKernelError, ValueError, OverflowError) as exc:
-        # Every other library error (a pole, the near-one guard, a domain
-        # error) is input the functions are not defined for; exit 1 is kept
-        # for a verification whose two sides disagree.
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID_INPUT
-
+        return next(code for kinds, code in _ERROR_EXIT if isinstance(exc, kinds))
 
 if __name__ == "__main__":
     sys.exit(main())

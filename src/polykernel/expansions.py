@@ -53,6 +53,13 @@ class Truncation:
     tol: float = 1e-12
     max_terms: int = 2000
 
+    def __post_init__(self):
+        # a tol <= 0 or NaN no term can meet would run every sum to max_terms
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
+        if self.max_terms < 1:
+            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+
 
 DEFAULT_TRUNCATION = Truncation()
 
@@ -379,7 +386,7 @@ def multipole_power(d: int, nu: float, r: float, rp: float, cos_gamma: float,
         elif n >= 2:
             c_prev, c_cur = c_cur, (2.0 * cos_gamma * (n + mu - 1.0) * c_cur
                                     - (n + 2.0 * mu - 2.0) * c_prev) / n
-        qhat = legendre_q_hat(n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z).value
+        qhat = legendre_q_hat(n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z)
         if acc.add(pref * (2.0 * n + d - 2.0) * qhat * c_cur):
             break
     return acc.result()

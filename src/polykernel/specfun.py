@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -172,23 +170,7 @@ def hyp_3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float
     return s
 
 
-@dataclass(frozen=True)
-class PhaseFreeQ:
-    """Real value of Qhat_nu^mu(z) = e^{-i pi mu} Q_nu^mu(z).
-
-    ``phase_exponent`` records the removed phase: the multiple of pi in the
-    exponent of the stripped factor e^{-i pi mu}, stored exactly (every
-    double is a dyadic rational).
-    """
-
-    value: float
-    phase_exponent: Fraction
-
-    def __float__(self):
-        return self.value
-
-
-def legendre_q_hat(nu: float, mu: float, z: float) -> PhaseFreeQ:
+def legendre_q_hat(nu: float, mu: float, z: float) -> float:
     """Phase-free associated Legendre function of the second kind, z > 1.
 
     Uses the hypergeometric series in 1/z^2.  It converges for every z > 1
@@ -220,8 +202,7 @@ def legendre_q_hat(nu: float, mu: float, z: float) -> PhaseFreeQ:
     f, log_scale, _ = _hyp2f1_series(0.5 * (nu + mu + 1.0),
                                      0.5 * (nu + mu + 2.0),
                                      nu + 1.5, 1.0 / (z * z))
-    value = _exp_combine(sign_t * sign_b, log_pref + log_scale, f)
-    return PhaseFreeQ(value=value, phase_exponent=-Fraction(mu))
+    return _exp_combine(sign_t * sign_b, log_pref + log_scale, f)
 
 
 def _minimal_ratios(coeffs, k0: int, n: int, z: float) -> np.ndarray:
@@ -287,7 +268,7 @@ def legendre_q_hat_column(nu0: float, mu: float, z: float, n: int,
         # {-3/2, -5/2, ...} stay bad one degree down, so if any degree of the
         # column is bad the bottom one is, and this call raises its error.
         col = np.empty(n)
-        col[0] = legendre_q_hat(nu0, mu, z).value
+        col[0] = legendre_q_hat(nu0, mu, z)
         col[1:] = _minimal_ratios(coeffs, 1, n - 1, z)
         col = np.cumprod(col)
     else:
@@ -299,7 +280,7 @@ def legendre_q_hat_column(nu0: float, mu: float, z: float, n: int,
         # |Q| decreases with the degree out here: once a value rounds to
         # zero, every higher degree does too.
         for k in range(small[0], n):
-            col[k] = legendre_q_hat(nu0 + k, mu, z).value
+            col[k] = legendre_q_hat(nu0 + k, mu, z)
             if col[k] == 0.0:
                 col[k:] = 0.0
                 break

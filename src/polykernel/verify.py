@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (CoincidentRadiusError, ExclusionSetError, SingularConfigurationError,
-                     radial_range_error, require_finite)
+from .errors import (CoincidentRadiusError, DomainError, ExclusionSetError,
+                     SingularConfigurationError, radial_range_error, require_finite)
 from .polyspherical import (Tree, _cos_separation, hopf_heap_to_preorder, hopf_tree,
                             node_pair_table, parse_tree)
 from .specfun import _is_int, legendre_q_hat, legendre_q_hat_column
@@ -202,7 +202,9 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
     z = (r^2+r'^2)/(2rr').  An elementary reduction (nu = 2 - d) takes R,
     and at d = 4 also the lhs Qhat_{m-1/2}^{1/2}(chi), in closed form.
     cos g comes from the unchecked tree walk: `_check_geometry` bounds the
-    polar angles, and the azimuths are 0 or already reduced mod 2 pi.
+    polar angles, and the azimuths are 0 or already reduced mod 2 pi.  A rho
+    that underflows to 0, a chi whose square leaves double range, or fold
+    weights that overflow raise DomainError before any Legendre function.
     """
     _check_geometry(cfg, tree, angles, anglesp)
     nu, m, r, rp, d = cfg.nu, cfg.m, cfg.r, cfg.rp, tree.dimension
@@ -214,13 +216,6 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
         z = math.inf            # a square, product or power past double range
     if not math.isfinite(z):
         raise radial_range_error(r=r, rp=rp)
-    a_nodes = [node for node in tree.branching_nodes if node.kind == "a"]
-    orders = np.arange(cfg.caps + 1)
-    leaves = [np.eye(m + 1)[m]] + [np.where(orders, 2.0, 1.0) * np.cos(
-        orders * (angles[node.index] - anglesp[node.index])) for node in a_nodes[1:]]
-    w = _fold(tree, cfg.caps, angles, anglesp, leaves, top)
-    nz = np.flatnonzero(w).tolist()
-    lo, w = nz[0], w[nz[0]:nz[-1] + 1]
     node, rho = tree.root, 1.0
     while node.kind != "a":
         t, tp = angles[node.index], anglesp[node.index]
@@ -228,8 +223,23 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
             node, rho = node.left, rho * (math.cos(t) * math.cos(tp))
         else:
             node, rho = node.right, rho * (math.sin(t) * math.sin(tp))
+    if rho == 0.0:
+        raise DomainError("rho, the product of the cosines and sines of the angles on the"
+                          " path to the distinguished leaf, underflows to 0")
     chi = ((r * r + rp * rp - 2.0 * r * rp * (_cos_separation(tree, angles, anglesp) - rho))
            / (2.0 * r * rp * rho))
+    if not math.isfinite(chi * chi):
+        raise DomainError(f"chi = {chi}: the separation variable leaves double range")
+    a_nodes = [node for node in tree.branching_nodes if node.kind == "a"]
+    orders = np.arange(cfg.caps + 1)
+    leaves = [np.eye(m + 1)[m]] + [np.where(orders, 2.0, 1.0) * np.cos(
+        orders * (angles[node.index] - anglesp[node.index])) for node in a_nodes[1:]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _fold(tree, cfg.caps, angles, anglesp, leaves, top)
+    if not np.isfinite(w).all():
+        raise DomainError(f"the fold weights leave double range at d = {d}")
+    nz = np.flatnonzero(w).tolist()
+    lo, w = nz[0], w[nz[0]:nz[-1] + 1]
     deg = lo + 0.5 * (d - 3.0)
     if elementary:
         if nu != 2.0 - d:
@@ -240,7 +250,7 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
     if elementary and d == 4:
         lhs = float(_qhat_half(m - 0.5, 0.5, chi))
     else:
-        lhs = legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi).value
+        lhs = legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi)
     terms = (w * radial).tolist()
     pref = (2.0 ** (1 - len(a_nodes)) * math.pi ** (0.5 * d - len(a_nodes))
             * rho ** (-0.5 * nu) * 2.0 ** (-0.5 * (nu + 1.0))

@@ -24,7 +24,7 @@ def _z(r, rp):
 
 
 def _lhs(nu, m, chi):
-    return sf.legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi).value
+    return sf.legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi)
 
 
 def _radial_power(nu, d, r, rp):
@@ -54,7 +54,7 @@ def ba_sides(nu, m, r, rp, theta, thetap, caps):
     """C4.3: sum over l of (2l+1) (l-m)!/(l+m)! Qhat_l P_l^m P_l^m."""
     chi = chi_ba(r, rp, theta, thetap)
     terms = [(2 * l + 1) * math.factorial(l - m) / math.factorial(l + m)
-             * sf.legendre_q_hat(float(l), -0.5 * (nu + 2.0), _z(r, rp)).value
+             * sf.legendre_q_hat(float(l), -0.5 * (nu + 2.0), _z(r, rp))
              * sf.ferrers_p(l, m, math.cos(theta)) * sf.ferrers_p(l, m, math.cos(thetap))
              for l in range(m, m + caps + 1)]
     pref = (math.sqrt(math.pi) * 2.0 ** (-0.5 * (nu + 3.0))
@@ -67,7 +67,7 @@ def b2a_sides(nu, m, r, rp, thetas, thetasp, caps):
     """C4.4: double sum over l_1 >= l_2 >= m of Theta pairs times Qhat_{l_1+1/2}."""
     chi = chi_b2a(r, rp, thetas, thetasp)
     L = m + caps
-    q = [sf.legendre_q_hat(l1 + 0.5, -0.5 * (nu + 3.0), _z(r, rp)).value
+    q = [sf.legendre_q_hat(l1 + 0.5, -0.5 * (nu + 3.0), _z(r, rp))
          for l1 in range(L + 1)]
     terms = []
     for l2 in range(m, L + 1):
@@ -93,7 +93,7 @@ def ca2_sides(nu, m1, r, rp, vt, vtp, f2, f2p, caps):
         for n in range(caps + 1):
             deg = m1 + m2 + 2 * n
             if deg not in q:
-                q[deg] = sf.legendre_q_hat(deg + 0.5, -0.5 * (nu + 3.0), _z(r, rp)).value
+                q[deg] = sf.legendre_q_hat(deg + 0.5, -0.5 * (nu + 3.0), _z(r, rp))
             terms.append(azimuthal * ps.hopf_upsilon(2, 1, n, m1, m2, vt)
                          * ps.hopf_upsilon(2, 1, n, m1, m2, vtp) * q[deg])
     pref = (2.0 ** (-0.5 * (nu + 1.0)) * (math.cos(vt) * math.cos(vtp)) ** (-0.5 * nu)
@@ -177,7 +177,7 @@ def hopf_q3_sides(nu, m1, r, rp, thetas, thetasp, phis, phisp, caps):
                         for n1 in ks:
                             deg = l2 + l3 + 2 * n1
                             if deg not in q:
-                                q[deg] = sf.legendre_q_hat(deg + 2.5, -0.5 * (nu + 7.0), z).value
+                                q[deg] = sf.legendre_q_hat(deg + 2.5, -0.5 * (nu + 7.0), z)
                             terms.append(w * pair(2, n2, m1, m2) * pair(3, n3, m3, m4)
                                          * pair(1, n1, l2, l3) * q[deg])
     pref = (2.0 ** (-0.5 * (nu + 1.0)) * rho ** (-0.5 * nu)
@@ -202,7 +202,7 @@ def chebyshev_sum(nu, z, x):
     sum_n eps_n T_n(x) Qhat_{n-1/2}^{nu-1/2}(z)."""
     theta = math.acos(x)
     terms = [(2.0 if n else 1.0) * math.cos(n * theta)
-             * sf.legendre_q_hat(n - 0.5, nu - 0.5, z).value for n in range(_degrees(z))]
+             * sf.legendre_q_hat(n - 0.5, nu - 0.5, z) for n in range(_degrees(z))]
     return (math.sqrt(2.0) / (math.sqrt(math.pi) * math.gamma(nu)
                               * (z * z - 1.0) ** (0.5 * nu - 0.25)) * math.fsum(terms))
 
@@ -211,7 +211,7 @@ def gegenbauer_sum(nu, mu, z, x):
     """(z - x)^{-nu} = 2^{mu+1/2} Gamma(mu) / (sqrt(pi) Gamma(nu)
     (z^2-1)^{(nu-mu)/2-1/4}) sum_n (n+mu) C_n^mu(x) Qhat_{n+mu-1/2}^{nu-mu-1/2}(z)."""
     terms = [(n + mu) * float(mp.gegenbauer(n, mu, x))
-             * sf.legendre_q_hat(n + mu - 0.5, nu - mu - 0.5, z).value
+             * sf.legendre_q_hat(n + mu - 0.5, nu - mu - 0.5, z)
              for n in range(_degrees(z))]
     return (2.0 ** (mu + 0.5) * math.gamma(mu)
             / (math.sqrt(math.pi) * math.gamma(nu) * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25))

@@ -4,12 +4,14 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+from oracle_sums import _lhs, chi_b2a, chi_ba, chi_ca2
 from polykernel import cli
 
 
@@ -107,6 +109,22 @@ class TestExpand:
         assert lines[0] == "level,index,term,partial,rel_err"
         assert len(lines) > 3
 
+    @pytest.mark.parametrize("kind, keys", [
+        ("jacobi", ["nu", "alpha", "beta", "z", "x"]),
+        ("gegenbauer", ["nu", "mu", "z", "x"]),
+        ("chebyshev", ["nu", "z", "x"]),
+        ("multipole", ["d", "nu", "r", "rp", "cosg"]),
+        ("azimuthal", ["nu", "R", "Rp", "h", "dphi", "chi"]),
+        ("fourier-int", ["p", "z", "x"]),
+        ("fourier-neg", ["q", "z", "x"]),
+    ])
+    def test_defaults_and_params_order(self, capsys, kind, keys):
+        code, out, _ = run(["expand", kind], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert list(report["params"]) == keys
+        assert report["converged"] is True and report["rel_err"] < 1e-8
+
     def test_fourier_int(self, capsys):
         code, out, _ = run(["expand", "fourier-int", "--p", "3", "--z", "1.5",
                             "--x", "-0.2"], capsys)
@@ -155,6 +173,48 @@ class TestVerify:
         run(["verify", "--suite", "--out", str(out2)], capsys)
         assert out_path.read_bytes() == out2.read_bytes()
 
+    @staticmethod
+    def _suite_rows(seed):
+        """The 17 suite rows (label, nu, m, lhs) rebuilt from the documented
+        draw order: C4.3 over nu = -1, -2.5 and m = 0, 1, 2; C4.4 and C4.5
+        over m = 0, 1; C4.3-elem over m = 0, 1, 2; then C4.4-elem and
+        C4.5-elem alternating for m = 0, 1.  Each row draws its first point's
+        polar angles, the second's, then the two points' azimuths."""
+        rng = random.Random(seed)
+
+        def draw(n, lo, hi):
+            return [rng.uniform(lo, hi) for _ in range(n)]
+
+        plan = ([("C4.3", nu, m) for nu in (-1.0, -2.5) for m in (0, 1, 2)]
+                + [(label, -2.0, m) for label in ("C4.4", "C4.5") for m in (0, 1)]
+                + [("C4.3-elem", -1.0, m) for m in (0, 1, 2)]
+                + [(label, -2.0, m) for m in (0, 1) for label in ("C4.4-elem", "C4.5-elem")])
+        rows = []
+        for label, nu, m in plan:
+            if label.startswith("C4.5"):
+                (vt,), (vtp,) = draw(1, 0.3, 0.5 * math.pi - 0.3), draw(1, 0.3, 0.5 * math.pi - 0.3)
+                (f2,), (f2p,) = draw(1, 0.0, 2.0 * math.pi), draw(1, 0.0, 2.0 * math.pi)
+                chi = chi_ca2(1.0, 2.0, vt, vtp, f2, f2p)
+            elif label.startswith("C4.4"):
+                chi = chi_b2a(1.0, 2.0, draw(2, 0.3, math.pi - 0.3), draw(2, 0.3, math.pi - 0.3))
+            else:
+                (t,), (tp,) = draw(1, 0.3, math.pi - 0.3), draw(1, 0.3, math.pi - 0.3)
+                chi = chi_ba(1.0, 2.0, t, tp)
+            rows.append((label, nu, m, _lhs(nu, m, chi)))
+        return rows
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_suite_layout(self, capsys, seed):
+        code, out, _ = run(["verify", "--suite", "--seed", str(seed)], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()[1:]
+        want = self._suite_rows(seed)
+        assert len(lines) == len(want) == 17
+        for idx, (line, (label, nu, m, lhs)) in enumerate(zip(lines, want)):
+            fields = line.split(",")
+            assert fields[:4] == [str(idx), label, format(nu, ".17g"), str(m)]
+            assert abs(float(fields[4]) - lhs) <= 1e-14 * abs(lhs)
+
     def test_suite_leaves_numpy_random_unloaded(self):
         # numpy loads numpy.random lazily and it costs about 5 MB of RSS;
         # the default angles are drawn with the standard library instead
@@ -181,6 +241,9 @@ class TestVerify:
         ["verify", "C4.3", "--theta", "0"],                  # polar angle on the axis
         ["verify", "C4.5", "--thetas", "1.7"],               # Hopf angle past pi/2
         ["expand", "azimuthal", "--R", "0", "--Rp", "0"],    # points on the axis
+        # these drew 2 ** (q - 1) - 1 angles before any check: a TypeError traceback
+        ["verify", "T4.2", "--q", "0"],
+        ["verify", "T4.2", "--q", "-3"],
     ])
     def test_bad_geometry_exit6(self, capsys, argv):
         # invalid input, not a verification math failure (exit 1)
@@ -207,6 +270,17 @@ class TestVerify:
         code, out, err = run(argv, capsys)
         assert code == 6
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("flags, message", [
+        # these ran every sum to max_terms and exited 4, "series not converged"
+        (["--tol", "-1"], "tol must be a positive finite number"),
+        (["--tol", "nan"], "tol must be a positive finite number"),
+        (["--max-terms", "-3"], "max_terms must be >= 1"),
+    ])
+    def test_expand_bad_truncation_exit6(self, capsys, flags, message):
+        code, out, err = run(["expand", "chebyshev"] + flags, capsys)
+        assert code == 6
+        assert out == "" and err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("argv, name", [
         # these ran the 2F1 series to its term cap and exited 4
@@ -251,6 +325,22 @@ class TestVerify:
             code, out, err = run(argv, capsys)
         assert code == 6
         assert out == "" and err.startswith(f"error: {names}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        # lhs = rhs = "nan", reported as "fail" with exit 1
+        (["verify", "T4.1", "--d", "600", "--caps", "2"], "chi = "),
+        # rhs "nan", reported as "truncation_insufficient" after numpy warnings
+        (["verify", "T4.1", "--d", "500"], "the fold weights leave double range"),
+        # a ZeroDivisionError traceback
+        (["verify", "C4.3", "--theta", "1e-200", "--thetap", "1e-200"], "rho, "),
+    ])
+    def test_certificate_past_double_range_exit6(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert code == 6
+        assert out == "" and err.startswith(f"error: {message}")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flags, message", [

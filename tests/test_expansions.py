@@ -265,6 +265,22 @@ class TestOracleConvergenceGrid:
                         assert abs(value - want) < 1e-8 * abs(want)
 
 
+class TestTruncation:
+    @pytest.mark.parametrize("tol, max_terms, message", [
+        (-1.0, 2000, "^tol must be a positive finite number"),
+        (0.0, 2000, "^tol must be a positive finite number"),
+        (math.nan, 2000, "^tol must be a positive finite number"),
+        (math.inf, 2000, "^tol must be a positive finite number"),
+        (1e-9, 0, "^max_terms must be >= 1"),
+        (1e-9, -3, "^max_terms must be >= 1"),
+    ])
+    def test_rejected(self, tol, max_terms, message):
+        # no term meets a tol <= 0 or NaN: every sum ran to max_terms and
+        # raised ConvergenceError, as did every sum under max_terms < 1
+        with pytest.raises(ValueError, match=message):
+            ex.Truncation(tol=tol, max_terms=max_terms)
+
+
 class TestArgumentDomain:
     @pytest.mark.parametrize("call", [
         lambda: ex.euler_kernel_chebyshev(2.5, 2.0, 1.5),

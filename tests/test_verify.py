@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestVerifyBa:
         chi, _ = chi_standard(1.0, 2.0, cfg.thetas, cfg.thetasp)
         assert chi == pytest.approx(1.25)
         rep = vf.verify_ba(cfg)
-        assert rep.lhs == pytest.approx(sf.legendre_q_hat(-0.5, 0.0, 1.25).value, rel=1e-14)
+        assert rep.lhs == pytest.approx(sf.legendre_q_hat(-0.5, 0.0, 1.25), rel=1e-14)
         assert rep.passed
 
     def test_exclusion(self):
@@ -146,7 +147,7 @@ class TestVerifyCa2:
         assert chi == pytest.approx(want, rel=1e-14)
         rep = vf.verify_ca2(cfg)
         # the report's lhs is Qhat at the verifier's chi
-        assert rep.lhs == pytest.approx(sf.legendre_q_hat(-0.5, 0.5, want).value, rel=1e-14)
+        assert rep.lhs == pytest.approx(sf.legendre_q_hat(-0.5, 0.5, want), rel=1e-14)
         assert rep.passed
 
     def test_exclusion(self):
@@ -298,7 +299,7 @@ class TestIndependentOracles:
             for chi in (1.3, 2.0, 4.5):
                 for m in (0, 1, 3):
                     got = vf.azimuthal_coefficient_quadrature(nu, chi, m)
-                    want = sf.legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi).value
+                    want = sf.legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi)
                     assert abs(got - want) <= 1e-8 * max(1e-6, abs(want))
 
     def test_ba_rhs_per_degree_sum(self):
@@ -371,6 +372,22 @@ class TestReportMechanics:
         # 'Numerical result out of range')" or ZeroDivisionError before
         with pytest.raises(DomainError, match=re.escape(f"r = {r}, rp = {rp}: ")):
             vf.verify_ba(ba_cfg(-1.0, 0, r=r, rp=rp))
+
+    @pytest.mark.parametrize("cfg, message", [
+        # rho = sin(1e-200)^2 underflows: a ZeroDivisionError before
+        (ba_cfg(-1.0, 0, theta=1e-200, thetap=1e-200), "^rho, "),
+        # chi about 3e232, its square past double range
+        (vf.TheoremConfig(theorem="T4.1", nu=-1.0, d=300, thetas=(0.4,) * 298,
+                          thetasp=(2.7,) * 298, caps=20), "^chi = "),
+        # the b-node weights overflow while chi^2 stays finite
+        (vf.TheoremConfig(theorem="T4.1", nu=-1.0, d=600, thetas=(1.0,) * 598,
+                          thetasp=(1.2,) * 598, caps=20), "^the fold weights leave double range"),
+    ])
+    def test_certificate_past_double_range_rejected_by_name(self, cfg, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                vf.run_verification(cfg)
 
     @pytest.mark.parametrize("cfg", [
         ba_cfg(-1.0, 0, theta=0.0),
