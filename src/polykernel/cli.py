@@ -11,9 +11,10 @@ Exit codes: 0 success/pass, 1 verification math failure (the two sides of a
 option value, an argument outside a function's domain, a pole, an argument
 too close to a singular point, or a result beyond double range).  Exit 6
 covers a --tol that is not a positive finite number, a --max-terms below 1,
-a --q below 2 or --d below 3, and a certificate whose rho (the cos/sin
-product on the path to the distinguished leaf) underflows or whose chi or
-fold weights leave double range.
+a --q outside [2, MAX_Q] or --d below 3, a tree more than
+polyspherical.MAX_TREE_DEPTH nodes deep, and a certificate whose rho (the
+cos/sin product on the path to the distinguished leaf) underflows or whose
+chi or fold weights leave double range.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_TRUNCATION = 5
 EXIT_INVALID_INPUT = 6
 
 SCHEMA = "polykernel/1"
+MAX_Q = 6       # the largest Hopf-tree q (on R^(2^q)); see _geometry
 
 # The first matching error type sets the exit code.  Every other library error
 # (a pole, the near-one guard, a domain error) is input the functions are not
@@ -54,20 +56,6 @@ _ERROR_EXIT = ((TreeParseError, EXIT_PARSE), (ExclusionSetError, EXIT_EXCLUSION)
 
 
 # --- deterministic serialization --------------------------------------------
-
-def _fmt_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        if math.isnan(x):
-            return '"nan"'
-        return format(x, ".17g")
-    raise TypeError(f"not a number: {x!r}")
-
 
 def _fmt_string(s: str) -> str:
     out = ['"']
@@ -84,28 +72,54 @@ def _fmt_string(s: str) -> str:
     return "".join(out)
 
 
-def emit_json(obj, indent: int = 0) -> str:
-    """Serialize with insertion-ordered keys and .17g floats."""
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
+def _fmt_leaf(obj) -> str:
+    """A scalar or an empty container."""
     if obj is None:
         return "null"
     if isinstance(obj, str):
         return _fmt_string(obj)
-    if isinstance(obj, (bool, int, float)):
-        return _fmt_number(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(f"{pad_in}{_fmt_string(str(k))}: {emit_json(v, indent + 1)}"
-                           for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad_in}{emit_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return format(obj, ".17g")
+        return '"nan"' if math.isnan(obj) else '"inf"' if obj > 0 else '"-inf"'
+    if isinstance(obj, (dict, list, tuple)):
+        return "{}" if isinstance(obj, dict) else "[]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def emit_json(obj, indent: int = 0) -> str:
+    """Serialize with insertion-ordered keys and .17g floats.
+
+    Iterative, so any depth serializes: the stack holds each open container's
+    (prefix, value) entries still to write, its closing bracket and indent.
+    """
+    out = []
+    stack = [(iter((("", obj),)), "", indent - 1)]     # obj as a one-entry container
+    while stack:
+        entries, close, level = stack[-1]
+        for prefix, value in entries:
+            out.append(prefix)
+            if not isinstance(value, (dict, list, tuple)) or not value:
+                out.append(_fmt_leaf(value))
+                continue
+            pad_in = "\n" + "  " * (level + 2)
+            if isinstance(value, dict):
+                heads = [f",{pad_in}{_fmt_string(str(k))}: " for k in value]
+                values, brackets = value.values(), "{}"
+            else:
+                heads, values, brackets = ["," + pad_in] * len(value), value, "[]"
+            heads[0] = heads[0][1:]
+            out.append(brackets[0])
+            stack.append((zip(heads, values), brackets[1], level + 1))
+            break
+        else:
+            stack.pop()
+            out.append("\n" + "  " * level + close if stack else "")
+    return "".join(out)
 
 
 def _write_output(text: str, out_path: str | None):
@@ -246,13 +260,19 @@ def _geometry(theorem, rng, d=3, q=2, texts=(None,) * 4):
     C4.3/C4.4 fix d and C4.5 fixes q, and the tree sets how many polar angles
     and azimuths a point has.  Each list is parsed from its comma-separated
     text or, where that is None, drawn from rng in this order: polar angles
-    0.3 inside their range, azimuths from [0, 2 pi).
+    0.3 inside their range, azimuths from [0, 2 pi).  q is checked against
+    MAX_Q before any angle is drawn: the lists double in length with q, and
+    the certificate's node tables grow faster still (a q = 3, caps = 30
+    certificate already peaks at 13.4 MiB), so a larger q has no use and an
+    unchecked one (--q 40) would exhaust memory drawing angles.
     """
     d = {"C4.3": 3, "C4.4": 4}.get(theorem, d)
     q = 2 if theorem == "C4.5" else q
     if theorem in ("T4.2", "C4.5"):
         if q < 2:
             raise ValueError("need q >= 2")
+        if q > MAX_Q:
+            raise ValueError(f"need q <= {MAX_Q}")
         n_theta = n_phi = 2 ** (q - 1) - 1     # heap-ordered c nodes; phi_2, phi_3, ...
         hi = 0.5 * math.pi
     else:

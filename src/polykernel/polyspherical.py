@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     AngleRangeError,
+    DomainError,
     InadmissibleKeyError,
     TrailingTokens,
     UnexpectedEnd,
@@ -49,6 +50,7 @@ ANGLE_RANGES = {
     "b'": (-0.5 * math.pi, 0.5 * math.pi, True),
     "c": (0.0, 0.5 * math.pi, True),
 }
+MAX_TREE_DEPTH = 600    # see parse_tree
 
 
 @dataclass(frozen=True)
@@ -152,12 +154,19 @@ def _tokenize(spec: str):
 
 
 def parse_tree(spec: str) -> Tree:
-    """Parse the preorder naming language into a Tree."""
+    """Parse the preorder naming language into a Tree.
+
+    A tree more than MAX_TREE_DEPTH nodes deep raises DomainError, so that no
+    walk over a tree (each recurses once per level) nears the interpreter's
+    default recursion limit of 1000 frames.
+    """
     tokens = _tokenize(spec)
     cursor = [0]
     counter = [0]
 
-    def parse_node():
+    def parse_node(depth=1):
+        if depth > MAX_TREE_DEPTH:
+            raise DomainError(f"the tree is more than {MAX_TREE_DEPTH} nodes deep")
         if cursor[0] >= len(tokens):
             pos = tokens[-1][1] + 1 if tokens else 0
             raise UnexpectedEnd("input ended while a subtree was expected", pos)
@@ -169,12 +178,12 @@ def parse_tree(spec: str) -> Tree:
         if tok == "a":
             left = right = None
         elif tok == "b":
-            left, right = None, parse_node()
+            left, right = None, parse_node(depth + 1)
         elif tok == "b'":
-            left, right = parse_node(), None
+            left, right = parse_node(depth + 1), None
         else:  # c
-            left = parse_node()
-            right = parse_node()
+            left = parse_node(depth + 1)
+            right = parse_node(depth + 1)
         return TreeNode(kind=tok, left=left, right=right, index=index,
                         leaf_count=_leaf_count(left) + _leaf_count(right))
 

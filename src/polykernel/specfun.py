@@ -27,6 +27,7 @@ _MAX_TERMS = 100_000
 _STOP_REL = 1e-16
 _NEAR_ONE_GUARD = 1e-6
 _NORMAL_MIN = sys.float_info.min
+_LOG_1E100 = 100.0 * math.log(10.0)
 
 
 def _nonpositive_int(x, tol=1e-12):
@@ -78,12 +79,15 @@ def _hyp2f1_series(a, b, c, x, max_terms=_MAX_TERMS):
     Returns (mantissa, log_scale, terms) with value = mantissa * exp(log_scale).
     Rescaling keeps partial sums representable when the value itself would
     overflow a double (large-degree Legendre/Jacobi prefactors cancel it).
+
+    Invariant: each term does the same IEEE operations in the same order as
+    the reference loop in tests/oracle_sums.py, and the stop rule, the term
+    cap and the rescale act on the same terms, so the result and any error
+    are the reference's bit for bit.  The convergent loop counts n in a
+    float (a + n is exact below 2^53).
     """
-    na = _nonpositive_int(a)
-    nb = _nonpositive_int(b)
-    n_stop = None
-    if na is not None or nb is not None:
-        n_stop = min(-n for n in (na, nb) if n is not None)
+    stops = [-n for n in (_nonpositive_int(a), _nonpositive_int(b)) if n is not None]
+    n_stop = min(stops) if stops else None
     nc = _nonpositive_int(c)
     if nc is not None and (n_stop is None or n_stop > -nc):
         raise ParameterPoleError(
@@ -92,37 +96,42 @@ def _hyp2f1_series(a, b, c, x, max_terms=_MAX_TERMS):
         raise ConvergenceError(
             f"2F1 series diverges for |x| = {abs(x)} >= 1 without termination")
 
-    s = 1.0
-    comp = 0.0
-    t = 1.0
-    log_scale = 0.0
+    s, comp, t, log_scale = 1.0, 0.0, 1.0, 0.0
+    if n_stop is not None:
+        for n in range(n_stop):
+            t *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+            y = t - comp
+            tmp = s + y
+            comp = (tmp - s) - y
+            s = tmp
+            if abs(s) > 1e250 or abs(t) > 1e250:
+                s, comp, t = s * 1e-100, comp * 1e-100, t * 1e-100
+                log_scale += _LOG_1E100
+        return s, log_scale, n_stop
+    stop, cap = _STOP_REL, float(max_terms)
     small_run = 0
-    n = 0
+    n = 0.0
     while True:
-        if n_stop is not None and n >= n_stop:
-            break
-        t *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-        n += 1
+        n1 = n + 1.0
+        t *= (a + n) * (b + n) / ((c + n) * n1) * x
+        n = n1
         y = t - comp
         tmp = s + y
         comp = (tmp - s) - y
         s = tmp
-        if n_stop is None:
-            if abs(t) < _STOP_REL * abs(s):
-                small_run += 1
-                if small_run >= 3:
-                    break
-            else:
-                small_run = 0
-            if n >= max_terms:
-                raise ConvergenceError(
-                    f"2F1 did not converge within {max_terms} terms")
-        if abs(s) > 1e250 or abs(t) > 1e250:
-            s *= 1e-100
-            comp *= 1e-100
-            t *= 1e-100
-            log_scale += 100.0 * math.log(10.0)
-    return s, log_scale, n
+        abs_t = abs(t)
+        abs_s = abs(s)
+        if abs_t < stop * abs_s:
+            small_run += 1
+            if small_run == 3:
+                return s, log_scale, int(n)
+        else:
+            small_run = 0
+        if n >= cap:
+            raise ConvergenceError(f"2F1 did not converge within {max_terms} terms")
+        if abs_s > 1e250 or abs_t > 1e250:
+            s, comp, t = s * 1e-100, comp * 1e-100, t * 1e-100
+            log_scale += _LOG_1E100
 
 
 def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
@@ -329,10 +338,7 @@ def _legendre_p_recurrence(l, m, z):
         pmm *= (2 * k - 1) * math.sqrt(z * z - 1.0)
     if l == m:
         return pmm
-    pm1 = z * (2 * m + 1) * pmm
-    if l == m + 1:
-        return pm1
-    prev, cur = pmm, pm1
+    prev, cur = pmm, z * (2 * m + 1) * pmm
     for ll in range(m + 2, l + 1):
         prev, cur = cur, ((2 * ll - 1) * z * cur - (ll + m - 1) * prev) / (ll - m)
     return cur
@@ -358,17 +364,11 @@ def ferrers_p(l: int, m: int, x) -> float:
         s = np.sqrt(1.0 - xa * xa)
         for k in range(1, m + 1):
             pmm = pmm * (-(2 * k - 1)) * s
-    if l == m:
-        out = pmm
-    else:
-        pm1 = xa * (2 * m + 1) * pmm
-        if l == m + 1:
-            out = pm1
-        else:
-            prev, cur = pmm, pm1
-            for ll in range(m + 2, l + 1):
-                prev, cur = cur, ((2 * ll - 1) * xa * cur - (ll + m - 1) * prev) / (ll - m)
-            out = cur
+    out = pmm
+    if l > m:
+        prev, out = pmm, xa * (2 * m + 1) * pmm
+        for ll in range(m + 2, l + 1):
+            prev, out = out, ((2 * ll - 1) * xa * out - (ll + m - 1) * prev) / (ll - m)
     return out if np.ndim(x) else float(out)
 
 

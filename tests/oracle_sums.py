@@ -7,8 +7,9 @@ degree at a time instead, and write out chi and the prefactors themselves,
 so a test that compares the two checks the fold against code it does not
 share.  Each `*_sides` function returns (lhs, rhs); the `chi_*` functions
 return chi (and, for the general trees, the product rho of the sines or
-cosines that scale the distinguished azimuthal plane).  The last section does
-the same for the Euler-kernel expansions.
+cosines that scale the distinguished azimuthal plane).  A later section does
+the same for the Euler-kernel expansions, and the last one keeps the Gauss
+series loop that `specfun._hyp2f1_series` must reproduce bit for bit.
 """
 
 import math
@@ -17,6 +18,8 @@ import mpmath as mp
 
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
+from polykernel.errors import ConvergenceError, ParameterPoleError
+from polykernel.specfun import _MAX_TERMS, _STOP_REL, _nonpositive_int
 
 
 def _z(r, rp):
@@ -232,3 +235,61 @@ def jacobi_sum(nu, alpha, beta, z, x):
                      * sf.jacobi_q2(n + nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z))
     return ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
             / 2.0 ** (s + 1.0 - nu) * math.fsum(terms))
+
+
+# --- the Gauss-series kernel ------------------------------------------------
+# `specfun._hyp2f1_series` as it read before its loop was tightened, kept
+# verbatim (only the name differs): the kernel must return the same
+# (mantissa, log_scale, terms) and raise the same errors, bit for bit.
+
+def hyp2f1_series_reference(a, b, c, x, max_terms=_MAX_TERMS):
+    """Sum the Gauss series with Kahan compensation and dynamic rescaling.
+
+    Returns (mantissa, log_scale, terms) with value = mantissa * exp(log_scale).
+    Rescaling keeps partial sums representable when the value itself would
+    overflow a double (large-degree Legendre/Jacobi prefactors cancel it).
+    """
+    na = _nonpositive_int(a)
+    nb = _nonpositive_int(b)
+    n_stop = None
+    if na is not None or nb is not None:
+        n_stop = min(-n for n in (na, nb) if n is not None)
+    nc = _nonpositive_int(c)
+    if nc is not None and (n_stop is None or n_stop > -nc):
+        raise ParameterPoleError(
+            f"2F1 lower parameter c = {c} is a non-positive integer")
+    if n_stop is None and abs(x) >= 1.0:
+        raise ConvergenceError(
+            f"2F1 series diverges for |x| = {abs(x)} >= 1 without termination")
+
+    s = 1.0
+    comp = 0.0
+    t = 1.0
+    log_scale = 0.0
+    small_run = 0
+    n = 0
+    while True:
+        if n_stop is not None and n >= n_stop:
+            break
+        t *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+        n += 1
+        y = t - comp
+        tmp = s + y
+        comp = (tmp - s) - y
+        s = tmp
+        if n_stop is None:
+            if abs(t) < _STOP_REL * abs(s):
+                small_run += 1
+                if small_run >= 3:
+                    break
+            else:
+                small_run = 0
+            if n >= max_terms:
+                raise ConvergenceError(
+                    f"2F1 did not converge within {max_terms} terms")
+        if abs(s) > 1e250 or abs(t) > 1e250:
+            s *= 1e-100
+            comp *= 1e-100
+            t *= 1e-100
+            log_scale += 100.0 * math.log(10.0)
+    return s, log_scale, n

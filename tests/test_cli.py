@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 from oracle_sums import _lhs, chi_b2a, chi_ba, chi_ca2
-from polykernel import cli
+from polykernel import cli, polyspherical
 
 
 def run(args, capsys):
@@ -51,6 +51,26 @@ class TestTrees:
         code, out, _ = run(["trees", "format", "bbbba"], capsys)
         assert code == 0
         assert json.loads(out)["type"] == "b^4a"
+
+    def test_deep_tree(self, capsys):
+        # emit_json recursed four frames per level: this died with RecursionError
+        code, out, err = run(["trees", "parse", "b^250a"], capsys)
+        assert code == 0 and err == ""
+        node = json.loads(out)["root"]
+        for _ in range(250):
+            assert node["type"] == "b" and node["children"][0] == {"leaf": True}
+            node = node["children"][1]
+        assert node["type"] == "a"
+
+    @pytest.mark.parametrize("argv", [
+        ["trees", "parse", f"b^{polyspherical.MAX_TREE_DEPTH}a"],
+        # the standard tree on R^1200 is 1199 nodes deep
+        ["verify", "T4.1", "--d", "1200"],
+    ])
+    def test_too_deep_tree_exit6(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 6 and out == ""
+        assert err == f"error: the tree is more than {polyspherical.MAX_TREE_DEPTH} nodes deep\n"
 
 
 class TestExpand:
@@ -250,6 +270,16 @@ class TestVerify:
         code, out, err = run(argv, capsys)
         assert code == 6
         assert out == "" and err.startswith("error:")
+
+    def test_q_above_limit_exit6(self, capsys):
+        # checked before any angle is drawn; were the check gone, q = MAX_Q + 1
+        # would draw 63 angles per list and run a small caps = 2 certificate
+        with pytest.raises(ValueError, match=f"need q <= {cli.MAX_Q}"):
+            cli._geometry("T4.2", random.Random(0), q=cli.MAX_Q + 1)
+        assert len(cli._geometry("T4.2", random.Random(0), q=cli.MAX_Q)["phis"]) == 31
+        code, out, err = run(["verify", "T4.2", "--q", str(cli.MAX_Q + 1), "--caps", "2"],
+                             capsys)
+        assert (code, out, err) == (6, "", f"error: need q <= {cli.MAX_Q}\n")
 
     @pytest.mark.parametrize("argv", [
         # x outside [-1, 1]: the series would report a wrong value with exit 0

@@ -11,6 +11,7 @@ from polykernel import polyspherical as ps
 from polykernel import specfun as sf
 from polykernel.errors import (
     AngleRangeError,
+    DomainError,
     InadmissibleKeyError,
     TrailingTokens,
     UnexpectedEnd,
@@ -67,6 +68,15 @@ class TestParser:
     def test_unknown_token(self):
         with pytest.raises(UnknownToken):
             ps.parse_tree("bxa")
+
+    def test_depth_limit(self):
+        # MAX_TREE_DEPTH nodes deep parses (and its walks run); one more is refused
+        deepest = ps.parse_tree(f"b'^{ps.MAX_TREE_DEPTH - 1}a")
+        assert deepest.dimension == ps.MAX_TREE_DEPTH + 1
+        assert len(ps.to_cartesian(deepest, 1.0, [0.1] * deepest.n_angles)) == deepest.dimension
+        for spec in (f"b^{ps.MAX_TREE_DEPTH}a", f"c^{ps.MAX_TREE_DEPTH}a"):
+            with pytest.raises(DomainError, match="nodes deep"):
+                ps.parse_tree(spec)
 
     def test_roundtrip_d4_types(self):
         # the five four-dimensional types

@@ -6,9 +6,10 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import oracle_sums
 from polykernel import specfun as sf
 from polykernel.errors import (
     ConvergenceError,
@@ -186,6 +187,74 @@ class TestGauss2F1:
     def test_non_terminating_property(self, a, b, c, x):
         assume(_nonterminal(a) and _nonterminal(b))
         _check_2f1(a, b, c, x)
+
+
+# The Gauss-series kernel against its reference loop (tests/oracle_sums.py):
+# the same (mantissa, log_scale, terms) bit for bit, with the same types, or
+# the same error type and message.  The draws cover the argument maps of
+# legendre_q_hat (1/z^2) and jacobi_q2_signed_log (2/(1+z)) with z - 1 from
+# 2e-4 to 10, terminating series, sums past the 1e250 rescale, a term cap
+# that runs out, and lower parameters at a pole.
+
+_Z = st.floats(math.log10(2e-4), 1.0).map(lambda e: 1.0 + 10.0 ** e)
+
+
+def _outcome(fn, args, max_terms=sf._MAX_TERMS):
+    try:
+        out = fn(*args, max_terms=max_terms)
+    except PolyKernelError as exc:
+        return type(exc), str(exc)
+    return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in out)
+
+
+def _assert_same_as_reference(args, max_terms=sf._MAX_TERMS):
+    want = _outcome(oracle_sums.hyp2f1_series_reference, args, max_terms)
+    assert _outcome(sf._hyp2f1_series, args, max_terms) == want, args
+    return want
+
+
+class TestSeriesKernelParity:
+    @given(nu=st.floats(-0.95, 1000.0), mu=st.floats(-6.0, 6.0), z=_Z)
+    @example(nu=1000.0, mu=6.0, z=1.0002)        # runs out of its 100 000 terms
+    @example(nu=0.5, mu=-0.5, z=1.0002)          # converges after 48 534 terms
+    def test_legendre_map(self, nu, mu, z):
+        assume(sf._nonpositive_int(nu + mu + 1.0) is None)
+        _assert_same_as_reference((0.5 * (nu + mu + 1.0), 0.5 * (nu + mu + 2.0),
+                                   nu + 1.5, 1.0 / (z * z)))
+
+    @given(g=st.floats(-0.5, 200.0), a=st.floats(-0.9, 5.0), b=st.floats(-0.9, 5.0), z=_Z)
+    @example(g=200.0, a=-0.9, b=5.0, z=1.0002)  # runs out of its 100 000 terms
+    def test_jacobi_map(self, g, a, b, z):
+        _assert_same_as_reference((g + 1.0, b + g + 1.0, a + b + 2.0 * g + 2.0,
+                                   2.0 / (1.0 + z)))
+
+    @given(n=st.integers(0, 25), b=_2F1_PARAM, c=_2F1_LOWER, x=st.floats(-4.0, 4.0),
+           swap=st.booleans())
+    def test_terminating(self, n, b, c, x, swap):
+        _assert_same_as_reference((b, -float(n), c, x) if swap else (-float(n), b, c, x))
+
+    @given(a=st.floats(200.0, 400.0), b=st.floats(200.0, 400.0), c=st.floats(0.5, 5.0),
+           x=st.floats(0.8, 0.95))
+    def test_rescale(self, a, b, c, x):
+        # (1-x)^{c-a-b} > 1e275: every draw passes the 1e250 rescale
+        _, (_, log_scale), _ = _assert_same_as_reference((a, b, c, x))
+        assert float.fromhex(log_scale) > 0.0
+
+    @given(a=_2F1_PARAM, b=_2F1_PARAM, c=st.floats(0.5, 6.0), x=st.floats(-0.9, 0.9),
+           shift=st.integers(-2, 1))
+    def test_term_cap(self, a, b, c, x, shift):
+        # a cap one or two terms short of what the series needs raises, and
+        # a cap at or past it does not
+        assume(_nonterminal(a) and _nonterminal(b))
+        n = oracle_sums.hyp2f1_series_reference(a, b, c, x)[2]
+        out = _assert_same_as_reference((a, b, c, x), n + shift)
+        assert (out[0] is ConvergenceError) == (shift < 0)
+
+    @given(a=_2F1_PARAM, b=_2F1_PARAM, c=st.integers(-5, 0).map(float),
+           x=st.floats(-0.9, 0.9))
+    def test_lower_pole(self, a, b, c, x):
+        assume(_nonterminal(a) and _nonterminal(b))
+        assert _assert_same_as_reference((a, b, c, x))[0] is ParameterPoleError
 
 
 class TestHyp3F2Unit:
