@@ -97,6 +97,21 @@ def _three_term(out, down, div):
     out[2:] = np.reshape(np.transpose(cols), out[2:].shape)
 
 
+# Above this many bytes, `_scale_rows` builds a factor half the rows at a
+# time: it then costs half of its array's memory, for twice the ufunc calls.
+_SPLIT_BYTES = 1 << 20
+
+
+def _scale_rows(c, factor):
+    """c *= factor(rows), where factor(rows) builds the factor's rows."""
+    if c.nbytes <= _SPLIT_BYTES:
+        c *= factor(slice(None))
+        return
+    half = len(c) // 2
+    for rows in (slice(None, half), slice(half, None)):
+        c[rows] *= factor(rows)
+
+
 def jacobi_p(n: int, alpha: float, beta: float, x):
     """Jacobi polynomial P_n^{(alpha,beta)}(x) by three-term recurrence."""
     if n < 0:
@@ -134,21 +149,39 @@ def jacobi_p_all(nmax: int, alpha, beta, x):
     # _jacobi_step's coefficients for every k at once, with its arithmetic,
     # each built in place so that at most two sit next to the output:
     # c1 = 2k (k + ab) (s - 2), c2 = (s - 1) (alpha^2 - beta^2),
-    # c3 = (s - 2) (s - 1) s, c4 = 2 (k + alpha - 1) (k + beta - 1) s, s = 2k + ab
+    # c3 = (s - 2) (s - 1) s, c4 = 2 (k + alpha - 1) (k + beta - 1) s, s = 2k + ab.
+    # When alpha and beta vary along one axis, as in one pass over many
+    # parameter pairs, a factor that adds k to them has their full size, so
+    # a large one is built half the rows at a time (`_scale_rows`).
     ks = np.arange(nmax + 1.0).reshape((-1,) + (1,) * (out.ndim - 1))
     ab = alpha + beta
     s = 2.0 * ks + ab
     c = s - 2.0
-    c *= s - 1.0
+    _scale_rows(c, lambda rows: s[rows] - 1.0)
     c *= s
     np.multiply(c[2:], xa, out=out[2:])
     np.subtract(s, 1.0, out=c)
     c *= alpha * alpha - beta * beta
     out[2:] += c[2:]                  # a_k = c2 + c3 x
+
+    def beta_factor(rows):            # k + beta - 1
+        f = ks[rows] + beta
+        f -= 1.0
+        return f
+
+    def s_minus_2(rows):              # s - 2, with s rebuilt as above
+        f = 2.0 * ks[rows] + ab
+        f -= 2.0
+        return f
+
+    np.add(ks, alpha, out=c)
+    c -= 1.0
+    c *= 2.0
+    _scale_rows(c, beta_factor)
+    s *= c                            # c4
     np.add(ks, ab, out=c)
     c *= 2.0 * ks
-    c *= s - 2.0                      # c1
-    s *= 2.0 * (ks + alpha - 1.0) * (ks + beta - 1.0)   # c4
+    _scale_rows(c, s_minus_2)         # c1
     _three_term(out, s, c)
     return out
 

@@ -436,6 +436,16 @@ def _half_lgamma_table(size: int):
     return np.array([math.inf] + [math.lgamma(0.5 * k) for k in range(1, size)])
 
 
+@lru_cache(maxsize=None)
+def _half_lgamma_rows(nmax: int, size: int):
+    """lgamma((2n + k) / 2) at [n, k] for n = 0..nmax: a read-only view of
+    `_half_lgamma_table`, so a row-dependent index needs only a column index
+    per entry of a row, not an index array as large as a table."""
+    table = _half_lgamma_table(size)
+    return np.lib.stride_tricks.as_strided(
+        table, (nmax + 1, size - 2 * nmax), (2 * table.itemsize, table.itemsize), writeable=False)
+
+
 def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     """node_factor at theta times node_factor at thetap, over n = 0..nmax.
 
@@ -443,14 +453,15 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     arrays that broadcast against each other.  Row n belongs to the node
     degree l_left + l_right + n at b and b' nodes and l_left + l_right + 2n
     at c nodes, so the result has shape ``(nmax + 1,) +`` the broadcast
-    shape.  One recurrence pass over every pair and both angles builds the
-    table: `gegenbauer_c_all` at b and b' nodes, where alpha = beta and
-    P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2} (DLMF 18.7.1), and
-    `jacobi_p_all` at c nodes.  Its transient memory is O(pairs * nmax): a
-    q = 3 certificate peaks at about 1.1 MiB at nmax = 12 and 13.4 MiB at
-    nmax = 30 (tracemalloc).  The products are assembled in log space, in
-    place, so large-order coefficient growth cancels against the polynomial
-    values instead of overflowing, and zero factors stay exact zeros.
+    shape.  This is the one-node view of `_pair_tables`, which a
+    certificate's fold calls once for all of its nodes: it builds every
+    table first, from the child degrees that the tree's structure allows,
+    with one recurrence pass per polynomial family.  Every entry is the
+    same bit for bit whichever call builds it.  A table's transient memory
+    is O(pairs * nmax), and a certificate holds all of its tables at once
+    (tracemalloc peaks, one table at a time -> tables first: T4.1 at d = 6,
+    caps 80 0.41 -> 0.69 MiB, at d = 200, caps 60 0.26 -> 24 MiB; T4.2 at
+    q = 3 1.09 -> 1.32 MiB at caps 12 and 13.4 -> 14.0 MiB at caps 30).
     """
     if node.kind == "a":
         raise ValueError("a type-a node carries azimuthal weights, not a pair table")
@@ -459,51 +470,108 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
         raise ValueError("quantum numbers must be nonnegative")
     if (node.left is None and ll.any()) or (node.right is None and lr.any()):
         raise ValueError("a leaf child has degree 0")
-    _check_angle(node, (theta, thetap))
-    # twice each child's Jacobi parameter l + S/2: an integer, so every
-    # log-Gamma below is read from one half-integer table
-    ka, kb = 2 * ll + _child_span(node.left), 2 * lr + _child_span(node.right)
-    lg = _half_lgamma_table(1 << int(4 * nmax + 2 * max(ka.max(), kb.max()) + 3).bit_length())
-    ndim = max(ll.ndim, lr.ndim)
-    n = np.arange(nmax + 1).reshape((-1,) + (1,) * ndim)
-    pair = (2,) + (1,) * ndim
+    return _pair_tables(nmax, [(node, *np.broadcast_arrays(ll, lr), theta, thetap)])[0]
+
+
+def _pair_tables(nmax: int, requests):
+    """`node_pair_table` of several nodes, with one recurrence pass per family.
+
+    Each request is (node, l_left, l_right, theta, thetap), its degrees int
+    arrays of one shape, the table's shape after its n axis; the tables
+    come back in request order.  Each pair of child degrees is one column:
+    all b and b' columns share one `gegenbauer_c_all` pass, where
+    alpha = beta and P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2} (DLMF
+    18.7.1), and all c columns share one `jacobi_p_all` pass.  One wide
+    pass costs about what one narrow pass does (the per-degree ufunc calls
+    set the cost, not the entries), but every table is held at once.  The
+    products are assembled in log space, in place, so large-order
+    coefficient growth cancels against the polynomial values instead of
+    overflowing, and zero factors stay exact zeros.  Next to the pass's
+    output, the assembly holds one more table and one temporary.
+    """
+    for node, _, _, theta, thetap in requests:
+        _check_angle(node, (theta, thetap))
+    tables = [None] * len(requests)
+    n2 = np.arange(0, 2 * nmax + 1, 2)[:, None]      # 2n
+    for jacobi in (False, True):
+        group = [i for i, req in enumerate(requests) if (req[0].kind == "c") == jacobi]
+        if not group:
+            continue
+        sizes = [requests[i][1].size for i in group]
+        ka, kb, log_env, x = _pair_columns(requests, group, sizes)
+        kmax = 2 * (ka.max(initial=0) + kb.max(initial=0)) + 4
+        lg = _half_lgamma_rows(nmax, 1 << int(2 * nmax + kmax + 1).bit_length())
+        if jacobi:
+            vals = jacobi_p_all(nmax, 0.5 * kb, 0.5 * ka, x)
+        else:
+            # the subtree child's 2a: ka at b' nodes, kb at b nodes, where
+            # the leaf child's 2a is -1
+            p = ka + kb + 1
+            vals = gegenbauer_c_all(nmax, 0.5 * (p + 1), x)
+        # over the rows (v, v') of vals, log|v| + log|v'| into the first and
+        # sign(v) sign(v') into the second, so that the log coefficient can
+        # be built in the sign's own array
+        out = np.sign(vals[:, 0])
+        out *= np.sign(vals[:, 1])
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(vals, out=vals), out=vals)
+        vals[:, 0] += vals[:, 1]
+        vals[:, 1] = out
+        if jacobi:
+            # 2^{a+b+2} / h_n^{(b,a)}, node_factor's squared norm
+            np.add(n2, 0.5 * (ka + kb), out=out)
+            out += 1.0
+            np.log(out, out=out)
+            np.add(math.log(2.0) + log_env, out, out=out)
+            out += lg[:, ka + kb + 2]
+            out += lg[:, 2:3]
+            out -= lg[:, ka + 2]
+            out -= lg[:, kb + 2]
+        else:
+            # 1 / h_n^{(a,a)} times ((a+1)_n / (2a+1)_n)^2 with mu = a + 1/2,
+            # Gamma(2 mu) reduced by the duplication formula
+            np.add(n2, p, out=out)
+            out += 1.0
+            np.log(out, out=out)
+            np.add(2.0 * (lg[0][p + 3] - np.log(p + 1.0)) + (p + 1) * math.log(2.0)
+                   - math.log(math.pi) + log_env, out, out=out)
+            out += lg[:, 2:3]
+            out -= lg[:, 2 * p + 2]
+        out += vals[:, 0]
+        np.exp(out, out=out)
+        out *= vals[:, 1]
+        start = 0
+        for i, size in zip(group, sizes):
+            tables[i] = out[:, start:start + size].reshape((nmax + 1,) + requests[i][1].shape)
+            start += size
+    return tables
+
+
+def _pair_columns(requests, group, sizes):
+    """Per-column arrays of the requests in group, in order: twice each
+    child's Jacobi parameter l + S/2 (an integer, so that every log-Gamma is
+    read from one half-integer table), the log of the envelope
+    cos^{l_left} sin^{l_right} at both angles, and the polynomial's argument
+    at both angles, each taken with math.cos / math.sin as one node's call
+    would.  The per-column degrees and spans are gone before the pass runs."""
+    spans, trigs = [], []
+    ll, lr = (np.concatenate([requests[i][side].ravel() for i in group]) for side in (1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the envelope cos^{l_left} sin^{l_right} of both angles
-        log_env = (np.where(ll > 0, ll * (np.log(abs(math.cos(theta)))
-                                          + np.log(abs(math.cos(thetap)))), 0.0)
-                   + np.where(lr > 0, lr * (np.log(abs(math.sin(theta)))
-                                            + np.log(abs(math.sin(thetap)))), 0.0))
-    if node.kind == "c":
-        vals = jacobi_p_all(nmax, 0.5 * kb, 0.5 * ka,
-                            np.reshape([math.cos(2.0 * theta), math.cos(2.0 * thetap)], pair))
-        # 2^{a+b+2} / h_n^{(b,a)}, node_factor's squared norm
-        out = np.log(2 * n + 0.5 * (ka + kb) + 1.0)
-        np.add(math.log(2.0) + log_env, out, out=out)
-        out += lg[2 * n + ka + kb + 2]
-        out += lg[2 * n + 2]
-        out -= lg[2 * n + ka + 2]
-        out -= lg[2 * n + kb + 2]
-    else:
-        p, trig = (kb, math.cos) if node.kind == "b" else (ka, math.sin)
-        vals = gegenbauer_c_all(nmax, 0.5 * (p + 1), np.reshape([trig(theta), trig(thetap)], pair))
-        # 1 / h_n^{(a,a)} times ((a+1)_n / (2a+1)_n)^2 with mu = a + 1/2,
-        # Gamma(2 mu) reduced by the duplication formula
-        out = np.log(2 * n + p + 1.0)
-        np.add(2.0 * (lg[p + 3] - np.log(p + 1.0)) + (p + 1) * math.log(2.0)
-               - math.log(math.pi) + log_env, out, out=out)
-        out += lg[2 * n + 2]
-        out -= lg[2 * n + 2 * p + 2]
-    # sign * exp(log_coef + log|v| + log|v'|) over the rows (v, v') of vals,
-    # the sign and the log of both rows each taken in one pass
-    sign = np.sign(vals)
-    with np.errstate(divide="ignore"):
-        np.log(np.abs(vals, out=vals), out=vals)
-    vals[:, 0] += vals[:, 1]
-    out += vals[:, 0]
-    np.exp(out, out=out)
-    out *= sign[:, 0]
-    out *= sign[:, 1]
-    return out
+        for i in group:
+            node, _, _, theta, thetap = requests[i]
+            log_cos = np.log(abs(math.cos(theta))) + np.log(abs(math.cos(thetap)))
+            log_sin = np.log(abs(math.sin(theta))) + np.log(abs(math.sin(thetap)))
+            if node.kind == "c":
+                x = (math.cos(2.0 * theta), math.cos(2.0 * thetap))
+            else:
+                trig = math.cos if node.kind == "b" else math.sin
+                x = (trig(theta), trig(thetap))
+            spans.append((_child_span(node.left), _child_span(node.right)))
+            trigs.append((log_cos, log_sin, *x))
+        span_l, span_r = np.array(spans).T.repeat(sizes, axis=1)
+        trigs = np.array(trigs).T.repeat(sizes, axis=1)
+        log_env = np.where(ll > 0, ll * trigs[0], 0.0) + np.where(lr > 0, lr * trigs[1], 0.0)
+    return 2 * ll + span_l, 2 * lr + span_r, log_env, trigs[2:]
 
 
 def harmonic(t: Tree, key: QuantumKey, angles):

@@ -7,17 +7,23 @@ degree at a time instead, and write out chi and the prefactors themselves,
 so a test that compares the two checks the fold against code it does not
 share.  Each `*_sides` function returns (lhs, rhs); the `chi_*` functions
 return chi (and, for the general trees, the product rho of the sines or
-cosines that scale the distinguished azimuthal plane).  A later section does
-the same for the Euler-kernel expansions, and the last one keeps the Gauss
-series loop that `specfun._hyp2f1_series` must reproduce bit for bit.
+cosines that scale the distinguished azimuthal plane).  A later section
+keeps the node-by-node fold that `verify._fold` must reproduce bit for bit,
+the next does the same as the first for the Euler-kernel expansions, and the
+last one keeps the Gauss series loop that `specfun._hyp2f1_series` must
+reproduce bit for bit.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
 
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
+from polykernel.orthopoly import gegenbauer_c_all, jacobi_p_all
+from polykernel.polyspherical import (Tree, TreeNode, _check_angle, _child_span,
+                                      _half_lgamma_table)
 from polykernel.errors import ConvergenceError, ParameterPoleError
 from polykernel.specfun import _MAX_TERMS, _STOP_REL, _nonpositive_int
 
@@ -186,6 +192,113 @@ def hopf_q3_sides(nu, m1, r, rp, thetas, thetasp, phis, phisp, caps):
     pref = (2.0 ** (-0.5 * (nu + 1.0)) * rho ** (-0.5 * nu)
             * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0)) * _radial_power(nu, 8, r, rp))
     return _lhs(nu, m1, chi), pref * math.fsum(terms)
+
+
+# --- the node-by-node fold --------------------------------------------------
+# `verify._fold` and `polyspherical.node_pair_table` as they read when each
+# node's table was built by its own recurrence pass, after its children had
+# been contracted, kept verbatim (only the names differ): the fold that
+# builds every table first, one pass per polynomial family, must return the
+# same root weights bit for bit.
+
+def node_pair_table_reference(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
+    """node_factor at theta times node_factor at thetap, over n = 0..nmax.
+
+    l_left and l_right are the child degrees (0 at a leaf child), ints or
+    arrays that broadcast against each other.  Row n belongs to the node
+    degree l_left + l_right + n at b and b' nodes and l_left + l_right + 2n
+    at c nodes, so the result has shape ``(nmax + 1,) +`` the broadcast
+    shape.  One recurrence pass over every pair and both angles builds the
+    table: `gegenbauer_c_all` at b and b' nodes, where alpha = beta and
+    P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2} (DLMF 18.7.1), and
+    `jacobi_p_all` at c nodes.  Its transient memory is O(pairs * nmax): a
+    q = 3 certificate peaks at about 1.1 MiB at nmax = 12 and 13.4 MiB at
+    nmax = 30 (tracemalloc).  The products are assembled in log space, in
+    place, so large-order coefficient growth cancels against the polynomial
+    values instead of overflowing, and zero factors stay exact zeros.
+    """
+    if node.kind == "a":
+        raise ValueError("a type-a node carries azimuthal weights, not a pair table")
+    ll, lr = np.asarray(l_left, dtype=int), np.asarray(l_right, dtype=int)
+    if nmax < 0 or (ll < 0).any() or (lr < 0).any():
+        raise ValueError("quantum numbers must be nonnegative")
+    if (node.left is None and ll.any()) or (node.right is None and lr.any()):
+        raise ValueError("a leaf child has degree 0")
+    _check_angle(node, (theta, thetap))
+    # twice each child's Jacobi parameter l + S/2: an integer, so every
+    # log-Gamma below is read from one half-integer table
+    ka, kb = 2 * ll + _child_span(node.left), 2 * lr + _child_span(node.right)
+    lg = _half_lgamma_table(1 << int(4 * nmax + 2 * max(ka.max(), kb.max()) + 3).bit_length())
+    ndim = max(ll.ndim, lr.ndim)
+    n = np.arange(nmax + 1).reshape((-1,) + (1,) * ndim)
+    pair = (2,) + (1,) * ndim
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the envelope cos^{l_left} sin^{l_right} of both angles
+        log_env = (np.where(ll > 0, ll * (np.log(abs(math.cos(theta)))
+                                          + np.log(abs(math.cos(thetap)))), 0.0)
+                   + np.where(lr > 0, lr * (np.log(abs(math.sin(theta)))
+                                            + np.log(abs(math.sin(thetap)))), 0.0))
+    if node.kind == "c":
+        vals = jacobi_p_all(nmax, 0.5 * kb, 0.5 * ka,
+                            np.reshape([math.cos(2.0 * theta), math.cos(2.0 * thetap)], pair))
+        # 2^{a+b+2} / h_n^{(b,a)}, node_factor's squared norm
+        out = np.log(2 * n + 0.5 * (ka + kb) + 1.0)
+        np.add(math.log(2.0) + log_env, out, out=out)
+        out += lg[2 * n + ka + kb + 2]
+        out += lg[2 * n + 2]
+        out -= lg[2 * n + ka + 2]
+        out -= lg[2 * n + kb + 2]
+    else:
+        p, trig = (kb, math.cos) if node.kind == "b" else (ka, math.sin)
+        vals = gegenbauer_c_all(nmax, 0.5 * (p + 1), np.reshape([trig(theta), trig(thetap)], pair))
+        # 1 / h_n^{(a,a)} times ((a+1)_n / (2a+1)_n)^2 with mu = a + 1/2,
+        # Gamma(2 mu) reduced by the duplication formula
+        out = np.log(2 * n + p + 1.0)
+        np.add(2.0 * (lg[p + 3] - np.log(p + 1.0)) + (p + 1) * math.log(2.0)
+               - math.log(math.pi) + log_env, out, out=out)
+        out += lg[2 * n + 2]
+        out -= lg[2 * n + 2 * p + 2]
+    # sign * exp(log_coef + log|v| + log|v'|) over the rows (v, v') of vals,
+    # the sign and the log of both rows each taken in one pass
+    sign = np.sign(vals)
+    with np.errstate(divide="ignore"):
+        np.log(np.abs(vals, out=vals), out=vals)
+    vals[:, 0] += vals[:, 1]
+    out += vals[:, 0]
+    np.exp(out, out=out)
+    out *= sign[:, 0]
+    out *= sign[:, 1]
+    return out
+
+
+def fold_reference(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
+    """Root weight vector of the fold over degrees 0, 1, ...
+
+    angles/anglesp are preorder node angles (the a entries are not read);
+    leaves holds the a-node weight vectors, in preorder, and a leaf child
+    is weight 1 at degree 0.  Each node's table covers every pair of
+    nonzero child degrees and n = 0..caps, so its transient memory is
+    O(pairs * caps); degrees above top, when given, are dropped.
+    """
+    leaves = iter(leaves)
+
+    def fold(node):
+        if node is None:
+            return np.ones(1)
+        if node.kind == "a":
+            return next(leaves)
+        left, right = fold(node.left), fold(node.right)
+        la, lb = np.flatnonzero(left)[:, None], np.flatnonzero(right)
+        u = node_pair_table_reference(node, caps, la, lb, angles[node.index], anglesp[node.index])
+        step = 2 if node.kind == "c" else 1
+        # l_a-major, then l_b, with n innermost, so every degree adds its
+        # terms in the same order as a loop over the pairs would
+        out = np.zeros(len(left) + len(right) - 1 + step * caps)
+        np.add.at(out, (la + lb)[..., None] + step * np.arange(caps + 1),
+                  (left[la] * right[lb])[..., None] * u.transpose(1, 2, 0))
+        return out if top is None else out[:top + 1]
+
+    return fold(tree.root)
 
 
 # --- Euler-kernel expansions, one degree at a time ---------------------------

@@ -114,6 +114,18 @@ class TestJacobiPAll:
         for k, a in enumerate(alphas.tolist()):
             np.testing.assert_array_equal(col[:, k], op.jacobi_p_all(10, a, 0.5, 0.2))
 
+    def test_factors_built_in_halves_change_no_value(self, monkeypatch):
+        # 6 000 pairs at nmax = 30: each coefficient array passes
+        # _SPLIT_BYTES, so its k-dependent factors are built half the rows
+        # at a time; built whole, every entry is the same bit for bit
+        rng = np.random.default_rng(7)
+        alphas, betas = rng.uniform(-0.9, 40.0, (2, 6000))
+        xs = np.stack([rng.uniform(-1.0, 1.0, 6000), rng.uniform(-1.0, 1.0, 6000)])
+        assert 31 * 6000 * 8 > op._SPLIT_BYTES
+        halves = op.jacobi_p_all(30, alphas, betas, xs)
+        monkeypatch.setattr(op, "_SPLIT_BYTES", math.inf)
+        np.testing.assert_array_equal(halves, op.jacobi_p_all(30, alphas, betas, xs))
+
     @pytest.mark.parametrize("alpha, beta, bad, message", [
         ([0.5, -1.0], 0.5, (-1.0, 0.5), "must exceed -1"),
         (0.5, [0.2, 1.0, -1.5], (0.5, -1.5), "must exceed -1"),

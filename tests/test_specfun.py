@@ -518,6 +518,15 @@ class TestJacobiQ2Column:
             s, lg = mp_jacobi_q2(nu - 1.0 + k, alpha + 1.0 - nu, beta + 1.0 - nu, z)
             _assert_close_in_log(signs[k], logs[k], float(s), float(lg), scale[k], 1e-12)
 
+    @given(nu=JACOBI_ARGS["nu"], alpha=JACOBI_ARGS["alpha"], beta=JACOBI_ARGS["beta"],
+           z=st.floats(3.5, 4.0))
+    def test_high_degree_log_is_compensated(self, nu, alpha, beta, z):
+        # at degree 242 the running log is about -500: summed without
+        # compensation its rounding reached 4e-13 relative on these draws
+        signs, logs = _jacobi_column(nu, alpha, beta, z, 243)
+        s, lg = mp_jacobi_q2(nu + 241.0, alpha + 1.0 - nu, beta + 1.0 - nu, z)
+        _assert_close_in_log(signs[-1], logs[-1], float(s), float(lg), float(lg), 1e-13)
+
     def test_continued_column_matches_one_column(self, monkeypatch):
         g0, a, b, z, n = 0.3, -1.2, 0.8, 1.05, 300
         signs, logs = sf.jacobi_q2_column(g0, a, b, z, n)

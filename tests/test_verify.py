@@ -6,9 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracle_sums import (b2a_sides, ba_sides, ca2_sides, chi_ba, chi_ca2, chi_hopf, chi_standard,
-                         hopf_q3_sides)
+                         fold_reference, hopf_q3_sides)
 from polykernel import orthopoly as op
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
@@ -291,6 +293,92 @@ class TestTreeFold:
             assert w[l] == pytest.approx((2.0 * math.pi) ** 2 * gegenbauer, rel=1e-12)
 
 
+@st.composite
+def _tree_specs(draw, budget):
+    """A naming-language string of at most budget branching nodes."""
+    kinds = ["a", "b", "b'", "c"] if budget >= 3 else ["a", "b", "b'"] if budget == 2 else ["a"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "a":
+        return "a"
+    if kind != "c":
+        return kind + draw(_tree_specs(budget - 1))
+    left = draw(st.integers(1, budget - 2))
+    return "c" + draw(_tree_specs(left)) + draw(_tree_specs(budget - 1 - left))
+
+
+class TestTablesFirstFold:
+    @given(data=st.data())
+    def test_fold_equals_node_by_node_fold(self, data):
+        # every table built first from structural supports, one pass per
+        # family, against the fold that built each node's table after
+        # contracting its children: the same root weights bit for bit
+        tree = ps.parse_tree(data.draw(_tree_specs(7), label="tree"))
+        caps = data.draw(st.integers(0, 10), label="caps")
+        angles, anglesp = ([0.0 if node.kind == "a" else
+                            data.draw(st.floats(*ps.ANGLE_RANGES[node.kind][:2]))
+                            for node in tree.branching_nodes] for _ in range(2))
+        weight = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+        leaves = []
+        for node in tree.branching_nodes:
+            if node.kind == "a":
+                w = np.array(data.draw(st.lists(weight, min_size=1, max_size=caps + 2)))
+                leaves.append(w if w.any() else np.eye(len(w))[-1])
+        top = data.draw(st.one_of(st.none(), st.integers(0, 3 * caps + 6)), label="top")
+        with np.errstate(all="ignore"):
+            got = vf._fold(tree, caps, angles, anglesp, leaves, top)
+            try:
+                want = fold_reference(tree, caps, angles, anglesp, leaves, top)
+            except ValueError:
+                # a child whose weights all vanish (an angle at the end of
+                # its range) left the node-by-node fold an empty table; the
+                # tables-first fold carries the zeros to the root instead
+                assert not got.any()
+                return
+        np.testing.assert_array_equal(got, want)
+
+
+def _std_cfg(theorem, d, m, caps, nu=-1.5):
+    n = d - 2
+    return vf.TheoremConfig(theorem=theorem, nu=nu, m=m, d=d, caps=caps,
+                            thetas=tuple(0.5 + 0.37 * (i % 5) for i in range(n)),
+                            thetasp=tuple(0.9 + 0.29 * (i % 4) for i in range(n)))
+
+
+def _hopf_cfg(q, m, caps, nu=-1.5):
+    n = 2 ** (q - 1) - 1
+    return vf.TheoremConfig(theorem="T4.2", nu=nu, m=m, q=q, caps=caps,
+                            thetas=tuple(0.4 + 0.2 * i for i in range(n)),
+                            thetasp=tuple(0.7 + 0.1 * i for i in range(n)),
+                            phis=tuple(0.3 + 0.8 * i for i in range(n)),
+                            phisp=tuple(1.9 - 0.5 * i for i in range(n)))
+
+
+class TestEdgeCaseCertificates:
+    # (status, lhs, rhs, tail_estimate) as the node-by-node fold gave them
+    @pytest.mark.parametrize("cfg, want", [
+        # caps 0: one degree per level
+        (_std_cfg("T4.1", 5, 0, 0),
+         ("truncation_insufficient", 1.0260699936532065, 0.6253724953188806, math.inf)),
+        (_std_cfg("C4.4", 4, 1, 0),
+         ("truncation_insufficient", 0.1813680304103711, 0.0656697867311092, math.inf)),
+        (_hopf_cfg(2, 5, 0),
+         ("truncation_insufficient", 0.0018233724122810597, 0.0035709180333011047, math.inf)),
+        (_hopf_cfg(3, 0, 0),
+         ("truncation_insufficient", 0.9706975220373293, 0.8798490909494785, math.inf)),
+        # m above caps: the distinguished leaf's order sits past every cap
+        (_std_cfg("C4.3", 3, 90, 2, nu=-1.0),
+         ("truncation_insufficient", 2.9441303430320973e-50, 4.326870230055939e-64, math.inf)),
+        (_std_cfg("T4.1", 4, 200, 3),
+         ("truncation_insufficient", 9.883398189886903e-130, 4.1280780973891075e-171, math.inf)),
+        # a deep chain: 198 b tables held at once
+        (_std_cfg("T4.1", 200, 0, 60),
+         ("pass", 4.348467449574517e-14, 4.348467449564423e-14, 7.495549867256957e-39)),
+    ])
+    def test_pinned(self, cfg, want):
+        rep = vf.run_verification(cfg)
+        assert (rep.status, rep.lhs, rep.rhs, rep.tail_estimate) == want
+
+
 class TestIndependentOracles:
     def test_lhs_fourier_quadrature(self):
         # the Legendre LHS equals the azimuthal Fourier coefficient of the
@@ -382,6 +470,10 @@ class TestReportMechanics:
         # the b-node weights overflow while chi^2 stays finite
         (vf.TheoremConfig(theorem="T4.1", nu=-1.0, d=600, thetas=(1.0,) * 598,
                           thetasp=(1.2,) * 598, caps=20), "^the fold weights leave double range"),
+        # sin(1e-70)^5 underflows at the lower b node, so every weight is 0:
+        # a ValueError from an empty table before, then an IndexError
+        (b2a_cfg(-1.5, 5, caps=10, angles=(1.0, 1e-70), anglesp=(2.0, 1e-70)),
+         "^the fold weights underflow to 0"),
     ])
     def test_certificate_past_double_range_rejected_by_name(self, cfg, message):
         with warnings.catch_warnings():
