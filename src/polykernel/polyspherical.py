@@ -356,33 +356,36 @@ def _subtree_l(node: TreeNode, key: QuantumKey) -> int:
     return abs(v) if node.kind == "a" else v
 
 
+def _node_degree(node: TreeNode, key: QuantumKey):
+    """(n, l_alpha, l_beta) of a b, b' or c node: the degree of its Jacobi
+    factor and the degrees its child subtrees feed it (0 where the kind
+    reads no subtree).  Raises InadmissibleKeyError on a key the node's
+    kind excludes."""
+    v = key.values[node.index]
+    if v < 0:
+        raise InadmissibleKeyError(f"l = {v} < 0 at node {node.index}")
+    la = 0 if node.kind == "b" else _subtree_l(node.left, key)
+    lb = 0 if node.kind == "b'" else _subtree_l(node.right, key)
+    if node.kind == "b" and v < lb:
+        raise InadmissibleKeyError(
+            f"type b needs l >= l_beta; got l = {v}, l_beta = {lb}")
+    if node.kind == "b'" and v < la:
+        raise InadmissibleKeyError(
+            f"type b' needs l >= l_alpha; got l = {v}, l_alpha = {la}")
+    if node.kind == "c" and (v < la + lb or (v - la - lb) % 2 != 0):
+        raise InadmissibleKeyError(
+            f"type c needs l - l_alpha - l_beta even and >= 0; got"
+            f" l = {v}, l_alpha = {la}, l_beta = {lb}")
+    return (v - la - lb) // (2 if node.kind == "c" else 1), la, lb
+
+
 def validate_key(t: Tree, key: QuantumKey) -> None:
     if len(key.values) != t.n_angles:
         raise InadmissibleKeyError(
             f"expected {t.n_angles} quantum numbers, got {len(key.values)}")
     for node in t.branching_nodes:
-        v = key.values[node.index]
-        if node.kind == "a":
-            continue
-        if v < 0:
-            raise InadmissibleKeyError(f"l = {v} < 0 at node {node.index}")
-        if node.kind == "b":
-            lb = _subtree_l(node.right, key)
-            if v < lb:
-                raise InadmissibleKeyError(
-                    f"type b needs l >= l_beta; got l = {v}, l_beta = {lb}")
-        elif node.kind == "b'":
-            la = _subtree_l(node.left, key)
-            if v < la:
-                raise InadmissibleKeyError(
-                    f"type b' needs l >= l_alpha; got l = {v}, l_alpha = {la}")
-        else:  # c
-            la = _subtree_l(node.left, key)
-            lb = _subtree_l(node.right, key)
-            if v < la + lb or (v - la - lb) % 2 != 0:
-                raise InadmissibleKeyError(
-                    f"type c needs l - l_alpha - l_beta even and >= 0; got"
-                    f" l = {v}, l_alpha = {la}, l_beta = {lb}")
+        if node.kind != "a":
+            _node_degree(node, key)
 
 
 def node_factor(node: TreeNode, key: QuantumKey, angle):
@@ -391,37 +394,21 @@ def node_factor(node: TreeNode, key: QuantumKey, angle):
     Type a returns the complex azimuthal factor; the other kinds return the
     real normalized Jacobi/Gegenbauer factor.  ``angle`` may be an ndarray.
     """
-    v = key.values[node.index]
     if node.kind == "a":
         ang = np.asarray(angle, dtype=float)
-        out = np.exp(1j * v * ang) / math.sqrt(2.0 * math.pi)
+        out = np.exp(1j * key.values[node.index] * ang) / math.sqrt(2.0 * math.pi)
         return out if np.ndim(angle) else complex(out)
-    if v < 0:
-        raise InadmissibleKeyError(f"l = {v} < 0 at node {node.index}")
+    n, la, lb = _node_degree(node, key)
     ang = np.asarray(angle, dtype=float)
     if node.kind == "b":
-        lb = _subtree_l(node.right, key)
-        n = v - lb
-        if n < 0:
-            raise InadmissibleKeyError("type b needs l >= l_beta")
         a = lb + 0.5 * _child_span(node.right)
         norm = math.exp(0.5 * jacobi_norm_log(n, a, a))
         out = norm * np.sin(ang) ** lb * jacobi_p(n, a, a, np.cos(ang))
     elif node.kind == "b'":
-        la = _subtree_l(node.left, key)
-        n = v - la
-        if n < 0:
-            raise InadmissibleKeyError("type b' needs l >= l_alpha")
         b = la + 0.5 * _child_span(node.left)
         norm = math.exp(0.5 * jacobi_norm_log(n, b, b))
         out = norm * np.cos(ang) ** la * jacobi_p(n, b, b, np.sin(ang))
     else:  # c
-        la = _subtree_l(node.left, key)
-        lb = _subtree_l(node.right, key)
-        if v < la + lb or (v - la - lb) % 2 != 0:
-            raise InadmissibleKeyError(
-                "type c needs l - l_alpha - l_beta even and >= 0")
-        n = (v - la - lb) // 2
         a = la + 0.5 * _child_span(node.left)
         b = lb + 0.5 * _child_span(node.right)
         norm = 2.0 ** (0.5 * (a + b) + 1.0) * math.exp(0.5 * jacobi_norm_log(n, a, b))

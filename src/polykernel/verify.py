@@ -51,6 +51,10 @@ from .polyspherical import (Tree, _cos_separation, _pair_tables, hopf_heap_to_pr
 from .specfun import _is_int, legendre_q_hat, legendre_q_hat_column
 
 _RADIUS_GUARD = 1e-6
+# The most node-table entries one certificate may hold, about 36 bytes each
+# at the tracemalloc peak: T4.1 at d = 500, caps 60, the largest certificate
+# in the tests, holds 1.85e6 (60 MiB); T4.2 at q = 3, caps 60 holds 2.9e6.
+MAX_TABLE_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,10 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     child weights, so every root weight is the same bit for bit as a
     node-by-node fold's.  Holding every table at once costs memory
     (tracemalloc peaks of T4.1 at caps 60: 0.24 -> 4.5 MiB at d = 40 and
-    0.26 -> 24 MiB at d = 200, where the time went 164 -> 68 ms).
+    0.26 -> 24 MiB at d = 200, where the time went 164 -> 68 ms), so a
+    certificate whose tables would hold more than MAX_TABLE_ENTRIES entries
+    raises DomainError before any table, or the support index array that
+    would pass the bound, is built.
     """
     nodes = tree.branching_nodes
     # node index (None at a leaf child) -> weight vector, the degrees where
@@ -196,12 +203,17 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     weights.update(zip((node.index for node in nodes if node.kind == "a"), leaves))
     nonzero = {index: np.flatnonzero(w) for index, w in weights.items()}
     support = {index: (len(w), nonzero[index]) for index, w in weights.items()}
-    requests, children = [], []
+    requests, children, entries = [], [], 0
     for node in reversed(nodes):            # reversed preorder: children first
         if node.kind == "a":
             continue
         ia, ib = (c.index if c else None for c in (node.left, node.right))
         (len_a, sa), (len_b, sb) = support[ia], support[ib]
+        # the node's table, and the index array of its support, hold this many
+        entries += len(sa) * len(sb) * (caps + 1)
+        if entries > MAX_TABLE_ENTRIES:
+            raise DomainError(f"the node tables would hold more than {MAX_TABLE_ENTRIES}"
+                              f" entries at caps = {caps}")
         if node is not tree.root:            # no parent reads the root's degrees
             step = 2 if node.kind == "c" else 1
             reach = np.zeros(len_a + len_b - 1 + step * caps, dtype=bool)

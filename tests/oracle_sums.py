@@ -9,9 +9,11 @@ share.  Each `*_sides` function returns (lhs, rhs); the `chi_*` functions
 return chi (and, for the general trees, the product rho of the sines or
 cosines that scale the distinguished azimuthal plane).  A later section
 keeps the node-by-node fold that `verify._fold` must reproduce bit for bit,
-the next does the same as the first for the Euler-kernel expansions, and the
-last one keeps the Gauss series loop that `specfun._hyp2f1_series` must
-reproduce bit for bit.
+the next does the same as the first for the Euler-kernel expansions, the
+next keeps the Gauss series loop that `specfun._hyp2f1_series` must
+reproduce bit for bit, and the last one keeps the six infinite expansion
+series as they read with one sum loop each, which the expansions built on
+one degree-sum driver must reproduce bit for bit.
 """
 
 import math
@@ -21,11 +23,18 @@ import numpy as np
 
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
-from polykernel.orthopoly import gegenbauer_c_all, jacobi_p_all
+from polykernel.orthopoly import _jacobi_p1, _jacobi_step, gegenbauer_c_all, jacobi_p_all
 from polykernel.polyspherical import (Tree, TreeNode, _check_angle, _child_span,
                                       _half_lgamma_table)
-from polykernel.errors import ConvergenceError, ParameterPoleError
-from polykernel.specfun import _MAX_TERMS, _STOP_REL, _nonpositive_int
+from polykernel.errors import (CoincidentRadiusError, ConvergenceError, ExclusionSetError,
+                               ParameterPoleError, SingularConfigurationError,
+                               radial_range_error, require_finite)
+from polykernel.expansions import (DEFAULT_TRUNCATION, PartialSum, Truncation,
+                                   _check_euler_arguments, _check_power_exclusion,
+                                   _jacobi_q_terms, _q_hat_terms)
+from polykernel.kernels import KernelGeometry
+from polykernel.specfun import (_MAX_TERMS, _STOP_REL, _nonpositive_int, gamma_signed_log,
+                                legendre_q_hat)
 
 
 def _z(r, rp):
@@ -406,3 +415,250 @@ def hyp2f1_series_reference(a, b, c, x, max_terms=_MAX_TERMS):
             t *= 1e-100
             log_scale += 100.0 * math.log(10.0)
     return s, log_scale, n
+
+
+# --- the expansion series, one sum loop each --------------------------------
+# `expansions._Series` and the six infinite series as they read before the
+# series shared one degree-sum driver, kept verbatim (only the names differ):
+# every series must return the same PartialSum and trace rows, and raise the
+# same errors, bit for bit.
+
+class SeriesReference:
+    """Compensated accumulator with the three-small-terms stopping rule."""
+
+    def __init__(self, tr: Truncation, trace=None, level=0):
+        self.tr = tr
+        self.s = 0.0
+        self.c = 0.0
+        self.n = 0
+        self.small_run = 0
+        self.last = 0.0
+        self.trace = trace
+        self.level = level
+
+    def add(self, term: float) -> bool:
+        """Accumulate one term; True once the stopping rule fires."""
+        y = term - self.c
+        t = self.s + y
+        self.c = (t - self.s) - y
+        self.s = t
+        self.n += 1
+        self.last = abs(term)
+        if self.trace is not None:
+            self.trace.append((self.level, self.n - 1, term, self.s))
+        if self.last < self.tr.tol * abs(self.s):
+            self.small_run += 1
+        else:
+            self.small_run = 0
+        return self.small_run >= 3
+
+    def result(self) -> PartialSum:
+        if self.n >= self.tr.max_terms and self.small_run < 3:
+            raise ConvergenceError(
+                f"series not converged after {self.n} terms"
+                f" (last |term| = {self.last:.3e}, partial = {self.s:.6e})")
+        return PartialSum(value=self.s, terms_used=self.n,
+                          last_term_magnitude=self.last, converged=True)
+
+
+def fourier_negative_power_reference(q: int, z: float, x: float,
+                           tr: Truncation = DEFAULT_TRUNCATION,
+                           trace=None) -> PartialSum:
+    """Fourier cosine series of (z - x)^{-q} for integer q >= 1."""
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    _check_euler_arguments(z, x)
+    if not z > 1.0:
+        raise ValueError("need z > 1")
+    w = z / math.sqrt(z * z - 1.0)
+    theta = math.acos(x)
+    pref = (z * z - 1.0) ** (-q / 2.0) / math.factorial(q - 1)
+    # (w-1)/(w+1) = (z - sqrt(z^2-1))^2 < 1 drives the geometric decay.
+    log_ratio = math.log((w - 1.0) / (w + 1.0))
+    half_w = 0.5 * (1.0 - w)
+    acc = SeriesReference(tr, trace)
+    for n in range(tr.max_terms):
+        eps = 2.0 if n else 1.0
+        # (n+q-1)! P_{q-1}^{-n}(w), assembled in log space: the factorial and
+        # the ((w-1)/(w+1))^{n/2} factor both leave double range separately.
+        hyp = 1.0
+        t = 1.0
+        for k in range(q - 1):
+            t *= (-(q - 1.0) + k) * (q + k) / ((1.0 + n + k) * (k + 1.0)) * half_w
+            hyp += t
+        log_mag = (math.lgamma(n + q) - math.lgamma(n + 1.0)
+                   + 0.5 * n * log_ratio)
+        term = pref * eps * math.exp(log_mag) * hyp * math.cos(n * theta)
+        if acc.add(term):
+            break
+    return acc.result()
+
+
+def euler_kernel_jacobi_reference(nu: float, alpha: float, beta: float, z: float, x: float,
+                        tr: Truncation = DEFAULT_TRUNCATION,
+                        trace=None) -> PartialSum:
+    """Jacobi expansion of (z - x)^{-nu}.
+
+    For nu = -n (n in N0) the Pochhammer factor kills every term past n, so
+    the sum reconstructs the binomial (z - x)^n exactly in n + 1 terms.
+    """
+    _check_euler_arguments(z, x, nu=nu, alpha=alpha, beta=beta)
+    if not z > 1.0:
+        raise ValueError("need z > 1")
+    if alpha <= -1.0 or beta <= -1.0 or (alpha < 0.0 and beta < 0.0
+                                         and alpha + beta + 1.0 == 0.0):
+        raise ParameterPoleError(
+            f"Jacobi parameters ({alpha}, {beta}) violate the expansion's"
+            " side conditions")
+    n_neg = _nonpositive_int(nu)
+    limit = tr.max_terms if n_neg is None else min(tr.max_terms, 1 - n_neg)
+    ab = alpha + beta
+    pref = ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
+            / 2.0 ** (ab + 1.0 - nu))
+    acc = SeriesReference(tr, trace)
+    log_poch = 0.0
+    poch_sign = 1.0
+    p_prev, pn = 0.0, 1.0   # P_{n-1}, P_n by the three-term recurrence
+    q_terms = _jacobi_q_terms(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, limit)
+    for n, (q_sign, q_log) in enumerate(q_terms):
+        if n > 0:
+            step = nu + n - 1.0
+            log_poch += math.log(abs(step))
+            poch_sign *= math.copysign(1.0, step)
+            p_prev, pn = pn, (_jacobi_p1(alpha, beta, x) if n == 1
+                              else _jacobi_step(n, alpha, beta, x, p_prev, pn))
+        sg_top, lg_top = gamma_signed_log(ab + n + 1.0)
+        coef_log = (math.log(ab + 2.0 * n + 1.0) + lg_top + log_poch
+                    - math.lgamma(alpha + 1.0 + n) - math.lgamma(beta + 1.0 + n))
+        mag = coef_log + q_log
+        term = 0.0
+        if pn != 0.0 and q_sign != 0.0 and mag > -700.0:
+            term = pref * poch_sign * sg_top * q_sign * math.exp(mag) * pn
+        if acc.add(term):
+            break
+    return acc.result()
+
+
+def euler_kernel_gegenbauer_reference(nu: float, mu: float, z: float, x: float,
+                            tr: Truncation = DEFAULT_TRUNCATION,
+                            trace=None) -> PartialSum:
+    """Gegenbauer expansion of (z - x)^{-nu}; phase-cancelled real form."""
+    _check_euler_arguments(z, x, nu=nu, mu=mu)
+    if _nonpositive_int(nu) is not None:
+        raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
+    if mu <= -0.5 or mu == 0.0:
+        raise ValueError("need mu in (-1/2, inf) \\ {0}")
+    if not z > 1.0:
+        raise ValueError("need z > 1")
+    pref = (2.0 ** (mu + 0.5) * math.gamma(mu)
+            / (math.sqrt(math.pi) * math.gamma(nu)
+               * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25)))
+    acc = SeriesReference(tr, trace)
+    c_prev = 0.0
+    c_cur = 1.0
+    qhats = _q_hat_terms(mu - 0.5, nu - mu - 0.5, z, tr.max_terms)
+    for n, qhat in enumerate(qhats):
+        if n == 1:
+            c_prev, c_cur = c_cur, 2.0 * mu * x
+        elif n >= 2:
+            c_prev, c_cur = c_cur, (2.0 * x * (n + mu - 1.0) * c_cur
+                                    - (n + 2.0 * mu - 2.0) * c_prev) / n
+        if acc.add(pref * (n + mu) * qhat * c_cur):
+            break
+    return acc.result()
+
+
+def euler_kernel_chebyshev_reference(nu: float, z: float, x: float,
+                           tr: Truncation = DEFAULT_TRUNCATION,
+                           trace=None) -> PartialSum:
+    """Chebyshev expansion of (z - x)^{-nu}; phase-cancelled real form."""
+    _check_euler_arguments(z, x, nu=nu)
+    if _nonpositive_int(nu) is not None:
+        raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
+    if not z > 1.0:
+        raise ValueError("need z > 1")
+    theta = math.acos(x)
+    pref = (math.sqrt(2.0) / (math.sqrt(math.pi) * math.gamma(nu)
+                              * (z * z - 1.0) ** (0.5 * nu - 0.25)))
+    acc = SeriesReference(tr, trace)
+    for n, qhat in enumerate(_q_hat_terms(-0.5, nu - 0.5, z, tr.max_terms)):
+        eps = 2.0 if n else 1.0
+        if acc.add(pref * eps * math.cos(n * theta) * qhat):
+            break
+    return acc.result()
+
+
+def multipole_power_reference(d: int, nu: float, r: float, rp: float, cos_gamma: float,
+                    tr: Truncation = DEFAULT_TRUNCATION,
+                    trace=None) -> PartialSum:
+    """Gegenbauer multipole expansion of ||x - x'||^nu on R^d, d >= 3."""
+    if d < 3:
+        raise ValueError("need dimension d >= 3")
+    _check_power_exclusion(nu)
+    require_finite(r=r, rp=rp, cos_gamma=cos_gamma)
+    if not -1.0 <= cos_gamma <= 1.0:
+        raise ValueError("cos_gamma must lie in [-1, 1]")
+    if r <= 0.0 or rp <= 0.0:
+        raise ValueError("radii must be positive")
+    r_less, r_greater = min(r, rp), max(r, rp)
+    if (r_greater - r_less) / r_greater < 1e-6:
+        raise CoincidentRadiusError(
+            f"r = {r} and r' = {rp} too close: expansion argument z -> 1")
+    mu = 0.5 * d - 1.0
+    pref = math.gamma(0.5 * (d - 2.0)) / (2.0 * math.sqrt(math.pi) * math.gamma(-0.5 * nu))
+    try:
+        z = (r * r + rp * rp) / (2.0 * r * rp)
+        pref = (pref * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
+                / (r * rp) ** (0.5 * (d - 1.0)))
+    except (OverflowError, ZeroDivisionError):
+        z = pref = math.inf
+    if not (math.isfinite(z) and math.isfinite(pref)):
+        raise radial_range_error(r=r, rp=rp)
+    acc = SeriesReference(tr, trace)
+    c_prev = 0.0
+    c_cur = 1.0
+    for n in range(tr.max_terms):
+        if n == 1:
+            c_prev, c_cur = c_cur, 2.0 * mu * cos_gamma
+        elif n >= 2:
+            c_prev, c_cur = c_cur, (2.0 * cos_gamma * (n + mu - 1.0) * c_cur
+                                    - (n + 2.0 * mu - 2.0) * c_prev) / n
+        qhat = legendre_q_hat(n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z)
+        if acc.add(pref * (2.0 * n + d - 2.0) * qhat * c_cur):
+            break
+    return acc.result()
+
+
+def azimuthal_power_reference(nu: float, g: KernelGeometry,
+                    tr: Truncation = DEFAULT_TRUNCATION,
+                    trace=None) -> PartialSum:
+    """Azimuthal Fourier expansion of ||x - x'||^nu about the invariant axis.
+
+    Composition of the Chebyshev kernel expansion with the toroidal distance
+    factorization; the working prefactor sqrt(2) (2RR')^{nu/2}
+    (chi^2-1)^{(nu+1)/4} / (sqrt(pi) Gamma(-nu/2)) is the algebraically
+    composed one (it reduces to the classical d = 3, nu = -1 result).
+    """
+    _check_power_exclusion(nu)
+    chi = g.chi
+    if chi is None:
+        raise SingularConfigurationError("a point lies on the rotation axis")
+    if chi <= 1.0 + 1e-6:
+        raise SingularConfigurationError(
+            f"chi = {chi} too close to 1 for the azimuthal series")
+    dphi = g.delta_phi
+    den = math.sqrt(math.pi) * math.gamma(-0.5 * nu)
+    try:
+        pref = (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
+                * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den)
+    except (OverflowError, ZeroDivisionError):
+        pref = math.inf
+    if not (math.isfinite(chi) and math.isfinite(pref)):
+        raise radial_range_error(R=g.R, Rp=g.Rp, chi=chi)
+    acc = SeriesReference(tr, trace)
+    qhats = _q_hat_terms(-0.5, -0.5 * (nu + 1.0), chi, tr.max_terms)
+    for m, qhat in enumerate(qhats):
+        eps = 2.0 if m else 1.0
+        if acc.add(pref * eps * math.cos(m * dphi) * qhat):
+            break
+    return acc.result()

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import oracle_sums
 from polykernel import expansions as ex
@@ -412,3 +414,80 @@ class TestNearFieldOracles:
         assert abs(value - want) <= 1e-11 * abs(direct)
         assert abs(value - direct) <= 1e-11 * abs(direct)
         assert abs(want - direct) <= 1e-11 * abs(direct)
+
+
+# The six infinite series on the one degree-sum driver against their
+# one-loop-each references (tests/oracle_sums.py): the same PartialSum and
+# trace rows, floats compared by float.hex, or the same error type, message
+# and trace rows.  The draws cover every benchmark slot's z (chi, r</r>)
+# band and some beyond, terminating Jacobi series, and term budgets small
+# enough to run out.
+
+def _series_outcome(fn, args, tr):
+    trace = []
+    try:
+        ps = fn(*args, tr=tr, trace=trace)
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    else:
+        outcome = (ps.value.hex(), ps.terms_used, ps.last_term_magnitude.hex(), ps.converged)
+    return outcome, [(level, n, term.hex(), s.hex()) for level, n, term, s in trace]
+
+
+def _assert_same_as_reference(name, args, tr):
+    want = _series_outcome(getattr(oracle_sums, f"{name}_reference"), args, tr)
+    assert _series_outcome(getattr(ex, name), args, tr) == want, (name, args, tr)
+
+
+def _bands(*bands):
+    return st.one_of(*(st.floats(lo, hi) for lo, hi in bands))
+
+
+_X = st.floats(-1.0, 1.0)
+_TR = st.one_of(st.just(ex.DEFAULT_TRUNCATION),
+                st.builds(ex.Truncation, tol=st.sampled_from([1e-12, 1e-8, 1e-4]),
+                          max_terms=st.one_of(st.integers(1, 12), st.just(2000))))
+
+
+class TestDegreeSumParity:
+    @given(q=st.integers(1, 6), z=_bands((1.02, 1.1), (1.5, 4.0), (1.001, 10.0)), x=_X, tr=_TR)
+    @example(q=2, z=1.2, x=0.9, tr=ex.Truncation(1e-14, 5))
+    def test_fourier_negative_power(self, q, z, x, tr):
+        _assert_same_as_reference("fourier_negative_power", (q, z, x), tr)
+
+    @given(nu=st.one_of(st.sampled_from([0.0, -1.0, -3.0]), st.floats(0.3, 6.0),
+                        st.floats(-3.5, -0.1)),
+           alpha=st.floats(-0.95, 3.0), beta=st.floats(-0.95, 3.0),
+           z=_bands((1.2, 1.3), (2.0, 3.0), (1.05, 10.0)), x=_X, tr=_TR)
+    @example(nu=0.0, alpha=0.3, beta=0.2, z=1.5, x=0.4, tr=ex.DEFAULT_TRUNCATION)
+    @example(nu=-1.0, alpha=0.3, beta=0.2, z=1.5, x=0.4, tr=ex.DEFAULT_TRUNCATION)
+    @example(nu=-3.0, alpha=0.3, beta=0.2, z=1.5, x=0.4, tr=ex.DEFAULT_TRUNCATION)
+    @example(nu=-3.0, alpha=0.3, beta=0.2, z=1.5, x=0.4, tr=ex.Truncation(1e-12, 4))
+    @example(nu=-3.0, alpha=0.3, beta=0.2, z=1.5, x=0.4, tr=ex.Truncation(1e-12, 1))
+    def test_euler_kernel_jacobi(self, nu, alpha, beta, z, x, tr):
+        _assert_same_as_reference("euler_kernel_jacobi", (nu, alpha, beta, z, x), tr)
+
+    @given(nu=st.floats(0.05, 6.0), mu=st.floats(-0.45, 4.0),
+           z=_bands((1.1, 1.15), (2.0, 4.0), (1.03, 10.0)), x=_X, tr=_TR)
+    def test_euler_kernel_gegenbauer(self, nu, mu, z, x, tr):
+        _assert_same_as_reference("euler_kernel_gegenbauer", (nu, mu, z, x), tr)
+
+    @given(nu=st.floats(0.05, 6.0), z=_bands((1.045, 1.055), (1.2, 1.3), (2.0, 4.0)),
+           x=_X, tr=_TR)
+    @example(nu=1.5, z=2.0, x=0.3, tr=ex.Truncation(1e-12, 1))
+    def test_euler_kernel_chebyshev(self, nu, z, x, tr):
+        _assert_same_as_reference("euler_kernel_chebyshev", (nu, z, x), tr)
+
+    @given(d=st.integers(3, 6), nu=st.floats(-3.0, 2.5),
+           ratio=_bands((0.3, 0.4), (0.6, 0.65), (0.68, 0.72), (0.88, 0.9)),
+           cos_gamma=_X, tr=_TR)
+    @example(d=3, nu=-1.0, ratio=0.5, cos_gamma=0.3, tr=ex.Truncation(1e-12, 1))
+    def test_multipole_power(self, d, nu, ratio, cos_gamma, tr):
+        _assert_same_as_reference("multipole_power", (d, nu, 1.0, 1.0 / ratio, cos_gamma), tr)
+
+    @given(nu=st.floats(-3.0, 1.0), Rp=st.floats(0.5, 2.0),
+           chi=_bands((1.08, 1.12), (1.4, 3.0)), dphi=st.floats(0.0, 2.0 * math.pi), tr=_TR)
+    def test_azimuthal_power(self, nu, Rp, chi, dphi, tr):
+        assume(2.0 * Rp * chi - 1.0 - Rp * Rp >= 0.0)
+        g = geometry(1.0, Rp, dphi, math.sqrt(2.0 * Rp * chi - 1.0 - Rp * Rp))
+        _assert_same_as_reference("azimuthal_power", (nu, g), tr)

@@ -1,6 +1,7 @@
 """Tree parser, coordinate transforms, and hyperspherical harmonics."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -301,6 +302,18 @@ class TestNodeFactor:
         with pytest.raises(InadmissibleKeyError):
             # l - |m1| - |m2| odd
             ps.harmonic(t4, ps.QuantumKey(values=(2, 1, 0)), [0.4, 0.1, 0.2])
+
+    @pytest.mark.parametrize("spec, values, message", [
+        ("ba", (1, 2), "type b needs l >= l_beta; got l = 1, l_beta = 2"),
+        ("b'a", (1, -2), "type b' needs l >= l_alpha; got l = 1, l_alpha = 2"),
+        ("ca^2", (2, 1, 0),
+         "type c needs l - l_alpha - l_beta even and >= 0; got l = 2, l_alpha = 1, l_beta = 0"),
+    ])
+    def test_node_factor_inadmissible_message(self, spec, values, message):
+        # node_factor names the rule and the degrees, as validate_key does
+        t = ps.parse_tree(spec)
+        with pytest.raises(InadmissibleKeyError, match=f"^{re.escape(message)}$"):
+            ps.node_factor(t.root, ps.QuantumKey(values=values), 0.4)
 
 
 class TestVerifierFactors:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -377,6 +378,26 @@ class TestEdgeCaseCertificates:
     def test_pinned(self, cfg, want):
         rep = vf.run_verification(cfg)
         assert (rep.status, rep.lhs, rep.rhs, rep.tail_estimate) == want
+
+
+class TestTableMemoryBound:
+    def test_refused_before_any_table(self):
+        # caps 100 000 asks for about 1e10 entries in the one c table (twice
+        # that in the Jacobi pass); the bound refuses it from the supports'
+        # sizes, before any index array or table exists
+        cfg = vf.TheoremConfig(theorem="C4.5", nu=-2.0, caps=100_000, thetas=(0.6,),
+                               thetasp=(0.8,), phis=(0.3,), phisp=(2.0,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="node tables would hold more than"):
+                vf.run_verification(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+    def test_hopf_q3_caps30_still_certified(self):
+        assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
 
 
 class TestIndependentOracles:
