@@ -185,6 +185,24 @@ def _gegenbauer_series(pref, scale, mu, x, qhats, tr, trace):
     return _degree_sum(terms(), tr, trace)
 
 
+def _gamma(x, **param):
+    """math.gamma(x) for a prefactor, x a function of the one parameter in
+    param.  Gamma overflows past about 171.6 and within about 5.6e-309 of
+    0, and underflows to 0 below about -177.8, where a prefactor that
+    divides by it would divide by zero; each raises DomainError naming the
+    parameter.  Every other value is math.gamma's own."""
+    try:
+        value = math.gamma(x)
+    except OverflowError:
+        value = 0.0
+    if value == 0.0:
+        (name, given), = param.items()
+        raise DomainError(f"{name} = {given}: Gamma({x}) leaves double range (Gamma overflows"
+                          " past about 171.6 and next to 0, and underflows to 0 below about"
+                          " -177.8)")
+    return value
+
+
 def _check_euler_arguments(z, x, **params):
     # A non-finite argument or |x| > 1 leaves the series' domain: the sum
     # would converge to a wrong value or run to max_terms on NaN terms.
@@ -337,8 +355,8 @@ def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
         raise ValueError("need mu in (-1/2, inf) \\ {0}")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = (2.0 ** (mu + 0.5) * math.gamma(mu)
-            / (math.sqrt(math.pi) * math.gamma(nu)
+    pref = (2.0 ** (mu + 0.5) * _gamma(mu, mu=mu)
+            / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
                * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25)))
     qhats = _q_hat_terms(mu - 0.5, nu - mu - 0.5, z, tr.max_terms)
     return _gegenbauer_series(pref, 1.0, mu, x, qhats, tr, trace)
@@ -353,7 +371,7 @@ def euler_kernel_chebyshev(nu: float, z: float, x: float,
         raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = (math.sqrt(2.0) / (math.sqrt(math.pi) * math.gamma(nu)
+    pref = (math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
                               * (z * z - 1.0) ** (0.5 * nu - 0.25)))
     return _cosine_series(pref, math.acos(x), nu - 0.5, z, tr, trace)
 
@@ -383,7 +401,7 @@ def multipole_power(d: int, nu: float, r: float, rp: float, cos_gamma: float,
         raise CoincidentRadiusError(
             f"r = {r} and r' = {rp} too close: expansion argument z -> 1")
     mu = 0.5 * d - 1.0
-    pref = math.gamma(0.5 * (d - 2.0)) / (2.0 * math.sqrt(math.pi) * math.gamma(-0.5 * nu))
+    pref = _gamma(0.5 * (d - 2.0), d=d) / (2.0 * math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu))
     try:
         z = (r * r + rp * rp) / (2.0 * r * rp)
         pref = (pref * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
@@ -414,7 +432,7 @@ def azimuthal_power(nu: float, g: KernelGeometry,
     if chi <= 1.0 + 1e-6:
         raise SingularConfigurationError(
             f"chi = {chi} too close to 1 for the azimuthal series")
-    den = math.sqrt(math.pi) * math.gamma(-0.5 * nu)
+    den = math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu)
     try:
         pref = (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
                 * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den)

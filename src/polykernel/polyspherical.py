@@ -424,13 +424,23 @@ def _half_lgamma_table(size: int):
 
 
 @lru_cache(maxsize=None)
-def _half_lgamma_rows(nmax: int, size: int):
-    """lgamma((2n + k) / 2) at [n, k] for n = 0..nmax: a read-only view of
-    `_half_lgamma_table`, so a row-dependent index needs only a column index
-    per entry of a row, not an index array as large as a table."""
-    table = _half_lgamma_table(size)
-    return np.lib.stride_tricks.as_strided(
-        table, (nmax + 1, size - 2 * nmax), (2 * table.itemsize, table.itemsize), writeable=False)
+def _half_log_table(size: int):
+    """log(k/2), k = 0..size-1: np.log of the same doubles 2n + a + b + 1
+    that a table's own log would see, a half-integer each."""
+    with np.errstate(divide="ignore"):
+        return np.log(0.5 * np.arange(size))
+
+
+@lru_cache(maxsize=64)
+def _half_rows(nmax: int, size: int):
+    """lgamma((2n + k) / 2) and log((4n + k) / 2) at [n, k] for n = 0..nmax:
+    read-only views of `_half_lgamma_table` and `_half_log_table`, so a
+    row-dependent index needs only a column index per entry of a row, not
+    an index array as large as a table."""
+    return tuple(np.lib.stride_tricks.as_strided(
+        table, (nmax + 1, size - stride * nmax), (stride * table.itemsize, table.itemsize),
+        writeable=False)
+        for table, stride in ((_half_lgamma_table(size), 2), (_half_log_table(size), 4)))
 
 
 def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
@@ -440,15 +450,16 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     arrays that broadcast against each other.  Row n belongs to the node
     degree l_left + l_right + n at b and b' nodes and l_left + l_right + 2n
     at c nodes, so the result has shape ``(nmax + 1,) +`` the broadcast
-    shape.  This is the one-node view of `_pair_tables`, which a
-    certificate's fold calls once for all of its nodes: it builds every
-    table first, from the child degrees that the tree's structure allows,
-    with one recurrence pass per polynomial family.  Every entry is the
-    same bit for bit whichever call builds it.  A table's transient memory
-    is O(pairs * nmax), and a certificate holds all of its tables at once
-    (tracemalloc peaks, one table at a time -> tables first: T4.1 at d = 6,
-    caps 80 0.41 -> 0.69 MiB, at d = 200, caps 60 0.26 -> 24 MiB; T4.2 at
-    q = 3 1.09 -> 1.32 MiB at caps 12 and 13.4 -> 14.0 MiB at caps 30).
+    shape.  This is the one-node view of `_pair_plan` and `_pair_tables`,
+    which a certificate's fold calls once for all of its nodes: it builds
+    every table first, from the child degrees that the tree's structure
+    allows, with one recurrence pass per polynomial family.  Every entry is
+    the same bit for bit whichever call builds it.  A table's transient
+    memory is O(pairs * nmax), and a certificate holds all of its tables at
+    once (tracemalloc peaks, one table at a time -> tables first: T4.1 at
+    d = 6, caps 80 0.41 -> 0.69 MiB, at d = 200, caps 60 0.26 -> 24 MiB;
+    T4.2 at q = 3 1.09 -> 1.32 MiB at caps 12 and 13.4 -> 14.0 MiB at
+    caps 30).
     """
     if node.kind == "a":
         raise ValueError("a type-a node carries azimuthal weights, not a pair table")
@@ -457,44 +468,86 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
         raise ValueError("quantum numbers must be nonnegative")
     if (node.left is None and ll.any()) or (node.right is None and lr.any()):
         raise ValueError("a leaf child has degree 0")
-    return _pair_tables(nmax, [(node, *np.broadcast_arrays(ll, lr), theta, thetap)])[0]
+    plan = _pair_plan(nmax, [(node, *np.broadcast_arrays(ll, lr))])
+    return _pair_tables(plan, [(theta, thetap)])[0]
 
 
-def _pair_tables(nmax: int, requests):
-    """`node_pair_table` of several nodes, with one recurrence pass per family.
+def _pair_plan(nmax: int, requests):
+    """The angle-free half of `_pair_tables`: every column's parameters.
 
-    Each request is (node, l_left, l_right, theta, thetap), its degrees int
-    arrays of one shape, the table's shape after its n axis; the tables
-    come back in request order.  Each pair of child degrees is one column:
-    all b and b' columns share one `gegenbauer_c_all` pass, where
-    alpha = beta and P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2} (DLMF
-    18.7.1), and all c columns share one `jacobi_p_all` pass.  One wide
-    pass costs about what one narrow pass does (the per-degree ufunc calls
-    set the cost, not the entries), but every table is held at once.  The
-    products are assembled in log space, in place, so large-order
-    coefficient growth cancels against the polynomial values instead of
-    overflowing, and zero factors stay exact zeros.  Next to the pass's
-    output, the assembly holds one more table and one temporary.
+    Each request is (node, l_left, l_right), its degrees int arrays of one
+    shape, the table's shape after its n axis.  Each pair of child degrees
+    is one column, and per polynomial family the plan holds, per column:
+    the request that owns it, both degrees and where they are positive,
+    the recurrence parameters, the angle-free part of the log coefficient,
+    and the columns at which the assembly reads the shared log and
+    log-Gamma tables (`_half_rows`).  Every array a plan holds grows with
+    the number of columns, not with nmax, about 74 bytes per column with
+    the fold's own: a certificate that keeps its plan keeps no table (the
+    benchmark's twelve certify shapes hold 0.19 MB; see
+    `verify.PLAN_CACHE_SIZE` for the cache's bound).
     """
-    for node, _, _, theta, thetap in requests:
-        _check_angle(node, (theta, thetap))
-    tables = [None] * len(requests)
-    n2 = np.arange(0, 2 * nmax + 1, 2)[:, None]      # 2n
+    nodes = [node for node, _, _ in requests]
+    families = []
     for jacobi in (False, True):
-        group = [i for i, req in enumerate(requests) if (req[0].kind == "c") == jacobi]
+        group = [i for i, node in enumerate(nodes) if (node.kind == "c") == jacobi]
         if not group:
             continue
         sizes = [requests[i][1].size for i in group]
-        ka, kb, log_env, x = _pair_columns(requests, group, sizes)
+        owner = np.repeat(np.arange(len(group)), sizes)
+        ll, lr = (np.concatenate([requests[i][side].ravel() for i in group]) for side in (1, 2))
+        span_l, span_r = np.array([(_child_span(nodes[i].left), _child_span(nodes[i].right))
+                                   for i in group]).T
+        # twice each child's Jacobi parameter l + S/2, an integer, so that
+        # every log-Gamma is read from one half-integer table
+        ka, kb = 2 * ll + span_l[owner], 2 * lr + span_r[owner]
         kmax = 2 * (ka.max(initial=0) + kb.max(initial=0)) + 4
-        lg = _half_lgamma_rows(nmax, 1 << int(2 * nmax + kmax + 1).bit_length())
+        lg, log_half = _half_rows(nmax, 1 << int(4 * nmax + kmax + 1).bit_length())
         if jacobi:
-            vals = jacobi_p_all(nmax, 0.5 * kb, 0.5 * ka, x)
+            # the Jacobi parameters (b, a) and, at column ka + kb + 2, the
+            # rows of log(2n + a + b + 1) and lgamma(n + a + b + 1)
+            params = (0.5 * kb, 0.5 * ka, ka + kb + 2, ka + 2, kb + 2)
         else:
             # the subtree child's 2a: ka at b' nodes, kb at b nodes, where
-            # the leaf child's 2a is -1
+            # the leaf child's 2a is -1; mu = a + 1/2, the angle-free terms
+            # of the log coefficient, and at column 2p + 2 the rows of
+            # log(2n + 2a + 2) and lgamma(n + 2a + 2)
             p = ka + kb + 1
-            vals = gegenbauer_c_all(nmax, 0.5 * (p + 1), x)
+            params = (0.5 * (p + 1), 2.0 * (lg[0][p + 3] - np.log(p + 1.0))
+                      + (p + 1) * math.log(2.0) - math.log(math.pi), 2 * p + 2)
+        families.append((jacobi, group, sizes, owner, ll.astype(float), lr.astype(float),
+                         ll > 0, lr > 0, lg, log_half, params))
+    return nmax, nodes, [req[1].shape for req in requests], families
+
+
+def _pair_tables(plan, angles):
+    """`node_pair_table` of the requests of one `_pair_plan`, with one
+    recurrence pass per family.
+
+    angles holds (theta, thetap) per request; the tables come back in
+    request order.  All b and b' columns share one `gegenbauer_c_all` pass,
+    where alpha = beta and P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2}
+    (DLMF 18.7.1), and all c columns share one `jacobi_p_all` pass.  One
+    wide pass costs about what one narrow pass does (the per-degree ufunc
+    calls set the cost, not the entries), but every table is held at once.
+    The products are assembled in log space, in place, so large-order
+    coefficient growth cancels against the polynomial values instead of
+    overflowing, and zero factors stay exact zeros; every term is added in
+    the order a node's own call would add it.  Next to the pass's output,
+    the assembly holds one more table and one temporary.
+    """
+    nmax, nodes, shapes, families = plan
+    for node, ang in zip(nodes, angles):
+        _check_angle(node, ang)
+    tables = [None] * len(nodes)
+    for jacobi, group, sizes, owner, ll, lr, l_pos, r_pos, lg, log_half, params in families:
+        log_env, x = _pair_trig(nodes, angles, group, owner, ll, lr, l_pos, r_pos)
+        if jacobi:
+            half_kb, half_ka, k_ab, k_a, k_b = params
+            vals = jacobi_p_all(nmax, half_kb, half_ka, x)
+        else:
+            mu, log_const, k_ab = params
+            vals = gegenbauer_c_all(nmax, mu, x)
         # over the rows (v, v') of vals, log|v| + log|v'| into the first and
         # sign(v) sign(v') into the second, so that the log coefficient can
         # be built in the sign's own array
@@ -504,48 +557,38 @@ def _pair_tables(nmax: int, requests):
             np.log(np.abs(vals, out=vals), out=vals)
         vals[:, 0] += vals[:, 1]
         vals[:, 1] = out
+        np.take(log_half, k_ab, axis=1, out=out, mode="clip")
         if jacobi:
             # 2^{a+b+2} / h_n^{(b,a)}, node_factor's squared norm
-            np.add(n2, 0.5 * (ka + kb), out=out)
-            out += 1.0
-            np.log(out, out=out)
             np.add(math.log(2.0) + log_env, out, out=out)
-            out += lg[:, ka + kb + 2]
+            out += lg[:, k_ab]
             out += lg[:, 2:3]
-            out -= lg[:, ka + 2]
-            out -= lg[:, kb + 2]
+            out -= lg[:, k_a]
+            out -= lg[:, k_b]
         else:
             # 1 / h_n^{(a,a)} times ((a+1)_n / (2a+1)_n)^2 with mu = a + 1/2,
             # Gamma(2 mu) reduced by the duplication formula
-            np.add(n2, p, out=out)
-            out += 1.0
-            np.log(out, out=out)
-            np.add(2.0 * (lg[0][p + 3] - np.log(p + 1.0)) + (p + 1) * math.log(2.0)
-                   - math.log(math.pi) + log_env, out, out=out)
+            np.add(log_const + log_env, out, out=out)
             out += lg[:, 2:3]
-            out -= lg[:, 2 * p + 2]
+            out -= lg[:, k_ab]
         out += vals[:, 0]
         np.exp(out, out=out)
         out *= vals[:, 1]
         start = 0
         for i, size in zip(group, sizes):
-            tables[i] = out[:, start:start + size].reshape((nmax + 1,) + requests[i][1].shape)
+            tables[i] = out[:, start:start + size].reshape((nmax + 1,) + shapes[i])
             start += size
     return tables
 
 
-def _pair_columns(requests, group, sizes):
-    """Per-column arrays of the requests in group, in order: twice each
-    child's Jacobi parameter l + S/2 (an integer, so that every log-Gamma is
-    read from one half-integer table), the log of the envelope
-    cos^{l_left} sin^{l_right} at both angles, and the polynomial's argument
-    at both angles, each taken with math.cos / math.sin as one node's call
-    would.  The per-column degrees and spans are gone before the pass runs."""
-    spans, trigs = [], []
-    ll, lr = (np.concatenate([requests[i][side].ravel() for i in group]) for side in (1, 2))
+def _pair_trig(nodes, angles, group, owner, ll, lr, l_pos, r_pos):
+    """Per-column log of the envelope cos^{l_left} sin^{l_right} at both
+    angles, and the polynomial's argument at both angles, each taken with
+    math.cos / math.sin as one node's call would."""
+    trigs = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in group:
-            node, _, _, theta, thetap = requests[i]
+            node, (theta, thetap) = nodes[i], angles[i]
             log_cos = np.log(abs(math.cos(theta))) + np.log(abs(math.cos(thetap)))
             log_sin = np.log(abs(math.sin(theta))) + np.log(abs(math.sin(thetap)))
             if node.kind == "c":
@@ -553,12 +596,10 @@ def _pair_columns(requests, group, sizes):
             else:
                 trig = math.cos if node.kind == "b" else math.sin
                 x = (trig(theta), trig(thetap))
-            spans.append((_child_span(node.left), _child_span(node.right)))
             trigs.append((log_cos, log_sin, *x))
-        span_l, span_r = np.array(spans).T.repeat(sizes, axis=1)
-        trigs = np.array(trigs).T.repeat(sizes, axis=1)
-        log_env = np.where(ll > 0, ll * trigs[0], 0.0) + np.where(lr > 0, lr * trigs[1], 0.0)
-    return 2 * ll + span_l, 2 * lr + span_r, log_env, trigs[2:]
+        trigs = np.array(trigs).T[:, owner]
+        log_env = np.where(l_pos, ll * trigs[0], 0.0) + np.where(r_pos, lr * trigs[1], 0.0)
+    return log_env, trigs[2:]
 
 
 def harmonic(t: Tree, key: QuantumKey, angles):

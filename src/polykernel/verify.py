@@ -25,12 +25,15 @@ The fold builds every node's table before it contracts any.  A node's child
 degrees follow from the tree's structure (the leaves' nonzero orders, caps
 and top), so all b and b' tables come from one Gegenbauer recurrence pass
 and all c tables from one Jacobi pass; the per-degree ufunc calls, not the
-entries, set a pass's cost.  The contraction then reads only the nonzero
-child weights, in the order a node-by-node fold would, so every certificate
-is the same bit for bit.  The cost is memory, every table held at once
-(tracemalloc peaks, one table at a time -> tables first): T4.1 at d = 6,
-caps 80 0.41 -> 0.69 MiB; at caps 60, d = 40 0.24 -> 4.5 MiB and d = 200
-0.26 -> 24 MiB; T4.2 at q = 3, caps 30 13.4 -> 14.0 MiB.
+entries, set a pass's cost.  What follows from the structure alone is a
+fold plan, cached per shape, so a certificate on a shape seen before runs
+only the angle-dependent half.  The contraction, one np.bincount per node,
+reads only the nonzero child weights, in the order a node-by-node fold
+would, so every certificate is the same bit for bit.  The cost is memory,
+every table held at once (tracemalloc peaks, one table at a time -> tables
+first): T4.1 at d = 6, caps 80 0.41 -> 0.69 MiB; at caps 60, d = 40
+0.24 -> 4.5 MiB and d = 200 0.26 -> 24 MiB; T4.2 at q = 3, caps 30
+13.4 -> 14.0 MiB.
 
 Geometry restrictions: azimuthal order m >= 0, radii distinct, every angle
 but the azimuths strictly inside its node's range so that chi stays finite.
@@ -39,6 +42,8 @@ but the azimuths strictly inside its node's range so that chi stays finite.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -46,8 +51,8 @@ import numpy as np
 
 from .errors import (CoincidentRadiusError, DomainError, ExclusionSetError,
                      SingularConfigurationError, radial_range_error, require_finite)
-from .polyspherical import (Tree, _cos_separation, _pair_tables, hopf_heap_to_preorder,
-                            hopf_tree, parse_tree)
+from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_tables,
+                            hopf_heap_to_preorder, hopf_tree, parse_tree)
 from .specfun import _is_int, legendre_q_hat, legendre_q_hat_column
 
 _RADIUS_GUARD = 1e-6
@@ -135,14 +140,20 @@ def _check_geometry(cfg, tree, angles, anglesp):
 def _geometric_tail(terms):
     """Extrapolated tail of a decaying term sequence.
 
-    Fits one geometric ratio across the last few nonzero magnitudes (a
-    window-wide fit smooths the oscillation of Ferrers/Gegenbauer factors);
-    returns inf when the window looks non-decreasing.
+    Fits one geometric ratio across the last six nonzero magnitudes (a
+    window-wide fit smooths the oscillation of Ferrers/Gegenbauer factors),
+    scanned from the end; returns inf when there are fewer than six or the
+    window looks non-decreasing.
     """
-    mags = [abs(t) for t in terms if t != 0.0]
-    if len(mags) < 6:
+    window = []
+    for t in reversed(terms):
+        if t != 0.0:
+            window.append(abs(t))
+            if len(window) == 6:
+                break
+    else:
         return math.inf
-    window = mags[-6:]
+    window.reverse()
     peak = max(window)
     rho = (window[-1] / window[0]) ** (1.0 / 5.0)
     if rho >= 1.0 or not math.isfinite(rho):
@@ -182,28 +193,88 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
 
     angles/anglesp are preorder node angles (the a entries are not read);
     leaves holds the a-node weight vectors, in preorder, and a leaf child
-    is weight 1 at degree 0.  Every node's table is built first, in one
-    `_pair_tables` call, over the child degrees that the tree's structure
-    allows (the leaves' nonzero orders, caps and top): all b and b' tables
-    in one Gegenbauer pass, all c tables in one Jacobi pass.  Each table
-    covers n = 0..caps; degrees above top, when given, are dropped.  The
-    contraction then runs from the leaves up and reads only the nonzero
-    child weights, so every root weight is the same bit for bit as a
+    is weight 1 at degree 0.  Each table covers n = 0..caps; degrees above
+    top, when given, are dropped.
+
+    A fold is a plan and an execution.  The plan (`_fold_plan`) holds what
+    depends only on the tree, caps, top and where the leaf weights are
+    nonzero: every node's child supports and column degrees, and the
+    column parameters of `_pair_tables` (see `_pair_plan`), about 74 bytes
+    per table column.  Plans are cached, at most PLAN_CACHE_SIZE (32) of
+    them with PLAN_CACHE_COLUMNS (65 536) columns in all, about 4.8 MB, so
+    a fold on a shape seen before skips straight to the execution.  It
+    builds every node's table first, in one `_pair_tables` call (all b and
+    b' tables in one Gegenbauer pass, all c tables in one Jacobi pass), then
+    contracts from the leaves up with one `np.bincount` per node.  bincount
+    adds its weights in the order it reads them, as `np.add.at` does, and
+    reads only the nonzero child weights, l_a-major, then l_b, with n
+    innermost, so every root weight is the same bit for bit as a
     node-by-node fold's.  Holding every table at once costs memory
     (tracemalloc peaks of T4.1 at caps 60: 0.24 -> 4.5 MiB at d = 40 and
     0.26 -> 24 MiB at d = 200, where the time went 164 -> 68 ms), so a
     certificate whose tables would hold more than MAX_TABLE_ENTRIES entries
-    raises DomainError before any table, or the support index array that
-    would pass the bound, is built.
+    raises DomainError while its plan is built, before any table, or the
+    support index array that would pass the bound, exists.
     """
-    nodes = tree.branching_nodes
-    # node index (None at a leaf child) -> weight vector, the degrees where
-    # it is nonzero, and (its length, the degrees where it can be nonzero)
+    leaf_index, steps, pairs = _fold_plan(tree, caps, top, leaves)
+    tables = _pair_tables(pairs, [(angles[step[0]], anglesp[step[0]]) for step in steps])
     weights = {None: np.ones(1)}
-    weights.update(zip((node.index for node in nodes if node.kind == "a"), leaves))
-    nonzero = {index: np.flatnonzero(w) for index, w in weights.items()}
-    support = {index: (len(w), nonzero[index]) for index, w in weights.items()}
-    requests, children, entries = [], [], 0
+    weights.update(zip(leaf_index, leaves))
+    # the nonzero degrees of a node whose weight vanishes where its
+    # structural support allows a nonzero one
+    nonzero = {}
+    for (index, ia, ib, sa, sb, degrees, orders, length, reach_size), u in zip(steps, tables):
+        left, right = weights[ia], weights[ib]
+        la, lb = nonzero.get(ia, sa), nonzero.get(ib, sb)
+        if la is not sa or lb is not sb:
+            u = u[:, np.searchsorted(sa, la)[:, None], np.searchsorted(sb, lb)]
+            degrees = la[:, None] + lb
+        # l_a-major, then l_b, with n innermost, so every degree adds its
+        # terms in the same order as a loop over the pairs would
+        terms = np.multiply((left[la][:, None] * right[lb])[..., None], u.transpose(1, 2, 0),
+                            order="C")
+        out = np.bincount((degrees[..., None] + orders).ravel(), terms.ravel(), length)
+        weights[index] = out = out if top is None else out[:top + 1]
+        if reach_size is not None and np.count_nonzero(out) < reach_size:
+            nonzero[index] = np.flatnonzero(out)
+    return weights[tree.root.index]
+
+
+# Fold plans kept across certificates, the least recently used dropped
+# first: callers certify many angle pairs on a few tree shapes (the
+# benchmark's certify cycle has 12, whose plans hold 0.19 MB).  T4.2 at
+# q = 3 has 2 000 table columns at caps 12 and 47 000 at caps 60; a plan
+# past PLAN_CACHE_COLUMNS is used once and dropped.
+PLAN_CACHE_SIZE = 32
+PLAN_CACHE_COLUMNS = 1 << 16
+_plans: OrderedDict = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def _fold_plan(tree: Tree, caps: int, top, leaves):
+    """The cached plan of `_fold` on this tree, caps, top and leaf supports.
+
+    It is (the a nodes' indices, one step per other node in reversed
+    preorder, the `_pair_plan` of every node).  A step is (node index, its
+    children's indices, both children's structural supports, the degree
+    l_a + l_b of every column, the degree step of each row, the length of
+    the node's weight vector, and the size of its own support, None at the
+    root).  The scatter offsets themselves are as large as the node's
+    table, so each execution adds them up anew.  The cache holds each
+    plan's tree, so no other tree can take its id while the plan is cached.
+    """
+    key = (id(tree), caps, top, tuple(np.not_equal(w, 0.0).tobytes() for w in leaves))
+    with _plans_lock:
+        if key in _plans:
+            _plans.move_to_end(key)
+            return _plans[key][1]
+    nodes = tree.branching_nodes
+    leaf_index = [node.index for node in nodes if node.kind == "a"]
+    # node index (None at a leaf child) -> (length of its weight vector,
+    # the degrees where it can be nonzero)
+    support = {None: (1, np.zeros(1, dtype=int))}
+    support.update((i, (len(w), np.flatnonzero(w))) for i, w in zip(leaf_index, leaves))
+    steps, requests, entries = [], [], 0
     for node in reversed(nodes):            # reversed preorder: children first
         if node.kind == "a":
             continue
@@ -214,31 +285,25 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
         if entries > MAX_TABLE_ENTRIES:
             raise DomainError(f"the node tables would hold more than {MAX_TABLE_ENTRIES}"
                               f" entries at caps = {caps}")
+        step = 2 if node.kind == "c" else 1
+        degrees, orders = sa[:, None] + sb, step * np.arange(caps + 1)
+        length, reach_size = len_a + len_b - 1 + step * caps, None
         if node is not tree.root:            # no parent reads the root's degrees
-            step = 2 if node.kind == "c" else 1
-            reach = np.zeros(len_a + len_b - 1 + step * caps, dtype=bool)
-            reach[(sa[:, None] + sb)[..., None] + step * np.arange(caps + 1)] = True
+            reach = np.zeros(length, dtype=bool)
+            reach[degrees[..., None] + orders] = True
             reach = reach if top is None else reach[:top + 1]
             support[node.index] = (len(reach), np.flatnonzero(reach))
-        zero = 0 * (sa[:, None] + sb)         # both degrees at the table's shape
-        requests.append((node, sa[:, None] + zero, sb + zero,
-                         angles[node.index], anglesp[node.index]))
-        children.append((ia, ib, sa, sb))
-    for (node, *_), (ia, ib, sa, sb), u in zip(requests, children, _pair_tables(caps, requests)):
-        left, right = weights[ia], weights[ib]
-        la, lb = nonzero[ia][:, None], nonzero[ib]
-        if len(la) < len(sa) or len(lb) < len(sb):
-            # a weight that is zero where the structure allows a nonzero one
-            u = u[:, np.searchsorted(sa, la), np.searchsorted(sb, lb)]
-        step = 2 if node.kind == "c" else 1
-        # l_a-major, then l_b, with n innermost, so every degree adds its
-        # terms in the same order as a loop over the pairs would
-        out = np.zeros(len(left) + len(right) - 1 + step * caps)
-        np.add.at(out, (la + lb)[..., None] + step * np.arange(caps + 1),
-                  (left[la] * right[lb])[..., None] * u.transpose(1, 2, 0))
-        weights[node.index] = out = out if top is None else out[:top + 1]
-        nonzero[node.index] = np.flatnonzero(out)
-    return weights[tree.root.index]
+            reach_size = len(support[node.index][1])
+        # both degrees at the table's shape
+        requests.append((node, sa[:, None] + 0 * degrees, sb + 0 * degrees))
+        steps.append((node.index, ia, ib, sa, sb, degrees, orders, length, reach_size))
+    plan = leaf_index, steps, _pair_plan(caps, requests)
+    with _plans_lock:
+        _plans[key] = tree, plan, entries // (caps + 1)
+        while (len(_plans) > PLAN_CACHE_SIZE
+               or sum(columns for *_, columns in _plans.values()) > PLAN_CACHE_COLUMNS):
+            _plans.popitem(last=False)
+    return plan
 
 
 def _certify(cfg, tree, angles, anglesp, elementary, top=None):

@@ -30,7 +30,7 @@ from polykernel.errors import (CoincidentRadiusError, ConvergenceError, Exclusio
                                ParameterPoleError, SingularConfigurationError,
                                radial_range_error, require_finite)
 from polykernel.expansions import (DEFAULT_TRUNCATION, PartialSum, Truncation,
-                                   _check_euler_arguments, _check_power_exclusion,
+                                   _check_euler_arguments, _check_power_exclusion, _gamma,
                                    _jacobi_q_terms, _q_hat_terms)
 from polykernel.kernels import KernelGeometry
 from polykernel.specfun import (_MAX_TERMS, _STOP_REL, _nonpositive_int, gamma_signed_log,
@@ -550,8 +550,8 @@ def euler_kernel_gegenbauer_reference(nu: float, mu: float, z: float, x: float,
         raise ValueError("need mu in (-1/2, inf) \\ {0}")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = (2.0 ** (mu + 0.5) * math.gamma(mu)
-            / (math.sqrt(math.pi) * math.gamma(nu)
+    pref = (2.0 ** (mu + 0.5) * _gamma(mu, mu=mu)
+            / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
                * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25)))
     acc = SeriesReference(tr, trace)
     c_prev = 0.0
@@ -578,7 +578,7 @@ def euler_kernel_chebyshev_reference(nu: float, z: float, x: float,
     if not z > 1.0:
         raise ValueError("need z > 1")
     theta = math.acos(x)
-    pref = (math.sqrt(2.0) / (math.sqrt(math.pi) * math.gamma(nu)
+    pref = (math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
                               * (z * z - 1.0) ** (0.5 * nu - 0.25)))
     acc = SeriesReference(tr, trace)
     for n, qhat in enumerate(_q_hat_terms(-0.5, nu - 0.5, z, tr.max_terms)):
@@ -605,7 +605,7 @@ def multipole_power_reference(d: int, nu: float, r: float, rp: float, cos_gamma:
         raise CoincidentRadiusError(
             f"r = {r} and r' = {rp} too close: expansion argument z -> 1")
     mu = 0.5 * d - 1.0
-    pref = math.gamma(0.5 * (d - 2.0)) / (2.0 * math.sqrt(math.pi) * math.gamma(-0.5 * nu))
+    pref = _gamma(0.5 * (d - 2.0), d=d) / (2.0 * math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu))
     try:
         z = (r * r + rp * rp) / (2.0 * r * rp)
         pref = (pref * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
@@ -647,7 +647,7 @@ def azimuthal_power_reference(nu: float, g: KernelGeometry,
         raise SingularConfigurationError(
             f"chi = {chi} too close to 1 for the azimuthal series")
     dphi = g.delta_phi
-    den = math.sqrt(math.pi) * math.gamma(-0.5 * nu)
+    den = math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu)
     try:
         pref = (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
                 * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den)

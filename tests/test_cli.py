@@ -301,6 +301,22 @@ class TestVerify:
         assert code == 6
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, name", [
+        # these exited 6 with only "error: math range error"
+        (["expand", "multipole", "--d", "400"], "d = 400: Gamma(199.0)"),
+        (["expand", "gegenbauer", "--mu", "200", "--nu", "300"], "mu = 200.0: Gamma(200.0)"),
+        (["expand", "chebyshev", "--nu", "200", "--z", "3", "--x", "0"],
+         "nu = 200.0: Gamma(200.0)"),
+        (["expand", "azimuthal", "--nu", "-400"], "nu = -400.0: Gamma(200.0)"),
+        (["expand", "multipole", "--d", "3", "--nu", "-400", "--r", "1", "--rp", "2",
+          "--cosg", "0.3"], "nu = -400.0: Gamma(200.0)"),
+    ])
+    def test_gamma_overflow_names_parameter_exit6(self, capsys, argv, name):
+        code, out, err = run(argv, capsys)
+        assert code == 6
+        assert out == "" and err.startswith(f"error: {name} leaves double range")
+        assert "171.6" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("flags, message", [
         # these ran every sum to max_terms and exited 4, "series not converged"
         (["--tol", "-1"], "tol must be a positive finite number"),

@@ -333,6 +333,22 @@ class TestArgumentDomain:
             with pytest.raises(DomainError, match=f"^{re.escape(names)}"):
                 call()
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: ex.multipole_power(400, -1.0, 1.0, 2.0, 0.3), "d = 400"),
+        (lambda: ex.multipole_power(3, -400.0, 1.0, 2.0, 0.3), "nu = -400.0"),
+        (lambda: ex.euler_kernel_gegenbauer(300.0, 200.0, 2.0, 0.3), "mu = 200.0"),
+        (lambda: ex.euler_kernel_chebyshev(200.0, 3.0, 0.0), "nu = 200.0"),
+        (lambda: ex.azimuthal_power(-400.0, geometry(1.0, 1.5, 0.5, 1.0)), "nu = -400.0"),
+        # Gamma(-200.5) underflows to 0 in the prefactor's denominator
+        (lambda: ex.euler_kernel_chebyshev(-200.5, 3.0, 0.0), "nu = -200.5"),
+    ])
+    def test_gamma_past_double_range_rejected_by_name(self, call, name):
+        # these raised a bare OverflowError, "math range error", or
+        # ZeroDivisionError
+        with pytest.raises(DomainError, match=rf"^{re.escape(name)}: Gamma\(.*\) leaves double"
+                                              r" range \(Gamma overflows past about 171\.6"):
+            call()
+
     def test_interval_ends_accepted(self):
         for x in (-1.0, 1.0):
             want = ex.euler_kernel_direct(1.5, 2.0, x)

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -338,6 +339,94 @@ class TestTablesFirstFold:
         np.testing.assert_array_equal(got, want)
 
 
+def _fold_inputs(tree, caps, rng, zeros=()):
+    """Preorder angles of both points and leaf weight vectors over orders
+    0..caps, the weights at (leaf, order) in zeros set to exactly 0."""
+    angles, anglesp = ([0.0 if node.kind == "a" else
+                        rng.uniform(ps.ANGLE_RANGES[node.kind][0] + 1e-3,
+                                    ps.ANGLE_RANGES[node.kind][1] - 1e-3)
+                        for node in tree.branching_nodes] for _ in range(2))
+    leaves = [rng.uniform(-2.0, 2.0, caps + 1) for node in tree.branching_nodes
+              if node.kind == "a"]
+    for leaf, order in zeros:
+        leaves[leaf][order] = 0.0
+    return angles, anglesp, leaves
+
+
+class TestFoldPlan:
+    # a plan is reused for every fold on its tree, caps, top and leaf
+    # supports, so a warm plan must give what a cold one gives: the
+    # node-by-node fold's root weights, bit for bit
+    def test_warm_plan_equals_node_by_node_fold(self, monkeypatch):
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        tree = ps.parse_tree("cb'aba")           # a, b, b' and c nodes
+        rng = np.random.default_rng(14)
+        # (caps, top, exact-zero leaf weights, plans cached after the fold)
+        for caps, top, zeros, plans in [
+            (6, None, (), 1),
+            (6, None, (), 1),                   # new angles and weights, warm
+            (6, None, ((1, 2),), 2),            # a new support
+            (6, None, ((1, 2),), 2),
+            (6, 9, (), 3),                      # another top
+            (4, None, (), 4),                   # another caps
+            (6, None, (), 4),                   # the first plan, warm again
+        ]:
+            angles, anglesp, leaves = _fold_inputs(tree, caps, rng, zeros)
+            got = vf._fold(tree, caps, angles, anglesp, leaves, top)
+            want = fold_reference(tree, caps, angles, anglesp, leaves, top)
+            np.testing.assert_array_equal(got, want)
+            assert len(vf._plans) == plans
+
+    @given(data=st.data())
+    def test_warm_plan_on_random_trees(self, data):
+        # two folds on one tree and one zero pattern: the second runs on the
+        # first one's plan
+        tree = ps.parse_tree(data.draw(_tree_specs(7), label="tree"))
+        caps = data.draw(st.integers(0, 8), label="caps")
+        top = data.draw(st.one_of(st.none(), st.integers(0, 3 * caps + 6)), label="top")
+        n_leaves = sum(node.kind == "a" for node in tree.branching_nodes)
+        zeros = data.draw(st.sets(st.tuples(st.integers(0, n_leaves - 1),
+                                            st.integers(0, caps - 1))), label="zeros") if caps else ()
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            angles, anglesp, leaves = _fold_inputs(tree, caps, rng, zeros)
+            with np.errstate(all="ignore"):
+                got = vf._fold(tree, caps, angles, anglesp, leaves, top)
+                try:
+                    want = fold_reference(tree, caps, angles, anglesp, leaves, top)
+                except ValueError:
+                    # a child whose weights all vanish below top, as in
+                    # TestTablesFirstFold
+                    assert not got.any()
+                    continue
+            np.testing.assert_array_equal(got, want)
+
+    def test_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        tree = ps.parse_tree("ba")
+        folds = {}
+        for caps in range(vf.PLAN_CACHE_SIZE + 8):
+            folds[caps] = vf._fold(tree, caps, (0.7, 0.0), (1.9, 0.0), [np.eye(3)[2]])
+            assert len(vf._plans) == min(caps + 1, vf.PLAN_CACHE_SIZE)
+        # the least recently used plans went first; a dropped plan is built
+        # anew with the same result
+        assert sorted(key[1] for key in vf._plans) == list(range(8, vf.PLAN_CACHE_SIZE + 8))
+        np.testing.assert_array_equal(
+            vf._fold(tree, 0, (0.7, 0.0), (1.9, 0.0), [np.eye(3)[2]]), folds[0])
+
+    def test_cache_columns_bounded(self, monkeypatch):
+        # T4.2 at q = 3 has 251 table columns at caps 4, 531 at caps 6 and
+        # 915 at caps 8: a plan past the budget is used once and dropped
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        monkeypatch.setattr(vf, "PLAN_CACHE_COLUMNS", 800)
+        for caps, kept in [(4, [4]), (6, [4, 6]), (4, [6, 4]), (8, []), (4, [4])]:
+            cfg = _hopf_cfg(3, 0, caps)
+            assert vf.run_verification(cfg) == vf.run_verification(cfg)
+            assert [key[1] for key in vf._plans] == kept
+            assert sum(columns for *_, columns in vf._plans.values()) <= 800
+
+
 def _std_cfg(theorem, d, m, caps, nu=-1.5):
     n = d - 2
     return vf.TheoremConfig(theorem=theorem, nu=nu, m=m, d=d, caps=caps,
@@ -395,6 +484,17 @@ class TestTableMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2 ** 20
+
+    def test_refused_plan_not_cached(self, monkeypatch):
+        # the bound is checked while a plan is built, so a refused
+        # certificate leaves no plan behind and is refused again
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        cfg = vf.TheoremConfig(theorem="C4.5", nu=-2.0, caps=100_000, thetas=(0.6,),
+                               thetasp=(0.8,), phis=(0.3,), phisp=(2.0,))
+        for _ in range(2):
+            with pytest.raises(DomainError, match="node tables would hold more than"):
+                vf.run_verification(cfg)
+        assert not vf._plans
 
     def test_hopf_q3_caps30_still_certified(self):
         assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
