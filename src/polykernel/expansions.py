@@ -203,6 +203,21 @@ def _gamma(x, **param):
     return value
 
 
+def _prefactor(build, **params):
+    """build(), an Euler-kernel series prefactor.  A power past double range,
+    or a denominator Gamma(nu) (z^2 - 1)^{...} that overflows or underflows
+    to 0 while Gamma(nu) is finite, raises DomainError naming the parameters:
+    a zero prefactor would zero every term, and no sum of them converges."""
+    try:
+        pref = build()
+    except (OverflowError, ZeroDivisionError):
+        pref = math.inf
+    if not math.isfinite(pref) or pref == 0.0:
+        named = ", ".join(f"{name} = {value}" for name, value in params.items())
+        raise DomainError(f"{named}: the series prefactor leaves double range")
+    return pref
+
+
 def _check_euler_arguments(z, x, **params):
     # A non-finite argument or |x| > 1 leaves the series' domain: the sum
     # would converge to a wrong value or run to max_terms on NaN terms.
@@ -355,9 +370,9 @@ def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
         raise ValueError("need mu in (-1/2, inf) \\ {0}")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = (2.0 ** (mu + 0.5) * _gamma(mu, mu=mu)
-            / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
-               * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25)))
+    pref = _prefactor(lambda: 2.0 ** (mu + 0.5) * _gamma(mu, mu=mu)
+                      / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
+                         * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25)), nu=nu, mu=mu, z=z)
     qhats = _q_hat_terms(mu - 0.5, nu - mu - 0.5, z, tr.max_terms)
     return _gegenbauer_series(pref, 1.0, mu, x, qhats, tr, trace)
 
@@ -371,8 +386,9 @@ def euler_kernel_chebyshev(nu: float, z: float, x: float,
         raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = (math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
-                              * (z * z - 1.0) ** (0.5 * nu - 0.25)))
+    pref = _prefactor(lambda: math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
+                                                * (z * z - 1.0) ** (0.5 * nu - 0.25)),
+                      nu=nu, z=z)
     return _cosine_series(pref, math.acos(x), nu - 0.5, z, tr, trace)
 
 

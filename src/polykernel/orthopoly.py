@@ -10,8 +10,9 @@ a_k = const_k + lin_k x of its recurrence into rows 2.. of the output in
 bulk, and the kernel overwrites row k with (a_k P_{k-1} - down_k P_{k-2}) /
 div_k.  It runs a table of at most `_NARROW` entries per row on Python
 floats, where numpy's per-call overhead would set the cost, and a wider table
-in place, four `out=` ufunc calls per degree; both do the same IEEE
-operations, so every column is the same bit for bit on either path.
+in place, four ufunc calls per degree on contiguous rows of one shape; both
+do the same IEEE operations, so every column is the same bit for bit on
+either path.
 The per-degree `jacobi_p` and `gegenbauer_c` keep their own loops as the
 independent reference.
 """
@@ -53,10 +54,17 @@ def _jacobi_p1(alpha, beta, x):
 # A table whose rows hold at most this many entries runs its recurrence on
 # Python floats, one entry at a time: numpy's per-call overhead, not
 # arithmetic, sets the cost of a narrow step.  At nmax = 80 the float path
-# is the faster one up to about 10 entries per row for jacobi_p_all and 12
-# for gegenbauer_c_all (16 before the numpy step ran in place; Xeon 2 vCPU,
-# numpy 2.4, both paths forced, min of 30 interleaved repeats).
+# is the faster one up to about 9 entries per row for jacobi_p_all and 11
+# for gegenbauer_c_all with a 1-D x, and up to 8 for both on the (2, w)
+# rows of a pair table, where 10 entries tie (Xeon 2 vCPU, numpy 2.4, both
+# paths forced, min of 40 interleaved repeats).
 _NARROW = 8
+
+
+# Above this many bytes, `_scale_rows` builds a factor half the rows at a
+# time: it then costs half of its array's memory, for twice the ufunc calls.
+# `_three_term` sizes its operand blocks from it.
+_SPLIT_BYTES = 1 << 20
 
 
 def _three_term(out, down, div):
@@ -72,14 +80,28 @@ def _three_term(out, down, div):
     if nmax < 2:
         return
     if out[0].size > _NARROW:
-        # four in-place calls per degree: no row is allocated in the loop
-        rows, tmp = list(out), np.empty_like(out[0])
-        for k, d, v in zip(range(2, nmax + 1), down[2:], div[2:]):
-            row = rows[k]
-            np.multiply(row, rows[k - 1], out=row)
-            np.multiply(d, rows[k - 2], out=tmp)
-            np.subtract(row, tmp, out=row)
-            np.divide(row, v, out=row)
+        # Four in-place calls per degree, every operand a contiguous row of
+        # the row's own shape: down and div are copied, broadcast, into two
+        # buffers a block of rows at a time, and d_k out[k-2] is formed in
+        # d_k's own copy.  The two buffers take at most _SPLIT_BYTES / 16
+        # (64 KiB) together, or one row each: glibc maps an allocation past
+        # 128 KiB afresh on each call, and at T4.2 q = 3, caps 12 (rows of
+        # 2 x 1 995) blocks of 1 MiB made the certificate about 20% slower
+        # than broadcast operands, 64 KiB about as fast.
+        rows = list(out)
+        block = min(nmax - 1, max(1, _SPLIT_BYTES // (32 * out[0].nbytes)))
+        downs, divs = np.empty((2, block) + out.shape[1:])
+        down_rows, div_rows = list(downs), list(divs)
+        for start in range(2, nmax + 1, block):
+            stop = min(start + block, nmax + 1)
+            np.copyto(downs[:stop - start], down[start:stop])
+            np.copyto(divs[:stop - start], div[start:stop])
+            for k, d, v in zip(range(start, stop), down_rows, div_rows):
+                row = rows[k]
+                np.multiply(row, rows[k - 1], row)
+                np.multiply(d, rows[k - 2], d)
+                np.subtract(row, d, row)
+                np.divide(row, v, row)
         return
 
     def columns(c):
@@ -95,11 +117,6 @@ def _three_term(out, down, div):
             col.append(b)
         cols.append(col)
     out[2:] = np.reshape(np.transpose(cols), out[2:].shape)
-
-
-# Above this many bytes, `_scale_rows` builds a factor half the rows at a
-# time: it then costs half of its array's memory, for twice the ufunc calls.
-_SPLIT_BYTES = 1 << 20
 
 
 def _scale_rows(c, factor):

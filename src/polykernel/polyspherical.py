@@ -457,9 +457,9 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     the same bit for bit whichever call builds it.  A table's transient
     memory is O(pairs * nmax), and a certificate holds all of its tables at
     once (tracemalloc peaks, one table at a time -> tables first: T4.1 at
-    d = 6, caps 80 0.41 -> 0.69 MiB, at d = 200, caps 60 0.26 -> 24 MiB;
-    T4.2 at q = 3 1.09 -> 1.32 MiB at caps 12 and 13.4 -> 14.0 MiB at
-    caps 30).
+    d = 6, caps 80 0.41 -> 0.69 MiB, at d = 200, caps 60 0.26 -> 24 MiB).
+    A T4.2 certificate at q = 3, caps 30 peaks at 13.4 MiB, and at
+    14.3 MiB when it builds its fold plan.
     """
     if node.kind == "a":
         raise ValueError("a type-a node carries azimuthal weights, not a pair table")

@@ -27,13 +27,16 @@ and top), so all b and b' tables come from one Gegenbauer recurrence pass
 and all c tables from one Jacobi pass; the per-degree ufunc calls, not the
 entries, set a pass's cost.  What follows from the structure alone is a
 fold plan, cached per shape, so a certificate on a shape seen before runs
-only the angle-dependent half.  The contraction, one np.bincount per node,
-reads only the nonzero child weights, in the order a node-by-node fold
-would, so every certificate is the same bit for bit.  The cost is memory,
-every table held at once (tracemalloc peaks, one table at a time -> tables
-first): T4.1 at d = 6, caps 80 0.41 -> 0.69 MiB; at caps 60, d = 40
-0.24 -> 4.5 MiB and d = 200 0.26 -> 24 MiB; T4.2 at q = 3, caps 30
-13.4 -> 14.0 MiB.
+only the angle-dependent half.  The radial column R depends on no angle
+either, and is cached per (start degree, order, z, length, elementary), so
+a sweep of angle pairs at fixed radii sums its 2F1 series once.  The
+contraction, one np.bincount per node, reads only the nonzero child
+weights, in the order a node-by-node fold would, so every certificate is
+the same bit for bit.  The cost is memory, every table held at once
+(tracemalloc peaks, one table at a time -> tables first: T4.1 at d = 6,
+caps 80 0.41 -> 0.69 MiB; at caps 60, d = 40 0.24 -> 4.5 MiB and d = 200
+0.26 -> 24 MiB).  A T4.2 certificate at q = 3, caps 30 peaks at 13.4 MiB,
+and at 14.3 MiB when it builds its fold plan.
 
 Geometry restrictions: azimuthal order m >= 0, radii distinct, every angle
 but the azimuths strictly inside its node's range so that chi stays finite.
@@ -306,6 +309,31 @@ def _fold_plan(tree: Tree, caps: int, top, leaves):
     return plan
 
 
+def _radial(deg, order, z, n, elementary):
+    """R(l) = Qhat_l^order(z) for l = deg .. deg + n - 1, read-only.
+
+    It depends on no angle, so a certificate on radii and an order seen
+    before, as when angle pairs are swept at fixed radii, reads it from
+    `_radial_column`'s cache instead of summing a 2F1 series and the
+    continued fraction.  The cache has the plans' bounds: at most
+    PLAN_CACHE_SIZE columns, each at most its share of PLAN_CACHE_COLUMNS
+    floats (2 048), so 512 KiB in all; a longer column is built and dropped.
+    """
+    build = (_radial_column if n <= PLAN_CACHE_COLUMNS // PLAN_CACHE_SIZE
+             else _radial_column.__wrapped__)
+    return build(deg, order, z, n, elementary)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _radial_column(deg, order, z, n, elementary):
+    if elementary:
+        radial = _qhat_half(deg + np.arange(n), order, z)
+    else:
+        radial = legendre_q_hat_column(deg, order, z, n)
+    radial.flags.writeable = False
+    return radial
+
+
 def _certify(cfg, tree, angles, anglesp, elementary, top=None):
     """Report for pref * sum_l W(l) R(l) over the root degrees of one tree.
 
@@ -357,13 +385,10 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
     if not nz:
         raise DomainError(f"the fold weights underflow to 0 at d = {d}")
     lo, w = nz[0], w[nz[0]:nz[-1] + 1]
-    deg = lo + 0.5 * (d - 3.0)
-    if elementary:
-        if nu != 2.0 - d:
-            raise ValueError(f"the elementary reduction needs nu = 2 - d = {2 - d}")
-        radial = _qhat_half(deg + np.arange(len(w)), -0.5, z)
-    else:
-        radial = legendre_q_hat_column(deg, 0.5 * (1.0 - nu - d), z, len(w))
+    if elementary and nu != 2.0 - d:
+        raise ValueError(f"the elementary reduction needs nu = 2 - d = {2 - d}")
+    # at nu = 2 - d the order is -1/2
+    radial = _radial(lo + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z, len(w), elementary)
     if elementary and d == 4:
         lhs = float(_qhat_half(m - 0.5, 0.5, chi))
     else:

@@ -317,6 +317,18 @@ class TestVerify:
         assert out == "" and err.startswith(f"error: {name} leaves double range")
         assert "171.6" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, names", [
+        # these ended in a ZeroDivisionError traceback and exit 1
+        (["expand", "chebyshev", "--nu", "-150.5", "--z", "3", "--x", "0"],
+         "nu = -150.5, z = 3.0"),
+        (["expand", "gegenbauer", "--nu", "-150.5", "--mu", "0.5", "--z", "3", "--x", "0"],
+         "nu = -150.5, mu = 0.5, z = 3.0"),
+    ])
+    def test_prefactor_underflow_names_parameters_exit6(self, capsys, argv, names):
+        code, out, err = run(argv, capsys)
+        assert code == 6
+        assert out == "" and err == f"error: {names}: the series prefactor leaves double range\n"
+
     @pytest.mark.parametrize("flags, message", [
         # these ran every sum to max_terms and exited 4, "series not converged"
         (["--tol", "-1"], "tol must be a positive finite number"),

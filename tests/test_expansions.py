@@ -349,6 +349,25 @@ class TestArgumentDomain:
                                               r" range \(Gamma overflows past about 171\.6"):
             call()
 
+    @pytest.mark.parametrize("call, names", [
+        # Gamma(-150.5) is finite, but Gamma(nu) (z^2 - 1)^{...} underflows to 0
+        (lambda: ex.euler_kernel_chebyshev(-150.5, 3.0, 0.0), "nu = -150.5, z = 3.0"),
+        (lambda: ex.euler_kernel_gegenbauer(-150.5, 0.5, 3.0, 0.0),
+         "nu = -150.5, mu = 0.5, z = 3.0"),
+        # (z^2 - 1)^{nu/2} past double range
+        (lambda: ex.euler_kernel_chebyshev(40.0, 1e10, 0.0), "nu = 40.0, z = 10000000000.0"),
+        (lambda: ex.euler_kernel_gegenbauer(40.0, 0.5, 1e10, 0.0),
+         "nu = 40.0, mu = 0.5, z = 10000000000.0"),
+        # the denominator overflows, so the prefactor underflows to 0
+        (lambda: ex.euler_kernel_chebyshev(150.0, 100.0, 0.0), "nu = 150.0, z = 100.0"),
+    ])
+    def test_prefactor_past_double_range_rejected_by_name(self, call, names):
+        # these raised ZeroDivisionError, OverflowError "(34, 'Numerical
+        # result out of range')", or ConvergenceError on a zero prefactor
+        with pytest.raises(DomainError, match=f"^{re.escape(names)}: the series prefactor"
+                                              " leaves double range$"):
+            call()
+
     def test_interval_ends_accepted(self):
         for x in (-1.0, 1.0):
             want = ex.euler_kernel_direct(1.5, 2.0, x)

@@ -1,6 +1,7 @@
 """Orthogonal polynomial recurrences against their hypergeometric definitions."""
 
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import mpmath as mp
@@ -165,9 +166,9 @@ _GEGENBAUER_ORDER = st.floats(-0.45, 12.0).filter(lambda mu: abs(mu) > 1e-3)
 
 
 @st.composite
-def _column_draw(draw, kind, x_bound=1.0, nmax_max=40, width_max=op._NARROW):
+def _column_draw(draw, kind, x_bound=1.0, nmax_max=40, width_max=op._NARROW, width_min=1):
     """(nmax, params, x): params and x are lists of one width, narrow by default."""
-    width = draw(st.integers(1, width_max))
+    width = draw(st.integers(width_min, width_max))
     entries = st.lists(_JACOBI_PARAM if kind == "jacobi" else _GEGENBAUER_ORDER,
                        min_size=width, max_size=width)
     params = [draw(entries) for _ in range(2 if kind == "jacobi" else 1)]
@@ -231,6 +232,70 @@ class TestThreeTermKernel:
             pk = [p[k] for p in params]
             got = [float(v) for v in table[:, k]]
             assert got == [_per_degree(kind, n, pk, xk) for n in range(nmax + 1)]
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
+    @given(data=st.data())
+    def test_pair_table_shape_in_blocks(self, kind, data):
+        # x of shape (2, w) against parameters of shape (w,), as
+        # polyspherical._pair_tables passes them, so down and div reach the
+        # kernel broadcast along the first row axis; _SPLIT_BYTES cut down so
+        # the kernel's operand blocks hold 1-3 rows and nmax spans many blocks
+        nmax, params, x = data.draw(_column_draw(kind, nmax_max=40, width_min=op._NARROW // 2 + 1,
+                                                 width_max=2 * op._NARROW))
+        xp = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(x), max_size=len(x)))
+        x2 = np.array([x, xp])
+        rows_per_block = data.draw(st.integers(1, 3))
+        with patch.object(op, "_SPLIT_BYTES", 32 * rows_per_block * x2.nbytes):
+            table = _table(kind, nmax, params, x2)
+        with patch.object(op, "_NARROW", x2.size):
+            narrow = _table(kind, nmax, params, x2)
+        assert table.shape == (nmax + 1,) + x2.shape
+        assert table.tobytes() == narrow.tobytes()
+        for k in range(len(x)):
+            pk = [p[k] for p in params]
+            for n in sorted({0, min(1, nmax), nmax // 2, nmax}):
+                got = table[n, :, k]
+                assert got.tobytes() == np.asarray(_per_degree(kind, n, pk, x2[:, k])).tobytes()
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
+    @pytest.mark.parametrize("rows_per_block", [1, 2])
+    def test_wide_rows_in_blocks_of_one_or_two(self, kind, rows_per_block):
+        # rows of 2 x 300 entries and a budget of rows_per_block rows of
+        # each operand: every block, the last one short, gives the bits of
+        # one whole-table block, of the narrow path and of the per-degree
+        # recurrence
+        rng = np.random.default_rng(29 + rows_per_block)
+        nmax, width = 41, 300
+        params = [rng.uniform(0.05, 6.0, width) for _ in range(2 if kind == "jacobi" else 1)]
+        x2 = rng.uniform(-1.0, 1.0, (2, width))
+        tables = []
+        for budget, narrow in [(32 * rows_per_block * x2.nbytes, op._NARROW),
+                               (math.inf, op._NARROW), (math.inf, x2.size)]:
+            with patch.object(op, "_SPLIT_BYTES", budget), patch.object(op, "_NARROW", narrow):
+                tables.append(_table(kind, nmax, params, x2))
+        assert tables[0].tobytes() == tables[1].tobytes() == tables[2].tobytes()
+        for k in range(0, width, 37):
+            pk = [float(p[k]) for p in params]
+            for n in (2, 3, nmax):
+                got = tables[0][n, :, k]
+                assert got.tobytes() == np.asarray(_per_degree(kind, n, pk, x2[:, k])).tobytes()
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
+    @pytest.mark.parametrize("width", [100, 3000])
+    def test_operand_blocks_bounded(self, kind, width):
+        # the two operand buffers take at most _SPLIT_BYTES / 16 together,
+        # or one row each when two rows are larger; the row views and the
+        # loop's other objects take a few KiB
+        rng = np.random.default_rng(width)
+        params = [rng.uniform(0.05, 6.0, width) for _ in range(2 if kind == "jacobi" else 1)]
+        out, down, div = _prefilled(kind, 30, params, rng.uniform(-1.0, 1.0, (2, width)))
+        tracemalloc.start()
+        try:
+            op._three_term(out, down, div)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(op._SPLIT_BYTES / 16, 2 * out[0].nbytes) + 16 * 1024
 
     @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
     @given(data=st.data())

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -498,6 +499,96 @@ class TestTableMemoryBound:
 
     def test_hopf_q3_caps30_still_certified(self):
         assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
+
+
+def _other_angles(cfg):
+    # another angle pair inside every node's range, on the same radii
+    return replace(cfg, thetas=tuple(0.9 * t for t in cfg.thetas),
+                   thetasp=tuple(0.8 * t for t in cfg.thetasp),
+                   phis=tuple(t + 0.7 for t in cfg.phis), phisp=tuple(t + 1.1 for t in cfg.phisp))
+
+
+def _report_bits(rep):
+    return rep.status, np.array([rep.lhs, rep.rhs, rep.rel_err, rep.tail_estimate]).tobytes()
+
+
+class TestRadialCache:
+    # the radial column depends on no angle, so a certificate that reads
+    # it from the cache must give what one that builds it gives, bit for bit
+    @pytest.mark.parametrize("certify, cfg", [
+        (vf.run_verification, _std_cfg("T4.1", 5, 1, 12)),
+        (vf.run_verification, _hopf_cfg(3, 0, 6)),
+        (vf.run_verification, ba_cfg(-1.5, 2, caps=40)),
+        (vf.run_verification, b2a_cfg(-0.5, 1, caps=30)),
+        (vf.run_verification, ca2_cfg(-1.5, 1, caps=30)),
+        (vf.ba_elementary_rhs, ba_cfg(-1.0, 1, caps=40)),
+        (vf.b2a_elementary_rhs, b2a_cfg(-2.0, 0, caps=30)),
+        (vf.ca2_elementary_rhs, ca2_cfg(-2.0, 1, caps=30)),
+        (lambda cfg: vf.verify_hopf(cfg, elementary=True), _hopf_cfg(3, 0, 6, nu=-6.0)),
+    ])
+    def test_warm_column_equals_cold(self, certify, cfg):
+        cache = vf._radial_column
+        cache.cache_clear()
+        certify(_other_angles(cfg))
+        warm = certify(cfg)
+        assert cache.cache_info()[:2] == (1, 1)     # (hits, misses): read, not built again
+        cache.cache_clear()
+        cold = certify(cfg)
+        assert cache.cache_info()[:2] == (0, 1)
+        assert _report_bits(warm) == _report_bits(cold)
+
+    def test_keyed_on_every_argument(self):
+        # each argument changed alone gives its own column, the one a cold
+        # cache builds
+        vf._radial_column.cache_clear()
+        base = (1.5, -0.5, 1.25, 20, False)
+        for i, other in [(None, None), (0, 2.5), (1, -0.75), (2, 1.3), (3, 21), (4, True)]:
+            deg, order, z, n, elementary = (base if i is None
+                                            else base[:i] + (other,) + base[i + 1:])
+            if elementary:
+                want = vf._qhat_half(deg + np.arange(n), order, z)
+            else:
+                want = sf.legendre_q_hat_column(deg, order, z, n)
+            assert vf._radial(deg, order, z, n, elementary).tobytes() == want.tobytes()
+        assert vf._radial_column.cache_info().currsize == 6
+
+    @pytest.mark.parametrize("elementary", [False, True])
+    @pytest.mark.parametrize("n", [20, 2049])
+    def test_column_read_only(self, elementary, n):
+        # a kept column and one past the cache's share alike
+        vf._radial_column.cache_clear()
+        col = vf._radial(1.0, -0.5, 1.25, n, elementary)
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            col *= 2.0
+        assert (vf._radial(1.0, -0.5, 1.25, n, elementary) is col) == (n == 20)
+
+    def test_entries_bounded(self):
+        vf._radial_column.cache_clear()
+        zs = [1.25 + 0.01 * i for i in range(vf.PLAN_CACHE_SIZE + 8)]
+        first = vf._radial(0.5, -0.75, zs[0], 10, False)
+        for i, z in enumerate(zs):
+            vf._radial(0.5, -0.75, z, 10, False)
+            assert vf._radial_column.cache_info().currsize == min(i + 1, vf.PLAN_CACHE_SIZE)
+        # the least recently used columns went first; a dropped column is
+        # built anew with the same bits
+        assert vf._radial(0.5, -0.75, zs[-1], 10, False) is vf._radial(0.5, -0.75, zs[-1], 10,
+                                                                         False)
+        again = vf._radial(0.5, -0.75, zs[0], 10, False)
+        assert again is not first and again.tobytes() == first.tobytes()
+
+    def test_floats_bounded(self, monkeypatch):
+        # each kept column holds at most its share of the float budget, so
+        # PLAN_CACHE_SIZE of them hold at most the budget; a longer column
+        # is used once and not retained
+        monkeypatch.setattr(vf, "PLAN_CACHE_COLUMNS", 100 * vf.PLAN_CACHE_SIZE)
+        vf._radial_column.cache_clear()
+        for n, kept in [(100, 1), (101, 1), (60, 2), (4000, 2), (100, 2)]:
+            col = vf._radial(0.5, -0.75, 1.25, n, False)
+            assert col.tobytes() == sf.legendre_q_hat_column(0.5, -0.75, 1.25, n).tobytes()
+            assert vf._radial_column.cache_info().currsize == kept
+            assert (vf._radial(0.5, -0.75, 1.25, n, False) is col) == (n <= 100)
 
 
 class TestIndependentOracles:
