@@ -263,10 +263,8 @@ def _geometry(theorem, rng, d=3, q=2, texts=(None,) * 4):
     text or, where that is None, drawn from rng in this order: polar angles
     0.3 inside their range, azimuths from [0, 2 pi).  q is checked against
     MAX_Q before any angle is drawn: the lists double in length with q, and
-    the certificate's node tables grow faster still (a q = 3, caps = 30
-    certificate already peaks at 13.4 MiB, and at 14.3 MiB when it builds
-    its fold plan), so a larger q has no use and an
-    unchecked one (--q 40) would exhaust memory drawing angles.
+    the certificate's node tables grow faster still, so a larger q has no
+    use and an unchecked one (--q 40) would exhaust memory drawing angles.
     """
     d = {"C4.3": 3, "C4.4": 4}.get(theorem, d)
     q = 2 if theorem == "C4.5" else q

@@ -4,15 +4,18 @@ Evaluation goes through the standard three-term recurrences (O(n), stable on
 [-1, 1] and for z > 1); the terminating hypergeometric definitions serve as
 test oracles only.  All evaluators accept scalar or ndarray arguments.
 
-The whole-column evaluators `jacobi_p_all` and `gegenbauer_c_all` share one
-recurrence kernel, `_three_term`.  Each caller writes the multipliers
-a_k = const_k + lin_k x of its recurrence into rows 2.. of the output in
-bulk, and the kernel overwrites row k with (a_k P_{k-1} - down_k P_{k-2}) /
-div_k.  It runs a table of at most `_NARROW` entries per row on Python
-floats, where numpy's per-call overhead would set the cost, and a wider table
-in place, four ufunc calls per degree on contiguous rows of one shape; both
-do the same IEEE operations, so every column is the same bit for bit on
-either path.
+The whole-column evaluators `jacobi_p_all` and `gegenbauer_c_all` are two
+steps each.  `jacobi_recurrence` and `gegenbauer_recurrence` build the
+angle-free half, a `Recurrence`: the coefficients of P_k = (a_k P_{k-1} -
+down_k P_{k-2}) / div_k, a_k = const_k + lin_k x, which depend only on the
+degree and the parameters, so a caller that meets the same parameters at
+many x (a cached fold plan) builds them once.  `recurrence_table` runs the
+half that depends on x: it writes rows 0 and 1 and every a_k, in bulk, and
+the kernel `_three_term` fills each row.  The kernel runs a table of at
+most `_NARROW` entries per row on Python floats, where numpy's per-call
+overhead would set the cost, and a wider table in place, four ufunc calls
+per degree on contiguous rows of one shape; both do the same IEEE
+operations, so every column is the same bit for bit on either path.
 The per-degree `jacobi_p` and `gegenbauer_c` keep their own loops as the
 independent reference.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,21 +71,65 @@ _NARROW = 8
 _SPLIT_BYTES = 1 << 20
 
 
+class Recurrence(NamedTuple):
+    """The angle-free half of one whole-column pass, for `recurrence_table`
+    to run at an x that broadcasts to the row shape.
+
+    params is (alpha, beta) or (mu,), which row 1 reads.  Rows k = 2..nmax
+    follow `_three_term` with down and div, from a_k = const_k + lin_k x
+    (Jacobi) or a_k = lin_k 2x (Gegenbauer; const None).  Jacobi's lin and
+    div are (table, index) pairs, one table column per distinct alpha +
+    beta and the index at the row shape (`_rows`).
+    """
+
+    nmax: int
+    shape: tuple
+    params: tuple
+    lin: object
+    const: np.ndarray | None
+    down: object
+    div: object
+
+    @property
+    def nbytes(self):
+        """Bytes held beyond the parameters: each array's own, counted once,
+        and 32 per float of a list (the float object and its slot)."""
+        arrays, floats = {}, 0
+        for c in (self.lin, self.const, self.down, self.div):
+            if isinstance(c, list):
+                floats += sum(map(len, c))
+            elif c is not None:
+                arrays.update((id(a), a) for a in (c if isinstance(c, tuple) else (c,)))
+        return sum(a.nbytes for a in arrays.values()) + 32 * floats
+
+
+def _rows(c, start, stop, out):
+    """Write rows start..stop-1 of coefficient c into out, at its shape: c
+    an array that broadcasts against it, or a (table, index) pair whose row
+    k is table[k, index]."""
+    if isinstance(c, tuple):
+        np.take(c[0][start:stop], c[1], axis=1, out=out, mode="clip")
+    else:
+        np.copyto(out, c[start:stop])
+
+
 def _three_term(out, down, div):
     """Fill out[2:] by out[k] = (a_k out[k-1] - down_k out[k-2]) / div_k.
 
     On entry out[0] and out[1] hold the first two terms and out[2:] the
-    multipliers a_k, which the callers write there in bulk.  down and div
-    are indexed by k in their first axis and broadcast against out.  Both
-    paths do the same IEEE operations in the same order, so the table is the
-    same bit for bit whichever path fills it.
+    multipliers a_k, which `recurrence_table` writes there in bulk.  down
+    and div hold rows k = 2..nmax, as `_rows` reads them; for a table of at
+    most _NARROW entries per row they may instead be the lists the narrow
+    path reads, one per entry (`_columns`).  Both paths do the same IEEE
+    operations in the same order, so the table is the same bit for bit
+    whichever path fills it.
     """
     nmax = len(out) - 1
     if nmax < 2:
         return
     if out[0].size > _NARROW:
         # Four in-place calls per degree, every operand a contiguous row of
-        # the row's own shape: down and div are copied, broadcast, into two
+        # the row's own shape: down and div are written (`_rows`) into two
         # buffers a block of rows at a time, and d_k out[k-2] is formed in
         # d_k's own copy.  The two buffers take at most _SPLIT_BYTES / 16
         # (64 KiB) together, or one row each: glibc maps an allocation past
@@ -94,8 +142,8 @@ def _three_term(out, down, div):
         down_rows, div_rows = list(downs), list(divs)
         for start in range(2, nmax + 1, block):
             stop = min(start + block, nmax + 1)
-            np.copyto(downs[:stop - start], down[start:stop])
-            np.copyto(divs[:stop - start], div[start:stop])
+            _rows(down, start - 2, stop - 2, downs[:stop - start])
+            _rows(div, start - 2, stop - 2, divs[:stop - start])
             for k, d, v in zip(range(start, stop), down_rows, div_rows):
                 row = rows[k]
                 np.multiply(row, rows[k - 1], row)
@@ -103,20 +151,25 @@ def _three_term(out, down, div):
                 np.subtract(row, d, row)
                 np.divide(row, v, row)
         return
-
-    def columns(c):
-        # one list of Python floats over k per entry of a row
-        return np.broadcast_to(c, out.shape).reshape(nmax + 1, -1).T.tolist()
-
+    down_cols, div_cols = (c if isinstance(c, list) else _columns(c, out.shape[1:])
+                           for c in (down, div))
     cols = []
-    for c, downs, divs in zip(out.reshape(nmax + 1, -1).T.tolist(), columns(down), columns(div)):
+    for c, downs, divs in zip(out.reshape(nmax + 1, -1).T.tolist(), down_cols, div_cols):
         a, b = c[0], c[1]
         col = []
-        for ak, d, v in zip(c[2:], downs[2:], divs[2:]):
+        for ak, d, v in zip(c[2:], downs, divs):
             a, b = b, (ak * b - d * a) / v
             col.append(b)
         cols.append(col)
     out[2:] = np.reshape(np.transpose(cols), out[2:].shape)
+
+
+def _columns(c, row):
+    """c's rows at this row shape, as one list of Python floats over k per
+    entry of a row."""
+    rows = np.empty((len(c[0]) if isinstance(c, tuple) else len(c),) + row)
+    _rows(c, 0, len(rows), rows)
+    return rows.reshape(len(rows), math.prod(row)).T.tolist()
 
 
 def _scale_rows(c, factor):
@@ -153,54 +206,53 @@ def jacobi_p_all(nmax: int, alpha, beta, x):
     np.shape(x))``.  Each column is bit-for-bit ``jacobi_p(n, alpha, beta,
     x)`` at its own parameters: the same recurrence, run once.
     """
+    return recurrence_table(jacobi_recurrence(nmax, alpha, beta, np.shape(x)), x)
+
+
+def jacobi_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
+    """The angle-free half of `jacobi_p_all` at an x of this shape.
+
+    _jacobi_step's coefficients for every k at once, with its arithmetic:
+    c1 = 2k (k + ab) (s - 2), c2 = (s - 1) (alpha^2 - beta^2),
+    c3 = (s - 2) (s - 1) s, c4 = 2 (k + alpha - 1) (k + beta - 1) s, with
+    ab = alpha + beta and s = 2k + ab.  c1 and c3 depend on k and ab alone,
+    so each is built once per distinct ab.  When alpha and beta vary along one
+    axis, a factor that adds k to them has their full size, so a large one
+    is built half the rows at a time (`_scale_rows`).
+    """
     if nmax < 0:
         raise ValueError("degree must be a nonnegative integer")
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     _validate_jacobi_params(alpha, beta)
-    xa = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + np.broadcast_shapes(alpha.shape, beta.shape, xa.shape))
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = _jacobi_p1(alpha, beta, xa)
-    # _jacobi_step's coefficients for every k at once, with its arithmetic,
-    # each built in place so that at most two sit next to the output:
-    # c1 = 2k (k + ab) (s - 2), c2 = (s - 1) (alpha^2 - beta^2),
-    # c3 = (s - 2) (s - 1) s, c4 = 2 (k + alpha - 1) (k + beta - 1) s, s = 2k + ab.
-    # When alpha and beta vary along one axis, as in one pass over many
-    # parameter pairs, a factor that adds k to them has their full size, so
-    # a large one is built half the rows at a time (`_scale_rows`).
-    ks = np.arange(nmax + 1.0).reshape((-1,) + (1,) * (out.ndim - 1))
     ab = alpha + beta
+    row = np.broadcast_shapes(alpha.shape, beta.shape, shape)
+    distinct, index = np.unique(ab, return_inverse=True)
+    index = np.broadcast_to(index.reshape(ab.shape), row).copy()
+    ks = np.arange(2.0, nmax + 1.0)[:, None]
+    s = 2.0 * ks + distinct
+    s_minus_2 = s - 2.0
+    lin = s_minus_2 * (s - 1.0)
+    lin *= s                          # c3, one column per distinct ab
+    div = ks + distinct
+    div *= 2.0 * ks
+    div *= s_minus_2                  # c1
+    ks = ks.reshape((-1,) + (1,) * len(row))
     s = 2.0 * ks + ab
-    c = s - 2.0
-    _scale_rows(c, lambda rows: s[rows] - 1.0)
-    c *= s
-    np.multiply(c[2:], xa, out=out[2:])
-    np.subtract(s, 1.0, out=c)
-    c *= alpha * alpha - beta * beta
-    out[2:] += c[2:]                  # a_k = c2 + c3 x
+    const = s - 1.0
+    const *= alpha * alpha - beta * beta     # c2
 
     def beta_factor(rows):            # k + beta - 1
         f = ks[rows] + beta
         f -= 1.0
         return f
 
-    def s_minus_2(rows):              # s - 2, with s rebuilt as above
-        f = 2.0 * ks[rows] + ab
-        f -= 2.0
-        return f
-
-    np.add(ks, alpha, out=c)
+    c = np.add(ks, alpha, out=np.empty_like(s))
     c -= 1.0
     c *= 2.0
     _scale_rows(c, beta_factor)
     s *= c                            # c4
-    np.add(ks, ab, out=c)
-    c *= 2.0 * ks
-    _scale_rows(c, s_minus_2)         # c1
-    _three_term(out, s, c)
-    return out
+    return Recurrence(nmax, row, (alpha, beta), (lin, index), const, s, (div, index))
 
 
 def jacobi_norm(n: int, alpha: float, beta: float) -> float:
@@ -253,17 +305,44 @@ def gegenbauer_c_all(nmax: int, mu, x):
     ``(nmax + 1,) + np.broadcast_shapes(np.shape(mu), np.shape(x))``.  Each
     column is bit-for-bit ``gegenbauer_c(n, mu, x)`` at its own order.
     """
+    return recurrence_table(gegenbauer_recurrence(nmax, mu, np.shape(x)), x)
+
+
+def gegenbauer_recurrence(nmax: int, mu, shape=()) -> Recurrence:
+    """The angle-free half of `gegenbauer_c_all` at an x of this shape:
+    C_k = (2x (k+mu-1) C_{k-1} - (k+2mu-2) C_{k-2}) / k."""
     _validate_gegenbauer(nmax, mu)
     mu = np.asarray(mu, dtype=float)
+    row = np.broadcast_shapes(mu.shape, shape)
+    ks = np.arange(2.0, nmax + 1.0).reshape((-1,) + (1,) * len(row))
+    return Recurrence(nmax, row, (mu,), ks + mu - 1.0, None, ks + 2.0 * mu - 2.0, ks)
+
+
+def reusable(rec: Recurrence) -> Recurrence:
+    """rec in the form a cache keeps it: a narrow table's down and div as
+    the lists that `_three_term` would otherwise build on every call."""
+    if math.prod(rec.shape) > _NARROW:
+        return rec
+    return rec._replace(down=_columns(rec.down, rec.shape), div=_columns(rec.div, rec.shape))
+
+
+def recurrence_table(rec: Recurrence, x):
+    """The per-angle half of a whole-column pass: rows 0 and 1, the
+    multipliers a_k in bulk, then `_three_term`.  The table has shape
+    ``(nmax + 1,) + rec.shape``, which x must broadcast to."""
     xa = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + np.broadcast_shapes(mu.shape, xa.shape), dtype=float)
+    out = np.empty((rec.nmax + 1,) + rec.shape)
     out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 2.0 * mu * xa
-    # C_k = (2x (k+mu-1) C_{k-1} - (k+2mu-2) C_{k-2}) / k, coefficients for every k at once
-    ks = np.arange(nmax + 1.0).reshape((-1,) + (1,) * (out.ndim - 1))
-    np.multiply(ks[2:] + mu - 1.0, 2.0 * xa, out=out[2:])
-    _three_term(out, ks + 2.0 * mu - 2.0, ks)
+    jacobi = rec.const is not None
+    if rec.nmax >= 1:
+        out[1] = _jacobi_p1(*rec.params, xa) if jacobi else 2.0 * rec.params[0] * xa
+    if jacobi:                        # a_k = c2 + c3 x
+        _rows(rec.lin, 0, None, out[2:])
+        out[2:] *= xa
+        out[2:] += rec.const
+    else:                             # a_k = (k + mu - 1) 2x
+        np.multiply(rec.lin, 2.0 * xa, out=out[2:])
+    _three_term(out, rec.down, rec.div)
     return out
 
 

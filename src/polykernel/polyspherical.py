@@ -42,7 +42,8 @@ from .errors import (
     UnknownToken,
     ZeroExponent,
 )
-from .orthopoly import gegenbauer_c, gegenbauer_c_all, jacobi_norm_log, jacobi_p, jacobi_p_all
+from .orthopoly import (gegenbauer_c, gegenbauer_recurrence, jacobi_norm_log, jacobi_p,
+                        jacobi_recurrence, recurrence_table, reusable)
 
 ANGLE_RANGES = {
     "a": (0.0, 2.0 * math.pi, False),   # half-open [0, 2pi)
@@ -456,10 +457,7 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     allows, with one recurrence pass per polynomial family.  Every entry is
     the same bit for bit whichever call builds it.  A table's transient
     memory is O(pairs * nmax), and a certificate holds all of its tables at
-    once (tracemalloc peaks, one table at a time -> tables first: T4.1 at
-    d = 6, caps 80 0.41 -> 0.69 MiB, at d = 200, caps 60 0.26 -> 24 MiB).
-    A T4.2 certificate at q = 3, caps 30 peaks at 13.4 MiB, and at
-    14.3 MiB when it builds its fold plan.
+    once.
     """
     if node.kind == "a":
         raise ValueError("a type-a node carries azimuthal weights, not a pair table")
@@ -482,10 +480,10 @@ def _pair_plan(nmax: int, requests):
     the recurrence parameters, the angle-free part of the log coefficient,
     and the columns at which the assembly reads the shared log and
     log-Gamma tables (`_half_rows`).  Every array a plan holds grows with
-    the number of columns, not with nmax, about 74 bytes per column with
-    the fold's own: a certificate that keeps its plan keeps no table (the
-    benchmark's twelve certify shapes hold 0.19 MB; see
-    `verify.PLAN_CACHE_SIZE` for the cache's bound).
+    the number of columns, not with nmax, and a certificate that keeps its
+    plan keeps no table.  The recurrence coefficients, which grow with
+    nmax too, are `_pair_recurrences`, for a cache to keep next to the plan
+    within a budget of its own (`verify.PLAN_CACHE_COLUMNS`).
     """
     nodes = [node for node, _, _ in requests]
     families = []
@@ -520,16 +518,33 @@ def _pair_plan(nmax: int, requests):
     return nmax, nodes, [req[1].shape for req in requests], families
 
 
-def _pair_tables(plan, angles):
+def _pair_recurrence(nmax, family):
+    """The angle-free half of one family's recurrence pass, at x of shape
+    (2, columns)."""
+    jacobi, owner, params = family[0], family[3], family[-1]
+    if jacobi:
+        return jacobi_recurrence(nmax, params[0], params[1], (2, len(owner)))
+    return gegenbauer_recurrence(nmax, params[0], (2, len(owner)))
+
+
+def _pair_recurrences(plan):
+    """Every family's `_pair_recurrence`, in the form a cache keeps
+    (`orthopoly.reusable`)."""
+    return [reusable(_pair_recurrence(plan[0], family)) for family in plan[3]]
+
+
+def _pair_tables(plan, angles, recurrences=None):
     """`node_pair_table` of the requests of one `_pair_plan`, with one
     recurrence pass per family.
 
     angles holds (theta, thetap) per request; the tables come back in
-    request order.  All b and b' columns share one `gegenbauer_c_all` pass,
-    where alpha = beta and P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2}
-    (DLMF 18.7.1), and all c columns share one `jacobi_p_all` pass.  One
-    wide pass costs about what one narrow pass does (the per-degree ufunc
-    calls set the cost, not the entries), but every table is held at once.
+    request order.  All b and b' columns share one Gegenbauer pass, where
+    alpha = beta and P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2}
+    (DLMF 18.7.1), and all c columns share one Jacobi pass, each an
+    `orthopoly.recurrence_table` run of recurrences, the plan's
+    `_pair_recurrences` when a cache kept them or fresh ones.  One wide
+    pass costs about what one narrow pass does (the per-degree ufunc calls
+    set the cost, not the entries), but every table is held at once.
     The products are assembled in log space, in place, so large-order
     coefficient growth cancels against the polynomial values instead of
     overflowing, and zero factors stay exact zeros; every term is added in
@@ -540,14 +555,16 @@ def _pair_tables(plan, angles):
     for node, ang in zip(nodes, angles):
         _check_angle(node, ang)
     tables = [None] * len(nodes)
-    for jacobi, group, sizes, owner, ll, lr, l_pos, r_pos, lg, log_half, params in families:
+    for i, family in enumerate(families):
+        jacobi, group, sizes, owner, ll, lr, l_pos, r_pos, lg, log_half, params = family
         log_env, x = _pair_trig(nodes, angles, group, owner, ll, lr, l_pos, r_pos)
+        # a fresh recurrence is freed here, before the assembly's tables
+        vals = recurrence_table(
+            recurrences[i] if recurrences else _pair_recurrence(nmax, family), x)
         if jacobi:
             half_kb, half_ka, k_ab, k_a, k_b = params
-            vals = jacobi_p_all(nmax, half_kb, half_ka, x)
         else:
             mu, log_const, k_ab = params
-            vals = gegenbauer_c_all(nmax, mu, x)
         # over the rows (v, v') of vals, log|v| + log|v'| into the first and
         # sign(v) sign(v') into the second, so that the log coefficient can
         # be built in the sign's own array

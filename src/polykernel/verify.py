@@ -26,17 +26,14 @@ degrees follow from the tree's structure (the leaves' nonzero orders, caps
 and top), so all b and b' tables come from one Gegenbauer recurrence pass
 and all c tables from one Jacobi pass; the per-degree ufunc calls, not the
 entries, set a pass's cost.  What follows from the structure alone is a
-fold plan, cached per shape, so a certificate on a shape seen before runs
-only the angle-dependent half.  The radial column R depends on no angle
-either, and is cached per (start degree, order, z, length, elementary), so
-a sweep of angle pairs at fixed radii sums its 2F1 series once.  The
-contraction, one np.bincount per node, reads only the nonzero child
-weights, in the order a node-by-node fold would, so every certificate is
-the same bit for bit.  The cost is memory, every table held at once
-(tracemalloc peaks, one table at a time -> tables first: T4.1 at d = 6,
-caps 80 0.41 -> 0.69 MiB; at caps 60, d = 40 0.24 -> 4.5 MiB and d = 200
-0.26 -> 24 MiB).  A T4.2 certificate at q = 3, caps 30 peaks at 13.4 MiB,
-and at 14.3 MiB when it builds its fold plan.
+fold plan, cached per shape with the passes' recurrence coefficients, so a
+certificate on a shape seen before runs only the angle-dependent half.
+The radial column R depends on no angle either, and is cached per (start
+degree, order, z, length, elementary), so a sweep of angle pairs at fixed
+radii sums its 2F1 series once.  The contraction, one np.bincount per
+node, reads only the nonzero child weights, in the order a node-by-node
+fold would, so every certificate is the same bit for bit.  The cost is
+memory: every table is held at once, up to MAX_TABLE_ENTRIES entries.
 
 Geometry restrictions: azimuthal order m >= 0, radii distinct, every angle
 but the azimuths strictly inside its node's range so that chi stays finite.
@@ -54,7 +51,7 @@ import numpy as np
 
 from .errors import (CoincidentRadiusError, DomainError, ExclusionSetError,
                      SingularConfigurationError, radial_range_error, require_finite)
-from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_tables,
+from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_recurrences, _pair_tables,
                             hopf_heap_to_preorder, hopf_tree, parse_tree)
 from .specfun import _is_int, legendre_q_hat, legendre_q_hat_column
 
@@ -201,26 +198,24 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
 
     A fold is a plan and an execution.  The plan (`_fold_plan`) holds what
     depends only on the tree, caps, top and where the leaf weights are
-    nonzero: every node's child supports and column degrees, and the
-    column parameters of `_pair_tables` (see `_pair_plan`), about 74 bytes
-    per table column.  Plans are cached, at most PLAN_CACHE_SIZE (32) of
-    them with PLAN_CACHE_COLUMNS (65 536) columns in all, about 4.8 MB, so
-    a fold on a shape seen before skips straight to the execution.  It
-    builds every node's table first, in one `_pair_tables` call (all b and
-    b' tables in one Gegenbauer pass, all c tables in one Jacobi pass), then
-    contracts from the leaves up with one `np.bincount` per node.  bincount
-    adds its weights in the order it reads them, as `np.add.at` does, and
-    reads only the nonzero child weights, l_a-major, then l_b, with n
-    innermost, so every root weight is the same bit for bit as a
-    node-by-node fold's.  Holding every table at once costs memory
-    (tracemalloc peaks of T4.1 at caps 60: 0.24 -> 4.5 MiB at d = 40 and
-    0.26 -> 24 MiB at d = 200, where the time went 164 -> 68 ms), so a
-    certificate whose tables would hold more than MAX_TABLE_ENTRIES entries
-    raises DomainError while its plan is built, before any table, or the
-    support index array that would pass the bound, exists.
+    nonzero: every node's child supports and column degrees, the column
+    parameters of `_pair_tables` (see `_pair_plan`) and, within the cache's
+    budget, the recurrence coefficients of its passes.  A fold on a shape
+    seen before skips straight to the execution.  It builds every node's
+    table first, in one `_pair_tables` call (all b and b' tables in one
+    Gegenbauer pass, all c tables in one Jacobi pass), then contracts from
+    the leaves up with one `np.bincount` per node.  bincount adds its
+    weights in the order it reads them, as `np.add.at` does, and reads only
+    the nonzero child weights, l_a-major, then l_b, with n innermost, so
+    every root weight is the same bit for bit as a node-by-node fold's.
+    Holding every table at once costs memory, so a certificate whose tables
+    would hold more than MAX_TABLE_ENTRIES entries raises DomainError while
+    its plan is built, before any table, or the support index array that
+    would pass the bound, exists.
     """
-    leaf_index, steps, pairs = _fold_plan(tree, caps, top, leaves)
-    tables = _pair_tables(pairs, [(angles[step[0]], anglesp[step[0]]) for step in steps])
+    (leaf_index, steps, pairs), recurrences = _fold_plan(tree, caps, top, leaves)
+    tables = _pair_tables(pairs, [(angles[step[0]], anglesp[step[0]]) for step in steps],
+                          recurrences)
     weights = {None: np.ones(1)}
     weights.update(zip(leaf_index, leaves))
     # the nonzero degrees of a node whose weight vanishes where its
@@ -243,11 +238,13 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     return weights[tree.root.index]
 
 
-# Fold plans kept across certificates, the least recently used dropped
-# first: callers certify many angle pairs on a few tree shapes (the
-# benchmark's certify cycle has 12, whose plans hold 0.19 MB).  T4.2 at
-# q = 3 has 2 000 table columns at caps 12 and 47 000 at caps 60; a plan
-# past PLAN_CACHE_COLUMNS is used once and dropped.
+# Fold plans kept across certificates, for callers that certify many angle
+# pairs on a few tree shapes; the least recently used go first.  At most
+# PLAN_CACHE_SIZE plans are kept.  Their tables have at most
+# PLAN_CACHE_COLUMNS columns in all, and their recurrence coefficients take
+# at most 16 bytes per column of that bound (1 MiB).  A plan past the column
+# budget is used once and dropped; one whose coefficients are past theirs
+# runs on freshly built ones.
 PLAN_CACHE_SIZE = 32
 PLAN_CACHE_COLUMNS = 1 << 16
 _plans: OrderedDict = OrderedDict()
@@ -255,22 +252,27 @@ _plans_lock = threading.Lock()
 
 
 def _fold_plan(tree: Tree, caps: int, top, leaves):
-    """The cached plan of `_fold` on this tree, caps, top and leaf supports.
+    """The cached plan of `_fold` on this tree, caps, top and leaf supports,
+    and its recurrences.
 
-    It is (the a nodes' indices, one step per other node in reversed
+    The plan is (the a nodes' indices, one step per other node in reversed
     preorder, the `_pair_plan` of every node).  A step is (node index, its
     children's indices, both children's structural supports, the degree
     l_a + l_b of every column, the degree step of each row, the length of
     the node's weight vector, and the size of its own support, None at the
     root).  The scatter offsets themselves are as large as the node's
-    table, so each execution adds them up anew.  The cache holds each
-    plan's tree, so no other tree can take its id while the plan is cached.
+    table, so each execution adds them up anew.  The recurrences are the
+    plan's `_pair_recurrences`, or None where the cache keeps none: a new
+    plan keeps them if they fit the coefficient budget alone, and takes the
+    room from the least recently used plans' coefficients, which are not
+    built again.  The cache holds each plan's tree, so no other tree can
+    take its id while the plan is cached.
     """
     key = (id(tree), caps, top, tuple(np.not_equal(w, 0.0).tobytes() for w in leaves))
     with _plans_lock:
         if key in _plans:
             _plans.move_to_end(key)
-            return _plans[key][1]
+            return _plans[key][1:3]
     nodes = tree.branching_nodes
     leaf_index = [node.index for node in nodes if node.kind == "a"]
     # node index (None at a leaf child) -> (length of its weight vector,
@@ -301,12 +303,22 @@ def _fold_plan(tree: Tree, caps: int, top, leaves):
         requests.append((node, sa[:, None] + 0 * degrees, sb + 0 * degrees))
         steps.append((node.index, ia, ib, sa, sb, degrees, orders, length, reach_size))
     plan = leaf_index, steps, _pair_plan(caps, requests)
+    recurrences = _pair_recurrences(plan[2])
+    nbytes = sum(rec.nbytes for rec in recurrences)
+    if nbytes > 16 * PLAN_CACHE_COLUMNS:
+        recurrences, nbytes = None, 0
     with _plans_lock:
-        _plans[key] = tree, plan, entries // (caps + 1)
+        _plans[key] = [tree, plan, recurrences, nbytes, entries // (caps + 1)]
         while (len(_plans) > PLAN_CACHE_SIZE
                or sum(columns for *_, columns in _plans.values()) > PLAN_CACHE_COLUMNS):
             _plans.popitem(last=False)
-    return plan
+        held = sum(entry[3] for entry in _plans.values())
+        for entry in _plans.values():       # least recently used first
+            if held <= 16 * PLAN_CACHE_COLUMNS:
+                break
+            held -= entry[3]
+            entry[2:4] = None, 0
+    return plan, recurrences
 
 
 def _radial(deg, order, z, n, elementary):

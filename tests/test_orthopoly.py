@@ -200,6 +200,26 @@ def _per_degree(kind, n, params, x):
     return op.gegenbauer_c(n, params[0], x)
 
 
+def _jacobi_explicit(n, a, b, x):
+    """P_n^{(a,b)}(x) from the explicit finite sum (DLMF 18.5.8),
+    sum_l C(n+a, l) C(n+b, n-l) ((x-1)/2)^(n-l) ((x+1)/2)^l, at the working
+    precision plus the digits its alternating terms can cancel, at most
+    log10 C(2n+a+b, n) (29 for n <= 40 and a, b <= 12).  mpmath's own
+    `jacobi` detects zeros instead, and at a subnormal b its
+    P_2^{(0,b)}(0) reads 0.0 where the value is -0.5.
+    """
+    a, b, x = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+    with mp.extradps(int(mp.log10(mp.binomial(2 * n + a + b, n))) + 2):
+        lo, hi = (x - 1) / 2, (x + 1) / 2
+        ca, cb = mp.mpf(1), mp.binomial(n + b, n)   # C(n+a, l), C(n+b, n-l) at l = 0
+        total = mp.mpf(0)
+        for l in range(n + 1):
+            total += ca * cb * lo ** (n - l) * hi ** l
+            ca *= (n + a - l) / (l + 1)
+            cb *= mp.mpf(n - l) / (b + l + 1)
+        return +total
+
+
 class TestThreeTermKernel:
     @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
     @given(data=st.data())
@@ -307,10 +327,10 @@ class TestThreeTermKernel:
                 pk = [mp.mpf(p[k]) for p in params]
                 running = 0.0
                 for n in range(nmax + 1):
-                    # zeroprec: an exact zero (odd degree at x = 0) is a value
                     if kind == "jacobi":
-                        want = mp.jacobi(n, pk[0], pk[1], xk, zeroprec=200)
+                        want = _jacobi_explicit(n, pk[0], pk[1], xk)
                     else:
+                        # zeroprec: an exact zero (odd degree at x = 0) is a value
                         want = mp.gegenbauer(n, pk[0], xk, zeroprec=200)
                     running = max(running, abs(float(want)))
                     assert abs(table[n, k] - want) <= 1e-12 * running
@@ -334,6 +354,51 @@ class TestThreeTermKernel:
         with pytest.raises(Exception) as got:
             column(5, *params, np.linspace(-0.9, 0.9, width))
         assert type(got.value) is type(want.value)
+
+
+class TestReusableRecurrence:
+    # a fold plan builds each family's recurrence coefficients once and runs
+    # them at every angle pair: each run must give the public evaluator's
+    # table and the per-degree recurrence's values, bit for bit
+    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 23])
+    @pytest.mark.parametrize("rows_per_block", [1, 2])
+    @given(data=st.data())
+    def test_reused_equals_public_and_per_degree(self, kind, nmax, rows_per_block, data):
+        # x of shape (2, w), as a pair table passes it: 2w entries per row,
+        # on either side of _NARROW; _SPLIT_BYTES cut down so that the
+        # kernel's operand blocks hold rows_per_block rows
+        _, params, x = data.draw(_column_draw(kind, nmax_max=0))
+        xp = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(x), max_size=len(x)))
+        x2 = np.array([x, xp])
+        build = op.jacobi_recurrence if kind == "jacobi" else op.gegenbauer_recurrence
+        rec = op.reusable(build(nmax, *[np.asarray(p) for p in params], x2.shape))
+        with patch.object(op, "_SPLIT_BYTES", 32 * rows_per_block * x2.nbytes):
+            runs = [op.recurrence_table(rec, x2) for _ in range(2)]
+        public = _table(kind, nmax, params, x2)
+        assert runs[0].tobytes() == runs[1].tobytes() == public.tobytes()
+        for k in range(len(x)):
+            pk = [p[k] for p in params]
+            for n in range(nmax + 1):
+                want = np.asarray(_per_degree(kind, n, pk, x2[:, k]))
+                assert runs[0][n, :, k].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, width", [("jacobi", 3), ("jacobi", 900),
+                                             ("gegenbauer", 3), ("gegenbauer", 900)])
+    def test_counted_bytes_are_held(self, kind, width):
+        # nbytes, which a cache's budget adds up, is what the recurrence
+        # keeps alive: numpy arrays, or a narrow table's lists of floats
+        # (tracemalloc misses the floats that Python's free list hands out)
+        rng = np.random.default_rng(width)
+        params = [rng.integers(1, 40, width) * 0.5 for _ in range(2 if kind == "jacobi" else 1)]
+        build = op.jacobi_recurrence if kind == "jacobi" else op.gegenbauer_recurrence
+        tracemalloc.start()
+        try:
+            rec = op.reusable(build(60, *params, (2, width)))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert abs(rec.nbytes - held) <= 0.1 * held + 4096
 
 
 class TestJacobiNorm:

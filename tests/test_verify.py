@@ -501,6 +501,55 @@ class TestTableMemoryBound:
         assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
 
 
+class TestPlanCoefficients:
+    # a warm plan runs on the recurrence coefficients it keeps, or on fresh
+    # ones when they are past the cache's budget; either way a fold gives
+    # the node-by-node fold's root weights, bit for bit
+    @pytest.mark.parametrize("spec", ["ba", "cb'aba"])       # narrow, both families wide
+    @pytest.mark.parametrize("kept", [True, False])
+    def test_warm_fold_kept_or_over_budget(self, monkeypatch, spec, kept):
+        tree, caps, rng = ps.parse_tree(spec), 6, np.random.default_rng(61)
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        vf._fold(tree, caps, *_fold_inputs(tree, caps, rng))
+        (entry,) = vf._plans.values()
+        if not kept:
+            # room for the plan's columns, not for 16 bytes of coefficients each
+            monkeypatch.setattr(vf, "PLAN_CACHE_COLUMNS", entry[-1])
+            monkeypatch.setattr(vf, "_plans", OrderedDict())
+        for _ in range(3):
+            angles, anglesp, leaves = _fold_inputs(tree, caps, rng)
+            got = vf._fold(tree, caps, angles, anglesp, leaves)
+            np.testing.assert_array_equal(got, fold_reference(tree, caps, angles, anglesp, leaves))
+            (entry,) = vf._plans.values()
+            assert (entry[2] is not None) == kept
+
+    def test_cache_holds_at_most_its_budget(self, monkeypatch):
+        # large-caps plans of both families, 59 KB to 1.3 MB of coefficients
+        # each: the cache keeps at most 16 bytes per column of
+        # PLAN_CACHE_COLUMNS (1 MiB), a new plan that fits the budget keeps
+        # its coefficients, the least recently used plans' go first, and
+        # each plan counts what its recurrences hold
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        budget = 16 * vf.PLAN_CACHE_COLUMNS
+        for caps in (60, 90, 120, 150, 200):
+            for cfg in (ca2_cfg(-1.5, 1, caps=caps), b2a_cfg(-1.5, 1, caps=caps)):
+                vf.run_verification(cfg)
+                newest = next(reversed(vf._plans.values()))
+                fits = sum(rec.nbytes for rec in ps._pair_recurrences(newest[1][2])) <= budget
+                assert (newest[2] is not None) == fits
+                assert sum(entry[3] for entry in vf._plans.values()) <= budget
+                for entry in vf._plans.values():
+                    assert entry[3] == (0 if entry[2] is None
+                                        else sum(rec.nbytes for rec in entry[2]))
+        assert [key[1] for key, entry in vf._plans.items() if entry[2] is not None] == [150, 200]
+
+    def test_hopf_q3_caps30_keeps_no_coefficients(self, monkeypatch):
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
+        (entry,) = vf._plans.values()
+        assert entry[2] is None and entry[3] == 0
+
+
 def _other_angles(cfg):
     # another angle pair inside every node's range, on the same radii
     return replace(cfg, thetas=tuple(0.9 * t for t in cfg.thetas),
