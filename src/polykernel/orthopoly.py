@@ -71,15 +71,25 @@ _NARROW = 8
 _SPLIT_BYTES = 1 << 20
 
 
+# `jacobi_recurrence` builds c1 and c3 once per distinct alpha + beta, read
+# back through an index at the row shape, when alpha + beta has more than
+# this many entries, so that a wide plan with few distinct sums (a T4.2
+# q = 3 pass: 87 over 1 995 columns) keeps its coefficients small.  Up to
+# this many it builds them per entry, without np.unique, the index and the
+# gathers, which cost more than they save on a small table.
+_FEW_SUMS = 256
+
+
 class Recurrence(NamedTuple):
     """The angle-free half of one whole-column pass, for `recurrence_table`
     to run at an x that broadcasts to the row shape.
 
     params is (alpha, beta) or (mu,), which row 1 reads.  Rows k = 2..nmax
     follow `_three_term` with down and div, from a_k = const_k + lin_k x
-    (Jacobi) or a_k = lin_k 2x (Gegenbauer; const None).  Jacobi's lin and
-    div are (table, index) pairs, one table column per distinct alpha +
-    beta and the index at the row shape (`_rows`).
+    (Jacobi) or a_k = lin_k 2x (Gegenbauer; const None).  Past _FEW_SUMS
+    parameter pairs, Jacobi's lin and div are (table, index) pairs, one
+    table column per distinct alpha + beta and the index at the row shape
+    (`_rows`).
     """
 
     nmax: int
@@ -132,10 +142,8 @@ def _three_term(out, down, div):
         # the row's own shape: down and div are written (`_rows`) into two
         # buffers a block of rows at a time, and d_k out[k-2] is formed in
         # d_k's own copy.  The two buffers take at most _SPLIT_BYTES / 16
-        # (64 KiB) together, or one row each: glibc maps an allocation past
-        # 128 KiB afresh on each call, and at T4.2 q = 3, caps 12 (rows of
-        # 2 x 1 995) blocks of 1 MiB made the certificate about 20% slower
-        # than broadcast operands, 64 KiB about as fast.
+        # (64 KiB) together, or one row each, under the 128 KiB past which
+        # glibc maps an allocation afresh on each call.
         rows = list(out)
         block = min(nmax - 1, max(1, _SPLIT_BYTES // (32 * out[0].nbytes)))
         downs, divs = np.empty((2, block) + out.shape[1:])
@@ -216,9 +224,10 @@ def jacobi_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     c1 = 2k (k + ab) (s - 2), c2 = (s - 1) (alpha^2 - beta^2),
     c3 = (s - 2) (s - 1) s, c4 = 2 (k + alpha - 1) (k + beta - 1) s, with
     ab = alpha + beta and s = 2k + ab.  c1 and c3 depend on k and ab alone,
-    so each is built once per distinct ab.  When alpha and beta vary along one
-    axis, a factor that adds k to them has their full size, so a large one
-    is built half the rows at a time (`_scale_rows`).
+    so past _FEW_SUMS entries of ab each is built once per distinct ab.
+    When alpha and beta vary along one axis, a factor that adds k to them
+    has their full size, so a large one is built half the rows at a time
+    (`_scale_rows`).
     """
     if nmax < 0:
         raise ValueError("degree must be a nonnegative integer")
@@ -227,18 +236,16 @@ def jacobi_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     _validate_jacobi_params(alpha, beta)
     ab = alpha + beta
     row = np.broadcast_shapes(alpha.shape, beta.shape, shape)
-    distinct, index = np.unique(ab, return_inverse=True)
-    index = np.broadcast_to(index.reshape(ab.shape), row).copy()
-    ks = np.arange(2.0, nmax + 1.0)[:, None]
-    s = 2.0 * ks + distinct
-    s_minus_2 = s - 2.0
-    lin = s_minus_2 * (s - 1.0)
-    lin *= s                          # c3, one column per distinct ab
-    div = ks + distinct
-    div *= 2.0 * ks
-    div *= s_minus_2                  # c1
-    ks = ks.reshape((-1,) + (1,) * len(row))
+    ks = np.arange(2.0, nmax + 1.0).reshape((-1,) + (1,) * len(row))
     s = 2.0 * ks + ab
+    if ab.size <= _FEW_SUMS:
+        lin, div = _jacobi_c3_c1(ks, ab, s)
+    else:
+        distinct, index = np.unique(ab, return_inverse=True)
+        index = np.broadcast_to(index.reshape(ab.shape), row).copy()
+        flat = ks.reshape(-1, 1)
+        lin, div = _jacobi_c3_c1(flat, distinct, 2.0 * flat + distinct)
+        lin, div = (lin, index), (div, index)
     const = s - 1.0
     const *= alpha * alpha - beta * beta     # c2
 
@@ -252,7 +259,18 @@ def jacobi_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     c *= 2.0
     _scale_rows(c, beta_factor)
     s *= c                            # c4
-    return Recurrence(nmax, row, (alpha, beta), (lin, index), const, s, (div, index))
+    return Recurrence(nmax, row, (alpha, beta), lin, const, s, div)
+
+
+def _jacobi_c3_c1(ks, ab, s):
+    """c3 = (s - 2) (s - 1) s and c1 = 2k (k + ab) (s - 2), s = 2k + ab."""
+    s_minus_2 = s - 2.0
+    lin = s_minus_2 * (s - 1.0)
+    lin *= s
+    div = ks + ab
+    div *= 2.0 * ks
+    div *= s_minus_2
+    return lin, div
 
 
 def jacobi_norm(n: int, alpha: float, beta: float) -> float:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -470,22 +471,46 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     return _pair_tables(plan, [(theta, thetap)])[0]
 
 
+class _Family(NamedTuple):
+    """One polynomial family's columns in a `_pair_plan`: the b and b'
+    requests (Gegenbauer) or the c requests (Jacobi)."""
+
+    jacobi: bool
+    group: list             # its requests' indices in the plan
+    sizes: list             # each request's column count
+    ll: np.ndarray          # both child degrees, per column, as floats
+    lr: np.ndarray
+    l_pos: np.ndarray       # where they are positive
+    r_pos: np.ndarray
+    rec: tuple              # the recurrence parameters: (beta, alpha) or (mu,)
+    const: object           # the log coefficient's angle-free term
+    lg_two: np.ndarray      # the rows of lgamma(n + 1), one column
+    first: list             # the log coefficient's operands, in the order
+    adds: tuple             # the assembly takes them, one `_operand` per
+    subs: tuple             # request of each
+
+
 def _pair_plan(nmax: int, requests):
     """The angle-free half of `_pair_tables`: every column's parameters.
 
     Each request is (node, l_left, l_right), its degrees int arrays of one
     shape, the table's shape after its n axis.  Each pair of child degrees
-    is one column, and per polynomial family the plan holds, per column:
-    the request that owns it, both degrees and where they are positive,
-    the recurrence parameters, the angle-free part of the log coefficient,
-    and the columns at which the assembly reads the shared log and
-    log-Gamma tables (`_half_rows`).  Every array a plan holds grows with
-    the number of columns, not with nmax, and a certificate that keeps its
-    plan keeps no table.  The recurrence coefficients, which grow with
-    nmax too, are `_pair_recurrences`, for a cache to keep next to the plan
-    within a budget of its own (`verify.PLAN_CACHE_COLUMNS`).
+    is one column, and per polynomial family the plan holds a `_Family`:
+    per column, both degrees and where they are positive, the recurrence
+    parameters and the angle-free part of the log coefficient, and the
+    operands its assembly reads from the shared log and log-Gamma tables
+    (`_half_rows`): per request, a table's rows at one column index per
+    entry, as a read-only strided view that holds no bytes of its own where
+    the indices form an affine grid, as the consecutive degrees of a fold's
+    dense supports do, and otherwise as the indices to gather at on every
+    call (`_operand`).  So every array a plan holds grows with the number
+    of columns, not with nmax, and a certificate that keeps its plan keeps
+    no table.  The recurrence coefficients, which grow with nmax too, are
+    `_pair_recurrences`, for a cache to keep next to the plan within a
+    budget of its own (`verify.PLAN_CACHE_COLUMNS`).
     """
     nodes = [node for node, _, _ in requests]
+    shapes = [req[1].shape for req in requests]
     families = []
     for jacobi in (False, True):
         group = [i for i, node in enumerate(nodes) if (node.kind == "c") == jacobi]
@@ -502,29 +527,61 @@ def _pair_plan(nmax: int, requests):
         kmax = 2 * (ka.max(initial=0) + kb.max(initial=0)) + 4
         lg, log_half = _half_rows(nmax, 1 << int(4 * nmax + kmax + 1).bit_length())
         if jacobi:
-            # the Jacobi parameters (b, a) and, at column ka + kb + 2, the
-            # rows of log(2n + a + b + 1) and lgamma(n + a + b + 1)
-            params = (0.5 * kb, 0.5 * ka, ka + kb + 2, ka + 2, kb + 2)
+            # the Jacobi parameters (b, a); 2^{a+b+2} / h_n^{(b,a)},
+            # node_factor's squared norm, from the rows of log(2n + a + b + 1)
+            # and lgamma(n + a + b + 1) at column ka + kb + 2, less those of
+            # lgamma(n + a + 1) and lgamma(n + b + 1)
+            rec, const = (0.5 * kb, 0.5 * ka), math.log(2.0)
+            k_ab = ka + kb + 2
+            first, adds, subs = (log_half, k_ab), [(lg, k_ab)], [(lg, ka + 2), (lg, kb + 2)]
         else:
             # the subtree child's 2a: ka at b' nodes, kb at b nodes, where
-            # the leaf child's 2a is -1; mu = a + 1/2, the angle-free terms
-            # of the log coefficient, and at column 2p + 2 the rows of
-            # log(2n + 2a + 2) and lgamma(n + 2a + 2)
+            # the leaf child's 2a is -1; mu = a + 1/2; 1 / h_n^{(a,a)} times
+            # ((a+1)_n / (2a+1)_n)^2, Gamma(2 mu) reduced by the duplication
+            # formula, from the rows of log(2n + 2a + 2), less those of
+            # lgamma(n + 2a + 2), at column 2p + 2
             p = ka + kb + 1
-            params = (0.5 * (p + 1), 2.0 * (lg[0][p + 3] - np.log(p + 1.0))
-                      + (p + 1) * math.log(2.0) - math.log(math.pi), 2 * p + 2)
-        families.append((jacobi, group, sizes, owner, ll.astype(float), lr.astype(float),
-                         ll > 0, lr > 0, lg, log_half, params))
-    return nmax, nodes, [req[1].shape for req in requests], families
+            rec = (0.5 * (p + 1),)
+            const = (2.0 * (lg[0][p + 3] - np.log(p + 1.0))
+                     + (p + 1) * math.log(2.0) - math.log(math.pi))
+            first, adds, subs = (log_half, 2 * p + 2), [], [(lg, 2 * p + 2)]
+        split = np.cumsum(sizes)[:-1]
+
+        def per_request(table, column):
+            return [_operand(table, k.reshape(shapes[i]))
+                    for i, k in zip(group, np.split(column, split))]
+
+        families.append(_Family(jacobi, group, sizes, ll.astype(float), lr.astype(float),
+                                ll > 0, lr > 0, rec, const, lg[:, 2:3], per_request(*first),
+                                tuple(per_request(*add) for add in adds),
+                                tuple(per_request(*sub) for sub in subs)))
+    return nmax, nodes, shapes, families
+
+
+def _operand(table, k):
+    """table[:, k] as a read-only view with no bytes of its own, where the
+    column indices k are an affine grid c + sum_i a_i idx_i with every
+    a_i >= 0; elsewhere (table, k), for `_pair_tables` to gather."""
+    c, steps = 0, [0] * k.ndim
+    if k.size:
+        c = int(k.flat[0])
+        steps = [int(k[(0,) * i + (1,) + (0,) * (k.ndim - i - 1)]) - c if n > 1 else 0
+                 for i, n in enumerate(k.shape)]
+        grid = c + sum((a * np.arange(n)).reshape((-1,) + (1,) * (k.ndim - i - 1))
+                       for i, (a, n) in enumerate(zip(steps, k.shape)))
+        if min(steps, default=0) < 0 or not np.array_equal(k, grid):
+            return table, k
+    return np.lib.stride_tricks.as_strided(
+        table[:, c:], (len(table),) + k.shape,
+        (table.strides[0],) + tuple(a * table.strides[1] for a in steps), writeable=False)
 
 
 def _pair_recurrence(nmax, family):
     """The angle-free half of one family's recurrence pass, at x of shape
     (2, columns)."""
-    jacobi, owner, params = family[0], family[3], family[-1]
-    if jacobi:
-        return jacobi_recurrence(nmax, params[0], params[1], (2, len(owner)))
-    return gegenbauer_recurrence(nmax, params[0], (2, len(owner)))
+    if family.jacobi:
+        return jacobi_recurrence(nmax, *family.rec, (2, len(family.ll)))
+    return gegenbauer_recurrence(nmax, *family.rec, (2, len(family.ll)))
 
 
 def _pair_recurrences(plan):
@@ -548,75 +605,86 @@ def _pair_tables(plan, angles, recurrences=None):
     The products are assembled in log space, in place, so large-order
     coefficient growth cancels against the polynomial values instead of
     overflowing, and zero factors stay exact zeros; every term is added in
-    the order a node's own call would add it.  Next to the pass's output,
-    the assembly holds one more table and one temporary.
+    the order a node's own call would add it.  Each request's block of the
+    assembly reads the log coefficient's operands from the plan, its views
+    with no copy or, where it has none, a gather made anew (`_operand`).
+    Next to the pass's output, the assembly holds one more table, and for a
+    gather one temporary.  numpy's divide and invalid flags are off
+    throughout, so a log of 0 or an overflowed recurrence shows in the
+    table, not as a warning.
     """
     nmax, nodes, shapes, families = plan
-    for node, ang in zip(nodes, angles):
-        _check_angle(node, ang)
+    for node, (theta, thetap) in zip(nodes, angles):
+        # _check_angle's test on Python floats, numpy's only to word an error
+        lo, hi, closed = ANGLE_RANGES[node.kind]
+        top = max(theta, thetap)
+        if not (lo <= min(theta, thetap) and (top <= hi if closed else top < hi)):
+            _check_angle(node, (theta, thetap))
     tables = [None] * len(nodes)
-    for i, family in enumerate(families):
-        jacobi, group, sizes, owner, ll, lr, l_pos, r_pos, lg, log_half, params = family
-        log_env, x = _pair_trig(nodes, angles, group, owner, ll, lr, l_pos, r_pos)
-        # a fresh recurrence is freed here, before the assembly's tables
-        vals = recurrence_table(
-            recurrences[i] if recurrences else _pair_recurrence(nmax, family), x)
-        if jacobi:
-            half_kb, half_ka, k_ab, k_a, k_b = params
-        else:
-            mu, log_const, k_ab = params
-        # over the rows (v, v') of vals, log|v| + log|v'| into the first and
-        # sign(v) sign(v') into the second, so that the log coefficient can
-        # be built in the sign's own array
-        out = np.sign(vals[:, 0])
-        out *= np.sign(vals[:, 1])
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, family in enumerate(families):
+            log_env, x = _pair_trig(nodes, angles, family)
+            # a fresh recurrence is freed here, before the assembly's tables
+            vals = recurrence_table(
+                recurrences[i] if recurrences else _pair_recurrence(nmax, family), x)
+            # over the rows (v, v') of vals, log|v| + log|v'| into the first
+            # and sign(v) sign(v') into the second, so that the log
+            # coefficient can be built in the sign's own array
+            out = np.sign(vals[:, 0])
+            out *= np.sign(vals[:, 1])
             np.log(np.abs(vals, out=vals), out=vals)
-        vals[:, 0] += vals[:, 1]
-        vals[:, 1] = out
-        np.take(log_half, k_ab, axis=1, out=out, mode="clip")
-        if jacobi:
-            # 2^{a+b+2} / h_n^{(b,a)}, node_factor's squared norm
-            np.add(math.log(2.0) + log_env, out, out=out)
-            out += lg[:, k_ab]
-            out += lg[:, 2:3]
-            out -= lg[:, k_a]
-            out -= lg[:, k_b]
-        else:
-            # 1 / h_n^{(a,a)} times ((a+1)_n / (2a+1)_n)^2 with mu = a + 1/2,
-            # Gamma(2 mu) reduced by the duplication formula
-            np.add(log_const + log_env, out, out=out)
-            out += lg[:, 2:3]
-            out -= lg[:, k_ab]
-        out += vals[:, 0]
-        np.exp(out, out=out)
-        out *= vals[:, 1]
-        start = 0
-        for i, size in zip(group, sizes):
-            tables[i] = out[:, start:start + size].reshape((nmax + 1,) + shapes[i])
-            start += size
+            vals[:, 0] += vals[:, 1]
+            vals[:, 1] = out
+            blocks, start = [], 0
+            for j, size in zip(family.group, family.sizes):
+                blocks.append(out[:, start:start + size].reshape((nmax + 1,) + shapes[j]))
+                start += size
+            for block, operand in zip(blocks, family.first):
+                np.copyto(block, _operand_rows(operand))
+            np.add(family.const + log_env, out, out=out)
+            for operands in family.adds:
+                for block, operand in zip(blocks, operands):
+                    block += _operand_rows(operand)
+            out += family.lg_two
+            for operands in family.subs:
+                for block, operand in zip(blocks, operands):
+                    block -= _operand_rows(operand)
+            out += vals[:, 0]
+            np.exp(out, out=out)
+            out *= vals[:, 1]
+            for j, block in zip(family.group, blocks):
+                tables[j] = block
     return tables
 
 
-def _pair_trig(nodes, angles, group, owner, ll, lr, l_pos, r_pos):
+def _operand_rows(operand):
+    """An `_operand`'s rows: its view, or its gather, made anew."""
+    return operand[0][:, operand[1]] if isinstance(operand, tuple) else operand
+
+
+def _pair_trig(nodes, angles, family):
     """Per-column log of the envelope cos^{l_left} sin^{l_right} at both
     angles, and the polynomial's argument at both angles, each taken with
-    math.cos / math.sin as one node's call would."""
+    math.cos / math.sin as one node's call would, and spread over the
+    request's columns."""
     trigs = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in group:
-            node, (theta, thetap) = nodes[i], angles[i]
-            log_cos = np.log(abs(math.cos(theta))) + np.log(abs(math.cos(thetap)))
-            log_sin = np.log(abs(math.sin(theta))) + np.log(abs(math.sin(thetap)))
-            if node.kind == "c":
-                x = (math.cos(2.0 * theta), math.cos(2.0 * thetap))
-            else:
-                trig = math.cos if node.kind == "b" else math.sin
-                x = (trig(theta), trig(thetap))
-            trigs.append((log_cos, log_sin, *x))
-        trigs = np.array(trigs).T[:, owner]
-        log_env = np.where(l_pos, ll * trigs[0], 0.0) + np.where(r_pos, lr * trigs[1], 0.0)
-    return log_env, trigs[2:]
+    for i in family.group:
+        node, (theta, thetap) = nodes[i], angles[i]
+        if node.kind == "c":
+            x = (math.cos(2.0 * theta), math.cos(2.0 * thetap))
+        else:
+            trig = math.cos if node.kind == "b" else math.sin
+            x = (trig(theta), trig(thetap))
+        trigs.append((*x, abs(math.cos(theta)), abs(math.cos(thetap)), abs(math.sin(theta)),
+                      abs(math.sin(thetap))))
+    trigs = np.array(trigs).T
+    logs = np.log(trigs[2:])
+    np.add(logs[0], logs[1], out=trigs[2])
+    np.add(logs[2], logs[3], out=trigs[3])
+    trigs = np.repeat(trigs[:4], family.sizes, axis=1)
+    log_env = np.where(family.l_pos, family.ll * trigs[2], 0.0)
+    log_env += np.where(family.r_pos, family.lr * trigs[3], 0.0)
+    return log_env, trigs[:2]
 
 
 def harmonic(t: Tree, key: QuantumKey, angles):

@@ -244,7 +244,8 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
 # PLAN_CACHE_COLUMNS columns in all, and their recurrence coefficients take
 # at most 16 bytes per column of that bound (1 MiB).  A plan past the column
 # budget is used once and dropped; one whose coefficients are past theirs
-# runs on freshly built ones.
+# runs on freshly built ones.  An entry is [tree, plan, recurrences or None,
+# the bytes they hold, the bytes they take when built, columns].
 PLAN_CACHE_SIZE = 32
 PLAN_CACHE_COLUMNS = 1 << 16
 _plans: OrderedDict = OrderedDict()
@@ -264,15 +265,28 @@ def _fold_plan(tree: Tree, caps: int, top, leaves):
     table, so each execution adds them up anew.  The recurrences are the
     plan's `_pair_recurrences`, or None where the cache keeps none: a new
     plan keeps them if they fit the coefficient budget alone, and takes the
-    room from the least recently used plans' coefficients, which are not
-    built again.  The cache holds each plan's tree, so no other tree can
-    take its id while the plan is cached.
+    room from the least recently used plans' coefficients.  A plan that
+    lost its coefficients builds them again when it is next used and they
+    fit the room left free, so it never takes room from another plan.  The
+    cache holds each plan's tree, so no other tree can take its id while
+    the plan is cached.
     """
     key = (id(tree), caps, top, tuple(np.not_equal(w, 0.0).tobytes() for w in leaves))
+    budget = 16 * PLAN_CACHE_COLUMNS
     with _plans_lock:
-        if key in _plans:
+        entry = _plans.get(key)
+        if entry is not None:
             _plans.move_to_end(key)
-            return _plans[key][1:3]
+            if entry[2] is not None or entry[4] > budget - _held_bytes():
+                return entry[1:3]
+    if entry is not None:
+        recurrences = _pair_recurrences(entry[1][2])
+        with _plans_lock:
+            # another thread may have used the room, or the plan, meanwhile
+            if (_plans.get(key) is entry and entry[2] is None
+                    and entry[4] <= budget - _held_bytes()):
+                entry[2:4] = recurrences, entry[4]
+        return entry[1], recurrences
     nodes = tree.branching_nodes
     leaf_index = [node.index for node in nodes if node.kind == "a"]
     # node index (None at a leaf child) -> (length of its weight vector,
@@ -305,20 +319,27 @@ def _fold_plan(tree: Tree, caps: int, top, leaves):
     plan = leaf_index, steps, _pair_plan(caps, requests)
     recurrences = _pair_recurrences(plan[2])
     nbytes = sum(rec.nbytes for rec in recurrences)
-    if nbytes > 16 * PLAN_CACHE_COLUMNS:
-        recurrences, nbytes = None, 0
+    if nbytes > budget:
+        recurrences = None
     with _plans_lock:
-        _plans[key] = [tree, plan, recurrences, nbytes, entries // (caps + 1)]
+        _plans[key] = [tree, plan, recurrences, nbytes if recurrences is not None else 0, nbytes,
+                       entries // (caps + 1)]
         while (len(_plans) > PLAN_CACHE_SIZE
                or sum(columns for *_, columns in _plans.values()) > PLAN_CACHE_COLUMNS):
             _plans.popitem(last=False)
-        held = sum(entry[3] for entry in _plans.values())
+        held = _held_bytes()
         for entry in _plans.values():       # least recently used first
-            if held <= 16 * PLAN_CACHE_COLUMNS:
+            if held <= budget:
                 break
             held -= entry[3]
             entry[2:4] = None, 0
     return plan, recurrences
+
+
+def _held_bytes():
+    """Bytes of recurrence coefficients the cached plans hold; the caller
+    holds `_plans_lock`."""
+    return sum(entry[3] for entry in _plans.values())
 
 
 def _radial(deg, order, z, n, elementary):
@@ -437,7 +458,12 @@ def verify_standard(cfg: TheoremConfig, elementary: bool = False) -> Verificatio
     is level 1) carries theta_j.  elementary=True takes the closed-form
     radial factor, for the presets at nu = 2 - d.
     """
-    d = cfg.d
+    return _verify_standard(cfg, cfg.d, elementary)
+
+
+def _verify_standard(cfg, d, elementary=False):
+    """`verify_standard` on R^d, whatever cfg.d: the presets fix d without
+    a copy of cfg."""
     if d < 3:
         raise ValueError("need d >= 3")
     if len(cfg.thetas) != d - 2 or len(cfg.thetasp) != d - 2:
@@ -448,23 +474,23 @@ def verify_standard(cfg: TheoremConfig, elementary: bool = False) -> Verificatio
 
 def verify_ba(cfg: TheoremConfig) -> VerificationReport:
     """C4.3: the standard-tree theorem on R^3, one sum over Ferrers pairs."""
-    return verify_standard(replace(cfg, d=3))
+    return _verify_standard(cfg, 3)
 
 
 def verify_b2a(cfg: TheoremConfig) -> VerificationReport:
     """C4.4: the standard-tree theorem on R^4, Ferrers x Gegenbauer pairs."""
-    return verify_standard(replace(cfg, d=4))
+    return _verify_standard(cfg, 4)
 
 
 def ba_elementary_rhs(cfg: TheoremConfig) -> VerificationReport:
     """nu = -1 reduction of C4.3: radial factors (r_</r_>)^{l+1/2} up to
     elementary factors, the lhs still a Legendre function of order 0."""
-    return verify_standard(replace(cfg, nu=-1.0, d=3), elementary=True)
+    return _verify_standard(replace(cfg, nu=-1.0), 3, elementary=True)
 
 
 def b2a_elementary_rhs(cfg: TheoremConfig) -> VerificationReport:
     """nu = -2 reduction of C4.4 to elementary functions."""
-    return verify_standard(replace(cfg, nu=-2.0, d=4), elementary=True)
+    return _verify_standard(replace(cfg, nu=-2.0), 4, elementary=True)
 
 
 # --- generalized Hopf, R^{2^q} ----------------------------------------------
@@ -477,7 +503,11 @@ def verify_hopf(cfg: TheoremConfig, elementary: bool = False) -> VerificationRep
     heap-ordered angles, and it ends in the surrogate-degree Legendre
     factor.  elementary=True as in `verify_standard`.
     """
-    q = cfg.q
+    return _verify_hopf(cfg, cfg.q, elementary)
+
+
+def _verify_hopf(cfg, q, elementary=False):
+    """`verify_hopf` on R^{2^q}, whatever cfg.q, as `_verify_standard`."""
     if q < 2:
         raise ValueError("need q >= 2")
     n_a = 2 ** (q - 1)
@@ -496,12 +526,12 @@ def verify_hopf(cfg: TheoremConfig, elementary: bool = False) -> VerificationRep
 
 def verify_ca2(cfg: TheoremConfig) -> VerificationReport:
     """C4.5: the Hopf-tree theorem on R^4, double sum over (m_2, n)."""
-    return verify_hopf(replace(cfg, q=2))
+    return _verify_hopf(cfg, 2)
 
 
 def ca2_elementary_rhs(cfg: TheoremConfig) -> VerificationReport:
     """nu = -2 reduction of C4.5 to elementary functions."""
-    return verify_hopf(replace(cfg, nu=-2.0, q=2), elementary=True)
+    return _verify_hopf(replace(cfg, nu=-2.0), 2, elementary=True)
 
 
 def ca2_double_coefficient(nu: float, m1: int, m2: int, r: float, rp: float,

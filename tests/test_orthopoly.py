@@ -383,6 +383,24 @@ class TestReusableRecurrence:
                 want = np.asarray(_per_degree(kind, n, pk, x2[:, k]))
                 assert runs[0][n, :, k].tobytes() == want.tobytes()
 
+    @given(data=st.data())
+    def test_sum_tables_and_per_entry_agree(self, data):
+        # past _FEW_SUMS parameter pairs jacobi_recurrence builds c1 and c3
+        # once per distinct alpha + beta and reads them back through an
+        # index, up to it once per pair: the same bits either way, with
+        # repeated sums among the pairs or none
+        _, params, x = data.draw(_column_draw("jacobi", nmax_max=0, width_max=3 * op._NARROW))
+        reps = data.draw(st.integers(1, 3), label="reps")
+        nmax = data.draw(st.integers(0, 40), label="nmax")
+        params, x2 = [np.tile(p, reps) for p in params], np.array([x * reps, x[::-1] * reps])
+        tables = []
+        for few in (0, x2.shape[1]):
+            with patch.object(op, "_FEW_SUMS", few):
+                rec = op.jacobi_recurrence(nmax, *params, x2.shape)
+                assert isinstance(rec.lin, tuple) == (few == 0)
+                tables.append(op.recurrence_table(op.reusable(rec), x2))
+        assert tables[0].tobytes() == tables[1].tobytes()
+
     @pytest.mark.parametrize("kind, width", [("jacobi", 3), ("jacobi", 900),
                                              ("gegenbauer", 3), ("gegenbauer", 900)])
     def test_counted_bytes_are_held(self, kind, width):

@@ -428,6 +428,61 @@ class TestFoldPlan:
             assert sum(columns for *_, columns in vf._plans.values()) <= 800
 
 
+def _operand_paths(steps, family):
+    """Per request of a family, whether all of its operands are views, and
+    whether they can be: its child degrees, and so its log-Gamma columns,
+    step evenly along each axis.  (An operand that reads one child's degrees
+    alone is a view where that child's do.)"""
+    for j, i in enumerate(family.group):
+        views = [not isinstance(op[j], tuple) for op in (family.first, *family.adds, *family.subs)]
+        yield all(views), all(len(np.unique(np.diff(support))) <= 1 for support in steps[i][3:5])
+
+
+class TestOperandPaths:
+    # a plan reads a request's normalization operands through strided views
+    # where its columns form an affine grid (dense supports) and gathers
+    # them where they do not (a leaf weight with a zero inside its support):
+    # both paths give the node-by-node fold's root weights bit for bit
+    @given(data=st.data())
+    def test_sparse_supports_gather_dense_view(self, data):
+        tree = ps.parse_tree(data.draw(_tree_specs(7), label="tree"))
+        caps = data.draw(st.integers(2, 8), label="caps")
+        n_leaves = sum(node.kind == "a" for node in tree.branching_nodes)
+        zeros = data.draw(st.sets(st.tuples(st.integers(0, n_leaves - 1),
+                                            st.integers(1, caps - 1))), label="zeros")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        angles, anglesp, leaves = _fold_inputs(tree, caps, rng, zeros)
+        with np.errstate(all="ignore"):
+            got = vf._fold(tree, caps, angles, anglesp, leaves)
+        np.testing.assert_array_equal(
+            got, fold_reference(tree, caps, angles, anglesp, leaves))
+        (_, steps, pairs), _ = vf._fold_plan(tree, caps, None, leaves)
+        for family in pairs[3]:
+            for views, affine in _operand_paths(steps, family):
+                assert views == affine
+
+    @pytest.mark.parametrize("zeros, views", [
+        ((), ((True, True), (True,))),      # every support dense
+        # b's leaf sparse; b' and c read dense supports
+        (((1, 3),), ((False, True), (True,))),
+    ])
+    def test_each_path_taken(self, monkeypatch, zeros, views):
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        tree, caps, rng = ps.parse_tree("cb'aba"), 6, np.random.default_rng(17)
+        for _ in range(2):                  # a cold plan, then a warm one
+            angles, anglesp, leaves = _fold_inputs(tree, caps, rng, zeros)
+            got = vf._fold(tree, caps, angles, anglesp, leaves)
+            np.testing.assert_array_equal(
+                got, fold_reference(tree, caps, angles, anglesp, leaves))
+        (entry,) = vf._plans.values()
+        steps, families = entry[1][1], entry[1][2][3]
+        assert tuple(tuple(v for v, _ in _operand_paths(steps, f)) for f in families) == views
+        # a view holds no bytes: it reads a shared table
+        assert all(not op.flags.owndata and not op.flags.writeable
+                   for f in families for ops in (f.first, *f.adds, *f.subs)
+                   for op in ops if not isinstance(op, tuple))
+
+
 def _std_cfg(theorem, d, m, caps, nu=-1.5):
     n = d - 2
     return vf.TheoremConfig(theorem=theorem, nu=nu, m=m, d=d, caps=caps,
@@ -543,6 +598,37 @@ class TestPlanCoefficients:
                                         else sum(rec.nbytes for rec in entry[2]))
         assert [key[1] for key, entry in vf._plans.items() if entry[2] is not None] == [150, 200]
 
+    def test_stripped_plan_rebuilt_once_room_frees(self, monkeypatch):
+        # a plan that lost its coefficients to a newer plan builds them again
+        # when it is next used and they fit the room left free, never while
+        # they would take another plan's
+        tree, rng = ps.parse_tree("caa"), np.random.default_rng(7)
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        size = {}
+        for caps in (40, 41):
+            vf._fold(tree, caps, *_fold_inputs(tree, caps, rng))
+            size[caps] = vf._plans.popitem()[1][4]
+        assert size[40] < size[41]
+        # room for either plan's coefficients, not for both
+        monkeypatch.setattr(vf, "PLAN_CACHE_COLUMNS", (size[41] + size[40] // 2) // 16)
+        monkeypatch.setattr(vf, "PLAN_CACHE_SIZE", 2)
+
+        def fold(caps, kept):
+            angles, anglesp, leaves = _fold_inputs(tree, caps, rng)
+            got = vf._fold(tree, caps, angles, anglesp, leaves)
+            np.testing.assert_array_equal(got, fold_reference(tree, caps, angles, anglesp, leaves))
+            assert {key[1]: entry[2] is not None for key, entry in vf._plans.items()} == kept
+            assert sum(entry[3] for entry in vf._plans.values()) <= 16 * vf.PLAN_CACHE_COLUMNS
+            for entry in vf._plans.values():
+                assert entry[3] == (0 if entry[2] is None else entry[4])
+
+        fold(40, {40: True})
+        fold(41, {40: False, 41: True})     # the newer plan takes the older one's room
+        fold(40, {40: False, 41: True})     # no room free: fresh coefficients
+        fold(0, {40: False, 0: True})       # a third plan drops the least recently used
+        fold(40, {40: True, 0: True})       # room free: built again and kept
+        fold(40, {40: True, 0: True})
+
     def test_hopf_q3_caps30_keeps_no_coefficients(self, monkeypatch):
         monkeypatch.setattr(vf, "_plans", OrderedDict())
         assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
@@ -638,6 +724,72 @@ class TestRadialCache:
             assert col.tobytes() == sf.legendre_q_hat_column(0.5, -0.75, 1.25, n).tobytes()
             assert vf._radial_column.cache_info().currsize == kept
             assert (vf._radial(0.5, -0.75, 1.25, n, False) is col) == (n <= 100)
+
+
+def _pin(status, *floats):
+    return status, np.array([float.fromhex(f) for f in floats]).tobytes()
+
+
+class TestCertificateBits:
+    # one certificate per slot kind of the benchmark's certify cycle (every
+    # theorem, order and tree size it runs), at fixed angles: (status, lhs,
+    # rhs, rel_err, tail_estimate) as recorded before the fold plan held its
+    # normalization operands as views, so a change of rounding anywhere on
+    # the certificate path shows here and has to be made on purpose
+    @pytest.mark.parametrize("cfg, want", [
+        (_std_cfg("C4.3", 3, 0, 80, nu=-1.0), _pin(
+            "pass", "0x1.b9a2b9b5b8556p+0", "0x1.b9a2b9b5b8553p+0", "0x1.bd2e73e680dc1p-52",
+            "0x1.0b62d9f3d6f12p-83")),
+        (_std_cfg("C4.3", 3, 1, 80, nu=-1.0), _pin(
+            "pass", "0x1.01d56aaac4dc7p-2", "0x1.01d56aaac4dc6p-2", "0x1.fc5bd7ec48cd6p-53",
+            "0x1.edb4fe6d41719p-85")),
+        (_std_cfg("C4.3", 3, 2, 80, nu=-1.0), _pin(
+            "pass", "0x1.c05979626b972p-5", "0x1.c05979626b969p-5", "0x1.48e2e2f561567p-50",
+            "0x1.74d97f0a1cd14p-84")),
+        (_std_cfg("C4.3", 3, 0, 80, nu=-2.5), _pin(
+            "pass", "0x1.da5524efd23a3p-1", "0x1.da5524efd23a2p-1", "0x1.14544dd8ce8c9p-53",
+            "0x1.6dd4d659c70aap-79")),
+        (_std_cfg("C4.3", 3, 1, 80, nu=-2.5), _pin(
+            "pass", "0x1.51eac720d8f4ep-2", "0x1.51eac720d8f4cp-2", "0x1.83e1d253229c6p-52",
+            "0x1.55e1a3fbbc8c7p-80")),
+        (_std_cfg("C4.3", 3, 2, 80, nu=-2.5), _pin(
+            "pass", "0x1.b520824ac7a0dp-4", "0x1.b520824ac79fep-4", "0x1.191bb5dfd3bd5p-49",
+            "0x1.03afeccf1e384p-79")),
+        (_std_cfg("C4.4", 4, 0, 80, nu=-2.0), _pin(
+            "pass", "0x1.bd2bd05ea57e9p-1", "0x1.bd2bd05ea57e5p-1", "0x1.266e3a956d026p-51",
+            "0x1.ca1a5648041f9p-83")),
+        (_std_cfg("C4.4", 4, 1, 80, nu=-2.0), _pin(
+            "pass", "0x1.9633db6abb533p-3", "0x1.9633db6abb531p-3", "0x1.42ad2b779811bp-52",
+            "0x1.2638daf65bb55p-81")),
+        (replace(_hopf_cfg(2, 0, 80, nu=-2.0), theorem="C4.5"), _pin(
+            "pass", "0x1.07e253b597825p+0", "0x1.07e253b597826p+0", "0x1.f0b3f3133592ap-53",
+            "0x1.f4796d706d4f7p-80")),
+        (replace(_hopf_cfg(2, 1, 80, nu=-2.0), theorem="C4.5"), _pin(
+            "pass", "0x1.43794972e2cecp-2", "0x1.43794972e2cefp-2", "0x1.2fe6a7108cbe7p-51",
+            "0x1.0cc9b3a331a93p-81")),
+        (_std_cfg("T4.1", 4, 0, 40, nu=-1.3), _pin(
+            "pass", "0x1.307fdd7e41785p+0", "0x1.307fdd7e4174ap+0", "0x1.8cd25b356e17fp-47",
+            "0x1.b26ae3814ee24p-41")),
+        (_std_cfg("T4.1", 5, 0, 35, nu=-0.7), _pin(
+            "pass", "0x1.105ce4d36bb02p+1", "0x1.105ce4d36bd8bp+1", "0x1.31013efc93947p-43",
+            "0x1.1e747024787acp-37")),
+        (_std_cfg("T4.1", 6, 0, 30, nu=-2.2), _pin(
+            "pass", "0x1.994f5e6997726p-1", "0x1.994f5e695d5a5p-1", "0x1.22acfdc195136p-35",
+            "0x1.9ddf1fbf083acp-29")),
+        (_hopf_cfg(2, 0, 30, nu=-1.7), _pin(
+            "pass", "0x1.21e318d48bba7p+0", "0x1.21e318d48bba3p+0", "0x1.c42600659723ap-51",
+            "0x1.62467c56eebd7p-31")),
+        (replace(_hopf_cfg(3, 0, 12, nu=-0.9), tol=1e-3), _pin(
+            "pass", "0x1.8e2e830564aa2p+0", "0x1.8e2e8305ff2c6p+0", "0x1.8d59486c03909p-34",
+            "0x1.445ed2331e18ap-13")),
+    ])
+    def test_pinned_bits(self, monkeypatch, cfg, want):
+        # cold and warm: a certificate on a cached plan and radial column
+        # gives the bits a fresh one gives
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        vf._radial_column.cache_clear()
+        for _ in range(2):
+            assert _report_bits(vf.run_verification(cfg)) == want
 
 
 class TestIndependentOracles:
