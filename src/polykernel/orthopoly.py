@@ -57,11 +57,7 @@ def _jacobi_p1(alpha, beta, x):
 
 # A table whose rows hold at most this many entries runs its recurrence on
 # Python floats, one entry at a time: numpy's per-call overhead, not
-# arithmetic, sets the cost of a narrow step.  At nmax = 80 the float path
-# is the faster one up to about 9 entries per row for jacobi_p_all and 11
-# for gegenbauer_c_all with a 1-D x, and up to 8 for both on the (2, w)
-# rows of a pair table, where 10 entries tie (Xeon 2 vCPU, numpy 2.4, both
-# paths forced, min of 40 interleaved repeats).
+# arithmetic, sets the cost of a narrow step.
 _NARROW = 8
 
 
@@ -99,18 +95,6 @@ class Recurrence(NamedTuple):
     const: np.ndarray | None
     down: object
     div: object
-
-    @property
-    def nbytes(self):
-        """Bytes held beyond the parameters: each array's own, counted once,
-        and 32 per float of a list (the float object and its slot)."""
-        arrays, floats = {}, 0
-        for c in (self.lin, self.const, self.down, self.div):
-            if isinstance(c, list):
-                floats += sum(map(len, c))
-            elif c is not None:
-                arrays.update((id(a), a) for a in (c if isinstance(c, tuple) else (c,)))
-        return sum(a.nbytes for a in arrays.values()) + 32 * floats
 
 
 def _rows(c, start, stop, out):

@@ -505,9 +505,9 @@ def _pair_plan(nmax: int, requests):
     dense supports do, and otherwise as the indices to gather at on every
     call (`_operand`).  So every array a plan holds grows with the number
     of columns, not with nmax, and a certificate that keeps its plan keeps
-    no table.  The recurrence coefficients, which grow with nmax too, are
-    `_pair_recurrences`, for a cache to keep next to the plan within a
-    budget of its own (`verify.PLAN_CACHE_COLUMNS`).
+    no table.  The recurrence coefficients, which grow with the columns
+    times nmax, are `_pair_recurrences`, for a cache to keep next to the
+    plan.
     """
     nodes = [node for node, _, _ in requests]
     shapes = [req[1].shape for req in requests]

@@ -199,8 +199,8 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     A fold is a plan and an execution.  The plan (`_fold_plan`) holds what
     depends only on the tree, caps, top and where the leaf weights are
     nonzero: every node's child supports and column degrees, the column
-    parameters of `_pair_tables` (see `_pair_plan`) and, within the cache's
-    budget, the recurrence coefficients of its passes.  A fold on a shape
+    parameters of `_pair_tables` (see `_pair_plan`) and, when the cache
+    keeps it, the recurrence coefficients of its passes.  A fold on a shape
     seen before skips straight to the execution.  It builds every node's
     table first, in one `_pair_tables` call (all b and b' tables in one
     Gegenbauer pass, all c tables in one Jacobi pass), then contracts from
@@ -238,16 +238,14 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     return weights[tree.root.index]
 
 
-# Fold plans kept across certificates, for callers that certify many angle
-# pairs on a few tree shapes; the least recently used go first.  At most
-# PLAN_CACHE_SIZE plans are kept.  Their tables have at most
-# PLAN_CACHE_COLUMNS columns in all, and their recurrence coefficients take
-# at most 16 bytes per column of that bound (1 MiB).  A plan past the column
-# budget is used once and dropped; one whose coefficients are past theirs
-# runs on freshly built ones.  An entry is [tree, plan, recurrences or None,
-# the bytes they hold, the bytes they take when built, columns].
+# Fold plans, with their recurrence coefficients, kept for callers that
+# certify many angle pairs on a few tree shapes: at most PLAN_CACHE_SIZE
+# plans and PLAN_CACHE_ENTRIES table entries in all, evicted whole, least
+# recently used first.  A plan holds at most 160 bytes per entry (about 20
+# on a wide table; a one-column table's coefficients are Python floats) and
+# about 4 KiB per tree node, so about 10 MiB at the bound.
 PLAN_CACHE_SIZE = 32
-PLAN_CACHE_COLUMNS = 1 << 16
+PLAN_CACHE_ENTRIES = 1 << 16
 _plans: OrderedDict = OrderedDict()
 _plans_lock = threading.Lock()
 
@@ -263,30 +261,19 @@ def _fold_plan(tree: Tree, caps: int, top, leaves):
     the node's weight vector, and the size of its own support, None at the
     root).  The scatter offsets themselves are as large as the node's
     table, so each execution adds them up anew.  The recurrences are the
-    plan's `_pair_recurrences`, or None where the cache keeps none: a new
-    plan keeps them if they fit the coefficient budget alone, and takes the
-    room from the least recently used plans' coefficients.  A plan that
-    lost its coefficients builds them again when it is next used and they
-    fit the room left free, so it never takes room from another plan.  The
-    cache holds each plan's tree, so no other tree can take its id while
-    the plan is cached.
+    plan's `_pair_recurrences`, built once when the plan is cached and kept
+    with it.  A plan whose tables would hold more than PLAN_CACHE_ENTRIES
+    entries is not cached, and its recurrences are None: `_pair_tables`
+    builds each family's for its one pass.  An entry is (tree, plan,
+    recurrences, entries); holding the tree keeps any other tree from taking
+    its id while the plan is cached.
     """
     key = (id(tree), caps, top, tuple(np.not_equal(w, 0.0).tobytes() for w in leaves))
-    budget = 16 * PLAN_CACHE_COLUMNS
     with _plans_lock:
         entry = _plans.get(key)
         if entry is not None:
             _plans.move_to_end(key)
-            if entry[2] is not None or entry[4] > budget - _held_bytes():
-                return entry[1:3]
-    if entry is not None:
-        recurrences = _pair_recurrences(entry[1][2])
-        with _plans_lock:
-            # another thread may have used the room, or the plan, meanwhile
-            if (_plans.get(key) is entry and entry[2] is None
-                    and entry[4] <= budget - _held_bytes()):
-                entry[2:4] = recurrences, entry[4]
-        return entry[1], recurrences
+            return entry[1:3]
     nodes = tree.branching_nodes
     leaf_index = [node.index for node in nodes if node.kind == "a"]
     # node index (None at a leaf child) -> (length of its weight vector,
@@ -317,29 +304,15 @@ def _fold_plan(tree: Tree, caps: int, top, leaves):
         requests.append((node, sa[:, None] + 0 * degrees, sb + 0 * degrees))
         steps.append((node.index, ia, ib, sa, sb, degrees, orders, length, reach_size))
     plan = leaf_index, steps, _pair_plan(caps, requests)
+    if entries > PLAN_CACHE_ENTRIES:
+        return plan, None
     recurrences = _pair_recurrences(plan[2])
-    nbytes = sum(rec.nbytes for rec in recurrences)
-    if nbytes > budget:
-        recurrences = None
     with _plans_lock:
-        _plans[key] = [tree, plan, recurrences, nbytes if recurrences is not None else 0, nbytes,
-                       entries // (caps + 1)]
+        _plans[key] = tree, plan, recurrences, entries
         while (len(_plans) > PLAN_CACHE_SIZE
-               or sum(columns for *_, columns in _plans.values()) > PLAN_CACHE_COLUMNS):
+               or sum(entry[3] for entry in _plans.values()) > PLAN_CACHE_ENTRIES):
             _plans.popitem(last=False)
-        held = _held_bytes()
-        for entry in _plans.values():       # least recently used first
-            if held <= budget:
-                break
-            held -= entry[3]
-            entry[2:4] = None, 0
     return plan, recurrences
-
-
-def _held_bytes():
-    """Bytes of recurrence coefficients the cached plans hold; the caller
-    holds `_plans_lock`."""
-    return sum(entry[3] for entry in _plans.values())
 
 
 def _radial(deg, order, z, n, elementary):
@@ -349,10 +322,10 @@ def _radial(deg, order, z, n, elementary):
     before, as when angle pairs are swept at fixed radii, reads it from
     `_radial_column`'s cache instead of summing a 2F1 series and the
     continued fraction.  The cache has the plans' bounds: at most
-    PLAN_CACHE_SIZE columns, each at most its share of PLAN_CACHE_COLUMNS
+    PLAN_CACHE_SIZE columns, each at most its share of PLAN_CACHE_ENTRIES
     floats (2 048), so 512 KiB in all; a longer column is built and dropped.
     """
-    build = (_radial_column if n <= PLAN_CACHE_COLUMNS // PLAN_CACHE_SIZE
+    build = (_radial_column if n <= PLAN_CACHE_ENTRIES // PLAN_CACHE_SIZE
              else _radial_column.__wrapped__)
     return build(deg, order, z, n, elementary)
 

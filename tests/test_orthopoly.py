@@ -401,23 +401,6 @@ class TestReusableRecurrence:
                 tables.append(op.recurrence_table(op.reusable(rec), x2))
         assert tables[0].tobytes() == tables[1].tobytes()
 
-    @pytest.mark.parametrize("kind, width", [("jacobi", 3), ("jacobi", 900),
-                                             ("gegenbauer", 3), ("gegenbauer", 900)])
-    def test_counted_bytes_are_held(self, kind, width):
-        # nbytes, which a cache's budget adds up, is what the recurrence
-        # keeps alive: numpy arrays, or a narrow table's lists of floats
-        # (tracemalloc misses the floats that Python's free list hands out)
-        rng = np.random.default_rng(width)
-        params = [rng.integers(1, 40, width) * 0.5 for _ in range(2 if kind == "jacobi" else 1)]
-        build = op.jacobi_recurrence if kind == "jacobi" else op.gegenbauer_recurrence
-        tracemalloc.start()
-        try:
-            rec = op.reusable(build(60, *params, (2, width)))
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert abs(rec.nbytes - held) <= 0.1 * held + 4096
-
 
 class TestJacobiNorm:
     def test_legendre_norms(self):

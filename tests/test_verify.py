@@ -1,5 +1,6 @@
 """Addition-theorem certification: corollaries, collapses, independence."""
 
+import gc
 import math
 import re
 import tracemalloc
@@ -416,16 +417,19 @@ class TestFoldPlan:
         np.testing.assert_array_equal(
             vf._fold(tree, 0, (0.7, 0.0), (1.9, 0.0), [np.eye(3)[2]]), folds[0])
 
-    def test_cache_columns_bounded(self, monkeypatch):
-        # T4.2 at q = 3 has 251 table columns at caps 4, 531 at caps 6 and
-        # 915 at caps 8: a plan past the budget is used once and dropped
+    def test_cache_entries_bounded(self, monkeypatch):
+        # T4.2 at q = 3 has 1 255 table entries at caps 4, 2 268 at caps 5,
+        # 3 717 at caps 6 and 8 235 at caps 8: a plan past the bound alone is
+        # used once and not cached, and a new plan evicts the least recently
+        # used whole until the cached entries fit the bound
         monkeypatch.setattr(vf, "_plans", OrderedDict())
-        monkeypatch.setattr(vf, "PLAN_CACHE_COLUMNS", 800)
-        for caps, kept in [(4, [4]), (6, [4, 6]), (4, [6, 4]), (8, []), (4, [4])]:
+        monkeypatch.setattr(vf, "PLAN_CACHE_ENTRIES", 5000)
+        for caps, kept in [(4, [4]), (6, [4, 6]), (4, [6, 4]), (8, [6, 4]), (5, [4, 5]),
+                           (4, [5, 4])]:
             cfg = _hopf_cfg(3, 0, caps)
             assert vf.run_verification(cfg) == vf.run_verification(cfg)
             assert [key[1] for key in vf._plans] == kept
-            assert sum(columns for *_, columns in vf._plans.values()) <= 800
+            assert sum(entry[3] for entry in vf._plans.values()) <= 5000
 
 
 def _operand_paths(steps, family):
@@ -557,83 +561,98 @@ class TestTableMemoryBound:
 
 
 class TestPlanCoefficients:
-    # a warm plan runs on the recurrence coefficients it keeps, or on fresh
-    # ones when they are past the cache's budget; either way a fold gives
+    # a cached plan runs on the recurrence coefficients it keeps, and a plan
+    # past the cache's entry bound on fresh ones; either way a fold gives
     # the node-by-node fold's root weights, bit for bit
     @pytest.mark.parametrize("spec", ["ba", "cb'aba"])       # narrow, both families wide
-    @pytest.mark.parametrize("kept", [True, False])
-    def test_warm_fold_kept_or_over_budget(self, monkeypatch, spec, kept):
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_warm_fold_cached_or_past_the_bound(self, monkeypatch, spec, cached):
         tree, caps, rng = ps.parse_tree(spec), 6, np.random.default_rng(61)
         monkeypatch.setattr(vf, "_plans", OrderedDict())
         vf._fold(tree, caps, *_fold_inputs(tree, caps, rng))
         (entry,) = vf._plans.values()
-        if not kept:
-            # room for the plan's columns, not for 16 bytes of coefficients each
-            monkeypatch.setattr(vf, "PLAN_CACHE_COLUMNS", entry[-1])
+        kept, families = entry[2], len(entry[1][2][3])
+        assert kept is not None and len(kept) == families
+        if not cached:
+            # one entry short of the plan's tables
+            monkeypatch.setattr(vf, "PLAN_CACHE_ENTRIES", entry[3] - 1)
             monkeypatch.setattr(vf, "_plans", OrderedDict())
-        for _ in range(3):
+        built, pair_recurrence = [], ps._pair_recurrence
+        monkeypatch.setattr(ps, "_pair_recurrence",
+                            lambda *args: built.append(args) or pair_recurrence(*args))
+        for i in range(3):
             angles, anglesp, leaves = _fold_inputs(tree, caps, rng)
             got = vf._fold(tree, caps, angles, anglesp, leaves)
             np.testing.assert_array_equal(got, fold_reference(tree, caps, angles, anglesp, leaves))
-            (entry,) = vf._plans.values()
-            assert (entry[2] is not None) == kept
+            if cached:
+                # the coefficients it keeps, none built again
+                (entry,) = vf._plans.values()
+                assert entry[2] is kept and not built
+            else:
+                # fresh coefficients, one build per family and pass
+                assert not vf._plans and len(built) == (i + 1) * families
 
-    def test_cache_holds_at_most_its_budget(self, monkeypatch):
-        # large-caps plans of both families, 59 KB to 1.3 MB of coefficients
-        # each: the cache keeps at most 16 bytes per column of
-        # PLAN_CACHE_COLUMNS (1 MiB), a new plan that fits the budget keeps
-        # its coefficients, the least recently used plans' go first, and
-        # each plan counts what its recurrences hold
+    def test_past_the_bound_builds_once(self, monkeypatch):
+        # a T4.2 q = 3, caps 30 certificate's tables hold more than
+        # PLAN_CACHE_ENTRIES entries: it caches nothing, builds each family's
+        # recurrence coefficients once, for its one pass, and gives the
+        # node-by-node fold's root weights, bit for bit
         monkeypatch.setattr(vf, "_plans", OrderedDict())
-        budget = 16 * vf.PLAN_CACHE_COLUMNS
-        for caps in (60, 90, 120, 150, 200):
-            for cfg in (ca2_cfg(-1.5, 1, caps=caps), b2a_cfg(-1.5, 1, caps=caps)):
-                vf.run_verification(cfg)
-                newest = next(reversed(vf._plans.values()))
-                fits = sum(rec.nbytes for rec in ps._pair_recurrences(newest[1][2])) <= budget
-                assert (newest[2] is not None) == fits
-                assert sum(entry[3] for entry in vf._plans.values()) <= budget
-                for entry in vf._plans.values():
-                    assert entry[3] == (0 if entry[2] is None
-                                        else sum(rec.nbytes for rec in entry[2]))
-        assert [key[1] for key, entry in vf._plans.items() if entry[2] is not None] == [150, 200]
+        built, folds = [], []
+        pair_recurrence, fold = ps._pair_recurrence, vf._fold
 
-    def test_stripped_plan_rebuilt_once_room_frees(self, monkeypatch):
-        # a plan that lost its coefficients to a newer plan builds them again
-        # when it is next used and they fit the room left free, never while
-        # they would take another plan's
-        tree, rng = ps.parse_tree("caa"), np.random.default_rng(7)
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
-        size = {}
-        for caps in (40, 41):
-            vf._fold(tree, caps, *_fold_inputs(tree, caps, rng))
-            size[caps] = vf._plans.popitem()[1][4]
-        assert size[40] < size[41]
-        # room for either plan's coefficients, not for both
-        monkeypatch.setattr(vf, "PLAN_CACHE_COLUMNS", (size[41] + size[40] // 2) // 16)
-        monkeypatch.setattr(vf, "PLAN_CACHE_SIZE", 2)
+        def counted(nmax, family):
+            built.append(family.jacobi)
+            return pair_recurrence(nmax, family)
 
-        def fold(caps, kept):
-            angles, anglesp, leaves = _fold_inputs(tree, caps, rng)
-            got = vf._fold(tree, caps, angles, anglesp, leaves)
-            np.testing.assert_array_equal(got, fold_reference(tree, caps, angles, anglesp, leaves))
-            assert {key[1]: entry[2] is not None for key, entry in vf._plans.items()} == kept
-            assert sum(entry[3] for entry in vf._plans.values()) <= 16 * vf.PLAN_CACHE_COLUMNS
-            for entry in vf._plans.values():
-                assert entry[3] == (0 if entry[2] is None else entry[4])
+        def kept(*args):
+            folds.append((args, fold(*args)))
+            return folds[-1][1]
 
-        fold(40, {40: True})
-        fold(41, {40: False, 41: True})     # the newer plan takes the older one's room
-        fold(40, {40: False, 41: True})     # no room free: fresh coefficients
-        fold(0, {40: False, 0: True})       # a third plan drops the least recently used
-        fold(40, {40: True, 0: True})       # room free: built again and kept
-        fold(40, {40: True, 0: True})
-
-    def test_hopf_q3_caps30_keeps_no_coefficients(self, monkeypatch):
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        monkeypatch.setattr(ps, "_pair_recurrence", counted)
+        monkeypatch.setattr(vf, "_fold", kept)
         assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
-        (entry,) = vf._plans.values()
-        assert entry[2] is None and entry[3] == 0
+        assert not vf._plans
+        ((args, got),) = folds
+        tree, caps, angles, anglesp, leaves, top = args
+        (_, _, pairs), recurrences = vf._fold_plan(tree, caps, top, leaves)
+        assert recurrences is None and not vf._plans
+        assert sorted(built) == sorted(family.jacobi for family in pairs[3])
+        np.testing.assert_array_equal(got, fold_reference(*args))
+
+    def test_held_bytes_bounded_by_entries(self, monkeypatch):
+        # narrow plans (C4.3, one column) and wide ones (C4.5, T4.2 q = 3) at
+        # several caps, more entries than the bound in all: after every
+        # certificate the cache holds at most PLAN_CACHE_ENTRIES entries, and
+        # the bytes it frees when dropped are at most the 160 per entry and
+        # 4 KiB per tree node of the constant's comment
+        cfgs = ([ba_cfg(-1.0, 1, caps=caps) for caps in (0, 80, 2000)]
+                + [ca2_cfg(-1.5, 1, caps=caps) for caps in (2, 120, 200)]
+                + [_hopf_cfg(3, 0, caps) for caps in (4, 12)])
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        for cfg in cfgs:                    # the shared tables and radial columns
+            vf.run_verification(cfg)
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        origin = {}                         # plan key -> the certificate that built it
+        tracemalloc.start()
+        try:
+            for i, cfg in enumerate(cfgs):
+                vf.run_verification(cfg)
+                origin.update((key, i) for key in vf._plans if key not in origin)
+                cached = [(origin[key], entry[3], len(entry[0].branching_nodes))
+                          for key, entry in vf._plans.items()]
+                assert sum(entries for _, entries, _ in cached) <= vf.PLAN_CACHE_ENTRIES
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                vf._plans.clear()
+                gc.collect()
+                held = before - tracemalloc.get_traced_memory()[0]
+                assert held <= sum(160 * entries + 4096 * nodes for _, entries, nodes in cached)
+                for j, _, _ in cached:      # the same plans again, least recently used first
+                    vf.run_verification(cfgs[j])
+                assert [origin[key] for key in vf._plans] == [j for j, _, _ in cached]
+        finally:
+            tracemalloc.stop()
 
 
 def _other_angles(cfg):
@@ -717,7 +736,7 @@ class TestRadialCache:
         # each kept column holds at most its share of the float budget, so
         # PLAN_CACHE_SIZE of them hold at most the budget; a longer column
         # is used once and not retained
-        monkeypatch.setattr(vf, "PLAN_CACHE_COLUMNS", 100 * vf.PLAN_CACHE_SIZE)
+        monkeypatch.setattr(vf, "PLAN_CACHE_ENTRIES", 100 * vf.PLAN_CACHE_SIZE)
         vf._radial_column.cache_clear()
         for n, kept in [(100, 1), (101, 1), (60, 2), (4000, 2), (100, 2)]:
             col = vf._radial(0.5, -0.75, 1.25, n, False)
@@ -730,59 +749,62 @@ def _pin(status, *floats):
     return status, np.array([float.fromhex(f) for f in floats]).tobytes()
 
 
+# one certificate per slot kind of the benchmark's certify cycle (every
+# theorem, order and tree size it runs), at fixed angles: (status, lhs,
+# rhs, rel_err, tail_estimate) as recorded before the fold plan held its
+# normalization operands as views, so a change of rounding anywhere on
+# the certificate path shows here and has to be made on purpose
+_CYCLE_PINS = [
+    (_std_cfg("C4.3", 3, 0, 80, nu=-1.0), _pin(
+        "pass", "0x1.b9a2b9b5b8556p+0", "0x1.b9a2b9b5b8553p+0", "0x1.bd2e73e680dc1p-52",
+        "0x1.0b62d9f3d6f12p-83")),
+    (_std_cfg("C4.3", 3, 1, 80, nu=-1.0), _pin(
+        "pass", "0x1.01d56aaac4dc7p-2", "0x1.01d56aaac4dc6p-2", "0x1.fc5bd7ec48cd6p-53",
+        "0x1.edb4fe6d41719p-85")),
+    (_std_cfg("C4.3", 3, 2, 80, nu=-1.0), _pin(
+        "pass", "0x1.c05979626b972p-5", "0x1.c05979626b969p-5", "0x1.48e2e2f561567p-50",
+        "0x1.74d97f0a1cd14p-84")),
+    (_std_cfg("C4.3", 3, 0, 80, nu=-2.5), _pin(
+        "pass", "0x1.da5524efd23a3p-1", "0x1.da5524efd23a2p-1", "0x1.14544dd8ce8c9p-53",
+        "0x1.6dd4d659c70aap-79")),
+    (_std_cfg("C4.3", 3, 1, 80, nu=-2.5), _pin(
+        "pass", "0x1.51eac720d8f4ep-2", "0x1.51eac720d8f4cp-2", "0x1.83e1d253229c6p-52",
+        "0x1.55e1a3fbbc8c7p-80")),
+    (_std_cfg("C4.3", 3, 2, 80, nu=-2.5), _pin(
+        "pass", "0x1.b520824ac7a0dp-4", "0x1.b520824ac79fep-4", "0x1.191bb5dfd3bd5p-49",
+        "0x1.03afeccf1e384p-79")),
+    (_std_cfg("C4.4", 4, 0, 80, nu=-2.0), _pin(
+        "pass", "0x1.bd2bd05ea57e9p-1", "0x1.bd2bd05ea57e5p-1", "0x1.266e3a956d026p-51",
+        "0x1.ca1a5648041f9p-83")),
+    (_std_cfg("C4.4", 4, 1, 80, nu=-2.0), _pin(
+        "pass", "0x1.9633db6abb533p-3", "0x1.9633db6abb531p-3", "0x1.42ad2b779811bp-52",
+        "0x1.2638daf65bb55p-81")),
+    (replace(_hopf_cfg(2, 0, 80, nu=-2.0), theorem="C4.5"), _pin(
+        "pass", "0x1.07e253b597825p+0", "0x1.07e253b597826p+0", "0x1.f0b3f3133592ap-53",
+        "0x1.f4796d706d4f7p-80")),
+    (replace(_hopf_cfg(2, 1, 80, nu=-2.0), theorem="C4.5"), _pin(
+        "pass", "0x1.43794972e2cecp-2", "0x1.43794972e2cefp-2", "0x1.2fe6a7108cbe7p-51",
+        "0x1.0cc9b3a331a93p-81")),
+    (_std_cfg("T4.1", 4, 0, 40, nu=-1.3), _pin(
+        "pass", "0x1.307fdd7e41785p+0", "0x1.307fdd7e4174ap+0", "0x1.8cd25b356e17fp-47",
+        "0x1.b26ae3814ee24p-41")),
+    (_std_cfg("T4.1", 5, 0, 35, nu=-0.7), _pin(
+        "pass", "0x1.105ce4d36bb02p+1", "0x1.105ce4d36bd8bp+1", "0x1.31013efc93947p-43",
+        "0x1.1e747024787acp-37")),
+    (_std_cfg("T4.1", 6, 0, 30, nu=-2.2), _pin(
+        "pass", "0x1.994f5e6997726p-1", "0x1.994f5e695d5a5p-1", "0x1.22acfdc195136p-35",
+        "0x1.9ddf1fbf083acp-29")),
+    (_hopf_cfg(2, 0, 30, nu=-1.7), _pin(
+        "pass", "0x1.21e318d48bba7p+0", "0x1.21e318d48bba3p+0", "0x1.c42600659723ap-51",
+        "0x1.62467c56eebd7p-31")),
+    (replace(_hopf_cfg(3, 0, 12, nu=-0.9), tol=1e-3), _pin(
+        "pass", "0x1.8e2e830564aa2p+0", "0x1.8e2e8305ff2c6p+0", "0x1.8d59486c03909p-34",
+        "0x1.445ed2331e18ap-13")),
+]
+
+
 class TestCertificateBits:
-    # one certificate per slot kind of the benchmark's certify cycle (every
-    # theorem, order and tree size it runs), at fixed angles: (status, lhs,
-    # rhs, rel_err, tail_estimate) as recorded before the fold plan held its
-    # normalization operands as views, so a change of rounding anywhere on
-    # the certificate path shows here and has to be made on purpose
-    @pytest.mark.parametrize("cfg, want", [
-        (_std_cfg("C4.3", 3, 0, 80, nu=-1.0), _pin(
-            "pass", "0x1.b9a2b9b5b8556p+0", "0x1.b9a2b9b5b8553p+0", "0x1.bd2e73e680dc1p-52",
-            "0x1.0b62d9f3d6f12p-83")),
-        (_std_cfg("C4.3", 3, 1, 80, nu=-1.0), _pin(
-            "pass", "0x1.01d56aaac4dc7p-2", "0x1.01d56aaac4dc6p-2", "0x1.fc5bd7ec48cd6p-53",
-            "0x1.edb4fe6d41719p-85")),
-        (_std_cfg("C4.3", 3, 2, 80, nu=-1.0), _pin(
-            "pass", "0x1.c05979626b972p-5", "0x1.c05979626b969p-5", "0x1.48e2e2f561567p-50",
-            "0x1.74d97f0a1cd14p-84")),
-        (_std_cfg("C4.3", 3, 0, 80, nu=-2.5), _pin(
-            "pass", "0x1.da5524efd23a3p-1", "0x1.da5524efd23a2p-1", "0x1.14544dd8ce8c9p-53",
-            "0x1.6dd4d659c70aap-79")),
-        (_std_cfg("C4.3", 3, 1, 80, nu=-2.5), _pin(
-            "pass", "0x1.51eac720d8f4ep-2", "0x1.51eac720d8f4cp-2", "0x1.83e1d253229c6p-52",
-            "0x1.55e1a3fbbc8c7p-80")),
-        (_std_cfg("C4.3", 3, 2, 80, nu=-2.5), _pin(
-            "pass", "0x1.b520824ac7a0dp-4", "0x1.b520824ac79fep-4", "0x1.191bb5dfd3bd5p-49",
-            "0x1.03afeccf1e384p-79")),
-        (_std_cfg("C4.4", 4, 0, 80, nu=-2.0), _pin(
-            "pass", "0x1.bd2bd05ea57e9p-1", "0x1.bd2bd05ea57e5p-1", "0x1.266e3a956d026p-51",
-            "0x1.ca1a5648041f9p-83")),
-        (_std_cfg("C4.4", 4, 1, 80, nu=-2.0), _pin(
-            "pass", "0x1.9633db6abb533p-3", "0x1.9633db6abb531p-3", "0x1.42ad2b779811bp-52",
-            "0x1.2638daf65bb55p-81")),
-        (replace(_hopf_cfg(2, 0, 80, nu=-2.0), theorem="C4.5"), _pin(
-            "pass", "0x1.07e253b597825p+0", "0x1.07e253b597826p+0", "0x1.f0b3f3133592ap-53",
-            "0x1.f4796d706d4f7p-80")),
-        (replace(_hopf_cfg(2, 1, 80, nu=-2.0), theorem="C4.5"), _pin(
-            "pass", "0x1.43794972e2cecp-2", "0x1.43794972e2cefp-2", "0x1.2fe6a7108cbe7p-51",
-            "0x1.0cc9b3a331a93p-81")),
-        (_std_cfg("T4.1", 4, 0, 40, nu=-1.3), _pin(
-            "pass", "0x1.307fdd7e41785p+0", "0x1.307fdd7e4174ap+0", "0x1.8cd25b356e17fp-47",
-            "0x1.b26ae3814ee24p-41")),
-        (_std_cfg("T4.1", 5, 0, 35, nu=-0.7), _pin(
-            "pass", "0x1.105ce4d36bb02p+1", "0x1.105ce4d36bd8bp+1", "0x1.31013efc93947p-43",
-            "0x1.1e747024787acp-37")),
-        (_std_cfg("T4.1", 6, 0, 30, nu=-2.2), _pin(
-            "pass", "0x1.994f5e6997726p-1", "0x1.994f5e695d5a5p-1", "0x1.22acfdc195136p-35",
-            "0x1.9ddf1fbf083acp-29")),
-        (_hopf_cfg(2, 0, 30, nu=-1.7), _pin(
-            "pass", "0x1.21e318d48bba7p+0", "0x1.21e318d48bba3p+0", "0x1.c42600659723ap-51",
-            "0x1.62467c56eebd7p-31")),
-        (replace(_hopf_cfg(3, 0, 12, nu=-0.9), tol=1e-3), _pin(
-            "pass", "0x1.8e2e830564aa2p+0", "0x1.8e2e8305ff2c6p+0", "0x1.8d59486c03909p-34",
-            "0x1.445ed2331e18ap-13")),
-    ])
+    @pytest.mark.parametrize("cfg, want", _CYCLE_PINS)
     def test_pinned_bits(self, monkeypatch, cfg, want):
         # cold and warm: a certificate on a cached plan and radial column
         # gives the bits a fresh one gives
@@ -790,6 +812,21 @@ class TestCertificateBits:
         vf._radial_column.cache_clear()
         for _ in range(2):
             assert _report_bits(vf.run_verification(cfg)) == want
+
+    def test_cycle_plans_stay_cached(self, monkeypatch):
+        # the pinned certificates cover the cycle's 12 plan shapes, 60 809
+        # table entries, which fit the cache together: a second pass over
+        # them builds no plan.  Whole-plan LRU eviction would rebuild every
+        # plan of a cyclic working set larger than the bound.
+        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        for cfg, _ in _CYCLE_PINS:
+            vf.run_verification(cfg)
+        built, pair_plan = [], vf._pair_plan
+        monkeypatch.setattr(vf, "_pair_plan", lambda *args: built.append(args) or pair_plan(*args))
+        for cfg, _ in _CYCLE_PINS:
+            vf.run_verification(cfg)
+        assert not built and len(vf._plans) == 12
+        assert sum(entry[3] for entry in vf._plans.values()) <= vf.PLAN_CACHE_ENTRIES
 
 
 class TestIndependentOracles:
