@@ -401,6 +401,29 @@ class TestReusableRecurrence:
                 tables.append(op.recurrence_table(op.reusable(rec), x2))
         assert tables[0].tobytes() == tables[1].tobytes()
 
+    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
+    @pytest.mark.parametrize("width", [1, 3, 900])
+    def test_held_bytes_per_entry(self, kind, width):
+        # a fold-plan cache bounds what its plans hold by their table
+        # entries (verify.PLAN_CACHE_ENTRIES): a reusable recurrence keeps
+        # at most 8 bytes per entry for each of its four coefficients, and
+        # on a narrow table 32 (the float and its slot) for each float of
+        # its down and div lists instead, plus a few KiB of headers
+        rng, nmax = np.random.default_rng(width), 60
+        params = [rng.integers(1, 40, width) * 0.5 for _ in range(2 if kind == "jacobi" else 1)]
+        build = op.jacobi_recurrence if kind == "jacobi" else op.gegenbauer_recurrence
+        # floats taken from the free list would not be traced: empty it first
+        spare = [float(i) + 0.5 for i in range(1000)]
+        tracemalloc.start()
+        try:
+            rec = op.reusable(build(nmax, *params, (2, width)))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(rec.down, list) == (2 * width <= op._NARROW) and len(spare) == 1000
+        per_entry = 2 * 8 + 2 * 32 if isinstance(rec.down, list) else 4 * 8
+        assert held <= per_entry * (nmax + 1) * 2 * width + 4096
+
 
 class TestJacobiNorm:
     def test_legendre_norms(self):
