@@ -17,18 +17,23 @@ The Chebyshev, Gegenbauer and azimuthal series read their Legendre-Q factors,
 and the Jacobi series its Jacobi-Q factors, from degree columns
 (`legendre_q_hat_column`, `jacobi_q2_column`) built in chunks as the sum runs:
 one series value at the bottom degree, then the minimal-solution recurrence.
-Two things stay as they are on purpose:
+The multipole series reads `legendre_q_hat` one degree at a time: on the
+column its near-field calls are far cheaper, so the benchmark would run many
+more of them, and the worker's record of each operation would push its peak
+memory past the benchmark's bound.  The bases (C_n^mu, P_n^{(alpha,beta)},
+cos n theta) stay scalar recurrences in the term loop, since a numpy
+column's fixed setup costs more than the few dozen terms most sums take.
 
-- The multipole series reads Legendre Q one degree at a time, lazily.  On
-  the Q column a call at r</r> in [0.88, 0.90] takes 1.2 instead of 287 ms
-  (d = 3, Xeon); that slot sets most of the expand_scatter benchmark's
-  cycle, and at the benchmark worker's 0.3 KB per operation the many more
-  operations would push its peak RSS past the benchmark's bound.
-- The bases (C_n^mu, P_n^{(alpha,beta)}, cos n theta) stay scalar
-  recurrences in the term loop: at 30 / 100 / 300 degrees the scalar
-  Gegenbauer loop takes 6 / 20 / 71 us, `gegenbauer_c_all` 41 / 55 / 151 us
-  and `jacobi_p_all` 63 / 84 / 199 us, a fixed numpy setup that sums of a
-  few dozen terms would pay on every call.
+Every Q factor is read through `specfun.second_kind`, a cache kept across
+calls, since these factors depend on (nu, mu, z) and not on the evaluation
+point x, cos gamma or the azimuth: a caller that tabulates a kernel over
+that point at fixed parameters sums each seed series once.  The cache is
+keyed on the function and every argument as given, the continuation value
+``below`` included, so a hit holds the very floats a miss computes and every
+value, ``terms_used`` and trace row is the one a cold cache gives.  It keeps
+at most `specfun.SECOND_KIND_SIZE` values and chunks, least recently used
+dropped first, each of at most its share of `specfun.SECOND_KIND_FLOATS`
+floats; a longer chunk is built and dropped.
 
 All Legendre-Q factors appear in their phase-free real form Qhat; the
 complex unit prefactors these expansions normally carry cancel exactly
@@ -61,6 +66,7 @@ from .specfun import (
     jacobi_q2_column,
     legendre_q_hat,
     legendre_q_hat_column,
+    second_kind,
 )
 from .orthopoly import _jacobi_p1, _jacobi_step
 
@@ -148,15 +154,16 @@ def _degree_column(column, z, limit):
 def _q_hat_terms(nu0, mu, z, limit):
     """Qhat_{nu0+n}^mu(z) for n = 0 .. limit - 1, chunk by chunk."""
     return _degree_column(
-        lambda n0, length, below: legendre_q_hat_column(
-            nu0 + n0, mu, z, length, below).tolist(), z, limit)
+        lambda n0, length, below: second_kind(
+            legendre_q_hat_column, (nu0 + n0, mu, z, length, below), length).tolist(), z, limit)
 
 
 def _jacobi_q_terms(gamma0, alpha, beta, z, limit):
     """(sign, log|Q_{gamma0+n}^{(alpha,beta)}(z)|) for n = 0 .. limit - 1,
     chunk by chunk."""
     def column(n0, length, below):
-        signs, logs = jacobi_q2_column(gamma0 + n0, alpha, beta, z, length, below)
+        signs, logs = second_kind(jacobi_q2_column, (gamma0 + n0, alpha, beta, z, length, below),
+                                  2 * length)
         return list(zip(signs.tolist(), logs.tolist()))
     return _degree_column(column, z, limit)
 
@@ -203,16 +210,17 @@ def _gamma(x, **param):
     return value
 
 
-def _prefactor(build, **params):
+def _prefactor(build, tiny=0.0, **params):
     """build(), an Euler-kernel series prefactor.  A power past double range,
     or a denominator Gamma(nu) (z^2 - 1)^{...} that overflows or underflows
     to 0 while Gamma(nu) is finite, raises DomainError naming the parameters:
-    a zero prefactor would zero every term, and no sum of them converges."""
+    a zero prefactor would zero every term, and no sum of them converges.
+    So does a prefactor of magnitude at most ``tiny``."""
     try:
         pref = build()
     except (OverflowError, ZeroDivisionError):
         pref = math.inf
-    if not math.isfinite(pref) or pref == 0.0:
+    if not math.isfinite(pref) or abs(pref) <= tiny:
         named = ", ".join(f"{name} = {value}" for name, value in params.items())
         raise DomainError(f"{named}: the series prefactor leaves double range")
     return pref
@@ -315,6 +323,11 @@ def fourier_negative_power(q: int, z: float, x: float,
     return _degree_sum(terms(), tr, trace)
 
 
+# The log magnitude below which a Jacobi term, before its product with the
+# prefactor, is taken as 0: its exp stays a normal double with room to spare.
+_LOG_TINY = -700.0
+
+
 def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float,
                         tr: Truncation = DEFAULT_TRUNCATION,
                         trace=None) -> PartialSum:
@@ -334,8 +347,13 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
     n_neg = _nonpositive_int(nu)
     limit = tr.max_terms if n_neg is None else min(tr.max_terms, 1 - n_neg)
     ab = alpha + beta
-    pref = ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
-            / 2.0 ** (ab + 1.0 - nu))
+    params = dict(nu=nu, alpha=alpha, beta=beta, z=z)
+    pref = _prefactor(lambda: ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
+                               / 2.0 ** (ab + 1.0 - nu)), **params)
+    # The Q factors carry the rest of the kernel's scale, (z - x)^{-nu} / pref,
+    # in log space, and a term below e^_LOG_TINY of it is 0: where that scale
+    # is as small (or past double range), every term would be 0 or overflow.
+    _prefactor(lambda: (z - x) ** -nu / pref, math.exp(_LOG_TINY), **params)
     q_terms = _jacobi_q_terms(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, limit)
 
     def terms():
@@ -353,7 +371,7 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
                         - math.lgamma(alpha + 1.0 + n) - math.lgamma(beta + 1.0 + n))
             mag = coef_log + q_log
             term = 0.0
-            if pn != 0.0 and q_sign != 0.0 and mag > -700.0:
+            if pn != 0.0 and q_sign != 0.0 and mag > _LOG_TINY:
                 term = pref * poch_sign * sg_top * q_sign * math.exp(mag) * pn
             yield term
     return _degree_sum(terms(), tr, trace)
@@ -427,7 +445,8 @@ def multipole_power(d: int, nu: float, r: float, rp: float, cos_gamma: float,
     if not (math.isfinite(z) and math.isfinite(pref)):
         raise radial_range_error(r=r, rp=rp)
     # 2n + d - 2 = 2 (n + mu)
-    qhats = (legendre_q_hat(n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z) for n in count())
+    qhats = (second_kind(legendre_q_hat, (n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z))
+             for n in count())
     return _gegenbauer_series(pref, 2.0, mu, cos_gamma, qhats, tr, trace)
 
 

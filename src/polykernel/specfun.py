@@ -9,8 +9,10 @@ in terms of Qhat, with the originating phase factors cancelled analytically.
 
 from __future__ import annotations
 
+import marshal
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -227,7 +229,13 @@ def _minimal_ratios(coeffs, k0: int, n: int, z: float) -> np.ndarray:
     """
     if n < 1:
         return np.empty(0)
-    k = np.arange(k0 + n + 8 + int(20.0 / math.acosh(z)), k0 - 1, -1)
+    top = k0 + n + 8 + int(20.0 / math.acosh(z))
+    # |b_k| grows with z and with the distance of the degree from the origin,
+    # so at the ends of the run it is largest; past double range the
+    # continued fraction would divide by inf
+    if not (math.isfinite(coeffs(k0)[1]) and math.isfinite(coeffs(top)[1])):
+        raise DomainError(f"z = {z}: the degree recurrence's coefficients leave double range")
+    k = np.arange(top, k0 - 1, -1)
     a, b, c = coeffs(k)
     out = []
     r = 0.0
@@ -460,6 +468,57 @@ def jacobi_q2_column(gamma0: float, alpha: float, beta: float, z: float, n: int,
         comp = (t - total) - y if math.isfinite(t) else 0.0
         total = logs[k] = t
     return below[0] * np.cumprod(np.sign(ratios)), np.array(logs)
+
+
+def bounded_cache(size: int):
+    """A cross-call cache: ``cache(build, args, floats, budget)`` is
+    ``build(*args)``, a result of ``floats`` floats, kept while that is at
+    most its share ``budget // size`` of a float budget (a longer one is
+    built and dropped), at most ``size`` kept, least recently used dropped
+    first.  The key is ``build`` and the arguments as given, in marshal's
+    version 2 form, which keeps apart 1 and 1.0, 0.0 and -0.0 (arguments
+    marshal cannot write are not kept).  Errors are not kept, and a kept
+    array is made read-only, as every hit hands out the same object.
+    ``cache_info()`` and ``cache_clear()`` are `functools.lru_cache`'s."""
+    @lru_cache(maxsize=size)
+    def held(build, key, args):
+        out = build(*args)
+        for part in out if type(out) is tuple else (out,):
+            if type(part) is np.ndarray:
+                part.flags.writeable = False
+        return out
+
+    def cache(build, args, floats, budget):
+        if floats > budget // size:
+            return build(*args)
+        try:
+            key = marshal.dumps(args, 2)
+        except ValueError:
+            return build(*args)
+        return held(build, key, args)
+
+    cache.cache_info, cache.cache_clear = held.cache_info, held.cache_clear
+    return cache
+
+
+# Second-kind factors kept across calls, for a caller that tabulates a kernel
+# over its evaluation point at fixed (nu, mu, z).  SECOND_KIND_SIZE holds at
+# least the degrees one multipole sum reads one value at a time.
+# SECOND_KIND_FLOATS, 512 KiB of floats, gives each entry 256: the first two
+# chunks of a Legendre sum at z >= 1.05 and of a Jacobi sum (two floats a
+# degree) at z >= 1.25, a sum's first chunk spanning 16 + 32 / acosh z degrees.
+SECOND_KIND_SIZE = 256
+SECOND_KIND_FLOATS = 1 << 16
+_second_kind = bounded_cache(SECOND_KIND_SIZE)
+
+
+def second_kind(build, args, floats=1):
+    """``build(*args)``, a second-kind factor of ``floats`` floats (a
+    `legendre_q_hat` value, or a chunk of `legendre_q_hat_column` or
+    `jacobi_q2_column`), read through this module's `bounded_cache` with the
+    SECOND_KIND_* bounds.  A hit is the result a miss built, so it holds the
+    very floats a fresh call computes; a kept result's arrays are read-only."""
+    return _second_kind(build, args, floats, SECOND_KIND_FLOATS)
 
 
 def jacobi_q2(gamma_deg: float, alpha: float, beta: float, z: float) -> float:

@@ -53,7 +53,7 @@ from .errors import (CoincidentRadiusError, DomainError, ExclusionSetError,
                      SingularConfigurationError, radial_range_error, require_finite)
 from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_recurrences, _pair_tables,
                             hopf_heap_to_preorder, hopf_tree, parse_tree)
-from .specfun import _is_int, legendre_q_hat, legendre_q_hat_column
+from .specfun import _is_int, bounded_cache, legendre_q_hat, legendre_q_hat_column
 
 _RADIUS_GUARD = 1e-6
 # The most node-table entries one certificate may hold, about 36 bytes each
@@ -320,24 +320,24 @@ def _radial(deg, order, z, n, elementary):
 
     It depends on no angle, so a certificate on radii and an order seen
     before, as when angle pairs are swept at fixed radii, reads it from
-    `_radial_column`'s cache instead of summing a 2F1 series and the
-    continued fraction.  The cache has the plans' bounds: at most
+    `_radial_column` instead of summing a 2F1 series and the continued
+    fraction.  That `specfun.bounded_cache` has the plans' bounds: at most
     PLAN_CACHE_SIZE columns, each at most its share of PLAN_CACHE_ENTRIES
     floats (2 048), so 512 KiB in all; a longer column is built and dropped.
     """
-    build = (_radial_column if n <= PLAN_CACHE_ENTRIES // PLAN_CACHE_SIZE
-             else _radial_column.__wrapped__)
-    return build(deg, order, z, n, elementary)
+    return _radial_column(_radial_build, (deg, order, z, n, elementary), n, PLAN_CACHE_ENTRIES)
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _radial_column(deg, order, z, n, elementary):
+def _radial_build(deg, order, z, n, elementary):
     if elementary:
         radial = _qhat_half(deg + np.arange(n), order, z)
     else:
         radial = legendre_q_hat_column(deg, order, z, n)
     radial.flags.writeable = False
     return radial
+
+
+_radial_column = bounded_cache(PLAN_CACHE_SIZE)
 
 
 def _certify(cfg, tree, angles, anglesp, elementary, top=None):

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -14,3 +15,11 @@ settings.register_profile("polykernel", derandomize=True, database=None,
 settings.register_profile("polykernel-deep", settings.get_profile("polykernel"),
                           max_examples=300)
 settings.load_profile("polykernel")
+
+
+@pytest.fixture(autouse=True)
+def _cold_second_kind_cache():
+    # the expansions' second-kind cache lives as long as the process; every
+    # test starts from an empty one, so none reads factors another built
+    from polykernel import specfun
+    specfun._second_kind.cache_clear()

@@ -323,11 +323,28 @@ class TestVerify:
          "nu = -150.5, z = 3.0"),
         (["expand", "gegenbauer", "--nu", "-150.5", "--mu", "0.5", "--z", "3", "--x", "0"],
          "nu = -150.5, mu = 0.5, z = 3.0"),
+        # this one exited 4, "series not converged", after a numpy
+        # RuntimeWarning (a traceback under PYTHONWARNINGS=error)
+        (["expand", "jacobi", "--nu", "1.5", "--alpha", "0", "--beta", "0", "--z", "1e300",
+          "--x", "0.3"], "nu = 1.5, alpha = 0.0, beta = 0.0, z = 1e+300"),
     ])
     def test_prefactor_underflow_names_parameters_exit6(self, capsys, argv, names):
         code, out, err = run(argv, capsys)
         assert code == 6
         assert out == "" and err == f"error: {names}: the series prefactor leaves double range\n"
+
+    @pytest.mark.parametrize("argv, z", [
+        # these exited 4 after a numpy RuntimeWarning (a traceback under
+        # PYTHONWARNINGS=error): the Q columns' recurrence coefficients overflowed
+        (["expand", "jacobi", "--nu", "1", "--alpha", "-0.5", "--beta", "0", "--z", "1e305",
+          "--x", "0.3"], "1e+305"),
+        (["expand", "chebyshev", "--nu", "0.5", "--z", "1e308", "--x", "0.3"], "1e+308"),
+    ])
+    def test_recurrence_overflow_names_z_exit6(self, capsys, argv, z):
+        code, out, err = run(argv, capsys)
+        assert code == 6
+        assert out == "" and err == (f"error: z = {z}: the degree recurrence's coefficients"
+                                     " leave double range\n")
 
     @pytest.mark.parametrize("flags, message", [
         # these ran every sum to max_terms and exited 4, "series not converged"

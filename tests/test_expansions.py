@@ -1,7 +1,10 @@
 """Expansion partial sums against direct kernel oracles."""
 
 import math
+import os
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -17,6 +20,8 @@ from polykernel.errors import (
     ConvergenceError,
     DomainError,
     ExclusionSetError,
+    PoleError,
+    SlowConvergenceError,
 )
 from polykernel.kernels import KernelGeometry
 
@@ -360,13 +365,47 @@ class TestArgumentDomain:
          "nu = 40.0, mu = 0.5, z = 10000000000.0"),
         # the denominator overflows, so the prefactor underflows to 0
         (lambda: ex.euler_kernel_chebyshev(150.0, 100.0, 0.0), "nu = 150.0, z = 100.0"),
+        # the Jacobi prefactor, or the scale (z - x)^{-nu} / pref its Q factors
+        # carry, past double range: every term underflowed to 0, the sum ran
+        # to max_terms and the Q column's coefficients overflowed on the way
+        (lambda: ex.euler_kernel_jacobi(1.5, 0.0, 0.0, 1e300, 0.3),
+         "nu = 1.5, alpha = 0.0, beta = 0.0, z = 1e+300"),
+        (lambda: ex.euler_kernel_jacobi(0.5, 0.0, 0.0, 1e300, 0.3),
+         "nu = 0.5, alpha = 0.0, beta = 0.0, z = 1e+300"),
+        (lambda: ex.euler_kernel_jacobi(0.5, 10.0, 10.0, 1e30, 0.3),
+         "nu = 0.5, alpha = 10.0, beta = 10.0, z = 1e+30"),
+        # that scale is a double, 1.4e-305, but below the e^-700 under which
+        # a term counts as 0: the sum ran to max_terms on zeros
+        (lambda: ex.euler_kernel_jacobi(0.475, 0.0, 0.0, 1e200, 0.3),
+         "nu = 0.475, alpha = 0.0, beta = 0.0, z = 1e+200"),
     ])
     def test_prefactor_past_double_range_rejected_by_name(self, call, names):
         # these raised ZeroDivisionError, OverflowError "(34, 'Numerical
         # result out of range')", or ConvergenceError on a zero prefactor
-        with pytest.raises(DomainError, match=f"^{re.escape(names)}: the series prefactor"
-                                              " leaves double range$"):
-            call()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(names)}: the series prefactor"
+                                                  " leaves double range$"):
+                call()
+
+    @pytest.mark.parametrize("nu, z", [(1.5, 1e150), (0.48, 1e200)])
+    def test_jacobi_far_field_in_range_accepted(self, nu, z):
+        # next to the rejected ones, the scale stays above that floor
+        ps = ex.euler_kernel_jacobi(nu, 0.0, 0.0, z, 0.3)
+        assert ps.value == pytest.approx(ex.euler_kernel_direct(nu, z, 0.3), rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda: ex.euler_kernel_jacobi(1.0, -0.5, 0.0, 1e305, 0.3),
+        lambda: ex.euler_kernel_chebyshev(0.5, 1e308, 0.3),
+        lambda: ex.euler_kernel_gegenbauer(1.0, 0.5, 1e307, 0.3),
+    ])
+    def test_recurrence_past_double_range_rejected(self, call):
+        # prefactor and scale in range, but the Q column's recurrence
+        # coefficients overflow: a numpy RuntimeWarning, then exit 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="coefficients leave double range$"):
+                call()
 
     def test_interval_ends_accepted(self):
         for x in (-1.0, 1.0):
@@ -526,3 +565,217 @@ class TestDegreeSumParity:
         assume(2.0 * Rp * chi - 1.0 - Rp * Rp >= 0.0)
         g = geometry(1.0, Rp, dphi, math.sqrt(2.0 * Rp * chi - 1.0 - Rp * Rp))
         _assert_same_as_reference("azimuthal_power", (nu, g), tr)
+
+
+# The second-kind cache (specfun.second_kind): a hit hands out the object a
+# miss built, so everything read through it, down to each expansion's value,
+# terms_used and trace rows, is what a cold cache gives, bit for bit.
+
+def _q_chunk(nu0, mu, z, n, below=None):
+    return sf.second_kind(sf.legendre_q_hat_column, (nu0, mu, z, n, below), n)
+
+
+def _jacobi_chunk(gamma0, alpha, beta, z, n, below=None):
+    return sf.second_kind(sf.jacobi_q2_column, (gamma0, alpha, beta, z, n, below), 2 * n)
+
+
+def _bits(out):
+    if isinstance(out, float):
+        return out.hex()
+    return [a.tobytes() for a in out] if isinstance(out, tuple) else out.tobytes()
+
+
+def _cached_series(name, data):
+    """(a function of the evaluation point giving the expansion's
+    arguments, a strategy for that point), at drawn fixed parameters."""
+    draw = data.draw
+    if name == "euler_kernel_chebyshev":
+        nu, z = draw(st.floats(0.05, 6.0)), draw(_bands((1.045, 1.055), (1.2, 1.3), (1.5, 4.0)))
+        return lambda x: (nu, z, x), _X
+    if name == "euler_kernel_gegenbauer":
+        nu, mu = draw(st.floats(0.05, 6.0)), draw(st.floats(-0.45, 4.0).filter(bool))
+        z = draw(_bands((1.1, 1.15), (1.5, 4.0)))
+        return lambda x: (nu, mu, z, x), _X
+    if name == "euler_kernel_jacobi":
+        nu = draw(st.one_of(st.sampled_from([0.0, -3.0]), st.floats(0.3, 6.0)))
+        alpha, beta = draw(st.floats(-0.95, 3.0)), draw(st.floats(-0.95, 3.0))
+        z = draw(_bands((1.2, 1.3), (2.0, 3.0)))
+        return lambda x: (nu, alpha, beta, z, x), _X
+    if name == "multipole_power":
+        d, nu = draw(st.integers(3, 6)), draw(st.floats(-3.0, 2.5))
+        ratio = draw(_bands((0.3, 0.5), (0.6, 0.65)))
+        return lambda c: (d, nu, 1.0, 1.0 / ratio, c), _X
+    nu, Rp, chi = draw(st.floats(-3.0, 1.0)), draw(st.floats(0.5, 2.0)), draw(_bands((1.08, 1.12),
+                                                                                        (1.4, 3.0)))
+    assume(2.0 * Rp * chi - 1.0 - Rp * Rp >= 0.0)
+    h = math.sqrt(2.0 * Rp * chi - 1.0 - Rp * Rp)
+    return lambda dphi: (nu, geometry(1.0, Rp, dphi, h)), st.floats(0.0, 2.0 * math.pi)
+
+
+class TestSecondKindCache:
+    @pytest.mark.parametrize("name", ["euler_kernel_chebyshev", "euler_kernel_gegenbauer",
+                                      "euler_kernel_jacobi", "multipole_power",
+                                      "azimuthal_power"])
+    @given(data=st.data(), tr=_TR)
+    def test_warm_series_equals_cold(self, name, data, tr):
+        # a sweep over the evaluation point at fixed parameters: the second
+        # call reads factors the first built, and gives what a cold cache does
+        args_at, point = _cached_series(name, data)
+        first, second = data.draw(point), data.draw(point)
+        fn = getattr(ex, name)
+        sf._second_kind.cache_clear()
+        cold = _series_outcome(fn, args_at(second), tr)
+        sf._second_kind.cache_clear()
+        _series_outcome(fn, args_at(first), tr)
+        hits = sf._second_kind.cache_info().hits
+        assert _series_outcome(fn, args_at(second), tr) == cold
+        # Q factors were read, at the same arguments: an azimuthal geometry
+        # takes chi from the points, so it may move in the last bits with dphi
+        if cold[1] and (name != "azimuthal_power"
+                        or args_at(first)[1].chi == args_at(second)[1].chi):
+            assert sf._second_kind.cache_info().hits > hits
+
+    @given(nu=st.floats(-1.0, 4.0), mu=st.floats(-2.0, 2.0), z=_bands((1.05, 1.3), (1.5, 4.0)))
+    def test_warm_value_equals_cold(self, nu, mu, z):
+        assume(nu + mu > -0.9)    # clear of the pole at nu + mu = -1
+        cold = sf.legendre_q_hat(nu, mu, z)
+        miss = sf.second_kind(sf.legendre_q_hat, (nu, mu, z))
+        assert sf.second_kind(sf.legendre_q_hat, (nu, mu, z)) is miss
+        assert _bits(miss) == _bits(cold)
+
+    @given(nu0=st.floats(-0.5, 3.0), mu=st.floats(-0.45, 2.0), z=_bands((1.05, 1.3), (1.5, 4.0)),
+           n=st.integers(1, 40), more=st.integers(1, 40))
+    def test_warm_legendre_chunks_equal_cold(self, nu0, mu, z, n, more):
+        # a first chunk, and one continued from its last entry
+        sf._second_kind.cache_clear()
+        cold = sf.legendre_q_hat_column(nu0, mu, z, n)
+        cold_up = sf.legendre_q_hat_column(nu0 + n, mu, z, more, float(cold[-1]))
+        for _ in range(2):
+            chunk = _q_chunk(nu0, mu, z, n)
+            up = _q_chunk(nu0 + n, mu, z, more, float(chunk[-1]))
+            assert (_bits(chunk), _bits(up)) == (_bits(cold), _bits(cold_up))
+        assert _q_chunk(nu0, mu, z, n) is chunk and not chunk.flags.writeable
+        assert sf._second_kind.cache_info()[:2] == (3, 2)
+
+    @given(gamma0=st.floats(0.0, 3.0), alpha=st.floats(-0.9, 2.0), beta=st.floats(-0.9, 2.0),
+           z=_bands((1.2, 1.3), (2.0, 3.0)), n=st.integers(1, 40), more=st.integers(1, 40))
+    def test_warm_jacobi_chunks_equal_cold(self, gamma0, alpha, beta, z, n, more):
+        sf._second_kind.cache_clear()
+        cold = sf.jacobi_q2_column(gamma0, alpha, beta, z, n)
+        below = (float(cold[0][-1]), float(cold[1][-1]))
+        cold_up = sf.jacobi_q2_column(gamma0 + n, alpha, beta, z, more, below)
+        for _ in range(2):
+            chunk = _jacobi_chunk(gamma0, alpha, beta, z, n)
+            up = _jacobi_chunk(gamma0 + n, alpha, beta, z, more, below)
+            assert (_bits(chunk), _bits(up)) == (_bits(cold), _bits(cold_up))
+        assert _jacobi_chunk(gamma0, alpha, beta, z, n) is chunk
+        assert not any(a.flags.writeable for a in chunk)
+        assert sf._second_kind.cache_info()[:2] == (3, 2)
+
+    @pytest.mark.parametrize("build, base, changes", [
+        (sf.legendre_q_hat, (1.0, 0.0, 1.25), [(0, 1), (0, 1.5), (1, -0.0), (1, 0.25), (2, 1.3)]),
+        (sf.legendre_q_hat_column, (1.0, 0.0, 1.25, 8, None),
+         [(0, 1), (1, -0.0), (2, 1.3), (3, 9), (4, 0.3), (4, 0.30000000000000004)]),
+        (sf.jacobi_q2_column, (0.5, 0.0, 0.25, 2.0, 8, None),
+         [(0, 1.0), (1, -0.0), (2, 0.5), (3, 2.5), (4, 9), (5, (1.0, -2.0)), (5, (-1.0, -2.0))]),
+    ])
+    def test_keyed_on_every_argument(self, build, base, changes):
+        # each argument changed alone is a miss, also where == would merge it
+        # with the base: an integer degree, mu = -0.0, below given
+        floats = base[3] if len(base) == 5 else 16
+        for i, other in [(None, None)] + changes:
+            args = base if i is None else base[:i] + (other,) + base[i + 1:]
+            misses = sf._second_kind.cache_info().misses
+            got = sf.second_kind(build, args, floats)
+            assert sf._second_kind.cache_info().misses == misses + 1
+            assert _bits(got) == _bits(build(*args))
+        assert sf._second_kind.cache_info()[:2] == (0, len(changes) + 1)
+
+    def test_bounds(self, monkeypatch):
+        # at most SECOND_KIND_SIZE results, least recently used dropped first,
+        # each at most its share of SECOND_KIND_FLOATS floats; a longer chunk
+        # is built, handed out and not kept
+        monkeypatch.setattr(sf, "_second_kind", sf.bounded_cache(4))
+        monkeypatch.setattr(sf, "SECOND_KIND_FLOATS", 4 * 10)
+        kept = [_q_chunk(0.5, 0.0, 1.25, 10), _jacobi_chunk(0.5, 0.0, 0.25, 2.0, 5)]
+        for long in (lambda: _q_chunk(0.5, 0.0, 1.25, 11),
+                     lambda: _jacobi_chunk(0.5, 0.0, 0.25, 2.0, 6)):
+            assert long() is not long()
+        assert sf._second_kind.cache_info().currsize == 2
+        values = [sf.second_kind(sf.legendre_q_hat, (nu, 0.0, 1.25)) for nu in (1.0, 2.0, 3.0)]
+        assert sf._second_kind.cache_info().currsize == 4
+        # the first chunk was the least recently used
+        assert _q_chunk(0.5, 0.0, 1.25, 10) is not kept[0]
+        assert _jacobi_chunk(0.5, 0.0, 0.25, 2.0, 5) is not kept[1]
+        assert sf.second_kind(sf.legendre_q_hat, (3.0, 0.0, 1.25)) is values[2]
+        assert sf._second_kind.cache_info().currsize == 4
+
+    def test_multipole_sum_fits(self):
+        # the real bounds hold every degree of a multipole sum at r</r> = 0.5,
+        # so a sweep over the angle computes no Qhat after its first call
+        first = ex.multipole_power(5, -2.5, 1.0, 2.0, -1.0)
+        assert first.terms_used <= sf.SECOND_KIND_SIZE
+        misses = sf._second_kind.cache_info().misses
+        for c in np.linspace(-1.0, 1.0, 9):
+            ex.multipole_power(5, -2.5, 1.0, 2.0, c)
+        assert sf._second_kind.cache_info().misses == misses
+
+    @pytest.mark.parametrize("build, args, error", [
+        (sf.legendre_q_hat, (-1.5, 0.0, 2.0), PoleError),
+        (sf.legendre_q_hat, (0.5, 0.0, 1.0 + 1e-7), SlowConvergenceError),
+        (sf.legendre_q_hat_column, (-2.5, 0.0, 2.0, 8, None), PoleError),
+        (sf.jacobi_q2_column, (-1.0, 0.0, 0.5, 2.0, 8, None), PoleError),
+        (sf.jacobi_q2_column, (0.5, 0.0, 0.5, 1.0 + 1e-7, 8, None), SlowConvergenceError),
+    ])
+    def test_errors_raised_every_call(self, build, args, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                sf.second_kind(build, args, 16)
+        assert sf._second_kind.cache_info().currsize == 0
+
+    def test_public_columns_fresh_and_writable(self):
+        # the public columns are built anew, even after the cache holds them
+        for build, args, floats in [(sf.legendre_q_hat_column, (0.5, 0.0, 1.25, 8, None), 8),
+                                    (sf.jacobi_q2_column, (0.5, 0.0, 0.25, 2.0, 8, None), 16)]:
+            held = sf.second_kind(build, args, floats)
+            one, two = build(*args), build(*args)
+            for a, b, c in zip(*(out if isinstance(out, tuple) else (out,)
+                                 for out in (one, two, held))):
+                assert a.flags.writeable and b.flags.writeable
+                assert not np.shares_memory(a, b) and not np.shares_memory(a, c)
+                a[0] = 7.0
+                assert b[0] != 7.0 and c[0] != 7.0
+
+    def test_threads(self):
+        # more threads than cores read overlapping keys through one small
+        # cache; every call is counted once, the bound holds and every
+        # result is the one its key computes
+        cache, calls, n_threads = sf.bounded_cache(8), 2000, (os.cpu_count() or 1) + 2
+        errors = []
+
+        def square(v):
+            return v * v
+
+        def work(seed):
+            try:
+                for k in range(calls):
+                    x = float((seed + k) % 13)
+                    if cache(square, (x,), 1, 8) != x * x:
+                        errors.append(x)
+            except Exception as exc:    # a thread's failure fails the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        info = cache.cache_info()
+        assert info.hits + info.misses == n_threads * calls and info.currsize <= 8
+        assert info.hits > 0

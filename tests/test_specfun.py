@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -449,6 +450,16 @@ class TestLegendreQHatColumn:
         with pytest.raises(ValueError):
             sf.legendre_q_hat_column(0.5, 0.0, 2.0, 0)
 
+    @pytest.mark.parametrize("below", [None, 1e-308])
+    def test_recurrence_past_double_range_rejected(self, below):
+        # (2 nu + 1) z overflowed in a numpy multiply: a RuntimeWarning, then
+        # a column of NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^z = 1e\+308: the degree recurrence's"
+                                                  " coefficients leave double range$"):
+                sf.legendre_q_hat_column(-0.5, 0.0, 1e308, 8, below)
+
 
     def test_continued_column_matches_one_column(self, monkeypatch):
         # a column continued from the last entry of the one below equals one
@@ -560,6 +571,19 @@ class TestJacobiQ2Column:
     def test_empty_column_rejected(self):
         with pytest.raises(ValueError):
             sf.jacobi_q2_column(0.5, 0.0, 0.0, 2.0, 0)
+
+    @pytest.mark.parametrize("below", [None, (1.0, -700.0)])
+    def test_recurrence_past_double_range_rejected(self, below):
+        # (g2 + 2) g2 z overflowed in a numpy multiply: a RuntimeWarning, then
+        # every ratio 0 and every log -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^z = 1e\+305: the degree recurrence's"
+                                                  " coefficients leave double range$"):
+                sf.jacobi_q2_column(0.0, -0.5, 0.0, 1e305, 8, below)
+        # a few decades nearer, the same column is finite
+        signs, logs = sf.jacobi_q2_column(0.0, -0.5, 0.0, 1e303, 8)
+        assert np.isfinite(logs).all()
 
 
 class TestLegendrePGt1:
