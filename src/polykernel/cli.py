@@ -12,10 +12,10 @@ option value, an argument outside a function's domain, a pole, an argument
 too close to a singular point, or a result beyond double range).  Exit 6
 covers a --tol that is not a positive finite number, a --max-terms below 1,
 a --q outside [2, MAX_Q] or --d below 3, a tree more than
-polyspherical.MAX_TREE_DEPTH nodes deep, a certificate whose node tables
-would hold more than verify.MAX_TABLE_ENTRIES entries, and one whose rho
-(the cos/sin product on the path to the distinguished leaf) underflows or
-whose chi or fold weights leave double range.
+polyspherical.MAX_TREE_DEPTH nodes deep, a certificate whose node tables or
+weight vectors would hold more than verify.MAX_TABLE_ENTRIES entries, and
+one whose rho (the cos/sin product on the path to the distinguished leaf)
+underflows or whose chi or fold weights leave double range.
 """
 
 from __future__ import annotations

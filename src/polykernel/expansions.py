@@ -30,10 +30,7 @@ point x, cos gamma or the azimuth: a caller that tabulates a kernel over
 that point at fixed parameters sums each seed series once.  The cache is
 keyed on the function and every argument as given, the continuation value
 ``below`` included, so a hit holds the very floats a miss computes and every
-value, ``terms_used`` and trace row is the one a cold cache gives.  It keeps
-at most `specfun.SECOND_KIND_SIZE` values and chunks, least recently used
-dropped first, each of at most its share of `specfun.SECOND_KIND_FLOATS`
-floats; a longer chunk is built and dropped.
+value, ``terms_used`` and trace row is the one a cold cache gives.
 
 All Legendre-Q factors appear in their phase-free real form Qhat; the
 complex unit prefactors these expansions normally carry cancel exactly

@@ -49,15 +49,16 @@ class KernelGeometry:
         require_finite(x=x.tolist(), xp=xp.tolist())
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "xp", xp)
-        # a square past double range reads inf here; the expansions name it
-        with np.errstate(over="ignore"):
+        # a square past double range reads inf here, and cos_gamma NaN; the
+        # expansions name it
+        with np.errstate(over="ignore", invalid="ignore"):
             r = float(np.linalg.norm(x))
             rp = float(np.linalg.norm(xp))
             cg = float(np.dot(x, xp) / (r * rp)) if r > 0.0 and rp > 0.0 else 1.0
             axial = float(np.sum((x[2:] - xp[2:]) ** 2))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "rp", rp)
-        object.__setattr__(self, "cos_gamma", min(1.0, max(-1.0, cg)))
+        object.__setattr__(self, "cos_gamma", cg if math.isnan(cg) else min(1.0, max(-1.0, cg)))
         R = math.hypot(x[0], x[1])
         Rp = math.hypot(xp[0], xp[1])
         object.__setattr__(self, "R", R)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import marshal
 import math
 import sys
-from functools import lru_cache
+import threading
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ _STOP_REL = 1e-16
 _NEAR_ONE_GUARD = 1e-6
 _NORMAL_MIN = sys.float_info.min
 _LOG_1E100 = 100.0 * math.log(10.0)
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _nonpositive_int(x, tol=1e-12):
@@ -188,10 +190,10 @@ def legendre_q_hat(nu: float, mu: float, z: float) -> float:
     in exact arithmetic, but its terms shrink only like z^{-2n}, so it needs
     on the order of 20 / (z - 1) terms: above z - 1 of about 2e-4 it ends
     within the 100 000-term budget, below that it raises `ConvergenceError`
-    for some (nu, mu) (at z - 1 = 1e-4 some converge and some do not), and
-    below z - 1 = 1e-6 it raises `SlowConvergenceError` without trying.
-    Degrees nu in {-3/2, -5/2, ...} raise `PoleError`: there both that series
-    and the 2/(1-z) one have gamma poles (2nu+2 is a negative odd integer).
+    for some (nu, mu), and below z - 1 = 1e-6 it raises `SlowConvergenceError`
+    without trying.  Degrees nu in {-3/2, -5/2, ...} raise `PoleError`: there
+    both that series and the 2/(1-z) one have gamma poles (2nu+2 is a
+    negative odd integer).
     """
     if z <= 1.0:
         raise DomainError(f"legendre_q_hat requires z > 1, got {z}")
@@ -206,13 +208,14 @@ def legendre_q_hat(nu: float, mu: float, z: float) -> float:
             " 1/z^2 and the 2/(1-z) hypergeometric forms have gamma poles")
     sign_t, log_t = gamma_signed_log(nu + mu + 1.0)
     sign_b, log_b = gamma_signed_log(nu + 1.5)
+    zz = z * z          # where it overflows, log(z^2 - 1) is 2 log z
     log_pref = (0.5 * math.log(math.pi) + log_t - log_b
-                + 0.5 * mu * math.log(z * z - 1.0)
+                + 0.5 * mu * (math.log(zz - 1.0) if zz < math.inf else 2.0 * math.log(z))
                 - (nu + 1.0) * math.log(2.0)
                 - (nu + mu + 1.0) * math.log(z))
     f, log_scale, _ = _hyp2f1_series(0.5 * (nu + mu + 1.0),
                                      0.5 * (nu + mu + 2.0),
-                                     nu + 1.5, 1.0 / (z * z))
+                                     nu + 1.5, 1.0 / zz)
     return _exp_combine(sign_t * sign_b, log_pref + log_scale, f)
 
 
@@ -388,10 +391,8 @@ def jacobi_q2_signed_log(gamma_deg: float, alpha: float, beta: float,
     arithmetic, but its terms shrink only like (2/(1+z))^n, about
     e^{-n (z-1)/2}, so it needs on the order of 50 / (z - 1) terms: above
     z - 1 of about 6e-4 it ends within the 100 000-term budget, below that
-    it raises `ConvergenceError` for some (gamma, alpha, beta) (measured:
-    down to z - 1 = 5.7e-4 at gamma = 0, alpha = beta = -0.9, and 1.2e-4 at
-    gamma = 1/2, alpha = 2, beta = 1), and below z - 1 = 1e-6 it raises
-    `SlowConvergenceError` without trying.
+    it raises `ConvergenceError` for some (gamma, alpha, beta), and below
+    z - 1 = 1e-6 it raises `SlowConvergenceError` without trying.
     """
     if z <= 1.0:
         raise DomainError(f"jacobi_q2 requires z > 1, got {z}")
@@ -457,9 +458,8 @@ def jacobi_q2_column(gamma0: float, alpha: float, beta: float, z: float, n: int,
         ratios = np.concatenate(([1.0], _minimal_ratios(coeffs, 1, n - 1, z)))
     else:
         ratios = _minimal_ratios(coeffs, 0, n, z)
-    # the running log, started at the bottom value, with Kahan compensation:
-    # a plain cumulative sum lets its rounding grow with the degree (up to
-    # 4e-13 relative at degree 242, z in [3.5, 4], against 5e-14 compensated)
+    # the running log, started at the bottom value, with Kahan compensation,
+    # as a plain cumulative sum lets its rounding grow with the degree
     logs = np.log(np.abs(ratios)).tolist()
     total, comp = below[1], 0.0
     for k, step in enumerate(logs):
@@ -470,55 +470,76 @@ def jacobi_q2_column(gamma0: float, alpha: float, beta: float, z: float, n: int,
     return below[0] * np.cumprod(np.sign(ratios)), np.array(logs)
 
 
-def bounded_cache(size: int):
-    """A cross-call cache: ``cache(build, args, floats, budget)`` is
-    ``build(*args)``, a result of ``floats`` floats, kept while that is at
-    most its share ``budget // size`` of a float budget (a longer one is
-    built and dropped), at most ``size`` kept, least recently used dropped
-    first.  The key is ``build`` and the arguments as given, in marshal's
-    version 2 form, which keeps apart 1 and 1.0, 0.0 and -0.0 (arguments
-    marshal cannot write are not kept).  Errors are not kept, and a kept
-    array is made read-only, as every hit hands out the same object.
-    ``cache_info()`` and ``cache_clear()`` are `functools.lru_cache`'s."""
-    @lru_cache(maxsize=size)
-    def held(build, key, args):
-        out = build(*args)
-        for part in out if type(out) is tuple else (out,):
-            if type(part) is np.ndarray:
-                part.flags.writeable = False
-        return out
+class BoundedCache:
+    """A cross-call cache of at most ``size`` values and ``budget`` units of
+    weight in all, least recently used evicted first.  On a miss, ``get(key,
+    build, *args)`` returns the value of ``build(*args)``, which gives
+    ``(value, weight)``, and keeps it if that weight alone fits the budget.
+    Errors are not kept; one lock guards the state.  ``cache_info()`` and
+    ``cache_clear()`` are `functools.lru_cache`'s."""
 
-    def cache(build, args, floats, budget):
-        if floats > budget // size:
-            return build(*args)
-        try:
-            key = marshal.dumps(args, 2)
-        except ValueError:
-            return build(*args)
-        return held(build, key, args)
+    def __init__(self, size: int, budget: int):
+        self.size, self.budget, self.weight = size, budget, 0
+        self._held = OrderedDict()      # key -> (value, weight), oldest first
+        self._hits = self._misses = 0
+        self._lock = threading.Lock()
 
-    cache.cache_info, cache.cache_clear = held.cache_info, held.cache_clear
-    return cache
+    def get(self, key, build, *args):
+        with self._lock:
+            held = self._held.get(key)
+            if held is not None:
+                self._held.move_to_end(key)
+                self._hits += 1
+                return held[0]
+            self._misses += 1
+        value, weight = build(*args)
+        if weight <= self.budget:
+            with self._lock:
+                if key not in self._held:       # another thread may have kept it
+                    self._held[key] = value, weight
+                    self.weight += weight
+                    while len(self._held) > self.size or self.weight > self.budget:
+                        self.weight -= self._held.popitem(last=False)[1][1]
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        with self._lock:
+            return CacheInfo(self._hits, self._misses, self.size, len(self._held))
+
+    def cache_clear(self):
+        with self._lock:
+            self._held.clear()
+            self._hits = self._misses = self.weight = 0
 
 
 # Second-kind factors kept across calls, for a caller that tabulates a kernel
-# over its evaluation point at fixed (nu, mu, z).  SECOND_KIND_SIZE holds at
-# least the degrees one multipole sum reads one value at a time.
-# SECOND_KIND_FLOATS, 512 KiB of floats, gives each entry 256: the first two
-# chunks of a Legendre sum at z >= 1.05 and of a Jacobi sum (two floats a
-# degree) at z >= 1.25, a sum's first chunk spanning 16 + 32 / acosh z degrees.
+# over its evaluation point at fixed (nu, mu, z): at least the degrees one
+# multipole sum reads one value at a time, in 512 KiB of floats.
 SECOND_KIND_SIZE = 256
 SECOND_KIND_FLOATS = 1 << 16
-_second_kind = bounded_cache(SECOND_KIND_SIZE)
+_second_kind = BoundedCache(SECOND_KIND_SIZE, SECOND_KIND_FLOATS)
 
 
 def second_kind(build, args, floats=1):
-    """``build(*args)``, a second-kind factor of ``floats`` floats (a
-    `legendre_q_hat` value, or a chunk of `legendre_q_hat_column` or
-    `jacobi_q2_column`), read through this module's `bounded_cache` with the
-    SECOND_KIND_* bounds.  A hit is the result a miss built, so it holds the
-    very floats a fresh call computes; a kept result's arrays are read-only."""
-    return _second_kind(build, args, floats, SECOND_KIND_FLOATS)
+    """``build(*args)``, a second-kind factor of ``floats`` floats (a Qhat
+    value, or a Legendre or Jacobi Q column), read through a `BoundedCache`
+    with the SECOND_KIND_* bounds, weighed by its floats and keyed on
+    ``build`` and marshal's version 2 form of the arguments as given, which
+    keeps apart 1 and 1.0, 0.0 and -0.0 (arguments marshal cannot write are
+    not kept).  Its arrays are read-only: a hit is the object a miss built."""
+    try:
+        key = build, marshal.dumps(args, 2)
+    except ValueError:
+        return _read_only(build, args, floats)[0]
+    return _second_kind.get(key, _read_only, build, args, floats)
+
+
+def _read_only(build, args, floats):
+    out = build(*args)
+    for part in out if type(out) is tuple else (out,):
+        if type(part) is np.ndarray:
+            part.flags.writeable = False
+    return out, floats
 
 
 def jacobi_q2(gamma_deg: float, alpha: float, beta: float, z: float) -> float:

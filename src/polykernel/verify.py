@@ -26,14 +26,13 @@ degrees follow from the tree's structure (the leaves' nonzero orders, caps
 and top), so all b and b' tables come from one Gegenbauer recurrence pass
 and all c tables from one Jacobi pass; the per-degree ufunc calls, not the
 entries, set a pass's cost.  What follows from the structure alone is a
-fold plan, cached per shape with the passes' recurrence coefficients, so a
-certificate on a shape seen before runs only the angle-dependent half.
-The radial column R depends on no angle either, and is cached per (start
-degree, order, z, length, elementary), so a sweep of angle pairs at fixed
-radii sums its 2F1 series once.  The contraction, one np.bincount per
-node, reads only the nonzero child weights, in the order a node-by-node
-fold would, so every certificate is the same bit for bit.  The cost is
-memory: every table is held at once, up to MAX_TABLE_ENTRIES entries.
+fold plan, kept with the passes' recurrence coefficients in a
+`specfun.BoundedCache` per shape, so a certificate on a shape seen before
+runs only the angle-dependent half; the radial column R depends on no angle
+either and is read through `specfun.second_kind`.  The contraction, one
+np.bincount per node, reads only the nonzero child weights, in the order a
+node-by-node fold would, so every certificate is the same bit for bit.  The
+cost is memory: every table is held at once, up to MAX_TABLE_ENTRIES entries.
 
 Geometry restrictions: azimuthal order m >= 0, radii distinct, every angle
 but the azimuths strictly inside its node's range so that chi stays finite.
@@ -42,8 +41,6 @@ but the azimuths strictly inside its node's range so that chi stays finite.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -53,12 +50,11 @@ from .errors import (CoincidentRadiusError, DomainError, ExclusionSetError,
                      SingularConfigurationError, radial_range_error, require_finite)
 from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_recurrences, _pair_tables,
                             hopf_heap_to_preorder, hopf_tree, parse_tree)
-from .specfun import _is_int, bounded_cache, legendre_q_hat, legendre_q_hat_column
+from .specfun import BoundedCache, _is_int, legendre_q_hat, legendre_q_hat_column, second_kind
 
 _RADIUS_GUARD = 1e-6
-# The most node-table entries one certificate may hold, about 36 bytes each
-# at the tracemalloc peak: T4.1 at d = 500, caps 60, the largest certificate
-# in the tests, holds 1.85e6 (60 MiB); T4.2 at q = 3, caps 60 holds 2.9e6.
+# The most entries a certificate's node tables (about 36 bytes each at the
+# tracemalloc peak), or its weight vectors of length m + 1 or more, may hold.
 MAX_TABLE_ENTRIES = 4_000_000
 
 
@@ -240,19 +236,25 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
 
 # Fold plans, with their recurrence coefficients, kept for callers that
 # certify many angle pairs on a few tree shapes: at most PLAN_CACHE_SIZE
-# plans and PLAN_CACHE_ENTRIES table entries in all, evicted whole, least
-# recently used first.  A plan holds at most 160 bytes per entry (about 20
-# on a wide table; a one-column table's coefficients are Python floats) and
-# about 4 KiB per tree node, so about 10 MiB at the bound.
+# plans weighed by their table entries, PLAN_CACHE_ENTRIES in all.  A plan
+# holds at most 160 bytes per entry (about 20 on a wide table; a one-column
+# table's coefficients are Python floats) and about 4 KiB per tree node.
 PLAN_CACHE_SIZE = 32
 PLAN_CACHE_ENTRIES = 1 << 16
-_plans: OrderedDict = OrderedDict()
-_plans_lock = threading.Lock()
+_plans = BoundedCache(PLAN_CACHE_SIZE, PLAN_CACHE_ENTRIES)
 
 
 def _fold_plan(tree: Tree, caps: int, top, leaves):
-    """The cached plan of `_fold` on this tree, caps, top and leaf supports,
-    and its recurrences.
+    """The plan of `_fold` on this tree, caps, top and leaf supports, and its
+    recurrences, read through ``_plans`` and weighed by its table entries."""
+    key = (id(tree), caps, top, tuple(np.not_equal(w, 0.0).tobytes() for w in leaves))
+    _, plan, recurrences = _plans.get(key, _build_plan, tree, caps, top, leaves)
+    return plan, recurrences
+
+
+def _build_plan(tree, caps, top, leaves):
+    """((tree, plan, recurrences), table entries); holding the tree keeps any
+    other tree from taking its id while the plan is cached.
 
     The plan is (the a nodes' indices, one step per other node in reversed
     preorder, the `_pair_plan` of every node).  A step is (node index, its
@@ -260,20 +262,11 @@ def _fold_plan(tree: Tree, caps: int, top, leaves):
     l_a + l_b of every column, the degree step of each row, the length of
     the node's weight vector, and the size of its own support, None at the
     root).  The scatter offsets themselves are as large as the node's
-    table, so each execution adds them up anew.  The recurrences are the
-    plan's `_pair_recurrences`, built once when the plan is cached and kept
-    with it.  A plan whose tables would hold more than PLAN_CACHE_ENTRIES
-    entries is not cached, and its recurrences are None: `_pair_tables`
-    builds each family's for its one pass.  An entry is (tree, plan,
-    recurrences, entries); holding the tree keeps any other tree from taking
-    its id while the plan is cached.
+    table, so each execution adds them up anew.  The recurrences, the plan's
+    `_pair_recurrences`, are built only when the entries fit the cache's
+    budget, and are None past it: `_pair_tables` then builds each family's
+    for its one pass.
     """
-    key = (id(tree), caps, top, tuple(np.not_equal(w, 0.0).tobytes() for w in leaves))
-    with _plans_lock:
-        entry = _plans.get(key)
-        if entry is not None:
-            _plans.move_to_end(key)
-            return entry[1:3]
     nodes = tree.branching_nodes
     leaf_index = [node.index for node in nodes if node.kind == "a"]
     # node index (None at a leaf child) -> (length of its weight vector,
@@ -304,40 +297,21 @@ def _fold_plan(tree: Tree, caps: int, top, leaves):
         requests.append((node, sa[:, None] + 0 * degrees, sb + 0 * degrees))
         steps.append((node.index, ia, ib, sa, sb, degrees, orders, length, reach_size))
     plan = leaf_index, steps, _pair_plan(caps, requests)
-    if entries > PLAN_CACHE_ENTRIES:
-        return plan, None
-    recurrences = _pair_recurrences(plan[2])
-    with _plans_lock:
-        _plans[key] = tree, plan, recurrences, entries
-        while (len(_plans) > PLAN_CACHE_SIZE
-               or sum(entry[3] for entry in _plans.values()) > PLAN_CACHE_ENTRIES):
-            _plans.popitem(last=False)
-    return plan, recurrences
+    recurrences = _pair_recurrences(plan[2]) if entries <= _plans.budget else None
+    return (tree, plan, recurrences), entries
 
 
 def _radial(deg, order, z, n, elementary):
-    """R(l) = Qhat_l^order(z) for l = deg .. deg + n - 1, read-only.
-
-    It depends on no angle, so a certificate on radii and an order seen
-    before, as when angle pairs are swept at fixed radii, reads it from
-    `_radial_column` instead of summing a 2F1 series and the continued
-    fraction.  That `specfun.bounded_cache` has the plans' bounds: at most
-    PLAN_CACHE_SIZE columns, each at most its share of PLAN_CACHE_ENTRIES
-    floats (2 048), so 512 KiB in all; a longer column is built and dropped.
-    """
-    return _radial_column(_radial_build, (deg, order, z, n, elementary), n, PLAN_CACHE_ENTRIES)
+    """R(l) = Qhat_l^order(z) for l = deg .. deg + n - 1, read-only, through
+    `specfun.second_kind` (n floats): it depends on no angle, so a sweep of
+    angle pairs at fixed radii sums one 2F1 series and continued fraction."""
+    return second_kind(_radial_build, (deg, order, z, n, elementary), n)
 
 
 def _radial_build(deg, order, z, n, elementary):
     if elementary:
-        radial = _qhat_half(deg + np.arange(n), order, z)
-    else:
-        radial = legendre_q_hat_column(deg, order, z, n)
-    radial.flags.writeable = False
-    return radial
-
-
-_radial_column = bounded_cache(PLAN_CACHE_SIZE)
+        return _qhat_half(deg + np.arange(n), order, z)
+    return legendre_q_hat_column(deg, order, z, n)
 
 
 def _certify(cfg, tree, angles, anglesp, elementary, top=None):
@@ -350,10 +324,10 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
     z = (r^2+r'^2)/(2rr').  An elementary reduction (nu = 2 - d) takes R,
     and at d = 4 also the lhs Qhat_{m-1/2}^{1/2}(chi), in closed form.
     cos g comes from the unchecked tree walk: `_check_geometry` bounds the
-    polar angles, and the azimuths are 0 or already reduced mod 2 pi.  A rho
-    that underflows to 0, a chi whose square leaves double range, or fold
-    weights that overflow or all underflow to 0 raise DomainError before any
-    Legendre function.
+    polar angles, and the azimuths are 0 or already reduced mod 2 pi.  Weight
+    vectors past MAX_TABLE_ENTRIES entries, a rho that underflows to 0, a chi
+    whose square leaves double range, or fold weights that overflow or all
+    underflow to 0 raise DomainError before any Legendre function.
     """
     _check_geometry(cfg, tree, angles, anglesp)
     nu, m, r, rp, d = cfg.nu, cfg.m, cfg.r, cfg.rp, tree.dimension
@@ -365,13 +339,18 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
         z = math.inf            # a square, product or power past double range
     if not math.isfinite(z):
         raise radial_range_error(r=r, rp=rp)
-    node, rho = tree.root, 1.0
+    node, rho, path = tree.root, 1.0, 1
     while node.kind != "a":
         t, tp = angles[node.index], anglesp[node.index]
         if node.left is not None:
             node, rho = node.left, rho * (math.cos(t) * math.cos(tp))
         else:
             node, rho = node.right, rho * (math.sin(t) * math.sin(tp))
+        path += 1
+    # the distinguished leaf and each node above it hold m + 1 weights or more
+    if (m + 1) * path > MAX_TABLE_ENTRIES:
+        raise DomainError(f"the weight vectors would hold more than {MAX_TABLE_ENTRIES}"
+                          f" entries at m = {m}")
     if rho == 0.0:
         raise DomainError("rho, the product of the cosines and sines of the angles on the"
                           " path to the distinguished leaf, underflows to 0")
@@ -381,7 +360,8 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
         raise DomainError(f"chi = {chi}: the separation variable leaves double range")
     a_nodes = [node for node in tree.branching_nodes if node.kind == "a"]
     orders = np.arange(cfg.caps + 1)
-    leaves = [np.eye(m + 1)[m]] + [np.where(orders, 2.0, 1.0) * np.cos(
+    # the distinguished leaf is one-hot at order m
+    leaves = [np.eye(1, m + 1, m)[0]] + [np.where(orders, 2.0, 1.0) * np.cos(
         orders * (angles[node.index] - anglesp[node.index])) for node in a_nodes[1:]]
     with np.errstate(over="ignore", invalid="ignore"):
         w = _fold(tree, cfg.caps, angles, anglesp, leaves, top)
@@ -523,7 +503,7 @@ def ca2_double_coefficient(nu: float, m1: int, m2: int, r: float, rp: float,
         raise ValueError("orders must be >= 0")
     z = (r * r + rp * rp) / (2.0 * r * rp)
     w = _fold(hopf_tree(2), caps, (vt, 0.0, 0.0), (vtp, 0.0, 0.0),
-              [np.eye(m1 + 1)[m1], np.eye(m2 + 1)[m2]])[m1 + m2:]
+              [np.eye(1, m1 + 1, m1)[0], np.eye(1, m2 + 1, m2)[0]])[m1 + m2:]
     qv = legendre_q_hat_column(m1 + m2 + 0.5, -0.5 * (nu + 3.0), z, len(w))
     # the pair table carries node_factor's normalization, 2 Upsilon pairs
     return 0.5 * float(np.dot(w, qv))

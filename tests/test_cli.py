@@ -89,6 +89,21 @@ class TestExpand:
         report = json.loads(out)
         assert report["value"] == pytest.approx(3.8 ** -0.5, rel=1e-9)
 
+    @pytest.mark.parametrize("argv", [
+        # z = 1e300 and chi = 1e250, whose squares leave double range: these
+        # ran 2 000 zero terms (exit 4) and raised "value exceeds double range"
+        ["expand", "multipole", "--d", "3", "--nu", "-1", "--r", "1e-300", "--rp", "2",
+         "--cosg", "0.3"],
+        ["expand", "azimuthal", "--nu", "-1", "--R", "1", "--Rp", "1e-250", "--h", "1",
+         "--dphi", "0.5"],
+    ])
+    def test_argument_squared_past_double_range(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["rel_err"] < 1e-12
+
     def test_azimuthal_exclusion_exit3(self, capsys):
         code, _, err = run(["expand", "azimuthal", "--nu", "0"], capsys)
         assert code == 3
@@ -393,6 +408,9 @@ class TestVerify:
          "r = 1e-200, rp = 2e-200"),
         (["expand", "azimuthal", "--nu", "-1", "--R", "1e-200", "--Rp", "2e-200", "--h", "0.5",
           "--dphi", "0.3"], "R = 1e-200, Rp = 2e-200"),
+        # a numpy RuntimeWarning in the geometry, a traceback under -W error
+        (["expand", "azimuthal", "--nu", "-1", "--R", "1e200", "--Rp", "1e200", "--h", "1",
+          "--dphi", "0.5"], "R = 1e+200, Rp = 1.0000000000000001e+200, chi = nan"),
     ])
     def test_extreme_radii_exit6(self, capsys, argv, names):
         with warnings.catch_warnings():
@@ -409,6 +427,10 @@ class TestVerify:
         (["verify", "T4.1", "--d", "500"], "the fold weights leave double range"),
         # a ZeroDivisionError traceback
         (["verify", "C4.3", "--theta", "1e-200", "--thetap", "1e-200"], "rho, "),
+        # a MemoryError traceback: the distinguished leaf was a row of an
+        # (m + 1) x (m + 1) identity
+        (["verify", "C4.5", "--m", "100000", "--caps", "1"], "the fold weights underflow to 0"),
+        (["verify", "C4.3", "--m", "100000", "--caps", "1"], "the fold weights underflow to 0"),
     ])
     def test_certificate_past_double_range_exit6(self, capsys, argv, message):
         with warnings.catch_warnings():

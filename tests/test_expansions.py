@@ -1,10 +1,7 @@
 """Expansion partial sums against direct kernel oracles."""
 
 import math
-import os
 import re
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -691,24 +688,18 @@ class TestSecondKindCache:
             assert _bits(got) == _bits(build(*args))
         assert sf._second_kind.cache_info()[:2] == (0, len(changes) + 1)
 
-    def test_bounds(self, monkeypatch):
-        # at most SECOND_KIND_SIZE results, least recently used dropped first,
-        # each at most its share of SECOND_KIND_FLOATS floats; a longer chunk
-        # is built, handed out and not kept
-        monkeypatch.setattr(sf, "_second_kind", sf.bounded_cache(4))
-        monkeypatch.setattr(sf, "SECOND_KIND_FLOATS", 4 * 10)
-        kept = [_q_chunk(0.5, 0.0, 1.25, 10), _jacobi_chunk(0.5, 0.0, 0.25, 2.0, 5)]
-        for long in (lambda: _q_chunk(0.5, 0.0, 1.25, 11),
-                     lambda: _jacobi_chunk(0.5, 0.0, 0.25, 2.0, 6)):
-            assert long() is not long()
-        assert sf._second_kind.cache_info().currsize == 2
-        values = [sf.second_kind(sf.legendre_q_hat, (nu, 0.0, 1.25)) for nu in (1.0, 2.0, 3.0)]
-        assert sf._second_kind.cache_info().currsize == 4
-        # the first chunk was the least recently used
-        assert _q_chunk(0.5, 0.0, 1.25, 10) is not kept[0]
-        assert _jacobi_chunk(0.5, 0.0, 0.25, 2.0, 5) is not kept[1]
-        assert sf.second_kind(sf.legendre_q_hat, (3.0, 0.0, 1.25)) is values[2]
-        assert sf._second_kind.cache_info().currsize == 4
+    @pytest.mark.parametrize("chunk, args, n", [
+        (_q_chunk, (0.5, 0.0, 1.25), 10),               # n floats
+        (_jacobi_chunk, (0.5, 0.0, 0.25, 2.0), 5),      # 2n floats
+    ])
+    def test_weighed_by_floats(self, monkeypatch, chunk, args, n):
+        # within a 10-float budget a chunk is kept; one degree longer it is
+        # built, handed out read-only and not kept
+        monkeypatch.setattr(sf, "_second_kind", sf.BoundedCache(4, 10))
+        kept, long = chunk(*args, n), chunk(*args, n + 1)
+        assert chunk(*args, n) is kept and chunk(*args, n + 1) is not long
+        assert not any(a.flags.writeable for a in (long if isinstance(long, tuple) else (long,)))
+        assert sf._second_kind.cache_info().currsize == 1 and sf._second_kind.weight == 10
 
     def test_multipole_sum_fits(self):
         # the real bounds hold every degree of a multipole sum at r</r> = 0.5,
@@ -745,37 +736,3 @@ class TestSecondKindCache:
                 assert not np.shares_memory(a, b) and not np.shares_memory(a, c)
                 a[0] = 7.0
                 assert b[0] != 7.0 and c[0] != 7.0
-
-    def test_threads(self):
-        # more threads than cores read overlapping keys through one small
-        # cache; every call is counted once, the bound holds and every
-        # result is the one its key computes
-        cache, calls, n_threads = sf.bounded_cache(8), 2000, (os.cpu_count() or 1) + 2
-        errors = []
-
-        def square(v):
-            return v * v
-
-        def work(seed):
-            try:
-                for k in range(calls):
-                    x = float((seed + k) % 13)
-                    if cache(square, (x,), 1, 8) != x * x:
-                        errors.append(x)
-            except Exception as exc:    # a thread's failure fails the test
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and errors == []
-        info = cache.cache_info()
-        assert info.hits + info.misses == n_threads * calls and info.currsize <= 8
-        assert info.hits > 0

@@ -171,6 +171,19 @@ class TestToroidalChi:
                 kn.KernelGeometry(x=np.array(x), xp=np.array(xp))
 
 
+    def test_squares_past_double_range(self):
+        # |x|^2 and x . x' overflow: cos_gamma is NaN, not a clamped -1, and
+        # chi is NaN for the expansions to name, with no numpy warning
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = kn.KernelGeometry(x=np.array([1e200, 0.0, 0.0]),
+                                  xp=np.array([1e200 * math.cos(0.5), 1e200 * math.sin(0.5), 1.0]))
+        assert math.isnan(g.cos_gamma) and math.isnan(g.chi)
+        assert g.r == g.rp == math.inf
+
+
 class TestKernelH:
     def test_direct_substitution(self):
         # chi = 2, 2RR' = 1, dphi = 0 -> value 1

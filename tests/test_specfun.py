@@ -1,7 +1,9 @@
 """Scalar special functions against closed forms and high-precision oracles."""
 
 import math
+import os
 import sys
+import threading
 import warnings
 
 import mpmath as mp
@@ -353,6 +355,16 @@ class TestLegendreQHat:
         with pytest.raises(DomainError):
             sf.legendre_q_hat(1.0, 0.0, 0.5)
 
+    # z^2 overflows: mu < 0 read 0.0, mu = 0 NaN, and mu > 0 raised
+    # OverflowError, where each value is a normal double
+    @pytest.mark.parametrize("nu, mu, z", [
+        (0.0, -0.5, 1e160), (0.5, -1.0, 1e200), (0.0, 0.0, 1e160), (-0.25, 0.0, 1e300),
+        (0.0, 0.5, 1e160), (-0.5, 1.0, 1e250),
+    ])
+    def test_z_squared_past_double_range(self, nu, mu, z):
+        want = mp_qhat(nu, mu, z)
+        assert abs(sf.legendre_q_hat(nu, mu, z) - want) <= 2e-13 * abs(want)
+
     # within the reach the docstring states (z - 1 >= 1e-3, well above the
     # 2e-4 where the series can run out of terms): relative error at most
     # 2e-12 against mpmath at 30 digits (1.5e-13, near z - 1 = 1e-3, was the
@@ -369,6 +381,110 @@ class TestLegendreQHat:
         with mp.workdps(30):
             want = mp.re(mp.expjpi(-mu) * mp.legenq(nu, mu, z, type=3))
         assert abs(got - want) <= 2e-12 * abs(want), (got, want)
+
+
+class TestBoundedCache:
+    @staticmethod
+    def _counted(built):
+        # a build that records its argument and weighs it by its value
+        def build(x, weight):
+            built.append(x)
+            return x * x, weight
+        return build
+
+    def test_count_bound_lru_order(self):
+        cache, built = sf.BoundedCache(3, 100), []
+        build = self._counted(built)
+        for x in (1, 2, 3):
+            assert cache.get(x, build, x, 1) == x * x
+        assert cache.get(1, build, 1, 1) == 1        # 1 is now the most recent
+        cache.get(4, build, 4, 1)                     # evicts 2, the least recent
+        assert built == [1, 2, 3, 4] and cache.cache_info().currsize == 3
+        for x in (1, 3, 4, 2):
+            cache.get(x, build, x, 1)
+        assert built == [1, 2, 3, 4, 2]
+
+    def test_weight_bound(self):
+        cache, built = sf.BoundedCache(10, 10), []
+        build = self._counted(built)
+        for x in (1, 2):
+            cache.get(x, build, x, 4)
+        cache.get(1, build, 1, 4)
+        cache.get(3, build, 3, 4)                     # 12 > 10: evicts 2
+        assert cache.weight == 8 and cache.cache_info().currsize == 2
+        cache.get(4, build, 4, 10)                    # evicts every other
+        assert cache.weight == 10 and cache.cache_info().currsize == 1
+        assert cache.get(4, build, 4, 10) == 16 and built == [1, 2, 3, 4]
+
+    def test_overweight_returned_not_kept(self):
+        cache, built = sf.BoundedCache(4, 10), []
+        build = self._counted(built)
+        cache.get(1, build, 1, 10)
+        for _ in range(2):
+            assert cache.get(2, build, 2, 11) == 4
+        # built on every call, and the kept value stays
+        assert built == [1, 2, 2] and cache.get(1, build, 1, 10) == 1
+        assert cache.cache_info() == (1, 3, 4, 1) and cache.weight == 10
+
+    def test_errors_not_kept(self):
+        cache, calls = sf.BoundedCache(4, 10), []
+
+        def failing():
+            calls.append(None)
+            raise PoleError("no value")
+
+        for _ in range(3):
+            with pytest.raises(PoleError):
+                cache.get("k", failing)
+        assert len(calls) == 3 and cache.cache_info() == (0, 3, 4, 0)
+
+    def test_cache_info_and_clear(self):
+        cache = sf.BoundedCache(4, 10)
+        build = self._counted([])
+        for x in (1, 2, 1, 1, 3):
+            cache.get(x, build, x, 2)
+        info = cache.cache_info()
+        assert info == (2, 3, 4, 3) and (info.hits, info.misses) == (2, 3)
+        assert (info.maxsize, info.currsize) == (4, 3)
+        cache.cache_clear()
+        assert cache.cache_info() == (0, 0, 4, 0) and cache.weight == 0
+        cache.get(1, build, 1, 2)
+        assert cache.cache_info() == (0, 1, 4, 1)
+
+    def test_threads(self):
+        # more threads than cores read overlapping keys through one small
+        # cache; every call is counted once, the bounds hold and every
+        # result is the one its key computes
+        cache, calls, n_threads = sf.BoundedCache(8, 6), 2000, (os.cpu_count() or 1) + 2
+        errors = []
+
+        def square(v):
+            return v * v, 1.0 if v % 2 else 0.5
+
+        def work(seed):
+            try:
+                for k in range(calls):
+                    x = float((seed + k // 2) % 13)     # each key twice in a row
+                    if cache.get(x, square, x) != x * x:
+                        errors.append(x)
+            except Exception as exc:    # a thread's failure fails the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        info = cache.cache_info()
+        assert info.hits + info.misses == n_threads * calls and info.currsize <= 8
+        assert info.hits > 0 and cache.weight <= 6
+        assert cache.weight == sum(w for _, w in cache._held.values())
 
 
 def _from_top_max(values):

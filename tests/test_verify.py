@@ -5,7 +5,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -341,6 +340,19 @@ class TestTablesFirstFold:
         np.testing.assert_array_equal(got, want)
 
 
+def _fresh_plans(monkeypatch, entries=None):
+    """An empty plan cache with the module's bounds, or with a budget of
+    ``entries`` table entries."""
+    monkeypatch.setattr(vf, "_plans", sf.BoundedCache(vf.PLAN_CACHE_SIZE,
+                                                      entries or vf.PLAN_CACHE_ENTRIES))
+
+
+def _cached_plans():
+    """(key, (tree, plan, recurrences), table entries) of every cached plan,
+    least recently used first."""
+    return [(key, value, weight) for key, (value, weight) in vf._plans._held.items()]
+
+
 def _fold_inputs(tree, caps, rng, zeros=()):
     """Preorder angles of both points and leaf weight vectors over orders
     0..caps, the weights at (leaf, order) in zeros set to exactly 0."""
@@ -360,7 +372,7 @@ class TestFoldPlan:
     # supports, so a warm plan must give what a cold one gives: the
     # node-by-node fold's root weights, bit for bit
     def test_warm_plan_equals_node_by_node_fold(self, monkeypatch):
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        _fresh_plans(monkeypatch)
         tree = ps.parse_tree("cb'aba")           # a, b, b' and c nodes
         rng = np.random.default_rng(14)
         # (caps, top, exact-zero leaf weights, plans cached after the fold)
@@ -377,7 +389,7 @@ class TestFoldPlan:
             got = vf._fold(tree, caps, angles, anglesp, leaves, top)
             want = fold_reference(tree, caps, angles, anglesp, leaves, top)
             np.testing.assert_array_equal(got, want)
-            assert len(vf._plans) == plans
+            assert len(_cached_plans()) == plans
 
     @given(data=st.data())
     def test_warm_plan_on_random_trees(self, data):
@@ -404,32 +416,18 @@ class TestFoldPlan:
                     continue
             np.testing.assert_array_equal(got, want)
 
-    def test_cache_bounded(self, monkeypatch):
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
-        tree = ps.parse_tree("ba")
-        folds = {}
-        for caps in range(vf.PLAN_CACHE_SIZE + 8):
-            folds[caps] = vf._fold(tree, caps, (0.7, 0.0), (1.9, 0.0), [np.eye(3)[2]])
-            assert len(vf._plans) == min(caps + 1, vf.PLAN_CACHE_SIZE)
-        # the least recently used plans went first; a dropped plan is built
-        # anew with the same result
-        assert sorted(key[1] for key in vf._plans) == list(range(8, vf.PLAN_CACHE_SIZE + 8))
-        np.testing.assert_array_equal(
-            vf._fold(tree, 0, (0.7, 0.0), (1.9, 0.0), [np.eye(3)[2]]), folds[0])
-
     def test_cache_entries_bounded(self, monkeypatch):
         # T4.2 at q = 3 has 1 255 table entries at caps 4, 2 268 at caps 5,
         # 3 717 at caps 6 and 8 235 at caps 8: a plan past the bound alone is
         # used once and not cached, and a new plan evicts the least recently
         # used whole until the cached entries fit the bound
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
-        monkeypatch.setattr(vf, "PLAN_CACHE_ENTRIES", 5000)
+        _fresh_plans(monkeypatch, 5000)
         for caps, kept in [(4, [4]), (6, [4, 6]), (4, [6, 4]), (8, [6, 4]), (5, [4, 5]),
                            (4, [5, 4])]:
             cfg = _hopf_cfg(3, 0, caps)
             assert vf.run_verification(cfg) == vf.run_verification(cfg)
-            assert [key[1] for key in vf._plans] == kept
-            assert sum(entry[3] for entry in vf._plans.values()) <= 5000
+            assert [key[1] for key, _, _ in _cached_plans()] == kept
+            assert sum(entries for _, _, entries in _cached_plans()) <= 5000
 
 
 def _operand_paths(steps, family):
@@ -471,15 +469,15 @@ class TestOperandPaths:
         (((1, 3),), ((False, True), (True,))),
     ])
     def test_each_path_taken(self, monkeypatch, zeros, views):
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        _fresh_plans(monkeypatch)
         tree, caps, rng = ps.parse_tree("cb'aba"), 6, np.random.default_rng(17)
         for _ in range(2):                  # a cold plan, then a warm one
             angles, anglesp, leaves = _fold_inputs(tree, caps, rng, zeros)
             got = vf._fold(tree, caps, angles, anglesp, leaves)
             np.testing.assert_array_equal(
                 got, fold_reference(tree, caps, angles, anglesp, leaves))
-        (entry,) = vf._plans.values()
-        steps, families = entry[1][1], entry[1][2][3]
+        ((_, (_, plan, _), _),) = _cached_plans()
+        steps, families = plan[1], plan[2][3]
         assert tuple(tuple(v for v, _ in _operand_paths(steps, f)) for f in families) == views
         # a view holds no bytes: it reads a shared table
         assert all(not op.flags.owndata and not op.flags.writeable
@@ -545,16 +543,33 @@ class TestTableMemoryBound:
             tracemalloc.stop()
         assert peak < 5 * 2 ** 20
 
+    @pytest.mark.parametrize("cfg", [
+        vf.TheoremConfig(theorem="C4.3", nu=-1.0, m=10_000_000, caps=1, thetas=(1.0,),
+                         thetasp=(2.0,)),
+        _std_cfg("T4.1", 600, 3_000_000, 1),
+    ])
+    def test_weight_vectors_refused_before_any(self, cfg):
+        # the distinguished leaf and each node above it hold at least m + 1
+        # weights: (m + 1) times the path's length is refused from m alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="weight vectors would hold more than"):
+                vf.run_verification(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
     def test_refused_plan_not_cached(self, monkeypatch):
         # the bound is checked while a plan is built, so a refused
         # certificate leaves no plan behind and is refused again
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        _fresh_plans(monkeypatch)
         cfg = vf.TheoremConfig(theorem="C4.5", nu=-2.0, caps=100_000, thetas=(0.6,),
                                thetasp=(0.8,), phis=(0.3,), phisp=(2.0,))
         for _ in range(2):
             with pytest.raises(DomainError, match="node tables would hold more than"):
                 vf.run_verification(cfg)
-        assert not vf._plans
+        assert not _cached_plans()
 
     def test_hopf_q3_caps30_still_certified(self):
         assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
@@ -568,15 +583,14 @@ class TestPlanCoefficients:
     @pytest.mark.parametrize("cached", [True, False])
     def test_warm_fold_cached_or_past_the_bound(self, monkeypatch, spec, cached):
         tree, caps, rng = ps.parse_tree(spec), 6, np.random.default_rng(61)
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        _fresh_plans(monkeypatch)
         vf._fold(tree, caps, *_fold_inputs(tree, caps, rng))
-        (entry,) = vf._plans.values()
-        kept, families = entry[2], len(entry[1][2][3])
+        ((_, (_, plan, kept), entries),) = _cached_plans()
+        families = len(plan[2][3])
         assert kept is not None and len(kept) == families
         if not cached:
             # one entry short of the plan's tables
-            monkeypatch.setattr(vf, "PLAN_CACHE_ENTRIES", entry[3] - 1)
-            monkeypatch.setattr(vf, "_plans", OrderedDict())
+            _fresh_plans(monkeypatch, entries - 1)
         built, pair_recurrence = [], ps._pair_recurrence
         monkeypatch.setattr(ps, "_pair_recurrence",
                             lambda *args: built.append(args) or pair_recurrence(*args))
@@ -586,18 +600,18 @@ class TestPlanCoefficients:
             np.testing.assert_array_equal(got, fold_reference(tree, caps, angles, anglesp, leaves))
             if cached:
                 # the coefficients it keeps, none built again
-                (entry,) = vf._plans.values()
-                assert entry[2] is kept and not built
+                ((_, (_, _, recurrences), _),) = _cached_plans()
+                assert recurrences is kept and not built
             else:
                 # fresh coefficients, one build per family and pass
-                assert not vf._plans and len(built) == (i + 1) * families
+                assert not _cached_plans() and len(built) == (i + 1) * families
 
     def test_past_the_bound_builds_once(self, monkeypatch):
         # a T4.2 q = 3, caps 30 certificate's tables hold more than
         # PLAN_CACHE_ENTRIES entries: it caches nothing, builds each family's
         # recurrence coefficients once, for its one pass, and gives the
         # node-by-node fold's root weights, bit for bit
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        _fresh_plans(monkeypatch)
         built, folds = [], []
         pair_recurrence, fold = ps._pair_recurrence, vf._fold
 
@@ -612,11 +626,11 @@ class TestPlanCoefficients:
         monkeypatch.setattr(ps, "_pair_recurrence", counted)
         monkeypatch.setattr(vf, "_fold", kept)
         assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
-        assert not vf._plans
+        assert not _cached_plans()
         ((args, got),) = folds
         tree, caps, angles, anglesp, leaves, top = args
         (_, _, pairs), recurrences = vf._fold_plan(tree, caps, top, leaves)
-        assert recurrences is None and not vf._plans
+        assert recurrences is None and not _cached_plans()
         assert sorted(built) == sorted(family.jacobi for family in pairs[3])
         np.testing.assert_array_equal(got, fold_reference(*args))
 
@@ -629,28 +643,28 @@ class TestPlanCoefficients:
         cfgs = ([ba_cfg(-1.0, 1, caps=caps) for caps in (0, 80, 2000)]
                 + [ca2_cfg(-1.5, 1, caps=caps) for caps in (2, 120, 200)]
                 + [_hopf_cfg(3, 0, caps) for caps in (4, 12)])
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        _fresh_plans(monkeypatch)
         for cfg in cfgs:                    # the shared tables and radial columns
             vf.run_verification(cfg)
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        _fresh_plans(monkeypatch)
         origin = {}                         # plan key -> the certificate that built it
         tracemalloc.start()
         try:
             for i, cfg in enumerate(cfgs):
                 vf.run_verification(cfg)
-                origin.update((key, i) for key in vf._plans if key not in origin)
-                cached = [(origin[key], entry[3], len(entry[0].branching_nodes))
-                          for key, entry in vf._plans.items()]
+                origin.update((key, i) for key, _, _ in _cached_plans() if key not in origin)
+                cached = [(origin[key], entries, len(tree.branching_nodes))
+                          for key, (tree, _, _), entries in _cached_plans()]
                 assert sum(entries for _, entries, _ in cached) <= vf.PLAN_CACHE_ENTRIES
                 gc.collect()
                 before = tracemalloc.get_traced_memory()[0]
-                vf._plans.clear()
+                vf._plans.cache_clear()
                 gc.collect()
                 held = before - tracemalloc.get_traced_memory()[0]
                 assert held <= sum(160 * entries + 4096 * nodes for _, entries, nodes in cached)
                 for j, _, _ in cached:      # the same plans again, least recently used first
                     vf.run_verification(cfgs[j])
-                assert [origin[key] for key in vf._plans] == [j for j, _, _ in cached]
+                assert [origin[key] for key, _, _ in _cached_plans()] == [j for j, _, _ in cached]
         finally:
             tracemalloc.stop()
 
@@ -681,7 +695,7 @@ class TestRadialCache:
         (lambda cfg: vf.verify_hopf(cfg, elementary=True), _hopf_cfg(3, 0, 6, nu=-6.0)),
     ])
     def test_warm_column_equals_cold(self, certify, cfg):
-        cache = vf._radial_column
+        cache = sf._second_kind
         cache.cache_clear()
         certify(_other_angles(cfg))
         warm = certify(cfg)
@@ -694,7 +708,7 @@ class TestRadialCache:
     def test_keyed_on_every_argument(self):
         # each argument changed alone gives its own column, the one a cold
         # cache builds
-        vf._radial_column.cache_clear()
+        sf._second_kind.cache_clear()
         base = (1.5, -0.5, 1.25, 20, False)
         for i, other in [(None, None), (0, 2.5), (1, -0.75), (2, 1.3), (3, 21), (4, True)]:
             deg, order, z, n, elementary = (base if i is None
@@ -704,45 +718,20 @@ class TestRadialCache:
             else:
                 want = sf.legendre_q_hat_column(deg, order, z, n)
             assert vf._radial(deg, order, z, n, elementary).tobytes() == want.tobytes()
-        assert vf._radial_column.cache_info().currsize == 6
+        assert sf._second_kind.cache_info().currsize == 6
 
     @pytest.mark.parametrize("elementary", [False, True])
     @pytest.mark.parametrize("n", [20, 2049])
-    def test_column_read_only(self, elementary, n):
-        # a kept column and one past the cache's share alike
-        vf._radial_column.cache_clear()
+    def test_column_read_only(self, monkeypatch, elementary, n):
+        # a kept column and one past the cache's budget alike; the column is
+        # weighed by its n floats
+        monkeypatch.setattr(sf, "_second_kind", sf.BoundedCache(sf.SECOND_KIND_SIZE, 2048))
         col = vf._radial(1.0, -0.5, 1.25, n, elementary)
         with pytest.raises(ValueError, match="read-only"):
             col[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             col *= 2.0
         assert (vf._radial(1.0, -0.5, 1.25, n, elementary) is col) == (n == 20)
-
-    def test_entries_bounded(self):
-        vf._radial_column.cache_clear()
-        zs = [1.25 + 0.01 * i for i in range(vf.PLAN_CACHE_SIZE + 8)]
-        first = vf._radial(0.5, -0.75, zs[0], 10, False)
-        for i, z in enumerate(zs):
-            vf._radial(0.5, -0.75, z, 10, False)
-            assert vf._radial_column.cache_info().currsize == min(i + 1, vf.PLAN_CACHE_SIZE)
-        # the least recently used columns went first; a dropped column is
-        # built anew with the same bits
-        assert vf._radial(0.5, -0.75, zs[-1], 10, False) is vf._radial(0.5, -0.75, zs[-1], 10,
-                                                                         False)
-        again = vf._radial(0.5, -0.75, zs[0], 10, False)
-        assert again is not first and again.tobytes() == first.tobytes()
-
-    def test_floats_bounded(self, monkeypatch):
-        # each kept column holds at most its share of the float budget, so
-        # PLAN_CACHE_SIZE of them hold at most the budget; a longer column
-        # is used once and not retained
-        monkeypatch.setattr(vf, "PLAN_CACHE_ENTRIES", 100 * vf.PLAN_CACHE_SIZE)
-        vf._radial_column.cache_clear()
-        for n, kept in [(100, 1), (101, 1), (60, 2), (4000, 2), (100, 2)]:
-            col = vf._radial(0.5, -0.75, 1.25, n, False)
-            assert col.tobytes() == sf.legendre_q_hat_column(0.5, -0.75, 1.25, n).tobytes()
-            assert vf._radial_column.cache_info().currsize == kept
-            assert (vf._radial(0.5, -0.75, 1.25, n, False) is col) == (n <= 100)
 
 
 def _pin(status, *floats):
@@ -808,8 +797,8 @@ class TestCertificateBits:
     def test_pinned_bits(self, monkeypatch, cfg, want):
         # cold and warm: a certificate on a cached plan and radial column
         # gives the bits a fresh one gives
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
-        vf._radial_column.cache_clear()
+        _fresh_plans(monkeypatch)
+        sf._second_kind.cache_clear()
         for _ in range(2):
             assert _report_bits(vf.run_verification(cfg)) == want
 
@@ -818,15 +807,15 @@ class TestCertificateBits:
         # table entries, which fit the cache together: a second pass over
         # them builds no plan.  Whole-plan LRU eviction would rebuild every
         # plan of a cyclic working set larger than the bound.
-        monkeypatch.setattr(vf, "_plans", OrderedDict())
+        _fresh_plans(monkeypatch)
         for cfg, _ in _CYCLE_PINS:
             vf.run_verification(cfg)
         built, pair_plan = [], vf._pair_plan
         monkeypatch.setattr(vf, "_pair_plan", lambda *args: built.append(args) or pair_plan(*args))
         for cfg, _ in _CYCLE_PINS:
             vf.run_verification(cfg)
-        assert not built and len(vf._plans) == 12
-        assert sum(entry[3] for entry in vf._plans.values()) <= vf.PLAN_CACHE_ENTRIES
+        assert not built and len(_cached_plans()) == 12
+        assert vf._plans.weight == sum(e for _, _, e in _cached_plans()) <= vf.PLAN_CACHE_ENTRIES
 
 
 class TestIndependentOracles:
