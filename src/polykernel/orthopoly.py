@@ -6,10 +6,12 @@ test oracles only.  All evaluators accept scalar or ndarray arguments.
 
 The whole-column evaluators `jacobi_p_all` and `gegenbauer_c_all` are two
 steps each.  `jacobi_recurrence` and `gegenbauer_recurrence` build the
-angle-free half, a `Recurrence`: the coefficients of P_k = (a_k P_{k-1} -
-down_k P_{k-2}) / div_k, a_k = const_k + lin_k x, which depend only on the
-degree and the parameters, so a caller that meets the same parameters at
-many x (a cached fold plan) builds them once.  `recurrence_table` runs the
+angle-free half, a `Recurrence`: the coefficients of row 1 and of P_k =
+(a_k P_{k-1} - down_k P_{k-2}) / div_k, a_k = lin_k x + const_k, which
+depend only on the degree and the parameters, so a caller that meets the
+same parameters at many x (a cached fold plan) builds them once.
+`orthonormal_recurrence` builds the same half for the orthonormal Jacobi
+polynomials, whose row 0 the caller gives.  `recurrence_table` runs the
 half that depends on x: it writes rows 0 and 1 and every a_k, in bulk, and
 the kernel `_three_term` fills each row.  The kernel runs a table of at
 most `_NARROW` entries per row on Python floats, where numpy's per-call
@@ -67,44 +69,23 @@ _NARROW = 8
 _SPLIT_BYTES = 1 << 20
 
 
-# `jacobi_recurrence` builds c1 and c3 once per distinct alpha + beta, read
-# back through an index at the row shape, when alpha + beta has more than
-# this many entries, so that a wide plan with few distinct sums (a T4.2
-# q = 3 pass: 87 over 1 995 columns) keeps its coefficients small.  Up to
-# this many it builds them per entry, without np.unique, the index and the
-# gathers, which cost more than they save on a small table.
-_FEW_SUMS = 256
-
-
 class Recurrence(NamedTuple):
     """The angle-free half of one whole-column pass, for `recurrence_table`
     to run at an x that broadcasts to the row shape.
 
-    params is (alpha, beta) or (mu,), which row 1 reads.  Rows k = 2..nmax
-    follow `_three_term` with down and div, from a_k = const_k + lin_k x
-    (Jacobi) or a_k = lin_k 2x (Gegenbauer; const None).  Past _FEW_SUMS
-    parameter pairs, Jacobi's lin and div are (table, index) pairs, one
-    table column per distinct alpha + beta and the index at the row shape
-    (`_rows`).
+    first is (lin_1, const_1, div_1): row 1 is (lin_1 x + const_1) row0 /
+    div_1.  Rows k = 2..nmax follow `_three_term` with down and div, from
+    a_k = lin_k x + const_k.  A lin of None reads as 1 and a const of None
+    as 0, so that no add turns a -0.0 into 0.0.
     """
 
     nmax: int
     shape: tuple
-    params: tuple
-    lin: object
+    first: tuple
+    lin: np.ndarray | None
     const: np.ndarray | None
     down: object
     div: object
-
-
-def _rows(c, start, stop, out):
-    """Write rows start..stop-1 of coefficient c into out, at its shape: c
-    an array that broadcasts against it, or a (table, index) pair whose row
-    k is table[k, index]."""
-    if isinstance(c, tuple):
-        np.take(c[0][start:stop], c[1], axis=1, out=out, mode="clip")
-    else:
-        np.copyto(out, c[start:stop])
 
 
 def _three_term(out, down, div):
@@ -112,30 +93,30 @@ def _three_term(out, down, div):
 
     On entry out[0] and out[1] hold the first two terms and out[2:] the
     multipliers a_k, which `recurrence_table` writes there in bulk.  down
-    and div hold rows k = 2..nmax, as `_rows` reads them; for a table of at
-    most _NARROW entries per row they may instead be the lists the narrow
-    path reads, one per entry (`_columns`).  Both paths do the same IEEE
-    operations in the same order, so the table is the same bit for bit
-    whichever path fills it.
+    and div hold rows k = 2..nmax, arrays that broadcast to out's rows; for
+    a table of at most _NARROW entries per row they may instead be the
+    lists the narrow path reads, one per entry (`_columns`).  Both paths do
+    the same IEEE operations in the same order, so the table is the same
+    bit for bit whichever path fills it.
     """
     nmax = len(out) - 1
     if nmax < 2:
         return
     if out[0].size > _NARROW:
         # Four in-place calls per degree, every operand a contiguous row of
-        # the row's own shape: down and div are written (`_rows`) into two
-        # buffers a block of rows at a time, and d_k out[k-2] is formed in
-        # d_k's own copy.  The two buffers take at most _SPLIT_BYTES / 16
-        # (64 KiB) together, or one row each, under the 128 KiB past which
-        # glibc maps an allocation afresh on each call.
+        # the row's own shape: down and div are copied into two buffers a
+        # block of rows at a time, and d_k out[k-2] is formed in d_k's own
+        # copy.  The two buffers take at most _SPLIT_BYTES / 16 (64 KiB)
+        # together, or one row each, under the 128 KiB past which glibc
+        # maps an allocation afresh on each call.
         rows = list(out)
         block = min(nmax - 1, max(1, _SPLIT_BYTES // (32 * out[0].nbytes)))
         downs, divs = np.empty((2, block) + out.shape[1:])
         down_rows, div_rows = list(downs), list(divs)
         for start in range(2, nmax + 1, block):
             stop = min(start + block, nmax + 1)
-            _rows(down, start - 2, stop - 2, downs[:stop - start])
-            _rows(div, start - 2, stop - 2, divs[:stop - start])
+            np.copyto(downs[:stop - start], down[start - 2:stop - 2])
+            np.copyto(divs[:stop - start], div[start - 2:stop - 2])
             for k, d, v in zip(range(start, stop), down_rows, div_rows):
                 row = rows[k]
                 np.multiply(row, rows[k - 1], row)
@@ -159,9 +140,8 @@ def _three_term(out, down, div):
 def _columns(c, row):
     """c's rows at this row shape, as one list of Python floats over k per
     entry of a row."""
-    rows = np.empty((len(c[0]) if isinstance(c, tuple) else len(c),) + row)
-    _rows(c, 0, len(rows), rows)
-    return rows.reshape(len(rows), math.prod(row)).T.tolist()
+    rows = np.broadcast_to(c, (len(c),) + row)
+    return rows.reshape(len(c), math.prod(row)).T.tolist()
 
 
 def _scale_rows(c, factor):
@@ -207,10 +187,9 @@ def jacobi_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     _jacobi_step's coefficients for every k at once, with its arithmetic:
     c1 = 2k (k + ab) (s - 2), c2 = (s - 1) (alpha^2 - beta^2),
     c3 = (s - 2) (s - 1) s, c4 = 2 (k + alpha - 1) (k + beta - 1) s, with
-    ab = alpha + beta and s = 2k + ab.  c1 and c3 depend on k and ab alone,
-    so past _FEW_SUMS entries of ab each is built once per distinct ab.
-    When alpha and beta vary along one axis, a factor that adds k to them
-    has their full size, so a large one is built half the rows at a time
+    ab = alpha + beta and s = 2k + ab; row 1 is _jacobi_p1's.  When alpha
+    and beta vary along one axis, a factor that adds k to them has their
+    full size, so a large one is built half the rows at a time
     (`_scale_rows`).
     """
     if nmax < 0:
@@ -222,14 +201,12 @@ def jacobi_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     row = np.broadcast_shapes(alpha.shape, beta.shape, shape)
     ks = np.arange(2.0, nmax + 1.0).reshape((-1,) + (1,) * len(row))
     s = 2.0 * ks + ab
-    if ab.size <= _FEW_SUMS:
-        lin, div = _jacobi_c3_c1(ks, ab, s)
-    else:
-        distinct, index = np.unique(ab, return_inverse=True)
-        index = np.broadcast_to(index.reshape(ab.shape), row).copy()
-        flat = ks.reshape(-1, 1)
-        lin, div = _jacobi_c3_c1(flat, distinct, 2.0 * flat + distinct)
-        lin, div = (lin, index), (div, index)
+    s_minus_2 = s - 2.0
+    lin = s_minus_2 * (s - 1.0)
+    lin *= s                          # c3
+    div = ks + ab
+    div *= 2.0 * ks
+    div *= s_minus_2                  # c1
     const = s - 1.0
     const *= alpha * alpha - beta * beta     # c2
 
@@ -243,18 +220,44 @@ def jacobi_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     c *= 2.0
     _scale_rows(c, beta_factor)
     s *= c                            # c4
-    return Recurrence(nmax, row, (alpha, beta), lin, const, s, div)
+    return Recurrence(nmax, row, (ab + 2.0, alpha - beta, 2.0), lin, const, s, div)
 
 
-def _jacobi_c3_c1(ks, ab, s):
-    """c3 = (s - 2) (s - 1) s and c1 = 2k (k + ab) (s - 2), s = 2k + ab."""
-    s_minus_2 = s - 2.0
-    lin = s_minus_2 * (s - 1.0)
-    lin *= s
-    div = ks + ab
-    div *= 2.0 * ks
-    div *= s_minus_2
-    return lin, div
+def orthonormal_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
+    """The angle-free half of a pass over the orthonormal Jacobi
+    polynomials p_n = P_n^{(alpha,beta)} / sqrt(h_n), h_n their squared
+    norms (DLMF 18.3), at an x of this shape.
+
+    They satisfy x p_n = A_{n+1} p_{n+1} + B_n p_n + A_n p_{n-1}, the
+    recurrence DLMF 18.9.1-2 rescaled by the norms, with ab = alpha + beta,
+    s = 2n + ab and
+    B_n = (beta - alpha) ab / (s (s + 2)),
+    A_n = 2 / s sqrt(n (n + alpha) (n + beta) (n + ab) / ((s - 1) (s + 1))),
+    where B_0 = (beta - alpha) / (ab + 2), which holds at ab = 0 too, and
+    A_1 = 2 / (ab + 2) sqrt((alpha + 1) (beta + 1) / (ab + 3)) are taken
+    with the common factors ab and n + ab cancelled.  So row 1 is
+    (x - B_0) row0 / A_1 and a_k = x - B_{k-1}, down_k = A_{k-1} and
+    div_k = A_k: down and div are two views of one array.  The caller's
+    row 0 carries 1 / sqrt(h_0) and any factor common to the column, which
+    every later row takes from it.
+    """
+    if nmax < 0:
+        raise ValueError("degree must be a nonnegative integer")
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    _validate_jacobi_params(alpha, beta)
+    ab = alpha + beta
+    row = np.broadcast_shapes(alpha.shape, beta.shape, shape)
+    ns = np.arange(1.0, nmax + 1.0).reshape((-1,) + (1,) * len(row))
+    s = 2.0 * ns + ab                 # s_n, n = 1..nmax
+    b = (beta - alpha) * ab / (s[:-1] * s[1:])                   # B_1 .. B_{nmax-1}
+    n = ns[1:]
+    a = n * (n + alpha) * (n + beta) * (n + ab) / ((s[1:] - 1.0) * (s[1:] + 1.0))
+    a = 2.0 / s[1:] * np.sqrt(a)                                 # A_2 .. A_nmax
+    a_one = 2.0 / (ab + 2.0) * np.sqrt((alpha + 1.0) * (beta + 1.0) / (ab + 3.0))
+    a = np.concatenate([np.broadcast_to(a_one, a.shape[1:])[None], a])
+    first = (None, (alpha - beta) / (ab + 2.0), a_one)           # const_1 = -B_0
+    return Recurrence(nmax, row, first, None, -b, a[:-1], a[1:])
 
 
 def jacobi_norm(n: int, alpha: float, beta: float) -> float:
@@ -312,12 +315,13 @@ def gegenbauer_c_all(nmax: int, mu, x):
 
 def gegenbauer_recurrence(nmax: int, mu, shape=()) -> Recurrence:
     """The angle-free half of `gegenbauer_c_all` at an x of this shape:
-    C_k = (2x (k+mu-1) C_{k-1} - (k+2mu-2) C_{k-2}) / k."""
+    C_1 = 2 mu x and C_k = (2 (k+mu-1) x C_{k-1} - (k+2mu-2) C_{k-2}) / k."""
     _validate_gegenbauer(nmax, mu)
     mu = np.asarray(mu, dtype=float)
     row = np.broadcast_shapes(mu.shape, shape)
     ks = np.arange(2.0, nmax + 1.0).reshape((-1,) + (1,) * len(row))
-    return Recurrence(nmax, row, (mu,), ks + mu - 1.0, None, ks + 2.0 * mu - 2.0, ks)
+    return Recurrence(nmax, row, (2.0 * mu, None, 1.0), 2.0 * (ks + mu - 1.0), None,
+                      ks + 2.0 * mu - 2.0, ks)
 
 
 def reusable(rec: Recurrence) -> Recurrence:
@@ -328,24 +332,34 @@ def reusable(rec: Recurrence) -> Recurrence:
     return rec._replace(down=_columns(rec.down, rec.shape), div=_columns(rec.div, rec.shape))
 
 
-def recurrence_table(rec: Recurrence, x):
-    """The per-angle half of a whole-column pass: rows 0 and 1, the
+def recurrence_table(rec: Recurrence, x, row0=1.0):
+    """The per-angle half of a whole-column pass: row 0, row 1, the
     multipliers a_k in bulk, then `_three_term`.  The table has shape
-    ``(nmax + 1,) + rec.shape``, which x must broadcast to."""
+    ``(nmax + 1,) + rec.shape``, which x and row0 (1 by default) must
+    broadcast to; every later row is built from row 0, so a factor common
+    to a column rides on its row 0."""
     xa = np.asarray(x, dtype=float)
     out = np.empty((rec.nmax + 1,) + rec.shape)
-    out[0] = 1.0
-    jacobi = rec.const is not None
+    out[0] = row0
     if rec.nmax >= 1:
-        out[1] = _jacobi_p1(*rec.params, xa) if jacobi else 2.0 * rec.params[0] * xa
-    if jacobi:                        # a_k = c2 + c3 x
-        _rows(rec.lin, 0, None, out[2:])
-        out[2:] *= xa
-        out[2:] += rec.const
-    else:                             # a_k = (k + mu - 1) 2x
-        np.multiply(rec.lin, 2.0 * xa, out=out[2:])
+        lin, const, div = rec.first
+        row1 = out[1:2]
+        _multipliers(lin, const, xa, row1)
+        row1 *= out[0]
+        row1 /= div
+    _multipliers(rec.lin, rec.const, xa, out[2:])
     _three_term(out, rec.down, rec.div)
     return out
+
+
+def _multipliers(lin, const, x, out):
+    """out = lin x + const, a lin of None read as 1 and a const of None as 0."""
+    if lin is None:
+        np.copyto(out, x)
+    else:
+        np.multiply(lin, x, out=out)
+    if const is not None:
+        out += const
 
 
 def chebyshev_t(n: int, x):

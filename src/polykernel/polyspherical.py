@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +42,8 @@ from .errors import (
     UnknownToken,
     ZeroExponent,
 )
-from .orthopoly import (gegenbauer_c, gegenbauer_recurrence, jacobi_norm_log, jacobi_p,
-                        jacobi_recurrence, recurrence_table, reusable)
+from .orthopoly import (gegenbauer_c, jacobi_norm_log, jacobi_p, orthonormal_recurrence,
+                        recurrence_table, reusable)
 
 ANGLE_RANGES = {
     "a": (0.0, 2.0 * math.pi, False),   # half-open [0, 2pi)
@@ -239,9 +238,11 @@ def count_equivalence_classes(d: int) -> int:
 
 
 def _check_angle(node: TreeNode, ang) -> None:
+    """Raise AngleRangeError unless every angle lies in the node's range;
+    the test is False for NaN, which is refused too."""
     lo, hi, closed = node.angle_range()
     arr = np.asarray(ang, dtype=float).ravel()
-    bad = (arr < lo) | ((arr > hi) if closed else (arr >= hi))
+    bad = ~((lo <= arr) & ((arr <= hi) if closed else (arr < hi)))
     if bad.any():
         bracket = "]" if closed else ")"
         raise AngleRangeError(
@@ -419,32 +420,6 @@ def node_factor(node: TreeNode, key: QuantumKey, angle):
     return out if np.ndim(angle) else float(out)
 
 
-@lru_cache(maxsize=None)
-def _half_lgamma_table(size: int):
-    """lgamma(k/2), k = 0..size-1; callers round size up to a power of two."""
-    return np.array([math.inf] + [math.lgamma(0.5 * k) for k in range(1, size)])
-
-
-@lru_cache(maxsize=None)
-def _half_log_table(size: int):
-    """log(k/2), k = 0..size-1: np.log of the same doubles 2n + a + b + 1
-    that a table's own log would see, a half-integer each."""
-    with np.errstate(divide="ignore"):
-        return np.log(0.5 * np.arange(size))
-
-
-@lru_cache(maxsize=64)
-def _half_rows(nmax: int, size: int):
-    """lgamma((2n + k) / 2) and log((4n + k) / 2) at [n, k] for n = 0..nmax:
-    read-only views of `_half_lgamma_table` and `_half_log_table`, so a
-    row-dependent index needs only a column index per entry of a row, not
-    an index array as large as a table."""
-    return tuple(np.lib.stride_tricks.as_strided(
-        table, (nmax + 1, size - stride * nmax), (stride * table.itemsize, table.itemsize),
-        writeable=False)
-        for table, stride in ((_half_lgamma_table(size), 2), (_half_log_table(size), 4)))
-
-
 def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     """node_factor at theta times node_factor at thetap, over n = 0..nmax.
 
@@ -455,10 +430,17 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     shape.  This is the one-node view of `_pair_plan` and `_pair_tables`,
     which a certificate's fold calls once for all of its nodes: it builds
     every table first, from the child degrees that the tree's structure
-    allows, with one recurrence pass per polynomial family.  Every entry is
-    the same bit for bit whichever call builds it.  A table's transient
-    memory is O(pairs * nmax), and a certificate holds all of its tables at
-    once.
+    allows, in one orthonormal Jacobi recurrence pass.  Every entry is the
+    same bit for bit whichever call builds it.  A table's transient memory
+    is O(pairs * nmax), and a certificate holds all of its tables at once.
+
+    Each column's recurrence starts from K E(theta) / sqrt(h_0) (see
+    `_pair_plan`), formed as one exp of its log, and every later row is
+    built from it.  So where that start falls below the smallest normal
+    double (about 2.2e-308) at either angle, as it can near an end of the
+    angle's range at large child degrees, the column loses digits, and
+    below about 4.9e-324 it reads 0, even where a later row's true value is
+    a normal double.
     """
     if node.kind == "a":
         raise ValueError("a type-a node carries azimuthal weights, not a pair table")
@@ -471,220 +453,107 @@ def node_pair_table(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     return _pair_tables(plan, [(theta, thetap)])[0]
 
 
-class _Family(NamedTuple):
-    """One polynomial family's columns in a `_pair_plan`: the b and b'
-    requests (Gegenbauer) or the c requests (Jacobi)."""
-
-    jacobi: bool
-    group: list             # its requests' indices in the plan
-    sizes: list             # each request's column count
-    ll: np.ndarray          # both child degrees, per column, as floats
-    lr: np.ndarray
-    l_pos: np.ndarray       # where they are positive
-    r_pos: np.ndarray
-    rec: tuple              # the recurrence parameters: (beta, alpha) or (mu,)
-    const: object           # the log coefficient's angle-free term
-    lg_two: np.ndarray      # the rows of lgamma(n + 1), one column
-    first: list             # the log coefficient's operands, in the order
-    adds: tuple             # the assembly takes them, one `_operand` per
-    subs: tuple             # request of each
-
-
 def _pair_plan(nmax: int, requests):
     """The angle-free half of `_pair_tables`: every column's parameters.
 
     Each request is (node, l_left, l_right), its degrees int arrays of one
     shape, the table's shape after its n axis.  Each pair of child degrees
-    is one column, and per polynomial family the plan holds a `_Family`:
-    per column, both degrees and where they are positive, the recurrence
-    parameters and the angle-free part of the log coefficient, and the
-    operands its assembly reads from the shared log and log-Gamma tables
-    (`_half_rows`): per request, a table's rows at one column index per
-    entry, as a read-only strided view that holds no bytes of its own where
-    the indices form an affine grid, as the consecutive degrees of a fold's
-    dense supports do, and otherwise as the indices to gather at on every
-    call (`_operand`).  So every array a plan holds grows with the number
-    of columns, not with nmax, and a certificate that keeps its plan keeps
-    no table.  The recurrence coefficients, which grow with the columns
-    times nmax, are `_pair_recurrences`, for a cache to keep next to the
-    plan.
+    is one column, whose node factor is K E(t) p_n^{(alpha,beta)}(x), p_n
+    the orthonormal Jacobi polynomial (`orthopoly.orthonormal_recurrence`),
+    l_l and l_r the child degrees and a_l, a_r each child's parameter
+    l + S/2:
+
+        node  (alpha, beta)  x        E(t)                     K
+        b     (a_r, a_r)     cos t    sin^{l_r} t              1
+        b'    (a_l, a_l)     sin t    cos^{l_l} t              1
+        c     (a_r, a_l)     cos 2t   cos^{l_l} t sin^{l_r} t  2^{(a_l + a_r)/2 + 1}
+
+    The plan is (nmax, nodes, shapes, columns), columns holding per column
+    l_left, l_right, alpha, beta and log(K / sqrt(h_0)), one row each.  So
+    what a plan holds grows with the number of columns, not with nmax, and
+    a certificate that keeps its plan keeps no table.  The recurrence
+    coefficients, which grow with the columns times nmax, are
+    `_pair_recurrence`, for a cache to keep next to the plan.
     """
-    nodes = [node for node, _, _ in requests]
-    shapes = [req[1].shape for req in requests]
-    families = []
-    for jacobi in (False, True):
-        group = [i for i, node in enumerate(nodes) if (node.kind == "c") == jacobi]
-        if not group:
-            continue
-        sizes = [requests[i][1].size for i in group]
-        owner = np.repeat(np.arange(len(group)), sizes)
-        ll, lr = (np.concatenate([requests[i][side].ravel() for i in group]) for side in (1, 2))
-        span_l, span_r = np.array([(_child_span(nodes[i].left), _child_span(nodes[i].right))
-                                   for i in group]).T
-        # twice each child's Jacobi parameter l + S/2, an integer, so that
-        # every log-Gamma is read from one half-integer table
-        ka, kb = 2 * ll + span_l[owner], 2 * lr + span_r[owner]
-        kmax = 2 * (ka.max(initial=0) + kb.max(initial=0)) + 4
-        lg, log_half = _half_rows(nmax, 1 << int(4 * nmax + kmax + 1).bit_length())
-        if jacobi:
-            # the Jacobi parameters (b, a); 2^{a+b+2} / h_n^{(b,a)},
-            # node_factor's squared norm, from the rows of log(2n + a + b + 1)
-            # and lgamma(n + a + b + 1) at column ka + kb + 2, less those of
-            # lgamma(n + a + 1) and lgamma(n + b + 1)
-            rec, const = (0.5 * kb, 0.5 * ka), math.log(2.0)
-            k_ab = ka + kb + 2
-            first, adds, subs = (log_half, k_ab), [(lg, k_ab)], [(lg, ka + 2), (lg, kb + 2)]
-        else:
-            # the subtree child's 2a: ka at b' nodes, kb at b nodes, where
-            # the leaf child's 2a is -1; mu = a + 1/2; 1 / h_n^{(a,a)} times
-            # ((a+1)_n / (2a+1)_n)^2, Gamma(2 mu) reduced by the duplication
-            # formula, from the rows of log(2n + 2a + 2), less those of
-            # lgamma(n + 2a + 2), at column 2p + 2
-            p = ka + kb + 1
-            rec = (0.5 * (p + 1),)
-            const = (2.0 * (lg[0][p + 3] - np.log(p + 1.0))
-                     + (p + 1) * math.log(2.0) - math.log(math.pi))
-            first, adds, subs = (log_half, 2 * p + 2), [], [(lg, 2 * p + 2)]
-        split = np.cumsum(sizes)[:-1]
-
-        def per_request(table, column):
-            return [_operand(table, k.reshape(shapes[i]))
-                    for i, k in zip(group, np.split(column, split))]
-
-        families.append(_Family(jacobi, group, sizes, ll.astype(float), lr.astype(float),
-                                ll > 0, lr > 0, rec, const, lg[:, 2:3], per_request(*first),
-                                tuple(per_request(*add) for add in adds),
-                                tuple(per_request(*sub) for sub in subs)))
-    return nmax, nodes, shapes, families
+    columns = [np.zeros((5, 0))]
+    for node, ll, lr in requests:
+        a_l, a_r = ll + 0.5 * _child_span(node.left), lr + 0.5 * _child_span(node.right)
+        alpha, beta = {"b": (a_r, a_r), "b'": (a_l, a_l), "c": (a_r, a_l)}[node.kind]
+        # log(K^2 / 2^{alpha+beta+1}): K^2 = 2^{alpha+beta+2} at c nodes, 1 at b and b'
+        log_k = math.log(2.0) * (np.ones(ll.shape) if node.kind == "c" else -(alpha + beta + 1.0))
+        columns.append(np.stack([ll, lr, alpha, beta, log_k]).reshape(5, -1))
+    columns = np.concatenate(columns, axis=1)
+    # log(K / sqrt(h_0)), h_0 = 2^{alpha+beta+1} Gamma(alpha+1) Gamma(beta+1)
+    # / Gamma(alpha+beta+2) (DLMF 18.3)
+    alpha, beta = columns[2:4]
+    columns[4] += _lgamma(alpha + beta + 2.0) - _lgamma(alpha + 1.0) - _lgamma(beta + 1.0)
+    columns[4] *= 0.5
+    return nmax, [req[0] for req in requests], [req[1].shape for req in requests], columns
 
 
-def _operand(table, k):
-    """table[:, k] as a read-only view with no bytes of its own, where the
-    column indices k are an affine grid c + sum_i a_i idx_i with every
-    a_i >= 0; elsewhere (table, k), for `_pair_tables` to gather."""
-    c, steps = 0, [0] * k.ndim
-    if k.size:
-        c = int(k.flat[0])
-        steps = [int(k[(0,) * i + (1,) + (0,) * (k.ndim - i - 1)]) - c if n > 1 else 0
-                 for i, n in enumerate(k.shape)]
-        grid = c + sum((a * np.arange(n)).reshape((-1,) + (1,) * (k.ndim - i - 1))
-                       for i, (a, n) in enumerate(zip(steps, k.shape)))
-        if min(steps, default=0) < 0 or not np.array_equal(k, grid):
-            return table, k
-    return np.lib.stride_tricks.as_strided(
-        table[:, c:], (len(table),) + k.shape,
-        (table.strides[0],) + tuple(a * table.strides[1] for a in steps), writeable=False)
+def _lgamma(x):
+    """math.lgamma at every entry of x, called once per distinct value."""
+    values, index = np.unique(x, return_inverse=True)
+    return np.array([math.lgamma(v) for v in values.tolist()])[index]
 
 
-def _pair_recurrence(nmax, family):
-    """The angle-free half of one family's recurrence pass, at x of shape
-    (2, columns)."""
-    if family.jacobi:
-        return jacobi_recurrence(nmax, *family.rec, (2, len(family.ll)))
-    return gegenbauer_recurrence(nmax, *family.rec, (2, len(family.ll)))
+def _pair_recurrence(plan):
+    """The angle-free half of a plan's recurrence pass, at x of shape
+    (2, columns), in the form a cache keeps (`orthopoly.reusable`)."""
+    nmax, _, _, (_, _, alpha, beta, _) = plan
+    return reusable(orthonormal_recurrence(nmax, alpha, beta, (2, len(alpha))))
 
 
-def _pair_recurrences(plan):
-    """Every family's `_pair_recurrence`, in the form a cache keeps
-    (`orthopoly.reusable`)."""
-    return [reusable(_pair_recurrence(plan[0], family)) for family in plan[3]]
-
-
-def _pair_tables(plan, angles, recurrences=None):
-    """`node_pair_table` of the requests of one `_pair_plan`, with one
-    recurrence pass per family.
+def _pair_tables(plan, angles, recurrence=None):
+    """`node_pair_table` of the requests of one `_pair_plan`, in one
+    recurrence pass.
 
     angles holds (theta, thetap) per request; the tables come back in
-    request order.  All b and b' columns share one Gegenbauer pass, where
-    alpha = beta and P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2}
-    (DLMF 18.7.1), and all c columns share one Jacobi pass, each an
-    `orthopoly.recurrence_table` run of recurrences, the plan's
-    `_pair_recurrences` when a cache kept them or fresh ones.  One wide
-    pass costs about what one narrow pass does (the per-degree ufunc calls
-    set the cost, not the entries), but every table is held at once.
-    The products are assembled in log space, in place, so large-order
-    coefficient growth cancels against the polynomial values instead of
-    overflowing, and zero factors stay exact zeros; every term is added in
-    the order a node's own call would add it.  Each request's block of the
-    assembly reads the log coefficient's operands from the plan, its views
-    with no copy or, where it has none, a gather made anew (`_operand`).
-    Next to the pass's output, the assembly holds one more table, and for a
-    gather one temporary.  numpy's divide and invalid flags are off
-    throughout, so a log of 0 or an overflowed recurrence shows in the
-    table, not as a warning.
+    request order.  Row 0 of every column is exp(log(K / sqrt(h_0)) +
+    log E) at both angles, the envelope's log taken from math.cos /
+    math.sin as one node's call would take them, and x is the node's
+    argument at both angles.  One `orthopoly.recurrence_table` run of the
+    recurrence, the plan's `_pair_recurrence` when a cache kept it or a
+    fresh one, then gives every column at both angles, and the table is
+    the product of the two.  One wide pass costs about what one narrow
+    pass does (the per-degree ufunc calls set the cost, not the entries),
+    but every table is held at once, each a view of the pass's output.
     """
-    nmax, nodes, shapes, families = plan
+    nmax, nodes, shapes, (ll, lr, _, _, log_norm) = plan
+    trig = []
     for node, (theta, thetap) in zip(nodes, angles):
-        # _check_angle's test on Python floats, numpy's only to word an error
-        lo, hi, closed = ANGLE_RANGES[node.kind]
-        top = max(theta, thetap)
-        if not (lo <= min(theta, thetap) and (top <= hi if closed else top < hi)):
+        # _check_angle's test on Python floats, numpy's only to word an
+        # error; False for NaN too
+        lo, hi, _ = ANGLE_RANGES[node.kind]
+        if not (lo <= theta <= hi and lo <= thetap <= hi):
             _check_angle(node, (theta, thetap))
-    tables = [None] * len(nodes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i, family in enumerate(families):
-            log_env, x = _pair_trig(nodes, angles, family)
-            # a fresh recurrence is freed here, before the assembly's tables
-            vals = recurrence_table(
-                recurrences[i] if recurrences else _pair_recurrence(nmax, family), x)
-            # over the rows (v, v') of vals, log|v| + log|v'| into the first
-            # and sign(v) sign(v') into the second, so that the log
-            # coefficient can be built in the sign's own array
-            out = np.sign(vals[:, 0])
-            out *= np.sign(vals[:, 1])
-            np.log(np.abs(vals, out=vals), out=vals)
-            vals[:, 0] += vals[:, 1]
-            vals[:, 1] = out
-            blocks, start = [], 0
-            for j, size in zip(family.group, family.sizes):
-                blocks.append(out[:, start:start + size].reshape((nmax + 1,) + shapes[j]))
-                start += size
-            for block, operand in zip(blocks, family.first):
-                np.copyto(block, _operand_rows(operand))
-            np.add(family.const + log_env, out, out=out)
-            for operands in family.adds:
-                for block, operand in zip(blocks, operands):
-                    block += _operand_rows(operand)
-            out += family.lg_two
-            for operands in family.subs:
-                for block, operand in zip(blocks, operands):
-                    block -= _operand_rows(operand)
-            out += vals[:, 0]
-            np.exp(out, out=out)
-            out *= vals[:, 1]
-            for j, block in zip(family.group, blocks):
-                tables[j] = block
-    return tables
-
-
-def _operand_rows(operand):
-    """An `_operand`'s rows: its view, or its gather, made anew."""
-    return operand[0][:, operand[1]] if isinstance(operand, tuple) else operand
-
-
-def _pair_trig(nodes, angles, family):
-    """Per-column log of the envelope cos^{l_left} sin^{l_right} at both
-    angles, and the polynomial's argument at both angles, each taken with
-    math.cos / math.sin as one node's call would, and spread over the
-    request's columns."""
-    trigs = []
-    for i in family.group:
-        node, (theta, thetap) = nodes[i], angles[i]
         if node.kind == "c":
             x = (math.cos(2.0 * theta), math.cos(2.0 * thetap))
         else:
-            trig = math.cos if node.kind == "b" else math.sin
-            x = (trig(theta), trig(thetap))
-        trigs.append((*x, abs(math.cos(theta)), abs(math.cos(thetap)), abs(math.sin(theta)),
-                      abs(math.sin(thetap))))
-    trigs = np.array(trigs).T
-    logs = np.log(trigs[2:])
-    np.add(logs[0], logs[1], out=trigs[2])
-    np.add(logs[2], logs[3], out=trigs[3])
-    trigs = np.repeat(trigs[:4], family.sizes, axis=1)
-    log_env = np.where(family.l_pos, family.ll * trigs[2], 0.0)
-    log_env += np.where(family.r_pos, family.lr * trigs[3], 0.0)
-    return log_env, trigs[:2]
+            f = math.cos if node.kind == "b" else math.sin
+            x = (f(theta), f(thetap))
+        trig.append((*x, abs(math.cos(theta)), abs(math.cos(thetap)), abs(math.sin(theta)),
+                     abs(math.sin(thetap))))
+    if not nodes:
+        return []
+    trig = np.array(trig).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(trig[2:], out=trig[2:])
+        trig = np.repeat(trig, [math.prod(shape) for shape in shapes], axis=1)
+        # a degree of 0 contributes 1, also where its trig factor is 0
+        row0 = np.where(ll > 0, ll * trig[2:4], 0.0)
+        row0 += np.where(lr > 0, lr * trig[4:], 0.0)
+    row0 += log_norm
+    np.exp(row0, out=row0)
+    table = recurrence_table(recurrence or _pair_recurrence(plan), trig[:2], row0)
+    out = table[:, 0]
+    out *= table[:, 1]
+    tables, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        tables.append(out[:, start:start + size].reshape((nmax + 1,) + shape))
+        start += size
+    return tables
 
 
 def harmonic(t: Tree, key: QuantumKey, angles):

@@ -23,16 +23,16 @@ so they check the fold against a radial factor that uses no series code.
 
 The fold builds every node's table before it contracts any.  A node's child
 degrees follow from the tree's structure (the leaves' nonzero orders, caps
-and top), so all b and b' tables come from one Gegenbauer recurrence pass
-and all c tables from one Jacobi pass; the per-degree ufunc calls, not the
-entries, set a pass's cost.  What follows from the structure alone is a
-fold plan, kept with the passes' recurrence coefficients in a
-`specfun.BoundedCache` per shape, so a certificate on a shape seen before
-runs only the angle-dependent half; the radial column R depends on no angle
-either and is read through `specfun.second_kind`.  The contraction, one
-np.bincount per node, reads only the nonzero child weights, in the order a
-node-by-node fold would, so every certificate is the same bit for bit.  The
-cost is memory: every table is held at once, up to MAX_TABLE_ENTRIES entries.
+and top), so every b, b' and c table comes from one orthonormal Jacobi
+recurrence pass; the per-degree ufunc calls, not the entries, set its
+cost.  What follows from the structure alone is a fold plan, kept with the
+pass's recurrence coefficients in a `specfun.BoundedCache` per shape, so a
+certificate on a shape seen before runs only the angle-dependent half; the
+radial column R depends on no angle either and is read through
+`specfun.second_kind`.  The contraction, one np.bincount per node, reads
+only the nonzero child weights, in the order a node-by-node fold would, so
+every certificate is the same bit for bit.  The cost is memory: every table
+is held at once, up to MAX_TABLE_ENTRIES entries.
 
 Geometry restrictions: azimuthal order m >= 0, radii distinct, every angle
 but the azimuths strictly inside its node's range so that chi stays finite.
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import (CoincidentRadiusError, DomainError, ExclusionSetError,
                      SingularConfigurationError, radial_range_error, require_finite)
-from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_recurrences, _pair_tables,
+from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_recurrence, _pair_tables,
                             hopf_heap_to_preorder, hopf_tree, parse_tree)
 from .specfun import BoundedCache, _is_int, legendre_q_hat, legendre_q_hat_column, second_kind
 
@@ -196,22 +196,22 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     depends only on the tree, caps, top and where the leaf weights are
     nonzero: every node's child supports and column degrees, the column
     parameters of `_pair_tables` (see `_pair_plan`) and, when the cache
-    keeps it, the recurrence coefficients of its passes.  A fold on a shape
+    keeps it, the recurrence coefficients of its pass.  A fold on a shape
     seen before skips straight to the execution.  It builds every node's
-    table first, in one `_pair_tables` call (all b and b' tables in one
-    Gegenbauer pass, all c tables in one Jacobi pass), then contracts from
-    the leaves up with one `np.bincount` per node.  bincount adds its
-    weights in the order it reads them, as `np.add.at` does, and reads only
-    the nonzero child weights, l_a-major, then l_b, with n innermost, so
-    every root weight is the same bit for bit as a node-by-node fold's.
+    table first, in one `_pair_tables` call and one recurrence pass, then
+    contracts from the leaves up with one `np.bincount` per node.  bincount
+    adds its weights in the order it reads them, as `np.add.at` does, and
+    reads only the nonzero child weights, l_a-major, then l_b, with n
+    innermost, so every root weight is the same bit for bit as a
+    node-by-node fold's.
     Holding every table at once costs memory, so a certificate whose tables
     would hold more than MAX_TABLE_ENTRIES entries raises DomainError while
     its plan is built, before any table, or the support index array that
     would pass the bound, exists.
     """
-    (leaf_index, steps, pairs), recurrences = _fold_plan(tree, caps, top, leaves)
+    (leaf_index, steps, pairs), recurrence = _fold_plan(tree, caps, top, leaves)
     tables = _pair_tables(pairs, [(angles[step[0]], anglesp[step[0]]) for step in steps],
-                          recurrences)
+                          recurrence)
     weights = {None: np.ones(1)}
     weights.update(zip(leaf_index, leaves))
     # the nonzero degrees of a node whose weight vanishes where its
@@ -246,14 +246,14 @@ _plans = BoundedCache(PLAN_CACHE_SIZE, PLAN_CACHE_ENTRIES)
 
 def _fold_plan(tree: Tree, caps: int, top, leaves):
     """The plan of `_fold` on this tree, caps, top and leaf supports, and its
-    recurrences, read through ``_plans`` and weighed by its table entries."""
+    recurrence, read through ``_plans`` and weighed by its table entries."""
     key = (id(tree), caps, top, tuple(np.not_equal(w, 0.0).tobytes() for w in leaves))
-    _, plan, recurrences = _plans.get(key, _build_plan, tree, caps, top, leaves)
-    return plan, recurrences
+    _, plan, recurrence = _plans.get(key, _build_plan, tree, caps, top, leaves)
+    return plan, recurrence
 
 
 def _build_plan(tree, caps, top, leaves):
-    """((tree, plan, recurrences), table entries); holding the tree keeps any
+    """((tree, plan, recurrence), table entries); holding the tree keeps any
     other tree from taking its id while the plan is cached.
 
     The plan is (the a nodes' indices, one step per other node in reversed
@@ -262,10 +262,10 @@ def _build_plan(tree, caps, top, leaves):
     l_a + l_b of every column, the degree step of each row, the length of
     the node's weight vector, and the size of its own support, None at the
     root).  The scatter offsets themselves are as large as the node's
-    table, so each execution adds them up anew.  The recurrences, the plan's
-    `_pair_recurrences`, are built only when the entries fit the cache's
-    budget, and are None past it: `_pair_tables` then builds each family's
-    for its one pass.
+    table, so each execution adds them up anew.  The recurrence, the plan's
+    `_pair_recurrence`, is built only when the entries fit the cache's
+    budget, and is None past it: `_pair_tables` then builds one for its
+    one pass.
     """
     nodes = tree.branching_nodes
     leaf_index = [node.index for node in nodes if node.kind == "a"]
@@ -297,8 +297,8 @@ def _build_plan(tree, caps, top, leaves):
         requests.append((node, sa[:, None] + 0 * degrees, sb + 0 * degrees))
         steps.append((node.index, ia, ib, sa, sb, degrees, orders, length, reach_size))
     plan = leaf_index, steps, _pair_plan(caps, requests)
-    recurrences = _pair_recurrences(plan[2]) if entries <= _plans.budget else None
-    return (tree, plan, recurrences), entries
+    recurrence = _pair_recurrence(plan[2]) if entries <= _plans.budget else None
+    return (tree, plan, recurrence), entries
 
 
 def _radial(deg, order, z, n, elementary):

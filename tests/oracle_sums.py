@@ -8,15 +8,18 @@ so a test that compares the two checks the fold against code it does not
 share.  Each `*_sides` function returns (lhs, rhs); the `chi_*` functions
 return chi (and, for the general trees, the product rho of the sines or
 cosines that scale the distinguished azimuthal plane).  A later section
-keeps the node-by-node fold that `verify._fold` must reproduce bit for bit,
-the next does the same as the first for the Euler-kernel expansions, the
-next keeps the Gauss series loop that `specfun._hyp2f1_series` must
-reproduce bit for bit, and the last one keeps the six infinite expansion
-series as they read with one sum loop each, which the expansions built on
-one degree-sum driver must reproduce bit for bit.
+keeps the node-by-node fold that `verify._fold` must reproduce bit for bit
+and the log-space node pair table, the next evaluates node pair tables in
+mpmath, the next does the same as the first for the Euler-kernel
+expansions, the next keeps the Gauss series loop that
+`specfun._hyp2f1_series` must reproduce bit for bit, and the last one keeps
+the six infinite expansion series as they read with one sum loop each,
+which the expansions built on one degree-sum driver must reproduce bit for
+bit.
 """
 
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -24,8 +27,7 @@ import numpy as np
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
 from polykernel.orthopoly import _jacobi_p1, _jacobi_step, gegenbauer_c_all, jacobi_p_all
-from polykernel.polyspherical import (Tree, TreeNode, _check_angle, _child_span,
-                                      _half_lgamma_table)
+from polykernel.polyspherical import Tree, TreeNode, _check_angle, _child_span
 from polykernel.errors import (CoincidentRadiusError, ConvergenceError, ExclusionSetError,
                                ParameterPoleError, SingularConfigurationError,
                                radial_range_error, require_finite)
@@ -204,11 +206,19 @@ def hopf_q3_sides(nu, m1, r, rp, thetas, thetasp, phis, phisp, caps):
 
 
 # --- the node-by-node fold --------------------------------------------------
-# `verify._fold` and `polyspherical.node_pair_table` as they read when each
-# node's table was built by its own recurrence pass, after its children had
-# been contracted, kept verbatim (only the names differ): the fold that
-# builds every table first, one pass per polynomial family, must return the
-# same root weights bit for bit.
+# `verify._fold` as it read when each node's table was built after its
+# children had been contracted: the fold that builds every table first, in
+# one pass, must return the same root weights bit for bit, so this fold
+# takes each node's table from `polyspherical.node_pair_table`.  Next to it,
+# `node_pair_table` as it read with the tables assembled in log space, kept
+# verbatim (only the names differ) as an oracle independent of the
+# orthonormal recurrence.
+
+@lru_cache(maxsize=None)
+def _half_lgamma_table(size: int):
+    """lgamma(k/2), k = 0..size-1; callers round size up to a power of two."""
+    return np.array([math.inf] + [math.lgamma(0.5 * k) for k in range(1, size)])
+
 
 def node_pair_table_reference(node: TreeNode, nmax: int, l_left, l_right, theta, thetap):
     """node_factor at theta times node_factor at thetap, over n = 0..nmax.
@@ -285,9 +295,9 @@ def fold_reference(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
 
     angles/anglesp are preorder node angles (the a entries are not read);
     leaves holds the a-node weight vectors, in preorder, and a leaf child
-    is weight 1 at degree 0.  Each node's table covers every pair of
-    nonzero child degrees and n = 0..caps, so its transient memory is
-    O(pairs * caps); degrees above top, when given, are dropped.
+    is weight 1 at degree 0.  Each node's table, `node_pair_table` over
+    every pair of nonzero child degrees and n = 0..caps, is built after its
+    children are contracted; degrees above top, when given, are dropped.
     """
     leaves = iter(leaves)
 
@@ -298,7 +308,7 @@ def fold_reference(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
             return next(leaves)
         left, right = fold(node.left), fold(node.right)
         la, lb = np.flatnonzero(left)[:, None], np.flatnonzero(right)
-        u = node_pair_table_reference(node, caps, la, lb, angles[node.index], anglesp[node.index])
+        u = ps.node_pair_table(node, caps, la, lb, angles[node.index], anglesp[node.index])
         step = 2 if node.kind == "c" else 1
         # l_a-major, then l_b, with n innermost, so every degree adds its
         # terms in the same order as a loop over the pairs would
@@ -308,6 +318,43 @@ def fold_reference(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
         return out if top is None else out[:top + 1]
 
     return fold(tree.root)
+
+
+# --- node pair tables in mpmath ----------------------------------------------
+# node_factor's definition at the working mpmath precision, from mpmath's
+# Jacobi polynomial (a terminating 2F1) and the Gamma-function norms,
+# sharing no arithmetic with either double-precision build of a table.
+
+def node_pair_column_mp(node: TreeNode, nmax: int, l_left: int, l_right: int, theta, thetap):
+    """node_factor at theta times node_factor at thetap, over n = 0..nmax, at
+    one pair of child degrees, as floats.
+
+    Each factor is K E(theta) P_n^{(alpha,beta)}(x) / sqrt(h_n) with
+    h_n = 2^{alpha+beta+1} Gamma(n+alpha+1) Gamma(n+beta+1)
+    / ((2n+alpha+beta+1) Gamma(n+alpha+beta+1) n!) (DLMF 18.3) and each
+    child's parameter a = l + S/2: at b, (a_r, a_r), x = cos theta,
+    E = sin^{l_right} theta, K = 1; at b', (a_l, a_l), x = sin theta,
+    E = cos^{l_left} theta, K = 1; at c, (a_r, a_l), x = cos 2 theta,
+    E = cos^{l_left} theta sin^{l_right} theta, K = 2^{(a_l + a_r)/2 + 1}.
+    The angles are taken as the exact values of their doubles.
+    """
+    a_l = l_left + mp.mpf(_child_span(node.left)) / 2
+    a_r = l_right + mp.mpf(_child_span(node.right)) / 2
+    alpha, beta = {"b": (a_r, a_r), "b'": (a_l, a_l), "c": (a_r, a_l)}[node.kind]
+    k = mp.mpf(2) ** ((a_l + a_r) / 2 + 1) if node.kind == "c" else mp.mpf(1)
+    scale = [k / mp.sqrt(mp.mpf(2) ** (alpha + beta + 1) * mp.gamma(n + alpha + 1)
+                         * mp.gamma(n + beta + 1) / ((2 * n + alpha + beta + 1)
+                                                     * mp.gamma(n + alpha + beta + 1)
+                                                     * mp.factorial(n)))
+             for n in range(nmax + 1)]
+
+    def factors(t):
+        t = mp.mpf(t)
+        x = {"b": mp.cos(t), "b'": mp.sin(t), "c": mp.cos(2 * t)}[node.kind]
+        env = mp.cos(t) ** l_left * mp.sin(t) ** l_right
+        return [env * c * mp.jacobi(n, alpha, beta, x) for n, c in enumerate(scale)]
+
+    return np.array([float(f * g) for f, g in zip(factors(theta), factors(thetap))])
 
 
 # --- Euler-kernel expansions, one degree at a time ---------------------------

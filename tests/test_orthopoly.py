@@ -383,24 +383,6 @@ class TestReusableRecurrence:
                 want = np.asarray(_per_degree(kind, n, pk, x2[:, k]))
                 assert runs[0][n, :, k].tobytes() == want.tobytes()
 
-    @given(data=st.data())
-    def test_sum_tables_and_per_entry_agree(self, data):
-        # past _FEW_SUMS parameter pairs jacobi_recurrence builds c1 and c3
-        # once per distinct alpha + beta and reads them back through an
-        # index, up to it once per pair: the same bits either way, with
-        # repeated sums among the pairs or none
-        _, params, x = data.draw(_column_draw("jacobi", nmax_max=0, width_max=3 * op._NARROW))
-        reps = data.draw(st.integers(1, 3), label="reps")
-        nmax = data.draw(st.integers(0, 40), label="nmax")
-        params, x2 = [np.tile(p, reps) for p in params], np.array([x * reps, x[::-1] * reps])
-        tables = []
-        for few in (0, x2.shape[1]):
-            with patch.object(op, "_FEW_SUMS", few):
-                rec = op.jacobi_recurrence(nmax, *params, x2.shape)
-                assert isinstance(rec.lin, tuple) == (few == 0)
-                tables.append(op.recurrence_table(op.reusable(rec), x2))
-        assert tables[0].tobytes() == tables[1].tobytes()
-
     @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
     @pytest.mark.parametrize("width", [1, 3, 900])
     def test_held_bytes_per_entry(self, kind, width):
@@ -423,6 +405,28 @@ class TestReusableRecurrence:
         assert isinstance(rec.down, list) == (2 * width <= op._NARROW) and len(spare) == 1000
         per_entry = 2 * 8 + 2 * 32 if isinstance(rec.down, list) else 4 * 8
         assert held <= per_entry * (nmax + 1) * 2 * width + 4096
+
+
+class TestOrthonormalRecurrence:
+    @given(data=st.data())
+    def test_scaled_jacobi_columns(self, data):
+        # run from row 0 = 1 / sqrt(h_0), the orthonormal pass is each
+        # Jacobi column times 1 / sqrt(h_n), to 1e-12 of the column's
+        # largest entry, at parameters in (-1, 12] and on either path
+        nmax, (a, b), x = data.draw(_column_draw("jacobi", nmax_max=40,
+                                                 width_max=3 * op._NARROW))
+        scale = np.exp([[0.5 * op.jacobi_norm_log(n, ak, bk) for ak, bk in zip(a, b)]
+                        for n in range(nmax + 1)])
+        want = op.jacobi_p_all(nmax, np.array(a), np.array(b), np.array(x)) * scale
+        rec = op.orthonormal_recurrence(nmax, np.array(a), np.array(b), (len(x),))
+        got = op.recurrence_table(op.reusable(rec), x, scale[0])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+
+    def test_invalid_parameters_raise(self):
+        with pytest.raises(ValueError):
+            op.orthonormal_recurrence(3, -0.25, -0.75)
+        with pytest.raises(ValueError):
+            op.orthonormal_recurrence(-1, 0.5, 0.5)
 
 
 class TestJacobiNorm:

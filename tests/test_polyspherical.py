@@ -4,9 +4,13 @@ import math
 import re
 import types
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracle_sums import node_pair_column_mp, node_pair_table_reference
 from polykernel import orthopoly as op
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
@@ -194,6 +198,35 @@ class TestTransforms:
             assert total == pytest.approx(area, rel=1e-10)
 
 
+class TestNanAngles:
+    # NaN compares False with both ends of a range, so each public entry
+    # point refuses it by name at every node kind and in either point
+    ANGLES = [0.7, -0.4, 1.1, 2.2, 0.3]         # cb'aba: c, b', a, b, a
+
+    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("call", [
+        lambda t, a, b: ps.validate_angles(t, a),
+        lambda t, a, b: ps.to_cartesian(t, 1.0, a),
+        lambda t, a, b: ps.cos_separation(t, a, b),
+        lambda t, a, b: ps.cos_separation(t, b, a),
+        lambda t, a, b: ps.surface_measure(t, a),
+    ], ids=["validate_angles", "to_cartesian", "cos_separation", "cos_separation_second",
+            "surface_measure"])
+    def test_tree_entry_points(self, call, index):
+        angles = list(self.ANGLES)
+        angles[index] = math.nan
+        with pytest.raises(AngleRangeError, match="^angle nan outside"):
+            call(ps.parse_tree("cb'aba"), angles, list(self.ANGLES))
+
+    @pytest.mark.parametrize("spec", ["ba", "b'a", "caa"])
+    def test_node_pair_table(self, spec):
+        # at either point: min(0.5, nan) and max(0.5, nan) are both 0.5
+        node = ps.parse_tree(spec).root
+        for pair in ((math.nan, 0.5), (0.5, math.nan)):
+            with pytest.raises(AngleRangeError, match="^angle nan outside"):
+                ps.node_pair_table(node, 3, 0, 0, *pair)
+
+
 class TestSeparation:
     @pytest.mark.parametrize("spec, angles, anglesp", [
         ("ba", [3.5, 0.0], [1.0, 0.0]),             # polar angle past pi
@@ -316,6 +349,22 @@ class TestNodeFactor:
             ps.node_factor(t.root, ps.QuantumKey(values=values), 0.4)
 
 
+def _mpmath_column(node, nmax, l_left, l_right, theta, thetap):
+    with mp.workdps(40):
+        return node_pair_column_mp(node, nmax, l_left, l_right, theta, thetap)
+
+
+def _column_error(col, want):
+    """The largest error of a node_pair_table column, relative to the
+    column's largest entry."""
+    return float(np.max(np.abs(col - want)) / np.max(np.abs(want)))
+
+
+def _assert_matches_mpmath(col, node, l_left, l_right, theta, thetap):
+    want = _mpmath_column(node, len(col) - 1, l_left, l_right, theta, thetap)
+    assert _column_error(col, want) <= 1e-13
+
+
 class TestVerifierFactors:
     """The verifier's closed-form node factors and their pair columns."""
 
@@ -352,7 +401,8 @@ class TestVerifierFactors:
 
     @pytest.mark.parametrize("d, lmax", [(4, 0), (4, 30), (6, 25)])
     def test_theta_pair_column(self, d, lmax):
-        # node_pair_table at the b nodes of b^{d-2}a: Theta-pair products
+        # node_pair_table at the b nodes of b^{d-2}a: each column at 1e-13
+        # of its largest entry against 40-digit mpmath
         t = ps.parse_tree(f"b^{d - 2}a")
         theta, thetap = 0.9, 2.3
         for j in range(1, d - 1):
@@ -364,18 +414,11 @@ class TestVerifierFactors:
             for l_next in range(0, lmax + 1, 4):
                 col = ps.node_pair_table(node, lmax - l_next, 0, l_next, theta, thetap)
                 assert col.shape == (lmax - l_next + 1,)
-                for l in range(l_next, lmax + 1):
-                    want = (ps.theta_standard(j, d, l, l_next, theta)
-                            * ps.theta_standard(j, d, l, l_next, thetap))
-                    assert col[l - l_next] == pytest.approx(want, rel=1e-13, abs=0.0)
             for k, l_next in enumerate(degs):
                 np.testing.assert_array_equal(
                     table[:lmax - l_next + 1, k],
                     ps.node_pair_table(node, lmax - l_next, 0, l_next, theta, thetap))
-                for n in range(lmax + 1):
-                    want = (ps.theta_standard(j, d, l_next + n, l_next, theta)
-                            * ps.theta_standard(j, d, l_next + n, l_next, thetap))
-                    assert table[n, k] == pytest.approx(want, rel=1e-13, abs=0.0)
+                _assert_matches_mpmath(table[:, k], node, 0, l_next, theta, thetap)
 
     @staticmethod
     def _hopf_node(q, heap_index):
@@ -384,22 +427,19 @@ class TestVerifierFactors:
 
     @pytest.mark.parametrize("q, heap_index", [(2, 1), (3, 1), (3, 3), (4, 2)])
     def test_upsilon_pair_column(self, q, heap_index):
-        # node_pair_table at a Hopf c node: node_factor = sqrt(2) Upsilon,
-        # so each entry is twice the Upsilon-pair product
+        # node_pair_table at a Hopf c node against 40-digit mpmath
         node = self._hopf_node(q, heap_index)
         theta, thetap = 0.4, 1.2
         for la, lb in ((0, 0), (3, 0), (1, 4), (12, 7)):
             col = ps.node_pair_table(node, 30, la, lb, theta, thetap)
             assert col.shape == (31,)
-            for n in range(31):
-                want = 2.0 * (ps.hopf_upsilon(q, heap_index, n, la, lb, theta)
-                              * ps.hopf_upsilon(q, heap_index, n, la, lb, thetap))
-                assert col[n] == pytest.approx(want, rel=1e-13, abs=0.0)
+            _assert_matches_mpmath(col, node, la, lb, theta, thetap)
 
     @pytest.mark.parametrize("q, heap_index", [(2, 1), (3, 1), (4, 2)])
     def test_upsilon_pair_table_over_degree_vectors(self, q, heap_index):
         # one table over broadcast degree vectors: each column is the scalar
-        # call bit for bit, and the per-degree product at 1e-13
+        # call bit for bit, and 40-digit mpmath's at 1e-13 of its largest
+        # entry
         node = self._hopf_node(q, heap_index)
         theta, thetap = 0.4, 1.2
         la = np.array([0, 3, 1, 12])[:, None]
@@ -410,10 +450,7 @@ class TestVerifierFactors:
             for k, b in enumerate(lb.tolist()):
                 col = ps.node_pair_table(node, 20, a, b, theta, thetap)
                 np.testing.assert_array_equal(table[:, i, k], col)
-                for n in range(21):
-                    want = 2.0 * (ps.hopf_upsilon(q, heap_index, n, a, b, theta)
-                                  * ps.hopf_upsilon(q, heap_index, n, a, b, thetap))
-                    assert table[n, i, k] == pytest.approx(want, rel=1e-13, abs=0.0)
+                _assert_matches_mpmath(col, node, a, b, theta, thetap)
         flat = ps.node_pair_table(node, 20, [1, 12], [7, 0], theta, thetap)
         np.testing.assert_array_equal(flat, table[:, [2, 3], [2, 0]])
 
@@ -473,6 +510,47 @@ class TestVerifierFactors:
             ps.node_pair_table(node, 4, 0, 0, theta, 0.6)
         with pytest.raises(AngleRangeError):
             ps.node_pair_table(node, 4, 0, 0, 0.6, theta)
+
+
+_SUBTREES = ("a", "ba", "b'a", "caa", "bba", "b'ba", "cbaa")     # S = 0, 1, 1, 2, 2, 2, 3
+
+
+def _pair_draw(rng):
+    """(node, nmax, l_left, l_right, theta, thetap): the root of a b, b' or
+    c tree over subtrees of up to 5 leaves, child degrees below 40, nmax up
+    to 60 and both angles at least 0.02 inside the node's range."""
+    kind = rng.choice(["b", "b'", "c"])
+    subtrees = rng.choice(_SUBTREES, 2)
+    node = ps.parse_tree(kind + "".join(subtrees[:2 if kind == "c" else 1])).root
+    la, lb = (0 if child is None else int(rng.integers(40)) for child in (node.left, node.right))
+    lo, hi, _ = ps.ANGLE_RANGES[kind]
+    theta, thetap = rng.uniform(lo + 0.02, hi - 0.02, 2).tolist()
+    return node, int(rng.integers(61)), la, lb, theta, thetap
+
+
+class TestPairTableAccuracy:
+    # node_pair_table against 40-digit mpmath, each column's largest error
+    # relative to its largest entry
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_column_error_bound(self, seed):
+        node, *args = _pair_draw(np.random.default_rng(seed))
+        _assert_matches_mpmath(ps.node_pair_table(node, *args), node, *args[1:])
+
+    def test_no_worse_than_log_space_assembly(self):
+        # the log-space assembly (`node_pair_table_reference`) on the same
+        # draws: the largest error and the median over the draws are no
+        # larger with the orthonormal recurrence.  Single draws may be
+        # worse by rounding, so the two are compared over the draws.
+        rng = np.random.default_rng(5)
+        errors = []
+        for _ in range(60):
+            node, *args = _pair_draw(rng)
+            want = _mpmath_column(node, *args)
+            errors.append([_column_error(build(node, *args), want)
+                           for build in (ps.node_pair_table, node_pair_table_reference)])
+        new, old = np.array(errors).T
+        assert new.max() <= 1e-13
+        assert new.max() <= old.max() and np.median(new) <= np.median(old)
 
 
 class TestHarmonic:

@@ -430,61 +430,6 @@ class TestFoldPlan:
             assert sum(entries for _, _, entries in _cached_plans()) <= 5000
 
 
-def _operand_paths(steps, family):
-    """Per request of a family, whether all of its operands are views, and
-    whether they can be: its child degrees, and so its log-Gamma columns,
-    step evenly along each axis.  (An operand that reads one child's degrees
-    alone is a view where that child's do.)"""
-    for j, i in enumerate(family.group):
-        views = [not isinstance(op[j], tuple) for op in (family.first, *family.adds, *family.subs)]
-        yield all(views), all(len(np.unique(np.diff(support))) <= 1 for support in steps[i][3:5])
-
-
-class TestOperandPaths:
-    # a plan reads a request's normalization operands through strided views
-    # where its columns form an affine grid (dense supports) and gathers
-    # them where they do not (a leaf weight with a zero inside its support):
-    # both paths give the node-by-node fold's root weights bit for bit
-    @given(data=st.data())
-    def test_sparse_supports_gather_dense_view(self, data):
-        tree = ps.parse_tree(data.draw(_tree_specs(7), label="tree"))
-        caps = data.draw(st.integers(2, 8), label="caps")
-        n_leaves = sum(node.kind == "a" for node in tree.branching_nodes)
-        zeros = data.draw(st.sets(st.tuples(st.integers(0, n_leaves - 1),
-                                            st.integers(1, caps - 1))), label="zeros")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-        angles, anglesp, leaves = _fold_inputs(tree, caps, rng, zeros)
-        with np.errstate(all="ignore"):
-            got = vf._fold(tree, caps, angles, anglesp, leaves)
-        np.testing.assert_array_equal(
-            got, fold_reference(tree, caps, angles, anglesp, leaves))
-        (_, steps, pairs), _ = vf._fold_plan(tree, caps, None, leaves)
-        for family in pairs[3]:
-            for views, affine in _operand_paths(steps, family):
-                assert views == affine
-
-    @pytest.mark.parametrize("zeros, views", [
-        ((), ((True, True), (True,))),      # every support dense
-        # b's leaf sparse; b' and c read dense supports
-        (((1, 3),), ((False, True), (True,))),
-    ])
-    def test_each_path_taken(self, monkeypatch, zeros, views):
-        _fresh_plans(monkeypatch)
-        tree, caps, rng = ps.parse_tree("cb'aba"), 6, np.random.default_rng(17)
-        for _ in range(2):                  # a cold plan, then a warm one
-            angles, anglesp, leaves = _fold_inputs(tree, caps, rng, zeros)
-            got = vf._fold(tree, caps, angles, anglesp, leaves)
-            np.testing.assert_array_equal(
-                got, fold_reference(tree, caps, angles, anglesp, leaves))
-        ((_, (_, plan, _), _),) = _cached_plans()
-        steps, families = plan[1], plan[2][3]
-        assert tuple(tuple(v for v, _ in _operand_paths(steps, f)) for f in families) == views
-        # a view holds no bytes: it reads a shared table
-        assert all(not op.flags.owndata and not op.flags.writeable
-                   for f in families for ops in (f.first, *f.adds, *f.subs)
-                   for op in ops if not isinstance(op, tuple))
-
-
 def _std_cfg(theorem, d, m, caps, nu=-1.5):
     n = d - 2
     return vf.TheoremConfig(theorem=theorem, nu=nu, m=m, d=d, caps=caps,
@@ -502,25 +447,27 @@ def _hopf_cfg(q, m, caps, nu=-1.5):
 
 
 class TestEdgeCaseCertificates:
-    # (status, lhs, rhs, tail_estimate) as the node-by-node fold gave them
+    # (status, lhs, rhs, tail_estimate) as the node-by-node fold gave them,
+    # rhs and tail_estimate as recorded once the node tables came from one
+    # orthonormal recurrence pass
     @pytest.mark.parametrize("cfg, want", [
         # caps 0: one degree per level
         (_std_cfg("T4.1", 5, 0, 0),
-         ("truncation_insufficient", 1.0260699936532065, 0.6253724953188806, math.inf)),
+         ("truncation_insufficient", 1.0260699936532065, 0.6253724953188807, math.inf)),
         (_std_cfg("C4.4", 4, 1, 0),
-         ("truncation_insufficient", 0.1813680304103711, 0.0656697867311092, math.inf)),
+         ("truncation_insufficient", 0.1813680304103711, 0.06566978673110911, math.inf)),
         (_hopf_cfg(2, 5, 0),
-         ("truncation_insufficient", 0.0018233724122810597, 0.0035709180333011047, math.inf)),
+         ("truncation_insufficient", 0.0018233724122810597, 0.003570918033301107, math.inf)),
         (_hopf_cfg(3, 0, 0),
-         ("truncation_insufficient", 0.9706975220373293, 0.8798490909494785, math.inf)),
+         ("truncation_insufficient", 0.9706975220373293, 0.879849090949479, math.inf)),
         # m above caps: the distinguished leaf's order sits past every cap
         (_std_cfg("C4.3", 3, 90, 2, nu=-1.0),
-         ("truncation_insufficient", 2.9441303430320973e-50, 4.326870230055939e-64, math.inf)),
+         ("truncation_insufficient", 2.9441303430320973e-50, 4.326870230056648e-64, math.inf)),
         (_std_cfg("T4.1", 4, 200, 3),
-         ("truncation_insufficient", 9.883398189886903e-130, 4.1280780973891075e-171, math.inf)),
+         ("truncation_insufficient", 9.883398189886903e-130, 4.128078097389361e-171, math.inf)),
         # a deep chain: 198 b tables held at once
         (_std_cfg("T4.1", 200, 0, 60),
-         ("pass", 4.348467449574517e-14, 4.348467449564423e-14, 7.495549867256957e-39)),
+         ("pass", 4.348467449574517e-14, 4.3484674495811794e-14, 7.495542390902248e-39)),
     ])
     def test_pinned(self, cfg, want):
         rep = vf.run_verification(cfg)
@@ -579,59 +526,57 @@ class TestPlanCoefficients:
     # a cached plan runs on the recurrence coefficients it keeps, and a plan
     # past the cache's entry bound on fresh ones; either way a fold gives
     # the node-by-node fold's root weights, bit for bit
-    @pytest.mark.parametrize("spec", ["ba", "cb'aba"])       # narrow, both families wide
+    @pytest.mark.parametrize("spec", ["ba", "cb'aba"])       # narrow, wide
     @pytest.mark.parametrize("cached", [True, False])
     def test_warm_fold_cached_or_past_the_bound(self, monkeypatch, spec, cached):
         tree, caps, rng = ps.parse_tree(spec), 6, np.random.default_rng(61)
         _fresh_plans(monkeypatch)
         vf._fold(tree, caps, *_fold_inputs(tree, caps, rng))
-        ((_, (_, plan, kept), entries),) = _cached_plans()
-        families = len(plan[2][3])
-        assert kept is not None and len(kept) == families
+        ((_, (_, _, kept), entries),) = _cached_plans()
+        assert kept is not None
         if not cached:
             # one entry short of the plan's tables
             _fresh_plans(monkeypatch, entries - 1)
         built, pair_recurrence = [], ps._pair_recurrence
         monkeypatch.setattr(ps, "_pair_recurrence",
                             lambda *args: built.append(args) or pair_recurrence(*args))
-        for i in range(3):
+        for _ in range(3):
             angles, anglesp, leaves = _fold_inputs(tree, caps, rng)
+            # not counting the builds of the reference's own node_pair_table
+            built.clear()
             got = vf._fold(tree, caps, angles, anglesp, leaves)
+            fold_built = len(built)
             np.testing.assert_array_equal(got, fold_reference(tree, caps, angles, anglesp, leaves))
             if cached:
                 # the coefficients it keeps, none built again
-                ((_, (_, _, recurrences), _),) = _cached_plans()
-                assert recurrences is kept and not built
+                ((_, (_, _, recurrence), _),) = _cached_plans()
+                assert recurrence is kept and not fold_built
             else:
-                # fresh coefficients, one build per family and pass
-                assert not _cached_plans() and len(built) == (i + 1) * families
+                # fresh coefficients, one build per pass
+                assert not _cached_plans() and fold_built == 1
 
     def test_past_the_bound_builds_once(self, monkeypatch):
         # a T4.2 q = 3, caps 30 certificate's tables hold more than
-        # PLAN_CACHE_ENTRIES entries: it caches nothing, builds each family's
+        # PLAN_CACHE_ENTRIES entries: it caches nothing, builds its plan's
         # recurrence coefficients once, for its one pass, and gives the
         # node-by-node fold's root weights, bit for bit
         _fresh_plans(monkeypatch)
         built, folds = [], []
         pair_recurrence, fold = ps._pair_recurrence, vf._fold
 
-        def counted(nmax, family):
-            built.append(family.jacobi)
-            return pair_recurrence(nmax, family)
-
         def kept(*args):
             folds.append((args, fold(*args)))
             return folds[-1][1]
 
-        monkeypatch.setattr(ps, "_pair_recurrence", counted)
+        monkeypatch.setattr(ps, "_pair_recurrence",
+                            lambda *args: built.append(args) or pair_recurrence(*args))
         monkeypatch.setattr(vf, "_fold", kept)
         assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
-        assert not _cached_plans()
+        assert not _cached_plans() and len(built) == 1
         ((args, got),) = folds
         tree, caps, angles, anglesp, leaves, top = args
-        (_, _, pairs), recurrences = vf._fold_plan(tree, caps, top, leaves)
-        assert recurrences is None and not _cached_plans()
-        assert sorted(built) == sorted(family.jacobi for family in pairs[3])
+        _, recurrence = vf._fold_plan(tree, caps, top, leaves)
+        assert recurrence is None and not _cached_plans()
         np.testing.assert_array_equal(got, fold_reference(*args))
 
     def test_held_bytes_bounded_by_entries(self, monkeypatch):
@@ -740,55 +685,55 @@ def _pin(status, *floats):
 
 # one certificate per slot kind of the benchmark's certify cycle (every
 # theorem, order and tree size it runs), at fixed angles: (status, lhs,
-# rhs, rel_err, tail_estimate) as recorded before the fold plan held its
-# normalization operands as views, so a change of rounding anywhere on
-# the certificate path shows here and has to be made on purpose
+# rhs, rel_err, tail_estimate) as recorded once the node tables came from
+# one orthonormal recurrence pass, so a change of rounding anywhere on the
+# certificate path shows here and has to be made on purpose
 _CYCLE_PINS = [
     (_std_cfg("C4.3", 3, 0, 80, nu=-1.0), _pin(
-        "pass", "0x1.b9a2b9b5b8556p+0", "0x1.b9a2b9b5b8553p+0", "0x1.bd2e73e680dc1p-52",
-        "0x1.0b62d9f3d6f12p-83")),
+        "pass", "0x1.b9a2b9b5b8556p+0", "0x1.b9a2b9b5b8558p+0", "0x1.28c9a299ab3d6p-52",
+        "0x1.0b62d9f3d6f67p-83")),
     (_std_cfg("C4.3", 3, 1, 80, nu=-1.0), _pin(
-        "pass", "0x1.01d56aaac4dc7p-2", "0x1.01d56aaac4dc6p-2", "0x1.fc5bd7ec48cd6p-53",
-        "0x1.edb4fe6d41719p-85")),
+        "pass", "0x1.01d56aaac4dc7p-2", "0x1.01d56aaac4dc7p-2", "0x0.0p+0",
+        "0x1.edb4fe6d41706p-85")),
     (_std_cfg("C4.3", 3, 2, 80, nu=-1.0), _pin(
-        "pass", "0x1.c05979626b972p-5", "0x1.c05979626b969p-5", "0x1.48e2e2f561567p-50",
-        "0x1.74d97f0a1cd14p-84")),
+        "pass", "0x1.c05979626b972p-5", "0x1.c05979626b979p-5", "0x1.ff99d2d309313p-51",
+        "0x1.74d97f0a1cd8ap-84")),
     (_std_cfg("C4.3", 3, 0, 80, nu=-2.5), _pin(
-        "pass", "0x1.da5524efd23a3p-1", "0x1.da5524efd23a2p-1", "0x1.14544dd8ce8c9p-53",
-        "0x1.6dd4d659c70aap-79")),
+        "pass", "0x1.da5524efd23a3p-1", "0x1.da5524efd23a6p-1", "0x1.9e7e74c535d2ep-52",
+        "0x1.6dd4d659c711fp-79")),
     (_std_cfg("C4.3", 3, 1, 80, nu=-2.5), _pin(
         "pass", "0x1.51eac720d8f4ep-2", "0x1.51eac720d8f4cp-2", "0x1.83e1d253229c6p-52",
-        "0x1.55e1a3fbbc8c7p-80")),
+        "0x1.55e1a3fbbc8b8p-80")),
     (_std_cfg("C4.3", 3, 2, 80, nu=-2.5), _pin(
-        "pass", "0x1.b520824ac7a0dp-4", "0x1.b520824ac79fep-4", "0x1.191bb5dfd3bd5p-49",
-        "0x1.03afeccf1e384p-79")),
+        "pass", "0x1.b520824ac7a0dp-4", "0x1.b520824ac7a10p-4", "0x1.c1c5efcc85fbbp-52",
+        "0x1.03afeccf1e3d7p-79")),
     (_std_cfg("C4.4", 4, 0, 80, nu=-2.0), _pin(
-        "pass", "0x1.bd2bd05ea57e9p-1", "0x1.bd2bd05ea57e5p-1", "0x1.266e3a956d026p-51",
-        "0x1.ca1a5648041f9p-83")),
+        "pass", "0x1.bd2bd05ea57e9p-1", "0x1.bd2bd05ea57e8p-1", "0x1.266e3a956d026p-53",
+        "0x1.ca1a56480c0ecp-83")),
     (_std_cfg("C4.4", 4, 1, 80, nu=-2.0), _pin(
-        "pass", "0x1.9633db6abb533p-3", "0x1.9633db6abb531p-3", "0x1.42ad2b779811bp-52",
-        "0x1.2638daf65bb55p-81")),
+        "pass", "0x1.9633db6abb533p-3", "0x1.9633db6abb52fp-3", "0x1.42ad2b779811bp-51",
+        "0x1.2638daf65bb0ep-81")),
     (replace(_hopf_cfg(2, 0, 80, nu=-2.0), theorem="C4.5"), _pin(
-        "pass", "0x1.07e253b597825p+0", "0x1.07e253b597826p+0", "0x1.f0b3f3133592ap-53",
-        "0x1.f4796d706d4f7p-80")),
+        "pass", "0x1.07e253b597825p+0", "0x1.07e253b597824p+0", "0x1.f0b3f3133592ap-53",
+        "0x1.f4796d706d4ffp-80")),
     (replace(_hopf_cfg(2, 1, 80, nu=-2.0), theorem="C4.5"), _pin(
-        "pass", "0x1.43794972e2cecp-2", "0x1.43794972e2cefp-2", "0x1.2fe6a7108cbe7p-51",
-        "0x1.0cc9b3a331a93p-81")),
+        "pass", "0x1.43794972e2cecp-2", "0x1.43794972e2ceep-2", "0x1.9533896b66534p-52",
+        "0x1.0cc9b3a331b0ep-81")),
     (_std_cfg("T4.1", 4, 0, 40, nu=-1.3), _pin(
-        "pass", "0x1.307fdd7e41785p+0", "0x1.307fdd7e4174ap+0", "0x1.8cd25b356e17fp-47",
-        "0x1.b26ae3814ee24p-41")),
+        "pass", "0x1.307fdd7e41785p+0", "0x1.307fdd7e4174dp+0", "0x1.78a4f2c63d1b1p-47",
+        "0x1.b26ae3814ee0ep-41")),
     (_std_cfg("T4.1", 5, 0, 35, nu=-0.7), _pin(
-        "pass", "0x1.105ce4d36bb02p+1", "0x1.105ce4d36bd8bp+1", "0x1.31013efc93947p-43",
-        "0x1.1e747024787acp-37")),
+        "pass", "0x1.105ce4d36bb02p+1", "0x1.105ce4d36bd8dp+1", "0x1.31f1ddc036f1ap-43",
+        "0x1.1e747024787bap-37")),
     (_std_cfg("T4.1", 6, 0, 30, nu=-2.2), _pin(
-        "pass", "0x1.994f5e6997726p-1", "0x1.994f5e695d5a5p-1", "0x1.22acfdc195136p-35",
-        "0x1.9ddf1fbf083acp-29")),
+        "pass", "0x1.994f5e6997726p-1", "0x1.994f5e695d5a6p-1", "0x1.22acadb312e2ep-35",
+        "0x1.9ddf1fbf083ffp-29")),
     (_hopf_cfg(2, 0, 30, nu=-1.7), _pin(
-        "pass", "0x1.21e318d48bba7p+0", "0x1.21e318d48bba3p+0", "0x1.c42600659723ap-51",
-        "0x1.62467c56eebd7p-31")),
+        "pass", "0x1.21e318d48bba7p+0", "0x1.21e318d48bba1p+0", "0x1.531c804c315abp-50",
+        "0x1.62467c56eec37p-31")),
     (replace(_hopf_cfg(3, 0, 12, nu=-0.9), tol=1e-3), _pin(
-        "pass", "0x1.8e2e830564aa2p+0", "0x1.8e2e8305ff2c6p+0", "0x1.8d59486c03909p-34",
-        "0x1.445ed2331e18ap-13")),
+        "pass", "0x1.8e2e830564aa2p+0", "0x1.8e2e8305ff2c9p+0", "0x1.8d59c3dcf1e55p-34",
+        "0x1.445ed2331e197p-13")),
 ]
 
 
