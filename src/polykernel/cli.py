@@ -7,8 +7,9 @@ Identical invocations (including --seed) produce byte-identical output.
 
 Exit codes: 0 success/pass, 1 verification math failure (the two sides of a
 `verify` disagree), 2 tree parse error, 3 exclusion-set violation,
-4 non-convergence, 5 truncation insufficient, 6 invalid input (a malformed
-option value, an argument outside a function's domain, a pole, an argument
+4 non-convergence, 5 truncation insufficient, 6 invalid input (a usage
+error such as a malformed option value, an unknown subcommand or a missing
+argument, an argument outside a function's domain, a pole, an argument
 too close to a singular point, or a result beyond double range).  Exit 6
 covers a --tol that is not a positive finite number, a --max-terms below 1,
 a --q outside [2, MAX_Q] or --d below 3, a tree more than
@@ -366,8 +367,19 @@ def _run_suite(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reports a usage error as invalid input: it
+    writes the usage line and raises ValueError, which `main` turns into
+    exit 6 where argparse would exit 2, the tree-parse code.  Its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polykernel",
         description="Polyharmonic kernel expansions and addition-theorem checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -426,10 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and not args.suite and args.theorem is None:
-        parser.error("verify needs a theorem id or --suite")
     try:
+        args = parser.parse_args(argv)
+        if args.command == "verify" and not args.suite and args.theorem is None:
+            parser.error("verify needs a theorem id or --suite")
         return args.func(args)
     except (PolyKernelError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")

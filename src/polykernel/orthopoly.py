@@ -4,22 +4,21 @@ Evaluation goes through the standard three-term recurrences (O(n), stable on
 [-1, 1] and for z > 1); the terminating hypergeometric definitions serve as
 test oracles only.  All evaluators accept scalar or ndarray arguments.
 
-The whole-column evaluators `jacobi_p_all` and `gegenbauer_c_all` are two
-steps each.  `jacobi_recurrence` and `gegenbauer_recurrence` build the
-angle-free half, a `Recurrence`: the coefficients of row 1 and of P_k =
-(a_k P_{k-1} - down_k P_{k-2}) / div_k, a_k = lin_k x + const_k, which
-depend only on the degree and the parameters, so a caller that meets the
-same parameters at many x (a cached fold plan) builds them once.
-`orthonormal_recurrence` builds the same half for the orthonormal Jacobi
-polynomials, whose row 0 the caller gives.  `recurrence_table` runs the
-half that depends on x: it writes rows 0 and 1 and every a_k, in bulk, and
-the kernel `_three_term` fills each row.  The kernel runs a table of at
-most `_NARROW` entries per row on Python floats, where numpy's per-call
-overhead would set the cost, and a wider table in place, four ufunc calls
-per degree on contiguous rows of one shape; both do the same IEEE
-operations, so every column is the same bit for bit on either path.
-The per-degree `jacobi_p` and `gegenbauer_c` keep their own loops as the
-independent reference.
+The whole-column evaluators `jacobi_p_all` and `gegenbauer_c_all` run the
+per-degree step of `jacobi_p` and `gegenbauer_c` once, on arrays that
+broadcast, so each column is theirs bit for bit.
+
+The orthonormal Jacobi pass that builds the node pair tables is two steps.
+`orthonormal_recurrence` builds the angle-free half, a `Recurrence`: its
+coefficients depend only on the degree and the parameters, so a caller that
+meets the same parameters at many x (a cached fold plan) builds them once.
+`recurrence_table` runs the half that depends on x from a given row 0: it
+writes every a_k in bulk, and the kernel `_three_term` fills each row.  The
+kernel runs a table of at most `_NARROW` entries per row on Python floats,
+where numpy's per-call overhead would set the cost, and a wider table in
+place, four ufunc calls per degree on contiguous rows of one shape; both do
+the same IEEE operations, so every column is the same bit for bit on either
+path.
 """
 
 from __future__ import annotations
@@ -63,27 +62,24 @@ def _jacobi_p1(alpha, beta, x):
 _NARROW = 8
 
 
-# Above this many bytes, `_scale_rows` builds a factor half the rows at a
-# time: it then costs half of its array's memory, for twice the ufunc calls.
-# `_three_term` sizes its operand blocks from it.
+# `_three_term` sizes the operand blocks of a wider table from this many bytes.
 _SPLIT_BYTES = 1 << 20
 
 
 class Recurrence(NamedTuple):
-    """The angle-free half of one whole-column pass, for `recurrence_table`
-    to run at an x that broadcasts to the row shape.
+    """The angle-free half of an orthonormal Jacobi pass, for
+    `recurrence_table` to run at an x that broadcasts to the row shape.
 
-    first is (lin_1, const_1, div_1): row 1 is (lin_1 x + const_1) row0 /
-    div_1.  Rows k = 2..nmax follow `_three_term` with down and div, from
-    a_k = lin_k x + const_k.  A lin of None reads as 1 and a const of None
-    as 0, so that no add turns a -0.0 into 0.0.
+    Rows k = 1..nmax follow `_three_term` from a_k = x - b[k - 1], b the
+    array of B_0 .. B_{nmax-1}, with down_k = A_{k-1} and div_k = A_k.
+    down and div are two views of one array of A_0 = 0, A_1 .. A_nmax or,
+    on a table of at most _NARROW entries per row, the lists that the
+    narrow path reads, one per entry of a row.
     """
 
     nmax: int
     shape: tuple
-    first: tuple
-    lin: np.ndarray | None
-    const: np.ndarray | None
+    b: np.ndarray
     down: object
     div: object
 
@@ -93,16 +89,17 @@ def _three_term(out, down, div):
 
     On entry out[0] and out[1] hold the first two terms and out[2:] the
     multipliers a_k, which `recurrence_table` writes there in bulk.  down
-    and div hold rows k = 2..nmax, arrays that broadcast to out's rows; for
-    a table of at most _NARROW entries per row they may instead be the
-    lists the narrow path reads, one per entry (`_columns`).  Both paths do
-    the same IEEE operations in the same order, so the table is the same
-    bit for bit whichever path fills it.
+    and div hold rows k = 2..len(out) - 1, in the form that
+    `orthonormal_recurrence` chose for the table's width: arrays that
+    broadcast to out's rows, which the numpy path reads, or lists of
+    Python floats, one per entry of a row, which the narrow path reads.
+    Both paths do the same IEEE operations in the same order, so the table
+    is the same bit for bit whichever path fills it.
     """
     nmax = len(out) - 1
     if nmax < 2:
         return
-    if out[0].size > _NARROW:
+    if isinstance(down, np.ndarray):
         # Four in-place calls per degree, every operand a contiguous row of
         # the row's own shape: down and div are copied into two buffers a
         # block of rows at a time, and d_k out[k-2] is formed in d_k's own
@@ -124,10 +121,8 @@ def _three_term(out, down, div):
                 np.subtract(row, d, row)
                 np.divide(row, v, row)
         return
-    down_cols, div_cols = (c if isinstance(c, list) else _columns(c, out.shape[1:])
-                           for c in (down, div))
     cols = []
-    for c, downs, divs in zip(out.reshape(nmax + 1, -1).T.tolist(), down_cols, div_cols):
+    for c, downs, divs in zip(out.reshape(nmax + 1, -1).T.tolist(), down, div):
         a, b = c[0], c[1]
         col = []
         for ak, d, v in zip(c[2:], downs, divs):
@@ -137,21 +132,15 @@ def _three_term(out, down, div):
     out[2:] = np.reshape(np.transpose(cols), out[2:].shape)
 
 
-def _columns(c, row):
-    """c's rows at this row shape, as one list of Python floats over k per
-    entry of a row."""
-    rows = np.broadcast_to(c, (len(c),) + row)
-    return rows.reshape(len(c), math.prod(row)).T.tolist()
-
-
-def _scale_rows(c, factor):
-    """c *= factor(rows), where factor(rows) builds the factor's rows."""
-    if c.nbytes <= _SPLIT_BYTES:
-        c *= factor(slice(None))
-        return
-    half = len(c) // 2
-    for rows in (slice(None, half), slice(half, None)):
-        c[rows] *= factor(rows)
+def _step_table(nmax, p1, step):
+    """Rows 1, p1 and step(k, row k-2, row k-1) for k = 2..nmax, at p1's
+    shape: a per-degree recurrence run once on whole rows."""
+    out = np.empty((nmax + 1,) + np.shape(p1))
+    out[0] = 1.0
+    out[1:2] = p1
+    for k in range(2, nmax + 1):
+        out[k] = step(k, out[k - 2], out[k - 1])
+    return out
 
 
 def jacobi_p(n: int, alpha: float, beta: float, x):
@@ -178,49 +167,12 @@ def jacobi_p_all(nmax: int, alpha, beta, x):
     np.shape(x))``.  Each column is bit-for-bit ``jacobi_p(n, alpha, beta,
     x)`` at its own parameters: the same recurrence, run once.
     """
-    return recurrence_table(jacobi_recurrence(nmax, alpha, beta, np.shape(x)), x)
-
-
-def jacobi_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
-    """The angle-free half of `jacobi_p_all` at an x of this shape.
-
-    _jacobi_step's coefficients for every k at once, with its arithmetic:
-    c1 = 2k (k + ab) (s - 2), c2 = (s - 1) (alpha^2 - beta^2),
-    c3 = (s - 2) (s - 1) s, c4 = 2 (k + alpha - 1) (k + beta - 1) s, with
-    ab = alpha + beta and s = 2k + ab; row 1 is _jacobi_p1's.  When alpha
-    and beta vary along one axis, a factor that adds k to them has their
-    full size, so a large one is built half the rows at a time
-    (`_scale_rows`).
-    """
     if nmax < 0:
         raise ValueError("degree must be a nonnegative integer")
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    alpha, beta, xa = (np.asarray(v, dtype=float) for v in (alpha, beta, x))
     _validate_jacobi_params(alpha, beta)
-    ab = alpha + beta
-    row = np.broadcast_shapes(alpha.shape, beta.shape, shape)
-    ks = np.arange(2.0, nmax + 1.0).reshape((-1,) + (1,) * len(row))
-    s = 2.0 * ks + ab
-    s_minus_2 = s - 2.0
-    lin = s_minus_2 * (s - 1.0)
-    lin *= s                          # c3
-    div = ks + ab
-    div *= 2.0 * ks
-    div *= s_minus_2                  # c1
-    const = s - 1.0
-    const *= alpha * alpha - beta * beta     # c2
-
-    def beta_factor(rows):            # k + beta - 1
-        f = ks[rows] + beta
-        f -= 1.0
-        return f
-
-    c = np.add(ks, alpha, out=np.empty_like(s))
-    c -= 1.0
-    c *= 2.0
-    _scale_rows(c, beta_factor)
-    s *= c                            # c4
-    return Recurrence(nmax, row, (ab + 2.0, alpha - beta, 2.0), lin, const, s, div)
+    return _step_table(nmax, _jacobi_p1(alpha, beta, xa),
+                       lambda k, p0, p1: _jacobi_step(k, alpha, beta, xa, p0, p1))
 
 
 def orthonormal_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
@@ -235,11 +187,13 @@ def orthonormal_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     A_n = 2 / s sqrt(n (n + alpha) (n + beta) (n + ab) / ((s - 1) (s + 1))),
     where B_0 = (beta - alpha) / (ab + 2), which holds at ab = 0 too, and
     A_1 = 2 / (ab + 2) sqrt((alpha + 1) (beta + 1) / (ab + 3)) are taken
-    with the common factors ab and n + ab cancelled.  So row 1 is
-    (x - B_0) row0 / A_1 and a_k = x - B_{k-1}, down_k = A_{k-1} and
-    div_k = A_k: down and div are two views of one array.  The caller's
-    row 0 carries 1 / sqrt(h_0) and any factor common to the column, which
-    every later row takes from it.
+    with the common factors ab and n + ab cancelled.  So a_k = x - B_{k-1},
+    down_k = A_{k-1} and div_k = A_k for k >= 1, where A_0 = 0 meets a row
+    -1 of zeros and row 1 is (x - B_0) row0 / A_1.  The caller's row 0
+    carries 1 / sqrt(h_0) and any factor common to the column, which every
+    later row takes from it.  On a table of at most _NARROW entries per
+    row, down and div are built here, once, as the lists the narrow path
+    reads.
     """
     if nmax < 0:
         raise ValueError("degree must be a nonnegative integer")
@@ -250,14 +204,35 @@ def orthonormal_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     row = np.broadcast_shapes(alpha.shape, beta.shape, shape)
     ns = np.arange(1.0, nmax + 1.0).reshape((-1,) + (1,) * len(row))
     s = 2.0 * ns + ab                 # s_n, n = 1..nmax
-    b = (beta - alpha) * ab / (s[:-1] * s[1:])                   # B_1 .. B_{nmax-1}
     n = ns[1:]
     a = n * (n + alpha) * (n + beta) * (n + ab) / ((s[1:] - 1.0) * (s[1:] + 1.0))
     a = 2.0 / s[1:] * np.sqrt(a)                                 # A_2 .. A_nmax
-    a_one = 2.0 / (ab + 2.0) * np.sqrt((alpha + 1.0) * (beta + 1.0) / (ab + 3.0))
-    a = np.concatenate([np.broadcast_to(a_one, a.shape[1:])[None], a])
-    first = (None, (alpha - beta) / (ab + 2.0), a_one)           # const_1 = -B_0
-    return Recurrence(nmax, row, first, None, -b, a[:-1], a[1:])
+    first = np.zeros((3,) + a.shape[1:])                         # A_0, B_0, A_1
+    # -(alpha - beta), -0.0 at alpha = beta: x - B_0 is then x + 0.0, so
+    # row 1 at x = -0.0 reads 0.0, not -0.0
+    first[1] = -(alpha - beta) / (ab + 2.0)
+    first[2] = 2.0 / (ab + 2.0) * np.sqrt((alpha + 1.0) * (beta + 1.0) / (ab + 3.0))
+    b = np.concatenate([first[1:2], (beta - alpha) * ab / (s[:-1] * s[1:])])[:nmax]
+    a = np.concatenate([first[::2], a])[:nmax + 1]
+    if math.prod(row) > _NARROW:
+        return Recurrence(nmax, row, b, a[:-1], a[1:])
+    cols = np.broadcast_to(a, (nmax + 1,) + row).reshape(nmax + 1, -1).T.tolist()
+    return Recurrence(nmax, row, b, [c[:-1] for c in cols], [c[1:] for c in cols])
+
+
+def recurrence_table(rec: Recurrence, x, row0):
+    """The per-angle half of an orthonormal Jacobi pass: the table of
+    shape ``(nmax + 1,) + rec.shape``, which x and row0 must broadcast to.
+    Every later row is built from row 0, so a factor common to a column
+    rides on its row 0.  The pass fills a table with a row -1 of zeros in
+    front, its multipliers a_k written by one `np.subtract`, and returns
+    the view past that row."""
+    out = np.empty((rec.nmax + 2,) + rec.shape)
+    out[0] = 0.0
+    out[1] = row0
+    np.subtract(x, rec.b, out=out[2:])
+    _three_term(out, rec.down, rec.div)
+    return out[1:]
 
 
 def jacobi_norm(n: int, alpha: float, beta: float) -> float:
@@ -290,6 +265,11 @@ def _validate_gegenbauer(n, mu):
         raise ValueError(f"Gegenbauer order must exceed -1/2, got {mu}")
 
 
+def _gegenbauer_step(k, mu, x, c_prev, c):
+    """C_k^mu(x) from c = C_{k-1} and c_prev = C_{k-2}, k >= 2."""
+    return (2.0 * x * (k + mu - 1.0) * c - (k + 2.0 * mu - 2.0) * c_prev) / k
+
+
 def gegenbauer_c(n: int, mu: float, x):
     """Gegenbauer polynomial C_n^{mu}(x) by recurrence; mu > -1/2, mu != 0."""
     _validate_gegenbauer(n, mu)
@@ -299,7 +279,7 @@ def gegenbauer_c(n: int, mu: float, x):
         return c0 if np.ndim(x) else 1.0
     c1 = 2.0 * mu * xa
     for k in range(2, n + 1):
-        c0, c1 = c1, (2.0 * xa * (k + mu - 1.0) * c1 - (k + 2.0 * mu - 2.0) * c0) / k
+        c0, c1 = c1, _gegenbauer_step(k, mu, xa, c0, c1)
     return c1 if np.ndim(x) else float(c1)
 
 
@@ -310,56 +290,10 @@ def gegenbauer_c_all(nmax: int, mu, x):
     ``(nmax + 1,) + np.broadcast_shapes(np.shape(mu), np.shape(x))``.  Each
     column is bit-for-bit ``gegenbauer_c(n, mu, x)`` at its own order.
     """
-    return recurrence_table(gegenbauer_recurrence(nmax, mu, np.shape(x)), x)
-
-
-def gegenbauer_recurrence(nmax: int, mu, shape=()) -> Recurrence:
-    """The angle-free half of `gegenbauer_c_all` at an x of this shape:
-    C_1 = 2 mu x and C_k = (2 (k+mu-1) x C_{k-1} - (k+2mu-2) C_{k-2}) / k."""
+    mu, xa = (np.asarray(v, dtype=float) for v in (mu, x))
     _validate_gegenbauer(nmax, mu)
-    mu = np.asarray(mu, dtype=float)
-    row = np.broadcast_shapes(mu.shape, shape)
-    ks = np.arange(2.0, nmax + 1.0).reshape((-1,) + (1,) * len(row))
-    return Recurrence(nmax, row, (2.0 * mu, None, 1.0), 2.0 * (ks + mu - 1.0), None,
-                      ks + 2.0 * mu - 2.0, ks)
-
-
-def reusable(rec: Recurrence) -> Recurrence:
-    """rec in the form a cache keeps it: a narrow table's down and div as
-    the lists that `_three_term` would otherwise build on every call."""
-    if math.prod(rec.shape) > _NARROW:
-        return rec
-    return rec._replace(down=_columns(rec.down, rec.shape), div=_columns(rec.div, rec.shape))
-
-
-def recurrence_table(rec: Recurrence, x, row0=1.0):
-    """The per-angle half of a whole-column pass: row 0, row 1, the
-    multipliers a_k in bulk, then `_three_term`.  The table has shape
-    ``(nmax + 1,) + rec.shape``, which x and row0 (1 by default) must
-    broadcast to; every later row is built from row 0, so a factor common
-    to a column rides on its row 0."""
-    xa = np.asarray(x, dtype=float)
-    out = np.empty((rec.nmax + 1,) + rec.shape)
-    out[0] = row0
-    if rec.nmax >= 1:
-        lin, const, div = rec.first
-        row1 = out[1:2]
-        _multipliers(lin, const, xa, row1)
-        row1 *= out[0]
-        row1 /= div
-    _multipliers(rec.lin, rec.const, xa, out[2:])
-    _three_term(out, rec.down, rec.div)
-    return out
-
-
-def _multipliers(lin, const, x, out):
-    """out = lin x + const, a lin of None read as 1 and a const of None as 0."""
-    if lin is None:
-        np.copyto(out, x)
-    else:
-        np.multiply(lin, x, out=out)
-    if const is not None:
-        out += const
+    return _step_table(nmax, 2.0 * mu * xa,
+                       lambda k, c0, c1: _gegenbauer_step(k, mu, xa, c0, c1))
 
 
 def chebyshev_t(n: int, x):

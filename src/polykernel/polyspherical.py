@@ -43,7 +43,7 @@ from .errors import (
     ZeroExponent,
 )
 from .orthopoly import (gegenbauer_c, jacobi_norm_log, jacobi_p, orthonormal_recurrence,
-                        recurrence_table, reusable)
+                        recurrence_table)
 
 ANGLE_RANGES = {
     "a": (0.0, 2.0 * math.pi, False),   # half-open [0, 2pi)
@@ -468,12 +468,13 @@ def _pair_plan(nmax: int, requests):
         b'    (a_l, a_l)     sin t    cos^{l_l} t              1
         c     (a_r, a_l)     cos 2t   cos^{l_l} t sin^{l_r} t  2^{(a_l + a_r)/2 + 1}
 
-    The plan is (nmax, nodes, shapes, columns), columns holding per column
-    l_left, l_right, alpha, beta and log(K / sqrt(h_0)), one row each.  So
-    what a plan holds grows with the number of columns, not with nmax, and
-    a certificate that keeps its plan keeps no table.  The recurrence
-    coefficients, which grow with the columns times nmax, are
-    `_pair_recurrence`, for a cache to keep next to the plan.
+    The plan is (nmax, nodes, shapes, columns, recurrence), columns holding
+    per column l_left, l_right, alpha, beta and log(K / sqrt(h_0)), one row
+    each, and recurrence the angle-free half of the columns' pass at x of
+    shape (2, columns) (`orthopoly.orthonormal_recurrence`).  So what a
+    plan holds grows with the columns times nmax, about 16 bytes per
+    column and degree on a wide table, and a certificate that keeps its
+    plan keeps no table.
     """
     columns = [np.zeros((5, 0))]
     for node, ll, lr in requests:
@@ -488,7 +489,9 @@ def _pair_plan(nmax: int, requests):
     alpha, beta = columns[2:4]
     columns[4] += _lgamma(alpha + beta + 2.0) - _lgamma(alpha + 1.0) - _lgamma(beta + 1.0)
     columns[4] *= 0.5
-    return nmax, [req[0] for req in requests], [req[1].shape for req in requests], columns
+    recurrence = orthonormal_recurrence(nmax, alpha, beta, (2, len(alpha)))
+    return (nmax, [req[0] for req in requests], [req[1].shape for req in requests], columns,
+            recurrence)
 
 
 def _lgamma(x):
@@ -497,14 +500,7 @@ def _lgamma(x):
     return np.array([math.lgamma(v) for v in values.tolist()])[index]
 
 
-def _pair_recurrence(plan):
-    """The angle-free half of a plan's recurrence pass, at x of shape
-    (2, columns), in the form a cache keeps (`orthopoly.reusable`)."""
-    nmax, _, _, (_, _, alpha, beta, _) = plan
-    return reusable(orthonormal_recurrence(nmax, alpha, beta, (2, len(alpha))))
-
-
-def _pair_tables(plan, angles, recurrence=None):
+def _pair_tables(plan, angles):
     """`node_pair_table` of the requests of one `_pair_plan`, in one
     recurrence pass.
 
@@ -513,13 +509,13 @@ def _pair_tables(plan, angles, recurrence=None):
     log E) at both angles, the envelope's log taken from math.cos /
     math.sin as one node's call would take them, and x is the node's
     argument at both angles.  One `orthopoly.recurrence_table` run of the
-    recurrence, the plan's `_pair_recurrence` when a cache kept it or a
-    fresh one, then gives every column at both angles, and the table is
-    the product of the two.  One wide pass costs about what one narrow
-    pass does (the per-degree ufunc calls set the cost, not the entries),
-    but every table is held at once, each a view of the pass's output.
+    plan's recurrence then gives every column at both angles, and the
+    table is the product of the two.  One wide pass costs about what one
+    narrow pass does (the per-degree ufunc calls set the cost, not the
+    entries), but every table is held at once, each a view of the pass's
+    output.
     """
-    nmax, nodes, shapes, (ll, lr, _, _, log_norm) = plan
+    nmax, nodes, shapes, (ll, lr, _, _, log_norm), recurrence = plan
     trig = []
     for node, (theta, thetap) in zip(nodes, angles):
         # _check_angle's test on Python floats, numpy's only to word an
@@ -545,7 +541,7 @@ def _pair_tables(plan, angles, recurrence=None):
         row0 += np.where(lr > 0, lr * trig[4:], 0.0)
     row0 += log_norm
     np.exp(row0, out=row0)
-    table = recurrence_table(recurrence or _pair_recurrence(plan), trig[:2], row0)
+    table = recurrence_table(recurrence, trig[:2], row0)
     out = table[:, 0]
     out *= table[:, 1]
     tables, start = [], 0

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import (CoincidentRadiusError, DomainError, ExclusionSetError,
                      SingularConfigurationError, radial_range_error, require_finite)
-from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_recurrence, _pair_tables,
+from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_tables,
                             hopf_heap_to_preorder, hopf_tree, parse_tree)
 from .specfun import BoundedCache, _is_int, legendre_q_hat, legendre_q_hat_column, second_kind
 
@@ -195,9 +195,9 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     A fold is a plan and an execution.  The plan (`_fold_plan`) holds what
     depends only on the tree, caps, top and where the leaf weights are
     nonzero: every node's child supports and column degrees, the column
-    parameters of `_pair_tables` (see `_pair_plan`) and, when the cache
-    keeps it, the recurrence coefficients of its pass.  A fold on a shape
-    seen before skips straight to the execution.  It builds every node's
+    parameters of `_pair_tables` and the recurrence coefficients of its
+    pass (see `_pair_plan`).  A fold on a shape seen before skips straight
+    to the execution.  It builds every node's
     table first, in one `_pair_tables` call and one recurrence pass, then
     contracts from the leaves up with one `np.bincount` per node.  bincount
     adds its weights in the order it reads them, as `np.add.at` does, and
@@ -209,9 +209,8 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     its plan is built, before any table, or the support index array that
     would pass the bound, exists.
     """
-    (leaf_index, steps, pairs), recurrence = _fold_plan(tree, caps, top, leaves)
-    tables = _pair_tables(pairs, [(angles[step[0]], anglesp[step[0]]) for step in steps],
-                          recurrence)
+    leaf_index, steps, pairs = _fold_plan(tree, caps, top, leaves)
+    tables = _pair_tables(pairs, [(angles[step[0]], anglesp[step[0]]) for step in steps])
     weights = {None: np.ones(1)}
     weights.update(zip(leaf_index, leaves))
     # the nonzero degrees of a node whose weight vanishes where its
@@ -245,16 +244,15 @@ _plans = BoundedCache(PLAN_CACHE_SIZE, PLAN_CACHE_ENTRIES)
 
 
 def _fold_plan(tree: Tree, caps: int, top, leaves):
-    """The plan of `_fold` on this tree, caps, top and leaf supports, and its
-    recurrence, read through ``_plans`` and weighed by its table entries."""
+    """The plan of `_fold` on this tree, caps, top and leaf supports, read
+    through ``_plans`` and weighed by its table entries."""
     key = (id(tree), caps, top, tuple(np.not_equal(w, 0.0).tobytes() for w in leaves))
-    _, plan, recurrence = _plans.get(key, _build_plan, tree, caps, top, leaves)
-    return plan, recurrence
+    return _plans.get(key, _build_plan, tree, caps, top, leaves)[1]
 
 
 def _build_plan(tree, caps, top, leaves):
-    """((tree, plan, recurrence), table entries); holding the tree keeps any
-    other tree from taking its id while the plan is cached.
+    """((tree, plan), table entries); holding the tree keeps any other tree
+    from taking its id while the plan is cached.
 
     The plan is (the a nodes' indices, one step per other node in reversed
     preorder, the `_pair_plan` of every node).  A step is (node index, its
@@ -262,10 +260,9 @@ def _build_plan(tree, caps, top, leaves):
     l_a + l_b of every column, the degree step of each row, the length of
     the node's weight vector, and the size of its own support, None at the
     root).  The scatter offsets themselves are as large as the node's
-    table, so each execution adds them up anew.  The recurrence, the plan's
-    `_pair_recurrence`, is built only when the entries fit the cache's
-    budget, and is None past it: `_pair_tables` then builds one for its
-    one pass.
+    table, so each execution adds them up anew.  A plan past the cache's
+    budget is not kept, so it is built, recurrence coefficients and all,
+    once per certificate.
     """
     nodes = tree.branching_nodes
     leaf_index = [node.index for node in nodes if node.kind == "a"]
@@ -296,9 +293,7 @@ def _build_plan(tree, caps, top, leaves):
         # both degrees at the table's shape
         requests.append((node, sa[:, None] + 0 * degrees, sb + 0 * degrees))
         steps.append((node.index, ia, ib, sa, sb, degrees, orders, length, reach_size))
-    plan = leaf_index, steps, _pair_plan(caps, requests)
-    recurrence = _pair_recurrence(plan[2]) if entries <= _plans.budget else None
-    return (tree, plan, recurrence), entries
+    return (tree, (leaf_index, steps, _pair_plan(caps, requests))), entries
 
 
 def _radial(deg, order, z, n, elementary):

@@ -230,7 +230,10 @@ def node_pair_table_reference(node: TreeNode, nmax: int, l_left, l_right, theta,
     shape.  One recurrence pass over every pair and both angles builds the
     table: `gegenbauer_c_all` at b and b' nodes, where alpha = beta and
     P_n^{(a,a)} = (a+1)_n / (2a+1)_n C_n^{a+1/2} (DLMF 18.7.1), and
-    `jacobi_p_all` at c nodes.  Its transient memory is O(pairs * nmax): a
+    `jacobi_p_all` at c nodes.  Both run their own per-degree loops, so
+    this table shares no code with the orthonormal pass that builds
+    `node_pair_table` (`orthopoly.recurrence_table` and its kernel
+    `_three_term`).  Its transient memory is O(pairs * nmax): a
     q = 3 certificate peaks at about 1.1 MiB at nmax = 12 and 13.4 MiB at
     nmax = 30 (tracemalloc).  The products are assembled in log space, in
     place, so large-order coefficient growth cancels against the polynomial

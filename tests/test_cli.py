@@ -73,6 +73,34 @@ class TestTrees:
         assert err == f"error: the tree is more than {polyspherical.MAX_TREE_DEPTH} nodes deep\n"
 
 
+class TestUsageErrors:
+    # a command line the parser refuses is invalid input (exit 6), not a
+    # tree parse error (exit 2), and main returns its code, raising nothing
+    @pytest.mark.parametrize("argv, usage, message", [
+        (["expand", "chebyshev", "--nu", "abc"], "polykernel expand",
+         "argument --nu: invalid float value: 'abc'"),
+        (["verify"], "polykernel", "verify needs a theorem id or --suite"),
+        (["expand", "nosuch"], "polykernel expand", "argument expansion: invalid choice: 'nosuch'"),
+        ([], "polykernel", "the following arguments are required: command"),
+        (["nosuch"], "polykernel", "argument command: invalid choice: 'nosuch'"),
+        (["trees"], "polykernel trees", "the following arguments are required: subcommand"),
+        (["verify", "T4.1", "--seed", "x"], "polykernel verify",
+         "argument --seed: invalid int value: 'x'"),
+    ], ids=["malformed-value", "bare-verify", "unknown-expansion", "bare", "unknown-command",
+            "bare-trees", "malformed-int"])
+    def test_usage_error_exit6(self, capsys, argv, usage, message):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_INVALID_INPUT and out == ""
+        assert err.startswith(f"usage: {usage} ") and f"\nerror: {usage}: {message}" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["expand", "--help"]],
+                             ids=["top", "verify", "expand"])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: polykernel")
+
+
 class TestExpand:
     def test_chebyshev(self, capsys):
         code, out, _ = run(["expand", "chebyshev", "--nu", "1", "--z", "3",

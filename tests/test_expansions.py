@@ -520,6 +520,7 @@ _TR = st.one_of(st.just(ex.DEFAULT_TRUNCATION),
                           max_terms=st.one_of(st.integers(1, 12), st.just(2000))))
 
 
+@pytest.mark.parity
 class TestDegreeSumParity:
     @given(q=st.integers(1, 6), z=_bands((1.02, 1.1), (1.5, 4.0), (1.001, 10.0)), x=_X, tr=_TR)
     @example(q=2, z=1.2, x=0.9, tr=ex.Truncation(1e-14, 5))
@@ -609,6 +610,7 @@ def _cached_series(name, data):
     return lambda dphi: (nu, geometry(1.0, Rp, dphi, h)), st.floats(0.0, 2.0 * math.pi)
 
 
+@pytest.mark.parity
 class TestSecondKindCache:
     @pytest.mark.parametrize("name", ["euler_kernel_chebyshev", "euler_kernel_gegenbauer",
                                       "euler_kernel_jacobi", "multipole_power",

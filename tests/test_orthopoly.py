@@ -115,18 +115,6 @@ class TestJacobiPAll:
         for k, a in enumerate(alphas.tolist()):
             np.testing.assert_array_equal(col[:, k], op.jacobi_p_all(10, a, 0.5, 0.2))
 
-    def test_factors_built_in_halves_change_no_value(self, monkeypatch):
-        # 6 000 pairs at nmax = 30: each coefficient array passes
-        # _SPLIT_BYTES, so its k-dependent factors are built half the rows
-        # at a time; built whole, every entry is the same bit for bit
-        rng = np.random.default_rng(7)
-        alphas, betas = rng.uniform(-0.9, 40.0, (2, 6000))
-        xs = np.stack([rng.uniform(-1.0, 1.0, 6000), rng.uniform(-1.0, 1.0, 6000)])
-        assert 31 * 6000 * 8 > op._SPLIT_BYTES
-        halves = op.jacobi_p_all(30, alphas, betas, xs)
-        monkeypatch.setattr(op, "_SPLIT_BYTES", math.inf)
-        np.testing.assert_array_equal(halves, op.jacobi_p_all(30, alphas, betas, xs))
-
     @pytest.mark.parametrize("alpha, beta, bad, message", [
         ([0.5, -1.0], 0.5, (-1.0, 0.5), "must exceed -1"),
         (0.5, [0.2, 1.0, -1.5], (0.5, -1.5), "must exceed -1"),
@@ -155,11 +143,14 @@ def test_column_validation_matches_per_degree(column, single, args, exc):
         column(*args)
 
 
-# Property tests of the recurrence kernel under jacobi_p_all and
-# gegenbauer_c_all: a table of at most op._NARROW entries per row runs on
+# Property tests of the recurrence kernel under the orthonormal Jacobi pass
+# that builds the node pair tables (orthonormal_recurrence, then
+# recurrence_table): a table of at most op._NARROW entries per row runs on
 # Python floats, a wider one on numpy, and both must give the same bits.
-# On entry the table holds its first two terms and, from row 2 on, the
-# multipliers a_k its caller wrote there.
+# On entry the table holds a row -1 of zeros, row 0 and, from row 1 on, the
+# multipliers a_k that recurrence_table wrote there.  The whole-column
+# evaluators jacobi_p_all and gegenbauer_c_all run their own loops; the
+# tests below that draw them check each column against the per-degree call.
 
 _JACOBI_PARAM = st.floats(-0.95, 12.0)
 _GEGENBAUER_ORDER = st.floats(-0.45, 12.0).filter(lambda mu: abs(mu) > 1e-3)
@@ -185,11 +176,25 @@ def _table(kind, nmax, params, x):
     return op.gegenbauer_c_all(nmax, *args)
 
 
-def _prefilled(kind, nmax, params, x):
-    """(out, down, div) as the column evaluator hands them to the kernel."""
+def _row0(width):
+    """Row 0 entries of one row of a table: positive, as 1 / sqrt(h_0)
+    times an envelope."""
+    return st.lists(st.floats(1e-3, 1e3), min_size=width, max_size=width)
+
+
+def _orthonormal(nmax, params, x, row0):
+    """The orthonormal pass at x from row0, its recurrence built at x's
+    shape under the current _NARROW."""
+    x = np.asarray(x)
+    rec = op.orthonormal_recurrence(nmax, *[np.asarray(p) for p in params], x.shape)
+    return op.recurrence_table(rec, x, row0)
+
+
+def _prefilled(nmax, params, x, row0):
+    """(out, down, div) as recurrence_table hands them to the kernel."""
     calls = []
     with patch.object(op, "_three_term", lambda *args: calls.append(args)):
-        _table(kind, nmax, params, x)
+        _orthonormal(nmax, params, x, row0)
     (out, down, div), = calls
     return out, down, div
 
@@ -220,25 +225,22 @@ def _jacobi_explicit(n, a, b, x):
         return +total
 
 
+@pytest.mark.parity
 class TestThreeTermKernel:
-    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
     @given(data=st.data())
-    def test_narrow_and_numpy_paths_agree(self, kind, data):
-        # one pre-filled table through each path; large |x| and high degrees
-        # overflow to inf (and inf - inf to NaN): the paths must still agree
-        # bit for bit
-        nmax, params, x = data.draw(_column_draw(kind, x_bound=1e3, nmax_max=150,
+    def test_narrow_and_numpy_paths_agree(self, data):
+        # one pass through each path, its recurrence built for that path;
+        # large |x| and high degrees overflow to inf (and inf - inf to NaN):
+        # the paths must still agree bit for bit
+        nmax, params, x = data.draw(_column_draw("jacobi", x_bound=1e3, nmax_max=150,
                                                  width_max=3 * op._NARROW))
+        row0 = data.draw(_row0(len(x)))
+        tables = []
         with np.errstate(over="ignore", invalid="ignore"):
-            out, down, div = _prefilled(kind, nmax, params, x)
-            tables = []
-            for narrow in (out[0].size, out[0].size - 1):
+            for narrow in (len(x), len(x) - 1):
                 with patch.object(op, "_NARROW", narrow):
-                    table = out.copy()
-                    op._three_term(table, down, div)
-                    tables.append(table)
-            public = _table(kind, nmax, params, x)
-        assert tables[0].tobytes() == tables[1].tobytes() == public.tobytes()
+                    tables.append(_orthonormal(nmax, params, x, row0))
+        assert tables[0].tobytes() == tables[1].tobytes()
 
     @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
     @pytest.mark.parametrize("tiled", [False, True])
@@ -253,62 +255,59 @@ class TestThreeTermKernel:
             got = [float(v) for v in table[:, k]]
             assert got == [_per_degree(kind, n, pk, xk) for n in range(nmax + 1)]
 
-    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
     @given(data=st.data())
-    def test_pair_table_shape_in_blocks(self, kind, data):
-        # x of shape (2, w) against parameters of shape (w,), as
+    def test_pair_table_shape_in_blocks(self, data):
+        # x and row 0 of shape (2, w) against parameters of shape (w,), as
         # polyspherical._pair_tables passes them, so down and div reach the
         # kernel broadcast along the first row axis; _SPLIT_BYTES cut down so
-        # the kernel's operand blocks hold 1-3 rows and nmax spans many blocks
-        nmax, params, x = data.draw(_column_draw(kind, nmax_max=40, width_min=op._NARROW // 2 + 1,
+        # the kernel's operand blocks hold 1-3 rows and nmax spans many
+        # blocks.  Each column, run alone on the narrow path, has its bits.
+        nmax, params, x = data.draw(_column_draw("jacobi", nmax_max=40,
+                                                 width_min=op._NARROW // 2 + 1,
                                                  width_max=2 * op._NARROW))
         xp = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(x), max_size=len(x)))
         x2 = np.array([x, xp])
+        row0 = np.reshape(data.draw(_row0(x2.size)), x2.shape)
         rows_per_block = data.draw(st.integers(1, 3))
         with patch.object(op, "_SPLIT_BYTES", 32 * rows_per_block * x2.nbytes):
-            table = _table(kind, nmax, params, x2)
+            table = _orthonormal(nmax, params, x2, row0)
         with patch.object(op, "_NARROW", x2.size):
-            narrow = _table(kind, nmax, params, x2)
+            narrow = _orthonormal(nmax, params, x2, row0)
         assert table.shape == (nmax + 1,) + x2.shape
         assert table.tobytes() == narrow.tobytes()
         for k in range(len(x)):
-            pk = [p[k] for p in params]
-            for n in sorted({0, min(1, nmax), nmax // 2, nmax}):
-                got = table[n, :, k]
-                assert got.tobytes() == np.asarray(_per_degree(kind, n, pk, x2[:, k])).tobytes()
+            column = _orthonormal(nmax, [p[k] for p in params], x2[:, k], row0[:, k])
+            assert table[:, :, k].tobytes() == column.tobytes()
 
-    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
     @pytest.mark.parametrize("rows_per_block", [1, 2])
-    def test_wide_rows_in_blocks_of_one_or_two(self, kind, rows_per_block):
+    def test_wide_rows_in_blocks_of_one_or_two(self, rows_per_block):
         # rows of 2 x 300 entries and a budget of rows_per_block rows of
         # each operand: every block, the last one short, gives the bits of
-        # one whole-table block, of the narrow path and of the per-degree
-        # recurrence
+        # one whole-table block, of the narrow path and of each column run
+        # alone
         rng = np.random.default_rng(29 + rows_per_block)
         nmax, width = 41, 300
-        params = [rng.uniform(0.05, 6.0, width) for _ in range(2 if kind == "jacobi" else 1)]
+        params = [rng.uniform(0.05, 6.0, width) for _ in range(2)]
         x2 = rng.uniform(-1.0, 1.0, (2, width))
+        row0 = rng.uniform(0.1, 2.0, (2, width))
         tables = []
         for budget, narrow in [(32 * rows_per_block * x2.nbytes, op._NARROW),
                                (math.inf, op._NARROW), (math.inf, x2.size)]:
             with patch.object(op, "_SPLIT_BYTES", budget), patch.object(op, "_NARROW", narrow):
-                tables.append(_table(kind, nmax, params, x2))
+                tables.append(_orthonormal(nmax, params, x2, row0))
         assert tables[0].tobytes() == tables[1].tobytes() == tables[2].tobytes()
         for k in range(0, width, 37):
-            pk = [float(p[k]) for p in params]
-            for n in (2, 3, nmax):
-                got = tables[0][n, :, k]
-                assert got.tobytes() == np.asarray(_per_degree(kind, n, pk, x2[:, k])).tobytes()
+            column = _orthonormal(nmax, [float(p[k]) for p in params], x2[:, k], row0[:, k])
+            assert tables[0][:, :, k].tobytes() == column.tobytes()
 
-    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
     @pytest.mark.parametrize("width", [100, 3000])
-    def test_operand_blocks_bounded(self, kind, width):
+    def test_operand_blocks_bounded(self, width):
         # the two operand buffers take at most _SPLIT_BYTES / 16 together,
         # or one row each when two rows are larger; the row views and the
         # loop's other objects take a few KiB
         rng = np.random.default_rng(width)
-        params = [rng.uniform(0.05, 6.0, width) for _ in range(2 if kind == "jacobi" else 1)]
-        out, down, div = _prefilled(kind, 30, params, rng.uniform(-1.0, 1.0, (2, width)))
+        params = [rng.uniform(0.05, 6.0, width) for _ in range(2)]
+        out, down, div = _prefilled(30, params, rng.uniform(-1.0, 1.0, (2, width)), 1.0)
         tracemalloc.start()
         try:
             op._three_term(out, down, div)
@@ -356,54 +355,83 @@ class TestThreeTermKernel:
         assert type(got.value) is type(want.value)
 
 
-class TestReusableRecurrence:
-    # a fold plan builds each family's recurrence coefficients once and runs
-    # them at every angle pair: each run must give the public evaluator's
-    # table and the per-degree recurrence's values, bit for bit
+@pytest.mark.parity
+class TestColumnsAtPairShape:
+    # jacobi_p_all and gegenbauer_c_all at x of shape (2, w) against
+    # parameters of shape (w,), which their loops broadcast along the first
+    # row axis: every entry is the per-degree call's, bit for bit
     @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
-    @pytest.mark.parametrize("nmax", [0, 1, 2, 23])
-    @pytest.mark.parametrize("rows_per_block", [1, 2])
     @given(data=st.data())
-    def test_reused_equals_public_and_per_degree(self, kind, nmax, rows_per_block, data):
-        # x of shape (2, w), as a pair table passes it: 2w entries per row,
-        # on either side of _NARROW; _SPLIT_BYTES cut down so that the
-        # kernel's operand blocks hold rows_per_block rows
-        _, params, x = data.draw(_column_draw(kind, nmax_max=0))
+    def test_pair_shape_equals_per_degree(self, kind, data):
+        nmax, params, x = data.draw(_column_draw(kind, nmax_max=40, width_max=2 * op._NARROW))
         xp = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(x), max_size=len(x)))
         x2 = np.array([x, xp])
-        build = op.jacobi_recurrence if kind == "jacobi" else op.gegenbauer_recurrence
-        rec = op.reusable(build(nmax, *[np.asarray(p) for p in params], x2.shape))
-        with patch.object(op, "_SPLIT_BYTES", 32 * rows_per_block * x2.nbytes):
-            runs = [op.recurrence_table(rec, x2) for _ in range(2)]
-        public = _table(kind, nmax, params, x2)
-        assert runs[0].tobytes() == runs[1].tobytes() == public.tobytes()
+        table = _table(kind, nmax, params, x2)
+        assert table.shape == (nmax + 1,) + x2.shape
         for k in range(len(x)):
             pk = [p[k] for p in params]
             for n in range(nmax + 1):
                 want = np.asarray(_per_degree(kind, n, pk, x2[:, k]))
-                assert runs[0][n, :, k].tobytes() == want.tobytes()
+                assert table[n, :, k].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
-    @pytest.mark.parametrize("width", [1, 3, 900])
-    def test_held_bytes_per_entry(self, kind, width):
+    def test_wide_pair_rows_equal_per_degree(self, kind):
+        # rows of 2 x 300 entries, the width of a large fold plan's tables
+        rng = np.random.default_rng(31)
+        nmax, width = 41, 300
+        params = [rng.uniform(0.05, 6.0, width) for _ in range(2 if kind == "jacobi" else 1)]
+        x2 = rng.uniform(-1.0, 1.0, (2, width))
+        table = _table(kind, nmax, params, x2)
+        for k in range(0, width, 37):
+            pk = [float(p[k]) for p in params]
+            for n in (0, 1, 2, 3, nmax):
+                want = np.asarray(_per_degree(kind, n, pk, x2[:, k]))
+                assert table[n, :, k].tobytes() == want.tobytes()
+
+
+@pytest.mark.parity
+class TestReusableRecurrence:
+    # a fold plan builds its orthonormal recurrence once and runs it at
+    # every angle pair: each run must give a fresh build's table, bit for bit
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 23])
+    @pytest.mark.parametrize("rows_per_block", [1, 2])
+    @given(data=st.data())
+    def test_reused_equals_fresh(self, nmax, rows_per_block, data):
+        # x of shape (2, w), as a pair table passes it: 2w entries per row,
+        # on either side of _NARROW; _SPLIT_BYTES cut down so that the
+        # kernel's operand blocks hold rows_per_block rows.  Two angle
+        # pairs, the first run again after the second.
+        _, params, x = data.draw(_column_draw("jacobi", nmax_max=0))
+        pairs = [np.array([x, data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(x),
+                                                 max_size=len(x)))]) for _ in range(2)]
+        row0 = np.reshape(data.draw(_row0(2 * len(x))), (2, len(x)))
+        rec = op.orthonormal_recurrence(nmax, *[np.asarray(p) for p in params], (2, len(x)))
+        with patch.object(op, "_SPLIT_BYTES", 32 * rows_per_block * pairs[0].nbytes):
+            for x2 in pairs + pairs[:1]:
+                reused = op.recurrence_table(rec, x2, row0)
+                assert reused.tobytes() == _orthonormal(nmax, params, x2, row0).tobytes()
+
+    # widths 4 and 5 put 2 * width on either side of _NARROW = 8
+    @pytest.mark.parametrize("width", [1, 3, 4, 5, 900])
+    def test_held_bytes_per_entry(self, width):
         # a fold-plan cache bounds what its plans hold by their table
-        # entries (verify.PLAN_CACHE_ENTRIES): a reusable recurrence keeps
-        # at most 8 bytes per entry for each of its four coefficients, and
-        # on a narrow table 32 (the float and its slot) for each float of
-        # its down and div lists instead, plus a few KiB of headers
+        # entries (verify.PLAN_CACHE_ENTRIES): the recurrence of a pair
+        # table, x of shape (2, width), keeps its B and A arrays at 8 bytes
+        # per column and degree each, 8 per entry; on a narrow table A is
+        # instead a Python float (24 bytes) and two list slots (8 each) per
+        # entry, plus a few KiB of headers
         rng, nmax = np.random.default_rng(width), 60
-        params = [rng.integers(1, 40, width) * 0.5 for _ in range(2 if kind == "jacobi" else 1)]
-        build = op.jacobi_recurrence if kind == "jacobi" else op.gegenbauer_recurrence
+        params = [rng.integers(1, 40, width) * 0.5 for _ in range(2)]
         # floats taken from the free list would not be traced: empty it first
         spare = [float(i) + 0.5 for i in range(1000)]
         tracemalloc.start()
         try:
-            rec = op.reusable(build(nmax, *params, (2, width)))
+            rec = op.orthonormal_recurrence(nmax, *params, (2, width))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert isinstance(rec.down, list) == (2 * width <= op._NARROW) and len(spare) == 1000
-        per_entry = 2 * 8 + 2 * 32 if isinstance(rec.down, list) else 4 * 8
+        per_entry = 4 + 24 + 2 * 8 if isinstance(rec.down, list) else 8
         assert held <= per_entry * (nmax + 1) * 2 * width + 4096
 
 
@@ -419,8 +447,16 @@ class TestOrthonormalRecurrence:
                         for n in range(nmax + 1)])
         want = op.jacobi_p_all(nmax, np.array(a), np.array(b), np.array(x)) * scale
         rec = op.orthonormal_recurrence(nmax, np.array(a), np.array(b), (len(x),))
-        got = op.recurrence_table(op.reusable(rec), x, scale[0])
+        got = op.recurrence_table(rec, x, scale[0])
         assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+
+    @pytest.mark.parametrize("width", [1, 2 * op._NARROW])
+    def test_row_one_at_negative_zero(self, width):
+        # at alpha = beta, row 1 at x = -0.0 is +0.0 on either path, the
+        # sign of jacobi_p(1, a, a, -0.0)
+        rec = op.orthonormal_recurrence(3, 1.5, 1.5, (width,))
+        table = op.recurrence_table(rec, np.full(width, -0.0), 1.0)
+        assert not np.signbit(table[1]).any() and not np.signbit(op.jacobi_p(1, 1.5, 1.5, -0.0))
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):

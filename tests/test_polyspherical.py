@@ -528,6 +528,7 @@ def _pair_draw(rng):
     return node, int(rng.integers(61)), la, lb, theta, thetap
 
 
+@pytest.mark.parity
 class TestPairTableAccuracy:
     # node_pair_table against 40-digit mpmath, each column's largest error
     # relative to its largest entry
@@ -551,6 +552,27 @@ class TestPairTableAccuracy:
         new, old = np.array(errors).T
         assert new.max() <= 1e-13
         assert new.max() <= old.max() and np.median(new) <= np.median(old)
+
+
+class TestReferenceIndependence:
+    def test_reference_runs_no_orthonormal_pass(self, monkeypatch):
+        # the log-space oracle of the tables reaches neither the pass that
+        # node_pair_table runs nor its kernel: with both made to raise, it
+        # returns the same tables, bit for bit, on b, b' and c nodes
+        rng = np.random.default_rng(17)
+        draws = [_pair_draw(rng) for _ in range(12)]
+        assert {draw[0].kind for draw in draws} == {"b", "b'", "c"}
+        wants = [node_pair_table_reference(*draw) for draw in draws]
+
+        def refuse(*args):
+            raise AssertionError("the orthonormal pass was run")
+
+        monkeypatch.setattr(op, "_three_term", refuse)
+        monkeypatch.setattr(op, "recurrence_table", refuse)
+        with pytest.raises(AssertionError, match="orthonormal pass"):
+            ps.node_pair_table(*draws[0])
+        for draw, want in zip(draws, wants):
+            assert node_pair_table_reference(*draw).tobytes() == want.tobytes()
 
 
 class TestHarmonic:

@@ -216,6 +216,7 @@ def _assert_same_as_reference(args, max_terms=sf._MAX_TERMS):
     return want
 
 
+@pytest.mark.parity
 class TestSeriesKernelParity:
     @given(nu=st.floats(-0.95, 1000.0), mu=st.floats(-6.0, 6.0), z=_Z)
     @example(nu=1000.0, mu=6.0, z=1.0002)        # runs out of its 100 000 terms
@@ -383,6 +384,7 @@ class TestLegendreQHat:
         assert abs(got - want) <= 2e-12 * abs(want), (got, want)
 
 
+@pytest.mark.parity
 class TestBoundedCache:
     @staticmethod
     def _counted(built):

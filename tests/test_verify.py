@@ -309,6 +309,7 @@ def _tree_specs(draw, budget):
     return "c" + draw(_tree_specs(left)) + draw(_tree_specs(budget - 1 - left))
 
 
+@pytest.mark.parity
 class TestTablesFirstFold:
     @given(data=st.data())
     def test_fold_equals_node_by_node_fold(self, data):
@@ -348,9 +349,18 @@ def _fresh_plans(monkeypatch, entries=None):
 
 
 def _cached_plans():
-    """(key, (tree, plan, recurrences), table entries) of every cached plan,
+    """(key, (tree, plan), table entries) of every cached plan,
     least recently used first."""
     return [(key, value, weight) for key, (value, weight) in vf._plans._held.items()]
+
+
+def _count_builds(monkeypatch):
+    """The list that every orthonormal recurrence build of a pair plan
+    appends its arguments to."""
+    built, build = [], ps.orthonormal_recurrence
+    monkeypatch.setattr(ps, "orthonormal_recurrence",
+                        lambda *args: built.append(args) or build(*args))
+    return built
 
 
 def _fold_inputs(tree, caps, rng, zeros=()):
@@ -367,6 +377,7 @@ def _fold_inputs(tree, caps, rng, zeros=()):
     return angles, anglesp, leaves
 
 
+@pytest.mark.parity
 class TestFoldPlan:
     # a plan is reused for every fold on its tree, caps, top and leaf
     # supports, so a warm plan must give what a cold one gives: the
@@ -522,6 +533,7 @@ class TestTableMemoryBound:
         assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
 
 
+@pytest.mark.parity
 class TestPlanCoefficients:
     # a cached plan runs on the recurrence coefficients it keeps, and a plan
     # past the cache's entry bound on fresh ones; either way a fold gives
@@ -532,14 +544,11 @@ class TestPlanCoefficients:
         tree, caps, rng = ps.parse_tree(spec), 6, np.random.default_rng(61)
         _fresh_plans(monkeypatch)
         vf._fold(tree, caps, *_fold_inputs(tree, caps, rng))
-        ((_, (_, _, kept), entries),) = _cached_plans()
-        assert kept is not None
+        ((_, (_, (_, _, (*_, kept))), entries),) = _cached_plans()
         if not cached:
             # one entry short of the plan's tables
             _fresh_plans(monkeypatch, entries - 1)
-        built, pair_recurrence = [], ps._pair_recurrence
-        monkeypatch.setattr(ps, "_pair_recurrence",
-                            lambda *args: built.append(args) or pair_recurrence(*args))
+        built = _count_builds(monkeypatch)
         for _ in range(3):
             angles, anglesp, leaves = _fold_inputs(tree, caps, rng)
             # not counting the builds of the reference's own node_pair_table
@@ -549,7 +558,7 @@ class TestPlanCoefficients:
             np.testing.assert_array_equal(got, fold_reference(tree, caps, angles, anglesp, leaves))
             if cached:
                 # the coefficients it keeps, none built again
-                ((_, (_, _, recurrence), _),) = _cached_plans()
+                ((_, (_, (_, _, (*_, recurrence))), _),) = _cached_plans()
                 assert recurrence is kept and not fold_built
             else:
                 # fresh coefficients, one build per pass
@@ -561,22 +570,21 @@ class TestPlanCoefficients:
         # recurrence coefficients once, for its one pass, and gives the
         # node-by-node fold's root weights, bit for bit
         _fresh_plans(monkeypatch)
-        built, folds = [], []
-        pair_recurrence, fold = ps._pair_recurrence, vf._fold
+        folds, fold = [], vf._fold
 
         def kept(*args):
             folds.append((args, fold(*args)))
             return folds[-1][1]
 
-        monkeypatch.setattr(ps, "_pair_recurrence",
-                            lambda *args: built.append(args) or pair_recurrence(*args))
+        built = _count_builds(monkeypatch)
         monkeypatch.setattr(vf, "_fold", kept)
         assert vf.run_verification(_hopf_cfg(3, 0, 30)).status == "pass"
         assert not _cached_plans() and len(built) == 1
         ((args, got),) = folds
         tree, caps, angles, anglesp, leaves, top = args
-        _, recurrence = vf._fold_plan(tree, caps, top, leaves)
-        assert recurrence is None and not _cached_plans()
+        # the plan is built again, its coefficients with it, and not kept
+        vf._fold_plan(tree, caps, top, leaves)
+        assert len(built) == 2 and not _cached_plans()
         np.testing.assert_array_equal(got, fold_reference(*args))
 
     def test_held_bytes_bounded_by_entries(self, monkeypatch):
@@ -599,7 +607,7 @@ class TestPlanCoefficients:
                 vf.run_verification(cfg)
                 origin.update((key, i) for key, _, _ in _cached_plans() if key not in origin)
                 cached = [(origin[key], entries, len(tree.branching_nodes))
-                          for key, (tree, _, _), entries in _cached_plans()]
+                          for key, (tree, _), entries in _cached_plans()]
                 assert sum(entries for _, entries, _ in cached) <= vf.PLAN_CACHE_ENTRIES
                 gc.collect()
                 before = tracemalloc.get_traced_memory()[0]
@@ -625,6 +633,7 @@ def _report_bits(rep):
     return rep.status, np.array([rep.lhs, rep.rhs, rep.rel_err, rep.tail_estimate]).tobytes()
 
 
+@pytest.mark.parity
 class TestRadialCache:
     # the radial column depends on no angle, so a certificate that reads
     # it from the cache must give what one that builds it gives, bit for bit
@@ -737,6 +746,7 @@ _CYCLE_PINS = [
 ]
 
 
+@pytest.mark.parity
 class TestCertificateBits:
     @pytest.mark.parametrize("cfg, want", _CYCLE_PINS)
     def test_pinned_bits(self, monkeypatch, cfg, want):
