@@ -13,12 +13,13 @@ The orthonormal Jacobi pass that builds the node pair tables is two steps.
 coefficients depend only on the degree and the parameters, so a caller that
 meets the same parameters at many x (a cached fold plan) builds them once.
 `recurrence_table` runs the half that depends on x from a given row 0: it
-writes every a_k in bulk, and the kernel `_three_term` fills each row.  The
-kernel runs a table of at most `_NARROW` entries per row on Python floats,
-where numpy's per-call overhead would set the cost, and a wider table in
-place, four ufunc calls per degree on contiguous rows of one shape; both do
-the same IEEE operations, so every column is the same bit for bit on either
-path.
+writes every multiplier a_k = (x - B_{k-1}) / A_k in bulk, and the kernel
+`_three_term` fills each row by a_k row(k-1) - r_k row(k-2), with the
+angle-free ratios r_k = A_{k-1} / A_k and no division.  The kernel runs a
+table of at most `_NARROW` entries per row on Python floats, where numpy's
+per-call overhead would set the cost, and a wider table in place, three
+ufunc calls per degree on contiguous rows of one shape; both do the same
+IEEE operations, so every column is the same bit for bit on either path.
 """
 
 from __future__ import annotations
@@ -70,28 +71,29 @@ class Recurrence(NamedTuple):
     """The angle-free half of an orthonormal Jacobi pass, for
     `recurrence_table` to run at an x that broadcasts to the row shape.
 
-    Rows k = 1..nmax follow `_three_term` from a_k = x - b[k - 1], b the
-    array of B_0 .. B_{nmax-1}, with down_k = A_{k-1} and div_k = A_k.
-    down and div are two views of one array of A_0 = 0, A_1 .. A_nmax or,
-    on a table of at most _NARROW entries per row, the lists that the
-    narrow path reads, one per entry of a row.
+    Rows k = 1..nmax follow `_three_term` from the multipliers
+    a_k = (x - b[k - 1]) / a[k - 1] and the ratios r_k = ratio[k - 1], b
+    the array of B_0 .. B_{nmax-1}, a that of A_1 .. A_nmax and ratio that
+    of r_1 = A_0 / A_1 = 0, r_k = A_{k-1} / A_k.  On a table of at most
+    _NARROW entries per row, ratio is instead the lists that the narrow
+    path reads, one per entry of a row.
     """
 
     nmax: int
     shape: tuple
     b: np.ndarray
-    down: object
-    div: object
+    a: np.ndarray
+    ratio: object
 
 
-def _three_term(out, down, div):
-    """Fill out[2:] by out[k] = (a_k out[k-1] - down_k out[k-2]) / div_k.
+def _three_term(out, ratio):
+    """Fill out[2:] by out[k] = a_k out[k-1] - r_k out[k-2].
 
     On entry out[0] and out[1] hold the first two terms and out[2:] the
-    multipliers a_k, which `recurrence_table` writes there in bulk.  down
-    and div hold rows k = 2..len(out) - 1, in the form that
-    `orthonormal_recurrence` chose for the table's width: arrays that
-    broadcast to out's rows, which the numpy path reads, or lists of
+    multipliers a_k, which `recurrence_table` writes there in bulk.  ratio
+    holds r_k for rows k = 2..len(out) - 1, in the form that
+    `orthonormal_recurrence` chose for the table's width: an array that
+    broadcasts to out's rows, which the numpy path reads, or lists of
     Python floats, one per entry of a row, which the narrow path reads.
     Both paths do the same IEEE operations in the same order, so the table
     is the same bit for bit whichever path fills it.
@@ -99,34 +101,32 @@ def _three_term(out, down, div):
     nmax = len(out) - 1
     if nmax < 2:
         return
-    if isinstance(down, np.ndarray):
-        # Four in-place calls per degree, every operand a contiguous row of
-        # the row's own shape: down and div are copied into two buffers a
-        # block of rows at a time, and d_k out[k-2] is formed in d_k's own
-        # copy.  The two buffers take at most _SPLIT_BYTES / 16 (64 KiB)
-        # together, or one row each, under the 128 KiB past which glibc
-        # maps an allocation afresh on each call.
+    if isinstance(ratio, np.ndarray):
+        # Three in-place calls per degree, every operand a contiguous row of
+        # the row's own shape: ratio is copied into a buffer a block of rows
+        # at a time, and r_k out[k-2] is formed in r_k's own copy.  The
+        # buffer takes at most _SPLIT_BYTES / 32 (32 KiB), or one row,
+        # under the 128 KiB past which glibc maps an allocation afresh on
+        # each call.
         rows = list(out)
         block = min(nmax - 1, max(1, _SPLIT_BYTES // (32 * out[0].nbytes)))
-        downs, divs = np.empty((2, block) + out.shape[1:])
-        down_rows, div_rows = list(downs), list(divs)
+        ratios = np.empty((block,) + out.shape[1:])
+        ratio_rows = list(ratios)
         for start in range(2, nmax + 1, block):
             stop = min(start + block, nmax + 1)
-            np.copyto(downs[:stop - start], down[start - 2:stop - 2])
-            np.copyto(divs[:stop - start], div[start - 2:stop - 2])
-            for k, d, v in zip(range(start, stop), down_rows, div_rows):
+            np.copyto(ratios[:stop - start], ratio[start - 2:stop - 2])
+            for k, r in zip(range(start, stop), ratio_rows):
                 row = rows[k]
                 np.multiply(row, rows[k - 1], row)
-                np.multiply(d, rows[k - 2], d)
-                np.subtract(row, d, row)
-                np.divide(row, v, row)
+                np.multiply(r, rows[k - 2], r)
+                np.subtract(row, r, row)
         return
     cols = []
-    for c, downs, divs in zip(out.reshape(nmax + 1, -1).T.tolist(), down, div):
+    for c, ratios in zip(out.reshape(nmax + 1, -1).T.tolist(), ratio):
         a, b = c[0], c[1]
         col = []
-        for ak, d, v in zip(c[2:], downs, divs):
-            a, b = b, (ak * b - d * a) / v
+        for ak, r in zip(c[2:], ratios):
+            a, b = b, ak * b - r * a
             col.append(b)
         cols.append(col)
     out[2:] = np.reshape(np.transpose(cols), out[2:].shape)
@@ -187,13 +187,17 @@ def orthonormal_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     A_n = 2 / s sqrt(n (n + alpha) (n + beta) (n + ab) / ((s - 1) (s + 1))),
     where B_0 = (beta - alpha) / (ab + 2), which holds at ab = 0 too, and
     A_1 = 2 / (ab + 2) sqrt((alpha + 1) (beta + 1) / (ab + 3)) are taken
-    with the common factors ab and n + ab cancelled.  So a_k = x - B_{k-1},
-    down_k = A_{k-1} and div_k = A_k for k >= 1, where A_0 = 0 meets a row
-    -1 of zeros and row 1 is (x - B_0) row0 / A_1.  The caller's row 0
-    carries 1 / sqrt(h_0) and any factor common to the column, which every
-    later row takes from it.  On a table of at most _NARROW entries per
-    row, down and div are built here, once, as the lists the narrow path
-    reads.
+    with the common factors ab and n + ab cancelled.  So row k >= 1 is
+    a_k row(k-1) - r_k row(k-2) with the multiplier a_k = (x - B_{k-1}) /
+    A_k and the ratio r_k = A_{k-1} / A_k, where r_1 = A_0 / A_1 = 0 meets
+    a row -1 of zeros.  The caller's row 0 carries 1 / sqrt(h_0) and any
+    factor common to the column, which every later row takes from it.
+
+    B, A and the ratios are built in place on arrays of the shape of s,
+    (nmax, 1, columns) at parameters of shape (columns,) and x of shape
+    (2, columns), with one more temporary.  On a table of at most _NARROW
+    entries per row, the ratios are built here, once, as the lists the
+    narrow path reads.
     """
     if nmax < 0:
         raise ValueError("degree must be a nonnegative integer")
@@ -204,20 +208,35 @@ def orthonormal_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     row = np.broadcast_shapes(alpha.shape, beta.shape, shape)
     ns = np.arange(1.0, nmax + 1.0).reshape((-1,) + (1,) * len(row))
     s = 2.0 * ns + ab                 # s_n, n = 1..nmax
-    n = ns[1:]
-    a = n * (n + alpha) * (n + beta) * (n + ab) / ((s[1:] - 1.0) * (s[1:] + 1.0))
-    a = 2.0 / s[1:] * np.sqrt(a)                                 # A_2 .. A_nmax
-    first = np.zeros((3,) + a.shape[1:])                         # A_0, B_0, A_1
+    a, b, ratio = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    # A_2 .. A_nmax, with b and ratio as working space
+    n, an, tn, un, sn = ns[1:], a[1:], b[1:], ratio[1:], s[1:]
+    np.add(n, alpha, out=an)
+    an *= n
+    np.add(n, beta, out=tn)
+    an *= tn
+    np.add(n, ab, out=tn)
+    an *= tn
+    np.subtract(sn, 1.0, out=tn)
+    np.add(sn, 1.0, out=un)
+    tn *= un
+    an /= tn
+    np.sqrt(an, out=an)
+    np.divide(2.0, sn, out=tn)
+    an *= tn
+    a[:1] = 2.0 / (ab + 2.0) * np.sqrt((alpha + 1.0) * (beta + 1.0) / (ab + 3.0))
     # -(alpha - beta), -0.0 at alpha = beta: x - B_0 is then x + 0.0, so
     # row 1 at x = -0.0 reads 0.0, not -0.0
-    first[1] = -(alpha - beta) / (ab + 2.0)
-    first[2] = 2.0 / (ab + 2.0) * np.sqrt((alpha + 1.0) * (beta + 1.0) / (ab + 3.0))
-    b = np.concatenate([first[1:2], (beta - alpha) * ab / (s[:-1] * s[1:])])[:nmax]
-    a = np.concatenate([first[::2], a])[:nmax + 1]
-    if math.prod(row) > _NARROW:
-        return Recurrence(nmax, row, b, a[:-1], a[1:])
-    cols = np.broadcast_to(a, (nmax + 1,) + row).reshape(nmax + 1, -1).T.tolist()
-    return Recurrence(nmax, row, b, [c[:-1] for c in cols], [c[1:] for c in cols])
+    b[:1] = -(alpha - beta) / (ab + 2.0)
+    np.multiply(s[:-1], s[1:], out=tn)
+    np.divide((beta - alpha) * ab, tn, out=tn)
+    ratio[:1] = 0.0
+    np.divide(a[:-1], a[1:], out=un)
+    width = math.prod(row)
+    if width > _NARROW:
+        return Recurrence(nmax, row, b, a, ratio)
+    ratio = np.broadcast_to(ratio, (nmax,) + row).reshape(nmax, width).T.tolist()
+    return Recurrence(nmax, row, b, a, ratio)
 
 
 def recurrence_table(rec: Recurrence, x, row0):
@@ -225,13 +244,16 @@ def recurrence_table(rec: Recurrence, x, row0):
     shape ``(nmax + 1,) + rec.shape``, which x and row0 must broadcast to.
     Every later row is built from row 0, so a factor common to a column
     rides on its row 0.  The pass fills a table with a row -1 of zeros in
-    front, its multipliers a_k written by one `np.subtract`, and returns
-    the view past that row."""
+    front, its multipliers a_k = (x - B_{k-1}) / A_k written by one
+    `np.subtract` and one `np.divide`, and returns the view past that
+    row."""
     out = np.empty((rec.nmax + 2,) + rec.shape)
     out[0] = 0.0
     out[1] = row0
-    np.subtract(x, rec.b, out=out[2:])
-    _three_term(out, rec.down, rec.div)
+    multipliers = out[2:]
+    np.subtract(x, rec.b, out=multipliers)
+    np.divide(multipliers, rec.a, out=multipliers)
+    _three_term(out, rec.ratio)
     return out[1:]
 
 

@@ -472,9 +472,9 @@ def _pair_plan(nmax: int, requests):
     per column l_left, l_right, alpha, beta and log(K / sqrt(h_0)), one row
     each, and recurrence the angle-free half of the columns' pass at x of
     shape (2, columns) (`orthopoly.orthonormal_recurrence`).  So what a
-    plan holds grows with the columns times nmax, about 16 bytes per
-    column and degree on a wide table, and a certificate that keeps its
-    plan keeps no table.
+    plan holds grows with the columns times nmax, 24 bytes per column and
+    degree on a wide table (B, A and the ratios), and a certificate that
+    keeps its plan keeps no table.
     """
     columns = [np.zeros((5, 0))]
     for node, ll, lr in requests:
@@ -511,9 +511,10 @@ def _pair_tables(plan, angles):
     argument at both angles.  One `orthopoly.recurrence_table` run of the
     plan's recurrence then gives every column at both angles, and the
     table is the product of the two.  One wide pass costs about what one
-    narrow pass does (the per-degree ufunc calls set the cost, not the
-    entries), but every table is held at once, each a view of the pass's
-    output.
+    narrow pass does (its three ufunc calls per degree set the cost, not
+    the entries), but every table is held at once, each a view of the
+    pass's output, beside the 8 bytes per entry of scatter offsets that a
+    fold plan holds for it (see `verify._build_plan`).
     """
     nmax, nodes, shapes, (ll, lr, _, _, log_norm), recurrence = plan
     trig = []

@@ -26,10 +26,10 @@ degrees follow from the tree's structure (the leaves' nonzero orders, caps
 and top), so every b, b' and c table comes from one orthonormal Jacobi
 recurrence pass; the per-degree ufunc calls, not the entries, set its
 cost.  What follows from the structure alone is a fold plan, kept with the
-pass's recurrence coefficients in a `specfun.BoundedCache` per shape, so a
-certificate on a shape seen before runs only the angle-dependent half; the
-radial column R depends on no angle either and is read through
-`specfun.second_kind`.  The contraction, one np.bincount per node, reads
+pass's recurrence coefficients and every node's scatter offsets in a
+`specfun.BoundedCache` per shape, so a certificate on a shape seen before
+runs only the angle-dependent half; the radial column R depends on no angle
+either and is read through `specfun.second_kind`.  The contraction, one np.bincount per node, reads
 only the nonzero child weights, in the order a node-by-node fold would, so
 every certificate is the same bit for bit.  The cost is memory: every table
 is held at once, up to MAX_TABLE_ENTRIES entries.
@@ -53,8 +53,9 @@ from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_tables,
 from .specfun import BoundedCache, _is_int, legendre_q_hat, legendre_q_hat_column, second_kind
 
 _RADIUS_GUARD = 1e-6
-# The most entries a certificate's node tables (about 36 bytes each at the
-# tracemalloc peak), or its weight vectors of length m + 1 or more, may hold.
+# The most entries a certificate's node tables (about 50 bytes each at the
+# tracemalloc peak, the plan's coefficients and scatter offsets included),
+# or its weight vectors of length m + 1 or more, may hold.
 MAX_TABLE_ENTRIES = 4_000_000
 
 
@@ -199,11 +200,13 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     pass (see `_pair_plan`).  A fold on a shape seen before skips straight
     to the execution.  It builds every node's
     table first, in one `_pair_tables` call and one recurrence pass, then
-    contracts from the leaves up with one `np.bincount` per node.  bincount
-    adds its weights in the order it reads them, as `np.add.at` does, and
-    reads only the nonzero child weights, l_a-major, then l_b, with n
-    innermost, so every root weight is the same bit for bit as a
-    node-by-node fold's.
+    contracts from the leaves up with one `np.bincount` per node, at the
+    scatter offsets the plan holds.  bincount adds its weights in the order
+    it reads them, as `np.add.at` does, and reads only the nonzero child
+    weights, l_a-major, then l_b, with n innermost, so every root weight is
+    the same bit for bit as a node-by-node fold's.  Where a child's weight
+    vanishes at degrees its structural support allows, the node reads its
+    table at the nonzero degrees only and adds up their offsets anew.
     Holding every table at once costs memory, so a certificate whose tables
     would hold more than MAX_TABLE_ENTRIES entries raises DomainError while
     its plan is built, before any table, or the support index array that
@@ -216,28 +219,30 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     # the nonzero degrees of a node whose weight vanishes where its
     # structural support allows a nonzero one
     nonzero = {}
-    for (index, ia, ib, sa, sb, degrees, orders, length, reach_size), u in zip(steps, tables):
+    for (index, ia, ib, sa, sb, offsets, orders, length, reach_size), u in zip(steps, tables):
         left, right = weights[ia], weights[ib]
         la, lb = nonzero.get(ia, sa), nonzero.get(ib, sb)
         if la is not sa or lb is not sb:
             u = u[:, np.searchsorted(sa, la)[:, None], np.searchsorted(sb, lb)]
-            degrees = la[:, None] + lb
+            offsets = ((la[:, None] + lb)[..., None] + orders).ravel()
         # l_a-major, then l_b, with n innermost, so every degree adds its
         # terms in the same order as a loop over the pairs would
         terms = np.multiply((left[la][:, None] * right[lb])[..., None], u.transpose(1, 2, 0),
                             order="C")
-        out = np.bincount((degrees[..., None] + orders).ravel(), terms.ravel(), length)
+        out = np.bincount(offsets, terms.ravel(), length)
         weights[index] = out = out if top is None else out[:top + 1]
         if reach_size is not None and np.count_nonzero(out) < reach_size:
             nonzero[index] = np.flatnonzero(out)
     return weights[tree.root.index]
 
 
-# Fold plans, with their recurrence coefficients, kept for callers that
-# certify many angle pairs on a few tree shapes: at most PLAN_CACHE_SIZE
-# plans weighed by their table entries, PLAN_CACHE_ENTRIES in all.  A plan
-# holds at most 160 bytes per entry (about 20 on a wide table; a one-column
-# table's coefficients are Python floats) and about 4 KiB per tree node.
+# Fold plans, with their recurrence coefficients and scatter offsets, kept
+# for callers that certify many angle pairs on a few tree shapes: at most
+# PLAN_CACHE_SIZE plans weighed by their table entries, PLAN_CACHE_ENTRIES in
+# all.  A plan holds at most 160 bytes per entry and about 4 KiB per tree
+# node: measured, 32-39 bytes per entry on a wide table (24 of them the B,
+# A and ratio arrays, 8 the offsets) and 97-124 on a one-column table,
+# whose ratios are Python floats.
 PLAN_CACHE_SIZE = 32
 PLAN_CACHE_ENTRIES = 1 << 16
 _plans = BoundedCache(PLAN_CACHE_SIZE, PLAN_CACHE_ENTRIES)
@@ -257,12 +262,13 @@ def _build_plan(tree, caps, top, leaves):
     The plan is (the a nodes' indices, one step per other node in reversed
     preorder, the `_pair_plan` of every node).  A step is (node index, its
     children's indices, both children's structural supports, the degree
-    l_a + l_b of every column, the degree step of each row, the length of
-    the node's weight vector, and the size of its own support, None at the
-    root).  The scatter offsets themselves are as large as the node's
-    table, so each execution adds them up anew.  A plan past the cache's
-    budget is not kept, so it is built, recurrence coefficients and all,
-    once per certificate.
+    l_a + l_b + step n of every table entry in bincount's reading order,
+    the degree step of each row, the length of the node's weight vector,
+    and the size of its own support, None at the root).  Those scatter
+    offsets are as large as the node's table, 8 bytes per entry, and an
+    execution whose child supports are narrower adds up its own.  A plan
+    past the cache's budget is not kept, so it is built, recurrence
+    coefficients and offsets and all, once per certificate.
     """
     nodes = tree.branching_nodes
     leaf_index = [node.index for node in nodes if node.kind == "a"]
@@ -283,16 +289,17 @@ def _build_plan(tree, caps, top, leaves):
                               f" entries at caps = {caps}")
         step = 2 if node.kind == "c" else 1
         degrees, orders = sa[:, None] + sb, step * np.arange(caps + 1)
+        offsets = (degrees[..., None] + orders).ravel()
         length, reach_size = len_a + len_b - 1 + step * caps, None
         if node is not tree.root:            # no parent reads the root's degrees
             reach = np.zeros(length, dtype=bool)
-            reach[degrees[..., None] + orders] = True
+            reach[offsets] = True
             reach = reach if top is None else reach[:top + 1]
             support[node.index] = (len(reach), np.flatnonzero(reach))
             reach_size = len(support[node.index][1])
         # both degrees at the table's shape
         requests.append((node, sa[:, None] + 0 * degrees, sb + 0 * degrees))
-        steps.append((node.index, ia, ib, sa, sb, degrees, orders, length, reach_size))
+        steps.append((node.index, ia, ib, sa, sb, offsets, orders, length, reach_size))
     return (tree, (leaf_index, steps, _pair_plan(caps, requests))), entries
 
 

@@ -127,6 +127,57 @@ class TestJacobiPAll:
         with pytest.raises(ValueError, match=message):
             op.jacobi_p_all(3, alpha, beta, 0.3)
 
+    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
+    @pytest.mark.parametrize("tiled", [False, True])
+    @given(data=st.data())
+    def test_columns_equal_per_degree(self, kind, tiled, data):
+        nmax, params, x = data.draw(_column_draw(kind, nmax_max=30))
+        reps = op._NARROW // len(x) + 1 if tiled else 1
+        params, x = [p * reps for p in params], x * reps
+        table = _table(kind, nmax, params, x)
+        for k, xk in enumerate(x):
+            pk = [p[k] for p in params]
+            got = [float(v) for v in table[:, k]]
+            assert got == [_per_degree(kind, n, pk, xk) for n in range(nmax + 1)]
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
+    @given(data=st.data())
+    def test_columns_match_mpmath(self, kind, data):
+        nmax, params, x = data.draw(_column_draw(kind, nmax_max=40))
+        table = _table(kind, nmax, params, x)
+        with mp.workdps(30):
+            for k, xk in enumerate(x):
+                pk = [mp.mpf(p[k]) for p in params]
+                running = 0.0
+                for n in range(nmax + 1):
+                    if kind == "jacobi":
+                        want = _jacobi_explicit(n, pk[0], pk[1], xk)
+                    else:
+                        # zeroprec: an exact zero (odd degree at x = 0) is a value
+                        want = mp.gegenbauer(n, pk[0], xk, zeroprec=200)
+                    running = max(running, abs(float(want)))
+                    assert abs(table[n, k] - want) <= 1e-12 * running
+
+    @pytest.mark.parametrize("column, single, good, bad", [
+        (op.jacobi_p_all, op.jacobi_p, (0.5, 0.5), (-1.0, 0.5)),
+        (op.jacobi_p_all, op.jacobi_p, (0.5, 0.5), (0.5, -1.5)),
+        (op.jacobi_p_all, op.jacobi_p, (0.5, 0.5), (-0.25, -0.75)),
+        (op.gegenbauer_c_all, op.gegenbauer_c, (1.5,), (0.0,)),
+        (op.gegenbauer_c_all, op.gegenbauer_c, (1.5,), (-0.7,)),
+    ])
+    @given(width=st.integers(1, 3 * op._NARROW))
+    def test_invalid_parameters_raise_alike(self, column, single, good, bad, width):
+        # one bad entry in a table of either width raises what the
+        # per-degree call raises at that entry
+        params = [np.full(width, g) for g in good]
+        for p, b in zip(params, bad):
+            p[-1] = b
+        with pytest.raises(Exception) as want:
+            single(5, *bad, 0.3)
+        with pytest.raises(Exception) as got:
+            column(5, *params, np.linspace(-0.9, 0.9, width))
+        assert type(got.value) is type(want.value)
+
 
 @pytest.mark.parametrize("column, single, args, exc", [
     (op.jacobi_p_all, op.jacobi_p, (-1, 0.5, 0.5, 0.3), ValueError),
@@ -148,9 +199,11 @@ def test_column_validation_matches_per_degree(column, single, args, exc):
 # recurrence_table): a table of at most op._NARROW entries per row runs on
 # Python floats, a wider one on numpy, and both must give the same bits.
 # On entry the table holds a row -1 of zeros, row 0 and, from row 1 on, the
-# multipliers a_k that recurrence_table wrote there.  The whole-column
-# evaluators jacobi_p_all and gegenbauer_c_all run their own loops; the
-# tests below that draw them check each column against the per-degree call.
+# multipliers a_k = (x - B_{k-1}) / A_k that recurrence_table wrote there.
+# The whole-column evaluators jacobi_p_all and gegenbauer_c_all run their
+# own loops, not this kernel; the tests that draw them from the strategies
+# below (in TestJacobiPAll and TestColumnsAtPairShape) check each column
+# against the per-degree call.
 
 _JACOBI_PARAM = st.floats(-0.95, 12.0)
 _GEGENBAUER_ORDER = st.floats(-0.45, 12.0).filter(lambda mu: abs(mu) > 1e-3)
@@ -191,12 +244,12 @@ def _orthonormal(nmax, params, x, row0):
 
 
 def _prefilled(nmax, params, x, row0):
-    """(out, down, div) as recurrence_table hands them to the kernel."""
+    """(out, ratio) as recurrence_table hands them to the kernel."""
     calls = []
     with patch.object(op, "_three_term", lambda *args: calls.append(args)):
         _orthonormal(nmax, params, x, row0)
-    (out, down, div), = calls
-    return out, down, div
+    (out, ratio), = calls
+    return out, ratio
 
 
 def _per_degree(kind, n, params, x):
@@ -241,19 +294,6 @@ class TestThreeTermKernel:
                 with patch.object(op, "_NARROW", narrow):
                     tables.append(_orthonormal(nmax, params, x, row0))
         assert tables[0].tobytes() == tables[1].tobytes()
-
-    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
-    @pytest.mark.parametrize("tiled", [False, True])
-    @given(data=st.data())
-    def test_columns_equal_per_degree(self, kind, tiled, data):
-        nmax, params, x = data.draw(_column_draw(kind, nmax_max=30))
-        reps = op._NARROW // len(x) + 1 if tiled else 1
-        params, x = [p * reps for p in params], x * reps
-        table = _table(kind, nmax, params, x)
-        for k, xk in enumerate(x):
-            pk = [p[k] for p in params]
-            got = [float(v) for v in table[:, k]]
-            assert got == [_per_degree(kind, n, pk, xk) for n in range(nmax + 1)]
 
     @given(data=st.data())
     def test_pair_table_shape_in_blocks(self, data):
@@ -302,57 +342,19 @@ class TestThreeTermKernel:
 
     @pytest.mark.parametrize("width", [100, 3000])
     def test_operand_blocks_bounded(self, width):
-        # the two operand buffers take at most _SPLIT_BYTES / 16 together,
-        # or one row each when two rows are larger; the row views and the
-        # loop's other objects take a few KiB
+        # the ratio buffer takes at most _SPLIT_BYTES / 32, or one row when
+        # a row is larger; the row views and the loop's other objects take
+        # a few KiB
         rng = np.random.default_rng(width)
         params = [rng.uniform(0.05, 6.0, width) for _ in range(2)]
-        out, down, div = _prefilled(30, params, rng.uniform(-1.0, 1.0, (2, width)), 1.0)
+        out, ratio = _prefilled(30, params, rng.uniform(-1.0, 1.0, (2, width)), 1.0)
         tracemalloc.start()
         try:
-            op._three_term(out, down, div)
+            op._three_term(out, ratio)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= max(op._SPLIT_BYTES / 16, 2 * out[0].nbytes) + 16 * 1024
-
-    @pytest.mark.parametrize("kind", ["jacobi", "gegenbauer"])
-    @given(data=st.data())
-    def test_matches_mpmath(self, kind, data):
-        nmax, params, x = data.draw(_column_draw(kind, nmax_max=40))
-        table = _table(kind, nmax, params, x)
-        with mp.workdps(30):
-            for k, xk in enumerate(x):
-                pk = [mp.mpf(p[k]) for p in params]
-                running = 0.0
-                for n in range(nmax + 1):
-                    if kind == "jacobi":
-                        want = _jacobi_explicit(n, pk[0], pk[1], xk)
-                    else:
-                        # zeroprec: an exact zero (odd degree at x = 0) is a value
-                        want = mp.gegenbauer(n, pk[0], xk, zeroprec=200)
-                    running = max(running, abs(float(want)))
-                    assert abs(table[n, k] - want) <= 1e-12 * running
-
-    @pytest.mark.parametrize("column, single, good, bad", [
-        (op.jacobi_p_all, op.jacobi_p, (0.5, 0.5), (-1.0, 0.5)),
-        (op.jacobi_p_all, op.jacobi_p, (0.5, 0.5), (0.5, -1.5)),
-        (op.jacobi_p_all, op.jacobi_p, (0.5, 0.5), (-0.25, -0.75)),
-        (op.gegenbauer_c_all, op.gegenbauer_c, (1.5,), (0.0,)),
-        (op.gegenbauer_c_all, op.gegenbauer_c, (1.5,), (-0.7,)),
-    ])
-    @given(width=st.integers(1, 3 * op._NARROW))
-    def test_invalid_parameters_raise_alike(self, column, single, good, bad, width):
-        # one bad entry in a table of either width raises what the
-        # per-degree call raises at that entry
-        params = [np.full(width, g) for g in good]
-        for p, b in zip(params, bad):
-            p[-1] = b
-        with pytest.raises(Exception) as want:
-            single(5, *bad, 0.3)
-        with pytest.raises(Exception) as got:
-            column(5, *params, np.linspace(-0.9, 0.9, width))
-        assert type(got.value) is type(want.value)
+        assert peak <= max(op._SPLIT_BYTES / 32, out[0].nbytes) + 16 * 1024
 
 
 @pytest.mark.parity
@@ -416,10 +418,11 @@ class TestReusableRecurrence:
     def test_held_bytes_per_entry(self, width):
         # a fold-plan cache bounds what its plans hold by their table
         # entries (verify.PLAN_CACHE_ENTRIES): the recurrence of a pair
-        # table, x of shape (2, width), keeps its B and A arrays at 8 bytes
-        # per column and degree each, 8 per entry; on a narrow table A is
-        # instead a Python float (24 bytes) and two list slots (8 each) per
-        # entry, plus a few KiB of headers
+        # table, x of shape (2, width), keeps its B, A and ratio arrays at
+        # 8 bytes per column and degree each, 12 per entry; on a narrow
+        # table the ratios are instead a Python float (24 bytes) and a list
+        # slot (8) per entry, beside B and A at 4 each, plus a few KiB of
+        # headers
         rng, nmax = np.random.default_rng(width), 60
         params = [rng.integers(1, 40, width) * 0.5 for _ in range(2)]
         # floats taken from the free list would not be traced: empty it first
@@ -430,8 +433,8 @@ class TestReusableRecurrence:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert isinstance(rec.down, list) == (2 * width <= op._NARROW) and len(spare) == 1000
-        per_entry = 4 + 24 + 2 * 8 if isinstance(rec.down, list) else 8
+        assert isinstance(rec.ratio, list) == (2 * width <= op._NARROW) and len(spare) == 1000
+        per_entry = 2 * 4 + 24 + 8 if isinstance(rec.ratio, list) else 12
         assert held <= per_entry * (nmax + 1) * 2 * width + 4096
 
 
