@@ -25,6 +25,7 @@ import argparse
 import itertools
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -370,8 +371,14 @@ def _run_suite(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reports a usage error as invalid input: it
     writes the usage line and raises ValueError, which `main` turns into
-    exit 6 where argparse would exit 2, the tree-parse code.  Its
+    exit 6 where argparse would exit 2, the tree-parse code.  Any argument
+    that starts with -digit or -.digit is a value, as in ``--x -1e-3`` or
+    ``--phis -1,2``, where argparse takes only plain decimals.  Its
     subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -9,9 +9,9 @@ degree, stopping once three consecutive terms drop below tol * |partial sum|
 or the sequence ends (a terminating Jacobi series).  Two mode series are
 written once each, as in the paper's derivations: `_cosine_series` is the
 Chebyshev series, and composed with the toroidal factorization the
-azimuthal one; `_gegenbauer_series`, which holds the one Gegenbauer
-recurrence, is the Gegenbauer series, and composed with
-(2rr')^{nu/2} (z - cos gamma)^{nu/2} the multipole one.
+azimuthal one; `_gegenbauer_series`, which steps C_n^mu(x) with
+orthopoly's one Gegenbauer recurrence step, is the Gegenbauer series, and
+composed with (2rr')^{nu/2} (z - cos gamma)^{nu/2} the multipole one.
 
 The Chebyshev, Gegenbauer and azimuthal series read their Legendre-Q factors,
 and the Jacobi series its Jacobi-Q factors, from degree columns
@@ -65,7 +65,7 @@ from .specfun import (
     legendre_q_hat_column,
     second_kind,
 )
-from .orthopoly import _jacobi_p1, _jacobi_step
+from .orthopoly import _gegenbauer_step, _jacobi_p1, _jacobi_step
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,7 @@ def _gegenbauer_series(pref, scale, mu, x, qhats, tr, trace):
             if n == 1:
                 c_prev, c_cur = c_cur, 2.0 * mu * x
             elif n >= 2:
-                c_prev, c_cur = c_cur, (2.0 * x * (n + mu - 1.0) * c_cur
-                                        - (n + 2.0 * mu - 2.0) * c_prev) / n
+                c_prev, c_cur = c_cur, _gegenbauer_step(n, mu, x, c_prev, c_cur)
             yield pref * (scale * (n + mu)) * qhat * c_cur
     return _degree_sum(terms(), tr, trace)
 

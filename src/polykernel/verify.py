@@ -29,10 +29,11 @@ cost.  What follows from the structure alone is a fold plan, kept with the
 pass's recurrence coefficients and every node's scatter offsets in a
 `specfun.BoundedCache` per shape, so a certificate on a shape seen before
 runs only the angle-dependent half; the radial column R depends on no angle
-either and is read through `specfun.second_kind`.  The contraction, one np.bincount per node, reads
-only the nonzero child weights, in the order a node-by-node fold would, so
-every certificate is the same bit for bit.  The cost is memory: every table
-is held at once, up to MAX_TABLE_ENTRIES entries.
+either and is read through `specfun.second_kind`.  The contraction, one
+np.bincount per node, reads the child weights at their structural supports,
+in the order a node-by-node fold would, so every certificate is the same bit
+for bit.  The cost is memory: every table is held at once, up to
+MAX_TABLE_ENTRIES entries.
 
 Geometry restrictions: azimuthal order m >= 0, radii distinct, every angle
 but the azimuths strictly inside its node's range so that chi stays finite.
@@ -46,11 +47,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (CoincidentRadiusError, DomainError, ExclusionSetError,
-                     SingularConfigurationError, radial_range_error, require_finite)
+from .errors import (CoincidentRadiusError, DomainError, SingularConfigurationError,
+                     radial_range_error, require_finite)
+from .expansions import _check_power_exclusion
 from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_tables,
                             hopf_heap_to_preorder, hopf_tree, parse_tree)
-from .specfun import BoundedCache, _is_int, legendre_q_hat, legendre_q_hat_column, second_kind
+from .specfun import BoundedCache, legendre_q_hat, legendre_q_hat_column, second_kind
 
 _RADIUS_GUARD = 1e-6
 # The most entries a certificate's node tables (about 50 bytes each at the
@@ -119,10 +121,7 @@ class VerificationReport:
 def _check_geometry(cfg, tree, angles, anglesp):
     """Reject nu in the excluded set {2m, 2m+2, ...}, coincident radii, and
     node angles not strictly inside their range, where chi is infinite."""
-    nu, m = cfg.nu, cfg.m
-    if nu >= 2 * m - 1e-12 and _is_int(0.5 * (nu - 2 * m)):
-        raise ExclusionSetError(
-            f"nu = {nu} lies in the excluded set {{{2 * m}, {2 * m + 2}, ...}}")
+    _check_power_exclusion(cfg.nu, 2 * cfg.m)
     if abs(cfg.r - cfg.rp) / max(cfg.r, cfg.rp) < _RADIUS_GUARD:
         raise CoincidentRadiusError(
             f"radii {cfg.r}, {cfg.rp} too close: radial argument collapses to 1")
@@ -202,11 +201,10 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     table first, in one `_pair_tables` call and one recurrence pass, then
     contracts from the leaves up with one `np.bincount` per node, at the
     scatter offsets the plan holds.  bincount adds its weights in the order
-    it reads them, as `np.add.at` does, and reads only the nonzero child
-    weights, l_a-major, then l_b, with n innermost, so every root weight is
-    the same bit for bit as a node-by-node fold's.  Where a child's weight
-    vanishes at degrees its structural support allows, the node reads its
-    table at the nonzero degrees only and adds up their offsets anew.
+    it reads them, as `np.add.at` does: l_a-major, then l_b, with n
+    innermost, so every root weight is the same bit for bit as a
+    node-by-node fold's.  A child weight that vanishes inside its structural
+    support adds products 0 u = +-0, which leave every sum as it was.
     Holding every table at once costs memory, so a certificate whose tables
     would hold more than MAX_TABLE_ENTRIES entries raises DomainError while
     its plan is built, before any table, or the support index array that
@@ -216,23 +214,13 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
     tables = _pair_tables(pairs, [(angles[step[0]], anglesp[step[0]]) for step in steps])
     weights = {None: np.ones(1)}
     weights.update(zip(leaf_index, leaves))
-    # the nonzero degrees of a node whose weight vanishes where its
-    # structural support allows a nonzero one
-    nonzero = {}
-    for (index, ia, ib, sa, sb, offsets, orders, length, reach_size), u in zip(steps, tables):
-        left, right = weights[ia], weights[ib]
-        la, lb = nonzero.get(ia, sa), nonzero.get(ib, sb)
-        if la is not sa or lb is not sb:
-            u = u[:, np.searchsorted(sa, la)[:, None], np.searchsorted(sb, lb)]
-            offsets = ((la[:, None] + lb)[..., None] + orders).ravel()
+    for (index, ia, ib, sa, sb, offsets, length), u in zip(steps, tables):
         # l_a-major, then l_b, with n innermost, so every degree adds its
         # terms in the same order as a loop over the pairs would
-        terms = np.multiply((left[la][:, None] * right[lb])[..., None], u.transpose(1, 2, 0),
-                            order="C")
+        terms = np.multiply((weights[ia][sa][:, None] * weights[ib][sb])[..., None],
+                            u.transpose(1, 2, 0), order="C")
         out = np.bincount(offsets, terms.ravel(), length)
-        weights[index] = out = out if top is None else out[:top + 1]
-        if reach_size is not None and np.count_nonzero(out) < reach_size:
-            nonzero[index] = np.flatnonzero(out)
+        weights[index] = out if top is None else out[:top + 1]
     return weights[tree.root.index]
 
 
@@ -263,12 +251,10 @@ def _build_plan(tree, caps, top, leaves):
     preorder, the `_pair_plan` of every node).  A step is (node index, its
     children's indices, both children's structural supports, the degree
     l_a + l_b + step n of every table entry in bincount's reading order,
-    the degree step of each row, the length of the node's weight vector,
-    and the size of its own support, None at the root).  Those scatter
-    offsets are as large as the node's table, 8 bytes per entry, and an
-    execution whose child supports are narrower adds up its own.  A plan
-    past the cache's budget is not kept, so it is built, recurrence
-    coefficients and offsets and all, once per certificate.
+    and the length of the node's weight vector).  Those scatter offsets are
+    as large as the node's table, 8 bytes per entry.  A plan past the
+    cache's budget is not kept, so it is built, recurrence coefficients and
+    offsets and all, once per certificate.
     """
     nodes = tree.branching_nodes
     leaf_index = [node.index for node in nodes if node.kind == "a"]
@@ -288,18 +274,17 @@ def _build_plan(tree, caps, top, leaves):
             raise DomainError(f"the node tables would hold more than {MAX_TABLE_ENTRIES}"
                               f" entries at caps = {caps}")
         step = 2 if node.kind == "c" else 1
-        degrees, orders = sa[:, None] + sb, step * np.arange(caps + 1)
-        offsets = (degrees[..., None] + orders).ravel()
-        length, reach_size = len_a + len_b - 1 + step * caps, None
+        degrees = sa[:, None] + sb
+        offsets = (degrees[..., None] + step * np.arange(caps + 1)).ravel()
+        length = len_a + len_b - 1 + step * caps
         if node is not tree.root:            # no parent reads the root's degrees
             reach = np.zeros(length, dtype=bool)
             reach[offsets] = True
             reach = reach if top is None else reach[:top + 1]
             support[node.index] = (len(reach), np.flatnonzero(reach))
-            reach_size = len(support[node.index][1])
         # both degrees at the table's shape
         requests.append((node, sa[:, None] + 0 * degrees, sb + 0 * degrees))
-        steps.append((node.index, ia, ib, sa, sb, offsets, orders, length, reach_size))
+        steps.append((node.index, ia, ib, sa, sb, offsets, length))
     return (tree, (leaf_index, steps, _pair_plan(caps, requests))), entries
 
 

@@ -93,6 +93,20 @@ class TestUsageErrors:
         assert code == cli.EXIT_INVALID_INPUT and out == ""
         assert err.startswith(f"usage: {usage} ") and f"\nerror: {usage}: {message}" in err
 
+    # a value that starts with - and a digit, or -. and a digit, is read as
+    # the option's value in either spelling, whatever follows the digit
+    @pytest.mark.parametrize("head, option, value, tail", [
+        (["expand", "chebyshev", "--nu", "1", "--z", "2"], "--x", "-1e-3", []),
+        (["expand", "chebyshev"], "--nu", "-1E-1", ["--z", "2", "--x", "0.1"]),
+        (["expand", "chebyshev", "--nu", "1", "--z", "2"], "--x", "-.5e-1", []),
+        (["verify", "T4.2", "--q", "3"], "--phis", "-1,2,3", ["--phisp", "8,1,2"]),
+        (["verify", "C4.5"], "--phis", "-1", ["--phisp", "8"]),
+    ], ids=["exponent", "capital-exponent", "point-exponent", "list", "integer"])
+    def test_negative_value_read_as_value(self, capsys, head, option, value, tail):
+        code, out, err = run([*head, option, value, *tail], capsys)
+        assert (code, err) == (0, "")
+        assert run([*head, f"{option}={value}", *tail], capsys) == (0, out, "")
+
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["expand", "--help"]],
                              ids=["top", "verify", "expand"])
     def test_help_exits_0(self, capsys, argv):

@@ -427,12 +427,12 @@ class TestFoldPlan:
                     continue
             np.testing.assert_array_equal(got, want)
 
-    def test_narrowed_support_recomputes_offsets(self, monkeypatch):
+    def test_weight_vanishing_inside_support_read_as_zeros(self, monkeypatch):
         # at theta = 0 the inner b node's columns with l_b > 0 start from
         # sin^{l_b} 0 = 0, so its weight vanishes at degrees caps + 1 ..
-        # 2 caps of its structural support 0 .. 2 caps: the root reads only
-        # the nonzero degrees, at scatter offsets added up for them rather
-        # than the plan's, on a cold plan and on a warm one
+        # 2 caps of its structural support 0 .. 2 caps: the root reads those
+        # degrees as zeros, at the plan's scatter offsets, and still gives
+        # the reference fold's weights on a cold plan and on a warm one
         _fresh_plans(monkeypatch)
         tree, caps, rng = ps.parse_tree("bba"), 5, np.random.default_rng(23)
         for _ in range(2):
