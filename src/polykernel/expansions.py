@@ -8,10 +8,11 @@ terms to one driver, `_degree_sum`: compensated summation in ascending
 degree, stopping once three consecutive terms drop below tol * |partial sum|
 or the sequence ends (a terminating Jacobi series).  Two mode series are
 written once each, as in the paper's derivations: `_cosine_series` is the
-Chebyshev series, and composed with the toroidal factorization the
-azimuthal one; `_gegenbauer_series`, which steps C_n^mu(x) with
-orthopoly's one Gegenbauer recurrence step, is the Gegenbauer series, and
-composed with (2rr')^{nu/2} (z - cos gamma)^{nu/2} the multipole one.
+Chebyshev series, at nu = q the Fourier cosine series of (z - x)^{-q}, and
+composed with the toroidal factorization the azimuthal one;
+`_gegenbauer_series`, which steps C_n^mu(x) with orthopoly's one Gegenbauer
+recurrence step, is the Gegenbauer series, and composed with
+(2rr')^{nu/2} (z - cos gamma)^{nu/2} the multipole one.
 
 The Chebyshev, Gegenbauer and azimuthal series read their Legendre-Q factors,
 and the Jacobi series its Jacobi-Q factors, from degree columns
@@ -44,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from numbers import Integral
 
 from .errors import (
     CoincidentRadiusError,
@@ -248,7 +250,7 @@ def fourier_integer_power(p: int, z: float, x: float) -> float:
     power, so the sum is assembled in exact rational arithmetic (floats are
     dyadic rationals) and rounded once.
     """
-    if p < 0:
+    if not (isinstance(p, Integral) and p >= 0):
         raise ValueError("p must be a nonnegative integer")
     require_finite(z=z, x=x)
     if not z > 1.0:
@@ -291,32 +293,19 @@ def fourier_integer_power(p: int, z: float, x: float) -> float:
 def fourier_negative_power(q: int, z: float, x: float,
                            tr: Truncation = DEFAULT_TRUNCATION,
                            trace=None) -> PartialSum:
-    """Fourier cosine series of (z - x)^{-q} for integer q >= 1."""
-    if q < 1:
+    """Fourier cosine series of (z - x)^{-q} for integer q >= 1: the Chebyshev
+    series at nu = q, since Whipple's formula (DLMF 14.9.16-17) makes the
+    classical coefficient (n+q-1)! P_{q-1}^{-n}(z / sqrt(z^2-1)) equal to
+    sqrt(2/pi) (z^2-1)^{1/4} Qhat_{n-1/2}^{q-1/2}(z)."""
+    if not (isinstance(q, Integral) and q >= 1):
         raise ValueError("q must be a positive integer")
     _check_euler_arguments(z, x)
     if not z > 1.0:
         raise ValueError("need z > 1")
-    w = z / math.sqrt(z * z - 1.0)
-    theta = math.acos(x)
-    pref = (z * z - 1.0) ** (-q / 2.0) / math.factorial(q - 1)
-    # (w-1)/(w+1) = (z - sqrt(z^2-1))^2 < 1 drives the geometric decay.
-    log_ratio = math.log((w - 1.0) / (w + 1.0))
-    half_w = 0.5 * (1.0 - w)
-
-    def terms():
-        for n in count():
-            eps = 2.0 if n else 1.0
-            # (n+q-1)! P_{q-1}^{-n}(w), assembled in log space: the factorial and
-            # the ((w-1)/(w+1))^{n/2} factor each leave double range alone.
-            hyp = t = 1.0
-            for k in range(q - 1):
-                t *= (-(q - 1.0) + k) * (q + k) / ((1.0 + n + k) * (k + 1.0)) * half_w
-                hyp += t
-            log_mag = (math.lgamma(n + q) - math.lgamma(n + 1.0)
-                       + 0.5 * n * log_ratio)
-            yield pref * eps * math.exp(log_mag) * hyp * math.cos(n * theta)
-    return _degree_sum(terms(), tr, trace)
+    pref = _prefactor(lambda: math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(q, q=q)
+                                                * (z * z - 1.0) ** (0.5 * q - 0.25)),
+                      q=q, z=z)
+    return _cosine_series(pref, math.acos(x), q - 0.5, z, tr, trace)
 
 
 # The log magnitude below which a Jacobi term, before its product with the

@@ -15,7 +15,9 @@ expansions, the next keeps the Gauss series loop that
 `specfun._hyp2f1_series` must reproduce bit for bit, and the last one keeps
 the six infinite expansion series as they read with one sum loop each,
 which the expansions built on one degree-sum driver must reproduce bit for
-bit.
+bit; the Fourier series of (z - x)^{-q} must reproduce the Chebyshev one at
+nu = q, and its own loop there, the classical P_{q-1}^{-n} coefficients,
+is an oracle that shares no code with the Legendre-Q column.
 """
 
 import math
@@ -471,7 +473,10 @@ def hyp2f1_series_reference(a, b, c, x, max_terms=_MAX_TERMS):
 # `expansions._Series` and the six infinite series as they read before the
 # series shared one degree-sum driver, kept verbatim (only the names differ):
 # every series must return the same PartialSum and trace rows, and raise the
-# same errors, bit for bit.
+# same errors, bit for bit, `fourier_negative_power` those of
+# `euler_kernel_chebyshev_reference` at nu = q.  Its own loop below sums the
+# classical coefficients (n+q-1)! P_{q-1}^{-n}(z / sqrt(z^2 - 1)), which
+# share no code with the Legendre-Q column: the two agree to rounding.
 
 class SeriesReference:
     """Compensated accumulator with the three-small-terms stopping rule."""

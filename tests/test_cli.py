@@ -374,6 +374,17 @@ class TestVerify:
         assert out == "" and err.startswith(f"error: {name} leaves double range")
         assert "171.6" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        # these exited 6 with "math domain error" (w = z / sqrt(z^2 - 1) read 0)
+        # and "int too large to convert to float"
+        ["expand", "fourier-neg", "--q", "2", "--z", "1e200", "--x", "0.3"],
+        ["expand", "fourier-neg", "--q", "200", "--z", "1.5", "--x", "0"],
+    ])
+    def test_fourier_neg_out_of_range_names_q_exit6(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 6
+        assert out == "" and err.startswith("error: q = ") and "leaves double range" in err
+
     @pytest.mark.parametrize("argv, names", [
         # these ended in a ZeroDivisionError traceback and exit 1
         (["expand", "chebyshev", "--nu", "-150.5", "--z", "3", "--x", "0"],

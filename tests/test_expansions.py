@@ -1,9 +1,12 @@
 """Expansion partial sums against direct kernel oracles."""
 
 import math
+import random
 import re
+import statistics
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -69,10 +72,33 @@ class TestFourierNegativePower:
             ex.fourier_negative_power(2, 1.2, 0.9, ex.Truncation(1e-14, 5))
 
     def test_high_order(self):
-        # large q exercises the log-space factorial assembly
+        # large q exercises the Gamma(q) prefactor and the Q column's large order
         for q in (5, 8):
             ps = ex.fourier_negative_power(q, 1.8, -0.6)
             assert ps.value == pytest.approx(2.4 ** (-q), rel=1e-10)
+
+    def test_near_one_accuracy(self):
+        # the P_{q-1}^{-n} loop this series replaced read 1.4e-8 off here
+        q, z, x = 5, 1.0443593071345412, -0.7562720306402968
+        exact = (mp.mpf(z) - mp.mpf(x)) ** -q
+        assert abs(ex.fourier_negative_power(q, z, x).value - exact) <= 1e-9 * exact
+
+    def test_no_less_accurate_than_the_loop(self):
+        # one generator draws each (q, z, x) for both routes; the cosine
+        # series' median and worst error against 40-digit mpmath are no
+        # worse than those of the loop it replaced
+        rng = random.Random(0)
+        new, old = [], []
+        with mp.workdps(40):
+            for _ in range(300):
+                q, x = rng.randint(1, 8), rng.uniform(-1.0, 1.0)
+                z = 1.0 + math.exp(rng.uniform(math.log(0.03), math.log(10.0)))
+                exact = (mp.mpf(z) - mp.mpf(x)) ** -q
+                for errs, fn in ((new, ex.fourier_negative_power),
+                                 (old, oracle_sums.fourier_negative_power_reference)):
+                    errs.append(float(abs(fn(q, z, x).value - exact) / exact))
+        assert statistics.median(new) <= statistics.median(old)
+        assert max(new) <= max(old)
 
 
 class TestEulerKernelJacobi:
@@ -302,6 +328,17 @@ class TestArgumentDomain:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("order", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("fn, message", [
+        (ex.fourier_negative_power, "q must be a positive integer"),
+        (ex.fourier_integer_power, "p must be a nonnegative integer"),
+    ])
+    def test_non_integer_order_rejected(self, fn, message, order):
+        # these escaped as TypeError from math.factorial or range; q = 2.5
+        # would sum (z - x)^{-2.5}, which the series is not defined for
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(order, 2.0, 0.3)
+
     @pytest.mark.parametrize("call, name", [
         (lambda: ex.multipole_power(3, -1.0, 1.0, math.inf, 0.3), "rp"),
         (lambda: ex.multipole_power(3, -1.0, math.nan, 1.0, 0.3), "r"),
@@ -488,7 +525,8 @@ class TestNearFieldOracles:
 
 
 # The six infinite series on the one degree-sum driver against their
-# one-loop-each references (tests/oracle_sums.py): the same PartialSum and
+# one-loop-each references (tests/oracle_sums.py), the Fourier series of
+# (z - x)^{-q} against the Chebyshev one's at nu = q: the same PartialSum and
 # trace rows, floats compared by float.hex, or the same error type, message
 # and trace rows.  The draws cover every benchmark slot's z (chi, r</r>)
 # band and some beyond, terminating Jacobi series, and term budgets small
@@ -505,8 +543,8 @@ def _series_outcome(fn, args, tr):
     return outcome, [(level, n, term.hex(), s.hex()) for level, n, term, s in trace]
 
 
-def _assert_same_as_reference(name, args, tr):
-    want = _series_outcome(getattr(oracle_sums, f"{name}_reference"), args, tr)
+def _assert_same_as_reference(name, args, tr, reference=None):
+    want = _series_outcome(getattr(oracle_sums, f"{reference or name}_reference"), args, tr)
     assert _series_outcome(getattr(ex, name), args, tr) == want, (name, args, tr)
 
 
@@ -525,7 +563,8 @@ class TestDegreeSumParity:
     @given(q=st.integers(1, 6), z=_bands((1.02, 1.1), (1.5, 4.0), (1.001, 10.0)), x=_X, tr=_TR)
     @example(q=2, z=1.2, x=0.9, tr=ex.Truncation(1e-14, 5))
     def test_fourier_negative_power(self, q, z, x, tr):
-        _assert_same_as_reference("fourier_negative_power", (q, z, x), tr)
+        _assert_same_as_reference("fourier_negative_power", (q, z, x), tr,
+                                  "euler_kernel_chebyshev")
 
     @given(nu=st.one_of(st.sampled_from([0.0, -1.0, -3.0]), st.floats(0.3, 6.0),
                         st.floats(-3.5, -0.1)),
@@ -563,6 +602,37 @@ class TestDegreeSumParity:
         assume(2.0 * Rp * chi - 1.0 - Rp * Rp >= 0.0)
         g = geometry(1.0, Rp, dphi, math.sqrt(2.0 * Rp * chi - 1.0 - Rp * Rp))
         _assert_same_as_reference("azimuthal_power", (nu, g), tr)
+
+
+class TestFourierLoopOracle:
+    """The Fourier series of (z - x)^{-q} against the P_{q-1}^{-n} loop it
+    replaced (`oracle_sums.fourier_negative_power_reference`), which shares
+    no code with the Legendre-Q column.  Sums of the same terms differ by at
+    most c u (z - 1)^{-q}, c u times the bound on sum |terms|
+    (c u ((z - x)/(z - 1))^q relative to (z - x)^{-q}), with c = 256: the
+    loop's w - 1, w = z / sqrt(z^2 - 1), loses about log2(2 z^2) bits to
+    cancellation, under 8 at the draws' top z = 10.  Both routes stop after
+    the same number of terms, or both run out of them, unless that bound
+    reaches tol (z - x)^{-q}: the stopping rule then reads partial sums that
+    rounding leaves uncertain past tol."""
+
+    @given(q=st.integers(1, 6), z=_bands((1.02, 1.1), (1.5, 4.0), (1.001, 10.0)), x=_X, tr=_TR)
+    @example(q=2, z=1.2, x=0.9, tr=ex.Truncation(1e-14, 5))
+    @example(q=6, z=9.315644727738071, x=0.9854112093737242, tr=ex.DEFAULT_TRUNCATION)
+    @example(q=6, z=1.00390625, x=0.0, tr=ex.DEFAULT_TRUNCATION)
+    def test_same_terms_and_rounding_bound(self, q, z, x, tr):
+        outcomes = []
+        for fn in (ex.fourier_negative_power, oracle_sums.fourier_negative_power_reference):
+            try:
+                outcomes.append(fn(q, z, x, tr))
+            except ConvergenceError:
+                outcomes.append(None)
+        new, old = outcomes
+        bound = 256.0 * 2.0 ** -53 * (z - 1.0) ** -q
+        if None in outcomes or new.terms_used != old.terms_used:
+            assert new is old or bound >= tr.tol * (z - x) ** -q
+            return
+        assert abs(new.value - old.value) <= bound
 
 
 # The second-kind cache (specfun.second_kind): a hit hands out the object a
