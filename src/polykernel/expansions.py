@@ -66,6 +66,7 @@ from .specfun import (
     legendre_q_hat,
     legendre_q_hat_column,
     second_kind,
+    z2m1_power,
 )
 from .orthopoly import _gegenbauer_step, _jacobi_p1, _jacobi_step
 
@@ -208,20 +209,35 @@ def _gamma(x, **param):
     return value
 
 
-def _prefactor(build, tiny=0.0, **params):
+def _in_range(build, what, params, tiny=0.0):
+    """build(), or DomainError naming params and what where build()
+    overflows, is not finite or has magnitude at most ``tiny``."""
+    try:
+        value = build()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value) or abs(value) <= tiny:
+        named = ", ".join(f"{name} = {given}" for name, given in params.items())
+        floor = f" or falls to {tiny:.3g} or below" if tiny else ""
+        raise DomainError(f"{named}: {what} leaves double range{floor}")
+    return value
+
+
+def _prefactor(build, **params):
     """build(), an Euler-kernel series prefactor.  A power past double range,
     or a denominator Gamma(nu) (z^2 - 1)^{...} that overflows or underflows
     to 0 while Gamma(nu) is finite, raises DomainError naming the parameters:
-    a zero prefactor would zero every term, and no sum of them converges.
-    So does a prefactor of magnitude at most ``tiny``."""
-    try:
-        pref = build()
-    except (OverflowError, ZeroDivisionError):
-        pref = math.inf
-    if not math.isfinite(pref) or abs(pref) <= tiny:
-        named = ", ".join(f"{name} = {value}" for name, value in params.items())
-        raise DomainError(f"{named}: the series prefactor leaves double range")
-    return pref
+    a zero prefactor would zero every term, and no sum of them converges."""
+    return _in_range(build, "the series prefactor", params)
+
+
+def _check_scale(pref, nu, z, x, /, tiny=0.0, **params):
+    """Raise DomainError naming params where the kernel (z - x)^{-nu}, or
+    the scale kernel / pref that a series' Q factors carry, leaves double
+    range, or where the scale has magnitude at most tiny: every term would
+    be 0 or overflow, and the sum would run to max_terms."""
+    kernel = _in_range(lambda: (z - x) ** -nu, "the kernel (z - x)^-nu", params)
+    _in_range(lambda: kernel / pref, "the kernel over the series prefactor", params, tiny)
 
 
 def _check_euler_arguments(z, x, **params):
@@ -303,8 +319,9 @@ def fourier_negative_power(q: int, z: float, x: float,
     if not z > 1.0:
         raise ValueError("need z > 1")
     pref = _prefactor(lambda: math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(q, q=q)
-                                                * (z * z - 1.0) ** (0.5 * q - 0.25)),
+                                                * z2m1_power(z, 0.5 * q - 0.25)),
                       q=q, z=z)
+    _check_scale(pref, q, z, x, q=q, z=z)
     return _cosine_series(pref, math.acos(x), q - 0.5, z, tr, trace)
 
 
@@ -335,10 +352,9 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
     params = dict(nu=nu, alpha=alpha, beta=beta, z=z)
     pref = _prefactor(lambda: ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
                                / 2.0 ** (ab + 1.0 - nu)), **params)
-    # The Q factors carry the rest of the kernel's scale, (z - x)^{-nu} / pref,
-    # in log space, and a term below e^_LOG_TINY of it is 0: where that scale
-    # is as small (or past double range), every term would be 0 or overflow.
-    _prefactor(lambda: (z - x) ** -nu / pref, math.exp(_LOG_TINY), **params)
+    # The Q factors carry the scale in log space, and a term below
+    # e^_LOG_TINY of it is 0.
+    _check_scale(pref, nu, z, x, math.exp(_LOG_TINY), **params)
     q_terms = _jacobi_q_terms(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, limit)
 
     def terms():
@@ -375,7 +391,8 @@ def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
         raise ValueError("need z > 1")
     pref = _prefactor(lambda: 2.0 ** (mu + 0.5) * _gamma(mu, mu=mu)
                       / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
-                         * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25)), nu=nu, mu=mu, z=z)
+                         * z2m1_power(z, 0.5 * (nu - mu) - 0.25)), nu=nu, mu=mu, z=z)
+    _check_scale(pref, nu, z, x, nu=nu, mu=mu, z=z)
     qhats = _q_hat_terms(mu - 0.5, nu - mu - 0.5, z, tr.max_terms)
     return _gegenbauer_series(pref, 1.0, mu, x, qhats, tr, trace)
 
@@ -390,8 +407,9 @@ def euler_kernel_chebyshev(nu: float, z: float, x: float,
     if not z > 1.0:
         raise ValueError("need z > 1")
     pref = _prefactor(lambda: math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
-                                                * (z * z - 1.0) ** (0.5 * nu - 0.25)),
+                                                * z2m1_power(z, 0.5 * nu - 0.25)),
                       nu=nu, z=z)
+    _check_scale(pref, nu, z, x, nu=nu, z=z)
     return _cosine_series(pref, math.acos(x), nu - 0.5, z, tr, trace)
 
 

@@ -12,14 +12,15 @@ The orthonormal Jacobi pass that builds the node pair tables is two steps.
 `orthonormal_recurrence` builds the angle-free half, a `Recurrence`: its
 coefficients depend only on the degree and the parameters, so a caller that
 meets the same parameters at many x (a cached fold plan) builds them once.
-`recurrence_table` runs the half that depends on x from a given row 0: it
-writes every multiplier a_k = (x - B_{k-1}) / A_k in bulk, and the kernel
-`_three_term` fills each row by a_k row(k-1) - r_k row(k-2), with the
-angle-free ratios r_k = A_{k-1} / A_k and no division.  The kernel runs a
-table of at most `_NARROW` entries per row on Python floats, where numpy's
-per-call overhead would set the cost, and a wider table in place, three
-ufunc calls per degree on contiguous rows of one shape; both do the same
-IEEE operations, so every column is the same bit for bit on either path.
+`recurrence_table` runs the half that depends on x from a given row 0, on
+the pass rescaled so that row(k-2) enters with coefficient 1: it writes
+every multiplier a'_k = (x - B_{k-1}) / A'_k in bulk, the kernel
+`_three_term` fills each row by a'_k row(k-1) - row(k-2), and one bulk
+product by the angle-free scale c_k undoes the rescaling.  The kernel runs
+a table of at most `_NARROW` entries per row on Python floats, where
+numpy's per-call overhead would set the cost, and a wider table in place,
+two ufunc calls per degree and no buffer; both do the same IEEE
+operations, so every column is the same bit for bit on either path.
 """
 
 from __future__ import annotations
@@ -63,70 +64,50 @@ def _jacobi_p1(alpha, beta, x):
 _NARROW = 8
 
 
-# `_three_term` sizes the operand blocks of a wider table from this many bytes.
-_SPLIT_BYTES = 1 << 20
-
-
 class Recurrence(NamedTuple):
     """The angle-free half of an orthonormal Jacobi pass, for
     `recurrence_table` to run at an x that broadcasts to the row shape.
 
     Rows k = 1..nmax follow `_three_term` from the multipliers
-    a_k = (x - b[k - 1]) / a[k - 1] and the ratios r_k = ratio[k - 1], b
-    the array of B_0 .. B_{nmax-1}, a that of A_1 .. A_nmax and ratio that
-    of r_1 = A_0 / A_1 = 0, r_k = A_{k-1} / A_k.  On a table of at most
-    _NARROW entries per row, ratio is instead the lists that the narrow
-    path reads, one per entry of a row.
+    a'_k = (x - b[k - 1]) / a[k - 1] and are then multiplied by
+    scale[k - 1]: b is the array of B_0 .. B_{nmax-1}, a that of the
+    rescaled A'_1 .. A'_nmax and scale that of c_1 .. c_nmax (see
+    `orthonormal_recurrence`), one row each.
     """
 
     nmax: int
     shape: tuple
     b: np.ndarray
     a: np.ndarray
-    ratio: object
+    scale: np.ndarray
 
 
-def _three_term(out, ratio):
-    """Fill out[2:] by out[k] = a_k out[k-1] - r_k out[k-2].
+def _three_term(out):
+    """Fill out[2:] by out[k] = a'_k out[k-1] - out[k-2], in place.
 
     On entry out[0] and out[1] hold the first two terms and out[2:] the
-    multipliers a_k, which `recurrence_table` writes there in bulk.  ratio
-    holds r_k for rows k = 2..len(out) - 1, in the form that
-    `orthonormal_recurrence` chose for the table's width: an array that
-    broadcasts to out's rows, which the numpy path reads, or lists of
-    Python floats, one per entry of a row, which the narrow path reads.
-    Both paths do the same IEEE operations in the same order, so the table
-    is the same bit for bit whichever path fills it.
+    multipliers a'_k, which `recurrence_table` writes there in bulk.  A
+    table of at most _NARROW entries per row runs on Python floats, a wider
+    one as two in-place ufunc calls per row on the table's own rows, with no
+    buffer.  Both paths do the same IEEE operations in the same order, so
+    the table is the same bit for bit whichever path fills it.
     """
     nmax = len(out) - 1
     if nmax < 2:
         return
-    if isinstance(ratio, np.ndarray):
-        # Three in-place calls per degree, every operand a contiguous row of
-        # the row's own shape: ratio is copied into a buffer a block of rows
-        # at a time, and r_k out[k-2] is formed in r_k's own copy.  The
-        # buffer takes at most _SPLIT_BYTES / 32 (32 KiB), or one row,
-        # under the 128 KiB past which glibc maps an allocation afresh on
-        # each call.
-        rows = list(out)
-        block = min(nmax - 1, max(1, _SPLIT_BYTES // (32 * out[0].nbytes)))
-        ratios = np.empty((block,) + out.shape[1:])
-        ratio_rows = list(ratios)
-        for start in range(2, nmax + 1, block):
-            stop = min(start + block, nmax + 1)
-            np.copyto(ratios[:stop - start], ratio[start - 2:stop - 2])
-            for k, r in zip(range(start, stop), ratio_rows):
-                row = rows[k]
-                np.multiply(row, rows[k - 1], row)
-                np.multiply(r, rows[k - 2], r)
-                np.subtract(row, r, row)
+    if out[0].size > _NARROW:
+        prevprev, prev = out[0], out[1]
+        for row in out[2:]:
+            np.multiply(row, prev, row)
+            np.subtract(row, prevprev, row)
+            prevprev, prev = prev, row
         return
     cols = []
-    for c, ratios in zip(out.reshape(nmax + 1, -1).T.tolist(), ratio):
+    for c in out.reshape(nmax + 1, -1).T.tolist():
         a, b = c[0], c[1]
         col = []
-        for ak, r in zip(c[2:], ratios):
-            a, b = b, ak * b - r * a
+        for ak in c[2:]:
+            a, b = b, ak * b - a
             col.append(b)
         cols.append(col)
     out[2:] = np.reshape(np.transpose(cols), out[2:].shape)
@@ -188,16 +169,20 @@ def orthonormal_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     where B_0 = (beta - alpha) / (ab + 2), which holds at ab = 0 too, and
     A_1 = 2 / (ab + 2) sqrt((alpha + 1) (beta + 1) / (ab + 3)) are taken
     with the common factors ab and n + ab cancelled.  So row k >= 1 is
-    a_k row(k-1) - r_k row(k-2) with the multiplier a_k = (x - B_{k-1}) /
-    A_k and the ratio r_k = A_{k-1} / A_k, where r_1 = A_0 / A_1 = 0 meets
-    a row -1 of zeros.  The caller's row 0 carries 1 / sqrt(h_0) and any
-    factor common to the column, which every later row takes from it.
+    a_k row(k-1) - r_k row(k-2) with a_k = (x - B_{k-1}) / A_k and
+    r_k = A_{k-1} / A_k, where r_1 = A_0 / A_1 = 0 meets a row -1 of
+    zeros.  The pass runs on q_k = p_k / c_k instead, with c_0 = c_1 = 1
+    and c_k = r_k c_{k-2}: then q_k = a'_k q_{k-1} - q_{k-2}, with
+    a'_k = (x - B_{k-1}) / A'_k and A'_k = A_k c_k / c_{k-1}.  The caller's
+    row 0 carries 1 / sqrt(h_0) and any factor common to the column, which
+    every later row takes from it.
 
-    B, A and the ratios are built in place on arrays of the shape of s,
+    B, A' and c are built in place on arrays of the shape of s,
     (nmax, 1, columns) at parameters of shape (columns,) and x of shape
-    (2, columns), with one more temporary.  On a table of at most _NARROW
-    entries per row, the ratios are built here, once, as the lists the
-    narrow path reads.
+    (2, columns), with one more temporary: 24 bytes per column and degree.
+    Over alpha, beta in {-1/2, 0, 1/2, ..., 500} and nmax <= 400, c stays in
+    [0.059, 1.18], so the rescaled rows keep the range of the orthonormal
+    ones.
     """
     if nmax < 0:
         raise ValueError("degree must be a nonnegative integer")
@@ -208,9 +193,9 @@ def orthonormal_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     row = np.broadcast_shapes(alpha.shape, beta.shape, shape)
     ns = np.arange(1.0, nmax + 1.0).reshape((-1,) + (1,) * len(row))
     s = 2.0 * ns + ab                 # s_n, n = 1..nmax
-    a, b, ratio = np.empty_like(s), np.empty_like(s), np.empty_like(s)
-    # A_2 .. A_nmax, with b and ratio as working space
-    n, an, tn, un, sn = ns[1:], a[1:], b[1:], ratio[1:], s[1:]
+    a, b, scale = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    # A_2 .. A_nmax, with b and scale as working space
+    n, an, tn, un, sn = ns[1:], a[1:], b[1:], scale[1:], s[1:]
     np.add(n, alpha, out=an)
     an *= n
     np.add(n, beta, out=tn)
@@ -230,13 +215,15 @@ def orthonormal_recurrence(nmax: int, alpha, beta, shape=()) -> Recurrence:
     b[:1] = -(alpha - beta) / (ab + 2.0)
     np.multiply(s[:-1], s[1:], out=tn)
     np.divide((beta - alpha) * ab, tn, out=tn)
-    ratio[:1] = 0.0
+    # c_1 = 1 and r_2 .. r_nmax, then c_k = r_k c_{k-2} over odd and even k
+    scale[:1] = 1.0
     np.divide(a[:-1], a[1:], out=un)
-    width = math.prod(row)
-    if width > _NARROW:
-        return Recurrence(nmax, row, b, a, ratio)
-    ratio = np.broadcast_to(ratio, (nmax,) + row).reshape(nmax, width).T.tolist()
-    return Recurrence(nmax, row, b, a, ratio)
+    np.cumprod(scale[0::2], axis=0, out=scale[0::2])
+    np.cumprod(scale[1::2], axis=0, out=scale[1::2])
+    # A'_k = A_k c_k / c_{k-1}, A'_1 = A_1
+    an *= un
+    an /= scale[:-1]
+    return Recurrence(nmax, row, b, a, scale)
 
 
 def recurrence_table(rec: Recurrence, x, row0):
@@ -244,16 +231,18 @@ def recurrence_table(rec: Recurrence, x, row0):
     shape ``(nmax + 1,) + rec.shape``, which x and row0 must broadcast to.
     Every later row is built from row 0, so a factor common to a column
     rides on its row 0.  The pass fills a table with a row -1 of zeros in
-    front, its multipliers a_k = (x - B_{k-1}) / A_k written by one
-    `np.subtract` and one `np.divide`, and returns the view past that
-    row."""
+    front, its multipliers a'_k = (x - B_{k-1}) / A'_k written by one
+    `np.subtract` and one `np.divide`, runs `_three_term` and multiplies
+    rows 1.. by the scale c_k in one call (c_1 = 1, so rows 0 and 1 keep
+    their bits), and returns the view past row -1."""
     out = np.empty((rec.nmax + 2,) + rec.shape)
     out[0] = 0.0
     out[1] = row0
-    multipliers = out[2:]
-    np.subtract(x, rec.b, out=multipliers)
-    np.divide(multipliers, rec.a, out=multipliers)
-    _three_term(out, rec.ratio)
+    rows = out[2:]
+    np.subtract(x, rec.b, out=rows)
+    np.divide(rows, rec.a, out=rows)
+    _three_term(out)
+    np.multiply(rows, rec.scale, out=rows)
     return out[1:]
 
 
@@ -275,6 +264,39 @@ def jacobi_norm_log(n: int, alpha: float, beta: float) -> float:
     return (math.log(abs(2.0 * n + ab + 1.0)) - math.log(abs(n + ab + 1.0)) + lg_top
             + math.lgamma(n + 1.0) - (ab + 1.0) * math.log(2.0)
             - math.lgamma(n + alpha + 1.0) - math.lgamma(n + beta + 1.0))
+
+
+@lru_cache(maxsize=4096)
+def jacobi_norm0_log(alpha: float, beta: float) -> float:
+    """jacobi_norm_log(0, alpha, beta), log(1 / h_0) with h_0 =
+    2^{alpha+beta+1} Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2)
+    (DLMF 18.3).
+
+    At alpha, beta in {-1/2, 0, 1/2, ...} and n = floor(alpha + beta + 1)
+    up to 640, 2^{alpha+beta+1-n} / h_0 is a ratio of integers, over pi
+    where both parameters are odd halves, since Gamma(k) = (k-1)! and
+    Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!).  It is a normal double
+    there, and one correctly rounded division gives it, so the log is off
+    by a few roundings, not by the cancelling `lgamma` values of
+    `jacobi_norm_log`, whose error grows with alpha + beta.  The integers'
+    cost grows as n^2, and a certificate takes alpha to about its order m,
+    so past 640, or off the half-integers, `jacobi_norm_log` gives the value.
+    """
+    n = math.floor(alpha + beta + 1.0)
+    if n > 640 or (2.0 * alpha) % 1.0 or (2.0 * beta) % 1.0:
+        return jacobi_norm_log(0, alpha, beta)
+
+    def gamma(x):
+        # Gamma(x) / sqrt(pi)^{x half an odd integer} as (numerator, denominator)
+        k = int(x)
+        return ((math.factorial(k - 1), 1) if k == x
+                else (math.factorial(2 * k), math.factorial(k) << 2 * k))
+    (top, top_d), (a, a_d), (b, b_d) = (gamma(alpha + beta + 2.0), gamma(alpha + 1.0),
+                                        gamma(beta + 1.0))
+    v = top * a_d * b_d / (top_d * a * b << n)
+    if alpha % 1.0 and beta % 1.0:
+        v /= math.pi
+    return math.log(v) + (n - (alpha + beta + 1.0)) * math.log(2.0)
 
 
 def _validate_gegenbauer(n, mu):

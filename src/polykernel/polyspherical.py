@@ -42,8 +42,8 @@ from .errors import (
     UnknownToken,
     ZeroExponent,
 )
-from .orthopoly import (gegenbauer_c, jacobi_norm_log, jacobi_p, orthonormal_recurrence,
-                        recurrence_table)
+from .orthopoly import (gegenbauer_c, jacobi_norm0_log, jacobi_norm_log, jacobi_p,
+                        orthonormal_recurrence, recurrence_table)
 
 ANGLE_RANGES = {
     "a": (0.0, 2.0 * math.pi, False),   # half-open [0, 2pi)
@@ -471,33 +471,26 @@ def _pair_plan(nmax: int, requests):
     The plan is (nmax, nodes, shapes, columns, recurrence), columns holding
     per column l_left, l_right, alpha, beta and log(K / sqrt(h_0)), one row
     each, and recurrence the angle-free half of the columns' pass at x of
-    shape (2, columns) (`orthopoly.orthonormal_recurrence`).  So what a
-    plan holds grows with the columns times nmax, 24 bytes per column and
-    degree on a wide table (B, A and the ratios), and a certificate that
-    keeps its plan keeps no table.
+    shape (2, columns) (`orthopoly.orthonormal_recurrence`).  So what a plan
+    holds grows with the columns times nmax, 24 bytes per column and degree
+    (B, A' and the scale c), and a certificate that keeps its plan keeps no
+    table.
     """
     columns = [np.zeros((5, 0))]
     for node, ll, lr in requests:
         a_l, a_r = ll + 0.5 * _child_span(node.left), lr + 0.5 * _child_span(node.right)
         alpha, beta = {"b": (a_r, a_r), "b'": (a_l, a_l), "c": (a_r, a_l)}[node.kind]
-        # log(K^2 / 2^{alpha+beta+1}): K^2 = 2^{alpha+beta+2} at c nodes, 1 at b and b'
-        log_k = math.log(2.0) * (np.ones(ll.shape) if node.kind == "c" else -(alpha + beta + 1.0))
+        # log K^2: K^2 = 2^{alpha+beta+2} at c nodes, 1 at b and b'
+        log_k = (alpha + beta + 2.0) * math.log(2.0) if node.kind == "c" else np.zeros(ll.shape)
         columns.append(np.stack([ll, lr, alpha, beta, log_k]).reshape(5, -1))
     columns = np.concatenate(columns, axis=1)
-    # log(K / sqrt(h_0)), h_0 = 2^{alpha+beta+1} Gamma(alpha+1) Gamma(beta+1)
-    # / Gamma(alpha+beta+2) (DLMF 18.3)
     alpha, beta = columns[2:4]
-    columns[4] += _lgamma(alpha + beta + 2.0) - _lgamma(alpha + 1.0) - _lgamma(beta + 1.0)
+    pairs, index = np.unique(alpha + 1j * beta, return_inverse=True)
+    columns[4] += np.array([jacobi_norm0_log(p.real, p.imag) for p in pairs.tolist()])[index]
     columns[4] *= 0.5
     recurrence = orthonormal_recurrence(nmax, alpha, beta, (2, len(alpha)))
     return (nmax, [req[0] for req in requests], [req[1].shape for req in requests], columns,
             recurrence)
-
-
-def _lgamma(x):
-    """math.lgamma at every entry of x, called once per distinct value."""
-    values, index = np.unique(x, return_inverse=True)
-    return np.array([math.lgamma(v) for v in values.tolist()])[index]
 
 
 def _pair_tables(plan, angles):
@@ -511,8 +504,8 @@ def _pair_tables(plan, angles):
     argument at both angles.  One `orthopoly.recurrence_table` run of the
     plan's recurrence then gives every column at both angles, and the
     table is the product of the two.  One wide pass costs about what one
-    narrow pass does (its three ufunc calls per degree set the cost, not
-    the entries), but every table is held at once, each a view of the
+    narrow pass does (its two ufunc calls per degree set the cost, not the
+    entries), but every table is held at once, each a view of the
     pass's output, beside the 8 bytes per entry of scatter offsets that a
     fold plan holds for it (see `verify._build_plan`).
     """

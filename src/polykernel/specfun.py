@@ -183,6 +183,17 @@ def hyp_3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float
     return s
 
 
+def z2m1_power(z: float, p: float, log: bool = False) -> float:
+    """(z^2 - 1)^p at z > 1, or with log its log p log(z^2 - 1).  Where
+    z * z overflows, z^2 - 1 is z^2 to the last bit, so the log is
+    p (2 log z)."""
+    zz = z * z
+    if zz < math.inf:
+        return p * math.log(zz - 1.0) if log else (zz - 1.0) ** p
+    log_power = p * (2.0 * math.log(z))
+    return log_power if log else math.exp(log_power)
+
+
 def legendre_q_hat(nu: float, mu: float, z: float) -> float:
     """Phase-free associated Legendre function of the second kind, z > 1.
 
@@ -208,14 +219,13 @@ def legendre_q_hat(nu: float, mu: float, z: float) -> float:
             " 1/z^2 and the 2/(1-z) hypergeometric forms have gamma poles")
     sign_t, log_t = gamma_signed_log(nu + mu + 1.0)
     sign_b, log_b = gamma_signed_log(nu + 1.5)
-    zz = z * z          # where it overflows, log(z^2 - 1) is 2 log z
     log_pref = (0.5 * math.log(math.pi) + log_t - log_b
-                + 0.5 * mu * (math.log(zz - 1.0) if zz < math.inf else 2.0 * math.log(z))
+                + z2m1_power(z, 0.5 * mu, log=True)
                 - (nu + 1.0) * math.log(2.0)
                 - (nu + mu + 1.0) * math.log(z))
     f, log_scale, _ = _hyp2f1_series(0.5 * (nu + mu + 1.0),
                                      0.5 * (nu + mu + 2.0),
-                                     nu + 1.5, 1.0 / zz)
+                                     nu + 1.5, 1.0 / (z * z))
     return _exp_combine(sign_t * sign_b, log_pref + log_scale, f)
 
 

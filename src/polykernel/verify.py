@@ -55,7 +55,7 @@ from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_tables,
 from .specfun import BoundedCache, legendre_q_hat, legendre_q_hat_column, second_kind
 
 _RADIUS_GUARD = 1e-6
-# The most entries a certificate's node tables (about 50 bytes each at the
+# The most entries a certificate's node tables (50-57 bytes each at the
 # tracemalloc peak, the plan's coefficients and scatter offsets included),
 # or its weight vectors of length m + 1 or more, may hold.
 MAX_TABLE_ENTRIES = 4_000_000
@@ -227,10 +227,10 @@ def _fold(tree: Tree, caps: int, angles, anglesp, leaves, top=None):
 # Fold plans, with their recurrence coefficients and scatter offsets, kept
 # for callers that certify many angle pairs on a few tree shapes: at most
 # PLAN_CACHE_SIZE plans weighed by their table entries, PLAN_CACHE_ENTRIES in
-# all.  A plan holds at most 160 bytes per entry and about 4 KiB per tree
-# node: measured, 32-39 bytes per entry on a wide table (24 of them the B,
-# A and ratio arrays, 8 the offsets) and 97-124 on a one-column table,
-# whose ratios are Python floats.
+# all.  A plan holds at most 48 bytes per entry and about 4 KiB per tree
+# node: measured, at most 33 bytes per entry past the nodes' share on a
+# wide or a one-column table alike (24 of them the B, A' and scale arrays,
+# 8 the offsets).
 PLAN_CACHE_SIZE = 32
 PLAN_CACHE_ENTRIES = 1 << 16
 _plans = BoundedCache(PLAN_CACHE_SIZE, PLAN_CACHE_ENTRIES)

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -385,21 +386,41 @@ class TestVerify:
         assert code == 6
         assert out == "" and err.startswith("error: q = ") and "leaves double range" in err
 
+    @pytest.mark.parametrize("argv, nu", [
+        # these exited 6, "the series prefactor leaves double range": z^2
+        # overflows, though each value is a normal double
+        (["expand", "chebyshev", "--nu", "1", "--z", "1e200", "--x", "0.3"], 1.0),
+        (["expand", "fourier-neg", "--q", "1", "--z", "1e200", "--x", "0.3"], 1.0),
+        (["expand", "gegenbauer", "--nu", "1.5", "--mu", "0.5", "--z", "1e200", "--x", "0.3"],
+         1.5),
+    ])
+    def test_far_field_where_z_squared_overflows_exit0(self, capsys, argv, nu):
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["converged"] and report["value"] == pytest.approx(
+            (1e200 - 0.3) ** -nu, rel=1e-12)
+
     @pytest.mark.parametrize("argv, names", [
         # these ended in a ZeroDivisionError traceback and exit 1
         (["expand", "chebyshev", "--nu", "-150.5", "--z", "3", "--x", "0"],
          "nu = -150.5, z = 3.0"),
         (["expand", "gegenbauer", "--nu", "-150.5", "--mu", "0.5", "--z", "3", "--x", "0"],
          "nu = -150.5, mu = 0.5, z = 3.0"),
-        # this one exited 4, "series not converged", after a numpy
-        # RuntimeWarning (a traceback under PYTHONWARNINGS=error)
-        (["expand", "jacobi", "--nu", "1.5", "--alpha", "0", "--beta", "0", "--z", "1e300",
-          "--x", "0.3"], "nu = 1.5, alpha = 0.0, beta = 0.0, z = 1e+300"),
     ])
     def test_prefactor_underflow_names_parameters_exit6(self, capsys, argv, names):
         code, out, err = run(argv, capsys)
         assert code == 6
         assert out == "" and err == f"error: {names}: the series prefactor leaves double range\n"
+
+    def test_kernel_underflow_names_parameters_exit6(self, capsys):
+        # this one exited 4, "series not converged", after a numpy
+        # RuntimeWarning (a traceback under PYTHONWARNINGS=error)
+        code, out, err = run(["expand", "jacobi", "--nu", "1.5", "--alpha", "0", "--beta", "0",
+                              "--z", "1e300", "--x", "0.3"], capsys)
+        assert code == 6
+        assert out == "" and err == ("error: nu = 1.5, alpha = 0.0, beta = 0.0, z = 1e+300:"
+                                     " the kernel (z - x)^-nu leaves double range\n")
 
     @pytest.mark.parametrize("argv, z", [
         # these exited 4 after a numpy RuntimeWarning (a traceback under
@@ -492,6 +513,16 @@ class TestVerify:
         assert code == 6
         assert out == "" and err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("m", ["100000", "1999999"])
+    def test_far_order_certificate_refused_fast(self, capsys, m):
+        # the distinguished leaf's order puts alpha near m in the row-0 norms;
+        # formed from exact factorials at every alpha, they would take 4.8 s
+        # at m = 1e5 and grow as m^2 toward the bound of about 2e6
+        start = time.perf_counter()
+        code, out, err = run(["verify", "C4.3", "--m", m, "--caps", "1"], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 6 and err.startswith("error: the fold weights underflow to 0")
 
     @pytest.mark.parametrize("flags, message", [
         (["--tol", "0"], "tol must be a positive finite number"),

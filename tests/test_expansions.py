@@ -399,19 +399,10 @@ class TestArgumentDomain:
          "nu = 40.0, mu = 0.5, z = 10000000000.0"),
         # the denominator overflows, so the prefactor underflows to 0
         (lambda: ex.euler_kernel_chebyshev(150.0, 100.0, 0.0), "nu = 150.0, z = 100.0"),
-        # the Jacobi prefactor, or the scale (z - x)^{-nu} / pref its Q factors
-        # carry, past double range: every term underflowed to 0, the sum ran
-        # to max_terms and the Q column's coefficients overflowed on the way
-        (lambda: ex.euler_kernel_jacobi(1.5, 0.0, 0.0, 1e300, 0.3),
-         "nu = 1.5, alpha = 0.0, beta = 0.0, z = 1e+300"),
-        (lambda: ex.euler_kernel_jacobi(0.5, 0.0, 0.0, 1e300, 0.3),
-         "nu = 0.5, alpha = 0.0, beta = 0.0, z = 1e+300"),
+        # the Jacobi prefactor past double range: the sum ran to max_terms
+        # and the Q column's coefficients overflowed on the way
         (lambda: ex.euler_kernel_jacobi(0.5, 10.0, 10.0, 1e30, 0.3),
          "nu = 0.5, alpha = 10.0, beta = 10.0, z = 1e+30"),
-        # that scale is a double, 1.4e-305, but below the e^-700 under which
-        # a term counts as 0: the sum ran to max_terms on zeros
-        (lambda: ex.euler_kernel_jacobi(0.475, 0.0, 0.0, 1e200, 0.3),
-         "nu = 0.475, alpha = 0.0, beta = 0.0, z = 1e+200"),
     ])
     def test_prefactor_past_double_range_rejected_by_name(self, call, names):
         # these raised ZeroDivisionError, OverflowError "(34, 'Numerical
@@ -421,6 +412,49 @@ class TestArgumentDomain:
             with pytest.raises(DomainError, match=f"^{re.escape(names)}: the series prefactor"
                                                   " leaves double range$"):
                 call()
+
+    @pytest.mark.parametrize("call, message", [
+        # the prefactor is finite, but the kernel (z - x)^{-nu}, or the scale
+        # (z - x)^{-nu} / pref that the Q factors carry, is not: every term
+        # would be 0, and the sum would run to max_terms, as the first
+        # three Jacobi sums and fourier_negative_power's at z = 1e110 did
+        (lambda: ex.euler_kernel_jacobi(1.5, 0.0, 0.0, 1e300, 0.3),
+         "nu = 1.5, alpha = 0.0, beta = 0.0, z = 1e+300: the kernel (z - x)^-nu"
+         " leaves double range"),
+        (lambda: ex.euler_kernel_jacobi(0.5, 0.0, 0.0, 1e300, 0.3),
+         "nu = 0.5, alpha = 0.0, beta = 0.0, z = 1e+300: the kernel over the series"
+         " prefactor leaves double range or falls to 9.86e-305 or below"),
+        # that scale is a double, 1.4e-305, but below the e^-700 under which
+        # a term counts as 0
+        (lambda: ex.euler_kernel_jacobi(0.475, 0.0, 0.0, 1e200, 0.3),
+         "nu = 0.475, alpha = 0.0, beta = 0.0, z = 1e+200: the kernel over the series"
+         " prefactor leaves double range or falls to 9.86e-305 or below"),
+        (lambda: ex.fourier_negative_power(3, 1e110, 0.3),
+         "q = 3, z = 1e+110: the kernel (z - x)^-nu leaves double range"),
+        (lambda: ex.euler_kernel_chebyshev(2.0, 1e200, 0.3),
+         "nu = 2.0, z = 1e+200: the kernel (z - x)^-nu leaves double range"),
+        # the kernel is about 1e-200, but the prefactor about 1e+300
+        (lambda: ex.euler_kernel_gegenbauer(1.0, 1.5, 1e200, 0.3),
+         "nu = 1.0, mu = 1.5, z = 1e+200: the kernel over the series prefactor"
+         " leaves double range"),
+    ])
+    def test_kernel_or_scale_past_double_range_rejected_by_name(self, call, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                call()
+
+    @pytest.mark.parametrize("call, nu, x", [
+        (lambda: ex.euler_kernel_chebyshev(1.0, 1e200, 0.3), 1.0, 0.3),
+        (lambda: ex.fourier_negative_power(1, 1e200, 0.3), 1.0, 0.3),
+        (lambda: ex.euler_kernel_chebyshev(1.5, 1e200, -1.0), 1.5, -1.0),
+        (lambda: ex.euler_kernel_gegenbauer(1.5, 0.5, 1e200, 0.3), 1.5, 0.3),
+    ])
+    def test_far_field_where_z_squared_overflows_accepted(self, call, nu, x):
+        # z^2 overflows, but each kernel value, 1e-200 or 1e-300, is a
+        # normal double: these exited 6 when the prefactor formed
+        # (z^2 - 1)^p from z^2
+        assert call().value == pytest.approx(ex.euler_kernel_direct(nu, 1e200, x), rel=1e-12)
 
     @pytest.mark.parametrize("nu, z", [(1.5, 1e150), (0.48, 1e200)])
     def test_jacobi_far_field_in_range_accepted(self, nu, z):

@@ -199,7 +199,7 @@ def test_column_validation_matches_per_degree(column, single, args, exc):
 # recurrence_table): a table of at most op._NARROW entries per row runs on
 # Python floats, a wider one on numpy, and both must give the same bits.
 # On entry the table holds a row -1 of zeros, row 0 and, from row 1 on, the
-# multipliers a_k = (x - B_{k-1}) / A_k that recurrence_table wrote there.
+# multipliers a'_k = (x - B_{k-1}) / A'_k that recurrence_table wrote there.
 # The whole-column evaluators jacobi_p_all and gegenbauer_c_all run their
 # own loops, not this kernel; the tests that draw them from the strategies
 # below (in TestJacobiPAll and TestColumnsAtPairShape) check each column
@@ -244,12 +244,12 @@ def _orthonormal(nmax, params, x, row0):
 
 
 def _prefilled(nmax, params, x, row0):
-    """(out, ratio) as recurrence_table hands them to the kernel."""
+    """The table as recurrence_table hands it to the kernel."""
     calls = []
     with patch.object(op, "_three_term", lambda *args: calls.append(args)):
         _orthonormal(nmax, params, x, row0)
-    (out, ratio), = calls
-    return out, ratio
+    (out,), = calls
+    return out
 
 
 def _per_degree(kind, n, params, x):
@@ -296,21 +296,18 @@ class TestThreeTermKernel:
         assert tables[0].tobytes() == tables[1].tobytes()
 
     @given(data=st.data())
-    def test_pair_table_shape_in_blocks(self, data):
+    def test_pair_table_shape(self, data):
         # x and row 0 of shape (2, w) against parameters of shape (w,), as
         # polyspherical._pair_tables passes them, so down and div reach the
-        # kernel broadcast along the first row axis; _SPLIT_BYTES cut down so
-        # the kernel's operand blocks hold 1-3 rows and nmax spans many
-        # blocks.  Each column, run alone on the narrow path, has its bits.
+        # kernel broadcast along the first row axis.  Each column, run alone
+        # on the narrow path, has its bits.
         nmax, params, x = data.draw(_column_draw("jacobi", nmax_max=40,
                                                  width_min=op._NARROW // 2 + 1,
                                                  width_max=2 * op._NARROW))
         xp = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(x), max_size=len(x)))
         x2 = np.array([x, xp])
         row0 = np.reshape(data.draw(_row0(x2.size)), x2.shape)
-        rows_per_block = data.draw(st.integers(1, 3))
-        with patch.object(op, "_SPLIT_BYTES", 32 * rows_per_block * x2.nbytes):
-            table = _orthonormal(nmax, params, x2, row0)
+        table = _orthonormal(nmax, params, x2, row0)
         with patch.object(op, "_NARROW", x2.size):
             narrow = _orthonormal(nmax, params, x2, row0)
         assert table.shape == (nmax + 1,) + x2.shape
@@ -319,42 +316,36 @@ class TestThreeTermKernel:
             column = _orthonormal(nmax, [p[k] for p in params], x2[:, k], row0[:, k])
             assert table[:, :, k].tobytes() == column.tobytes()
 
-    @pytest.mark.parametrize("rows_per_block", [1, 2])
-    def test_wide_rows_in_blocks_of_one_or_two(self, rows_per_block):
-        # rows of 2 x 300 entries and a budget of rows_per_block rows of
-        # each operand: every block, the last one short, gives the bits of
-        # one whole-table block, of the narrow path and of each column run
-        # alone
-        rng = np.random.default_rng(29 + rows_per_block)
+    def test_wide_rows(self):
+        # rows of 2 x 300 entries: the numpy path gives the bits of the
+        # narrow path and of each column run alone
+        rng = np.random.default_rng(31)
         nmax, width = 41, 300
         params = [rng.uniform(0.05, 6.0, width) for _ in range(2)]
         x2 = rng.uniform(-1.0, 1.0, (2, width))
         row0 = rng.uniform(0.1, 2.0, (2, width))
-        tables = []
-        for budget, narrow in [(32 * rows_per_block * x2.nbytes, op._NARROW),
-                               (math.inf, op._NARROW), (math.inf, x2.size)]:
-            with patch.object(op, "_SPLIT_BYTES", budget), patch.object(op, "_NARROW", narrow):
-                tables.append(_orthonormal(nmax, params, x2, row0))
-        assert tables[0].tobytes() == tables[1].tobytes() == tables[2].tobytes()
+        table = _orthonormal(nmax, params, x2, row0)
+        with patch.object(op, "_NARROW", x2.size):
+            assert table.tobytes() == _orthonormal(nmax, params, x2, row0).tobytes()
         for k in range(0, width, 37):
             column = _orthonormal(nmax, [float(p[k]) for p in params], x2[:, k], row0[:, k])
-            assert tables[0][:, :, k].tobytes() == column.tobytes()
+            assert table[:, :, k].tobytes() == column.tobytes()
 
-    @pytest.mark.parametrize("width", [100, 3000])
-    def test_operand_blocks_bounded(self, width):
-        # the ratio buffer takes at most _SPLIT_BYTES / 32, or one row when
-        # a row is larger; the row views and the loop's other objects take
-        # a few KiB
+    @pytest.mark.parametrize("width", [op._NARROW + 1, 100, 3000])
+    def test_numpy_path_allocates_no_buffer(self, width):
+        # two in-place calls per row on the table's own rows: the row views
+        # the loop holds take well under 1 KiB at any width, where one row
+        # of the widest table alone would take 47 KiB
         rng = np.random.default_rng(width)
         params = [rng.uniform(0.05, 6.0, width) for _ in range(2)]
-        out, ratio = _prefilled(30, params, rng.uniform(-1.0, 1.0, (2, width)), 1.0)
+        out = _prefilled(60, params, rng.uniform(-1.0, 1.0, (2, width)), 1.0)
         tracemalloc.start()
         try:
-            op._three_term(out, ratio)
+            op._three_term(out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= max(op._SPLIT_BYTES / 32, out[0].nbytes) + 16 * 1024
+        assert peak <= 2048
 
 
 @pytest.mark.parity
@@ -396,46 +387,38 @@ class TestReusableRecurrence:
     # a fold plan builds its orthonormal recurrence once and runs it at
     # every angle pair: each run must give a fresh build's table, bit for bit
     @pytest.mark.parametrize("nmax", [0, 1, 2, 23])
-    @pytest.mark.parametrize("rows_per_block", [1, 2])
     @given(data=st.data())
-    def test_reused_equals_fresh(self, nmax, rows_per_block, data):
+    def test_reused_equals_fresh(self, nmax, data):
         # x of shape (2, w), as a pair table passes it: 2w entries per row,
-        # on either side of _NARROW; _SPLIT_BYTES cut down so that the
-        # kernel's operand blocks hold rows_per_block rows.  Two angle
-        # pairs, the first run again after the second.
+        # on either side of _NARROW.  Two angle pairs, the first run again
+        # after the second.
         _, params, x = data.draw(_column_draw("jacobi", nmax_max=0))
         pairs = [np.array([x, data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(x),
                                                  max_size=len(x)))]) for _ in range(2)]
         row0 = np.reshape(data.draw(_row0(2 * len(x))), (2, len(x)))
         rec = op.orthonormal_recurrence(nmax, *[np.asarray(p) for p in params], (2, len(x)))
-        with patch.object(op, "_SPLIT_BYTES", 32 * rows_per_block * pairs[0].nbytes):
-            for x2 in pairs + pairs[:1]:
-                reused = op.recurrence_table(rec, x2, row0)
-                assert reused.tobytes() == _orthonormal(nmax, params, x2, row0).tobytes()
+        for x2 in pairs + pairs[:1]:
+            reused = op.recurrence_table(rec, x2, row0)
+            assert reused.tobytes() == _orthonormal(nmax, params, x2, row0).tobytes()
 
     # widths 4 and 5 put 2 * width on either side of _NARROW = 8
     @pytest.mark.parametrize("width", [1, 3, 4, 5, 900])
     def test_held_bytes_per_entry(self, width):
         # a fold-plan cache bounds what its plans hold by their table
         # entries (verify.PLAN_CACHE_ENTRIES): the recurrence of a pair
-        # table, x of shape (2, width), keeps its B, A and ratio arrays at
-        # 8 bytes per column and degree each, 12 per entry; on a narrow
-        # table the ratios are instead a Python float (24 bytes) and a list
-        # slot (8) per entry, beside B and A at 4 each, plus a few KiB of
-        # headers
+        # table, x of shape (2, width), keeps its B, A' and scale arrays at
+        # 8 bytes per column and degree each, 12 per entry, whatever the
+        # path; measured, that is all it holds but 0.6-2.5 KiB of headers
         rng, nmax = np.random.default_rng(width), 60
         params = [rng.integers(1, 40, width) * 0.5 for _ in range(2)]
-        # floats taken from the free list would not be traced: empty it first
-        spare = [float(i) + 0.5 for i in range(1000)]
         tracemalloc.start()
         try:
             rec = op.orthonormal_recurrence(nmax, *params, (2, width))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert isinstance(rec.ratio, list) == (2 * width <= op._NARROW) and len(spare) == 1000
-        per_entry = 2 * 4 + 24 + 8 if isinstance(rec.ratio, list) else 12
-        assert held <= per_entry * (nmax + 1) * 2 * width + 4096
+        assert rec.scale.shape == rec.a.shape == rec.b.shape == (nmax, 1, width)
+        assert held <= 12 * nmax * 2 * width + 4096
 
 
 class TestOrthonormalRecurrence:
@@ -468,6 +451,39 @@ class TestOrthonormalRecurrence:
             op.orthonormal_recurrence(-1, 0.5, 0.5)
 
 
+_HALF_INTEGER = st.integers(-1, 1000).map(lambda k: 0.5 * k)
+
+
+@pytest.mark.parity
+class TestUnitRatioScale:
+    # the pass runs on q_k = p_k / c_k.  Over the parameters of the node
+    # tables, alpha and beta in {-1/2, 0, 1/2, ...}, up to 500 and nmax up
+    # to 400, c stays in [0.05, 1.2] (measured over the whole grid: 0.0598
+    # at (500, -1/2), 1.1733 at (0, -1/2)), so the rescaled rows keep the
+    # range of the orthonormal ones
+    @given(data=st.data())
+    def test_scale_band_and_columns(self, data):
+        width = data.draw(st.integers(1, 2 * op._NARROW))
+        pairs = data.draw(st.lists(st.tuples(_HALF_INTEGER, _HALF_INTEGER),
+                                   min_size=width, max_size=width))
+        assume((-0.5, -0.5) not in pairs)
+        a, b = np.array(pairs).T
+        nmax = data.draw(st.integers(0, 400))
+        x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=width, max_size=width)))
+        rec = op.orthonormal_recurrence(nmax, a, b, (width,))
+        assert np.all((0.05 <= rec.scale) & (rec.scale <= 1.2))
+        row0 = np.exp([0.5 * op.jacobi_norm_log(0, ak, bk) for ak, bk in pairs])
+        table = op.recurrence_table(rec, x, row0)
+        # per-degree jacobi_p times the norm from jacobi_norm_log, whose
+        # lgamma values near 900 carry about 1e-13 each
+        for k in sorted({0, width // 2, width - 1}):
+            scale = np.max(np.abs(table[:, k]))
+            for n in sorted({0, min(1, nmax), nmax // 2, nmax}):
+                want = (op.jacobi_p(n, a[k], b[k], x[k])
+                        * math.exp(0.5 * op.jacobi_norm_log(n, a[k], b[k])))
+                assert abs(table[n, k] - want) <= 1e-11 * scale
+
+
 class TestJacobiNorm:
     def test_legendre_norms(self):
         assert op.jacobi_norm(0, 0.0, 0.0) == pytest.approx(math.sqrt(0.5), rel=1e-14)
@@ -498,6 +514,28 @@ class TestJacobiNorm:
         want = math.sqrt(math.gamma(0.5) / (2.0 ** -0.5
                                             * math.gamma(0.25) ** 2))
         assert val == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def _norm0_log_mpmath(a, b):
+        A, B = mp.mpf(a), mp.mpf(b)
+        return mp.log(mp.gamma(A + B + 2) / (2 ** (A + B + 1) * mp.gamma(A + 1) * mp.gamma(B + 1)))
+
+    def test_norm0_log_exact_at_half_integers(self):
+        # the exact route, up to floor(alpha + beta + 1) = 640: at most
+        # 1.3e-14 over these draws (median 3.7e-16), where the lgamma form
+        # of jacobi_norm_log(0, ...) reaches 6.1e-13 (median 9.7e-14)
+        rng = np.random.default_rng(3)
+        pairs = [(-0.5, -0.5), (-0.5, 0.0), (0.5, 0.5), (319.5, 320.0), (-0.5, 640.0)] + [
+            tuple((rng.integers(-1, 641, 2) / 2).tolist()) for _ in range(200)]
+        for a, b in pairs:
+            got = op.jacobi_norm0_log(a, b)
+            assert abs(float(mp.exp(got - self._norm0_log_mpmath(a, b))) - 1.0) < 2e-14, (a, b)
+
+    @pytest.mark.parametrize("a, b", [(320.0, 320.0), (100000.5, 0.0), (1999999.5, 1.0)])
+    def test_norm0_log_past_640_is_the_lgamma_form(self, a, b):
+        # the integers' cost grows as the square of alpha + beta, which a
+        # certificate takes to about m: past 640 no factorial is formed
+        assert op.jacobi_norm0_log(a, b) == op.jacobi_norm_log(0, a, b)
 
     def test_orthogonality_grid(self):
         # 128-point rule, m, n <= 8

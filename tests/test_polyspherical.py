@@ -361,8 +361,10 @@ def _column_error(col, want):
 
 
 def _assert_matches_mpmath(col, node, l_left, l_right, theta, thetap):
+    # the largest error over 1 560 seeded draws of _pair_draw was 5.5e-14
+    # (nmax 54 at theta 0.04, where the recurrence runs next to x = 1)
     want = _mpmath_column(node, len(col) - 1, l_left, l_right, theta, thetap)
-    assert _column_error(col, want) <= 1e-13
+    assert _column_error(col, want) <= 8e-14
 
 
 class TestVerifierFactors:
@@ -550,7 +552,7 @@ class TestPairTableAccuracy:
             errors.append([_column_error(build(node, *args), want)
                            for build in (ps.node_pair_table, node_pair_table_reference)])
         new, old = np.array(errors).T
-        assert new.max() <= 1e-13
+        assert new.max() <= 3e-14
         assert new.max() <= old.max() and np.median(new) <= np.median(old)
 
 

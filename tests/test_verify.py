@@ -478,25 +478,26 @@ def _hopf_cfg(q, m, caps, nu=-1.5):
 class TestEdgeCaseCertificates:
     # (status, lhs, rhs, tail_estimate) as the node-by-node fold gave them,
     # rhs and tail_estimate as recorded once the orthonormal recurrence pass
-    # that builds the node tables ran each row as a_k row(k-1) - r_k row(k-2)
+    # that builds the node tables ran each row as a'_k row(k-1) - row(k-2),
+    # times its scale c_k, from row-0 norms formed from exact ratios
     @pytest.mark.parametrize("cfg, want", [
         # caps 0: one degree per level
         (_std_cfg("T4.1", 5, 0, 0),
-         ("truncation_insufficient", 1.0260699936532065, 0.6253724953188807, math.inf)),
+         ("truncation_insufficient", 1.0260699936532065, 0.6253724953188805, math.inf)),
         (_std_cfg("C4.4", 4, 1, 0),
-         ("truncation_insufficient", 0.1813680304103711, 0.06566978673110911, math.inf)),
+         ("truncation_insufficient", 0.1813680304103711, 0.0656697867311092, math.inf)),
         (_hopf_cfg(2, 5, 0),
-         ("truncation_insufficient", 0.0018233724122810597, 0.003570918033301107, math.inf)),
+         ("truncation_insufficient", 0.0018233724122810597, 0.0035709180333011042, math.inf)),
         (_hopf_cfg(3, 0, 0),
-         ("truncation_insufficient", 0.9706975220373293, 0.879849090949479, math.inf)),
+         ("truncation_insufficient", 0.9706975220373293, 0.8798490909494787, math.inf)),
         # m above caps: the distinguished leaf's order sits past every cap
         (_std_cfg("C4.3", 3, 90, 2, nu=-1.0),
-         ("truncation_insufficient", 2.9441303430320973e-50, 4.3268702300566494e-64, math.inf)),
+         ("truncation_insufficient", 2.9441303430320973e-50, 4.3268702300566346e-64, math.inf)),
         (_std_cfg("T4.1", 4, 200, 3),
-         ("truncation_insufficient", 9.883398189886903e-130, 4.128078097389361e-171, math.inf)),
+         ("truncation_insufficient", 9.883398189886903e-130, 4.128078097388816e-171, math.inf)),
         # a deep chain: 198 b tables held at once
         (_std_cfg("T4.1", 200, 0, 60),
-         ("pass", 4.348467449574517e-14, 4.3484674495811794e-14, 7.495542392359701e-39)),
+         ("pass", 4.348467449574517e-14, 4.3484674495748345e-14, 7.495542396027504e-39)),
     ])
     def test_pinned(self, cfg, want):
         rep = vf.run_verification(cfg)
@@ -609,7 +610,7 @@ class TestPlanCoefficients:
         # narrow plans (C4.3, one column) and wide ones (C4.5, T4.2 q = 3) at
         # several caps, more entries than the bound in all: after every
         # certificate the cache holds at most PLAN_CACHE_ENTRIES entries, and
-        # the bytes it frees when dropped are at most the 160 per entry and
+        # the bytes it frees when dropped are at most the 48 per entry and
         # 4 KiB per tree node of the constant's comment
         cfgs = ([ba_cfg(-1.0, 1, caps=caps) for caps in (0, 80, 2000)]
                 + [ca2_cfg(-1.5, 1, caps=caps) for caps in (2, 120, 200)]
@@ -632,7 +633,7 @@ class TestPlanCoefficients:
                 vf._plans.cache_clear()
                 gc.collect()
                 held = before - tracemalloc.get_traced_memory()[0]
-                assert held <= sum(160 * entries + 4096 * nodes for _, entries, nodes in cached)
+                assert held <= sum(48 * entries + 4096 * nodes for _, entries, nodes in cached)
                 for j, _, _ in cached:      # the same plans again, least recently used first
                     vf.run_verification(cfgs[j])
                 assert [origin[key] for key, _, _ in _cached_plans()] == [j for j, _, _ in cached]
@@ -713,55 +714,56 @@ def _pin(status, *floats):
 # one certificate per slot kind of the benchmark's certify cycle (every
 # theorem, order and tree size it runs), at fixed angles: (status, lhs,
 # rhs, rel_err, tail_estimate) as recorded once the orthonormal recurrence
-# pass that builds the node tables ran each row as a_k row(k-1) -
-# r_k row(k-2), so a change of rounding anywhere on the certificate path
-# shows here and has to be made on purpose
+# pass that builds the node tables ran each row as a'_k row(k-1) - row(k-2),
+# times its scale c_k, from row-0 norms formed from exact ratios, so a
+# change of rounding anywhere on the certificate path shows here and has to
+# be made on purpose
 _CYCLE_PINS = [
     (_std_cfg("C4.3", 3, 0, 80, nu=-1.0), _pin(
         "pass", "0x1.b9a2b9b5b8556p+0", "0x1.b9a2b9b5b8558p+0", "0x1.28c9a299ab3d6p-52",
-        "0x1.0b62d9f3d6f44p-83")),
+        "0x1.0b62d9f3d6f38p-83")),
     (_std_cfg("C4.3", 3, 1, 80, nu=-1.0), _pin(
-        "pass", "0x1.01d56aaac4dc7p-2", "0x1.01d56aaac4dc7p-2", "0x0.0p+0",
-        "0x1.edb4fe6d416efp-85")),
+        "pass", "0x1.01d56aaac4dc7p-2", "0x1.01d56aaac4dc4p-2", "0x1.7d44e1f1369a0p-51",
+        "0x1.edb4fe6d41710p-85")),
     (_std_cfg("C4.3", 3, 2, 80, nu=-1.0), _pin(
-        "pass", "0x1.c05979626b972p-5", "0x1.c05979626b97cp-5", "0x1.6d6ddfbb4fb56p-50",
-        "0x1.74d97f0a1cd9bp-84")),
+        "pass", "0x1.c05979626b972p-5", "0x1.c05979626b974p-5", "0x1.2457e62f72f78p-52",
+        "0x1.74d97f0a1cd84p-84")),
     (_std_cfg("C4.3", 3, 0, 80, nu=-2.5), _pin(
         "pass", "0x1.da5524efd23a3p-1", "0x1.da5524efd23a7p-1", "0x1.14544dd8ce8c9p-51",
-        "0x1.6dd4d659c70eep-79")),
+        "0x1.6dd4d659c70dep-79")),
     (_std_cfg("C4.3", 3, 1, 80, nu=-2.5), _pin(
-        "pass", "0x1.51eac720d8f4ep-2", "0x1.51eac720d8f4cp-2", "0x1.83e1d253229c6p-52",
-        "0x1.55e1a3fbbc8a5p-80")),
+        "pass", "0x1.51eac720d8f4ep-2", "0x1.51eac720d8f48p-2", "0x1.22e95dbe59f55p-50",
+        "0x1.55e1a3fbbc8bcp-80")),
     (_std_cfg("C4.3", 3, 2, 80, nu=-2.5), _pin(
-        "pass", "0x1.b520824ac7a0dp-4", "0x1.b520824ac7a12p-4", "0x1.76cf9d2a6fa71p-51",
-        "0x1.03afeccf1e3e3p-79")),
+        "pass", "0x1.b520824ac7a0dp-4", "0x1.b520824ac7a0ap-4", "0x1.c1c5efcc85fbbp-52",
+        "0x1.03afeccf1e3d3p-79")),
     (_std_cfg("C4.4", 4, 0, 80, nu=-2.0), _pin(
-        "pass", "0x1.bd2bd05ea57e9p-1", "0x1.bd2bd05ea57e8p-1", "0x1.266e3a956d026p-53",
-        "0x1.ca1a56480c32ep-83")),
+        "pass", "0x1.bd2bd05ea57e9p-1", "0x1.bd2bd05ea57eap-1", "0x1.266e3a956d026p-53",
+        "0x1.ca1a564809591p-83")),
     (_std_cfg("C4.4", 4, 1, 80, nu=-2.0), _pin(
-        "pass", "0x1.9633db6abb533p-3", "0x1.9633db6abb531p-3", "0x1.42ad2b779811bp-52",
-        "0x1.2638daf65bb02p-81")),
+        "pass", "0x1.9633db6abb533p-3", "0x1.9633db6abb530p-3", "0x1.e403c133641a8p-52",
+        "0x1.2638daf65bacap-81")),
     (replace(_hopf_cfg(2, 0, 80, nu=-2.0), theorem="C4.5"), _pin(
-        "pass", "0x1.07e253b597825p+0", "0x1.07e253b597824p+0", "0x1.f0b3f3133592ap-53",
-        "0x1.f4796d706d4f7p-80")),
+        "pass", "0x1.07e253b597825p+0", "0x1.07e253b597825p+0", "0x0.0p+0",
+        "0x1.f4796d706d549p-80")),
     (replace(_hopf_cfg(2, 1, 80, nu=-2.0), theorem="C4.5"), _pin(
         "pass", "0x1.43794972e2cecp-2", "0x1.43794972e2ceep-2", "0x1.9533896b66534p-52",
-        "0x1.0cc9b3a331b1ep-81")),
+        "0x1.0cc9b3a331ae0p-81")),
     (_std_cfg("T4.1", 4, 0, 40, nu=-1.3), _pin(
         "pass", "0x1.307fdd7e41785p+0", "0x1.307fdd7e4174dp+0", "0x1.78a4f2c63d1b1p-47",
-        "0x1.b26ae3814ee09p-41")),
+        "0x1.b26ae3814ee6cp-41")),
     (_std_cfg("T4.1", 5, 0, 35, nu=-0.7), _pin(
-        "pass", "0x1.105ce4d36bb02p+1", "0x1.105ce4d36bd8dp+1", "0x1.31f1ddc036f1ap-43",
-        "0x1.1e747024787aep-37")),
+        "pass", "0x1.105ce4d36bb02p+1", "0x1.105ce4d36bd8ap+1", "0x1.3088ef9ac1e5ep-43",
+        "0x1.1e74702478790p-37")),
     (_std_cfg("T4.1", 6, 0, 30, nu=-2.2), _pin(
-        "pass", "0x1.994f5e6997726p-1", "0x1.994f5e695d5a5p-1", "0x1.22acfdc195136p-35",
-        "0x1.9ddf1fbf083f8p-29")),
+        "pass", "0x1.994f5e6997726p-1", "0x1.994f5e695d5a8p-1", "0x1.22ac0d960e81ep-35",
+        "0x1.9ddf1fbf083e9p-29")),
     (_hopf_cfg(2, 0, 30, nu=-1.7), _pin(
-        "pass", "0x1.21e318d48bba7p+0", "0x1.21e318d48bba1p+0", "0x1.531c804c315abp-50",
-        "0x1.62467c56eec48p-31")),
+        "pass", "0x1.21e318d48bba7p+0", "0x1.21e318d48bba2p+0", "0x1.1a97c03f7e764p-50",
+        "0x1.62467c56eec6ep-31")),
     (replace(_hopf_cfg(3, 0, 12, nu=-0.9), tol=1e-3), _pin(
-        "pass", "0x1.8e2e830564aa2p+0", "0x1.8e2e8305ff2c9p+0", "0x1.8d59c3dcf1e55p-34",
-        "0x1.445ed2331e197p-13")),
+        "pass", "0x1.8e2e830564aa2p+0", "0x1.8e2e8305ff2c7p+0", "0x1.8d597191a8578p-34",
+        "0x1.445ed2331e192p-13")),
 ]
 
 
