@@ -1,6 +1,10 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its one range check: every
+prefactor, radial factor and certificate lhs goes through `in_range`, which
+raises DomainError naming its inputs where one overflows or underflows to 0."""
 
 import math
+
+import numpy as np
 
 
 class PolyKernelError(Exception):
@@ -53,11 +57,22 @@ def require_finite(**values):
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-def radial_range_error(**values) -> DomainError:
-    """DomainError naming the radii (and derived values) whose squares,
-    products or powers leave double range, for the caller to raise."""
-    named = ", ".join(f"{name} = {value}" for name, value in values.items())
-    return DomainError(f"{named}: the radial factors leave double range")
+def in_range(build, what, /, tiny=0.0, **params):
+    """build() where its largest magnitude is finite and above ``tiny``,
+    else DomainError "<params>: <what>", what saying how it leaves double
+    range.  build() is a float or a radial column; an overflow or a division
+    by zero inside it counts as past range.  A factor of 0 would zero every
+    term, so that no sum converges, or read as a disagreeing certificate."""
+    try:
+        value = build()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    peak = np.abs(value).max() if isinstance(value, np.ndarray) else abs(value)
+    if tiny < peak < math.inf:
+        return value
+    named = ", ".join(f"{name} = {given}" for name, given in params.items())
+    floor = f" or falls to {tiny:.3g} or below" if tiny else ""
+    raise DomainError(f"{named}: {what}{floor}")
 
 
 # --- kernels ---------------------------------------------------------------

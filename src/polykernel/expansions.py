@@ -54,7 +54,7 @@ from .errors import (
     ExclusionSetError,
     ParameterPoleError,
     SingularConfigurationError,
-    radial_range_error,
+    in_range,
     require_finite,
 )
 from .kernels import KernelGeometry
@@ -103,7 +103,8 @@ class PartialSum:
 def _degree_sum(terms, tr: Truncation, trace) -> PartialSum:
     """Sum a series' terms in ascending degree with compensated summation.
 
-    Stops once three consecutive terms fall below tol * |partial sum|, or
+    Stops once three consecutive terms fall below tol * |partial sum| (or
+    are 0 while it is not), or
     when ``terms`` ends (a terminating series); raises ConvergenceError when
     max_terms terms pass without the stop.  ``trace``, when a list, gets one
     row (0, n, term, partial sum) per term.
@@ -119,7 +120,9 @@ def _degree_sum(terms, tr: Truncation, trace) -> PartialSum:
         if trace is not None:
             trace.append((0, n, term, s))
         n += 1
-        small_run = small_run + 1 if last < tr.tol * abs(s) else 0
+        # tol * |s| underflows to 0 where s is subnormal, so a term of 0
+        # counts as small on its own once the sum is nonzero
+        small_run = small_run + 1 if last < tr.tol * abs(s) or (last == 0.0 and s != 0.0) else 0
         if small_run >= 3:
             break
     else:
@@ -193,42 +196,10 @@ def _gegenbauer_series(pref, scale, mu, x, qhats, tr, trace):
 
 def _gamma(x, **param):
     """math.gamma(x) for a prefactor, x a function of the one parameter in
-    param.  Gamma overflows past about 171.6 and within about 5.6e-309 of
-    0, and underflows to 0 below about -177.8, where a prefactor that
-    divides by it would divide by zero; each raises DomainError naming the
-    parameter.  Every other value is math.gamma's own."""
-    try:
-        value = math.gamma(x)
-    except OverflowError:
-        value = 0.0
-    if value == 0.0:
-        (name, given), = param.items()
-        raise DomainError(f"{name} = {given}: Gamma({x}) leaves double range (Gamma overflows"
-                          " past about 171.6 and next to 0, and underflows to 0 below about"
-                          " -177.8)")
-    return value
-
-
-def _in_range(build, what, params, tiny=0.0):
-    """build(), or DomainError naming params and what where build()
-    overflows, is not finite or has magnitude at most ``tiny``."""
-    try:
-        value = build()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value) or abs(value) <= tiny:
-        named = ", ".join(f"{name} = {given}" for name, given in params.items())
-        floor = f" or falls to {tiny:.3g} or below" if tiny else ""
-        raise DomainError(f"{named}: {what} leaves double range{floor}")
-    return value
-
-
-def _prefactor(build, **params):
-    """build(), an Euler-kernel series prefactor.  A power past double range,
-    or a denominator Gamma(nu) (z^2 - 1)^{...} that overflows or underflows
-    to 0 while Gamma(nu) is finite, raises DomainError naming the parameters:
-    a zero prefactor would zero every term, and no sum of them converges."""
-    return _in_range(build, "the series prefactor", params)
+    param, which DomainError names where Gamma leaves double range: a
+    prefactor that divides by a Gamma of 0 would divide by zero."""
+    return in_range(lambda: math.gamma(x), f"Gamma({x}) leaves double range (Gamma overflows past"
+                    " about 171.6 and next to 0, and underflows to 0 below about -177.8)", **param)
 
 
 def _check_scale(pref, nu, z, x, /, tiny=0.0, **params):
@@ -236,8 +207,10 @@ def _check_scale(pref, nu, z, x, /, tiny=0.0, **params):
     the scale kernel / pref that a series' Q factors carry, leaves double
     range, or where the scale has magnitude at most tiny: every term would
     be 0 or overflow, and the sum would run to max_terms."""
-    kernel = _in_range(lambda: (z - x) ** -nu, "the kernel (z - x)^-nu", params)
-    _in_range(lambda: kernel / pref, "the kernel over the series prefactor", params, tiny)
+    kernel = in_range(lambda: (z - x) ** -nu, "the kernel (z - x)^-nu leaves double range",
+                      **params)
+    in_range(lambda: kernel / pref, "the kernel over the series prefactor leaves double range",
+             tiny, **params)
 
 
 def _check_euler_arguments(z, x, **params):
@@ -318,9 +291,9 @@ def fourier_negative_power(q: int, z: float, x: float,
     _check_euler_arguments(z, x)
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = _prefactor(lambda: math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(q, q=q)
-                                                * z2m1_power(z, 0.5 * q - 0.25)),
-                      q=q, z=z)
+    pref = in_range(lambda: math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(q, q=q)
+                                              * z2m1_power(z, 0.5 * q - 0.25)),
+                    "the series prefactor leaves double range", q=q, z=z)
     _check_scale(pref, q, z, x, q=q, z=z)
     return _cosine_series(pref, math.acos(x), q - 0.5, z, tr, trace)
 
@@ -350,8 +323,9 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
     limit = tr.max_terms if n_neg is None else min(tr.max_terms, 1 - n_neg)
     ab = alpha + beta
     params = dict(nu=nu, alpha=alpha, beta=beta, z=z)
-    pref = _prefactor(lambda: ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
-                               / 2.0 ** (ab + 1.0 - nu)), **params)
+    pref = in_range(lambda: ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
+                             / 2.0 ** (ab + 1.0 - nu)),
+                    "the series prefactor leaves double range", **params)
     # The Q factors carry the scale in log space, and a term below
     # e^_LOG_TINY of it is 0.
     _check_scale(pref, nu, z, x, math.exp(_LOG_TINY), **params)
@@ -389,9 +363,10 @@ def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
         raise ValueError("need mu in (-1/2, inf) \\ {0}")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = _prefactor(lambda: 2.0 ** (mu + 0.5) * _gamma(mu, mu=mu)
-                      / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
-                         * z2m1_power(z, 0.5 * (nu - mu) - 0.25)), nu=nu, mu=mu, z=z)
+    pref = in_range(lambda: 2.0 ** (mu + 0.5) * _gamma(mu, mu=mu)
+                    / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
+                       * z2m1_power(z, 0.5 * (nu - mu) - 0.25)),
+                    "the series prefactor leaves double range", nu=nu, mu=mu, z=z)
     _check_scale(pref, nu, z, x, nu=nu, mu=mu, z=z)
     qhats = _q_hat_terms(mu - 0.5, nu - mu - 0.5, z, tr.max_terms)
     return _gegenbauer_series(pref, 1.0, mu, x, qhats, tr, trace)
@@ -406,9 +381,9 @@ def euler_kernel_chebyshev(nu: float, z: float, x: float,
         raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = _prefactor(lambda: math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
-                                                * z2m1_power(z, 0.5 * nu - 0.25)),
-                      nu=nu, z=z)
+    pref = in_range(lambda: math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
+                                              * z2m1_power(z, 0.5 * nu - 0.25)),
+                    "the series prefactor leaves double range", nu=nu, z=z)
     _check_scale(pref, nu, z, x, nu=nu, z=z)
     return _cosine_series(pref, math.acos(x), nu - 0.5, z, tr, trace)
 
@@ -419,6 +394,18 @@ def _check_power_exclusion(nu: float, start: float = 0.0):
     if nu >= start - 1e-12 and _is_int(0.5 * (nu - start)):
         raise ExclusionSetError(
             f"nu = {nu} lies in the excluded set {{{start}, {start + 2}, ...}}")
+
+
+_RADIUS_GUARD = 1e-6
+
+
+def _distinct_radii(r, rp):
+    """(r_<, r_>), or CoincidentRadiusError where the radii lie within
+    _RADIUS_GUARD r_> of each other and (r^2 + r'^2) / (2 r r') -> 1."""
+    r_less, r_greater = min(r, rp), max(r, rp)
+    if (r_greater - r_less) / r_greater < _RADIUS_GUARD:
+        raise CoincidentRadiusError(f"radii {r}, {rp} too close: radial argument collapses to 1")
+    return r_less, r_greater
 
 
 def multipole_power(d: int, nu: float, r: float, rp: float, cos_gamma: float,
@@ -433,20 +420,13 @@ def multipole_power(d: int, nu: float, r: float, rp: float, cos_gamma: float,
         raise ValueError("cos_gamma must lie in [-1, 1]")
     if r <= 0.0 or rp <= 0.0:
         raise ValueError("radii must be positive")
-    r_less, r_greater = min(r, rp), max(r, rp)
-    if (r_greater - r_less) / r_greater < 1e-6:
-        raise CoincidentRadiusError(
-            f"r = {r} and r' = {rp} too close: expansion argument z -> 1")
+    r_less, r_greater = _distinct_radii(r, rp)
     mu = 0.5 * d - 1.0
-    pref = _gamma(0.5 * (d - 2.0), d=d) / (2.0 * math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu))
-    try:
-        z = (r * r + rp * rp) / (2.0 * r * rp)
-        pref = (pref * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
-                / (r * rp) ** (0.5 * (d - 1.0)))
-    except (OverflowError, ZeroDivisionError):
-        z = pref = math.inf
-    if not (math.isfinite(z) and math.isfinite(pref)):
-        raise radial_range_error(r=r, rp=rp)
+    gammas = _gamma(0.5 * (d - 2.0), d=d) / (2.0 * math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu))
+    radial_range = "the radial factors leave double range"
+    z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp), radial_range, r=r, rp=rp)
+    pref = in_range(lambda: (gammas * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
+                             / (r * rp) ** (0.5 * (d - 1.0))), radial_range, r=r, rp=rp)
     # 2n + d - 2 = 2 (n + mu)
     qhats = (second_kind(legendre_q_hat, (n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z))
              for n in count())
@@ -471,11 +451,9 @@ def azimuthal_power(nu: float, g: KernelGeometry,
         raise SingularConfigurationError(
             f"chi = {chi} too close to 1 for the azimuthal series")
     den = math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu)
-    try:
-        pref = (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
-                * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den)
-    except (OverflowError, ZeroDivisionError):
-        pref = math.inf
-    if not (math.isfinite(chi) and math.isfinite(pref)):
-        raise radial_range_error(R=g.R, Rp=g.Rp, chi=chi)
+    radial_range = "the radial factors leave double range"
+    in_range(lambda: chi, radial_range, R=g.R, Rp=g.Rp, chi=chi)
+    pref = in_range(lambda: (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
+                             * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den),
+                    radial_range, R=g.R, Rp=g.Rp, chi=chi)
     return _cosine_series(pref, g.delta_phi, -0.5 * (nu + 1.0), chi, tr, trace)

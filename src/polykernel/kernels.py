@@ -19,7 +19,7 @@ from .errors import (
     CoincidentPointsError,
     OddDimensionError,
     SingularConfigurationError,
-    radial_range_error,
+    in_range,
     require_finite,
 )
 
@@ -67,8 +67,9 @@ class KernelGeometry:
         object.__setattr__(self, "phip", math.atan2(xp[1], xp[0]))
         chi = None
         if R > 0.0 and Rp > 0.0:
-            if 2.0 * R * Rp == 0.0:
-                raise radial_range_error(R=R, Rp=Rp)
+            # only a 2RR' that underflows is refused: past range, chi is named later
+            in_range(lambda: min(2.0 * R * Rp, 1.0), "the radial factors leave double range",
+                     R=R, Rp=Rp)
             chi = (R * R + Rp * Rp + axial) / (2.0 * R * Rp)
         object.__setattr__(self, "chi", chi)
 

@@ -47,14 +47,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (CoincidentRadiusError, DomainError, SingularConfigurationError,
-                     radial_range_error, require_finite)
-from .expansions import _check_power_exclusion
+from .errors import DomainError, SingularConfigurationError, in_range, require_finite
+from .expansions import _check_power_exclusion, _distinct_radii
 from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_tables,
                             hopf_heap_to_preorder, hopf_tree, parse_tree)
 from .specfun import BoundedCache, legendre_q_hat, legendre_q_hat_column, second_kind
 
-_RADIUS_GUARD = 1e-6
 # The most entries a certificate's node tables (50-57 bytes each at the
 # tracemalloc peak, the plan's coefficients and scatter offsets included),
 # or its weight vectors of length m + 1 or more, may hold.
@@ -119,18 +117,18 @@ class VerificationReport:
 
 
 def _check_geometry(cfg, tree, angles, anglesp):
-    """Reject nu in the excluded set {2m, 2m+2, ...}, coincident radii, and
-    node angles not strictly inside their range, where chi is infinite."""
+    """(r_<, r_>), after rejecting nu in the excluded set {2m, 2m+2, ...},
+    coincident radii, and node angles not strictly inside their range, where
+    chi is infinite."""
     _check_power_exclusion(cfg.nu, 2 * cfg.m)
-    if abs(cfg.r - cfg.rp) / max(cfg.r, cfg.rp) < _RADIUS_GUARD:
-        raise CoincidentRadiusError(
-            f"radii {cfg.r}, {cfg.rp} too close: radial argument collapses to 1")
+    radii = _distinct_radii(cfg.r, cfg.rp)
     for node in tree.branching_nodes:
         lo, hi, _ = node.angle_range()
         for a in (angles[node.index], anglesp[node.index]):
             if node.kind != "a" and not lo < a < hi:
                 raise SingularConfigurationError(
                     f"type-{node.kind} angle {a} must lie strictly inside ({lo}, {hi})")
+    return radii
 
 
 def _geometric_tail(terms):
@@ -312,20 +310,17 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
     and at d = 4 also the lhs Qhat_{m-1/2}^{1/2}(chi), in closed form.
     cos g comes from the unchecked tree walk: `_check_geometry` bounds the
     polar angles, and the azimuths are 0 or already reduced mod 2 pi.  Weight
-    vectors past MAX_TABLE_ENTRIES entries, a rho that underflows to 0, a chi
-    whose square leaves double range, or fold weights that overflow or all
-    underflow to 0 raise DomainError before any Legendre function.
+    vectors past MAX_TABLE_ENTRIES entries, a rho that underflows to 0, or
+    fold weights that overflow or all underflow to 0 raise DomainError
+    before any Legendre function; z, the radial power and column, chi^2,
+    the lhs and pref each pass `errors.in_range`.
     """
-    _check_geometry(cfg, tree, angles, anglesp)
+    rless, rgreater = _check_geometry(cfg, tree, angles, anglesp)
     nu, m, r, rp, d = cfg.nu, cfg.m, cfg.r, cfg.rp, tree.dimension
-    rless, rgreater = min(r, rp), max(r, rp)
-    try:
-        z = (r * r + rp * rp) / (2.0 * r * rp)
-        radial_power = ((rgreater ** 2 - rless ** 2) / (r * rp)) ** (0.5 * (nu + d - 1.0))
-    except (OverflowError, ZeroDivisionError):
-        z = math.inf            # a square, product or power past double range
-    if not math.isfinite(z):
-        raise radial_range_error(r=r, rp=rp)
+    radial_range = "the radial factors leave double range"
+    z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp), radial_range, r=r, rp=rp)
+    radial_power = in_range(lambda: ((rgreater ** 2 - rless ** 2) / (r * rp))
+                            ** (0.5 * (nu + d - 1.0)), radial_range, r=r, rp=rp)
     node, rho, path = tree.root, 1.0, 1
     while node.kind != "a":
         t, tp = angles[node.index], anglesp[node.index]
@@ -343,8 +338,7 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
                           " path to the distinguished leaf, underflows to 0")
     chi = ((r * r + rp * rp - 2.0 * r * rp * (_cos_separation(tree, angles, anglesp) - rho))
            / (2.0 * r * rp * rho))
-    if not math.isfinite(chi * chi):
-        raise DomainError(f"chi = {chi}: the separation variable leaves double range")
+    chi2 = in_range(lambda: chi * chi, "the separation variable leaves double range", chi=chi)
     a_nodes = [node for node in tree.branching_nodes if node.kind == "a"]
     orders = np.arange(cfg.caps + 1)
     # the distinguished leaf is one-hot at order m
@@ -361,15 +355,17 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
     if elementary and nu != 2.0 - d:
         raise ValueError(f"the elementary reduction needs nu = 2 - d = {2 - d}")
     # at nu = 2 - d the order is -1/2
-    radial = _radial(lo + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z, len(w), elementary)
-    if elementary and d == 4:
-        lhs = float(_qhat_half(m - 0.5, 0.5, chi))
-    else:
-        lhs = legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi)
+    radial = in_range(lambda: _radial(lo + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z, len(w),
+                                      elementary), radial_range, r=r, rp=rp)
+    lhs = in_range(lambda: float(_qhat_half(m - 0.5, 0.5, chi)) if elementary and d == 4
+                   else legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi),
+                   "the lhs Qhat_{m-1/2}^{-(nu+1)/2}(chi) leaves double range",
+                   nu=nu, m=m, chi=chi)
     terms = (w * radial).tolist()
-    pref = (2.0 ** (1 - len(a_nodes)) * math.pi ** (0.5 * d - len(a_nodes))
-            * rho ** (-0.5 * nu) * 2.0 ** (-0.5 * (nu + 1.0))
-            * (chi * chi - 1.0) ** (-0.25 * (nu + 1.0)) * radial_power)
+    pref = in_range(lambda: (2.0 ** (1 - len(a_nodes)) * math.pi ** (0.5 * d - len(a_nodes))
+                             * rho ** (-0.5 * nu) * 2.0 ** (-0.5 * (nu + 1.0))
+                             * (chi2 - 1.0) ** (-0.25 * (nu + 1.0)) * radial_power),
+                    "the certificate prefactor leaves double range", nu=nu, rho=rho, chi=chi)
     rhs = pref * math.fsum(terms)
     # Root degrees lo..lo+caps get every contribution under the per-level
     # caps; above them the sums are cut short, so the tail is fitted to those.

@@ -31,8 +31,8 @@ from polykernel import specfun as sf
 from polykernel.orthopoly import _jacobi_p1, _jacobi_step, gegenbauer_c_all, jacobi_p_all
 from polykernel.polyspherical import Tree, TreeNode, _check_angle, _child_span
 from polykernel.errors import (CoincidentRadiusError, ConvergenceError, ExclusionSetError,
-                               ParameterPoleError, SingularConfigurationError,
-                               radial_range_error, require_finite)
+                               ParameterPoleError, SingularConfigurationError, in_range,
+                               require_finite)
 from polykernel.expansions import (DEFAULT_TRUNCATION, PartialSum, Truncation,
                                    _check_euler_arguments, _check_power_exclusion, _gamma,
                                    _jacobi_q_terms, _q_hat_terms)
@@ -501,7 +501,7 @@ class SeriesReference:
         self.last = abs(term)
         if self.trace is not None:
             self.trace.append((self.level, self.n - 1, term, self.s))
-        if self.last < self.tr.tol * abs(self.s):
+        if self.last < self.tr.tol * abs(self.s) or (self.last == 0.0 and self.s != 0.0):
             self.small_run += 1
         else:
             self.small_run = 0
@@ -657,18 +657,13 @@ def multipole_power_reference(d: int, nu: float, r: float, rp: float, cos_gamma:
         raise ValueError("radii must be positive")
     r_less, r_greater = min(r, rp), max(r, rp)
     if (r_greater - r_less) / r_greater < 1e-6:
-        raise CoincidentRadiusError(
-            f"r = {r} and r' = {rp} too close: expansion argument z -> 1")
+        raise CoincidentRadiusError(f"radii {r}, {rp} too close: radial argument collapses to 1")
     mu = 0.5 * d - 1.0
-    pref = _gamma(0.5 * (d - 2.0), d=d) / (2.0 * math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu))
-    try:
-        z = (r * r + rp * rp) / (2.0 * r * rp)
-        pref = (pref * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
-                / (r * rp) ** (0.5 * (d - 1.0)))
-    except (OverflowError, ZeroDivisionError):
-        z = pref = math.inf
-    if not (math.isfinite(z) and math.isfinite(pref)):
-        raise radial_range_error(r=r, rp=rp)
+    gammas = _gamma(0.5 * (d - 2.0), d=d) / (2.0 * math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu))
+    radial_range = "the radial factors leave double range"
+    z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp), radial_range, r=r, rp=rp)
+    pref = in_range(lambda: (gammas * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
+                             / (r * rp) ** (0.5 * (d - 1.0))), radial_range, r=r, rp=rp)
     acc = SeriesReference(tr, trace)
     c_prev = 0.0
     c_cur = 1.0
@@ -703,13 +698,10 @@ def azimuthal_power_reference(nu: float, g: KernelGeometry,
             f"chi = {chi} too close to 1 for the azimuthal series")
     dphi = g.delta_phi
     den = math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu)
-    try:
-        pref = (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
-                * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den)
-    except (OverflowError, ZeroDivisionError):
-        pref = math.inf
-    if not (math.isfinite(chi) and math.isfinite(pref)):
-        raise radial_range_error(R=g.R, Rp=g.Rp, chi=chi)
+    in_range(lambda: chi, "the radial factors leave double range", R=g.R, Rp=g.Rp, chi=chi)
+    pref = in_range(lambda: (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
+                             * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den),
+                    "the radial factors leave double range", R=g.R, Rp=g.Rp, chi=chi)
     acc = SeriesReference(tr, trace)
     qhats = _q_hat_terms(-0.5, -0.5 * (nu + 1.0), chi, tr.max_terms)
     for m, qhat in enumerate(qhats):

@@ -514,6 +514,50 @@ class TestVerify:
         assert out == "" and err.startswith(f"error: {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        # these reported "fail" and exited 1: the radial power underflowed
+        # to 0, so rhs = 0 (at nu = 901 the lhs is 0 too)
+        (["verify", "C4.3", "--nu", "451", "--r", "1", "--rp", "1.01", "--caps", "20"],
+         "r = 1.0, rp = 1.01: the radial factors leave double range"),
+        (["verify", "T4.1", "--d", "5", "--nu", "451", "--r", "1", "--rp", "1.01", "--caps",
+          "10"], "r = 1.0, rp = 1.01: the radial factors leave double range"),
+        (["verify", "C4.5", "--nu", "451", "--r", "1", "--rp", "1.01", "--caps", "10"],
+         "r = 1.0, rp = 1.01: the radial factors leave double range"),
+        (["verify", "C4.3", "--nu", "901", "--r", "1", "--rp", "1.1", "--caps", "20"],
+         "r = 1.0, rp = 1.1: the radial factors leave double range"),
+        # these exited 6 with "(34, 'Numerical result out of range')" and
+        # "value exceeds double range", naming nothing
+        (["verify", "C4.3", "--nu", "-300", "--r", "1", "--rp", "1e3"],
+         "r = 1.0, rp = 1000.0: the radial factors leave double range"),
+        (["verify", "C4.3", "--nu", "-1000", "--r", "1", "--rp", "1e10"],
+         "r = 1.0, rp = 10000000000.0: the radial factors leave double range"),
+        (["verify", "C4.3", "--nu", "-232", "--r", "1", "--rp", "0.0052", "--theta", "0.2",
+          "--thetap", "2.5", "--caps", "5"],
+         "nu = -232.0, rho = 0.11889806036861848, chi = 815.3339081810708: the certificate"
+         " prefactor leaves double range"),
+        # the radial column's bottom degree overflows
+        (["verify", "C4.3", "--nu", "-587.5", "--r", "1", "--rp", "0.826", "--theta", "0.75",
+          "--thetap", "2.41", "--caps", "2"],
+         "r = 1.0, rp = 0.826: the radial factors leave double range"),
+        # this read "truncation_insufficient" (exit 5) with lhs = 0
+        (["verify", "C4.5", "--nu", "393", "--r", "1", "--rp", "1.2", "--theta", "1.3",
+          "--thetap", "0.4", "--phis", "4.8", "--phisp", "0.3", "--caps", "9"],
+         "nu = 393.0, m = 0, chi = 4.447401649363392: the lhs Qhat_{m-1/2}^{-(nu+1)/2}(chi)"
+         " leaves double range"),
+        # these ran 2 000 zero terms and exited 4: the prefactor underflowed to 0
+        (["expand", "multipole", "--d", "3", "--nu", "-100", "--r", "1", "--rp", "1e10",
+          "--cosg", "0.3"], "r = 1.0, rp = 10000000000.0: the radial factors leave double range"),
+        (["expand", "azimuthal", "--nu", "-301", "--R", "1", "--Rp", "1", "--h", "1e10",
+          "--dphi", "0.5"],
+         "R = 1.0, Rp = 1.0, chi = 5e+19: the radial factors leave double range"),
+    ])
+    def test_factor_past_double_range_names_inputs_exit6(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert code == 6
+        assert out == "" and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("m", ["100000", "1999999"])
     def test_far_order_certificate_refused_fast(self, capsys, m):
         # the distinguished leaf's order puts alpha near m in the row-0 norms;

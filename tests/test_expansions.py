@@ -4,6 +4,7 @@ import math
 import random
 import re
 import statistics
+import sys
 import warnings
 
 import mpmath as mp
@@ -309,6 +310,66 @@ class TestTruncation:
         # raised ConvergenceError, as did every sum under max_terms < 1
         with pytest.raises(ValueError, match=message):
             ex.Truncation(tol=tol, max_terms=max_terms)
+
+    @pytest.mark.parametrize("nu, z", [(2.1, 1e150), (2.0, 7.685056696788596e158)])
+    def test_subnormal_sum_stops(self, nu, z):
+        # tol * |s| underflows to 0 next to a subnormal sum, so only a term
+        # of 0 counts as small there: these ran 2 000 terms and raised
+        # ConvergenceError with the right partial sum
+        ps = ex.euler_kernel_chebyshev(nu, z, 0.3)
+        assert ps.terms_used == 4
+        assert ps.value == pytest.approx(ex.euler_kernel_direct(nu, z, 0.3), rel=1e-5)
+
+    def test_stop_unchanged_on_normal_sums(self):
+        # Where every partial sum is a normal double, tol * |s| > 0 and a
+        # term of 0 was already small: each converged sum stops where the
+        # rule without the zero-term clause, read off its trace, stops.
+        rng = random.Random(28)
+        checked = 0
+        for _ in range(400):
+            name, args, tr = _stop_rule_draw(rng)
+            trace = []
+            try:
+                ps = getattr(ex, name)(*args, tr=tr, trace=trace)
+            except (ConvergenceError, DomainError):
+                continue
+            if not all(abs(s) >= sys.float_info.min for _, _, _, s in trace):
+                continue
+            run = 0
+            for n, (_, _, term, s) in enumerate(trace, 1):
+                run = run + 1 if abs(term) < tr.tol * abs(s) else 0
+                if run == 3:
+                    break
+            assert (run, n) == (3, ps.terms_used), (name, args, tr)
+            checked += 1
+        assert checked >= 250
+
+
+def _stop_rule_draw(rng):
+    """(name, args, Truncation) of an infinite expansion series, z or r'/r
+    log-spread, nu off every excluded set."""
+    def far(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    tr = ex.Truncation(rng.choice([1e-14, 1e-12, 1e-8]), 2000)
+    x, z = rng.uniform(-1.0, 1.0), 1.0 + far(1e-2, 1e200)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return "euler_kernel_chebyshev", (rng.uniform(0.05, 6.0), z, x), tr
+    if kind == 1:
+        return "euler_kernel_gegenbauer", (rng.uniform(0.05, 6.0), rng.uniform(-0.45, 4.0), z,
+                                           x), tr
+    if kind == 2:
+        return "euler_kernel_jacobi", (rng.uniform(0.05, 4.0), rng.uniform(-0.45, 3.0),
+                                       rng.uniform(-0.45, 3.0), z, x), tr
+    if kind == 3:
+        return "fourier_negative_power", (rng.randint(1, 6), z, x), tr
+    if kind == 4:
+        return "multipole_power", (rng.randint(3, 7), rng.uniform(-6.0, 5.0), 1.0,
+                                   far(1e-2, 1e2), x), tr
+    return "azimuthal_power", (rng.uniform(-6.0, 1.0),
+                               geometry(1.0, far(0.1, 10.0), rng.uniform(0.0, 6.2),
+                                        far(1e-2, 1e2))), tr
 
 
 class TestArgumentDomain:

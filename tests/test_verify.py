@@ -2,9 +2,11 @@
 
 import gc
 import math
+import random
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +16,13 @@ from hypothesis import strategies as st
 
 from oracle_sums import (b2a_sides, ba_sides, ca2_sides, chi_ba, chi_ca2, chi_hopf, chi_standard,
                          fold_reference, hopf_q3_sides)
+from polykernel import expansions as ex
 from polykernel import orthopoly as op
 from polykernel import polyspherical as ps
 from polykernel import specfun as sf
 from polykernel import verify as vf
-from polykernel.errors import DomainError, ExclusionSetError, SingularConfigurationError
+from polykernel.errors import (CoincidentRadiusError, DomainError, ExclusionSetError,
+                               PolyKernelError, SingularConfigurationError)
 
 RNG = np.random.default_rng(109)
 
@@ -828,6 +832,28 @@ class TestIndependentOracles:
             vf.run_verification(vf.TheoremConfig(theorem="X", nu=-1.0))
 
 
+def _range_draw(rng):
+    """A certificate config: T4.1, T4.2 or a preset, nu log-spread out to
+    +-900 (never an integer, so off the excluded set), r'/r log-uniform in
+    1e-3..1e3, small m and caps."""
+    theorem = rng.choice(["T4.1", "T4.2", "C4.3", "C4.4", "C4.5"])
+    nu = rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(math.log(0.05), math.log(900.0)))
+    args = dict(theorem=theorem, nu=nu, m=rng.randrange(4),
+                rp=math.exp(rng.uniform(math.log(1e-3), math.log(1e3))), caps=rng.randrange(2, 16))
+    if theorem in ("T4.1", "C4.3", "C4.4"):
+        d = {"C4.3": 3, "C4.4": 4}.get(theorem, rng.randrange(3, 7))
+        args.update(d=d, thetas=tuple(rng.uniform(0.05, 3.09) for _ in range(d - 2)),
+                    thetasp=tuple(rng.uniform(0.05, 3.09) for _ in range(d - 2)))
+    else:
+        q = 2 if theorem == "C4.5" else rng.randrange(2, 4)
+        n = 2 ** (q - 1) - 1
+        args.update(q=q, thetas=tuple(rng.uniform(0.05, 1.52) for _ in range(n)),
+                    thetasp=tuple(rng.uniform(0.05, 1.52) for _ in range(n)),
+                    phis=tuple(rng.uniform(0.0, 6.28) for _ in range(n)),
+                    phisp=tuple(rng.uniform(0.0, 6.28) for _ in range(n)))
+    return vf.TheoremConfig(**args)
+
+
 class TestReportMechanics:
     def test_truncation_insufficient(self):
         # tiny caps with near-unit radius ratio: tail dominates, report says so
@@ -857,6 +883,35 @@ class TestReportMechanics:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             ba_cfg(-1.0, -1)
+
+    def test_fail_only_compares_nonzero_finite_sides(self):
+        # A radial power, radial column, chi^2, prefactor or lhs that leaves
+        # double range is refused by name: the radial power used to underflow
+        # to 0 (rhs = 0, "fail" at nu = 451, r'/r = 1.01), the lhs to 0 at
+        # nu = 901, and overflows ended in an unnamed OverflowError.
+        rng = random.Random(28)
+        outcomes = Counter()
+        for _ in range(400):
+            cfg = _range_draw(rng)
+            try:
+                rep = vf.run_verification(cfg)
+            except PolyKernelError:
+                outcomes["refused"] += 1
+                continue
+            outcomes[rep.status] += 1
+            if rep.status == "fail":
+                assert rep.lhs != 0.0 and rep.rhs != 0.0, cfg
+                assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs), cfg
+        # the draws reach both sides of the range and pass many certificates
+        assert outcomes["refused"] >= 30 and outcomes["pass"] >= 150, outcomes
+
+    def test_coincident_radii_one_message(self):
+        # the multipole expansion and the certificates share the check
+        message = "^radii 1.0, 1.0000001 too close: radial argument collapses to 1$"
+        with pytest.raises(CoincidentRadiusError, match=message):
+            ex.multipole_power(3, 1.0, 1.0, 1.0000001, 0.3)
+        with pytest.raises(CoincidentRadiusError, match=message):
+            vf.run_verification(ba_cfg(1.0, 0, rp=1.0000001))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tolerance_rejected(self, tol):
