@@ -17,8 +17,8 @@ polyspherical.MAX_TREE_DEPTH nodes deep, a certificate whose node tables or
 weight vectors would hold more than verify.MAX_TABLE_ENTRIES entries, and
 one whose rho (the cos/sin product on the path to the distinguished leaf)
 underflows or whose chi or fold weights leave double range.  Any prefactor,
-radial factor or certificate lhs that overflows, or underflows to 0, raises
-DomainError naming its inputs (exit 6).
+radial factor or certificate lhs or rhs that overflows, or underflows to 0,
+raises DomainError naming its inputs (exit 6).
 """
 
 from __future__ import annotations

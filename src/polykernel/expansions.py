@@ -3,10 +3,12 @@
 Covers the finite and infinite Fourier cosine series of (z - x)^{+-p}, the
 Jacobi / Gegenbauer / Chebyshev expansions of the Euler kernel (z - x)^{-nu},
 and the multipole and azimuthal expansions of ||x - x'||^nu.  Each infinite
-series checks its input, forms its prefactor and hands a lazy sequence of
-terms to one driver, `_degree_sum`: compensated summation in ascending
-degree, stopping once three consecutive terms drop below tol * |partial sum|
-or the sequence ends (a terminating Jacobi series).  Two mode series are
+series checks its input, forms its prefactor (the Jacobi series its log, as
+it takes its coefficients and Q factors, so it refuses no prefactor, only a
+kernel past double range) and hands a lazy sequence of terms to one driver,
+`_degree_sum`: compensated summation in ascending degree, stopping once
+three consecutive terms drop below tol * |partial sum| or the sequence ends
+(a terminating Jacobi series).  Two mode series are
 written once each, as in the paper's derivations: `_cosine_series` is the
 Chebyshev series, at nu = q the Fourier cosine series of (z - x)^{-q}, and
 composed with the toroidal factorization the azimuthal one;
@@ -202,15 +204,14 @@ def _gamma(x, **param):
                     " about 171.6 and next to 0, and underflows to 0 below about -177.8)", **param)
 
 
-def _check_scale(pref, nu, z, x, /, tiny=0.0, **params):
+def _check_scale(pref, nu, z, x, /, **params):
     """Raise DomainError naming params where the kernel (z - x)^{-nu}, or
     the scale kernel / pref that a series' Q factors carry, leaves double
-    range, or where the scale has magnitude at most tiny: every term would
-    be 0 or overflow, and the sum would run to max_terms."""
+    range."""
     kernel = in_range(lambda: (z - x) ** -nu, "the kernel (z - x)^-nu leaves double range",
                       **params)
     in_range(lambda: kernel / pref, "the kernel over the series prefactor leaves double range",
-             tiny, **params)
+             **params)
 
 
 def _check_euler_arguments(z, x, **params):
@@ -298,18 +299,16 @@ def fourier_negative_power(q: int, z: float, x: float,
     return _cosine_series(pref, math.acos(x), q - 0.5, z, tr, trace)
 
 
-# The log magnitude below which a Jacobi term, before its product with the
-# prefactor, is taken as 0: its exp stays a normal double with room to spare.
-_LOG_TINY = -700.0
-
-
 def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float,
                         tr: Truncation = DEFAULT_TRUNCATION,
                         trace=None) -> PartialSum:
     """Jacobi expansion of (z - x)^{-nu}.
 
-    For nu = -n (n in N0) the Pochhammer factor kills every term past n, so
-    the sum reconstructs the binomial (z - x)^n exactly in n + 1 terms.
+    Every factor of a term but P_n^{(alpha,beta)}(x) is carried as (sign,
+    log), the prefactor (z-1)^{alpha+1-nu} (z+1)^{beta+1-nu} /
+    2^{alpha+beta+1-nu} included.  For nu = -n (n in N0) the Pochhammer
+    factor kills every term past n, so the sum reconstructs the binomial
+    (z - x)^n exactly in n + 1 terms.
     """
     _check_euler_arguments(z, x, nu=nu, alpha=alpha, beta=beta)
     if not z > 1.0:
@@ -322,13 +321,10 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
     n_neg = _nonpositive_int(nu)
     limit = tr.max_terms if n_neg is None else min(tr.max_terms, 1 - n_neg)
     ab = alpha + beta
-    params = dict(nu=nu, alpha=alpha, beta=beta, z=z)
-    pref = in_range(lambda: ((z - 1.0) ** (alpha + 1.0 - nu) * (z + 1.0) ** (beta + 1.0 - nu)
-                             / 2.0 ** (ab + 1.0 - nu)),
-                    "the series prefactor leaves double range", **params)
-    # The Q factors carry the scale in log space, and a term below
-    # e^_LOG_TINY of it is 0.
-    _check_scale(pref, nu, z, x, math.exp(_LOG_TINY), **params)
+    in_range(lambda: (z - x) ** -nu, "the kernel (z - x)^-nu leaves double range",
+             nu=nu, alpha=alpha, beta=beta, z=z)
+    log_pref = ((alpha + 1.0 - nu) * math.log(z - 1.0) + (beta + 1.0 - nu) * math.log(z + 1.0)
+                - (ab + 1.0 - nu) * math.log(2.0))
     q_terms = _jacobi_q_terms(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, limit)
 
     def terms():
@@ -342,13 +338,12 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
                 p_prev, pn = pn, (_jacobi_p1(alpha, beta, x) if n == 1
                                   else _jacobi_step(n, alpha, beta, x, p_prev, pn))
             sg_top, lg_top = gamma_signed_log(ab + n + 1.0)
-            coef_log = (math.log(ab + 2.0 * n + 1.0) + lg_top + log_poch
+            # alpha + beta + 2n + 1 is negative at n = 0 where alpha + beta < -1
+            lin = ab + 2.0 * n + 1.0
+            coef_log = (math.log(abs(lin)) + lg_top + log_poch
                         - math.lgamma(alpha + 1.0 + n) - math.lgamma(beta + 1.0 + n))
-            mag = coef_log + q_log
-            term = 0.0
-            if pn != 0.0 and q_sign != 0.0 and mag > _LOG_TINY:
-                term = pref * poch_sign * sg_top * q_sign * math.exp(mag) * pn
-            yield term
+            sign = poch_sign * sg_top * q_sign * math.copysign(1.0, lin)
+            yield sign * math.exp(log_pref + coef_log + q_log) * pn
     return _degree_sum(terms(), tr, trace)
 
 
@@ -426,7 +421,8 @@ def multipole_power(d: int, nu: float, r: float, rp: float, cos_gamma: float,
     radial_range = "the radial factors leave double range"
     z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp), radial_range, r=r, rp=rp)
     pref = in_range(lambda: (gammas * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
-                             / (r * rp) ** (0.5 * (d - 1.0))), radial_range, r=r, rp=rp)
+                             / (r * rp) ** (0.5 * (d - 1.0))), radial_range,
+                    d=d, nu=nu, r=r, rp=rp)
     # 2n + d - 2 = 2 (n + mu)
     qhats = (second_kind(legendre_q_hat, (n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z))
              for n in count())
@@ -455,5 +451,5 @@ def azimuthal_power(nu: float, g: KernelGeometry,
     in_range(lambda: chi, radial_range, R=g.R, Rp=g.Rp, chi=chi)
     pref = in_range(lambda: (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
                              * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den),
-                    radial_range, R=g.R, Rp=g.Rp, chi=chi)
+                    radial_range, nu=nu, R=g.R, Rp=g.Rp, chi=chi)
     return _cosine_series(pref, g.delta_phi, -0.5 * (nu + 1.0), chi, tr, trace)

@@ -313,14 +313,14 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
     vectors past MAX_TABLE_ENTRIES entries, a rho that underflows to 0, or
     fold weights that overflow or all underflow to 0 raise DomainError
     before any Legendre function; z, the radial power and column, chi^2,
-    the lhs and pref each pass `errors.in_range`.
+    the lhs, pref and rhs each pass `errors.in_range`.
     """
     rless, rgreater = _check_geometry(cfg, tree, angles, anglesp)
     nu, m, r, rp, d = cfg.nu, cfg.m, cfg.r, cfg.rp, tree.dimension
     radial_range = "the radial factors leave double range"
     z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp), radial_range, r=r, rp=rp)
     radial_power = in_range(lambda: ((rgreater ** 2 - rless ** 2) / (r * rp))
-                            ** (0.5 * (nu + d - 1.0)), radial_range, r=r, rp=rp)
+                            ** (0.5 * (nu + d - 1.0)), radial_range, d=d, nu=nu, r=r, rp=rp)
     node, rho, path = tree.root, 1.0, 1
     while node.kind != "a":
         t, tp = angles[node.index], anglesp[node.index]
@@ -356,7 +356,7 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
         raise ValueError(f"the elementary reduction needs nu = 2 - d = {2 - d}")
     # at nu = 2 - d the order is -1/2
     radial = in_range(lambda: _radial(lo + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z, len(w),
-                                      elementary), radial_range, r=r, rp=rp)
+                                      elementary), radial_range, d=d, nu=nu, r=r, rp=rp)
     lhs = in_range(lambda: float(_qhat_half(m - 0.5, 0.5, chi)) if elementary and d == 4
                    else legendre_q_hat(m - 0.5, -0.5 * (nu + 1.0), chi),
                    "the lhs Qhat_{m-1/2}^{-(nu+1)/2}(chi) leaves double range",
@@ -366,7 +366,8 @@ def _certify(cfg, tree, angles, anglesp, elementary, top=None):
                              * rho ** (-0.5 * nu) * 2.0 ** (-0.5 * (nu + 1.0))
                              * (chi2 - 1.0) ** (-0.25 * (nu + 1.0)) * radial_power),
                     "the certificate prefactor leaves double range", nu=nu, rho=rho, chi=chi)
-    rhs = pref * math.fsum(terms)
+    rhs = in_range(lambda: pref * math.fsum(terms), "the certificate rhs leaves double range",
+                   nu=nu, caps=cfg.caps)
     # Root degrees lo..lo+caps get every contribution under the per-level
     # caps; above them the sums are cut short, so the tail is fitted to those.
     tail = _geometric_tail(terms[:cfg.caps + 1]) * abs(pref)
@@ -452,7 +453,7 @@ def _verify_hopf(cfg, q, elementary=False):
     if len(cfg.phis) != n_a - 1 or len(cfg.phisp) != n_a - 1:
         raise ValueError(f"need {n_a - 1} azimuths (phi_2..phi_{n_a}) per point")
     # Azimuths are periodic, so any real value is accepted and reduced to
-    # [0, 2pi); the second % maps a tiny negative one, which the first
+    # [0, 2pi); the second % maps a small negative one, which the first
     # rounds up to 2pi itself, to 0.
     two_pi = 2.0 * math.pi
     angles, anglesp = (hopf_heap_to_preorder(q, (*thetas, 0.0, *(f % two_pi % two_pi for f in phis)))

@@ -17,7 +17,8 @@ the six infinite expansion series as they read with one sum loop each,
 which the expansions built on one degree-sum driver must reproduce bit for
 bit; the Fourier series of (z - x)^{-q} must reproduce the Chebyshev one at
 nu = q, and its own loop there, the classical P_{q-1}^{-n} coefficients,
-is an oracle that shares no code with the Legendre-Q column.
+is an oracle that shares no code with the Legendre-Q column.  The Jacobi
+loop that formed its prefactor as a double is kept as an accuracy baseline.
 """
 
 import math
@@ -471,12 +472,14 @@ def hyp2f1_series_reference(a, b, c, x, max_terms=_MAX_TERMS):
 
 # --- the expansion series, one sum loop each --------------------------------
 # `expansions._Series` and the six infinite series as they read before the
-# series shared one degree-sum driver, kept verbatim (only the names differ):
-# every series must return the same PartialSum and trace rows, and raise the
-# same errors, bit for bit, `fourier_negative_power` those of
-# `euler_kernel_chebyshev_reference` at nu = q.  Its own loop below sums the
-# classical coefficients (n+q-1)! P_{q-1}^{-n}(z / sqrt(z^2 - 1)), which
-# share no code with the Legendre-Q column: the two agree to rounding.
+# series shared one degree-sum driver, kept verbatim (only the names differ)
+# but for the Jacobi series, whose reference takes its prefactor in log space
+# as the library does, and the range messages, which name every input the
+# factor depends on: every series must return the same PartialSum and trace
+# rows, and raise the same errors, bit for bit, `fourier_negative_power`
+# those of `euler_kernel_chebyshev_reference` at nu = q.  Its own loop below
+# sums the classical coefficients (n+q-1)! P_{q-1}^{-n}(z / sqrt(z^2 - 1)),
+# which share no code with the Legendre-Q column: the two agree to rounding.
 
 class SeriesReference:
     """Compensated accumulator with the three-small-terms stopping rule."""
@@ -550,6 +553,49 @@ def fourier_negative_power_reference(q: int, z: float, x: float,
 
 
 def euler_kernel_jacobi_reference(nu: float, alpha: float, beta: float, z: float, x: float,
+                                  tr: Truncation = DEFAULT_TRUNCATION,
+                                  trace=None) -> PartialSum:
+    """Jacobi expansion of (z - x)^{-nu}, the prefactor and every factor but
+    P_n^{(alpha,beta)}(x) carried as (sign, log)."""
+    _check_euler_arguments(z, x, nu=nu, alpha=alpha, beta=beta)
+    if not z > 1.0:
+        raise ValueError("need z > 1")
+    if alpha <= -1.0 or beta <= -1.0 or (alpha < 0.0 and beta < 0.0
+                                         and alpha + beta + 1.0 == 0.0):
+        raise ParameterPoleError(
+            f"Jacobi parameters ({alpha}, {beta}) violate the expansion's"
+            " side conditions")
+    n_neg = _nonpositive_int(nu)
+    limit = tr.max_terms if n_neg is None else min(tr.max_terms, 1 - n_neg)
+    ab = alpha + beta
+    log_pref = ((alpha + 1.0 - nu) * math.log(z - 1.0) + (beta + 1.0 - nu) * math.log(z + 1.0)
+                - (ab + 1.0 - nu) * math.log(2.0))
+    acc = SeriesReference(tr, trace)
+    log_poch = 0.0
+    poch_sign = 1.0
+    p_prev, pn = 0.0, 1.0   # P_{n-1}, P_n by the three-term recurrence
+    q_terms = _jacobi_q_terms(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, limit)
+    for n, (q_sign, q_log) in enumerate(q_terms):
+        if n > 0:
+            step = nu + n - 1.0
+            log_poch += math.log(abs(step))
+            poch_sign *= math.copysign(1.0, step)
+            p_prev, pn = pn, (_jacobi_p1(alpha, beta, x) if n == 1
+                              else _jacobi_step(n, alpha, beta, x, p_prev, pn))
+        sg_top, lg_top = gamma_signed_log(ab + n + 1.0)
+        lin = ab + 2.0 * n + 1.0
+        coef_log = (math.log(abs(lin)) + lg_top + log_poch
+                    - math.lgamma(alpha + 1.0 + n) - math.lgamma(beta + 1.0 + n))
+        sign = poch_sign * sg_top * q_sign * math.copysign(1.0, lin)
+        if acc.add(sign * math.exp(log_pref + coef_log + q_log) * pn):
+            break
+    return acc.result()
+
+
+# The Jacobi series as it read before its prefactor moved to log space, kept
+# verbatim under its own name: the accuracy baseline the log-space series is
+# measured against.
+def euler_kernel_jacobi_double_prefactor(nu: float, alpha: float, beta: float, z: float, x: float,
                         tr: Truncation = DEFAULT_TRUNCATION,
                         trace=None) -> PartialSum:
     """Jacobi expansion of (z - x)^{-nu}.
@@ -663,7 +709,8 @@ def multipole_power_reference(d: int, nu: float, r: float, rp: float, cos_gamma:
     radial_range = "the radial factors leave double range"
     z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp), radial_range, r=r, rp=rp)
     pref = in_range(lambda: (gammas * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
-                             / (r * rp) ** (0.5 * (d - 1.0))), radial_range, r=r, rp=rp)
+                             / (r * rp) ** (0.5 * (d - 1.0))), radial_range,
+                    d=d, nu=nu, r=r, rp=rp)
     acc = SeriesReference(tr, trace)
     c_prev = 0.0
     c_cur = 1.0
@@ -701,7 +748,7 @@ def azimuthal_power_reference(nu: float, g: KernelGeometry,
     in_range(lambda: chi, "the radial factors leave double range", R=g.R, Rp=g.Rp, chi=chi)
     pref = in_range(lambda: (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
                              * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den),
-                    "the radial factors leave double range", R=g.R, Rp=g.Rp, chi=chi)
+                    "the radial factors leave double range", nu=nu, R=g.R, Rp=g.Rp, chi=chi)
     acc = SeriesReference(tr, trace)
     qhats = _q_hat_terms(-0.5, -0.5 * (nu + 1.0), chi, tr.max_terms)
     for m, qhat in enumerate(qhats):

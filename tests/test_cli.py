@@ -401,6 +401,23 @@ class TestVerify:
         assert report["converged"] and report["value"] == pytest.approx(
             (1e200 - 0.3) ** -nu, rel=1e-12)
 
+    @pytest.mark.parametrize("argv, want", [
+        # this exited 6: the kernel over the series prefactor, 1.4e-305, fell
+        # below the e^-700 under which a term counted as 0
+        (["expand", "jacobi", "--nu", "0.475", "--alpha", "0", "--beta", "0", "--z", "1e200",
+          "--x", "0.3"], (1e200 - 0.3) ** -0.475),
+        # this exited 6, "error: math domain error": alpha + beta + 1 < 0
+        (["expand", "jacobi", "--nu", "1", "--alpha", "-0.9", "--beta", "-0.5", "--z", "2",
+          "--x", "0.3", "--tol", "1e-12"], 1.0 / 1.7),
+    ])
+    def test_jacobi_log_space_prefactor_exit0(self, capsys, argv, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["converged"] and report["value"] == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("argv, names", [
         # these ended in a ZeroDivisionError traceback and exit 1
         (["expand", "chebyshev", "--nu", "-150.5", "--z", "3", "--x", "0"],
@@ -518,19 +535,20 @@ class TestVerify:
         # these reported "fail" and exited 1: the radial power underflowed
         # to 0, so rhs = 0 (at nu = 901 the lhs is 0 too)
         (["verify", "C4.3", "--nu", "451", "--r", "1", "--rp", "1.01", "--caps", "20"],
-         "r = 1.0, rp = 1.01: the radial factors leave double range"),
+         "d = 3, nu = 451.0, r = 1.0, rp = 1.01: the radial factors leave double range"),
         (["verify", "T4.1", "--d", "5", "--nu", "451", "--r", "1", "--rp", "1.01", "--caps",
-          "10"], "r = 1.0, rp = 1.01: the radial factors leave double range"),
+          "10"], "d = 5, nu = 451.0, r = 1.0, rp = 1.01: the radial factors leave double range"),
         (["verify", "C4.5", "--nu", "451", "--r", "1", "--rp", "1.01", "--caps", "10"],
-         "r = 1.0, rp = 1.01: the radial factors leave double range"),
+         "d = 4, nu = 451.0, r = 1.0, rp = 1.01: the radial factors leave double range"),
         (["verify", "C4.3", "--nu", "901", "--r", "1", "--rp", "1.1", "--caps", "20"],
-         "r = 1.0, rp = 1.1: the radial factors leave double range"),
+         "d = 3, nu = 901.0, r = 1.0, rp = 1.1: the radial factors leave double range"),
         # these exited 6 with "(34, 'Numerical result out of range')" and
         # "value exceeds double range", naming nothing
         (["verify", "C4.3", "--nu", "-300", "--r", "1", "--rp", "1e3"],
-         "r = 1.0, rp = 1000.0: the radial factors leave double range"),
+         "d = 3, nu = -300.0, r = 1.0, rp = 1000.0: the radial factors leave double range"),
         (["verify", "C4.3", "--nu", "-1000", "--r", "1", "--rp", "1e10"],
-         "r = 1.0, rp = 10000000000.0: the radial factors leave double range"),
+         "d = 3, nu = -1000.0, r = 1.0, rp = 10000000000.0: the radial factors leave double"
+         " range"),
         (["verify", "C4.3", "--nu", "-232", "--r", "1", "--rp", "0.0052", "--theta", "0.2",
           "--thetap", "2.5", "--caps", "5"],
          "nu = -232.0, rho = 0.11889806036861848, chi = 815.3339081810708: the certificate"
@@ -538,7 +556,7 @@ class TestVerify:
         # the radial column's bottom degree overflows
         (["verify", "C4.3", "--nu", "-587.5", "--r", "1", "--rp", "0.826", "--theta", "0.75",
           "--thetap", "2.41", "--caps", "2"],
-         "r = 1.0, rp = 0.826: the radial factors leave double range"),
+         "d = 3, nu = -587.5, r = 1.0, rp = 0.826: the radial factors leave double range"),
         # this read "truncation_insufficient" (exit 5) with lhs = 0
         (["verify", "C4.5", "--nu", "393", "--r", "1", "--rp", "1.2", "--theta", "1.3",
           "--thetap", "0.4", "--phis", "4.8", "--phisp", "0.3", "--caps", "9"],
@@ -546,10 +564,20 @@ class TestVerify:
          " leaves double range"),
         # these ran 2 000 zero terms and exited 4: the prefactor underflowed to 0
         (["expand", "multipole", "--d", "3", "--nu", "-100", "--r", "1", "--rp", "1e10",
-          "--cosg", "0.3"], "r = 1.0, rp = 10000000000.0: the radial factors leave double range"),
+          "--cosg", "0.3"],
+         "d = 3, nu = -100.0, r = 1.0, rp = 10000000000.0: the radial factors leave double"
+         " range"),
         (["expand", "azimuthal", "--nu", "-301", "--R", "1", "--Rp", "1", "--h", "1e10",
           "--dphi", "0.5"],
-         "R = 1.0, Rp = 1.0, chi = 5e+19: the radial factors leave double range"),
+         "nu = -301.0, R = 1.0, Rp = 1.0, chi = 5e+19: the radial factors leave double range"),
+        # these read "truncation_insufficient" (exit 5) with rhs "-inf" or
+        # "inf": the prefactor times a cut-short sum overflowed
+        (["verify", "C4.3", "--nu", "-200.5", "--r", "1", "--rp", "1.1", "--theta", "1",
+          "--thetap", "2", "--caps", "10"],
+         "nu = -200.5, caps = 10: the certificate rhs leaves double range"),
+        (["verify", "C4.3", "--nu", "-200.5", "--r", "1", "--rp", "1.1", "--theta", "1",
+          "--thetap", "2", "--caps", "80"],
+         "nu = -200.5, caps = 80: the certificate rhs leaves double range"),
     ])
     def test_factor_past_double_range_names_inputs_exit6(self, capsys, argv, message):
         with warnings.catch_warnings():
