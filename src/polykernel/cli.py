@@ -16,9 +16,10 @@ a --q outside [2, MAX_Q] or --d below 3, a tree more than
 polyspherical.MAX_TREE_DEPTH nodes deep, a certificate whose node tables or
 weight vectors would hold more than verify.MAX_TABLE_ENTRIES entries, and
 one whose rho (the cos/sin product on the path to the distinguished leaf)
-underflows or whose chi or fold weights leave double range.  Any prefactor,
-radial factor or certificate lhs or rhs that overflows, or underflows to 0,
-raises DomainError naming its inputs (exit 6).
+underflows or whose chi or fold weights leave double range.  A kernel, z,
+chi, radial factor or certificate lhs or rhs that is not a normal double, and
+an expansion whose terms cancel past double precision, raise DomainError
+naming their inputs (exit 6); the expansions carry their prefactors as logs.
 """
 
 from __future__ import annotations

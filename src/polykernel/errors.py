@@ -1,9 +1,10 @@
 """Exception types shared across the library, and its one range check: every
-prefactor, radial factor and certificate lhs or rhs held as a double goes
+kernel, radial factor and certificate lhs or rhs held as a double goes
 through `in_range`, which raises DomainError naming its inputs where one
-overflows or underflows to 0."""
+overflows or is not a normal double."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -59,17 +60,17 @@ def require_finite(**values):
 
 
 def in_range(build, what, /, **params):
-    """build() where its largest magnitude is finite and nonzero, else
+    """build() where its largest magnitude is a normal double, else
     DomainError "<params>: <what>", what saying how it leaves double range.
     build() is a float or a radial column; an overflow or a division by zero
-    inside it counts as past range.  A factor of 0 would zero every term, so
-    that no sum converges, or read as a disagreeing certificate."""
+    inside it counts as past range.  A factor of 0 would zero every term or
+    read as a disagreeing certificate; a subnormal one has lost digits."""
     try:
         value = build()
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     peak = np.abs(value).max() if isinstance(value, np.ndarray) else abs(value)
-    if 0.0 < peak < math.inf:
+    if sys.float_info.min <= peak < math.inf:
         return value
     named = ", ".join(f"{name} = {given}" for name, given in params.items())
     raise DomainError(f"{named}: {what}")

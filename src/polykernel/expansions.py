@@ -3,42 +3,37 @@
 Covers the finite and infinite Fourier cosine series of (z - x)^{+-p}, the
 Jacobi / Gegenbauer / Chebyshev expansions of the Euler kernel (z - x)^{-nu},
 and the multipole and azimuthal expansions of ||x - x'||^nu.  Each infinite
-series checks its input, forms its prefactor (the Jacobi series its log, as
-it takes its coefficients and Q factors, so it refuses no prefactor, only a
-kernel past double range) and hands a lazy sequence of terms to one driver,
-`_degree_sum`: compensated summation in ascending degree, stopping once
-three consecutive terms drop below tol * |partial sum| or the sequence ends
-(a terminating Jacobi series).  Two mode series are
-written once each, as in the paper's derivations: `_cosine_series` is the
-Chebyshev series, at nu = q the Fourier cosine series of (z - x)^{-q}, and
-composed with the toroidal factorization the azimuthal one;
-`_gegenbauer_series`, which steps C_n^mu(x) with orthopoly's one Gegenbauer
-recurrence step, is the Gegenbauer series, and composed with
-(2rr')^{nu/2} (z - cos gamma)^{nu/2} the multipole one.
+series checks its input, refuses a kernel that is not a normal double (with
+z and chi, the only ranges it checks), forms the log of its prefactor, and
+hands a lazy sequence of terms sign e^{log pref + log|Q|} coefficient basis
+to one summation loop, `_degree_sum`: compensated, in ascending degree,
+stopping once three consecutive terms drop below tol * |partial sum| or the
+sequence ends (a terminating Jacobi series), and refusing a sum its terms
+outweigh past `_MAX_CANCELLATION`.  Two mode series are written once each,
+as in the paper's derivations: `_cosine_series` is the Chebyshev series, at
+nu = q the Fourier cosine series of (z - x)^{-q}, and composed with the
+toroidal factorization the azimuthal one; `_gegenbauer_series` is the
+Gegenbauer series, and composed with (2rr')^{nu/2} (z - cos gamma)^{nu/2}
+the multipole one.
 
-The Chebyshev, Gegenbauer and azimuthal series read their Legendre-Q factors,
-and the Jacobi series its Jacobi-Q factors, from degree columns
-(`legendre_q_hat_column`, `jacobi_q2_column`) built in chunks as the sum runs:
-one series value at the bottom degree, then the minimal-solution recurrence.
-The multipole series reads `legendre_q_hat` one degree at a time: on the
-column its near-field calls are far cheaper, so the benchmark would run many
-more of them, and the worker's record of each operation would push its peak
-memory past the benchmark's bound.  The bases (C_n^mu, P_n^{(alpha,beta)},
-cos n theta) stay scalar recurrences in the term loop, since a numpy
-column's fixed setup costs more than the few dozen terms most sums take.
+The Q factors come from (sign, log, low) degree columns built in chunks as
+the sum runs (`_q_chunks`), each from one series value at the bottom degree
+and the minimal-solution recurrence; the Legendre series scale a chunk by
+e^{log pref} at once (`_scaled_q`).  The multipole series reads
+`legendre_q_hat_signed_log` one degree at a time: on the column its
+near-field calls are far cheaper, so the benchmark would run many more of
+them and its worker's record of them would pass the peak-memory bound.  The
+bases (C_n^mu, P_n^{(alpha,beta)}, T_n) are scalar recurrences in the term
+loop, since a numpy column's fixed setup costs more than most sums' terms.
 
 Every Q factor is read through `specfun.second_kind`, a cache kept across
-calls, since these factors depend on (nu, mu, z) and not on the evaluation
-point x, cos gamma or the azimuth: a caller that tabulates a kernel over
-that point at fixed parameters sums each seed series once.  The cache is
-keyed on the function and every argument as given, the continuation value
-``below`` included, so a hit holds the very floats a miss computes and every
-value, ``terms_used`` and trace row is the one a cold cache gives.
-
-All Legendre-Q factors appear in their phase-free real form Qhat; the
-complex unit prefactors these expansions normally carry cancel exactly
-against the phase stripped from Q (checked analytically once per formula,
-asserted by the oracle tests).
+calls and keyed on every argument as given (``below`` included): the factors
+depend on (nu, mu, z), not on x, cos gamma or the azimuth, so a tabulation
+over that point sums each seed series once, and every value, ``terms_used``
+and trace row is a cold cache's.  All Legendre-Q factors are the phase-free
+real Qhat; the complex unit prefactors the expansions normally carry cancel
+exactly against the phase stripped from Q (checked analytically once per
+formula, asserted by the oracle tests).
 """
 
 from __future__ import annotations
@@ -60,15 +55,18 @@ from .errors import (
     require_finite,
 )
 from .kernels import KernelGeometry
-from .specfun import (
+from .specfun import (  # noqa: F401 - legendre_q_hat: a binding the benchmark wraps
+    _column_values,
+    _exp_sum,
     _is_int,
     _nonpositive_int,
     gamma_signed_log,
     jacobi_q2_column,
     legendre_q_hat,
     legendre_q_hat_column,
+    legendre_q_hat_signed_log,
+    log_z2m1_power,
     second_kind,
-    z2m1_power,
 )
 from .orthopoly import _gegenbauer_step, _jacobi_p1, _jacobi_step
 
@@ -102,116 +100,105 @@ class PartialSum:
         return self.value
 
 
-def _degree_sum(terms, tr: Truncation, trace) -> PartialSum:
+# A sum its terms' magnitudes outweigh past this is refused: each term carries
+# a rounding of up to about 2^10 ulps (its exponent's, where the logs of
+# prefactor and Q run to the hundreds), which can then reach the sum itself.
+_MAX_CANCELLATION = 2.0 ** 43
+
+
+def _degree_sum(terms, tr: Truncation, trace, params) -> PartialSum:
     """Sum a series' terms in ascending degree with compensated summation.
 
     Stops once three consecutive terms fall below tol * |partial sum| (or
-    are 0 while it is not), or
-    when ``terms`` ends (a terminating series); raises ConvergenceError when
-    max_terms terms pass without the stop.  ``trace``, when a list, gets one
-    row (0, n, term, partial sum) per term.
-    """
-    s = c = last = 0.0
+    are 0 while it is not), or when ``terms`` ends (a terminating series);
+    raises ConvergenceError after max_terms terms without the stop, and
+    DomainError naming ``params`` where the terms cancel past
+    _MAX_CANCELLATION or one leaves double range.  ``trace``, a list, gets a
+    row (0, n, term, partial sum) per term."""
+    s = c = last = mass = 0.0
     n = small_run = 0
-    for term in islice(terms, tr.max_terms):
-        y = term - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        last = abs(term)
-        if trace is not None:
-            trace.append((0, n, term, s))
-        n += 1
-        # tol * |s| underflows to 0 where s is subnormal, so a term of 0
-        # counts as small on its own once the sum is nonzero
-        small_run = small_run + 1 if last < tr.tol * abs(s) or (last == 0.0 and s != 0.0) else 0
-        if small_run >= 3:
-            break
-    else:
-        if n >= tr.max_terms:
-            raise ConvergenceError(
-                f"series not converged after {n} terms"
-                f" (last |term| = {last:.3e}, partial = {s:.6e})")
+    tol = tr.tol
+    try:
+        for term in islice(terms, tr.max_terms):
+            y = term - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+            last = abs(term)
+            mass += last
+            if trace is not None:
+                trace.append((0, n, term, s))
+            n += 1
+            # tol * |s| underflows to 0 where s is subnormal, so a term of 0
+            # counts as small on its own once the sum is nonzero
+            small_run = small_run + 1 if last < tol * abs(s) or (last == 0.0 and s != 0.0) else 0
+            # s is NaN from the term after one past double range (inf) on
+            if small_run >= 3 or s != s:
+                break
+        else:
+            if n >= tr.max_terms:
+                raise ConvergenceError(
+                    f"series not converged after {n} terms"
+                    f" (last |term| = {last:.3e}, partial = {s:.6e})")
+    except OverflowError:   # a term past double range, from math.exp
+        mass = math.inf
+    in_range(lambda: s if mass <= _MAX_CANCELLATION * abs(s) else math.inf,
+             "the series' terms cancel past double precision", **params)
     return PartialSum(value=s, terms_used=n, last_term_magnitude=last, converged=True)
 
 
-def _degree_column(column, z, limit):
-    """Yield the entries n = 0, 1, ..., limit - 1 of a second-kind degree
-    column at argument z, built in chunks as the caller consumes them.
-
-    ``column(n0, length, below)`` returns the entries n0 .. n0+length-1, and
-    ``below`` is entry n0 - 1 (None for the first chunk).  The first chunk
-    covers the degrees a sum to about 1e-14 takes, since the terms fall
-    like e^{-n acosh z}; each later chunk is twice as long as the one
-    before and continues from its last entry, so a whole sum pays for one
-    series value at the bottom degree.
-    """
+def _q_chunks(column, first, params, z, limit):
+    """``column(first + n0, *params, z, length, below)`` at degrees first ..
+    first + limit - 1, in chunks built as consumed, through `second_kind`: the
+    first covers a sum to about 1e-14 (terms fall like e^{-n acosh z}), each
+    later one is twice as long and continues the last, so a sum pays for one
+    series value."""
     n0, length, below = 0, 16 + int(32.0 / math.acosh(z)), None
     while n0 < limit:
         length = min(length, limit - n0)
-        chunk = column(n0, length, below)
-        yield from chunk
-        below = chunk[-1]
+        chunk = second_kind(column, (first + n0, *params, z, length, below), 3 * length)
+        yield chunk
+        below = (float(chunk[0][-1]), float(chunk[1][-1]))
         n0 += length
         length *= 2
 
 
-def _q_hat_terms(nu0, mu, z, limit):
-    """Qhat_{nu0+n}^mu(z) for n = 0 .. limit - 1, chunk by chunk."""
-    return _degree_column(
-        lambda n0, length, below: second_kind(
-            legendre_q_hat_column, (nu0 + n0, mu, z, length, below), length).tolist(), z, limit)
+def _scaled_q(first, mu, z, limit, log_pref):
+    """e^{log_pref} Qhat_{first+n}^mu(z), n = 0 .. limit - 1, each chunk of
+    the Legendre column scaled at once."""
+    for chunk in _q_chunks(legendre_q_hat_column, first, (mu,), z, limit):
+        yield from _column_values(chunk, log_pref).tolist()
 
 
-def _jacobi_q_terms(gamma0, alpha, beta, z, limit):
-    """(sign, log|Q_{gamma0+n}^{(alpha,beta)}(z)|) for n = 0 .. limit - 1,
-    chunk by chunk."""
-    def column(n0, length, below):
-        signs, logs = second_kind(jacobi_q2_column, (gamma0 + n0, alpha, beta, z, length, below),
-                                  2 * length)
-        return list(zip(signs.tolist(), logs.tolist()))
-    return _degree_column(column, z, limit)
+def _cosine_series(sign, log_pref, c, mu, z, tr, trace, params):
+    """sign e^{log_pref} sum_n eps_n T_n(c) Qhat_{n-1/2}^mu(z), eps_0 = 1 and
+    eps_n = 2 after: the Chebyshev series at c = x, and a Fourier cosine
+    series in an angle phi at c = cos phi, as T_n(cos phi) = cos(n phi).
+    T_n(c) comes from its three-term recurrence, whose rounding varies
+    smoothly with n, where cos(n phi) would round n phi afresh for each n."""
+    def terms():
+        t_prev, t_cur = 0.0, 1.0
+        for n, q in enumerate(_scaled_q(-0.5, mu, z, tr.max_terms, log_pref)):
+            if n == 1:
+                t_prev, t_cur = t_cur, c
+            elif n >= 2:
+                t_prev, t_cur = t_cur, 2.0 * c * t_cur - t_prev
+            yield sign * q * ((2.0 if n else 1.0) * t_cur)
+    return _degree_sum(terms(), tr, trace, params)
 
 
-def _cosine_series(pref, angle, mu, z, tr, trace):
-    """pref sum_n eps_n cos(n angle) Qhat_{n-1/2}^mu(z), eps_0 = 1 and
-    eps_n = 2 after: the Chebyshev series at angle = acos x."""
-    qhats = _q_hat_terms(-0.5, mu, z, tr.max_terms)
-    return _degree_sum((pref * (2.0 if n else 1.0) * math.cos(n * angle) * qhat
-                        for n, qhat in enumerate(qhats)), tr, trace)
-
-
-def _gegenbauer_series(pref, scale, mu, x, qhats, tr, trace):
-    """pref sum_n scale (n + mu) Qhat_n C_n^mu(x) over the values qhats,
-    with C_n^mu(x) by its three-term recurrence.  scale is exact (1 or 2),
-    so it rides on the coefficient, where 2 pref alone could overflow."""
+def _gegenbauer_series(sign, scale, mu, x, q_values, tr, trace, params):
+    """sign sum_n scale (n + mu) q_n C_n^mu(x) over the scaled Q factors
+    q_values, with C_n^mu(x) by its three-term recurrence."""
     def terms():
         c_prev, c_cur = 0.0, 1.0
-        for n, qhat in enumerate(qhats):
+        for n, q in enumerate(q_values):
             if n == 1:
                 c_prev, c_cur = c_cur, 2.0 * mu * x
             elif n >= 2:
                 c_prev, c_cur = c_cur, _gegenbauer_step(n, mu, x, c_prev, c_cur)
-            yield pref * (scale * (n + mu)) * qhat * c_cur
-    return _degree_sum(terms(), tr, trace)
-
-
-def _gamma(x, **param):
-    """math.gamma(x) for a prefactor, x a function of the one parameter in
-    param, which DomainError names where Gamma leaves double range: a
-    prefactor that divides by a Gamma of 0 would divide by zero."""
-    return in_range(lambda: math.gamma(x), f"Gamma({x}) leaves double range (Gamma overflows past"
-                    " about 171.6 and next to 0, and underflows to 0 below about -177.8)", **param)
-
-
-def _check_scale(pref, nu, z, x, /, **params):
-    """Raise DomainError naming params where the kernel (z - x)^{-nu}, or
-    the scale kernel / pref that a series' Q factors carry, leaves double
-    range."""
-    kernel = in_range(lambda: (z - x) ** -nu, "the kernel (z - x)^-nu leaves double range",
-                      **params)
-    in_range(lambda: kernel / pref, "the kernel over the series prefactor leaves double range",
-             **params)
+            yield sign * q * (scale * (n + mu)) * c_cur
+    return _degree_sum(terms(), tr, trace, params)
 
 
 def _check_euler_arguments(z, x, **params):
@@ -290,13 +277,18 @@ def fourier_negative_power(q: int, z: float, x: float,
     if not (isinstance(q, Integral) and q >= 1):
         raise ValueError("q must be a positive integer")
     _check_euler_arguments(z, x)
+    return _chebyshev_series(q, z, x, tr, trace, {"q": q})
+
+
+def _chebyshev_series(nu, z, x, tr, trace, param):
+    """The Chebyshev series of (z - x)^{-nu}; param names nu (or q) in messages."""
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = in_range(lambda: math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(q, q=q)
-                                              * z2m1_power(z, 0.5 * q - 0.25)),
-                    "the series prefactor leaves double range", q=q, z=z)
-    _check_scale(pref, q, z, x, q=q, z=z)
-    return _cosine_series(pref, math.acos(x), q - 0.5, z, tr, trace)
+    in_range(lambda: (z - x) ** -nu, "the kernel (z - x)^-nu leaves double range", **param, z=z)
+    # sqrt(2) / (sqrt(pi) Gamma(nu) (z^2 - 1)^{nu/2 - 1/4})
+    sign, log_gamma = gamma_signed_log(nu)
+    log_pref = 0.5 * math.log(2.0 / math.pi) - log_gamma - log_z2m1_power(z, 0.5 * nu - 0.25)
+    return _cosine_series(sign, log_pref, x, nu - 0.5, z, tr, trace, dict(param, z=z, x=x))
 
 
 def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float,
@@ -325,7 +317,8 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
              nu=nu, alpha=alpha, beta=beta, z=z)
     log_pref = ((alpha + 1.0 - nu) * math.log(z - 1.0) + (beta + 1.0 - nu) * math.log(z + 1.0)
                 - (ab + 1.0 - nu) * math.log(2.0))
-    q_terms = _jacobi_q_terms(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, limit)
+    chunks = _q_chunks(jacobi_q2_column, nu - 1.0, (alpha + 1.0 - nu, beta + 1.0 - nu), z, limit)
+    q_terms = (entry for signs, logs, _ in chunks for entry in zip(signs.tolist(), logs.tolist()))
 
     def terms():
         log_poch, poch_sign = 0.0, 1.0
@@ -344,7 +337,7 @@ def euler_kernel_jacobi(nu: float, alpha: float, beta: float, z: float, x: float
                         - math.lgamma(alpha + 1.0 + n) - math.lgamma(beta + 1.0 + n))
             sign = poch_sign * sg_top * q_sign * math.copysign(1.0, lin)
             yield sign * math.exp(log_pref + coef_log + q_log) * pn
-    return _degree_sum(terms(), tr, trace)
+    return _degree_sum(terms(), tr, trace, dict(nu=nu, alpha=alpha, beta=beta, z=z, x=x))
 
 
 def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
@@ -358,13 +351,16 @@ def euler_kernel_gegenbauer(nu: float, mu: float, z: float, x: float,
         raise ValueError("need mu in (-1/2, inf) \\ {0}")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = in_range(lambda: 2.0 ** (mu + 0.5) * _gamma(mu, mu=mu)
-                    / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
-                       * z2m1_power(z, 0.5 * (nu - mu) - 0.25)),
-                    "the series prefactor leaves double range", nu=nu, mu=mu, z=z)
-    _check_scale(pref, nu, z, x, nu=nu, mu=mu, z=z)
-    qhats = _q_hat_terms(mu - 0.5, nu - mu - 0.5, z, tr.max_terms)
-    return _gegenbauer_series(pref, 1.0, mu, x, qhats, tr, trace)
+    in_range(lambda: (z - x) ** -nu, "the kernel (z - x)^-nu leaves double range",
+             nu=nu, mu=mu, z=z)
+    # 2^{mu+1/2} Gamma(mu) / (sqrt(pi) Gamma(nu) (z^2 - 1)^{(nu-mu)/2 - 1/4})
+    sign_mu, log_mu = gamma_signed_log(mu)
+    sign_nu, log_nu = gamma_signed_log(nu)
+    log_pref = ((mu + 0.5) * math.log(2.0) + log_mu - 0.5 * math.log(math.pi) - log_nu
+                - log_z2m1_power(z, 0.5 * (nu - mu) - 0.25))
+    q_values = _scaled_q(mu - 0.5, nu - mu - 0.5, z, tr.max_terms, log_pref)
+    return _gegenbauer_series(sign_mu * sign_nu, 1.0, mu, x, q_values, tr, trace,
+                              dict(nu=nu, mu=mu, z=z, x=x))
 
 
 def euler_kernel_chebyshev(nu: float, z: float, x: float,
@@ -374,13 +370,7 @@ def euler_kernel_chebyshev(nu: float, z: float, x: float,
     _check_euler_arguments(z, x, nu=nu)
     if _nonpositive_int(nu) is not None:
         raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
-    if not z > 1.0:
-        raise ValueError("need z > 1")
-    pref = in_range(lambda: math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
-                                              * z2m1_power(z, 0.5 * nu - 0.25)),
-                    "the series prefactor leaves double range", nu=nu, z=z)
-    _check_scale(pref, nu, z, x, nu=nu, z=z)
-    return _cosine_series(pref, math.acos(x), nu - 0.5, z, tr, trace)
+    return _chebyshev_series(nu, z, x, tr, trace, {"nu": nu})
 
 
 def _check_power_exclusion(nu: float, start: float = 0.0):
@@ -416,17 +406,23 @@ def multipole_power(d: int, nu: float, r: float, rp: float, cos_gamma: float,
     if r <= 0.0 or rp <= 0.0:
         raise ValueError("radii must be positive")
     r_less, r_greater = _distinct_radii(r, rp)
-    mu = 0.5 * d - 1.0
-    gammas = _gamma(0.5 * (d - 2.0), d=d) / (2.0 * math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu))
-    radial_range = "the radial factors leave double range"
-    z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp), radial_range, r=r, rp=rp)
-    pref = in_range(lambda: (gammas * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
-                             / (r * rp) ** (0.5 * (d - 1.0))), radial_range,
-                    d=d, nu=nu, r=r, rp=rp)
+    z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp),
+                 "the radial factors leave double range", r=r, rp=rp)
+    in_range(lambda: distance_power_direct(nu, r, rp, cos_gamma),
+             "the kernel ||x - x'||^nu leaves double range",
+             nu=nu, r=r, rp=rp, cos_gamma=cos_gamma)
+    # Gamma((d-2)/2) (r>^2 - r<^2)^{(nu+d-1)/2} / (2 sqrt(pi) Gamma(-nu/2) (r r')^{(d-1)/2});
+    # past the check on z, r>^2 - r<^2 and r r' are finite and positive
+    sign, log_gamma = gamma_signed_log(-0.5 * nu)
+    log_pref = (math.lgamma(0.5 * (d - 2.0)) - math.log(2.0 * math.sqrt(math.pi)) - log_gamma
+                + 0.5 * (nu + d - 1.0) * math.log(r_greater ** 2 - r_less ** 2)
+                - 0.5 * (d - 1.0) * math.log(r * rp))
     # 2n + d - 2 = 2 (n + mu)
-    qhats = (second_kind(legendre_q_hat, (n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z))
-             for n in count())
-    return _gegenbauer_series(pref, 2.0, mu, cos_gamma, qhats, tr, trace)
+    q_args = ((n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z) for n in count())
+    q_values = (q_sign * _exp_sum(log_pref, q_log) for q_sign, q_log
+                in (second_kind(legendre_q_hat_signed_log, args, 2) for args in q_args))
+    return _gegenbauer_series(sign, 2.0, 0.5 * d - 1.0, cos_gamma, q_values, tr, trace,
+                              dict(d=d, nu=nu, r=r, rp=rp, cos_gamma=cos_gamma))
 
 
 def azimuthal_power(nu: float, g: KernelGeometry,
@@ -446,10 +442,12 @@ def azimuthal_power(nu: float, g: KernelGeometry,
     if chi <= 1.0 + 1e-6:
         raise SingularConfigurationError(
             f"chi = {chi} too close to 1 for the azimuthal series")
-    den = math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu)
-    radial_range = "the radial factors leave double range"
-    in_range(lambda: chi, radial_range, R=g.R, Rp=g.Rp, chi=chi)
-    pref = in_range(lambda: (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
-                             * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den),
-                    radial_range, nu=nu, R=g.R, Rp=g.Rp, chi=chi)
-    return _cosine_series(pref, g.delta_phi, -0.5 * (nu + 1.0), chi, tr, trace)
+    in_range(lambda: chi, "the radial factors leave double range", R=g.R, Rp=g.Rp, chi=chi)
+    in_range(lambda: g.distance ** nu, "the kernel ||x - x'||^nu leaves double range",
+             nu=nu, R=g.R, Rp=g.Rp, chi=chi)
+    # log 2RR' as a sum, since 2RR' may be subnormal
+    sign, log_gamma = gamma_signed_log(-0.5 * nu)
+    log_pref = (0.5 * math.log(2.0 / math.pi) + 0.5 * nu * (math.log(2.0 * g.R) + math.log(g.Rp))
+                + log_z2m1_power(chi, 0.25 * (nu + 1.0)) - log_gamma)
+    return _cosine_series(sign, log_pref, math.cos(g.delta_phi), -0.5 * (nu + 1.0), chi, tr,
+                          trace, dict(nu=nu, R=g.R, Rp=g.Rp, chi=chi, dphi=g.delta_phi))

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import (
     AxisError,
     CoincidentPointsError,
+    DomainError,
     OddDimensionError,
     SingularConfigurationError,
-    in_range,
     require_finite,
 )
 
@@ -67,9 +67,9 @@ class KernelGeometry:
         object.__setattr__(self, "phip", math.atan2(xp[1], xp[0]))
         chi = None
         if R > 0.0 and Rp > 0.0:
-            # only a 2RR' that underflows is refused: past range, chi is named later
-            in_range(lambda: min(2.0 * R * Rp, 1.0), "the radial factors leave double range",
-                     R=R, Rp=Rp)
+            # only a 2RR' of 0 is refused; chi is named where it leaves range
+            if not 2.0 * R * Rp > 0.0:
+                raise DomainError(f"R = {R}, Rp = {Rp}: the radial factors leave double range")
             chi = (R * R + Rp * Rp + axial) / (2.0 * R * Rp)
         object.__setattr__(self, "chi", chi)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import marshal
 import math
-import sys
 import threading
 from collections import OrderedDict, namedtuple
 
@@ -29,7 +28,6 @@ from .errors import (
 _MAX_TERMS = 100_000
 _STOP_REL = 1e-16
 _NEAR_ONE_GUARD = 1e-6
-_NORMAL_MIN = sys.float_info.min
 _LOG_1E100 = 100.0 * math.log(10.0)
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -64,7 +62,10 @@ def gamma_signed_log(x: float) -> tuple[float, float]:
         # Gamma alternates sign between consecutive negative integers:
         # negative on (-1, 0), positive on (-2, -1), ...
         sign = -1.0 if math.floor(x) % 2 != 0 else 1.0
-    return sign, math.lgamma(x)
+    try:
+        return sign, math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log Gamma({x}) leaves double range") from None
 
 
 def pochhammer(z: float, n: int) -> float:
@@ -147,12 +148,7 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     s, log_scale, _ = _hyp2f1_series(a, b, c, x)
     if log_scale == 0.0:
         return s
-    if s == 0.0:
-        return 0.0
-    out = math.log(abs(s)) + log_scale
-    if out > 709.0:
-        raise OverflowError("2F1 value exceeds double range")
-    return math.copysign(math.exp(out), s)
+    return _signed_exp(*_signed_log(1.0, log_scale, s))
 
 
 def hyp_3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
@@ -183,19 +179,56 @@ def hyp_3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float
     return s
 
 
-def z2m1_power(z: float, p: float, log: bool = False) -> float:
-    """(z^2 - 1)^p at z > 1, or with log its log p log(z^2 - 1).  Where
-    z * z overflows, z^2 - 1 is z^2 to the last bit, so the log is
-    p (2 log z)."""
+def _signed_log(sign, log_scale, mantissa):
+    """(sign, log|value|) of value = sign * mantissa * e^{log_scale}, and
+    (0.0, -inf) for a mantissa of 0."""
+    if mantissa == 0.0:
+        return 0.0, -math.inf
+    return sign * math.copysign(1.0, mantissa), log_scale + math.log(abs(mantissa))
+
+
+def _signed_exp(sign, log_value):
+    """The double sign * e^{log_value}: OverflowError past double range, and
+    0 (math.exp underflows to it) far below it."""
+    if log_value > 709.0:
+        raise OverflowError("value exceeds double range")
+    return sign * math.exp(log_value)
+
+
+def _exp_sum(a, b, b_low=0.0, exp=math.exp):
+    """e^{a + b + b_low}, for floats or (exp=np.exp) arrays b, b_low, with the
+    rounding of a + b (half an ulp of it in e^{fl(a + b)}) corrected."""
+    s = a + b
+    b_part = s - a
+    low = (a - (s - b_part)) + (b - b_part) + b_low
+    e = exp(s)
+    return e + e * low
+
+
+def _column_values(column, log_scale=0.0):
+    """sign e^{log_scale + log + low} over a (signs, logs, lows) column; inf past range."""
+    signs, logs, lows = column
+    with np.errstate(over="ignore", invalid="ignore"):
+        return signs * _exp_sum(log_scale, logs, lows, np.exp)
+
+
+def log_z2m1_power(z: float, p: float) -> float:
+    """p log(z^2 - 1), the log of (z^2 - 1)^p, at z > 1.  Where z * z
+    overflows, z^2 - 1 is z^2 to the last bit, so it is p (2 log z)."""
     zz = z * z
     if zz < math.inf:
-        return p * math.log(zz - 1.0) if log else (zz - 1.0) ** p
-    log_power = p * (2.0 * math.log(z))
-    return log_power if log else math.exp(log_power)
+        return p * math.log(zz - 1.0)
+    return p * (2.0 * math.log(z))
 
 
 def legendre_q_hat(nu: float, mu: float, z: float) -> float:
-    """Phase-free associated Legendre function of the second kind, z > 1.
+    """Phase-free associated Legendre function of the second kind, z > 1:
+    `legendre_q_hat_signed_log` taken out of log space."""
+    return _signed_exp(*legendre_q_hat_signed_log(nu, mu, z))
+
+
+def legendre_q_hat_signed_log(nu: float, mu: float, z: float) -> tuple[float, float]:
+    """(sign, log|Qhat_nu^mu(z)|), z > 1; overflow-free at large degree.
 
     Uses the hypergeometric series in 1/z^2.  It converges for every z > 1
     in exact arithmetic, but its terms shrink only like z^{-2n}, so it needs
@@ -220,13 +253,13 @@ def legendre_q_hat(nu: float, mu: float, z: float) -> float:
     sign_t, log_t = gamma_signed_log(nu + mu + 1.0)
     sign_b, log_b = gamma_signed_log(nu + 1.5)
     log_pref = (0.5 * math.log(math.pi) + log_t - log_b
-                + z2m1_power(z, 0.5 * mu, log=True)
+                + log_z2m1_power(z, 0.5 * mu)
                 - (nu + 1.0) * math.log(2.0)
                 - (nu + mu + 1.0) * math.log(z))
     f, log_scale, _ = _hyp2f1_series(0.5 * (nu + mu + 1.0),
                                      0.5 * (nu + mu + 2.0),
                                      nu + 1.5, 1.0 / (z * z))
-    return _exp_combine(sign_t * sign_b, log_pref + log_scale, f)
+    return _signed_log(sign_t * sign_b, log_pref + log_scale, f)
 
 
 def _minimal_ratios(coeffs, k0: int, n: int, z: float) -> np.ndarray:
@@ -259,9 +292,37 @@ def _minimal_ratios(coeffs, k0: int, n: int, z: float) -> np.ndarray:
     return np.array(out[:n])
 
 
+def _degree_column(coeffs, seed, z, n, below):
+    """(signs, logs, lows): the minimal solution y of the recurrence
+    ``coeffs`` (see `_minimal_ratios`) at indices 0 .. n - 1, as sign and
+    log|y| = logs + lows, scaled by the (sign, log) pair ``seed()`` at index
+    0 or ``below`` at index -1.  The logs are a Kahan-compensated running sum
+    of log|ratio| (a plain one's rounding grows with the degree), the lows
+    each entry's compensation; the column neither overflows nor underflows."""
+    if n < 1:
+        raise ValueError(f"column length must be positive, got {n}")
+    if below is None:
+        below = seed()
+        ratios = np.concatenate(([1.0], _minimal_ratios(coeffs, 1, n - 1, z)))
+    else:
+        ratios = _minimal_ratios(coeffs, 0, n, z)
+    logs = np.log(np.abs(ratios)).tolist()
+    lows = [0.0] * n
+    total, comp = below[1], 0.0
+    for k, step in enumerate(logs):
+        y = step - comp
+        t = total + y
+        comp = (t - total) - y if math.isfinite(t) else 0.0
+        total = logs[k] = t
+        lows[k] = -comp
+    return below[0] * np.cumprod(np.sign(ratios)), np.array(logs), np.array(lows)
+
+
 def legendre_q_hat_column(nu0: float, mu: float, z: float, n: int,
-                          below: float | None = None) -> np.ndarray:
-    """[Qhat_{nu0}^mu(z), ..., Qhat_{nu0+n-1}^mu(z)] from one downward recurrence.
+                          below: tuple[float, float] | None = None
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(signs, logs, lows): the sign of Qhat_nu^mu(z) and log|Qhat_nu^mu(z)|
+    = logs + lows for nu = nu0, ..., nu0+n-1, from one downward recurrence.
 
     The recurrence is (nu+mu) Q_{nu-1} = (2nu+1) z Q_nu - (nu-mu+1) Q_{nu+1}
     (DLMF 14.10; Qhat obeys it too, since the stripped phase e^{-i pi mu}
@@ -269,63 +330,23 @@ def legendre_q_hat_column(nu0: float, mu: float, z: float, n: int,
     nu -> infinity and P the dominant one, so run downward the P component
     of any error decays relative to Q by e^{-2 acosh z} per degree, and the
     recurrence is stable (Gil, Segura & Temme, J. Comput. Phys. 161, 2000).
-    The degree ratios Q_nu/Q_{nu-1} come from `_minimal_ratios`, the
-    continued fraction this module shares with `jacobi_q2_column`.
-
-    One `legendre_q_hat` value at the bottom degree, where the terms of a
-    degree sum are largest, fixes the scale; the series loses accuracy with
-    the degree (8e-13 at degree 1000, z = 1.25), so a value from the top
-    would spread that error over the whole column.  Given ``below``, the
-    value Qhat_{nu0-1}^mu(z) (the last entry of the column just under this
-    one), the column continues it instead and makes no series call, so a
-    sum that reads its degrees chunk by chunk pays for one series value.
+    The ratios Q_nu/Q_{nu-1} come from `_minimal_ratios` and the column from
+    `_degree_column`, as `jacobi_q2_column`'s do.  One
+    `legendre_q_hat_signed_log` value at the bottom degree, where a degree
+    sum's terms are largest, fixes the scale (the series loses accuracy with
+    the degree: 8e-13 at degree 1000, z = 1.25); given ``below``, the (sign,
+    log) pair at nu0 - 1, the column continues it and makes no series call.
 
     Raises the typed error `legendre_q_hat` raises for any degree of the
-    column (a continued column is not checked again: its degrees are bad
-    only if the ones below are).  From the first degree whose value is not a
-    normal double on, the column holds the per-degree values (subnormal or
-    zero), so underflow never zeroes the column.
+    column: Q poles (nu + mu + 1 in {0, -1, ...}) and the degenerate degrees
+    {-3/2, -5/2, ...} stay bad one degree down, so the bottom one is bad if
+    any is (a continued column is not checked again).
     """
-    if n < 1:
-        raise ValueError(f"column length must be positive, got {n}")
-
     def coeffs(k):
         nu = nu0 + k
         return nu - mu + 1.0, (2.0 * nu + 1.0) * z, nu + mu
 
-    if below is None:
-        # Q poles (nu + mu + 1 in {0, -1, ...}) and the degenerate degrees
-        # {-3/2, -5/2, ...} stay bad one degree down, so if any degree of the
-        # column is bad the bottom one is, and this call raises its error.
-        col = np.empty(n)
-        col[0] = legendre_q_hat(nu0, mu, z)
-        col[1:] = _minimal_ratios(coeffs, 1, n - 1, z)
-        col = np.cumprod(col)
-    else:
-        col = below * np.cumprod(_minimal_ratios(coeffs, 0, n, z))
-    if not np.all(np.isfinite(col)):
-        raise OverflowError("value exceeds double range")
-    small = np.flatnonzero(np.abs(col) < _NORMAL_MIN)
-    if small.size:
-        # |Q| decreases with the degree out here: once a value rounds to
-        # zero, every higher degree does too.
-        for k in range(small[0], n):
-            col[k] = legendre_q_hat(nu0 + k, mu, z)
-            if col[k] == 0.0:
-                col[k:] = 0.0
-                break
-    return col
-
-
-def _exp_combine(sign, log_pref, mantissa):
-    if mantissa == 0.0:
-        return 0.0
-    out = log_pref + math.log(abs(mantissa))
-    if out > 709.0:
-        raise OverflowError("value exceeds double range")
-    if out < -745.0:
-        return 0.0
-    return sign * math.copysign(math.exp(out), mantissa)
+    return _degree_column(coeffs, lambda: legendre_q_hat_signed_log(nu0, mu, z), z, n, below)
 
 
 def legendre_p_gt1(nu: float, mu: float, z: float) -> float:
@@ -424,35 +445,28 @@ def jacobi_q2_signed_log(gamma_deg: float, alpha: float, beta: float,
                 - (beta + gamma_deg + 1.0) * math.log(z + 1.0))
     f, log_scale, _ = _hyp2f1_series(gamma_deg + 1.0, beta + gamma_deg + 1.0,
                                      c, 2.0 / (1.0 + z))
-    if f == 0.0:
-        return 0.0, -math.inf
-    sign = sign1 * sign2 * sign3 * math.copysign(1.0, f)
-    return sign, log_pref + log_scale + math.log(abs(f))
+    return _signed_log(sign1 * sign2 * sign3, log_pref + log_scale, f)
 
 
 def jacobi_q2_column(gamma0: float, alpha: float, beta: float, z: float, n: int,
                      below: tuple[float, float] | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log|Q_gamma^{(alpha,beta)}(z)|) for gamma = gamma0, ..., gamma0+n-1.
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(signs, logs, lows): the sign of Q_gamma^{(alpha,beta)}(z) and its log
+    logs + lows for gamma = gamma0, ..., gamma0+n-1.
 
     The Jacobi function of the second kind obeys the degree recurrence of
     P_n^{(alpha,beta)} (DLMF 18.9.1; Szego 4.62) with n -> gamma,
       2(g+1)(g+s+1)(2g+s) Q_{g+1} = (2g+s+1)((2g+s+2)(2g+s) z + alpha^2 - beta^2) Q_g
                                     - 2(g+alpha)(g+beta)(2g+s+2) Q_{g-1},  s = alpha+beta,
-    and is its minimal solution for z > 1, so the degree ratios come from the
-    continued fraction `legendre_q_hat_column` uses.  One
-    `jacobi_q2_signed_log` value at the bottom degree fixes the scale, and
-    the column is assembled in log space, so it neither overflows nor
-    underflows.  Given ``below``, the (sign, log) pair at gamma0 - 1 (the
-    last entry of the column just under this one), the column continues it
-    and makes no series call.
+    and is its minimal solution for z > 1, so the column is built as
+    `legendre_q_hat_column` is: `_minimal_ratios` and `_degree_column`, one
+    `jacobi_q2_signed_log` value at the bottom degree, or given ``below``
+    the (sign, log) pair at gamma0 - 1 and no series call.
 
     Raises the typed error `jacobi_q2_signed_log` raises for any degree of
     the column: every pole set (alpha+gamma or beta+gamma a negative integer,
     alpha+beta+2gamma+2 a non-positive one) stays a pole one degree down.
     """
-    if n < 1:
-        raise ValueError(f"column length must be positive, got {n}")
     s = alpha + beta
     ab = alpha * alpha - beta * beta
 
@@ -463,21 +477,8 @@ def jacobi_q2_column(gamma0: float, alpha: float, beta: float, z: float, n: int,
                 (g2 + 1.0) * ((g2 + 2.0) * g2 * z + ab),
                 2.0 * (g + alpha) * (g + beta) * (g2 + 2.0))
 
-    if below is None:
-        below = jacobi_q2_signed_log(gamma0, alpha, beta, z)
-        ratios = np.concatenate(([1.0], _minimal_ratios(coeffs, 1, n - 1, z)))
-    else:
-        ratios = _minimal_ratios(coeffs, 0, n, z)
-    # the running log, started at the bottom value, with Kahan compensation,
-    # as a plain cumulative sum lets its rounding grow with the degree
-    logs = np.log(np.abs(ratios)).tolist()
-    total, comp = below[1], 0.0
-    for k, step in enumerate(logs):
-        y = step - comp
-        t = total + y
-        comp = (t - total) - y if math.isfinite(t) else 0.0
-        total = logs[k] = t
-    return below[0] * np.cumprod(np.sign(ratios)), np.array(logs)
+    return _degree_column(coeffs, lambda: jacobi_q2_signed_log(gamma0, alpha, beta, z), z, n,
+                          below)
 
 
 class BoundedCache:
@@ -559,9 +560,4 @@ def jacobi_q2(gamma_deg: float, alpha: float, beta: float, z: float) -> float:
     converges for every z > 1 (the classical 2/(1-z) series only converges
     for z > 3 and serves as a far-field cross-check in the test suite).
     """
-    sign, log_val = jacobi_q2_signed_log(gamma_deg, alpha, beta, z)
-    if log_val == -math.inf:
-        return 0.0
-    if log_val > 709.0:
-        raise OverflowError("jacobi_q2 value exceeds double range")
-    return sign * math.exp(log_val) if log_val > -745.0 else 0.0
+    return _signed_exp(*jacobi_q2_signed_log(gamma_deg, alpha, beta, z))

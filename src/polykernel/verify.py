@@ -51,7 +51,8 @@ from .errors import DomainError, SingularConfigurationError, in_range, require_f
 from .expansions import _check_power_exclusion, _distinct_radii
 from .polyspherical import (Tree, _cos_separation, _pair_plan, _pair_tables,
                             hopf_heap_to_preorder, hopf_tree, parse_tree)
-from .specfun import BoundedCache, legendre_q_hat, legendre_q_hat_column, second_kind
+from .specfun import (BoundedCache, _column_values, legendre_q_hat, legendre_q_hat_column,
+                      second_kind)
 
 # The most entries a certificate's node tables (50-57 bytes each at the
 # tracemalloc peak, the plan's coefficients and scatter offsets included),
@@ -296,7 +297,8 @@ def _radial(deg, order, z, n, elementary):
 def _radial_build(deg, order, z, n, elementary):
     if elementary:
         return _qhat_half(deg + np.arange(n), order, z)
-    return legendre_q_hat_column(deg, order, z, n)
+    # inf past double range, which the caller's range check refuses
+    return _column_values(legendre_q_hat_column(deg, order, z, n))
 
 
 def _certify(cfg, tree, angles, anglesp, elementary, top=None):
@@ -488,7 +490,8 @@ def ca2_double_coefficient(nu: float, m1: int, m2: int, r: float, rp: float,
     z = (r * r + rp * rp) / (2.0 * r * rp)
     w = _fold(hopf_tree(2), caps, (vt, 0.0, 0.0), (vtp, 0.0, 0.0),
               [np.eye(1, m1 + 1, m1)[0], np.eye(1, m2 + 1, m2)[0]])[m1 + m2:]
-    qv = legendre_q_hat_column(m1 + m2 + 0.5, -0.5 * (nu + 3.0), z, len(w))
+    qv = in_range(lambda: _radial(m1 + m2 + 0.5, -0.5 * (nu + 3.0), z, len(w), False),
+                  "the radial factors leave double range", nu=nu, r=r, rp=rp)
     # the pair table carries node_factor's normalization, 2 Upsilon pairs
     return 0.5 * float(np.dot(w, qv))
 

@@ -17,11 +17,12 @@ the six infinite expansion series as they read with one sum loop each,
 which the expansions built on one degree-sum driver must reproduce bit for
 bit; the Fourier series of (z - x)^{-q} must reproduce the Chebyshev one at
 nu = q, and its own loop there, the classical P_{q-1}^{-n} coefficients,
-is an oracle that shares no code with the Legendre-Q column.  The Jacobi
-loop that formed its prefactor as a double is kept as an accuracy baseline.
+is an oracle that shares no code with the Legendre-Q column.  The loops
+that formed their prefactors as doubles are kept as accuracy baselines.
 """
 
 import math
+import sys
 from functools import lru_cache
 
 import mpmath as mp
@@ -34,12 +35,13 @@ from polykernel.polyspherical import Tree, TreeNode, _check_angle, _child_span
 from polykernel.errors import (CoincidentRadiusError, ConvergenceError, ExclusionSetError,
                                ParameterPoleError, SingularConfigurationError, in_range,
                                require_finite)
-from polykernel.expansions import (DEFAULT_TRUNCATION, PartialSum, Truncation,
-                                   _check_euler_arguments, _check_power_exclusion, _gamma,
-                                   _jacobi_q_terms, _q_hat_terms)
+from polykernel.expansions import (_MAX_CANCELLATION, DEFAULT_TRUNCATION, PartialSum, Truncation,
+                                   _check_euler_arguments, _check_power_exclusion, _exp_sum,
+                                   _q_chunks, _scaled_q)
 from polykernel.kernels import KernelGeometry
 from polykernel.specfun import (_MAX_TERMS, _STOP_REL, _nonpositive_int, gamma_signed_log,
-                                legendre_q_hat)
+                                jacobi_q2_column, legendre_q_hat,
+                                legendre_q_hat_signed_log)
 
 
 def _z(r, rp):
@@ -473,26 +475,31 @@ def hyp2f1_series_reference(a, b, c, x, max_terms=_MAX_TERMS):
 # --- the expansion series, one sum loop each --------------------------------
 # `expansions._Series` and the six infinite series as they read before the
 # series shared one degree-sum driver, kept verbatim (only the names differ)
-# but for the Jacobi series, whose reference takes its prefactor in log space
-# as the library does, and the range messages, which name every input the
-# factor depends on: every series must return the same PartialSum and trace
+# but for the prefactors, which the references take in log space as the
+# library does, and the range messages, which name every input the factor
+# depends on: every series must return the same PartialSum and trace
 # rows, and raise the same errors, bit for bit, `fourier_negative_power`
 # those of `euler_kernel_chebyshev_reference` at nu = q.  Its own loop below
 # sums the classical coefficients (n+q-1)! P_{q-1}^{-n}(z / sqrt(z^2 - 1)),
 # which share no code with the Legendre-Q column: the two agree to rounding.
 
 class SeriesReference:
-    """Compensated accumulator with the three-small-terms stopping rule."""
+    """Compensated accumulator with the three-small-terms stopping rule; given
+    ``params``, it refuses a sum whose terms cancel past _MAX_CANCELLATION,
+    naming them."""
 
-    def __init__(self, tr: Truncation, trace=None, level=0):
+    def __init__(self, tr: Truncation, trace=None, level=0, params=None):
         self.tr = tr
         self.s = 0.0
         self.c = 0.0
         self.n = 0
         self.small_run = 0
         self.last = 0.0
+        self.mass = 0.0
+        self.nan_stop = False
         self.trace = trace
         self.level = level
+        self.params = params
 
     def add(self, term: float) -> bool:
         """Accumulate one term; True once the stopping rule fires."""
@@ -502,19 +509,24 @@ class SeriesReference:
         self.s = t
         self.n += 1
         self.last = abs(term)
+        self.mass += self.last
         if self.trace is not None:
             self.trace.append((self.level, self.n - 1, term, self.s))
         if self.last < self.tr.tol * abs(self.s) or (self.last == 0.0 and self.s != 0.0):
             self.small_run += 1
         else:
             self.small_run = 0
-        return self.small_run >= 3
+        self.nan_stop = self.params is not None and self.s != self.s
+        return self.small_run >= 3 or self.nan_stop
 
     def result(self) -> PartialSum:
-        if self.n >= self.tr.max_terms and self.small_run < 3:
+        if self.n >= self.tr.max_terms and self.small_run < 3 and not self.nan_stop:
             raise ConvergenceError(
                 f"series not converged after {self.n} terms"
                 f" (last |term| = {self.last:.3e}, partial = {self.s:.6e})")
+        if self.params is not None:
+            in_range(lambda: self.s if self.mass <= _MAX_CANCELLATION * abs(self.s) else math.inf,
+                     "the series' terms cancel past double precision", **self.params)
         return PartialSum(value=self.s, terms_used=self.n,
                           last_term_magnitude=self.last, converged=True)
 
@@ -570,11 +582,14 @@ def euler_kernel_jacobi_reference(nu: float, alpha: float, beta: float, z: float
     ab = alpha + beta
     log_pref = ((alpha + 1.0 - nu) * math.log(z - 1.0) + (beta + 1.0 - nu) * math.log(z + 1.0)
                 - (ab + 1.0 - nu) * math.log(2.0))
-    acc = SeriesReference(tr, trace)
+    acc = SeriesReference(tr, trace, params=dict(nu=nu, alpha=alpha, beta=beta, z=z, x=x))
     log_poch = 0.0
     poch_sign = 1.0
     p_prev, pn = 0.0, 1.0   # P_{n-1}, P_n by the three-term recurrence
-    q_terms = _jacobi_q_terms(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, limit)
+    q_terms = ((q_sign, q_log)
+               for signs, logs, _ in _q_chunks(jacobi_q2_column, nu - 1.0,
+                                               (alpha + 1.0 - nu, beta + 1.0 - nu), z, limit)
+               for q_sign, q_log in zip(signs.tolist(), logs.tolist()))
     for n, (q_sign, q_log) in enumerate(q_terms):
         if n > 0:
             step = nu + n - 1.0
@@ -620,7 +635,10 @@ def euler_kernel_jacobi_double_prefactor(nu: float, alpha: float, beta: float, z
     log_poch = 0.0
     poch_sign = 1.0
     p_prev, pn = 0.0, 1.0   # P_{n-1}, P_n by the three-term recurrence
-    q_terms = _jacobi_q_terms(nu - 1.0, alpha + 1.0 - nu, beta + 1.0 - nu, z, limit)
+    q_terms = ((q_sign, q_log)
+               for signs, logs, _ in _q_chunks(jacobi_q2_column, nu - 1.0,
+                                               (alpha + 1.0 - nu, beta + 1.0 - nu), z, limit)
+               for q_sign, q_log in zip(signs.tolist(), logs.tolist()))
     for n, (q_sign, q_log) in enumerate(q_terms):
         if n > 0:
             step = nu + n - 1.0
@@ -651,40 +669,50 @@ def euler_kernel_gegenbauer_reference(nu: float, mu: float, z: float, x: float,
         raise ValueError("need mu in (-1/2, inf) \\ {0}")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    pref = (2.0 ** (mu + 0.5) * _gamma(mu, mu=mu)
-            / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
-               * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25)))
-    acc = SeriesReference(tr, trace)
+    in_range(lambda: (z - x) ** -nu, "the kernel (z - x)^-nu leaves double range",
+             nu=nu, mu=mu, z=z)
+    sign_mu, log_mu = gamma_signed_log(mu)
+    sign_nu, log_nu = gamma_signed_log(nu)
+    sign = sign_mu * sign_nu
+    log_pref = ((mu + 0.5) * math.log(2.0) + log_mu - 0.5 * math.log(math.pi) - log_nu
+                - (0.5 * (nu - mu) - 0.25) * math.log(z * z - 1.0))
+    acc = SeriesReference(tr, trace, params=dict(nu=nu, mu=mu, z=z, x=x))
     c_prev = 0.0
     c_cur = 1.0
-    qhats = _q_hat_terms(mu - 0.5, nu - mu - 0.5, z, tr.max_terms)
-    for n, qhat in enumerate(qhats):
+    for n, q in enumerate(_scaled_q(mu - 0.5, nu - mu - 0.5, z, tr.max_terms, log_pref)):
         if n == 1:
             c_prev, c_cur = c_cur, 2.0 * mu * x
         elif n >= 2:
             c_prev, c_cur = c_cur, (2.0 * x * (n + mu - 1.0) * c_cur
                                     - (n + 2.0 * mu - 2.0) * c_prev) / n
-        if acc.add(pref * (n + mu) * qhat * c_cur):
+        if acc.add(sign * q * (n + mu) * c_cur):
             break
     return acc.result()
 
 
 def euler_kernel_chebyshev_reference(nu: float, z: float, x: float,
                            tr: Truncation = DEFAULT_TRUNCATION,
-                           trace=None) -> PartialSum:
-    """Chebyshev expansion of (z - x)^{-nu}; phase-cancelled real form."""
+                           trace=None, *, name="nu") -> PartialSum:
+    """Chebyshev expansion of (z - x)^{-nu}; phase-cancelled real form.  The
+    cancellation refusal names nu as ``name``."""
     _check_euler_arguments(z, x, nu=nu)
     if _nonpositive_int(nu) is not None:
         raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    theta = math.acos(x)
-    pref = (math.sqrt(2.0) / (math.sqrt(math.pi) * _gamma(nu, nu=nu)
-                              * (z * z - 1.0) ** (0.5 * nu - 0.25)))
-    acc = SeriesReference(tr, trace)
-    for n, qhat in enumerate(_q_hat_terms(-0.5, nu - 0.5, z, tr.max_terms)):
+    in_range(lambda: (z - x) ** -nu, "the kernel (z - x)^-nu leaves double range", nu=nu, z=z)
+    sign, log_gamma = gamma_signed_log(nu)
+    log_pref = (0.5 * math.log(2.0 / math.pi) - log_gamma
+                - (0.5 * nu - 0.25) * math.log(z * z - 1.0))
+    acc = SeriesReference(tr, trace, params={name: nu, "z": z, "x": x})
+    t_prev, t_cur = 0.0, 1.0
+    for n, q in enumerate(_scaled_q(-0.5, nu - 0.5, z, tr.max_terms, log_pref)):
+        if n == 1:
+            t_prev, t_cur = t_cur, x
+        elif n >= 2:
+            t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
         eps = 2.0 if n else 1.0
-        if acc.add(pref * eps * math.cos(n * theta) * qhat):
+        if acc.add(sign * q * (eps * t_cur)):
             break
     return acc.result()
 
@@ -705,13 +733,16 @@ def multipole_power_reference(d: int, nu: float, r: float, rp: float, cos_gamma:
     if (r_greater - r_less) / r_greater < 1e-6:
         raise CoincidentRadiusError(f"radii {r}, {rp} too close: radial argument collapses to 1")
     mu = 0.5 * d - 1.0
-    gammas = _gamma(0.5 * (d - 2.0), d=d) / (2.0 * math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu))
-    radial_range = "the radial factors leave double range"
-    z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp), radial_range, r=r, rp=rp)
-    pref = in_range(lambda: (gammas * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
-                             / (r * rp) ** (0.5 * (d - 1.0))), radial_range,
-                    d=d, nu=nu, r=r, rp=rp)
-    acc = SeriesReference(tr, trace)
+    z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp),
+                 "the radial factors leave double range", r=r, rp=rp)
+    in_range(lambda: (r * r + rp * rp - 2.0 * r * rp * cos_gamma) ** (0.5 * nu),
+             "the kernel ||x - x'||^nu leaves double range",
+             nu=nu, r=r, rp=rp, cos_gamma=cos_gamma)
+    sign, log_gamma = gamma_signed_log(-0.5 * nu)
+    log_pref = (math.lgamma(0.5 * (d - 2.0)) - math.log(2.0 * math.sqrt(math.pi)) - log_gamma
+                + 0.5 * (nu + d - 1.0) * math.log(r_greater ** 2 - r_less ** 2)
+                - 0.5 * (d - 1.0) * math.log(r * rp))
+    acc = SeriesReference(tr, trace, params=dict(d=d, nu=nu, r=r, rp=rp, cos_gamma=cos_gamma))
     c_prev = 0.0
     c_cur = 1.0
     for n in range(tr.max_terms):
@@ -720,8 +751,8 @@ def multipole_power_reference(d: int, nu: float, r: float, rp: float, cos_gamma:
         elif n >= 2:
             c_prev, c_cur = c_cur, (2.0 * cos_gamma * (n + mu - 1.0) * c_cur
                                     - (n + 2.0 * mu - 2.0) * c_prev) / n
-        qhat = legendre_q_hat(n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z)
-        if acc.add(pref * (2.0 * n + d - 2.0) * qhat * c_cur):
+        q_sign, q_log = legendre_q_hat_signed_log(n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z)
+        if acc.add(sign * q_sign * _exp_sum(log_pref, q_log) * (2.0 * n + d - 2.0) * c_cur):
             break
     return acc.result()
 
@@ -743,14 +774,182 @@ def azimuthal_power_reference(nu: float, g: KernelGeometry,
     if chi <= 1.0 + 1e-6:
         raise SingularConfigurationError(
             f"chi = {chi} too close to 1 for the azimuthal series")
+    c = math.cos(g.delta_phi)
+    in_range(lambda: chi, "the radial factors leave double range", R=g.R, Rp=g.Rp, chi=chi)
+    in_range(lambda: g.distance ** nu, "the kernel ||x - x'||^nu leaves double range",
+             nu=nu, R=g.R, Rp=g.Rp, chi=chi)
+    sign, log_gamma = gamma_signed_log(-0.5 * nu)
+    log_pref = (0.5 * math.log(2.0 / math.pi) + 0.5 * nu * (math.log(2.0 * g.R) + math.log(g.Rp))
+                + 0.25 * (nu + 1.0) * math.log(chi * chi - 1.0) - log_gamma)
+    acc = SeriesReference(tr, trace,
+                          params=dict(nu=nu, R=g.R, Rp=g.Rp, chi=chi, dphi=g.delta_phi))
+    t_prev, t_cur = 0.0, 1.0    # cos(m dphi) = T_m(cos dphi)
+    for m, q in enumerate(_scaled_q(-0.5, -0.5 * (nu + 1.0), chi, tr.max_terms, log_pref)):
+        if m == 1:
+            t_prev, t_cur = t_cur, c
+        elif m >= 2:
+            t_prev, t_cur = t_cur, 2.0 * c * t_cur - t_prev
+        eps = 2.0 if m else 1.0
+        if acc.add(sign * q * (eps * t_cur)):
+            break
+    return acc.result()
+
+
+# The four Legendre-Q series as they read before their prefactors moved to
+# log space, kept verbatim under their own names but for the Gamma function
+# (math.gamma) and the Q factors (`q_hat_values`, the value columns of that
+# time): the accuracy baseline the log-space series are measured against.
+
+def _value_column(nu0, mu, z, n, below=None):
+    """`specfun.legendre_q_hat_column` as it read when it returned values:
+    the bottom value (or ``below``, the value one degree down) times the
+    running product of the degree ratios, and from the first degree whose
+    value is not a normal double on, the per-degree values."""
+    def coeffs(k):
+        nu = nu0 + k
+        return nu - mu + 1.0, (2.0 * nu + 1.0) * z, nu + mu
+
+    if below is None:
+        col = np.empty(n)
+        col[0] = legendre_q_hat(nu0, mu, z)
+        col[1:] = sf._minimal_ratios(coeffs, 1, n - 1, z)
+        col = np.cumprod(col)
+    else:
+        col = below * np.cumprod(sf._minimal_ratios(coeffs, 0, n, z))
+    small = np.flatnonzero(np.abs(col) < sys.float_info.min)
+    if small.size:
+        for k in range(small[0], n):
+            col[k] = legendre_q_hat(nu0 + k, mu, z)
+            if col[k] == 0.0:
+                col[k:] = 0.0
+                break
+    return col
+
+
+def q_hat_values(nu0, mu, z, limit):
+    """Qhat_{nu0+n}^mu(z) for n = 0 .. limit - 1, in the chunks the series
+    read them in."""
+    n0, length, below = 0, 16 + int(32.0 / math.acosh(z)), None
+    while n0 < limit:
+        length = min(length, limit - n0)
+        chunk = _value_column(nu0 + n0, mu, z, length, below).tolist()
+        yield from chunk
+        below = chunk[-1]
+        n0 += length
+        length *= 2
+
+
+def euler_kernel_gegenbauer_double_prefactor(nu: float, mu: float, z: float, x: float,
+                            tr: Truncation = DEFAULT_TRUNCATION,
+                            trace=None) -> PartialSum:
+    """Gegenbauer expansion of (z - x)^{-nu}; phase-cancelled real form."""
+    _check_euler_arguments(z, x, nu=nu, mu=mu)
+    if _nonpositive_int(nu) is not None:
+        raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
+    if mu <= -0.5 or mu == 0.0:
+        raise ValueError("need mu in (-1/2, inf) \\ {0}")
+    if not z > 1.0:
+        raise ValueError("need z > 1")
+    pref = (2.0 ** (mu + 0.5) * math.gamma(mu)
+            / (math.sqrt(math.pi) * math.gamma(nu)
+               * (z * z - 1.0) ** (0.5 * (nu - mu) - 0.25)))
+    acc = SeriesReference(tr, trace)
+    c_prev = 0.0
+    c_cur = 1.0
+    qhats = q_hat_values(mu - 0.5, nu - mu - 0.5, z, tr.max_terms)
+    for n, qhat in enumerate(qhats):
+        if n == 1:
+            c_prev, c_cur = c_cur, 2.0 * mu * x
+        elif n >= 2:
+            c_prev, c_cur = c_cur, (2.0 * x * (n + mu - 1.0) * c_cur
+                                    - (n + 2.0 * mu - 2.0) * c_prev) / n
+        if acc.add(pref * (n + mu) * qhat * c_cur):
+            break
+    return acc.result()
+
+
+def euler_kernel_chebyshev_double_prefactor(nu: float, z: float, x: float,
+                           tr: Truncation = DEFAULT_TRUNCATION,
+                           trace=None) -> PartialSum:
+    """Chebyshev expansion of (z - x)^{-nu}; phase-cancelled real form."""
+    _check_euler_arguments(z, x, nu=nu)
+    if _nonpositive_int(nu) is not None:
+        raise ExclusionSetError(f"nu = {nu} lies in the excluded set -N0")
+    if not z > 1.0:
+        raise ValueError("need z > 1")
+    theta = math.acos(x)
+    pref = (math.sqrt(2.0) / (math.sqrt(math.pi) * math.gamma(nu)
+                              * (z * z - 1.0) ** (0.5 * nu - 0.25)))
+    acc = SeriesReference(tr, trace)
+    for n, qhat in enumerate(q_hat_values(-0.5, nu - 0.5, z, tr.max_terms)):
+        eps = 2.0 if n else 1.0
+        if acc.add(pref * eps * math.cos(n * theta) * qhat):
+            break
+    return acc.result()
+
+
+def multipole_power_double_prefactor(d: int, nu: float, r: float, rp: float, cos_gamma: float,
+                    tr: Truncation = DEFAULT_TRUNCATION,
+                    trace=None) -> PartialSum:
+    """Gegenbauer multipole expansion of ||x - x'||^nu on R^d, d >= 3."""
+    if d < 3:
+        raise ValueError("need dimension d >= 3")
+    _check_power_exclusion(nu)
+    require_finite(r=r, rp=rp, cos_gamma=cos_gamma)
+    if not -1.0 <= cos_gamma <= 1.0:
+        raise ValueError("cos_gamma must lie in [-1, 1]")
+    if r <= 0.0 or rp <= 0.0:
+        raise ValueError("radii must be positive")
+    r_less, r_greater = min(r, rp), max(r, rp)
+    if (r_greater - r_less) / r_greater < 1e-6:
+        raise CoincidentRadiusError(f"radii {r}, {rp} too close: radial argument collapses to 1")
+    mu = 0.5 * d - 1.0
+    gammas = math.gamma(0.5 * (d - 2.0)) / (2.0 * math.sqrt(math.pi) * math.gamma(-0.5 * nu))
+    radial_range = "the radial factors leave double range"
+    z = in_range(lambda: (r * r + rp * rp) / (2.0 * r * rp), radial_range, r=r, rp=rp)
+    pref = in_range(lambda: (gammas * (r_greater ** 2 - r_less ** 2) ** (0.5 * (nu + d - 1.0))
+                             / (r * rp) ** (0.5 * (d - 1.0))), radial_range,
+                    d=d, nu=nu, r=r, rp=rp)
+    acc = SeriesReference(tr, trace)
+    c_prev = 0.0
+    c_cur = 1.0
+    for n in range(tr.max_terms):
+        if n == 1:
+            c_prev, c_cur = c_cur, 2.0 * mu * cos_gamma
+        elif n >= 2:
+            c_prev, c_cur = c_cur, (2.0 * cos_gamma * (n + mu - 1.0) * c_cur
+                                    - (n + 2.0 * mu - 2.0) * c_prev) / n
+        qhat = legendre_q_hat(n + 0.5 * (d - 3.0), 0.5 * (1.0 - nu - d), z)
+        if acc.add(pref * (2.0 * n + d - 2.0) * qhat * c_cur):
+            break
+    return acc.result()
+
+
+def azimuthal_power_double_prefactor(nu: float, g: KernelGeometry,
+                    tr: Truncation = DEFAULT_TRUNCATION,
+                    trace=None) -> PartialSum:
+    """Azimuthal Fourier expansion of ||x - x'||^nu about the invariant axis.
+
+    Composition of the Chebyshev kernel expansion with the toroidal distance
+    factorization; the working prefactor sqrt(2) (2RR')^{nu/2}
+    (chi^2-1)^{(nu+1)/4} / (sqrt(pi) Gamma(-nu/2)) is the algebraically
+    composed one (it reduces to the classical d = 3, nu = -1 result).
+    """
+    _check_power_exclusion(nu)
+    chi = g.chi
+    if chi is None:
+        raise SingularConfigurationError("a point lies on the rotation axis")
+    if chi <= 1.0 + 1e-6:
+        raise SingularConfigurationError(
+            f"chi = {chi} too close to 1 for the azimuthal series")
     dphi = g.delta_phi
-    den = math.sqrt(math.pi) * _gamma(-0.5 * nu, nu=nu)
+    den = math.sqrt(math.pi) * math.gamma(-0.5 * nu)
     in_range(lambda: chi, "the radial factors leave double range", R=g.R, Rp=g.Rp, chi=chi)
     pref = in_range(lambda: (math.sqrt(2.0) * (2.0 * g.R * g.Rp) ** (0.5 * nu)
                              * (chi * chi - 1.0) ** (0.25 * (nu + 1.0)) / den),
                     "the radial factors leave double range", nu=nu, R=g.R, Rp=g.Rp, chi=chi)
     acc = SeriesReference(tr, trace)
-    qhats = _q_hat_terms(-0.5, -0.5 * (nu + 1.0), chi, tr.max_terms)
+    qhats = q_hat_values(-0.5, -0.5 * (nu + 1.0), chi, tr.max_terms)
     for m, qhat in enumerate(qhats):
         eps = 2.0 if m else 1.0
         if acc.add(pref * eps * math.cos(m * dphi) * qhat):

@@ -164,11 +164,12 @@ class TestExpand:
         assert "z > 1" in err
 
     def test_overflow_exit6(self, capsys):
-        # Gamma(180) overflows a double: reported, not a traceback
-        code, out, err = run(["expand", "chebyshev", "--nu", "180", "--z", "2",
-                              "--x", "0.1"], capsys)
+        # log Gamma(1e306) overflows a double: reported by its argument, not
+        # a traceback or a bare "math range error"
+        code, out, err = run(["expand", "gegenbauer", "--nu", "1.5", "--mu", "1e306", "--z", "2",
+                              "--x", "0.3"], capsys)
         assert code == 6
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err == "error: log Gamma(1e+306) leaves double range\n"
 
     def test_trace_rows(self, capsys):
         code, out, _ = run(["expand", "chebyshev", "--nu", "1", "--z", "3",
@@ -359,27 +360,24 @@ class TestVerify:
         assert code == 6
         assert out == "" and err.startswith("error:")
 
-    @pytest.mark.parametrize("argv, name", [
-        # these exited 6 with only "error: math range error"
-        (["expand", "multipole", "--d", "400"], "d = 400: Gamma(199.0)"),
-        (["expand", "gegenbauer", "--mu", "200", "--nu", "300"], "mu = 200.0: Gamma(200.0)"),
-        (["expand", "chebyshev", "--nu", "200", "--z", "3", "--x", "0"],
-         "nu = 200.0: Gamma(200.0)"),
-        (["expand", "azimuthal", "--nu", "-400"], "nu = -400.0: Gamma(200.0)"),
-        (["expand", "multipole", "--d", "3", "--nu", "-400", "--r", "1", "--rp", "2",
-          "--cosg", "0.3"], "nu = -400.0: Gamma(200.0)"),
+    @pytest.mark.parametrize("argv", [
+        # these exited 6 naming a Gamma past double range (Gamma(199)) or a
+        # series prefactor that underflowed to 0; the prefactor is now a log
+        ["expand", "multipole", "--d", "400"],
+        ["expand", "chebyshev", "--nu", "150", "--z", "100", "--x", "0"],
     ])
-    def test_gamma_overflow_names_parameter_exit6(self, capsys, argv, name):
-        code, out, err = run(argv, capsys)
-        assert code == 6
-        assert out == "" and err.startswith(f"error: {name} leaves double range")
-        assert "171.6" in err and err.count("\n") == 1
+    def test_log_prefactor_sums_in_range_kernel_exit0(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["converged"] and report["rel_err"] < 1e-12
 
     @pytest.mark.parametrize("argv", [
         # these exited 6 with "math domain error" (w = z / sqrt(z^2 - 1) read 0)
         # and "int too large to convert to float"
         ["expand", "fourier-neg", "--q", "2", "--z", "1e200", "--x", "0.3"],
-        ["expand", "fourier-neg", "--q", "200", "--z", "1.5", "--x", "0"],
     ])
     def test_fourier_neg_out_of_range_names_q_exit6(self, capsys, argv):
         code, out, err = run(argv, capsys)
@@ -419,16 +417,28 @@ class TestVerify:
         assert report["converged"] and report["value"] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("argv, names", [
-        # these ended in a ZeroDivisionError traceback and exit 1
+        # these exited 6 for a Gamma or a prefactor past double range (the
+        # first two once ended in a ZeroDivisionError traceback, exit 1); on
+        # the log form they sum to values 0.9 to 1e79 relative off, so they
+        # stay refused, now for their terms' cancellation
         (["expand", "chebyshev", "--nu", "-150.5", "--z", "3", "--x", "0"],
-         "nu = -150.5, z = 3.0"),
+         "nu = -150.5, z = 3.0, x = 0.0"),
         (["expand", "gegenbauer", "--nu", "-150.5", "--mu", "0.5", "--z", "3", "--x", "0"],
-         "nu = -150.5, mu = 0.5, z = 3.0"),
+         "nu = -150.5, mu = 0.5, z = 3.0, x = 0.0"),
+        (["expand", "fourier-neg", "--q", "200", "--z", "1.5", "--x", "0"],
+         "q = 200, z = 1.5, x = 0.0"),
+        (["expand", "chebyshev", "--nu", "200", "--z", "3", "--x", "0"],
+         "nu = 200.0, z = 3.0, x = 0.0"),
+        (["expand", "multipole", "--d", "3", "--nu", "-400", "--r", "1", "--rp", "2",
+          "--cosg", "0.3"], "d = 3, nu = -400.0, r = 1.0, rp = 2.0, cos_gamma = 0.3"),
+        (["expand", "gegenbauer", "--mu", "200", "--nu", "300"],
+         "nu = 300.0, mu = 200.0, z = 2.0, x = 0.0"),
     ])
-    def test_prefactor_underflow_names_parameters_exit6(self, capsys, argv, names):
+    def test_cancelling_terms_name_parameters_exit6(self, capsys, argv, names):
         code, out, err = run(argv, capsys)
         assert code == 6
-        assert out == "" and err == f"error: {names}: the series prefactor leaves double range\n"
+        assert out == "" and err == (f"error: {names}: the series' terms cancel past double"
+                                     " precision\n")
 
     def test_kernel_underflow_names_parameters_exit6(self, capsys):
         # this one exited 4, "series not converged", after a numpy
@@ -562,14 +572,16 @@ class TestVerify:
           "--thetap", "0.4", "--phis", "4.8", "--phisp", "0.3", "--caps", "9"],
          "nu = 393.0, m = 0, chi = 4.447401649363392: the lhs Qhat_{m-1/2}^{-(nu+1)/2}(chi)"
          " leaves double range"),
-        # these ran 2 000 zero terms and exited 4: the prefactor underflowed to 0
+        # these ran 2 000 zero terms and exited 4: the prefactor underflowed to
+        # 0, as the kernel does
         (["expand", "multipole", "--d", "3", "--nu", "-100", "--r", "1", "--rp", "1e10",
           "--cosg", "0.3"],
-         "d = 3, nu = -100.0, r = 1.0, rp = 10000000000.0: the radial factors leave double"
-         " range"),
+         "nu = -100.0, r = 1.0, rp = 10000000000.0, cos_gamma = 0.3: the kernel ||x - x'||^nu"
+         " leaves double range"),
         (["expand", "azimuthal", "--nu", "-301", "--R", "1", "--Rp", "1", "--h", "1e10",
           "--dphi", "0.5"],
-         "nu = -301.0, R = 1.0, Rp = 1.0, chi = 5e+19: the radial factors leave double range"),
+         "nu = -301.0, R = 1.0, Rp = 1.0, chi = 5e+19: the kernel ||x - x'||^nu leaves double"
+         " range"),
         # these read "truncation_insufficient" (exit 5) with rhs "-inf" or
         # "inf": the prefactor times a cut-short sum overflowed
         (["verify", "C4.3", "--nu", "-200.5", "--r", "1", "--rp", "1.1", "--theta", "1",

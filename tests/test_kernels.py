@@ -183,6 +183,19 @@ class TestToroidalChi:
         assert math.isnan(g.cos_gamma) and math.isnan(g.chi)
         assert g.r == g.rp == math.inf
 
+    def test_subnormal_radial_product_builds(self):
+        # 2RR' = 2e-320 is subnormal, not 0: the geometry builds, with chi
+        # inf for the azimuthal series to name, and the distance is exact
+        g = kn.KernelGeometry(x=np.array([1e-160, 0.0, 0.0]), xp=np.array([1e-160, 0.0, 1.0]))
+        assert g.chi == math.inf and g.distance == 1.0
+        got = kn.fundamental_solution(kn.PolyharmonicOrder(d=3, k=1), g)
+        assert got == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
+
+    def test_radial_product_underflowing_to_zero_rejected(self):
+        with pytest.raises(DomainError, match="^R = 1e-170, Rp = 1e-170: the radial factors"
+                                              " leave double range$"):
+            kn.KernelGeometry(x=np.array([1e-170, 0.0, 0.0]), xp=np.array([1e-170, 0.0, 1.0]))
+
 
 class TestKernelH:
     def test_direct_substitution(self):

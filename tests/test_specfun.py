@@ -54,6 +54,11 @@ class TestGamma:
         with pytest.raises(OverflowError):
             sf.gamma(200.0)
 
+    def test_log_overflow_names_the_argument(self):
+        # math.lgamma's bare OverflowError, "math range error", named nothing
+        with pytest.raises(DomainError, match=r"^log Gamma\(1e\+306\) leaves double range$"):
+            sf.gamma_signed_log(1e306)
+
     def test_recurrence_property(self):
         rng = np.random.default_rng(7)
         checked = 0
@@ -190,6 +195,44 @@ class TestGauss2F1:
     def test_non_terminating_property(self, a, b, c, x):
         assume(_nonterminal(a) and _nonterminal(b))
         _check_2f1(a, b, c, x)
+
+
+class TestSignedLogFinish:
+    """Legendre Q, Jacobi Q and a rescaled 2F1 sum are their (sign, log)
+    forms taken out of log space by one finish, sign * e^log, bit for bit;
+    past e^709 it raises OverflowError."""
+
+    @given(nu=st.floats(-0.9, 300.0), mu=st.floats(-20.0, 20.0), z=st.floats(1.001, 1e6))
+    def test_legendre_q_hat(self, nu, mu, z):
+        assume(sf._nonpositive_int(nu + mu + 1.0) is None)
+        sign, log = sf.legendre_q_hat_signed_log(nu, mu, z)
+        assume(log <= 709.0)
+        assert sf.legendre_q_hat(nu, mu, z).hex() == (sign * math.exp(log)).hex()
+
+    @given(g=st.floats(0.0, 300.0), a=st.floats(-0.9, 20.0), b=st.floats(-0.9, 20.0),
+           z=st.floats(1.001, 1e6))
+    def test_jacobi_q2(self, g, a, b, z):
+        sign, log = sf.jacobi_q2_signed_log(g, a, b, z)
+        assume(log <= 709.0)
+        assert sf.jacobi_q2(g, a, b, z).hex() == (sign * math.exp(log)).hex()
+
+    @pytest.mark.parametrize("n, x", [(160, -8.0), (180, -6.0)])
+    def test_rescaled_2f1(self, n, x):
+        # terms past 1e250 rescale the sum; its value, e^590 and e^612, is a
+        # double
+        s, log_scale, _ = sf._hyp2f1_series(-float(n), n + 50.0, 1.0, x)
+        assert log_scale > 0.0
+        want = math.copysign(math.exp(log_scale + math.log(abs(s))), s)
+        assert sf.gauss_2f1(-float(n), n + 50.0, 1.0, x).hex() == want.hex()
+
+    @pytest.mark.parametrize("call", [
+        lambda: sf.gauss_2f1(-200.0, 260.0, 1.0, -10.0),     # e^780
+        lambda: sf.legendre_q_hat(0.5, 300.0, 2.0),
+        lambda: sf.jacobi_q2(0.5, 200.0, 0.0, 1.01),
+    ])
+    def test_past_double_range(self, call):
+        with pytest.raises(OverflowError, match="^value exceeds double range$"):
+            call()
 
 
 # The Gauss-series kernel against its reference loop (tests/oracle_sums.py):
@@ -509,6 +552,12 @@ def _pole_degrees(nu0, mu, n):
     return [k for k in range(n) if sf._nonpositive_int(nu0 + k + mu + 1.0) is not None]
 
 
+def _q_values(col):
+    """The values sign e^{log + low} of a (signs, logs, lows) column."""
+    signs, logs, lows = col
+    return signs * np.exp(logs) * (1.0 + lows)
+
+
 class TestLegendreQHatColumn:
     @given(**COLUMN_ARGS)
     def test_matches_per_degree(self, nu0, mu, z, n):
@@ -516,7 +565,7 @@ class TestLegendreQHatColumn:
             with pytest.raises(PoleError):
                 sf.legendre_q_hat_column(nu0, mu, z, n)
             return
-        col = sf.legendre_q_hat_column(nu0, mu, z, n)
+        col = _q_values(sf.legendre_q_hat_column(nu0, mu, z, n))
         assert col.shape == (n,)
         scale = _from_top_max(col)
         for k in _checked_degrees(n):
@@ -526,24 +575,27 @@ class TestLegendreQHatColumn:
     @given(**COLUMN_ARGS)
     def test_matches_mpmath(self, nu0, mu, z, n):
         assume(not _pole_degrees(nu0, mu, n))
-        col = sf.legendre_q_hat_column(nu0, mu, z, n)
+        col = _q_values(sf.legendre_q_hat_column(nu0, mu, z, n))
         scale = _from_top_max(col)
         for k in sorted({0, n // 2, n - 1}):
             want = mp_qhat(nu0 + k, mu, z)
             assert abs(col[k] - want) <= 2e-12 * scale[k], (k, col[k], want)
 
-    def test_underflowing_top(self):
-        # Q falls by about 2 per degree at z = 1.25: degrees past ~1010 are
-        # subnormal, past ~1065 zero.
-        nu0, mu, z, n = 0.5, -0.5, 1.25, 3000
-        col = sf.legendre_q_hat_column(nu0, mu, z, n)
-        ref = np.array([sf.legendre_q_hat(nu0 + k, mu, z) for k in range(n)])
-        assert ref[-1] == 0.0 and 0.0 < abs(ref[1050]) < sys.float_info.min
-        assert np.count_nonzero(col) == np.count_nonzero(ref)
+    def test_logs_past_double_range(self):
+        # Q falls by about 2 per degree at z = 1.25: past degree ~1010 its
+        # values are subnormal, past ~1065 zero, but the column's logs go on.
         # The per-degree series loses about 1e-12 to its log prefactor out
         # at degree 1000, hence the budget; mpmath pins the column tighter.
-        assert np.all(np.abs(col - ref) <= 1e-11 * _from_top_max(ref))
-        assert abs(col[1000] - mp_qhat(nu0 + 1000, mu, z)) <= 2e-12 * abs(col[1000])
+        nu0, mu, z, n = 0.5, -0.5, 1.25, 3000
+        signs, logs, lows = sf.legendre_q_hat_column(nu0, mu, z, n)
+        assert sf.legendre_q_hat(nu0 + n - 1, mu, z) == 0.0
+        for k in (0, 1000, 1050, 2000, n - 1):
+            sign, log = sf.legendre_q_hat_signed_log(nu0 + k, mu, z)
+            assert signs[k] == sign and abs(logs[k] + lows[k] - log) <= 1e-11, k
+        with mp.workdps(30):
+            for k in (1000, n - 1):
+                want = mp.log(abs(mp.legenq(nu0 + k, mu, mp.mpf(z), type=3)))
+                assert abs(logs[k] + lows[k] - want) <= 2e-12, k
 
     @pytest.mark.parametrize("nu0, mu, z, n", [
         (0.0, 0.0, 0.5, 4),          # z <= 1
@@ -568,7 +620,7 @@ class TestLegendreQHatColumn:
         with pytest.raises(ValueError):
             sf.legendre_q_hat_column(0.5, 0.0, 2.0, 0)
 
-    @pytest.mark.parametrize("below", [None, 1e-308])
+    @pytest.mark.parametrize("below", [None, (1.0, -709.0)])
     def test_recurrence_past_double_range_rejected(self, below):
         # (2 nu + 1) z overflowed in a numpy multiply: a RuntimeWarning, then
         # a column of NaN
@@ -580,14 +632,17 @@ class TestLegendreQHatColumn:
 
 
     def test_continued_column_matches_one_column(self, monkeypatch):
-        # a column continued from the last entry of the one below equals one
-        # long column, and makes no series call
+        # a column continued from the (sign, log) pair of the last entry of
+        # the one below equals one long column, and makes no series call
         nu0, mu, z, n = -0.5, 1.3, 1.05, 300
-        whole = sf.legendre_q_hat_column(nu0, mu, z, n)
+        whole = _q_values(sf.legendre_q_hat_column(nu0, mu, z, n))
+        signs, logs, _ = sf.legendre_q_hat_column(nu0, mu, z, 100)
         calls = []
-        series = sf.legendre_q_hat
-        monkeypatch.setattr(sf, "legendre_q_hat", lambda *a: calls.append(a) or series(*a))
-        upper = sf.legendre_q_hat_column(nu0 + 100, mu, z, n - 100, below=whole[99])
+        series = sf.legendre_q_hat_signed_log
+        monkeypatch.setattr(sf, "legendre_q_hat_signed_log",
+                            lambda *a: calls.append(a) or series(*a))
+        upper = _q_values(sf.legendre_q_hat_column(nu0 + 100, mu, z, n - 100,
+                                                   below=(signs[99], logs[99])))
         assert calls == []
         assert np.all(np.abs(upper - whole[100:]) <= 1e-14 * np.abs(whole[100:]))
 
@@ -631,8 +686,8 @@ class TestJacobiQ2Column:
         # n stops at 150: the per-degree series is the less accurate side at
         # high degree (7e-13 relative at degree 150, where the column is 1e-14
         # from mpmath), so longer columns are pinned against mpmath below
-        signs, logs = _jacobi_column(nu, alpha, beta, z, n)
-        assert signs.shape == logs.shape == (n,)
+        signs, logs, lows = _jacobi_column(nu, alpha, beta, z, n)
+        assert signs.shape == logs.shape == lows.shape == (n,)
         scale = np.maximum.accumulate(logs[::-1])[::-1]
         for k in _checked_degrees(n):
             want = sf.jacobi_q2_signed_log(nu - 1.0 + k, alpha + 1.0 - nu,
@@ -641,7 +696,7 @@ class TestJacobiQ2Column:
 
     @given(n=st.integers(1, 250), **JACOBI_ARGS)
     def test_matches_mpmath(self, nu, alpha, beta, z, n):
-        signs, logs = _jacobi_column(nu, alpha, beta, z, n)
+        signs, logs, _ = _jacobi_column(nu, alpha, beta, z, n)
         scale = np.maximum.accumulate(logs[::-1])[::-1]
         for k in sorted({0, n // 2, n - 1}):
             s, lg = mp_jacobi_q2(nu - 1.0 + k, alpha + 1.0 - nu, beta + 1.0 - nu, z)
@@ -652,18 +707,18 @@ class TestJacobiQ2Column:
     def test_high_degree_log_is_compensated(self, nu, alpha, beta, z):
         # at degree 242 the running log is about -500: summed without
         # compensation its rounding reached 4e-13 relative on these draws
-        signs, logs = _jacobi_column(nu, alpha, beta, z, 243)
+        signs, logs, _ = _jacobi_column(nu, alpha, beta, z, 243)
         s, lg = mp_jacobi_q2(nu + 241.0, alpha + 1.0 - nu, beta + 1.0 - nu, z)
         _assert_close_in_log(signs[-1], logs[-1], float(s), float(lg), float(lg), 1e-13)
 
     def test_continued_column_matches_one_column(self, monkeypatch):
         g0, a, b, z, n = 0.3, -1.2, 0.8, 1.05, 300
-        signs, logs = sf.jacobi_q2_column(g0, a, b, z, n)
+        signs, logs, _ = sf.jacobi_q2_column(g0, a, b, z, n)
         calls = []
         series = sf.jacobi_q2_signed_log
         monkeypatch.setattr(sf, "jacobi_q2_signed_log",
                             lambda *args: calls.append(args) or series(*args))
-        up_signs, up_logs = sf.jacobi_q2_column(g0 + 100, a, b, z, n - 100,
+        up_signs, up_logs, _ = sf.jacobi_q2_column(g0 + 100, a, b, z, n - 100,
                                                 below=(signs[99], logs[99]))
         assert calls == []
         assert np.array_equal(up_signs, signs[100:])
@@ -700,7 +755,7 @@ class TestJacobiQ2Column:
                                                   " coefficients leave double range$"):
                 sf.jacobi_q2_column(0.0, -0.5, 0.0, 1e305, 8, below)
         # a few decades nearer, the same column is finite
-        signs, logs = sf.jacobi_q2_column(0.0, -0.5, 0.0, 1e303, 8)
+        signs, logs, _ = sf.jacobi_q2_column(0.0, -0.5, 0.0, 1e303, 8)
         assert np.isfinite(logs).all()
 
 
